@@ -96,14 +96,27 @@ func (s Series) Merge(other Series) Series {
 	return out
 }
 
-// Insert returns a new sorted series with r added, leaving the receiver
-// untouched (copy-on-write, exactly presized from both input lengths). The
-// result is bit-identical to Merge(Series{r}): the new rating lands after
-// any existing same-day ratings, matching Merge's stable sort, at the cost
-// of one binary search and one copy instead of a full re-sort.
+// Insert returns the sorted series with r added. The result is
+// bit-identical to Merge(Series{r}): the new rating lands after any
+// existing same-day ratings, matching Merge's stable sort.
+//
+// The contract is append's. A rating that lands at the tail (empty series,
+// or no existing rating later than r.Day) is appended, reusing spare
+// capacity, so in-order ingest is amortised O(1) per rating. Any other
+// rating costs one binary search and one exactly presized copy. Either way
+// elements [0, len(s)) of the receiver are never modified — the series is
+// never mutated below a view's length — but the result may share the
+// receiver's backing array, so only the series' owner may call Insert.
+// Hand other readers capacity-capped views (s[:n:n]): an Insert or append
+// on such a view always reallocates and can never write into the owner's
+// spare capacity.
 func (s Series) Insert(r Rating) Series {
-	i := sort.Search(len(s), func(j int) bool { return s[j].Day > r.Day })
-	out := make(Series, len(s)+1)
+	n := len(s)
+	if n == 0 || s[n-1].Day <= r.Day {
+		return append(s, r)
+	}
+	i := sort.Search(n, func(j int) bool { return s[j].Day > r.Day })
+	out := make(Series, n+1)
 	copy(out, s[:i])
 	out[i] = r
 	copy(out[i+1:], s[i:])

@@ -25,7 +25,8 @@ func versionedTestDataset(t testing.TB, seed uint64, products int, horizon float
 }
 
 // touch applies one rating to a product the way a version-maintaining
-// owner (internal/store) would: copy-on-write insert plus a version bump.
+// owner (internal/store) would: an Insert (which never mutates the series
+// below an earlier view's length) plus a version bump.
 func touch(d *dataset.Dataset, st *EvalState, product string, r dataset.Rating) error {
 	p, err := d.Product(product)
 	if err != nil {

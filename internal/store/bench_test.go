@@ -27,16 +27,20 @@ func BenchmarkShardRoute(b *testing.B) {
 // With one shard every submission serializes on the same mutex and fsync
 // pipeline (here: no WAL, so just the mutex); with more shards the
 // goroutines spread across independent locks and the per-op cost drops as
-// contention does. Allocations are reported (the copy-on-write
-// Series.Insert is exactly presized, one slice per submit plus the rater
-// string) but the BENCH_store.json baseline stays ns-only: RunParallel's
-// worker bookkeeping allocates inside the measured window, which at CI's
-// -benchtime=1x would swamp allocs/op.
+// contention does. Days come from one shared counter, so each goroutine's
+// product receives its ratings in day order: every submit takes
+// Series.Insert's amortised O(1) tail path, and the per-op cost does not
+// depend on b.N. Allocations are reported (the rater string, plus the
+// occasional geometric growth of a series) but the BENCH_store.json
+// baseline stays ns-only: RunParallel's worker bookkeeping allocates
+// inside the measured window, which at CI's -benchtime=1x would swamp
+// allocs/op.
 func BenchmarkSubmitParallel(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			products := testProducts(64)
-			st, err := New(90, products, shards)
+			// One day per submit, so the horizon must hold b.N days.
+			st, err := New(float64(b.N+1), products, shards)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -46,12 +50,13 @@ func BenchmarkSubmitParallel(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				// Each goroutine submits to its own product, so goroutines
-				// land on distinct shards whenever the shard count allows.
+				// land on distinct shards whenever the shard count allows,
+				// and each product sees strictly increasing days.
 				product := products[int(workers.Add(1))%len(products)]
 				for pb.Next() {
 					n := raters.Add(1)
 					rater := fmt.Sprintf("r%d", n)
-					if _, err := st.Submit(ctx, product, rater, 3, float64(n%90)); err != nil {
+					if _, err := st.Submit(ctx, product, rater, 3, float64(n)); err != nil {
 						b.Fatal(err)
 					}
 				}

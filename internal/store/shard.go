@@ -142,12 +142,17 @@ func (sh *shard) checkpoint() error {
 // cutLocked copies the shard's product headers into the combined dataset
 // slice (globals[j] is the global index of the shard's j-th product) and
 // returns the shard's dirty watermark, optionally resetting it (a recompute
-// consumes the dirtiness it observes). Caller holds sh.mu — series backing
-// arrays are copy-on-write (Merge always reallocates), so the copied
-// headers stay immutable after the lock is released.
+// consumes the dirtiness it observes). Caller holds sh.mu. Series backing
+// arrays are never mutated below a view's length (Series.Insert only
+// appends past it or reallocates), and views are capacity-capped: each
+// copied header is Ratings[:n:n], so a reader's Insert or append on it
+// reallocates instead of writing into the shard's spare capacity. The
+// copied headers therefore stay immutable after the lock is released.
 func (sh *shard) cutLocked(dst []dataset.Product, globals []int, reset bool) float64 {
 	for j, g := range globals {
-		dst[g] = sh.data.Products[j]
+		p := sh.data.Products[j]
+		p.Ratings = p.Ratings[:len(p.Ratings):len(p.Ratings)]
+		dst[g] = p
 	}
 	mark := sh.dirtyFrom
 	if reset {

@@ -286,11 +286,13 @@ func (st *Store) Submit(ctx context.Context, product, rater string, value, day f
 }
 
 // RecomputeView is a consistent cut over all shards, taken by
-// BeginRecompute: the combined dataset (registration order, copy-on-write
+// BeginRecompute: the combined dataset (registration order, capacity-capped
 // product headers safe to read lock-free) plus the merged dirty watermark.
 type RecomputeView struct {
 	// Data is the combined dataset; its Series share backing arrays with
-	// shard state but those arrays are never mutated (Merge reallocates).
+	// shard state, but those arrays are never mutated below a view's
+	// length, and views are capacity-capped, so a reader's append
+	// reallocates rather than writing into the shard's spare capacity.
 	Data *dataset.Dataset
 	// DirtyFrom is the earliest day any shard accepted since the previous
 	// cut (+Inf: nothing changed, the cache is clean).
@@ -313,9 +315,11 @@ func (st *Store) BeginRecompute() *RecomputeView {
 	return st.cut(true)
 }
 
-// View returns a consistent copy-on-write snapshot of the combined dataset
-// without consuming dirty watermarks — the read-only variant of
-// BeginRecompute, for checkpoints, audits, and tests.
+// View returns a consistent snapshot of the combined dataset without
+// consuming dirty watermarks — the read-only variant of BeginRecompute, for
+// checkpoints, audits, and tests. Its series are never mutated below a
+// view's length, and views are capacity-capped, so later submissions never
+// show through and the caller may Insert into them freely.
 func (st *Store) View() *dataset.Dataset {
 	return st.cut(false).Data
 }

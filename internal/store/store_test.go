@@ -396,7 +396,8 @@ func TestCheckpointCompactsAllShards(t *testing.T) {
 
 // View returns the combined dataset in registration order regardless of the
 // shard count, and the product headers stay stable after more submissions
-// (copy-on-write series).
+// (series are never mutated below a view's length; views are
+// capacity-capped).
 func TestViewRegistrationOrder(t *testing.T) {
 	products := testProducts(13)
 	st, err := New(90, products, 5)
@@ -418,7 +419,7 @@ func TestViewRegistrationOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(v.Products[0].Ratings); got != before {
-		t.Fatalf("earlier view grew from %d to %d ratings: snapshot is not copy-on-write", before, got)
+		t.Fatalf("earlier view grew from %d to %d ratings: snapshot is not stable", before, got)
 	}
 	if math.IsInf(st.BeginRecompute().DirtyFrom, 1) {
 		t.Fatal("View consumed the dirty watermark")
