@@ -89,6 +89,7 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 		`engine_eval_seconds_count`,
 		`engine_products_analyzed_total`,
 		`engine_memo_hits`,
+		`# TYPE engine_memo_hits counter`,
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", want)

@@ -1,11 +1,11 @@
 package agg
 
 import (
-	"math"
+	"context"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
-	"repro/internal/trust"
+	"repro/internal/engine"
 )
 
 // OnlinePScheme is the P-scheme under the rating challenge's *publication*
@@ -16,6 +16,10 @@ import (
 // score, so an attack that only becomes detectable after its end still
 // poisons the periods it landed in. Comparing the two quantifies the value
 // of hindsight (see the experiments package).
+//
+// Like PScheme it is a thin wrapper over internal/engine: the engine's
+// epoch loop publishes every period as it completes (engine.Result's
+// Published table), and Aggregates returns that table.
 type OnlinePScheme struct {
 	// Detect configures the detectors and fusion.
 	Detect detect.Config
@@ -36,68 +40,11 @@ func (*OnlinePScheme) Name() string { return "P-online" }
 // 30·(k+1) from the ratings observed in [0, 30·(k+1)), with the trust state
 // accumulated causally up to that day, and is never revised.
 func (p *OnlinePScheme) Aggregates(d *dataset.Dataset) Table {
-	mgr := trust.NewManager()
-	n := Periods(d.HorizonDays)
-	out := make(Table, len(d.Products))
-	for _, prod := range d.Products {
-		out[prod.ID] = make([]float64, n)
+	res, err := engine.New(p.Detect).Evaluate(context.Background(), d)
+	if err != nil {
+		// As in PScheme.Evaluate: only cancellation errors, and the
+		// background context cannot be cancelled.
+		panic("agg: online Evaluate failed under background context: " + err.Error())
 	}
-	marks := make(map[string][]bool, len(d.Products))
-	for _, prod := range d.Products {
-		marks[prod.ID] = make([]bool, len(prod.Ratings))
-	}
-
-	for epoch := 0; epoch < n; epoch++ {
-		lo, hi := PeriodInterval(epoch, d.HorizonDays)
-		type counts struct{ n, f int }
-		perRater := make(map[string]counts)
-		// Judge this epoch's ratings from the data published so far.
-		for _, prod := range d.Products {
-			seen := prod.Ratings.Between(0, hi)
-			rep := detect.Analyze(seen, hi, p.Detect, mgr)
-			m := marks[prod.ID]
-			for i, r := range seen {
-				if r.Day < lo {
-					continue
-				}
-				if rep.Suspicious[i] {
-					m[i] = true
-				}
-				c := perRater[r.Rater]
-				c.n++
-				if rep.Suspicious[i] {
-					c.f++
-				}
-				perRater[r.Rater] = c
-			}
-		}
-		// Procedure 1 trust update happens before the score is published
-		// (the paper computes trust at tˆ(k) including epoch k's marks).
-		//lint:orderindependent integer-count fold: Observe adds small integers to float64 evidence, which is exact and commutative, so iteration order cannot change any trust value
-		for rater, c := range perRater {
-			mgr.Observe(rater, c.n, c.f)
-		}
-		// Publish this period's scores with today's trust — final.
-		for _, prod := range d.Products {
-			out[prod.ID][epoch] = p.publish(prod.Ratings, marks[prod.ID], lo, hi, mgr)
-		}
-	}
-	return out
-}
-
-func (p *OnlinePScheme) publish(s dataset.Series, marks []bool, lo, hi float64, mgr *trust.Manager) float64 {
-	// Slice the (sorted) period by index so the marks align by offset —
-	// O(len(period) + log len(s)) instead of a full-series scan per period.
-	start, end := s.BetweenIndex(lo, hi)
-	if start == end {
-		return math.NaN()
-	}
-	period := s[start:end]
-	kept := make([]bool, len(period))
-	for j := range period {
-		kept[j] = !marks[start+j]
-	}
-	return weightedMean(period, kept, func(rater string) float64 {
-		return math.Max(mgr.Trust(rater)-0.5, 0)
-	})
+	return Table(res.Published)
 }

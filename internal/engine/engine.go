@@ -65,11 +65,16 @@ func New(cfg detect.Config) *Engine { return &Engine{Detect: cfg} }
 
 // Result is the full outcome of an evaluation: the per-product per-period
 // aggregates, the per-rating suspicious marks (aligned with each product's
-// sorted series), and the final trust state.
+// sorted series), the final trust state, and the causal table. Table judges
+// every period with hindsight (final marks, final trust); Published holds
+// each period's score as published at the end of its epoch (that epoch's
+// marks, the trust right after its fold), never revised by later data —
+// the table agg.OnlinePScheme returns.
 type Result struct {
 	Table      map[string][]float64
 	Suspicious map[string][]bool
 	Trust      *trust.Manager
+	Published  map[string][]float64
 }
 
 // Evaluate runs the full pipeline cold (no checkpoint reuse). It returns
@@ -111,10 +116,14 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// the incoming trust was unchanged (same) and the fresh fold equals the
 	// last completed run's fold (foldSame), the outgoing trust — the next
 	// checkpoint — is unchanged too, and the sameness cascades forward.
+	//
+	// Right after each fold, period ep is published into st.published[ep]:
+	// Eq. 7 over the epoch's own marks with the post-fold trust.
 	mgr := st.checkpoints[len(st.checkpoints)-1].Clone()
+	var kept []bool
 	for ep := len(st.checkpoints) - 1; ep < n; ep++ {
 		same := st.trustSame[ep]
-		fold, err := e.runEpoch(ctx, d, ep, mgr, st, same)
+		fold, marks, err := e.runEpoch(ctx, d, ep, mgr, st, same)
 		if err != nil {
 			return nil, err
 		}
@@ -126,6 +135,14 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		for _, fc := range fold {
 			mgr.Observe(fc.rater, fc.n, fc.f)
 		}
+		lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
+		row := make([]float64, len(d.Products))
+		for i := range d.Products {
+			s := d.Products[i].Ratings
+			start, end := s.BetweenIndex(lo, hi)
+			row[i], kept = e.aggregatePeriod(s[start:end], marks[i], mgr, kept)
+		}
+		st.published[ep] = row
 		st.checkpoints = append(st.checkpoints, mgr.Clone())
 		cascade := same && foldSame
 		st.trustSame[ep+1] = st.trustSame[ep+1] && cascade
@@ -196,10 +213,16 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		Table:      make(map[string][]float64, len(d.Products)),
 		Suspicious: make(map[string][]bool, len(d.Products)),
 		Trust:      mgr,
+		Published:  make(map[string][]float64, len(d.Products)),
 	}
 	for i, prod := range d.Products {
 		res.Table[prod.ID] = scores[i]
 		res.Suspicious[prod.ID] = marks[i]
+		pub := make([]float64, n)
+		for ep := range pub {
+			pub[ep] = st.published[ep][i]
+		}
+		res.Published[prod.ID] = pub
 	}
 	return res, nil
 }
@@ -212,7 +235,9 @@ type raterCounts struct{ n, f int }
 // prefix [0, end-of-epoch) under the trust at the epoch start, count each
 // rater's (observed, suspicious) ratings inside the epoch, and return the
 // merged per-rater counts in canonical sorted form (the caller folds them
-// into mgr, so mgr is read-only here and while workers run).
+// into mgr, so mgr is read-only here and while workers run). It also
+// returns each product's marks for the epoch's own ratings, aligned with
+// the product's [lo, hi) period, for the caller's causal publication.
 //
 // Products whose (series prefix, rater-scoped trust) key matches their memo
 // entry replay the cached counts and skip analysis entirely; trustSame
@@ -221,9 +246,10 @@ type raterCounts struct{ n, f int }
 // on either side of the pool — only misses fan out. On cancellation the
 // partially collected counts and entries are discarded without touching mgr
 // or the memo, so the caller's state still describes whole completed epochs.
-func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *trust.Manager, st *EvalState, trustSame bool) ([]raterFold, error) {
+func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *trust.Manager, st *EvalState, trustSame bool) ([]raterFold, [][]bool, error) {
 	lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
 	perProduct := make([][]raterFold, len(d.Products))
+	marks := make([][]bool, len(d.Products))
 
 	memos := make([]*productMemo, len(d.Products))
 	var work []int
@@ -233,8 +259,8 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 			if m := st.memoFor(prod); m != nil {
 				memos[i] = m
 				start, end := prod.Ratings.BetweenIndex(0, hi)
-				if counts, ok := m.epochHit(ep, end-start, mgr, trustSame); ok {
-					perProduct[i] = counts
+				if counts, mk, ok := m.epochHit(ep, end-start, mgr, trustSame); ok {
+					perProduct[i], marks[i] = counts, mk
 					memoHits.Add(1)
 					continue
 				}
@@ -252,16 +278,17 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 		var counts map[string]raterCounts
 		if len(seen) > 0 {
 			rep := detect.AnalyzeWith(seen, hi, e.Detect, mgr, sc)
-			for j, r := range seen {
-				if r.Day < lo {
-					continue // earlier epoch already judged it
-				}
+			// Earlier epochs already judged the ratings before lo: count,
+			// and keep the marks of, only the epoch's own [lo, hi) ratings.
+			from, _ := seen.BetweenIndex(lo, hi)
+			marks[i] = append([]bool(nil), rep.Suspicious[from:]...)
+			for j, r := range seen[from:] {
 				if counts == nil {
 					counts = make(map[string]raterCounts)
 				}
 				c := counts[r.Rater]
 				c.n++
-				if rep.Suspicious[j] {
+				if marks[i][j] {
 					c.f++
 				}
 				counts[r.Rater] = c
@@ -269,11 +296,11 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 			perProduct[i] = sortedFold(counts)
 		}
 		if memos[i] != nil {
-			ents[i] = newEpochEntry(memos[i].version, seen, mgr, perProduct[i])
+			ents[i] = newEpochEntry(memos[i].version, seen, mgr, perProduct[i], marks[i])
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Commit fresh entries serially after the whole pool succeeded (the
 	// memo is not goroutine-safe; a cancelled epoch publishes nothing).
@@ -297,38 +324,42 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 			total[fc.rater] = t
 		}
 	}
-	return sortedFold(total), nil
+	return sortedFold(total), marks, nil
 }
 
-// aggregateProduct computes one product's per-period scores (Eq. 7): marked
-// ratings are dropped, the rest weighted by max(T−0.5, 0). Each period is
-// sliced out of the sorted series by index, so the whole table costs
-// O(len(s) + periods·log len(s)) instead of a full scan per period.
+// aggregateProduct computes one product's per-period scores (Eq. 7) from
+// its full-series marks. Each period is sliced out of the sorted series by
+// index, so the whole table costs O(len(s) + periods·log len(s)) instead of
+// a full scan per period.
 func (e *Engine) aggregateProduct(s dataset.Series, susMarks []bool, horizon float64, mgr *trust.Manager) []float64 {
-	n := epoch.Periods(horizon)
-	scores := make([]float64, n)
+	scores := make([]float64, epoch.Periods(horizon))
+	var kept []bool
+	for i := range scores {
+		lo, hi := epoch.PeriodInterval(i, horizon)
+		start, end := s.BetweenIndex(lo, hi)
+		scores[i], kept = e.aggregatePeriod(s[start:end], susMarks[start:end], mgr, kept)
+	}
+	return scores
+}
+
+// aggregatePeriod scores one period (Eq. 7): marked ratings (marks is
+// aligned with period) are dropped, the rest weighted by max(T−0.5, 0); an
+// empty period scores NaN. kept is a reusable buffer, returned grown.
+func (e *Engine) aggregatePeriod(period dataset.Series, marks []bool, mgr *trust.Manager, kept []bool) (float64, []bool) {
+	if len(period) == 0 {
+		return math.NaN(), kept
+	}
 	weight := func(rater string) float64 {
 		return math.Max(mgr.Trust(rater)-0.5, 0)
 	}
 	if e.DisableTrustWeighting {
 		weight = func(string) float64 { return 1 }
 	}
-	var kept []bool
-	for i := 0; i < n; i++ {
-		lo, hi := epoch.PeriodInterval(i, horizon)
-		start, end := s.BetweenIndex(lo, hi)
-		if start == end {
-			scores[i] = math.NaN()
-			continue
-		}
-		period := s[start:end]
-		kept = kept[:0]
-		for j := range period {
-			kept = append(kept, e.DisableFilter || !susMarks[start+j])
-		}
-		scores[i] = epoch.WeightedMean(period, kept, weight)
+	kept = kept[:0]
+	for j := range period {
+		kept = append(kept, e.DisableFilter || !marks[j])
 	}
-	return scores
+	return epoch.WeightedMean(period, kept, weight), kept
 }
 
 // workers resolves the effective pool size.

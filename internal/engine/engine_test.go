@@ -61,25 +61,12 @@ func mustResume(t *testing.T, e *Engine, st *EvalState, d *dataset.Dataset) *Res
 	return res
 }
 
-// requireEqualResults fails unless a and b agree bit-for-bit on tables
-// (NaN included), suspicious marks and trust records.
+// requireEqualResults fails unless a and b agree bit-for-bit on tables and
+// published tables (NaN included), suspicious marks and trust records.
 func requireEqualResults(t *testing.T, label string, a, b *Result) {
 	t.Helper()
-	if len(a.Table) != len(b.Table) {
-		t.Fatalf("%s: table sizes differ: %d vs %d", label, len(a.Table), len(b.Table))
-	}
-	for id, as := range a.Table {
-		bs, ok := b.Table[id]
-		if !ok || len(as) != len(bs) {
-			t.Fatalf("%s: product %s tables differ in shape", label, id)
-		}
-		for i := range as {
-			if math.Float64bits(as[i]) != math.Float64bits(bs[i]) {
-				t.Errorf("%s: product %s period %d: %v vs %v (bits %x vs %x)",
-					label, id, i, as[i], bs[i], math.Float64bits(as[i]), math.Float64bits(bs[i]))
-			}
-		}
-	}
+	requireEqualTables(t, label, a.Table, b.Table)
+	requireEqualTables(t, label+" (published)", a.Published, b.Published)
 	for id, am := range a.Suspicious {
 		bm := b.Suspicious[id]
 		if len(am) != len(bm) {
@@ -99,6 +86,26 @@ func requireEqualResults(t *testing.T, label string, a, b *Result) {
 		if math.Float64bits(ra.S) != math.Float64bits(rb.S) ||
 			math.Float64bits(ra.F) != math.Float64bits(rb.F) {
 			t.Errorf("%s: rater %s records differ: %+v vs %+v", label, rt.Rater, ra, rb)
+		}
+	}
+}
+
+// requireEqualTables fails unless a and b agree bit-for-bit, NaN included.
+func requireEqualTables(t *testing.T, label string, a, b map[string][]float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: table sizes differ: %d vs %d", label, len(a), len(b))
+	}
+	for id, as := range a {
+		bs, ok := b[id]
+		if !ok || len(as) != len(bs) {
+			t.Fatalf("%s: product %s tables differ in shape", label, id)
+		}
+		for i := range as {
+			if math.Float64bits(as[i]) != math.Float64bits(bs[i]) {
+				t.Errorf("%s: product %s period %d: %v vs %v (bits %x vs %x)",
+					label, id, i, as[i], bs[i], math.Float64bits(as[i]), math.Float64bits(bs[i]))
+			}
 		}
 	}
 }

@@ -59,8 +59,9 @@ type raterFold struct {
 }
 
 // memoEntry caches one product's outcome for one epoch: the per-rater fold
-// counts the epoch's analysis produced, keyed by the series prefix and the
-// rater-scoped trust snapshot it was computed under.
+// counts the epoch's analysis produced and the marks of the epoch's own
+// [lo, hi) ratings, keyed by the series prefix and the rater-scoped trust
+// snapshot it was computed under.
 type memoEntry struct {
 	valid     bool
 	prefixLen int            // ratings in [0, hi) when recorded
@@ -69,6 +70,7 @@ type memoEntry struct {
 	raters    []string       // sorted unique raters of the prefix
 	recs      []trust.Record // their records at the epoch start, aligned with raters
 	counts    []raterFold    // the cached fold result (canonical order)
+	marks     []bool         // marks of the epoch's [lo, hi) ratings
 }
 
 // finalEntry caches one product's uncheckpointed final pass (stages 3+4):
@@ -198,28 +200,29 @@ func trustRecordsMatch(mgr *trust.Manager, raters []string, recs []trust.Record)
 }
 
 // epochHit reports whether the cached entry for epoch ep can be replayed
-// for a prefix of prefixLen ratings under mgr, returning the cached fold.
+// for a prefix of prefixLen ratings under mgr, returning the cached fold
+// and epoch marks (shared with the cache: callers must not modify them).
 // trustSame short-circuits the trust check: the caller proved the whole
 // epoch-start trust snapshot is unchanged since the entry was recorded
 // (see EvalState.trustSame), so the rater-scoped restriction is too.
-func (m *productMemo) epochHit(ep, prefixLen int, mgr *trust.Manager, trustSame bool) ([]raterFold, bool) {
+func (m *productMemo) epochHit(ep, prefixLen int, mgr *trust.Manager, trustSame bool) ([]raterFold, []bool, bool) {
 	if ep >= len(m.epochs) {
-		return nil, false
+		return nil, nil, false
 	}
 	ent := &m.epochs[ep]
 	if !ent.valid || ent.prefixLen != prefixLen ||
 		ent.seriesFP != seriesFingerprint(m.version, prefixLen) {
-		return nil, false
+		return nil, nil, false
 	}
 	if !trustSame {
 		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ent.raters)&memoFPMask {
-			return nil, false
+			return nil, nil, false
 		}
 		if !trustRecordsMatch(mgr, ent.raters, ent.recs) {
-			return nil, false // fingerprint collision: verify caught it
+			return nil, nil, false // fingerprint collision: verify caught it
 		}
 	}
-	return ent.counts, true
+	return ent.counts, ent.marks, true
 }
 
 // finalHit is epochHit for the final pass: on a hit it returns fresh deep
@@ -243,8 +246,9 @@ func (m *productMemo) finalHit(seriesLen int, mgr *trust.Manager, trustSame bool
 }
 
 // newEpochEntry snapshots one product's epoch analysis for the memo:
-// the prefix's sorted raters, their current records, and the fold counts.
-func newEpochEntry(version uint64, seen dataset.Series, mgr *trust.Manager, counts []raterFold) memoEntry {
+// the prefix's sorted raters, their current records, the fold counts and
+// the epoch's own marks.
+func newEpochEntry(version uint64, seen dataset.Series, mgr *trust.Manager, counts []raterFold, marks []bool) memoEntry {
 	raters := uniqueRaters(seen)
 	return memoEntry{
 		valid:     true,
@@ -254,6 +258,7 @@ func newEpochEntry(version uint64, seen dataset.Series, mgr *trust.Manager, coun
 		raters:    raters,
 		recs:      snapshotRecords(mgr, raters),
 		counts:    counts,
+		marks:     marks,
 	}
 }
 

@@ -273,17 +273,17 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	counts := []raterFold{{rater: "a", n: 1}}
 	mgr1 := trust.NewManager()
 	m := &productMemo{version: 1, epochs: make([]memoEntry, 1)}
-	m.setEpoch(0, newEpochEntry(1, seen, mgr1, counts))
+	m.setEpoch(0, newEpochEntry(1, seen, mgr1, counts, []bool{false}))
 
 	mgr2 := trust.NewManager()
 	mgr2.Observe("a", 5, 3)
-	if _, ok := m.epochHit(0, 1, mgr2, false); ok {
+	if _, _, ok := m.epochHit(0, 1, mgr2, false); ok {
 		t.Fatal("colliding stale-trust entry was served")
 	}
-	if got, ok := m.epochHit(0, 1, mgr1, false); !ok || len(got) != 1 || got[0] != counts[0] {
+	if got, _, ok := m.epochHit(0, 1, mgr1, false); !ok || len(got) != 1 || got[0] != counts[0] {
 		t.Fatalf("matching entry not served: %v %v", got, ok)
 	}
-	if _, ok := m.epochHit(0, 2, mgr1, false); ok {
+	if _, _, ok := m.epochHit(0, 2, mgr1, false); ok {
 		t.Fatal("entry served for a different prefix length")
 	}
 }

@@ -37,6 +37,11 @@ type EvalState struct {
 	products    []string
 	checkpoints []*trust.Manager
 
+	// published[e] is period e's causal score per product, written with
+	// checkpoints[e+1]: rows before a resume epoch are reused, later ones
+	// rewritten, so Invalidate need not touch them.
+	published [][]float64
+
 	memo            map[string]*productMemo
 	folds           [][]raterFold // one per epoch
 	trustSame       []bool        // one per epoch boundary (len = epochs+1)
@@ -106,6 +111,7 @@ func (st *EvalState) reset(d *dataset.Dataset) {
 	st.products = d.ProductIDs()
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
 	n := epoch.Periods(d.HorizonDays)
+	st.published = make([][]float64, n)
 	st.memo = make(map[string]*productMemo, len(d.Products))
 	st.folds = make([][]raterFold, n)
 	st.trustSame = make([]bool, n+1)

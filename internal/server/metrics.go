@@ -108,16 +108,18 @@ func (s *Service) EnableMetrics(reg *obs.Registry) {
 	s.mu.Unlock()
 	s.httpM.Store(newHTTPMetrics(reg))
 	// The engine memo plane keeps process-wide atomic counters; export them
-	// at scrape time rather than double-counting on the hot path.
-	reg.GaugeFunc("engine_memo_hits", "Memo lookups served from cache.",
+	// at scrape time rather than double-counting on the hot path. They only
+	// grow, so they are counters; the names predate the _total convention
+	// and are kept because scrapers read them by name.
+	reg.CounterFunc("engine_memo_hits", "Memo lookups served from cache.",
 		func() float64 { return float64(engine.Stats().MemoHits) })
-	reg.GaugeFunc("engine_memo_misses", "Memo lookups that fell through to analysis.",
+	reg.CounterFunc("engine_memo_misses", "Memo lookups that fell through to analysis.",
 		func() float64 { return float64(engine.Stats().MemoMisses) })
-	reg.GaugeFunc("engine_memo_invalidated", "Memo entries dropped because a product's series changed.",
+	reg.CounterFunc("engine_memo_invalidated", "Memo entries dropped because a product's series changed.",
 		func() float64 { return float64(engine.Stats().MemoInvalidated) })
 	reg.CounterFunc("engine_products_analyzed_total", "Products analyzed by the detector pool.",
 		func() float64 { return float64(engine.Stats().Analyzed) })
-	reg.CounterFunc("engine_products_skipped_total", "Detector-pool analyses skipped by the memo plane.",
+	reg.CounterFunc("engine_products_skipped_total", "Detector-pool analyses abandoned because the evaluation was cancelled.",
 		func() float64 { return float64(engine.Stats().Skipped) })
 	s.store.EnableMetrics(reg)
 }
