@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,15 +15,21 @@ import (
 // expired mid-evaluation" that does not depend on wall-clock timing. The
 // engine polls Err before every unit of work, so budget N cancels exactly
 // at the N-th poll regardless of scheduler interleaving (with Workers=1).
+// The budget is atomic because pool workers poll Err concurrently.
 type countingCtx struct {
-	budget int
+	budget atomic.Int64
+}
+
+func newCountingCtx(budget int) *countingCtx {
+	c := &countingCtx{}
+	c.budget.Store(int64(budget))
+	return c
 }
 
 func (c *countingCtx) Err() error {
-	if c.budget <= 0 {
+	if c.budget.Add(-1) < 0 {
 		return context.Canceled
 	}
-	c.budget--
 	return nil
 }
 
@@ -48,7 +55,7 @@ func TestResumeCancelledMidEvaluate(t *testing.T) {
 	// larger budgets die in later epochs or the final aggregation pass.
 	for _, budget := range []int{1, 3, 7, 20, 50, 200} {
 		st := NewState()
-		res, err := eng.Resume(&countingCtx{budget: budget}, st, d)
+		res, err := eng.Resume(newCountingCtx(budget), st, d)
 		if err == nil {
 			// Budget outlasted the evaluation; nothing was cancelled.
 			requireEqualResults(t, "uncancelled run", res, want)
@@ -74,7 +81,7 @@ func TestCancelStopsWorkerPool(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		eng := &Engine{Detect: detect.DefaultConfig(), Workers: workers}
 		before := Stats()
-		_, err := eng.Resume(&countingCtx{budget: 2}, NewState(), d)
+		_, err := eng.Resume(newCountingCtx(2), NewState(), d)
 		after := Stats()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -101,7 +108,7 @@ func TestCancelledEpochNeverCheckpointed(t *testing.T) {
 	// Budget 2 passes the entry check and dies on the first product of the
 	// first epoch: the state ends up initialized (the epoch-0 snapshot of
 	// pristine trust) but with zero completed epochs.
-	if _, err := eng.Resume(&countingCtx{budget: 2}, st, d); err == nil {
+	if _, err := eng.Resume(newCountingCtx(2), st, d); err == nil {
 		t.Fatal("expected cancellation")
 	}
 	if got := st.CompletedEpochs(); got != 0 {

@@ -137,7 +137,7 @@ func TestMemoCancelledMidEpochEquivalence(t *testing.T) {
 	want := mustEvaluate(t, memoOff, d)
 	for _, budget := range []int{1, 3, 7, 20, 50, 200} {
 		st := NewState()
-		res, err := eng.Resume(&countingCtx{budget: budget}, st, d)
+		res, err := eng.Resume(newCountingCtx(budget), st, d)
 		if err == nil {
 			requireEqualResults(t, "uncancelled cold run", res, want)
 			continue
@@ -162,7 +162,7 @@ func TestMemoCancelledMidEpochEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = mustEvaluate(t, memoOff, d)
-		res, err := eng.Resume(&countingCtx{budget: budget}, st, d)
+		res, err := eng.Resume(newCountingCtx(budget), st, d)
 		if err == nil {
 			requireEqualResults(t, "uncancelled warm run", res, want)
 			continue

@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // PeriodDays is the aggregation period of the rating challenge (30 days) —
@@ -59,13 +58,16 @@ func PeriodOf(day, horizon float64) int {
 // ratings when all weights vanish, and to the simple mean of the whole
 // period when everything was filtered.
 func WeightedMean(period dataset.Series, kept []bool, weight func(string) float64) float64 {
-	var num, den float64
-	var keptVals []float64
+	// keptSum accumulates in series order, so keptSum/keptN is exactly
+	// stats.Mean over the kept values without collecting them.
+	var num, den, keptSum float64
+	keptN := 0
 	for i, r := range period {
 		if kept != nil && !kept[i] {
 			continue
 		}
-		keptVals = append(keptVals, r.Value)
+		keptSum += r.Value
+		keptN++
 		w := weight(r.Rater)
 		num += w * r.Value
 		den += w
@@ -73,8 +75,8 @@ func WeightedMean(period dataset.Series, kept []bool, weight func(string) float6
 	if den > 1e-12 {
 		return num / den
 	}
-	if len(keptVals) > 0 {
-		return stats.Mean(keptVals)
+	if keptN > 0 {
+		return keptSum / float64(keptN)
 	}
 	return period.Mean()
 }
