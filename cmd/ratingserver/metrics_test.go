@@ -90,6 +90,8 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 		`engine_products_analyzed_total`,
 		`engine_memo_hits`,
 		`# TYPE engine_memo_hits counter`,
+		`# TYPE engine_signal_hits counter`,
+		`# TYPE engine_signal_misses counter`,
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", want)

@@ -147,15 +147,59 @@ type ARCResult struct {
 	ThresholdB float64
 }
 
+// Signals returns the part of the result the Figure 1 fusion reads: the
+// band, peak days, segments and thresholds, without the curve.
+func (r ARCResult) Signals() ARCSignals {
+	out := ARCSignals{
+		Band:       r.Band,
+		Segments:   r.Segments,
+		ThresholdA: r.ThresholdA,
+		ThresholdB: r.ThresholdB,
+	}
+	if len(r.Peaks) > 0 {
+		out.PeakDays = make([]float64, len(r.Peaks))
+		for i, p := range r.Peaks {
+			out.PeakDays[i] = r.Curve.X[p]
+		}
+	}
+	return out
+}
+
+// Alarm reports whether the detector saw a rate-change peak or an elevated
+// segment (see ARCSignals.Alarm).
+func (r ARCResult) Alarm() bool { return r.Signals().Alarm() }
+
+// Suspicious reports whether any segment shows a suspicious rate increase.
+func (r ARCResult) Suspicious() bool { return r.Signals().Suspicious() }
+
+// SuspiciousIntervals returns the intervals of the suspicious segments.
+func (r ARCResult) SuspiciousIntervals() []Interval { return r.Signals().SuspiciousIntervals() }
+
+// UShape returns, for each pair of consecutive peaks, the interval between
+// them (see ARCSignals.UShape).
+func (r ARCResult) UShape() []Interval { return r.Signals().UShape() }
+
+// ARCSignals is the trust-free (H-/L-)ARC evidence the fusion reads: an
+// ARCResult without its indicator curve, small enough to cache.
+type ARCSignals struct {
+	Band     ARCBand
+	PeakDays []float64 // days of the curve's peaks, in order
+	Segments []ARCSegment
+	// ThresholdA and ThresholdB are the band thresholds derived from the
+	// series mean.
+	ThresholdA float64
+	ThresholdB float64
+}
+
 // Alarm reports whether the detector saw a rate-change peak or an elevated
 // segment (Figure 1's "H-ARC alarm" / "L-ARC alarm"). An attack spanning
 // the whole history produces no change point, but its band rate still sits
 // above the median baseline, which is just as alarming.
-func (r ARCResult) Alarm() bool { return len(r.Peaks) > 0 || r.Suspicious() }
+func (a ARCSignals) Alarm() bool { return len(a.PeakDays) > 0 || a.Suspicious() }
 
 // Suspicious reports whether any segment shows a suspicious rate increase.
-func (r ARCResult) Suspicious() bool {
-	for _, seg := range r.Segments {
+func (a ARCSignals) Suspicious() bool {
+	for _, seg := range a.Segments {
 		if seg.Suspicious {
 			return true
 		}
@@ -164,9 +208,9 @@ func (r ARCResult) Suspicious() bool {
 }
 
 // SuspiciousIntervals returns the intervals of the suspicious segments.
-func (r ARCResult) SuspiciousIntervals() []Interval {
+func (a ARCSignals) SuspiciousIntervals() []Interval {
 	var out []Interval
-	for _, seg := range r.Segments {
+	for _, seg := range a.Segments {
 		if seg.Suspicious {
 			out = append(out, seg.Interval)
 		}
@@ -176,13 +220,10 @@ func (r ARCResult) SuspiciousIntervals() []Interval {
 
 // UShape returns, for each pair of consecutive peaks, the interval between
 // them — the candidate attack interval of Figure 1's Path 1 ("the U-shape").
-func (r ARCResult) UShape() []Interval {
+func (a ARCSignals) UShape() []Interval {
 	var out []Interval
-	for i := 0; i+1 < len(r.Peaks); i++ {
-		out = append(out, Interval{
-			Start: r.Curve.X[r.Peaks[i]],
-			End:   r.Curve.X[r.Peaks[i+1]],
-		})
+	for i := 0; i+1 < len(a.PeakDays); i++ {
+		out = append(out, Interval{Start: a.PeakDays[i], End: a.PeakDays[i+1]})
 	}
 	return out
 }
@@ -241,7 +282,7 @@ func daySegments(days int, c Curve, peaks []int) []Interval {
 	if len(peaks) == 0 {
 		return []Interval{{Start: 0, End: end}}
 	}
-	var out []Interval
+	out := make([]Interval, 0, len(peaks)+1)
 	prev := 0.0
 	for _, p := range peaks {
 		t := c.X[p]

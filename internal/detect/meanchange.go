@@ -190,9 +190,15 @@ func (r MCResult) SuspiciousIntervals() []Interval {
 // index ranges directly — the detector performs no per-segment slice
 // materialization (bit-identical to meanChangeRef, which does).
 func MeanChange(s dataset.Series, cfg Config, ts TrustSource) MCResult {
-	if ts == nil {
-		ts = NeutralTrust()
-	}
+	res := meanChangeSignals(s, cfg)
+	decideSegments(res.Segments, s, res.Segments, cfg, ts)
+	return res
+}
+
+// meanChangeSignals is the trust-free part of MeanChange: the curve, the
+// peaks and each segment's bounds, mean and shift. AvgTrust and Suspicious
+// are left zero for decideSegments.
+func meanChangeSignals(s dataset.Series, cfg Config) MCResult {
 	res := MCResult{Curve: MCCurve(s, cfg)}
 	if len(s) == 0 {
 		return res
@@ -202,7 +208,6 @@ func MeanChange(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 	bounds := segmentBounds(s, res.Peaks)
 	totalSum := seriesSum(s)
 	totalN := float64(len(s))
-	tAvg := averageTrustRange(ts, s)
 
 	res.Segments = make([]MCSegment, 0, len(bounds))
 	for _, iv := range bounds {
@@ -210,11 +215,7 @@ func MeanChange(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 		if len(seg) == 0 {
 			continue
 		}
-		m := MCSegment{
-			Interval: iv,
-			Mean:     seriesMean(seg),
-			AvgTrust: averageTrustRange(ts, seg),
-		}
+		m := MCSegment{Interval: iv, Mean: seriesMean(seg)}
 		// Compare the segment mean against the mean of the *other*
 		// segments: a long attack segment would otherwise drag the global
 		// average toward itself and dilute its own evidence.
@@ -223,6 +224,25 @@ func MeanChange(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 			bAvg = (totalSum - m.Mean*float64(len(seg))) / rest
 		}
 		m.Shift = m.Mean - bAvg
+		res.Segments = append(res.Segments, m)
+	}
+	return res
+}
+
+// decideSegments is the trust half of the MC segment test: it writes segs
+// (from meanChangeSignals over the same s) into dst with each segment's
+// AvgTrust and Suspicious set. dst must have len(segs) and may be segs
+// itself; otherwise segs is only read.
+func decideSegments(dst []MCSegment, s dataset.Series, segs []MCSegment, cfg Config, ts TrustSource) {
+	if len(segs) == 0 {
+		return
+	}
+	if ts == nil {
+		ts = NeutralTrust()
+	}
+	tAvg := averageTrustRange(ts, s)
+	for i, m := range segs {
+		m.AvgTrust = averageTrustRange(ts, s.Between(m.Interval.Start, m.Interval.End))
 		dev := abs(m.Shift)
 		switch {
 		case dev > cfg.MCThreshold1:
@@ -230,9 +250,8 @@ func MeanChange(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 		case dev > cfg.MCThreshold2 && tAvg > 0 && m.AvgTrust/tAvg < cfg.MCTrustRatio:
 			m.Suspicious = true
 		}
-		res.Segments = append(res.Segments, m)
+		dst[i] = m
 	}
-	return res
 }
 
 // segmentBounds splits the series' time span at the peak positions,
@@ -244,7 +263,7 @@ func segmentBounds(s dataset.Series, peaks []int) []Interval {
 	if len(peaks) == 0 {
 		return []Interval{{Start: first, End: end}}
 	}
-	var out []Interval
+	out := make([]Interval, 0, len(peaks)+1)
 	prev := first
 	for _, p := range peaks {
 		t := s[p].Day

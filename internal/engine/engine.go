@@ -50,8 +50,9 @@ type Engine struct {
 	// DisableTrustWeighting aggregates with equal weights instead of
 	// Eq. 7's max(T−0.5, 0) (ablation).
 	DisableTrustWeighting bool
-	// DisableMemo turns off the memo plane (see memo.go): every product is
-	// re-analyzed in every dirty epoch, as if no result were ever cached.
+	// DisableMemo turns off the memo plane, both tiers (see memo.go): every
+	// product with ratings in a dirty epoch is re-analyzed from scratch,
+	// as if no result or signal were ever cached.
 	// Exists for the memo-on vs memo-off equivalence tests and as an
 	// operational escape hatch; output is bit-identical either way.
 	DisableMemo bool
@@ -156,13 +157,16 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// visible once its end is in view is still filtered from the periods
 	// it poisoned. This pass is not checkpointed — but it is memoized: a
 	// product whose series version and rater-scoped final trust are
-	// unchanged replays its cached report and scores instead of
+	// unchanged replays its cached marks and scores instead of
 	// re-analyzing, so a single late submit costs one product's analysis,
-	// not one per product. Trust is read-only here, so misses fan out
-	// freely over the pool while hits are resolved serially up front.
+	// not one per product; a product whose series is unchanged but whose
+	// raters' trust moved reuses its cached signals and only runs Decide.
+	// Trust is read-only here, so misses fan out freely over the pool
+	// while hits are resolved serially up front.
 	marks := make([][]bool, len(d.Products))
 	scores := make([][]float64, len(d.Products))
 	memos := make([]*productMemo, len(d.Products))
+	reuse := make([]signalReuse, len(d.Products))
 	var work []int
 	for i := range d.Products {
 		prod := &d.Products[i]
@@ -175,6 +179,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 					continue
 				}
 				memoMisses.Add(1)
+				reuse[i] = m.finalSignals(len(prod.Ratings), d.HorizonDays)
 			}
 		}
 		work = append(work, i)
@@ -183,11 +188,11 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	err := e.forEachProduct(ctx, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
-		rep := detect.AnalyzeWith(prod.Ratings, d.HorizonDays, e.Detect, mgr, sc)
-		marks[i] = rep.Suspicious
-		scores[i] = e.aggregateProduct(prod.Ratings, rep.Suspicious, d.HorizonDays, mgr)
+		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc)
+		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, mgr).Suspicious
+		scores[i] = e.aggregateProduct(prod.Ratings, marks[i], d.HorizonDays, mgr)
 		if memos[i] != nil {
-			ents[i] = newFinalEntry(memos[i].version, prod.Ratings, mgr, rep, scores[i])
+			ents[i] = newFinalEntry(memos[i].version, prod.Ratings, pre, mgr, marks[i], scores[i])
 		}
 	})
 	if err != nil {
@@ -239,10 +244,14 @@ type raterCounts struct{ n, f int }
 // returns each product's marks for the epoch's own ratings, aligned with
 // the product's [lo, hi) period, for the caller's causal publication.
 //
-// Products whose (series prefix, rater-scoped trust) key matches their memo
-// entry replay the cached counts and skip analysis entirely; trustSame
+// A product with no ratings in the epoch is skipped outright: its fold is
+// empty and it publishes nothing, so no analysis can matter. Products
+// whose (series prefix, rater-scoped trust) key matches their memo entry
+// replay the cached counts and skip analysis entirely; trustSame
 // short-circuits even the fingerprint work when the caller proved the whole
-// epoch-start snapshot unchanged. Hit checks and entry commits run serially
+// epoch-start snapshot unchanged. A miss whose prefix is cached reuses the
+// entry's trust-free signals and runs only detect.Decide (memo.go). Hit
+// checks (signal lookups included) and entry commits run serially
 // on either side of the pool — only misses fan out. On cancellation the
 // partially collected counts and entries are discarded without touching mgr
 // or the memo, so the caller's state still describes whole completed epochs.
@@ -252,9 +261,15 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 	marks := make([][]bool, len(d.Products))
 
 	memos := make([]*productMemo, len(d.Products))
+	reuse := make([]signalReuse, len(d.Products))
 	var work []int
 	for i := range d.Products {
 		prod := &d.Products[i]
+		// A product with no ratings in [lo, hi) folds and publishes
+		// nothing this epoch, whatever its analysis would say.
+		if from, to := prod.Ratings.BetweenIndex(lo, hi); from == to {
+			continue
+		}
 		if !e.DisableMemo {
 			if m := st.memoFor(prod); m != nil {
 				memos[i] = m
@@ -265,6 +280,7 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 					continue
 				}
 				memoMisses.Add(1)
+				reuse[i] = m.epochSignals(ep, end-start, hi)
 			}
 		}
 		work = append(work, i)
@@ -275,28 +291,24 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 		i := work[k]
 		prod := &d.Products[i]
 		seen := prod.Ratings.Between(0, hi)
-		var counts map[string]raterCounts
-		if len(seen) > 0 {
-			rep := detect.AnalyzeWith(seen, hi, e.Detect, mgr, sc)
-			// Earlier epochs already judged the ratings before lo: count,
-			// and keep the marks of, only the epoch's own [lo, hi) ratings.
-			from, _ := seen.BetweenIndex(lo, hi)
-			marks[i] = append([]bool(nil), rep.Suspicious[from:]...)
-			for j, r := range seen[from:] {
-				if counts == nil {
-					counts = make(map[string]raterCounts)
-				}
-				c := counts[r.Rater]
-				c.n++
-				if marks[i][j] {
-					c.f++
-				}
-				counts[r.Rater] = c
+		pre := e.completeSignals(seen, hi, reuse[i], sc)
+		dec := detect.Decide(seen, pre.sig, e.Detect, mgr)
+		// Earlier epochs already judged the ratings before lo: count, and
+		// keep the marks of, only the epoch's own [lo, hi) ratings.
+		from, _ := seen.BetweenIndex(lo, hi)
+		marks[i] = append([]bool(nil), dec.Suspicious[from:]...)
+		counts := make(map[string]raterCounts)
+		for j, r := range seen[from:] {
+			c := counts[r.Rater]
+			c.n++
+			if marks[i][j] {
+				c.f++
 			}
-			perProduct[i] = sortedFold(counts)
+			counts[r.Rater] = c
 		}
+		perProduct[i] = sortedFold(counts)
 		if memos[i] != nil {
-			ents[i] = newEpochEntry(memos[i].version, seen, mgr, perProduct[i], marks[i])
+			ents[i] = newEpochEntry(memos[i].version, seen, pre, mgr, perProduct[i], marks[i])
 		}
 	})
 	if err != nil {
@@ -325,6 +337,22 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 		}
 	}
 	return sortedFold(total), marks, nil
+}
+
+// completeSignals returns the signals tier of series s at horizon hi:
+// the parts r carries are reused, the rest computed by the trust-free
+// detectors. Raters are left to the memo entry constructors.
+func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc *detect.Scratch) prefixSignals {
+	pre := r.pre
+	if !r.series {
+		sig := detect.SeriesSignals(s, e.Detect, sc)
+		pre.sig.MC, pre.sig.HC, pre.sig.ME = sig.MC, sig.HC, sig.ME
+	}
+	if !r.arc {
+		pre.sig.HARC, pre.sig.LARC = detect.ArrivalSignals(s, hi, e.Detect, sc)
+		pre.arcHi = hi
+	}
+	return pre
 }
 
 // aggregateProduct computes one product's per-period scores (Eq. 7) from
@@ -398,6 +426,15 @@ var (
 	memoInvalidated atomic.Uint64
 )
 
+// Signals-tier instrumentation: every memo miss looks up two trust-free
+// signal parts — the MC/HC/ME part keyed by the series prefix and the
+// H-/L-ARC part keyed by prefix and horizon — and counts each as a hit
+// (reused) or a miss (recomputed).
+var (
+	signalHits   atomic.Uint64
+	signalMisses atomic.Uint64
+)
+
 // PoolStats is a snapshot of the worker-pool and memo-plane counters.
 type PoolStats struct {
 	// Analyzed counts products whose detector analysis ran to completion.
@@ -414,6 +451,11 @@ type PoolStats struct {
 	// MemoInvalidated counts cached entries dropped because the product's
 	// series version changed.
 	MemoInvalidated uint64
+	// SignalHits counts trust-free signal parts (MC/HC/ME, or H-/L-ARC) a
+	// memo miss reused instead of recomputing; only Decide ran for them.
+	SignalHits uint64
+	// SignalMisses counts signal parts a memo miss recomputed.
+	SignalMisses uint64
 }
 
 // Stats returns the current process-wide worker-pool counters. Deltas
@@ -426,6 +468,8 @@ func Stats() PoolStats {
 		MemoHits:        memoHits.Load(),
 		MemoMisses:      memoMisses.Load(),
 		MemoInvalidated: memoInvalidated.Load(),
+		SignalHits:      signalHits.Load(),
+		SignalMisses:    signalMisses.Load(),
 	}
 }
 

@@ -18,24 +18,40 @@ import (
 //	(series prefix [0, hi), epoch-start trust restricted to the prefix's raters)
 //
 // The restriction is what makes the key cheap and product-local: the only
-// trust consumer inside detect.AnalyzeWith is the MC segment test, which
-// averages trust over raters appearing in the analyzed series, so trust
-// churn on raters a product never saw cannot change one bit of its report.
-// The memo plane caches those pure-function results per (product, epoch)
-// and replays them on later Resumes, keyed by
+// trust consumer in the detector stack is the MC segment test inside
+// detect.Decide, which averages trust over raters appearing in the
+// analyzed series, so trust churn on raters a product never saw cannot
+// change one bit of its report. The memo plane caches results per
+// (product, epoch) and for the final pass, in two tiers per entry:
 //
-//   - a series fingerprint derived from the product's monotone content
-//     Version (maintained incrementally by internal/store on every applied
-//     submit — no rehashing) plus the prefix length, and
-//   - a rater-scoped trust fingerprint: an FNV-1a hash over the prefix's
-//     sorted rater IDs and their epoch-start trust records.
+//   - The signals tier (prefixSignals) holds what the detectors compute
+//     without trust: detect.Signals (MC segments, HC and ME windows, H-/L-ARC
+//     peak days, segments and thresholds; no curves) and the prefix's
+//     sorted raters. Raters and the MC/HC/ME part are keyed by the series
+//     prefix alone — the product's monotone content Version (maintained
+//     incrementally by internal/store on every applied submit; no
+//     rehashing) plus the prefix length. The ARC part is additionally
+//     keyed by the horizon hi, because its daily counts span [0, hi).
+//   - The trust tier holds the outcome of detect.Decide under one trust
+//     snapshot: the fold counts and marks (final pass: marks and scores),
+//     keyed additionally by a rater-scoped trust fingerprint, an FNV-1a
+//     hash over the prefix's sorted raters and their trust records.
 //
-// A hit is never served on fingerprint equality alone: the cached records
-// are compared bit-for-bit against the live manager first (the cache
-// verifies, it never trusts the hash blindly), so a 64-bit collision can
-// cost a miss but never a wrong answer. Bit-exactness of a hit is then by
-// construction — the hit replays the exact cached fold (and, for the final
-// pass, a deep clone of the exact cached report and scores).
+// A trust-tier hit replays the cached fold and runs nothing. A miss whose
+// prefix matches (the common "only a shared rater's trust moved" case)
+// reuses the signals tier and costs one Decide pass; the final pass also
+// reuses the newest epoch's signals when its prefix is the whole series.
+// Signals are shared between entries and Resumes and never written:
+// Decide only reads them.
+//
+// A trust hit is never served on fingerprint equality alone: the cached
+// records are compared bit-for-bit against the live manager first (the
+// cache verifies, it never trusts the hash blindly), so a 64-bit collision
+// can cost a miss but never a wrong answer. Bit-exactness is then by
+// construction — a hit replays the exact cached fold (final pass: copies
+// of the cached marks and scores), and the signals are pure functions of
+// (prefix, horizon, detector config) that Decide reads exactly as
+// detect.AnalyzeWith would.
 
 // FNV-1a 64-bit parameters, inlined so the fingerprint hot paths stay
 // dependency- and allocation-free.
@@ -58,31 +74,42 @@ type raterFold struct {
 	n, f  int
 }
 
-// memoEntry caches one product's outcome for one epoch: the per-rater fold
-// counts the epoch's analysis produced and the marks of the epoch's own
-// [lo, hi) ratings, keyed by the series prefix and the rater-scoped trust
-// snapshot it was computed under.
+// prefixSignals is an entry's signals tier: the trust-free facts about one
+// series prefix — its sorted unique raters and its detector signals.
+// Raters and the MC/HC/ME signals are keyed by the prefix alone; the
+// H-/L-ARC signals were computed over the daily counts of [0, arcHi).
+type prefixSignals struct {
+	raters []string
+	sig    detect.Signals
+	arcHi  float64
+}
+
+// memoEntry caches one product's outcome for one epoch: the signals tier
+// of its prefix plus the trust tier — the per-rater fold counts the
+// epoch's analysis produced and the marks of the epoch's own [lo, hi)
+// ratings, keyed by the rater-scoped trust snapshot they were decided
+// under.
 type memoEntry struct {
 	valid     bool
 	prefixLen int            // ratings in [0, hi) when recorded
 	seriesFP  uint64         // seriesFingerprint(version, prefixLen) at record time
-	trustFP   uint64         // trustFingerprint over raters at record time
-	raters    []string       // sorted unique raters of the prefix
-	recs      []trust.Record // their records at the epoch start, aligned with raters
+	pre       prefixSignals  // signals tier
+	trustFP   uint64         // trustFingerprint over pre.raters at record time
+	recs      []trust.Record // their records at the epoch start, aligned with pre.raters
 	counts    []raterFold    // the cached fold result (canonical order)
 	marks     []bool         // marks of the epoch's [lo, hi) ratings
 }
 
 // finalEntry caches one product's uncheckpointed final pass (stages 3+4):
-// the full-series detector report and the Eq. 7 scores, keyed like a
-// memoEntry but against the *final* trust.
+// the full series' signals tier and, against the *final* trust, its marks
+// and Eq. 7 scores.
 type finalEntry struct {
 	valid    bool
 	seriesFP uint64
+	pre      prefixSignals
 	trustFP  uint64
-	raters   []string
 	recs     []trust.Record
-	report   detect.Report // deep clone; never aliased by served results
+	marks    []bool // never aliased by served results
 	scores   []float64
 }
 
@@ -215,17 +242,17 @@ func (m *productMemo) epochHit(ep, prefixLen int, mgr *trust.Manager, trustSame 
 		return nil, nil, false
 	}
 	if !trustSame {
-		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ent.raters)&memoFPMask {
+		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ent.pre.raters)&memoFPMask {
 			return nil, nil, false
 		}
-		if !trustRecordsMatch(mgr, ent.raters, ent.recs) {
+		if !trustRecordsMatch(mgr, ent.pre.raters, ent.recs) {
 			return nil, nil, false // fingerprint collision: verify caught it
 		}
 	}
 	return ent.counts, ent.marks, true
 }
 
-// finalHit is epochHit for the final pass: on a hit it returns fresh deep
+// finalHit is epochHit for the final pass: on a hit it returns fresh
 // copies of the cached suspicious marks and scores (served results must
 // never alias cache memory — callers own what Resume returns).
 func (m *productMemo) finalHit(seriesLen int, mgr *trust.Manager, trustSame bool) ([]bool, []float64, bool) {
@@ -234,46 +261,110 @@ func (m *productMemo) finalHit(seriesLen int, mgr *trust.Manager, trustSame bool
 		return nil, nil, false
 	}
 	if !trustSame {
-		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ent.raters)&memoFPMask {
+		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ent.pre.raters)&memoFPMask {
 			return nil, nil, false
 		}
-		if !trustRecordsMatch(mgr, ent.raters, ent.recs) {
+		if !trustRecordsMatch(mgr, ent.pre.raters, ent.recs) {
 			return nil, nil, false
 		}
 	}
-	rep := ent.report.Clone()
-	return rep.Suspicious, append([]float64(nil), ent.scores...), true
+	return append([]bool(nil), ent.marks...), append([]float64(nil), ent.scores...), true
 }
 
-// newEpochEntry snapshots one product's epoch analysis for the memo:
-// the prefix's sorted raters, their current records, the fold counts and
-// the epoch's own marks.
-func newEpochEntry(version uint64, seen dataset.Series, mgr *trust.Manager, counts []raterFold, marks []bool) memoEntry {
-	raters := uniqueRaters(seen)
+// signalReuse is what a trust-tier miss takes from the signals tier: a
+// cached prefixSignals and which of its parts hold for the prefix and
+// horizon being analyzed. completeSignals computes the rest.
+type signalReuse struct {
+	pre    prefixSignals
+	series bool // raters and the MC/HC/ME signals
+	arc    bool // the H-/L-ARC signals
+}
+
+// reuseSignals is the signals-tier lookup behind a trust-tier miss on a
+// prefix of n ratings at horizon hi, against a cached tier of prefixLen
+// ratings (ok = false when there is none). It counts one signal hit or
+// miss for each of the two parts.
+func reuseSignals(ok bool, prefixLen, n int, pre prefixSignals, hi float64) signalReuse {
+	var r signalReuse
+	if ok && prefixLen == n {
+		r.pre, r.series = pre, true
+		r.arc = math.Float64bits(pre.arcHi) == math.Float64bits(hi)
+	}
+	for _, hit := range [2]bool{r.series, r.arc} {
+		if hit {
+			signalHits.Add(1)
+		} else {
+			signalMisses.Add(1)
+		}
+	}
+	return r
+}
+
+// epochSignals looks up the signals tier for a trust-tier miss at epoch ep
+// on a prefix of n ratings ending at hi. Only the epoch's own entry can
+// match: an analyzed epoch has ratings of its own, so every earlier prefix
+// is shorter.
+func (m *productMemo) epochSignals(ep, n int, hi float64) signalReuse {
+	if ep >= len(m.epochs) {
+		return reuseSignals(false, 0, n, prefixSignals{}, hi)
+	}
+	ent := &m.epochs[ep]
+	ok := ent.valid && ent.seriesFP == seriesFingerprint(m.version, ent.prefixLen)
+	return reuseSignals(ok, ent.prefixLen, n, ent.pre, hi)
+}
+
+// finalSignals looks up the signals tier for a final-pass miss on the
+// whole series of n ratings at the dataset horizon: the final entry's own
+// tier, else the newest epoch entry's (its prefix is the longest cached;
+// it is the whole series when no rating lies past its epoch).
+func (m *productMemo) finalSignals(n int, horizon float64) signalReuse {
+	if ent := &m.final; ent.valid && ent.seriesFP == seriesFingerprint(m.version, n) {
+		return reuseSignals(true, n, n, ent.pre, horizon)
+	}
+	for ep := len(m.epochs) - 1; ep >= 0; ep-- {
+		if ent := &m.epochs[ep]; ent.valid {
+			ok := ent.seriesFP == seriesFingerprint(m.version, ent.prefixLen)
+			return reuseSignals(ok, ent.prefixLen, n, ent.pre, horizon)
+		}
+	}
+	return reuseSignals(false, 0, n, prefixSignals{}, horizon)
+}
+
+// newEpochEntry snapshots one product's epoch analysis for the memo: the
+// prefix's signals tier (pre.raters is computed from seen when pre does
+// not carry it), the raters' current records, the fold counts and the
+// epoch's own marks.
+func newEpochEntry(version uint64, seen dataset.Series, pre prefixSignals, mgr *trust.Manager, counts []raterFold, marks []bool) memoEntry {
+	if pre.raters == nil {
+		pre.raters = uniqueRaters(seen)
+	}
 	return memoEntry{
 		valid:     true,
 		prefixLen: len(seen),
 		seriesFP:  seriesFingerprint(version, len(seen)),
-		trustFP:   trustFingerprint(mgr, raters),
-		raters:    raters,
-		recs:      snapshotRecords(mgr, raters),
+		pre:       pre,
+		trustFP:   trustFingerprint(mgr, pre.raters),
+		recs:      snapshotRecords(mgr, pre.raters),
 		counts:    counts,
 		marks:     marks,
 	}
 }
 
-// newFinalEntry snapshots one product's final pass: the full-series report
-// (deep-cloned — the live one is handed to the caller) and scores under the
-// final trust.
-func newFinalEntry(version uint64, s dataset.Series, mgr *trust.Manager, rep detect.Report, scores []float64) finalEntry {
-	raters := uniqueRaters(s)
+// newFinalEntry snapshots one product's final pass: the full series'
+// signals tier (raters filled in as for newEpochEntry) and copies of the
+// marks and scores under the final trust (the live ones are handed to the
+// caller).
+func newFinalEntry(version uint64, s dataset.Series, pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
+	if pre.raters == nil {
+		pre.raters = uniqueRaters(s)
+	}
 	return finalEntry{
 		valid:    true,
 		seriesFP: seriesFingerprint(version, len(s)),
-		trustFP:  trustFingerprint(mgr, raters),
-		raters:   raters,
-		recs:     snapshotRecords(mgr, raters),
-		report:   rep.Clone(),
+		pre:      pre,
+		trustFP:  trustFingerprint(mgr, pre.raters),
+		recs:     snapshotRecords(mgr, pre.raters),
+		marks:    append([]bool(nil), marks...),
 		scores:   append([]float64(nil), scores...),
 	}
 }

@@ -17,9 +17,10 @@ import (
 // serialize Resume/Invalidate under their own lock.
 //
 // Beyond the checkpoints the state carries the memo plane (see memo.go):
-// per-product caches of epoch folds and final-pass reports, plus the
-// bookkeeping that lets a Resume prove "the trust feeding epoch e is
-// unchanged since e last ran" without comparing managers:
+// per-product caches of trust-free detector signals and of the epoch folds
+// and final-pass marks decided from them, plus the bookkeeping that lets a
+// Resume prove "the trust feeding epoch e is unchanged since e last ran"
+// without comparing managers:
 //
 //   - folds[e] is the canonical per-rater fold the last *completed* run of
 //     epoch e produced (nil if e never completed). Comparing the fresh fold

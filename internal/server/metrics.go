@@ -117,6 +117,10 @@ func (s *Service) EnableMetrics(reg *obs.Registry) {
 		func() float64 { return float64(engine.Stats().MemoMisses) })
 	reg.CounterFunc("engine_memo_invalidated", "Memo entries dropped because a product's series changed.",
 		func() float64 { return float64(engine.Stats().MemoInvalidated) })
+	reg.CounterFunc("engine_signal_hits", "Trust-free detector signal parts a memo miss reused.",
+		func() float64 { return float64(engine.Stats().SignalHits) })
+	reg.CounterFunc("engine_signal_misses", "Trust-free detector signal parts a memo miss recomputed.",
+		func() float64 { return float64(engine.Stats().SignalMisses) })
 	reg.CounterFunc("engine_products_analyzed_total", "Products analyzed by the detector pool.",
 		func() float64 { return float64(engine.Stats().Analyzed) })
 	reg.CounterFunc("engine_products_skipped_total", "Detector-pool analyses abandoned because the evaluation was cancelled.",
