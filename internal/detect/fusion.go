@@ -87,13 +87,10 @@ type Signals struct {
 	ME []Interval
 }
 
-// SeriesSignals runs the horizon-free detectors (MC, HC, ME) and returns
-// their trust-free signals; HARC and LARC are left zero (see
-// ArrivalSignals). sc may be nil.
+// SeriesSignals runs the horizon-free detectors (MC, HC, ME) on scratch sc
+// and returns their trust-free signals; HARC and LARC are left zero (see
+// ArrivalSignals).
 func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch) Signals {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	return Signals{
 		MC: meanChangeSignals(s, cfg).Segments,
 		HC: histogramChangeWith(sc, s, cfg).Intervals,
@@ -102,11 +99,8 @@ func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch) Signals {
 }
 
 // ArrivalSignals runs H-ARC and L-ARC over the daily counts of
-// [0, horizon) and returns their signals. sc may be nil.
+// [0, horizon) on scratch sc and returns their signals.
 func ArrivalSignals(s dataset.Series, horizon float64, cfg Config, sc *Scratch) (high, low ARCSignals) {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	high = arrivalRateChangeWith(sc, s, horizon, HighBand, cfg).Signals()
 	low = arrivalRateChangeWith(sc, s, horizon, LowBand, cfg).Signals()
 	return high, low
