@@ -24,10 +24,26 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	if err := json.NewDecoder(r).Decode(&d); err != nil {
 		return nil, fmt.Errorf("decode dataset: %w", err)
 	}
+	d.sortSeries()
+	return &d, nil
+}
+
+// DecodeJSON is ReadJSON over an encoding already in memory (exactly one
+// JSON value, as WriteJSON writes). It decodes in place, without the
+// growing read buffer of a stream decoder.
+func DecodeJSON(data []byte) (*Dataset, error) {
+	var d Dataset
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, fmt.Errorf("decode dataset: %w", err)
+	}
+	d.sortSeries()
+	return &d, nil
+}
+
+func (d *Dataset) sortSeries() {
 	for i := range d.Products {
 		d.Products[i].Ratings.Sort()
 	}
-	return &d, nil
 }
 
 // WriteCSV writes the dataset as flat CSV rows:

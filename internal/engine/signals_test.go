@@ -82,3 +82,28 @@ func TestSubmitComputesSeriesSignalsOncePerResume(t *testing.T) {
 		t.Errorf("signal hits = %d, want 1 (final-pass MC/HC/ME)", n)
 	}
 }
+
+// TestFinalHitNeverAliasesServedMarks: the final-pass entry stores marks,
+// not a report, and a caller scribbling over a served Result must not
+// reach the cache — the next replay still serves the pristine marks.
+func TestFinalHitNeverAliasesServedMarks(t *testing.T) {
+	d := versionedTestDataset(t, 31, 3, 150)
+	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
+	want := mustEvaluate(t, &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}, d)
+	st := NewState()
+	for round := 0; round < 3; round++ {
+		got := mustResume(t, eng, st, d)
+		requireEqualResults(t, "replay", got, want)
+		for _, marks := range got.Suspicious {
+			for i := range marks {
+				marks[i] = !marks[i]
+			}
+		}
+		for _, scores := range got.Table {
+			for i := range scores {
+				scores[i] = -1
+			}
+		}
+		st.Invalidate(0) // no data change: every product replays from the memo
+	}
+}

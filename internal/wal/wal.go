@@ -187,12 +187,33 @@ func readSnapshot(fsys FS, rec *Recovery) error {
 		return fmt.Errorf("wal: open snapshot: %w", err)
 	}
 	defer f.Close()
-	d, err := dataset.ReadJSON(f)
+	data, err := readFile(fsys, snapshotName, f)
+	if err != nil {
+		return fmt.Errorf("wal: read snapshot: %w", err)
+	}
+	d, err := dataset.DecodeJSON(data)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	rec.Snapshot = d
 	return nil
+}
+
+// readFile reads the whole of name, already open as f, into one buffer of
+// its exact size. Recovery thus allocates each file once, instead of
+// several times its size in the doubling buffers of io.ReadAll or a
+// streaming JSON decoder; that garbage would force collections during
+// replay.
+func readFile(fsys FS, name string, f File) ([]byte, error) {
+	size, err := fsys.Size(name)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // readLog scans the log, collects checksum-valid records, and truncates
@@ -205,7 +226,7 @@ func readLog(fsys FS, rec *Recovery) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: open log: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := readFile(fsys, logName, f)
 	f.Close()
 	if err != nil {
 		return 0, fmt.Errorf("wal: read log: %w", err)
