@@ -20,19 +20,25 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	decoded, err := DecodeJSON(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.HorizonDays != d.HorizonDays {
-		t.Errorf("horizon = %v, want %v", got.HorizonDays, d.HorizonDays)
+	read, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Products) != len(d.Products) {
-		t.Fatalf("products = %d, want %d", len(got.Products), len(d.Products))
-	}
-	for i := range d.Products {
-		if len(got.Products[i].Ratings) != len(d.Products[i].Ratings) {
-			t.Fatalf("product %d rating count mismatch", i)
+	for _, got := range []*Dataset{read, decoded} {
+		if got.HorizonDays != d.HorizonDays {
+			t.Errorf("horizon = %v, want %v", got.HorizonDays, d.HorizonDays)
+		}
+		if len(got.Products) != len(d.Products) {
+			t.Fatalf("products = %d, want %d", len(got.Products), len(d.Products))
+		}
+		for i := range d.Products {
+			if len(got.Products[i].Ratings) != len(d.Products[i].Ratings) {
+				t.Fatalf("product %d rating count mismatch", i)
+			}
 		}
 	}
 }
@@ -40,6 +46,9 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestReadJSONInvalid(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("{nonsense")); err == nil {
 		t.Error("ReadJSON(invalid): want error")
+	}
+	if _, err := DecodeJSON([]byte("{nonsense")); err == nil {
+		t.Error("DecodeJSON(invalid): want error")
 	}
 }
 
