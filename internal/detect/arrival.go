@@ -147,9 +147,9 @@ type ARCResult struct {
 	ThresholdB float64
 }
 
-// Signals returns the part of the result the Figure 1 fusion reads: the
+// signals returns the part of the result the Figure 1 fusion reads: the
 // band, peak days, segments and thresholds, without the curve.
-func (r ARCResult) Signals() ARCSignals {
+func (r ARCResult) signals() ARCSignals {
 	out := ARCSignals{
 		Band:       r.Band,
 		Segments:   r.Segments,
@@ -167,17 +167,17 @@ func (r ARCResult) Signals() ARCSignals {
 
 // Alarm reports whether the detector saw a rate-change peak or an elevated
 // segment (see ARCSignals.Alarm).
-func (r ARCResult) Alarm() bool { return r.Signals().Alarm() }
+func (r ARCResult) Alarm() bool { return r.signals().Alarm() }
 
 // Suspicious reports whether any segment shows a suspicious rate increase.
-func (r ARCResult) Suspicious() bool { return r.Signals().Suspicious() }
+func (r ARCResult) Suspicious() bool { return r.signals().Suspicious() }
 
 // SuspiciousIntervals returns the intervals of the suspicious segments.
-func (r ARCResult) SuspiciousIntervals() []Interval { return r.Signals().SuspiciousIntervals() }
+func (r ARCResult) SuspiciousIntervals() []Interval { return r.signals().SuspiciousIntervals() }
 
 // UShape returns, for each pair of consecutive peaks, the interval between
 // them (see ARCSignals.UShape).
-func (r ARCResult) UShape() []Interval { return r.Signals().UShape() }
+func (r ARCResult) UShape() []Interval { return r.signals().UShape() }
 
 // ARCSignals is the trust-free (H-/L-)ARC evidence the fusion reads: an
 // ARCResult without its indicator curve, small enough to cache.

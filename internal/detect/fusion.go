@@ -61,8 +61,8 @@ func AnalyzeWith(s dataset.Series, horizon float64, cfg Config, ts TrustSource, 
 	// The report owns its MC segments, so they are decided in place.
 	dec := decide(s, Signals{
 		MC:   rep.MC.Segments,
-		HARC: rep.HARC.Signals(),
-		LARC: rep.LARC.Signals(),
+		HARC: rep.HARC.signals(),
+		LARC: rep.LARC.signals(),
 		HC:   rep.HC.Intervals,
 		ME:   rep.ME.Intervals,
 	}, cfg, ts, rep.MC.Segments)
@@ -101,8 +101,8 @@ func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch) Signals {
 // ArrivalSignals runs H-ARC and L-ARC over the daily counts of
 // [0, horizon) on scratch sc and returns their signals.
 func ArrivalSignals(s dataset.Series, horizon float64, cfg Config, sc *Scratch) (high, low ARCSignals) {
-	high = arrivalRateChangeWith(sc, s, horizon, HighBand, cfg).Signals()
-	low = arrivalRateChangeWith(sc, s, horizon, LowBand, cfg).Signals()
+	high = arrivalRateChangeWith(sc, s, horizon, HighBand, cfg).signals()
+	low = arrivalRateChangeWith(sc, s, horizon, LowBand, cfg).signals()
 	return high, low
 }
 
