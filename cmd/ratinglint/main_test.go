@@ -55,7 +55,6 @@ func TestFixturesAreDirty(t *testing.T) {
 		"lockheld":    {"./internal/lint/testdata/lockheld/..."},
 		"lockorder":   {"./internal/lint/testdata/lockorder/..."},
 		"nowall":      {"./internal/lint/testdata/nowall/..."},
-		"walerr":      {"./internal/lint/testdata/walerr"},
 	}
 	for analyzer, patterns := range fixtures {
 		diags, err := lint.Run("../..", patterns, lint.All())

@@ -108,16 +108,12 @@ func TestFloatEq(t *testing.T) {
 	runFixture(t, FloatEq, "floateq")
 }
 
-func TestWALErr(t *testing.T) {
-	runFixture(t, WALErr, "walerr")
-}
-
 func TestLockHeld(t *testing.T) {
 	runFixture(t, LockHeld, "lockheld/internal/server", "lockheld/internal/store")
 }
 
 func TestDuraTaint(t *testing.T) {
-	runFixture(t, DuraTaint, "durataint/internal/store")
+	runFixture(t, DuraTaint, "durataint/internal/store", "durataint/walsurface")
 }
 
 func TestHotAlloc(t *testing.T) {

@@ -1,10 +1,10 @@
 // Package cfg builds a small intraprocedural control-flow graph over a
 // function body, using only the standard library. It exists for the
 // dataflow questions the lint analyzers ask — "is this guarded-field access
-// definitely outside the lock?" (lockheld), "is this durability error ever
-// read on any path after the assignment?" (durataint) — questions a lexical
-// scan answers wrongly the moment an early return or a loop back-edge is
-// involved.
+// definitely outside the lock?" (lockheld), "may a state mutex be held at
+// this call?" (lockorder), "is this durability error ever read on any path
+// after the assignment?" (durataint) — questions a lexical scan answers
+// wrongly the moment an early return or a loop back-edge is involved.
 //
 // The graph is statement-granular: each basic block holds the statements
 // (and branch-condition expressions) that execute in order, and Succs lists

@@ -10,28 +10,30 @@ import (
 	"repro/internal/lint/cfg"
 )
 
-// DuraTaint is the interprocedural generalization of walerr: it tracks
-// durability-error taint from every WAL append/fsync/compact source through
-// call chains to wherever the error is finally consumed. A function whose
-// error result may derive from a durability source is a *carrier*; dropping
-// a carrier's error (blank identifier, bare expression statement, go/defer
-// call) or swallowing it (assigning it to a variable no path ever reads)
-// silently converts "the rating is durable" into "the rating is probably
-// durable" — exactly the bug class the WAL contract (DESIGN.md §7) forbids,
-// now caught even when the drop is three frames away from the fsync.
+// DuraTaint tracks durability-error taint from every WAL append/fsync/
+// compact source through call chains to wherever the error is finally
+// consumed. The sources are the WAL durability surface (walErrMethods):
+// wal.WAL Append/AppendAck/Sync/Compact, the wal.File and os.File Sync
+// methods (fsync), and wal.FS Truncate/Rename (the crash-safety ordering of
+// Compact depends on them). A function whose error result may derive from a
+// source is a *carrier*; the sources themselves are the depth-0 carriers.
+// Dropping a carrier's error (blank identifier, bare expression statement,
+// go/defer call) or swallowing it (assigning it to a variable no path ever
+// reads) silently converts "the rating is durable" into "the rating is
+// probably durable" — exactly the bug class the WAL contract (DESIGN.md §7)
+// forbids, caught at the WAL call itself and three frames away from it.
 //
-// Division of labor with walerr: walerr flags dropped errors at direct
-// calls on the WAL surface itself; durataint flags drops at calls to
-// carrier functions further up the chain, plus swallowed assignments at
-// every level. Soundness trade-offs (DESIGN.md §13): taint propagates
-// through static calls only (interface calls and function values are not
-// carriers), reads inside function literals count as consumption wherever
-// the literal sits, and the swallow check is may-read over CFG paths.
-// Deliberate exceptions are annotated `//lint:ignore durataint <rationale>`.
+// Soundness trade-offs (DESIGN.md §13): taint propagates through static
+// calls only (interface calls and function values are not carriers), only
+// function bodies are scanned (a package-level `var f = func(){…}`
+// initializer is not), reads inside function literals count as consumption
+// wherever the literal sits, and the swallow check is may-read over CFG
+// paths. Deliberate exceptions are annotated
+// `//lint:ignore durataint <rationale>`.
 var DuraTaint = &Analyzer{
 	Name: "durataint",
 	Doc: "flags durability errors (WAL append/fsync/compact taint) that are dropped or " +
-		"swallowed anywhere along a call chain, not just at the direct WAL call site",
+		"swallowed at the direct WAL call site or anywhere up the call chain",
 	RunProgram: runDuraTaint,
 }
 
@@ -94,9 +96,35 @@ func runDuraTaint(pass *ProgramPass) error {
 	return nil
 }
 
-// isBaseSource reports whether fn is on the WAL durability surface guarded
-// by walerr (wal.WAL Append/AppendAck/Sync/Compact, wal.File/os.File Sync,
-// wal.FS Truncate/Rename).
+// walErrMethods maps the WAL durability surface's receiver types to their
+// guarded methods. Receivers are identified by (package path segments, type
+// name).
+var walErrMethods = []struct {
+	pkgSegs string
+	typ     string
+	methods map[string]bool
+}{
+	{"internal/wal", "WAL", map[string]bool{"Append": true, "AppendAck": true, "Sync": true, "Compact": true}},
+	{"internal/wal", "File", map[string]bool{"Sync": true}},
+	{"internal/wal", "FS", map[string]bool{"Truncate": true, "Rename": true}},
+	{"os", "File", map[string]bool{"Sync": true}},
+}
+
+// namedRecv resolves a receiver type to its defining package path and type
+// name, dereferencing one level of pointer.
+func namedRecv(t types.Type) (pkgPath, name string) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return "", ""
+	}
+	return n.Obj().Pkg().Path(), n.Obj().Name()
+}
+
+// isBaseSource reports whether fn is on the WAL durability surface
+// (walErrMethods).
 func isBaseSource(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -227,7 +255,7 @@ func (st *duraTaintState) returnsTaint(n *callgraph.Node) bool {
 	}
 
 	found := false
-	inspectSkippingFuncLits(n.Decl.Body, func(node ast.Node, _ bool) {
+	inspectNodeSkippingFuncLits(n.Decl.Body, func(node ast.Node, _ bool) {
 		ret, ok := node.(*ast.ReturnStmt)
 		if !ok || found {
 			return
@@ -265,7 +293,7 @@ func (st *duraTaintState) taintedObjects(info *types.Info, n *callgraph.Node) ma
 	// Iterate to a small fixpoint for aliasing chains (err2 := err).
 	for changed := true; changed; {
 		changed = false
-		inspectSkippingFuncLits(n.Decl.Body, func(node ast.Node, _ bool) {
+		inspectNodeSkippingFuncLits(n.Decl.Body, func(node ast.Node, _ bool) {
 			as, ok := node.(*ast.AssignStmt)
 			if !ok {
 				return
@@ -329,15 +357,9 @@ func (st *duraTaintState) checkFunc(pass *ProgramPass, n *callgraph.Node) {
 		}
 		return fn.Name()
 	}
-	// reportDrop fires for carrier calls only (walerr owns direct base
-	// drops); reportSwallow fires for both.
 	reportDrop := func(call *ast.CallExpr) {
-		fn := calleeFunc(info, call)
-		if fn == nil || isBaseSource(fn) {
-			return
-		}
 		pass.Reportf(call.Pos(),
-			"durability error from %s dropped: its error carries WAL append/fsync taint from deeper in the call chain and must be checked (or annotate //lint:ignore durataint with a rationale)",
+			"durability error from %s dropped: its error carries WAL append/fsync taint and must be checked (or annotate //lint:ignore durataint with a rationale)",
 			describe(call))
 	}
 

@@ -41,7 +41,7 @@ func TestAllAnalyzers(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"ctxfirst", "detmaprange", "durataint", "floateq", "hotalloc", "lockheld", "lockorder", "nowall", "walerr"} {
+	for _, want := range []string{"ctxfirst", "detmaprange", "durataint", "floateq", "hotalloc", "lockheld", "lockorder", "nowall"} {
 		if !names[want] {
 			t.Errorf("analyzer %q missing from All()", want)
 		}

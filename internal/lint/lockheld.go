@@ -18,41 +18,24 @@ import (
 // references to structs carrying their own mu — are exempt from the guard.
 var lockedPkgs = []string{"internal/server", "internal/store"}
 
-// shardMuPkgs are the packages under the additional shard-mutex discipline:
-// the state mutex is a short-critical-section lock, so calls that block for
-// disk- or compute-scale durations (WAL fsyncs, engine evaluations) must
-// never run while it is held. See blockingUnderMu.
-var shardMuPkgs = []string{"internal/store"}
-
-// blockingUnderMu maps a callee package (matched as whole path segments) to
-// the method names whose calls must not run under a held state mutex: they
-// fsync or evaluate, and holding mu across them turns one slow disk into a
-// stalled shard.
-var blockingUnderMu = map[string]map[string]bool{
-	"internal/wal":    {"Append": true, "AppendAck": true, "Sync": true, "Compact": true},
-	"internal/engine": {"Evaluate": true, "Resume": true},
-}
-
 // LockHeld flags methods in internal/server and internal/store that touch
 // mutex-guarded struct fields without first acquiring the mutex — the bug
 // class behind torn reads of the aggregate cache and lost dirty-range
 // updates.
 //
-// The check is lexical: a method on a struct with a `mu` mutex field must
-// call s.mu.Lock() or s.mu.RLock() before its first access to any other
-// field of s, or be named with the `Locked` suffix (caller-holds contract).
+// The check is a CFG dataflow over each method: a method on a struct with
+// a `mu` mutex field must call s.mu.Lock() or s.mu.RLock() before its
+// first access to any other field of s, or be named with the `Locked`
+// suffix (caller-holds contract).
 // `Locked`-suffixed methods are conversely flagged if they acquire mu
-// themselves, which would self-deadlock under the contract. In
-// internal/store a second rule enforces the shard-mutex discipline: WAL
-// appends/fsyncs/compactions and engine evaluations must not be called
-// while the receiver's mu is lexically held. Intentional exceptions
-// (pre-publication initialization paths) are annotated
-// `//lint:ignore lockheld <rationale>` on the method declaration.
+// themselves, which would self-deadlock under the contract. (That no WAL
+// fsync or engine evaluation runs under a shard's mu is lockorder's rule.)
+// Intentional exceptions (pre-publication initialization paths) are
+// annotated `//lint:ignore lockheld <rationale>` on the method declaration.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc: "flags internal/server and internal/store methods that access mutex-guarded fields " +
-		"before acquiring the documented mu, Locked-suffixed methods that lock it themselves, " +
-		"and internal/store methods that fsync or evaluate while holding it",
+		"before acquiring the documented mu, and Locked-suffixed methods that lock it themselves",
 	Run: runLockHeld,
 }
 
@@ -60,7 +43,6 @@ func runLockHeld(pass *Pass) error {
 	if !pathHasAnySegments(pass.Pkg.Path, lockedPkgs) {
 		return nil
 	}
-	shardRules := pathHasAnySegments(pass.Pkg.Path, shardMuPkgs)
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -68,9 +50,6 @@ func runLockHeld(pass *Pass) error {
 				continue
 			}
 			checkLockDiscipline(pass, fn)
-			if shardRules {
-				checkBlockingUnderMu(pass, fn)
-			}
 		}
 	}
 	return nil
@@ -339,111 +318,9 @@ func selfSynchronized(t types.Type) bool {
 	return hasGuardField(t)
 }
 
-// checkBlockingUnderMu enforces the shard-mutex discipline on a method: no
-// call on the blockingUnderMu list (WAL fsync paths, engine evaluation) may
-// appear while the receiver's mu is lexically held. The scan is a linear
-// walk over the method's lock/unlock/call events in source order; unlocks
-// inside defer statements run at return and therefore do not release the
-// lexical hold.
-func checkBlockingUnderMu(pass *Pass, fn *ast.FuncDecl) {
-	recvField := fn.Recv.List[0]
-	if len(recvField.Names) == 0 || recvField.Names[0].Name == "_" {
-		return
-	}
-	recvObj, ok := pass.Pkg.Info.Defs[recvField.Names[0]]
-	if !ok || !hasGuardField(recvObj.Type()) {
-		return
-	}
-	info := pass.Pkg.Info
-
-	type event struct {
-		pos  token.Pos
-		kind int
-		name string // callee description for evBlocking
-	}
-	var events []event
-	var deferSpans [][2]token.Pos
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferSpans = append(deferSpans, [2]token.Pos{n.Pos(), n.End()})
-		case *ast.CallExpr:
-			if kind, ok := muEdge(info, n, recvObj); ok {
-				events = append(events, event{pos: n.Pos(), kind: kind})
-				return true
-			}
-			callee := calleeFunc(info, n)
-			if callee == nil || callee.Pkg() == nil {
-				return true
-			}
-			for pkgSeg, names := range blockingUnderMu {
-				if names[callee.Name()] && pathHasSegments(callee.Pkg().Path(), pkgSeg) {
-					events = append(events, event{
-						pos: n.Pos(), kind: evBlocking,
-						name: pkgSeg[strings.LastIndexByte(pkgSeg, '/')+1:] + "." + callee.Name(),
-					})
-				}
-			}
-		}
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	inDefer := func(p token.Pos) bool {
-		for _, span := range deferSpans {
-			if p >= span[0] && p < span[1] {
-				return true
-			}
-		}
-		return false
-	}
-	recv := recvField.Names[0].Name
-	held := false
-	for _, ev := range events {
-		switch ev.kind {
-		case evLock:
-			held = true
-		case evUnlock:
-			if !inDefer(ev.pos) {
-				held = false
-			}
-		case evBlocking:
-			if held {
-				pass.Reportf(ev.pos,
-					"method %s calls %s while holding %s.mu: WAL fsyncs and engine evaluations must run outside the state mutex — copy what you need under mu, unlock, then call (or annotate //lint:ignore lockheld with a rationale)",
-					fn.Name.Name, ev.name, recv)
-			}
-		}
-	}
-}
-
-// muEdge classifies call as an acquisition or release of recv.mu.
-func muEdge(info *types.Info, call *ast.CallExpr, recvObj types.Object) (int, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, false
-	}
-	x, ok := sel.X.(*ast.SelectorExpr)
-	if !ok || x.Sel.Name != "mu" {
-		return 0, false
-	}
-	id, ok := x.X.(*ast.Ident)
-	if !ok || info.Uses[id] != recvObj {
-		return 0, false
-	}
-	switch sel.Sel.Name {
-	case "Lock":
-		return evLock, true
-	case "Unlock":
-		return evUnlock, true
-	}
-	return 0, false
-}
-
-// Event kinds for the shard-mutex discipline scan.
+// Event kinds for the lock-discipline dataflow.
 const (
 	evLock = iota
 	evUnlock
-	evBlocking
 	evAccess
 )

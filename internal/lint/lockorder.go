@@ -29,6 +29,15 @@ var shortHeldLocks = map[string]bool{
 	"internal/store.shard.mu": true,
 }
 
+// blockingUnderMu maps a callee package (matched as whole path segments) to
+// the method names whose calls must not run under a short-held lock: they
+// fsync or evaluate, and holding a state mutex across them turns one slow
+// disk into a stalled shard.
+var blockingUnderMu = map[string]map[string]bool{
+	"internal/wal":    {"Append": true, "AppendAck": true, "Sync": true, "Compact": true},
+	"internal/engine": {"Evaluate": true, "Resume": true},
+}
+
 // lockClass identifies one mutex field: the package (normalized to its
 // repo-relative segments so fixture packages mirror production classes),
 // the struct type, and the field name. Every instance of the struct shares
@@ -48,9 +57,9 @@ func (c lockClass) String() string { return c.pkg + "." + c.typ + "." + c.field 
 // reports (1) any cycle between distinct lock classes as a potential
 // deadlock, (2) same-class nested acquisition (two instances of one class
 // held at once), which is deadlock-free only under a documented instance
-// order, and (3) any call that may transitively reach a WAL fsync or an
-// engine evaluation while a short-critical-section state mutex is held —
-// the interprocedural generalization of lockheld's per-function rule.
+// order, and (3) any call that is, or may transitively reach, a WAL fsync
+// or an engine evaluation (blockingUnderMu) while a short-critical-section
+// state mutex is held.
 //
 // Soundness trade-offs (DESIGN.md §13): function-literal bodies and
 // deferred calls are excluded from held-set propagation, calls through
@@ -224,7 +233,7 @@ func (st *lockOrderState) summarize() {
 		if info == nil {
 			continue
 		}
-		inspectSkippingFuncLits(n.Decl.Body, func(node ast.Node, inDefer bool) {
+		inspectNodeSkippingFuncLits(n.Decl.Body, func(node ast.Node, inDefer bool) {
 			call, ok := node.(*ast.CallExpr)
 			if !ok || inDefer {
 				return
@@ -233,7 +242,7 @@ func (st *lockOrderState) summarize() {
 				st.directAcq[n] = appendClass(st.directAcq[n], c)
 				return
 			}
-			if desc := blockingBaseCall(info, call); desc != "" {
+			if desc := blockingBase(calleeFunc(info, call)); desc != "" {
 				if _, have := st.blockBase[n]; !have {
 					st.blockBase[n] = desc
 				}
@@ -258,38 +267,6 @@ func (st *lockOrderState) infoIndex() map[string]*types.Info {
 		m[pkg.Path] = pkg.Info
 	}
 	return m
-}
-
-// inspectSkippingFuncLits walks body, skipping function-literal bodies and
-// flagging nodes inside defer statements.
-func inspectSkippingFuncLits(body *ast.BlockStmt, visit func(n ast.Node, inDefer bool)) {
-	var deferSpans [][2]token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferSpans = append(deferSpans, [2]token.Pos{d.Pos(), d.End()})
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return true
-	})
-	inDefer := func(p token.Pos) bool {
-		for _, s := range deferSpans {
-			if p >= s[0] && p < s[1] {
-				return true
-			}
-		}
-		return false
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n, inDefer(n.Pos()))
-		}
-		return true
-	})
 }
 
 // muCall classifies call as an acquisition (Lock/RLock) or release
@@ -320,11 +297,10 @@ func (st *lockOrderState) muCall(info *types.Info, call *ast.CallExpr) (lockClas
 	return c, acquire, true
 }
 
-// blockingBaseCall reports a non-empty description when call targets one of
-// the blocking base functions (WAL fsync paths, engine evaluations) listed
-// in blockingUnderMu.
-func blockingBaseCall(info *types.Info, call *ast.CallExpr) string {
-	callee := calleeFunc(info, call)
+// blockingBase reports a non-empty description ("wal.Sync") when callee is
+// one of the blocking base functions (WAL fsync paths, engine evaluations)
+// listed in blockingUnderMu.
+func blockingBase(callee *types.Func) string {
 	if callee == nil || callee.Pkg() == nil {
 		return ""
 	}
@@ -354,10 +330,15 @@ func (st *lockOrderState) mayAcquire(n *callgraph.Node) []lockClass {
 	return out
 }
 
-// mayBlock returns a witness description ("wal.Sync via shard.checkpoint →
-// wal.Sync") when n may transitively reach a blocking base call, else "".
+// mayBlock returns a witness description when n is a blocking base
+// ("wal.Sync") or may transitively reach a blocking base call ("wal.Sync
+// (via shard.checkpoint → shard.flush)"), else "".
 func (st *lockOrderState) mayBlock(n *callgraph.Node) string {
 	if d, ok := st.transBlock[n]; ok {
+		return d
+	}
+	if d := blockingBase(n.Func); d != "" {
+		st.transBlock[n] = d
 		return d
 	}
 	reach, parent := st.cg.Reachable(n)
@@ -550,8 +531,9 @@ func (st *lockOrderState) blockEvents(info *types.Info, n *callgraph.Node, g *cf
 	return events
 }
 
-// inspectNodeSkippingFuncLits is inspectSkippingFuncLits for a single CFG
-// node (statement or expression).
+// inspectNodeSkippingFuncLits walks node (a function body, statement or
+// expression), skipping function-literal bodies and flagging nodes inside
+// defer statements.
 func inspectNodeSkippingFuncLits(node ast.Node, visit func(n ast.Node, inDefer bool)) {
 	var deferSpans [][2]token.Pos
 	ast.Inspect(node, func(n ast.Node) bool {

@@ -88,5 +88,5 @@ func runNoWall(pass *Pass) error {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFirst, DetMapRange, DuraTaint, FloatEq, HotAlloc, LockHeld, LockOrder, NoWall, WALErr}
+	return []*Analyzer{CtxFirst, DetMapRange, DuraTaint, FloatEq, HotAlloc, LockHeld, LockOrder, NoWall}
 }

@@ -3,8 +3,8 @@
 // through fmt.Errorf wrapping, and through multi-hop call chains), and
 // dropping or swallowing a carrier's error anywhere up the chain is a
 // finding. Non-durability errors stay invisible — this is taint tracking,
-// not errcheck. Direct drops on the WAL surface itself belong to walerr and
-// are deliberately not re-reported here.
+// not errcheck. Direct drops on the WAL surface itself (the depth-0
+// carriers) are exercised by the sibling walsurface fixture.
 package durafix
 
 import (
@@ -82,8 +82,8 @@ func (s *Store) badSwallow() error {
 	return nil
 }
 
-// badBaseSwallow swallows the fsync error at the WAL surface itself — the
-// drop-form checks are walerr's, but swallowing is durataint's to catch.
+// badBaseSwallow swallows the fsync error at the WAL surface itself: a
+// depth-0 carrier is swallowed exactly like a deeper one.
 func (s *Store) badBaseSwallow() error {
 	err := s.other()
 	if err != nil {

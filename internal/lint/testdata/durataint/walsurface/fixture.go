@@ -1,6 +1,6 @@
-// Package walfix exercises walerr against the real internal/wal surface:
-// dropped errors on Append/Sync/Compact and fsync paths are flagged in any
-// package.
+// Package walfix exercises durataint's depth-0 carriers, the real
+// internal/wal surface: dropped errors on Append/Sync/Compact and fsync
+// paths are flagged at the direct call, in any package.
 package walfix
 
 import (
@@ -59,6 +59,6 @@ func outsideSurface(w *wal.WAL, f *os.File) {
 }
 
 func annotated(w *wal.WAL) {
-	//lint:ignore walerr best-effort flush on an already-failed shutdown path, demonstrated for the fixture
+	//lint:ignore durataint best-effort flush on an already-failed shutdown path, demonstrated for the fixture
 	w.Sync()
 }

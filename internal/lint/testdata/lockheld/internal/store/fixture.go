@@ -1,16 +1,13 @@
 // Package storefix exercises lockheld inside an internal/store package
-// path: the guarded-field discipline applies as in internal/server, fields
-// that synchronize themselves (mutexes, sync/atomic values, references to
-// self-locking structs) are exempt, and the shard-mutex rule additionally
-// forbids WAL fsyncs and engine evaluations while mu is lexically held.
+// path: the guarded-field discipline applies as in internal/server, and
+// fields that synchronize themselves (mutexes, sync/atomic values,
+// references to self-locking structs) are exempt.
 package storefix
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/engine"
 	"repro/internal/wal"
 )
 
@@ -19,7 +16,6 @@ type shard struct {
 	mu   sync.Mutex
 	data []float64
 	wal  *wal.WAL
-	eng  *engine.Engine
 	subs atomic.Int64
 	peer *shard
 }
@@ -40,20 +36,6 @@ func (sh *shard) Good(v float64) error {
 	sh.data = append(sh.data, v)
 	sh.mu.Unlock()
 	return nil
-}
-
-func (sh *shard) BadFsync(v float64) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.data = append(sh.data, v)
-	return sh.wal.Sync() // want "calls wal.Sync while holding sh.mu"
-}
-
-func (sh *shard) BadEval(ctx context.Context) error {
-	sh.mu.Lock()
-	_, err := sh.eng.Resume(ctx, nil, nil) // want "calls engine.Resume while holding sh.mu"
-	sh.mu.Unlock()
-	return err
 }
 
 // GoodCount touches only a self-synchronized atomic: no mu needed.

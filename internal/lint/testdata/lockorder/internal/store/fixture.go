@@ -1,13 +1,16 @@
 // Package storefix exercises lockorder inside an internal/store package
 // path: the documented Store.mu → shard.mu order is a plain edge, the
 // reverse acquisition closes a cycle, nesting two instances of one class
-// needs a documented instance order, and a call chain that reaches a WAL
-// fsync while the shard mutex is held is flagged interprocedurally.
+// needs a documented instance order, and a WAL fsync or engine evaluation
+// under the shard mutex is flagged, whether called directly or reached
+// through a call chain.
 package storefix
 
 import (
+	"context"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/wal"
 )
 
@@ -19,6 +22,7 @@ type Store struct {
 type shard struct {
 	mu   sync.Mutex
 	wal  *wal.WAL
+	eng  *engine.Engine
 	vals []float64
 }
 
@@ -53,6 +57,23 @@ func (s *Store) lockPair(a, b *shard) {
 	b.mu.Lock() // want "a second instance is acquired while one is already held"
 	b.mu.Unlock()
 	a.mu.Unlock()
+}
+
+// BadFsync fsyncs directly under the shard state mutex: the callee is a
+// blocking base, its own witness at depth 0.
+func (sh *shard) BadFsync(v float64) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.vals = append(sh.vals, v)
+	return sh.wal.Sync() // want "calls wal.Sync while holding internal/store.shard.mu"
+}
+
+// BadEval runs an engine evaluation directly under the shard state mutex.
+func (sh *shard) BadEval(ctx context.Context) error {
+	sh.mu.Lock()
+	_, err := sh.eng.Resume(ctx, nil, nil) // want "calls engine.Resume while holding internal/store.shard.mu"
+	sh.mu.Unlock()
+	return err
 }
 
 // flush is the blocking leaf: its direct wal.Sync call taints every caller

@@ -124,52 +124,3 @@ func TestConcurrentStress(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkScoresParallel measures the read path under concurrency with a
-// clean cache — the case the RLock fast path exists for. Before the
-// upgrade-on-dirty pattern every reader took the exclusive lock and
-// serialized; now clean reads proceed concurrently.
-func BenchmarkScoresParallel(b *testing.B) {
-	svc, err := New(agg.SAScheme{}, 90, []string{"tv1", "tv2"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if err := svc.Submit(context.Background(), "tv1", fmt.Sprintf("r%d", i), float64(i%6), float64(i%90)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := svc.Scores(context.Background(), "tv1"); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := svc.Scores(context.Background(), "tv1"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSubmitDurable measures the durable write path end to end
-// (validate → WAL append+fsync policy → merge) on the in-memory fault FS.
-func BenchmarkSubmitDurable(b *testing.B) {
-	for _, syncEvery := range []int{1, 32} {
-		b.Run(fmt.Sprintf("syncEvery=%d", syncEvery), func(b *testing.B) {
-			svc, _, err := OpenWAL(agg.SAScheme{}, 90, []string{"tv1"}, WALOptions{
-				FS: faultfs.New(), SyncEvery: syncEvery,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := svc.Submit(context.Background(), "tv1", fmt.Sprintf("r%d", i), 4, float64(i%90)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -21,7 +21,7 @@ import (
 // takes gate.Lock to quiesce the shard so Compact can never truncate a log
 // record that has not yet been applied to the state it snapshots. mu guards
 // the in-memory state and is never held across a WAL fsync or an engine
-// evaluation (enforced by the lockheld analyzer); the order is always
+// evaluation (enforced by the lockorder analyzer); the order is always
 // gate before mu.
 type shard struct {
 	gate sync.RWMutex

@@ -449,7 +449,6 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 		// Load is a stop-the-world bulk replacement (boot/admin path, never
 		// the serving path): holding the topology lock across the per-shard
 		// checkpoints is the point — nothing may observe a half-swapped store.
-		//lint:ignore lockheld stop-the-world bulk replace; the topology lock must cover the per-shard checkpoints
 		if err := sh.wal.Compact(parts[i]); err != nil {
 			return fmt.Errorf("%w: checkpoint loaded dataset: %v", ErrUnavailable, err)
 		}

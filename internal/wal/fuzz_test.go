@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -130,6 +131,64 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if info, err := os.Stat(filepath.Join(dir, logName)); err != nil || info.Size() != int64(intactBytes) {
 			t.Fatalf("log not truncated to intact prefix: size %v err %v, want %d", info, err, intactBytes)
+		}
+	})
+}
+
+// FuzzManifest drives ReadManifest with arbitrary wal-manifest.json bytes —
+// the file a reopen trusts for the shard count and routing hash. The
+// properties under test:
+//
+//  1. ReadManifest never panics, and it accepts a manifest exactly when the
+//     bytes decode as JSON with Version == ManifestVersion and Shards >= 1.
+//  2. An accepted manifest written back with WriteManifest reads back
+//     equal.
+func FuzzManifest(f *testing.F) {
+	f.Add([]byte(`{"version":1,"shards":4,"hash":"fnv1a64"}`))
+	f.Add([]byte(`{"version":2,"shards":4,"hash":"fnv1a64"}`))
+	f.Add([]byte(`{"version":1,"shards":0}`))
+	f.Add([]byte(`{"version":1,"shards":-3,"hash":"\u00ff"}`))
+	f.Add([]byte(`{"version":1,"shards":1e400}`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fsys, err := OSDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(fsys)
+
+		// (1) Acceptance is exactly the documented predicate.
+		var want Manifest
+		valid := json.Unmarshal(raw, &want) == nil && want.Version == ManifestVersion && want.Shards >= 1
+		if (err == nil) != valid {
+			t.Fatalf("ReadManifest(%q) err = %v, want accepted = %v", raw, err, valid)
+		}
+		if err != nil {
+			if m != nil {
+				t.Fatalf("rejected manifest returned non-nil %+v", *m)
+			}
+			return
+		}
+		if m == nil || *m != want {
+			t.Fatalf("ReadManifest(%q) = %+v, want %+v", raw, m, want)
+		}
+
+		// (2) Write-back round trip.
+		if err := WriteManifest(fsys, *m); err != nil {
+			t.Fatalf("WriteManifest(%+v): %v", *m, err)
+		}
+		back, err := ReadManifest(fsys)
+		if err != nil {
+			t.Fatalf("re-read of written manifest %+v: %v", *m, err)
+		}
+		if back == nil || *back != *m {
+			t.Fatalf("round trip: wrote %+v, read back %+v", *m, back)
 		}
 	})
 }
