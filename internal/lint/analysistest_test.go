@@ -113,7 +113,13 @@ func TestLockHeld(t *testing.T) {
 }
 
 func TestDuraTaint(t *testing.T) {
-	runFixture(t, DuraTaint, "durataint/internal/store", "durataint/walsurface")
+	runFixture(t, DuraTaint, "durataint/internal/store")
+}
+
+// TestWALErr pins durataint's depth-0 rule: a direct call on the WAL
+// surface whose error result is dropped.
+func TestWALErr(t *testing.T) {
+	runFixture(t, DuraTaint, "durataint/walsurface")
 }
 
 func TestHotAlloc(t *testing.T) {
