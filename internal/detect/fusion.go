@@ -90,12 +90,42 @@ type Signals struct {
 // SeriesSignals runs the horizon-free detectors (MC, HC, ME) on scratch sc
 // and returns their trust-free signals; HARC and LARC are left zero (see
 // ArrivalSignals).
-func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch) Signals {
-	return Signals{
-		MC: meanChangeSignals(s, cfg).Segments,
-		HC: histogramChangeWith(sc, s, cfg).Intervals,
-		ME: modelErrorWith(sc, s, cfg).Intervals,
+//
+// p carries the per-position detector values of the prefix it last
+// covered, and is brought up to s (nil computes everything from scratch).
+// A caller that analyzes growing prefixes of one series under one Config
+// passes the same Prefix each time: every MC point, HC window and ME window
+// whose inputs lie inside the covered prefix is copied, and only those the
+// new ratings reach are computed. A shorter s resets p. Peaks, segments
+// and interval merges are redone over the full arrays, so the result is
+// bit-identical to a fresh call.
+func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch, p *Prefix) Signals {
+	if p == nil {
+		p = new(Prefix)
+	} else if len(s) < p.mc.Len() {
+		// Not an extension: start over, keeping the buffers.
+		p.mc.X, p.mc.Y, p.hc, p.me = p.mc.X[:0], p.mc.Y[:0], p.hc[:0], p.me[:0]
 	}
+	p.mc = mcExtend(s, cfg, p.mc)
+	p.hc = hcExtend(sc, s, cfg, p.hc)
+	p.me = meExtend(sc, s, cfg, p.me)
+	return Signals{
+		MC: mcSegments(s, cfg, p.mc).Segments,
+		HC: hcIntervals(s, cfg, p.hc),
+		ME: meIntervals(s, cfg, p.me),
+	}
+}
+
+// Prefix is what SeriesSignals carries from one prefix of a series to a
+// longer one: the MC curve (one point per rating), the HC ratio of every
+// window and the ME fit of every window of the prefix it covers. The zero
+// value covers the empty prefix. A Prefix must only ever be brought up to
+// series that extend the one it covers (same leading ratings, same
+// Config); it is not safe for concurrent use.
+type Prefix struct {
+	mc Curve
+	hc []float64
+	me []meFit
 }
 
 // ArrivalSignals runs H-ARC and L-ARC over the daily counts of

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
@@ -42,16 +43,18 @@ func fuzzConfig(a, b, c byte) Config {
 // FuzzKernelEquivalence throws arbitrary series and configurations at the
 // incremental kernels and requires bit-exact agreement with the reference
 // kernels, plus scratch-reuse hygiene (a warm Scratch must reproduce the
-// fresh-buffer Report exactly).
+// fresh-buffer Report exactly) and prefix extension (signals carried from
+// the prefix cut at the cut byte, then extended to the whole series, must
+// equal a fresh run).
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add([]byte{}, byte(40), byte(5), byte(40))
-	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5}, byte(2), byte(1), byte(9))              // duplicate days, tiny windows
-	f.Add([]byte{1, 10, 2, 10, 3, 10, 4, 10, 5, 10}, byte(3), byte(50), byte(12)) // step ≫ window
-	f.Add([]byte{15, 0, 15, 0, 15, 0, 15, 0}, byte(4), byte(2), byte(4))          // all-equal values
-	f.Add([]byte{2, 9}, byte(1), byte(0), byte(0))                                // single rating, zero windows
+	f.Add([]byte{}, byte(40), byte(5), byte(40), byte(0))
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5}, byte(2), byte(1), byte(9), byte(2))              // duplicate days, tiny windows
+	f.Add([]byte{1, 10, 2, 10, 3, 10, 4, 10, 5, 10}, byte(3), byte(50), byte(12), byte(3)) // step ≫ window
+	f.Add([]byte{15, 0, 15, 0, 15, 0, 15, 0}, byte(4), byte(2), byte(4), byte(4))          // all-equal values
+	f.Add([]byte{2, 9}, byte(1), byte(0), byte(0), byte(1))                                // single rating, zero windows
 
 	sc := NewScratch()
-	f.Fuzz(func(t *testing.T, raw []byte, a, b, c byte) {
+	f.Fuzz(func(t *testing.T, raw []byte, a, b, c, cut byte) {
 		s := fuzzSeries(raw)
 		cfg := fuzzConfig(a, b, c)
 		horizon := 1.0
@@ -86,5 +89,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if !reportsEqual(AnalyzeWith(s, horizon, cfg, nil, sc), Analyze(s, horizon, cfg, nil)) {
 			t.Fatal("warm-scratch Analyze diverges from fresh run")
 		}
+		var p Prefix
+		k := int(cut) % (len(s) + 1)
+		checkCarried(t, fmt.Sprintf("prefix of %d", k), s[:k], cfg, SeriesSignals(s[:k], cfg, sc, &p), &p)
+		checkCarried(t, fmt.Sprintf("extended from %d", k), s, cfg, SeriesSignals(s, cfg, sc, &p), &p)
 	})
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -26,41 +27,63 @@ func HistogramChange(s dataset.Series, cfg Config) HCResult {
 	return histogramChangeWith(NewScratch(), s, cfg)
 }
 
-// histogramChangeWith is the incremental HC kernel: the window values are
-// kept in an order-maintained buffer (binary-search insert and evict per
-// slide instead of a fresh sort per window), on which single-linkage
-// 2-clustering degenerates to one max-adjacent-gap scan
+// histogramChangeWith is the incremental HC kernel (hcExtend from no
+// windows) plus the curve and merged intervals of its window ratios.
+func histogramChangeWith(sc *Scratch, s dataset.Series, cfg Config) HCResult {
+	ratios := hcExtend(sc, s, cfg, nil)
+	res := HCResult{Intervals: hcIntervals(s, cfg, ratios)}
+	if len(ratios) == 0 {
+		return res
+	}
+	w, step := cfg.HCWindowRatings, windowStep(cfg.HCStepRatings)
+	res.Curve = Curve{X: make([]float64, len(ratios)), Y: ratios}
+	for j := range ratios {
+		start := j * step
+		res.Curve.X[j] = (s[start].Day + s[start+w-1].Day) / 2
+	}
+	return res
+}
+
+// windowStep clamps a configured slide step to at least one rating.
+func windowStep(step int) int {
+	if step <= 0 {
+		return 1
+	}
+	return step
+}
+
+// hcExtend returns ratios extended to the HC statistic of every window of
+// s. ratios must hold the statistics of the windows of a prefix of s under
+// cfg (nil for a cold sweep); those windows end inside the prefix, so
+// their inputs are unchanged and they are kept. The sweep resumes at the
+// first window past them.
+//
+// The window values are kept in an order-maintained buffer (binary-search
+// insert and evict per slide instead of a fresh sort per window), on which
+// single-linkage 2-clustering degenerates to one max-adjacent-gap scan
 // (cluster.Split2Sorted). The reference kernel sorts every window and
 // clusters it via cluster.SingleLinkage; the sorted buffer here holds the
 // same value multiset, so every gap, cut and ratio is bit-identical (see
 // DESIGN.md §10). Cost per window drops from O(w log w) + allocations to
 // O(w) with none.
-func histogramChangeWith(sc *Scratch, s dataset.Series, cfg Config) HCResult {
-	res := HCResult{}
+func hcExtend(sc *Scratch, s dataset.Series, cfg Config, ratios []float64) []float64 {
 	w := cfg.HCWindowRatings
-	step := cfg.HCStepRatings
-	if step <= 0 {
-		step = 1
+	step, nWin := windowStep(cfg.HCStepRatings), 0
+	if w > 1 && len(s) >= w {
+		nWin = (len(s)-w)/step + 1
 	}
-	if w <= 1 || len(s) < w {
-		return res
+	from := len(ratios)
+	if from >= nWin {
+		return ratios
 	}
-	nWin := (len(s)-w)/step + 1
-	res.Curve.X = make([]float64, 0, nWin)
-	res.Curve.Y = make([]float64, 0, nWin)
-
+	ratios = slices.Grow(ratios, nWin-from)
+	start := from * step
 	win := sc.windowBuf(w)
-	for i := 0; i < w; i++ {
+	for i := start; i < start+w; i++ {
 		win = insertSorted(win, s[i].Value)
 	}
-	for start := 0; ; start += step {
-		ratio := sortedGapRatio(win, cfg.HCMinGap)
-		center := (s[start].Day + s[start+w-1].Day) / 2
-		res.Curve.X = append(res.Curve.X, center)
-		res.Curve.Y = append(res.Curve.Y, ratio)
-		if ratio >= cfg.HCThreshold {
-			res.Intervals = append(res.Intervals, Interval{Start: s[start].Day, End: s[start+w-1].Day})
-		}
+	for ; ; start += step {
+		ratios = append(ratios, sortedGapRatio(win, cfg.HCMinGap))
 		next := start + step
 		if next+w > len(s) {
 			break
@@ -83,8 +106,20 @@ func histogramChangeWith(sc *Scratch, s dataset.Series, cfg Config) HCResult {
 			win = insertSorted(win, s[i].Value)
 		}
 	}
-	res.Intervals = mergeIntervals(res.Intervals)
-	return res
+	return ratios
+}
+
+// hcIntervals returns the merged windows whose ratio reaches HCThreshold.
+func hcIntervals(s dataset.Series, cfg Config, ratios []float64) []Interval {
+	w, step := cfg.HCWindowRatings, windowStep(cfg.HCStepRatings)
+	var out []Interval
+	for j, ratio := range ratios {
+		if ratio >= cfg.HCThreshold {
+			start := j * step
+			out = append(out, Interval{Start: s[start].Day, End: s[start+w-1].Day})
+		}
+	}
+	return mergeIntervals(out)
 }
 
 // sortedGapRatio is clusterGapRatio on an already-sorted window: the

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"sort"
+
 	"repro/internal/dataset"
 )
 
@@ -55,10 +57,40 @@ func averageTrustRange(ts TrustSource, s dataset.Series) float64 {
 // kernel), so the curve is bit-identical to mcCurveRef.
 func MCCurve(s dataset.Series, cfg Config) Curve {
 	n := len(s)
-	c := Curve{X: make([]float64, n), Y: make([]float64, n)}
+	return mcExtend(s, cfg, Curve{X: make([]float64, 0, n), Y: make([]float64, 0, n)})
+}
+
+// mcExtend returns c extended to the MC curve of s, reusing c's storage.
+// c must be the MC curve of the prefix s[:c.Len()] under cfg (empty for a
+// cold sweep). Point k of c keeps its value iff its forward half-window
+// stops before the first new rating, !(s[old].Day < t(k)+W) with
+// old = c.Len(): that is the comparison the sweep's hi pointer makes, so
+// the kept point read exactly the ratings it reads now. Its backward
+// windows end at t(k) and lie inside the prefix anyway. Every other point
+// is swept afresh.
+func mcExtend(s dataset.Series, cfg Config, c Curve) Curve {
+	n, old := len(s), c.Len()
 	half := cfg.MCWindowDays / 2
-	lo, mid, hi := 0, 0, 0
-	for k := 0; k < n; k++ {
+	from := old
+	if old < n {
+		// t(k)+W is non-decreasing in k, so the recomputed points are a
+		// suffix of the prefix.
+		for from > 0 && s[old].Day < s[from-1].Day+half {
+			from--
+		}
+	}
+	c.X = append(c.X[:from], make([]float64, n-from)...)
+	c.Y = append(c.Y[:from], make([]float64, n-from)...)
+	if from == n {
+		return c
+	}
+	// Position the pointers where the sweep would stand at k = from: the
+	// first index each boundary comparison fails on.
+	t0 := s[from].Day
+	lo := sweepStart(s, t0-half)
+	mid := sweepStart(s, t0)
+	hi := sweepStart(s, t0+half)
+	for k := from; k < n; k++ {
 		t := s[k].Day
 		for lo < n && s[lo].Day < t-half {
 			lo++
@@ -76,6 +108,12 @@ func MCCurve(s dataset.Series, cfg Config) Curve {
 		c.Y[k] = seriesMeanChangeGLRT(x1, x2, sigma2)
 	}
 	return c
+}
+
+// sweepStart returns the first index i with !(s[i].Day < bound): where a
+// sweep pointer advanced by "for s[i].Day < bound" from 0 would stop.
+func sweepStart(s dataset.Series, bound float64) int {
+	return sort.Search(len(s), func(i int) bool { return !(s[i].Day < bound) })
 }
 
 // seriesMean mirrors stats.Mean over a series' values (same summation
@@ -199,7 +237,13 @@ func MeanChange(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 // peaks and each segment's bounds, mean and shift. AvgTrust and Suspicious
 // are left zero for decideSegments.
 func meanChangeSignals(s dataset.Series, cfg Config) MCResult {
-	res := MCResult{Curve: MCCurve(s, cfg)}
+	return mcSegments(s, cfg, MCCurve(s, cfg))
+}
+
+// mcSegments is meanChangeSignals on the already computed MC curve c of s.
+// The result's Curve is c; its peaks and segments are freshly allocated.
+func mcSegments(s dataset.Series, cfg Config, c Curve) MCResult {
+	res := MCResult{Curve: c}
 	if len(s) == 0 {
 		return res
 	}

@@ -1,7 +1,8 @@
 package detect
 
 import (
-	"repro/internal/armodel"
+	"slices"
+
 	"repro/internal/dataset"
 )
 
@@ -25,42 +26,70 @@ func ModelError(s dataset.Series, cfg Config) MEResult {
 	return modelErrorWith(NewScratch(), s, cfg)
 }
 
-// modelErrorWith is ModelError with the per-window Values() copy replaced
-// by one reused scratch buffer: each window's values are copied into the
-// same backing array and handed to the AR fit, which reads but never
-// retains its input. The fitted numbers are untouched, so the curve is
-// bit-identical to modelErrorRef.
+// modelErrorWith is the ME kernel (meExtend from no windows) plus the
+// curve and merged intervals of the windows whose fit succeeded. A window
+// can drop out when its AR fit fails, so the curve grows by append: in the
+// degenerate all-windows-fail case it stays nil, like the reference's.
 func modelErrorWith(sc *Scratch, s dataset.Series, cfg Config) MEResult {
-	res := MEResult{}
+	fits := meExtend(sc, s, cfg, nil)
+	res := MEResult{Intervals: meIntervals(s, cfg, fits)}
+	w, step := cfg.MEWindowRatings, windowStep(cfg.MEStepRatings)
+	for j, f := range fits {
+		if f.ok {
+			start := j * step
+			res.Curve.X = append(res.Curve.X, (s[start].Day+s[start+w-1].Day)/2)
+			res.Curve.Y = append(res.Curve.Y, f.relErr)
+		}
+	}
+	return res
+}
+
+// meFit is one ME window's outcome: the relative model error, when the AR
+// fit succeeded.
+type meFit struct {
+	relErr float64
+	ok     bool
+}
+
+// meExtend returns fits extended to the AR fit of every ME window of s.
+// fits must hold the fits of the windows of a prefix of s under cfg (nil
+// for a cold sweep); those windows end inside the prefix and are kept.
+// Each new window's values are copied into one reused scratch buffer and
+// fitted on the scratch's AR working memory, which reads but never retains
+// its input; the fitted numbers are those of armodel.FitMethod, so the
+// curve is bit-identical to modelErrorRef.
+func meExtend(sc *Scratch, s dataset.Series, cfg Config, fits []meFit) []meFit {
 	w := cfg.MEWindowRatings
-	step := cfg.MEStepRatings
-	if step <= 0 {
-		step = 1
+	step, nWin := windowStep(cfg.MEStepRatings), 0
+	if w > 2*cfg.MEOrder && len(s) >= w {
+		nWin = (len(s)-w)/step + 1
 	}
-	if w <= 2*cfg.MEOrder || len(s) < w {
-		return res
+	if len(fits) >= nWin {
+		return fits
 	}
-	// The curve grows by append (not an exact preallocation): a window can
-	// drop out when its AR fit fails, so the point count is not known up
-	// front and a sized-but-empty slice would differ from the reference's
-	// nil curve in the degenerate all-windows-fail case.
+	fits = slices.Grow(fits, nWin-len(fits))
 	vals := sc.valsBuf(w)
-	for start := 0; start+w <= len(s); start += step {
-		win := s[start : start+w]
-		for i := 0; i < w; i++ {
+	for j := len(fits); j < nWin; j++ {
+		win := s[j*step : j*step+w]
+		for i := range vals {
 			vals[i] = win[i].Value
 		}
-		m, err := armodel.FitMethod(vals, cfg.MEOrder, cfg.MEMethod)
-		if err != nil {
-			continue
-		}
-		center := (win[0].Day + win[w-1].Day) / 2
-		res.Curve.X = append(res.Curve.X, center)
-		res.Curve.Y = append(res.Curve.Y, m.RelErr)
-		if m.RelErr < cfg.METhreshold {
-			res.Intervals = append(res.Intervals, Interval{Start: win[0].Day, End: win[w-1].Day})
+		m, err := sc.ar.FitMethod(vals, cfg.MEOrder, cfg.MEMethod)
+		fits = append(fits, meFit{relErr: m.RelErr, ok: err == nil})
+	}
+	return fits
+}
+
+// meIntervals returns the merged windows whose fit succeeded with a
+// relative model error below METhreshold.
+func meIntervals(s dataset.Series, cfg Config, fits []meFit) []Interval {
+	w, step := cfg.MEWindowRatings, windowStep(cfg.MEStepRatings)
+	var out []Interval
+	for j, f := range fits {
+		if f.ok && f.relErr < cfg.METhreshold {
+			start := j * step
+			out = append(out, Interval{Start: s[start].Day, End: s[start+w-1].Day})
 		}
 	}
-	res.Intervals = mergeIntervals(res.Intervals)
-	return res
+	return mergeIntervals(out)
 }

@@ -1,12 +1,14 @@
 package detect
 
+import "repro/internal/armodel"
+
 // Scratch holds the reusable working buffers of the incremental detector
 // kernels: the ARC daily-count and quantile buffers, the HC
-// order-maintained sliding window, and the ME window-value buffer. A
-// Scratch is plain memory with no result state — reusing one across series
-// cannot change any output bit (pinned by the equivalence tests) — but it
-// is not safe for concurrent use; give each goroutine its own (the engine's
-// worker pool does exactly that).
+// order-maintained sliding window, and the ME window-value buffer and AR
+// fit working memory. A Scratch is plain memory with no result state —
+// reusing one across series cannot change any output bit (pinned by the
+// equivalence tests) — but it is not safe for concurrent use; give each
+// goroutine its own (the engine's worker pool does exactly that).
 //
 // Results returned by the detectors never alias scratch memory: curves,
 // peaks, segments and intervals are freshly allocated, so a Report outlives
@@ -18,6 +20,7 @@ type Scratch struct {
 	quant  []float64 // ARC: sorted copy of counts for the baseline quantile
 	window []float64 // HC: ascending-sorted sliding window values
 	vals   []float64 // ME: current window values for the AR fit
+	ar     armodel.Work
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use and are

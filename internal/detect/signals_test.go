@@ -86,7 +86,7 @@ func TestDecideMatchesAnalyzeProperty(t *testing.T) {
 		hi := 20 + rng.Float64()*(testHorizon+10)
 		seen := s.Between(0, hi)
 
-		sig := SeriesSignals(seen, cfg, sc)
+		sig := SeriesSignals(seen, cfg, sc, nil)
 		sig.HARC, sig.LARC = ArrivalSignals(seen, hi, cfg, sc)
 		pristine := cloneSignals(sig)
 

@@ -31,6 +31,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,9 +51,12 @@ type Engine struct {
 	// DisableTrustWeighting aggregates with equal weights instead of
 	// Eq. 7's max(T−0.5, 0) (ablation).
 	DisableTrustWeighting bool
-	// DisableMemo turns off the memo plane, both tiers (see memo.go): every
-	// product with ratings in a dirty epoch is re-analyzed from scratch,
-	// as if no result or signal were ever cached.
+	// DisableMemo turns off the memo plane, both tiers (see memo.go):
+	// nothing is cached across Resume calls, and every product with
+	// ratings in a dirty epoch is re-analyzed, as if no result or signal
+	// were ever cached. Within one Resume each analysis still extends the
+	// product's carried prefix (prefixCarry); that carry is not a cache,
+	// it lives for the one call.
 	// Exists for the memo-on vs memo-off equivalence tests and as an
 	// operational escape hatch; output is bit-identical either way.
 	DisableMemo bool
@@ -120,11 +124,16 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	//
 	// Right after each fold, period ep is published into st.published[ep]:
 	// Eq. 7 over the epoch's own marks with the post-fold trust.
+	//
+	// Each analyzed product extends its carry (prefixCarry) instead of
+	// recomputing its prefix: epoch e+1's prefix is epoch e's plus later
+	// ratings, and the final pass's series extends every epoch's prefix.
 	mgr := st.checkpoints[len(st.checkpoints)-1].Clone()
 	var kept []bool
+	var carry []prefixCarry
 	for ep := len(st.checkpoints) - 1; ep < n; ep++ {
 		same := st.trustSame[ep]
-		fold, marks, err := e.runEpoch(ctx, d, ep, mgr, st, same)
+		fold, marks, err := e.runEpoch(ctx, d, ep, mgr, st, same, &carry)
 		if err != nil {
 			return nil, err
 		}
@@ -185,14 +194,18 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		work = append(work, i)
 	}
 	ents := make([]finalEntry, len(d.Products))
+	carries := carriesFor(&carry, len(d.Products), len(work))
 	err := e.forEachProduct(ctx, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
-		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc)
+		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &carries[i])
 		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, mgr).Suspicious
 		scores[i] = e.aggregateProduct(prod.Ratings, marks[i], d.HorizonDays, mgr)
 		if memos[i] != nil {
-			ents[i] = newFinalEntry(memos[i].version, prod.Ratings, pre, mgr, marks[i], scores[i])
+			if pre.raters == nil {
+				pre.raters = carries[i].sortedRaters(prod.Ratings)
+			}
+			ents[i] = newFinalEntry(memos[i].version, len(prod.Ratings), pre, mgr, marks[i], scores[i])
 		}
 	})
 	if err != nil {
@@ -252,10 +265,12 @@ type raterCounts struct{ n, f int }
 // epoch-start snapshot unchanged. A miss whose prefix is cached reuses the
 // entry's trust-free signals and runs only detect.Decide (memo.go). Hit
 // checks (signal lookups included) and entry commits run serially
-// on either side of the pool — only misses fan out. On cancellation the
-// partially collected counts and entries are discarded without touching mgr
-// or the memo, so the caller's state still describes whole completed epochs.
-func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *trust.Manager, st *EvalState, trustSame bool) ([]raterFold, [][]bool, error) {
+// on either side of the pool — only misses fan out. Each miss extends the
+// product's entry of the caller's carry (see carriesFor). On cancellation
+// the partially collected counts and entries are discarded without touching
+// mgr or the memo, so the caller's state still describes whole completed
+// epochs.
+func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *trust.Manager, st *EvalState, trustSame bool, carry *[]prefixCarry) ([]raterFold, [][]bool, error) {
 	lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
 	perProduct := make([][]raterFold, len(d.Products))
 	marks := make([][]bool, len(d.Products))
@@ -287,11 +302,12 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 	}
 
 	ents := make([]memoEntry, len(d.Products))
+	carries := carriesFor(carry, len(d.Products), len(work))
 	err := e.forEachProduct(ctx, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
 		seen := prod.Ratings.Between(0, hi)
-		pre := e.completeSignals(seen, hi, reuse[i], sc)
+		pre := e.completeSignals(seen, hi, reuse[i], sc, &carries[i])
 		dec := detect.Decide(seen, pre.sig, e.Detect, mgr)
 		// Earlier epochs already judged the ratings before lo: count, and
 		// keep the marks of, only the epoch's own [lo, hi) ratings.
@@ -308,7 +324,10 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 		}
 		perProduct[i] = sortedFold(counts)
 		if memos[i] != nil {
-			ents[i] = newEpochEntry(memos[i].version, seen, pre, mgr, perProduct[i], marks[i])
+			if pre.raters == nil {
+				pre.raters = carries[i].sortedRaters(seen)
+			}
+			ents[i] = newEpochEntry(memos[i].version, len(seen), pre, mgr, perProduct[i], marks[i])
 		}
 	})
 	if err != nil {
@@ -341,11 +360,12 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 
 // completeSignals returns the signals tier of series s at horizon hi:
 // the parts r carries are reused, the rest computed by the trust-free
-// detectors. Raters are left to the memo entry constructors.
-func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc *detect.Scratch) prefixSignals {
+// detectors, extending the product's carry pc. Raters are left to the
+// callers that record memo entries.
+func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc *detect.Scratch, pc *prefixCarry) prefixSignals {
 	pre := r.pre
 	if !r.series {
-		sig := detect.SeriesSignals(s, e.Detect, sc)
+		sig := detect.SeriesSignals(s, e.Detect, sc, &pc.det)
 		pre.sig.MC, pre.sig.HC, pre.sig.ME = sig.MC, sig.HC, sig.ME
 	}
 	if !r.arc {
@@ -353,6 +373,65 @@ func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc
 		pre.arcHi = hi
 	}
 	return pre
+}
+
+// prefixCarry is what one product carries across the passes of one
+// Resume: the detector values (detect.Prefix) and the sorted unique raters
+// of the longest prefix analyzed so far. Every pass analyzes a prefix that
+// extends the previous one, so only the new ratings' windows and raters
+// are computed. It is never stored in EvalState or the memo: it lives for
+// one Resume, so it needs no invalidation, and a cancelled Resume simply
+// drops it.
+type prefixCarry struct {
+	det    detect.Prefix
+	raters []string // sorted unique raters of the first n ratings
+	n      int
+}
+
+// carriesFor returns the Resume's per-product carries, allocating them the
+// first time a pass has products to analyze (a pure memo replay allocates
+// none). It runs before the pool; each worker then owns entry i of the
+// product it analyzes, so the carries need no locks.
+func carriesFor(carry *[]prefixCarry, products, work int) []prefixCarry {
+	if *carry == nil && work > 0 {
+		*carry = make([]prefixCarry, products)
+	}
+	return *carry
+}
+
+// sortedRaters returns the sorted unique raters of s, which must extend
+// the prefix pc covers (a shorter s starts over): the raters of the new
+// ratings are sorted and merged into the carried set. The returned slice
+// is shared with the memo entries it is recorded in, so it is never
+// written afterwards; the next extension merges into a fresh one.
+func (pc *prefixCarry) sortedRaters(s dataset.Series) []string {
+	if len(s) < pc.n {
+		pc.raters, pc.n = nil, 0
+	}
+	if len(s) == pc.n {
+		return pc.raters
+	}
+	fresh := make([]string, 0, len(s)-pc.n)
+	for _, r := range s[pc.n:] {
+		fresh = append(fresh, r.Rater)
+	}
+	slices.Sort(fresh)
+	fresh = slices.Compact(fresh)
+	merged := make([]string, 0, len(pc.raters)+len(fresh))
+	old := pc.raters
+	for len(old) > 0 && len(fresh) > 0 {
+		switch {
+		case old[0] < fresh[0]:
+			merged, old = append(merged, old[0]), old[1:]
+		case fresh[0] < old[0]:
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
+		default:
+			merged, old, fresh = append(merged, old[0]), old[1:], fresh[1:]
+		}
+	}
+	merged = append(append(merged, old...), fresh...)
+	pc.raters, pc.n = merged, len(s)
+	return merged
 }
 
 // aggregateProduct computes one product's per-period scores (Eq. 7) from

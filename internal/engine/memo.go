@@ -2,7 +2,8 @@ package engine
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -330,18 +331,15 @@ func (m *productMemo) finalSignals(n int, horizon float64) signalReuse {
 	return reuseSignals(false, 0, n, prefixSignals{}, horizon)
 }
 
-// newEpochEntry snapshots one product's epoch analysis for the memo: the
-// prefix's signals tier (pre.raters is computed from seen when pre does
-// not carry it), the raters' current records, the fold counts and the
-// epoch's own marks.
-func newEpochEntry(version uint64, seen dataset.Series, pre prefixSignals, mgr *trust.Manager, counts []raterFold, marks []bool) memoEntry {
-	if pre.raters == nil {
-		pre.raters = uniqueRaters(seen)
-	}
+// newEpochEntry snapshots one product's epoch analysis of a prefix of
+// prefixLen ratings for the memo: the prefix's signals tier (raters
+// included), the raters' current records, the fold counts and the epoch's
+// own marks.
+func newEpochEntry(version uint64, prefixLen int, pre prefixSignals, mgr *trust.Manager, counts []raterFold, marks []bool) memoEntry {
 	return memoEntry{
 		valid:     true,
-		prefixLen: len(seen),
-		seriesFP:  seriesFingerprint(version, len(seen)),
+		prefixLen: prefixLen,
+		seriesFP:  seriesFingerprint(version, prefixLen),
 		pre:       pre,
 		trustFP:   trustFingerprint(mgr, pre.raters),
 		recs:      snapshotRecords(mgr, pre.raters),
@@ -350,44 +348,20 @@ func newEpochEntry(version uint64, seen dataset.Series, pre prefixSignals, mgr *
 	}
 }
 
-// newFinalEntry snapshots one product's final pass: the full series'
-// signals tier (raters filled in as for newEpochEntry) and copies of the
-// marks and scores under the final trust (the live ones are handed to the
-// caller).
-func newFinalEntry(version uint64, s dataset.Series, pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
-	if pre.raters == nil {
-		pre.raters = uniqueRaters(s)
-	}
+// newFinalEntry snapshots one product's final pass over its seriesLen
+// ratings: the full series' signals tier (raters included) and copies of
+// the marks and scores under the final trust (the live ones are handed to
+// the caller).
+func newFinalEntry(version uint64, seriesLen int, pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
 	return finalEntry{
 		valid:    true,
-		seriesFP: seriesFingerprint(version, len(s)),
+		seriesFP: seriesFingerprint(version, seriesLen),
 		pre:      pre,
 		trustFP:  trustFingerprint(mgr, pre.raters),
 		recs:     snapshotRecords(mgr, pre.raters),
 		marks:    append([]bool(nil), marks...),
 		scores:   append([]float64(nil), scores...),
 	}
-}
-
-// uniqueRaters returns the sorted distinct rater IDs of the series
-// (sort-then-compact: no map iteration, deterministic by construction).
-func uniqueRaters(s dataset.Series) []string {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]string, len(s))
-	for i, r := range s {
-		out[i] = r.Rater
-	}
-	sort.Strings(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
 }
 
 // snapshotRecords copies the raters' current trust records, aligned with
@@ -410,7 +384,8 @@ func sortedFold(counts map[string]raterCounts) []raterFold {
 	for rater := range counts {
 		out = append(out, raterFold{rater: rater})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].rater < out[j].rater })
+	// Rater keys are unique, so any correct sort gives this one order.
+	slices.SortFunc(out, func(a, b raterFold) int { return strings.Compare(a.rater, b.rater) })
 	for i := range out {
 		c := counts[out[i].rater]
 		out[i].n = c.n

@@ -273,7 +273,7 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	counts := []raterFold{{rater: "a", n: 1}}
 	mgr1 := trust.NewManager()
 	m := &productMemo{version: 1, epochs: make([]memoEntry, 1)}
-	m.setEpoch(0, newEpochEntry(1, seen, prefixSignals{}, mgr1, counts, []bool{false}))
+	m.setEpoch(0, newEpochEntry(1, len(seen), prefixSignals{raters: []string{"a"}}, mgr1, counts, []bool{false}))
 
 	mgr2 := trust.NewManager()
 	mgr2.Observe("a", 5, 3)

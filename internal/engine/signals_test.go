@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
+	"repro/internal/epoch"
 )
 
 // TestTrustOnlyMissReusesSignals: a submit that only moves a shared
@@ -105,5 +109,54 @@ func TestFinalHitNeverAliasesServedMarks(t *testing.T) {
 			}
 		}
 		st.Invalidate(0) // no data change: every product replays from the memo
+	}
+}
+
+// TestColdResumeRecordsFreshSignals checks the per-Resume carry from the
+// engine's side. A cold Resume computes each product's signals by
+// extending one carried prefix epoch after epoch, then into the final
+// pass. Every signals tier it records in the memo, raters included, must
+// equal a fresh detector run on that entry's own prefix.
+func TestColdResumeRecordsFreshSignals(t *testing.T) {
+	cfg := detect.DefaultConfig()
+	sc := detect.NewScratch()
+	for _, seed := range []uint64{1, 7} {
+		d := versionedTestDataset(t, seed, 4, 150)
+		st := NewState()
+		mustResume(t, &Engine{Detect: cfg, Workers: 2}, st, d)
+		checked := 0
+		check := func(label string, s dataset.Series, pre prefixSignals) {
+			t.Helper()
+			want := detect.SeriesSignals(s, cfg, sc, nil)
+			want.HARC, want.LARC = detect.ArrivalSignals(s, pre.arcHi, cfg, sc)
+			if !reflect.DeepEqual(pre.sig, want) {
+				t.Fatalf("%s: recorded signals %+v, fresh %+v", label, pre.sig, want)
+			}
+			raters := make([]string, 0, len(s))
+			for _, r := range s {
+				raters = append(raters, r.Rater)
+			}
+			slices.Sort(raters)
+			if raters = slices.Compact(raters); !slices.Equal(pre.raters, raters) {
+				t.Fatalf("%s: recorded raters %v, want %v", label, pre.raters, raters)
+			}
+			checked++
+		}
+		for i := range d.Products {
+			prod := &d.Products[i]
+			m := st.memo[prod.ID]
+			for ep, ent := range m.epochs {
+				if ent.valid {
+					_, hi := epoch.PeriodInterval(ep, d.HorizonDays)
+					check(fmt.Sprintf("seed %d %s epoch %d", seed, prod.ID, ep), prod.Ratings.Between(0, hi), ent.pre)
+				}
+			}
+			if m.final.valid {
+				check(fmt.Sprintf("seed %d %s final", seed, prod.ID), prod.Ratings, m.final.pre)
+			}
+		}
+		if want := len(d.Products) * (epoch.Periods(d.HorizonDays) + 1); checked != want {
+			t.Fatalf("seed %d: checked %d memo entries, want %d (every epoch and final pass)", seed, checked, want)
+		}
 	}
 }
