@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -159,15 +160,17 @@ func TestOnlineMatchesReferenceProperty(t *testing.T) {
 // TestResumePublishedMatchesReference: with versioned products, the
 // Published table of an incrementally resumed engine stays bit-identical
 // to the reference loop on the current data as ratings arrive late and
-// early — memo on and off, serial and parallel.
+// early — memo on and off (off: resumed on an unversioned view), serial
+// and parallel.
 func TestResumePublishedMatchesReference(t *testing.T) {
 	p := NewOnlinePScheme()
 	for _, tc := range []struct {
 		name string
 		eng  *engine.Engine
+		memo bool
 	}{
-		{"memo-workers4", &engine.Engine{Detect: p.Detect, Workers: 4}},
-		{"nomemo-workers1", &engine.Engine{Detect: p.Detect, Workers: 1, DisableMemo: true}},
+		{"memo-workers4", &engine.Engine{Detect: p.Detect, Workers: 4}, true},
+		{"nomemo-workers1", &engine.Engine{Detect: p.Detect, Workers: 1}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []uint64{5, 17} {
@@ -197,7 +200,14 @@ func TestResumePublishedMatchesReference(t *testing.T) {
 
 				st := engine.NewState()
 				for step := 0; ; step++ {
-					res, err := tc.eng.Resume(context.Background(), st, live)
+					view := live
+					if !tc.memo {
+						view = &dataset.Dataset{HorizonDays: live.HorizonDays, Products: slices.Clone(live.Products)}
+						for i := range view.Products {
+							view.Products[i].Version = 0
+						}
+					}
+					res, err := tc.eng.Resume(context.Background(), st, view)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -74,20 +74,19 @@ func TestResumeCancelledMidEvaluate(t *testing.T) {
 
 // TestCancelStopsWorkerPool pins the instrumentation contract behind the
 // "a cancelled request stops engine work" acceptance criterion: once the
-// context is cancelled, remaining products are skipped (counted in
-// Stats().Skipped), not analyzed.
+// context is cancelled, remaining products are skipped (counted in the
+// state's Stats().Skipped), not analyzed.
 func TestCancelStopsWorkerPool(t *testing.T) {
 	d := testDataset(t, 12, 16, 90)
 	for _, workers := range []int{1, 4} {
 		eng := &Engine{Detect: detect.DefaultConfig(), Workers: workers}
-		before := Stats()
-		_, err := eng.Resume(newCountingCtx(2), NewState(), d)
-		after := Stats()
+		st := NewState()
+		_, err := eng.Resume(newCountingCtx(2), st, d)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		skipped := after.Skipped - before.Skipped
-		analyzed := after.Analyzed - before.Analyzed
+		stats := st.Stats()
+		skipped, analyzed := stats.Skipped, stats.Analyzed
 		if skipped == 0 {
 			t.Errorf("workers=%d: no products skipped after cancel (analyzed %d)", workers, analyzed)
 		}

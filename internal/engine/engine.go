@@ -33,7 +33,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -51,15 +50,6 @@ type Engine struct {
 	// DisableTrustWeighting aggregates with equal weights instead of
 	// Eq. 7's max(T−0.5, 0) (ablation).
 	DisableTrustWeighting bool
-	// DisableMemo turns off the memo plane, both tiers (see memo.go):
-	// nothing is cached across Resume calls, and every product with
-	// ratings in a dirty epoch is re-analyzed, as if no result or signal
-	// were ever cached. Within one Resume each analysis still extends the
-	// product's carried prefix (prefixCarry); that carry is not a cache,
-	// it lives for the one call.
-	// Exists for the memo-on vs memo-off equivalence tests and as an
-	// operational escape hatch; output is bit-identical either way.
-	DisableMemo bool
 	// Workers bounds the per-product analysis parallelism within an epoch:
 	// 0 means GOMAXPROCS, 1 runs serially.
 	Workers int
@@ -91,8 +81,10 @@ func (e *Engine) Evaluate(ctx context.Context, d *dataset.Dataset) (*Result, err
 // Resume brings st up to date with the dataset and returns the evaluation
 // result. Epochs already checkpointed in st are reused verbatim; the caller
 // must have called st.Invalidate(day) for every rating day added, removed
-// or modified since the state was last resumed (NewState, or a state whose
-// product set or horizon changed, recomputes everything).
+// or modified since the state was last resumed (NewState, a Reset state, or
+// a state whose product set or horizon changed, recomputes everything).
+// Products with Version 0 bypass the memo plane (memo.go): a dataset view
+// with every version zeroed is the memo-off reference evaluation.
 //
 // Cancelling ctx stops the evaluation between products and between epochs
 // and returns ctx.Err(). Cancellation is checkpoint-safe: st only ever
@@ -105,7 +97,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		return nil, err
 	}
 	if !st.matches(d) {
-		st.reset(d)
+		st.bind(d)
 	}
 	n := epoch.Periods(d.HorizonDays)
 
@@ -139,9 +131,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		}
 		foldSame := st.folds[ep] != nil && foldsEqual(st.folds[ep], fold)
 		st.folds[ep] = fold
-		if !e.DisableMemo {
-			st.trustSame[ep] = true
-		}
+		st.trustSame[ep] = true
 		for _, fc := range fold {
 			mgr.Observe(fc.rater, fc.n, fc.f)
 		}
@@ -179,23 +169,22 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	var work []int
 	for i := range d.Products {
 		prod := &d.Products[i]
-		if !e.DisableMemo {
-			if m := st.memoFor(prod); m != nil {
-				memos[i] = m
-				if mk, sc, ok := m.finalHit(len(prod.Ratings), mgr, st.finalConsistent); ok {
-					marks[i], scores[i] = mk, sc
-					memoHits.Add(1)
-					continue
-				}
-				memoMisses.Add(1)
-				reuse[i] = m.finalSignals(len(prod.Ratings), d.HorizonDays)
+		if m := st.memoFor(prod); m != nil {
+			memos[i] = m
+			if mk, sc, ok := m.finalHit(len(prod.Ratings), mgr, st.finalConsistent); ok {
+				marks[i], scores[i] = mk, sc
+				st.stats.memoHits.Add(1)
+				continue
 			}
+			st.stats.memoMisses.Add(1)
+			reuse[i] = m.finalSignals(len(prod.Ratings), d.HorizonDays)
+			st.stats.countSignals(reuse[i])
 		}
 		work = append(work, i)
 	}
 	ents := make([]finalEntry, len(d.Products))
 	carries := carriesFor(&carry, len(d.Products), len(work))
-	err := e.forEachProduct(ctx, len(work), func(k int, sc *detect.Scratch) {
+	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
 		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &carries[i])
@@ -223,9 +212,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 			memos[i].final = ents[i]
 		}
 	}
-	if !e.DisableMemo {
-		st.finalConsistent = true
-	}
+	st.finalConsistent = true
 
 	res := &Result{
 		Table:      make(map[string][]float64, len(d.Products)),
@@ -280,30 +267,34 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 	var work []int
 	for i := range d.Products {
 		prod := &d.Products[i]
+		// Sync every product's memo with its version before the epoch can
+		// complete, skipped or not: the caller then marks the epoch
+		// trustSame, which must not cover an unversioned product's stale
+		// entries.
+		m := st.memoFor(prod)
 		// A product with no ratings in [lo, hi) folds and publishes
 		// nothing this epoch, whatever its analysis would say.
 		if from, to := prod.Ratings.BetweenIndex(lo, hi); from == to {
 			continue
 		}
-		if !e.DisableMemo {
-			if m := st.memoFor(prod); m != nil {
-				memos[i] = m
-				start, end := prod.Ratings.BetweenIndex(0, hi)
-				if counts, mk, ok := m.epochHit(ep, end-start, mgr, trustSame); ok {
-					perProduct[i], marks[i] = counts, mk
-					memoHits.Add(1)
-					continue
-				}
-				memoMisses.Add(1)
-				reuse[i] = m.epochSignals(ep, end-start, hi)
+		if m != nil {
+			memos[i] = m
+			start, end := prod.Ratings.BetweenIndex(0, hi)
+			if counts, mk, ok := m.epochHit(ep, end-start, mgr, trustSame); ok {
+				perProduct[i], marks[i] = counts, mk
+				st.stats.memoHits.Add(1)
+				continue
 			}
+			st.stats.memoMisses.Add(1)
+			reuse[i] = m.epochSignals(ep, end-start, hi)
+			st.stats.countSignals(reuse[i])
 		}
 		work = append(work, i)
 	}
 
 	ents := make([]memoEntry, len(d.Products))
 	carries := carriesFor(carry, len(d.Products), len(work))
-	err := e.forEachProduct(ctx, len(work), func(k int, sc *detect.Scratch) {
+	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
 		seen := prod.Ratings.Between(0, hi)
@@ -484,85 +475,18 @@ func (e *Engine) workers() int {
 // every product analysis warm buffers without any cross-worker sharing.
 var scratchPool = sync.Pool{New: func() any { return detect.NewScratch() }}
 
-// Worker-pool instrumentation: process-wide counters of products the pool
-// analyzed versus products it skipped because the caller's context was
-// already cancelled. They exist so tests (and the chaos harness) can prove
-// that cancelling an HTTP request actually stops detector work rather than
-// letting the pool drain at full cost.
-var (
-	poolAnalyzed atomic.Uint64
-	poolSkipped  atomic.Uint64
-)
-
-// Memo-plane instrumentation: process-wide counters of cache lookups that
-// replayed a cached result (hits), fell through to analysis (misses), and
-// cached entries dropped because a product's series version moved
-// (invalidations). Unversioned products perform no lookups and count
-// nothing.
-var (
-	memoHits        atomic.Uint64
-	memoMisses      atomic.Uint64
-	memoInvalidated atomic.Uint64
-)
-
-// Signals-tier instrumentation: every memo miss looks up two trust-free
-// signal parts — the MC/HC/ME part keyed by the series prefix and the
-// H-/L-ARC part keyed by prefix and horizon — and counts each as a hit
-// (reused) or a miss (recomputed).
-var (
-	signalHits   atomic.Uint64
-	signalMisses atomic.Uint64
-)
-
-// PoolStats is a snapshot of the worker-pool and memo-plane counters.
-type PoolStats struct {
-	// Analyzed counts products whose detector analysis ran to completion.
-	Analyzed uint64
-	// Skipped counts products abandoned because the evaluation's context
-	// was cancelled before their analysis started.
-	Skipped uint64
-	// MemoHits counts per-(product, epoch) and final-pass lookups served
-	// from the memo plane instead of re-analysis.
-	MemoHits uint64
-	// MemoMisses counts lookups that fell through to analysis (and, on
-	// success, re-recorded the entry).
-	MemoMisses uint64
-	// MemoInvalidated counts cached entries dropped because the product's
-	// series version changed.
-	MemoInvalidated uint64
-	// SignalHits counts trust-free signal parts (MC/HC/ME, or H-/L-ARC) a
-	// memo miss reused instead of recomputing; only Decide ran for them.
-	SignalHits uint64
-	// SignalMisses counts signal parts a memo miss recomputed.
-	SignalMisses uint64
-}
-
-// Stats returns the current process-wide worker-pool counters. Deltas
-// between two snapshots bound the work done in between; the absolute
-// values are cumulative since process start.
-func Stats() PoolStats {
-	return PoolStats{
-		Analyzed:        poolAnalyzed.Load(),
-		Skipped:         poolSkipped.Load(),
-		MemoHits:        memoHits.Load(),
-		MemoMisses:      memoMisses.Load(),
-		MemoInvalidated: memoInvalidated.Load(),
-		SignalHits:      signalHits.Load(),
-		SignalMisses:    signalMisses.Load(),
-	}
-}
-
 // forEachProduct runs fn(i) for i in [0, n) over a bounded worker pool in
 // the current goroutine plus up to workers()−1 helpers, handing each worker
 // its own detector scratch. fn must only write state owned by index i and
-// must not retain sc past the call.
+// must not retain sc past the call. Each call is counted as analyzed in
+// st's counters.
 //
 // Cancellation is checked before every fn call: once ctx is cancelled no
 // new product analysis starts (already-running calls finish — detector
 // kernels are short), remaining indices are drained and counted as
 // skipped, and ctx.Err() is returned after the pool is fully quiesced, so
 // the caller may discard or reuse the output slices immediately.
-func (e *Engine) forEachProduct(ctx context.Context, n int, fn func(i int, sc *detect.Scratch)) error {
+func (e *Engine) forEachProduct(ctx context.Context, st *EvalState, n int, fn func(i int, sc *detect.Scratch)) error {
 	done := ctx.Done()
 	w := e.workers()
 	if w > n {
@@ -572,12 +496,12 @@ func (e *Engine) forEachProduct(ctx context.Context, n int, fn func(i int, sc *d
 		sc := scratchPool.Get().(*detect.Scratch)
 		for i := 0; i < n; i++ {
 			if done != nil && ctx.Err() != nil {
-				poolSkipped.Add(uint64(n - i))
+				st.stats.skipped.Add(uint64(n - i))
 				scratchPool.Put(sc)
 				return ctx.Err()
 			}
 			fn(i, sc)
-			poolAnalyzed.Add(1)
+			st.stats.analyzed.Add(1)
 		}
 		scratchPool.Put(sc)
 		return nil
@@ -593,11 +517,11 @@ func (e *Engine) forEachProduct(ctx context.Context, n int, fn func(i int, sc *d
 				if done != nil && ctx.Err() != nil {
 					// Keep draining so the feeder never blocks; every
 					// undone index is a skip.
-					poolSkipped.Add(1)
+					st.stats.skipped.Add(1)
 					continue
 				}
 				fn(i, sc)
-				poolAnalyzed.Add(1)
+				st.stats.analyzed.Add(1)
 			}
 			scratchPool.Put(sc)
 		}()

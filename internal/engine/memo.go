@@ -127,33 +127,40 @@ type productMemo struct {
 // series content changed, so every cached entry keyed on the old version is
 // dropped wholesale — that is the O(changed product) invalidation path. A
 // product with Version 0 is unversioned (its mutator does not maintain the
-// counter), so it opts out of memoization entirely: returns nil.
+// counter), so it bypasses the memo: its entries are dropped the same way
+// and its memo deleted, so none survives to be replayed if the product
+// later returns at its old version, and memoFor returns nil.
 func (st *EvalState) memoFor(p *dataset.Product) *productMemo {
-	if p.Version == 0 {
-		return nil
-	}
 	m := st.memo[p.ID]
-	if m == nil {
-		m = &productMemo{version: p.Version, epochs: make([]memoEntry, len(st.folds))}
-		st.memo[p.ID] = m
-		return m
-	}
-	if m.version != p.Version {
-		dropped := uint64(0)
-		for i := range m.epochs {
-			if m.epochs[i].valid {
-				m.epochs[i] = memoEntry{}
-				dropped++
-			}
-		}
-		if m.final.valid {
-			m.final = finalEntry{}
-			dropped++
-		}
-		memoInvalidated.Add(dropped)
+	if m != nil && m.version != p.Version {
+		st.stats.memoInvalidated.Add(m.drop())
 		m.version = p.Version
 	}
+	switch {
+	case p.Version == 0:
+		delete(st.memo, p.ID)
+		return nil
+	case m == nil:
+		m = &productMemo{version: p.Version, epochs: make([]memoEntry, len(st.folds))}
+		st.memo[p.ID] = m
+	}
 	return m
+}
+
+// drop invalidates every cached entry and returns how many were valid.
+func (m *productMemo) drop() uint64 {
+	n := uint64(0)
+	for i := range m.epochs {
+		if m.epochs[i].valid {
+			n++
+		}
+	}
+	clear(m.epochs)
+	if m.final.valid {
+		n++
+	}
+	m.final = finalEntry{}
+	return n
 }
 
 // setEpoch commits a fresh entry for epoch ep (no-op out of range, which
@@ -283,20 +290,13 @@ type signalReuse struct {
 
 // reuseSignals is the signals-tier lookup behind a trust-tier miss on a
 // prefix of n ratings at horizon hi, against a cached tier of prefixLen
-// ratings (ok = false when there is none). It counts one signal hit or
-// miss for each of the two parts.
+// ratings (ok = false when there is none). Callers count the outcome
+// (counters.countSignals).
 func reuseSignals(ok bool, prefixLen, n int, pre prefixSignals, hi float64) signalReuse {
 	var r signalReuse
 	if ok && prefixLen == n {
 		r.pre, r.series = pre, true
 		r.arc = math.Float64bits(pre.arcHi) == math.Float64bits(hi)
-	}
-	for _, hit := range [2]bool{r.series, r.arc} {
-		if hit {
-			signalHits.Add(1)
-		} else {
-			signalMisses.Add(1)
-		}
 	}
 	return r
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -22,6 +23,23 @@ func versionedTestDataset(t testing.TB, seed uint64, products int, horizon float
 		d.Products[i].Version = 1
 	}
 	return d
+}
+
+// unversioned returns a view of d with every product's Version zeroed,
+// sharing the rating series. Unversioned products bypass the memo plane,
+// so resuming a state on this view is the memo-off path.
+func unversioned(d *dataset.Dataset) *dataset.Dataset {
+	v := &dataset.Dataset{HorizonDays: d.HorizonDays, Products: slices.Clone(d.Products)}
+	for i := range v.Products {
+		v.Products[i].Version = 0
+	}
+	return v
+}
+
+// reference is the memo-off cold evaluation of d.
+func reference(t *testing.T, d *dataset.Dataset) *Result {
+	t.Helper()
+	return mustEvaluate(t, &Engine{Detect: detect.DefaultConfig()}, unversioned(d))
 }
 
 // touch applies one rating to a product the way a version-maintaining
@@ -64,8 +82,8 @@ func disjointDataset(products, perEpoch int, horizon float64) *dataset.Dataset {
 
 // TestMemoMatchesUnmemoizedProperty is the tentpole equivalence property:
 // a memoized incremental engine fed an out-of-order submit schedule stays
-// bit-identical to both a memo-off incremental engine and a memo-off cold
-// evaluation at every step.
+// bit-identical to both a memo-off incremental state (resumed on an
+// unversioned view) and a memo-off cold evaluation at every step.
 func TestMemoMatchesUnmemoizedProperty(t *testing.T) {
 	const horizon = 150.0
 	for _, seed := range []uint64{7, 19} {
@@ -92,12 +110,10 @@ func TestMemoMatchesUnmemoizedProperty(t *testing.T) {
 			}
 			rng.Shuffle(len(backlog), func(i, j int) { backlog[i], backlog[j] = backlog[j], backlog[i] })
 
-			memoOn := &Engine{Detect: detect.DefaultConfig()}
-			memoOff := &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}
-			cold := &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}
+			eng := &Engine{Detect: detect.DefaultConfig()}
 			stOn, stOff := NewState(), NewState()
 			requireEqualResults(t, "initial",
-				mustResume(t, memoOn, stOn, live), mustResume(t, memoOff, stOff, live))
+				mustResume(t, eng, stOn, live), mustResume(t, eng, stOff, unversioned(live)))
 
 			for batch := 0; len(backlog) > 0; batch++ {
 				n := 1 + rng.IntN(8)
@@ -111,12 +127,12 @@ func TestMemoMatchesUnmemoizedProperty(t *testing.T) {
 					stOff.Invalidate(ins.r.Day)
 				}
 				backlog = backlog[n:]
-				resOn := mustResume(t, memoOn, stOn, live)
-				resOff := mustResume(t, memoOff, stOff, live)
+				resOn := mustResume(t, eng, stOn, live)
+				resOff := mustResume(t, eng, stOff, unversioned(live))
 				requireEqualResults(t, fmt.Sprintf("%d ratings left", len(backlog)), resOn, resOff)
 				if batch%5 == 0 || len(backlog) == 0 {
 					requireEqualResults(t, fmt.Sprintf("cold, %d ratings left", len(backlog)),
-						resOn, mustEvaluate(t, cold, live))
+						resOn, reference(t, live))
 				}
 			}
 		})
@@ -129,12 +145,11 @@ func TestMemoMatchesUnmemoizedProperty(t *testing.T) {
 // memo-off evaluation of the same data.
 func TestMemoCancelledMidEpochEquivalence(t *testing.T) {
 	d := versionedTestDataset(t, 11, 12, 360)
-	memoOff := &Engine{Detect: detect.DefaultConfig(), Workers: 1, DisableMemo: true}
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 
 	// Cold starts: the memo records entries while being cancelled at a
 	// spread of points.
-	want := mustEvaluate(t, memoOff, d)
+	want := mustEvaluate(t, eng, unversioned(d))
 	for _, budget := range []int{1, 3, 7, 20, 50, 200} {
 		st := NewState()
 		res, err := eng.Resume(newCountingCtx(budget), st, d)
@@ -161,7 +176,7 @@ func TestMemoCancelledMidEpochEquivalence(t *testing.T) {
 		if err := touch(d, st, d.Products[0].ID, r); err != nil {
 			t.Fatal(err)
 		}
-		want = mustEvaluate(t, memoOff, d)
+		want = mustEvaluate(t, eng, unversioned(d))
 		res, err := eng.Resume(newCountingCtx(budget), st, d)
 		if err == nil {
 			requireEqualResults(t, "uncancelled warm run", res, want)
@@ -175,7 +190,7 @@ func TestMemoCancelledMidEpochEquivalence(t *testing.T) {
 }
 
 // TestMemoCountersSingleProductTouch is the deterministic counting
-// contract behind the /inspect counters: on a warmed state, submitting one
+// contract behind the engine_* metrics: on a warmed state, submitting one
 // rating to one product must miss exactly that product (once in the dirty
 // epoch, once in the final pass), replay every other product from cache,
 // and drop exactly the touched product's cached entries.
@@ -185,13 +200,13 @@ func TestMemoCountersSingleProductTouch(t *testing.T) {
 	st := NewState()
 	mustResume(t, eng, st, d)
 
-	before := Stats()
+	before := st.Stats()
 	p := &d.Products[2]
 	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: 75, Value: 1, Rater: "p2-late"})
 	p.Version++
 	st.Invalidate(75)
 	mustResume(t, eng, st, d)
-	after := Stats()
+	after := st.Stats()
 
 	if got := after.MemoMisses - before.MemoMisses; got != 2 {
 		t.Errorf("misses = %d, want 2 (touched product in dirty epoch + final pass)", got)
@@ -217,9 +232,9 @@ func TestMemoPureReplayAfterInvalidate(t *testing.T) {
 	want := mustResume(t, eng, st, d)
 
 	st.Invalidate(180) // drop half the checkpoints, change nothing
-	before := Stats()
+	before := st.Stats()
 	got := mustResume(t, eng, st, d)
-	after := Stats()
+	after := st.Stats()
 	requireEqualResults(t, "pure replay", got, want)
 	if n := after.Analyzed - before.Analyzed; n != 0 {
 		t.Errorf("pure replay ran %d detector analyses, want 0", n)
@@ -242,10 +257,9 @@ func TestFingerprintCollisionNeverServed(t *testing.T) {
 	const horizon = 150.0
 	rng := stats.NewRNG(41)
 	d := versionedTestDataset(t, 41, 3, horizon)
-	memoOn := &Engine{Detect: detect.DefaultConfig()}
-	memoOff := &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}
+	eng := &Engine{Detect: detect.DefaultConfig()}
 	st := NewState()
-	requireEqualResults(t, "initial", mustResume(t, memoOn, st, d), mustEvaluate(t, memoOff, d))
+	requireEqualResults(t, "initial", mustResume(t, eng, st, d), reference(t, d))
 	for i := 0; i < 12; i++ {
 		p := d.Products[rng.IntN(len(d.Products))].ID
 		r := dataset.Rating{
@@ -257,7 +271,7 @@ func TestFingerprintCollisionNeverServed(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireEqualResults(t, fmt.Sprintf("after touch %d", i),
-			mustResume(t, memoOn, st, d), mustEvaluate(t, memoOff, d))
+			mustResume(t, eng, st, d), reference(t, d))
 	}
 }
 
@@ -288,23 +302,97 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	}
 }
 
-// TestMemoOffStateInterleaving: a state may be driven alternately by
-// memo-on and memo-off engines (same Detect config); the memo-off runs
-// must not poison the cache's sameness bookkeeping.
+// TestMemoOffStateInterleaving: one state may be resumed alternately on
+// versioned and unversioned views of the same data; the unversioned
+// (memo-off) passes must not poison the cache's sameness bookkeeping.
 func TestMemoOffStateInterleaving(t *testing.T) {
 	const horizon = 150.0
 	d := versionedTestDataset(t, 29, 3, horizon)
-	on := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-	off := &Engine{Detect: detect.DefaultConfig(), Workers: 1, DisableMemo: true}
-	ref := &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}
+	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	st := NewState()
-	mustResume(t, on, st, d)
-	for i, eng := range []*Engine{off, on, off, on} {
-		r := dataset.Rating{Day: 40 + 25*float64(i), Value: 1, Rater: fmt.Sprintf("x%d", i)}
+	mustResume(t, eng, st, d)
+	for i := 0; i < 6; i++ {
+		r := dataset.Rating{Day: 30 + 20*float64(i), Value: 1, Rater: fmt.Sprintf("x%d", i)}
 		if err := touch(d, st, d.Products[i%len(d.Products)].ID, r); err != nil {
 			t.Fatal(err)
 		}
+		view := d
+		if i%2 == 0 {
+			view = unversioned(d)
+		}
 		requireEqualResults(t, fmt.Sprintf("interleave %d", i),
-			mustResume(t, eng, st, d), mustEvaluate(t, ref, d))
+			mustResume(t, eng, st, view), reference(t, d))
+	}
+}
+
+// TestUnversionedPassDropsStaleMemo: a product cached at version v, seen
+// once unversioned, and then seen again at v with its series unchanged
+// must not replay the entries recorded before the unversioned pass. That
+// pass marks its epochs trust-same, so a surviving entry recorded under
+// older trust would be replayed without verification.
+func TestUnversionedPassDropsStaleMemo(t *testing.T) {
+	for _, seed := range []uint64{3, 8, 21} {
+		d := versionedTestDataset(t, seed, 4, 150)
+		eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
+		st := NewState()
+		mustResume(t, eng, st, d)
+
+		// A burst from p1's raters lands on p0: their trust moves, while
+		// p1's series, and so its version, stays the same.
+		rng := stats.NewRNG(seed)
+		p1 := d.Products[1].Ratings
+		for i := 0; i < 15; i++ {
+			r := dataset.Rating{
+				Day:   40 + rng.Float64()*20,
+				Value: 0.5,
+				Rater: p1[rng.IntN(len(p1))].Rater,
+			}
+			if err := touch(d, st, d.Products[0].ID, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := reference(t, d)
+		requireEqualResults(t, fmt.Sprintf("seed %d unversioned", seed),
+			mustResume(t, eng, st, unversioned(d)), want)
+		st.Invalidate(0)
+		requireEqualResults(t, fmt.Sprintf("seed %d versioned again", seed),
+			mustResume(t, eng, st, d), want)
+	}
+}
+
+// TestCancelledUnversionedPassDropsStaleMemo is the v → 0 → v case for a
+// product the unversioned pass never analyzes: p1 rates only from epoch 3
+// on, and the unversioned view drops it. That pass completes epoch 3,
+// marking it trust-same, and is cancelled in epoch 4, before the final
+// pass reaches p1. p1's memo must already be gone: its epoch-3 entry would
+// otherwise be replayed without verification against whatever trust the
+// checkpoint then holds.
+func TestCancelledUnversionedPassDropsStaleMemo(t *testing.T) {
+	const horizon = 150.0
+	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
+	for _, seed := range []uint64{3, 8, 21} {
+		d := versionedTestDataset(t, seed, 4, horizon)
+		p1 := &d.Products[1]
+		p1.Ratings = p1.Ratings.Between(90, horizon)
+		view := unversioned(d)
+		view.Products[1].Ratings = nil
+		for budget := 1; ; budget++ {
+			if budget > 1000 {
+				t.Fatalf("seed %d: no budget cancels the unversioned pass in epoch 4", seed)
+			}
+			st := NewState()
+			mustResume(t, eng, st, d)
+			st.Invalidate(90)
+			if _, err := eng.Resume(newCountingCtx(budget), st, view); err == nil || st.CompletedEpochs() != 4 {
+				continue
+			}
+			if _, ok := st.memo[p1.ID]; ok {
+				t.Fatalf("seed %d: %s kept its memo through an unversioned pass", seed, p1.ID)
+			}
+			st.Invalidate(90)
+			requireEqualResults(t, fmt.Sprintf("seed %d versioned again", seed),
+				mustResume(t, eng, st, d), reference(t, d))
+			break
+		}
 	}
 }

@@ -27,14 +27,14 @@ func TestTrustOnlyMissReusesSignals(t *testing.T) {
 	// The shared rater rates p0 again in the last epoch: p0's series
 	// changes; p1's does not, but its final-pass trust (the shared rater's
 	// record) does.
-	before := Stats()
+	before := st.Stats()
 	if err := touch(d, st, "p0", dataset.Rating{Day: 75, Value: 1, Rater: "shared"}); err != nil {
 		t.Fatal(err)
 	}
 	got := mustResume(t, eng, st, d)
-	after := Stats()
+	after := st.Stats()
 	requireEqualResults(t, "after shared-rater submit", got,
-		mustEvaluate(t, &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}, d))
+		reference(t, d))
 
 	// Misses: p0 in the dirty epoch and the final pass, p1 in the final
 	// pass only (its epoch-2 trust is unchanged).
@@ -64,14 +64,14 @@ func TestSubmitComputesSeriesSignalsOncePerResume(t *testing.T) {
 	st := NewState()
 	mustResume(t, eng, st, d)
 
-	before := Stats()
+	before := st.Stats()
 	if err := touch(d, st, "p1", dataset.Rating{Day: 80, Value: 1, Rater: "p1-late"}); err != nil {
 		t.Fatal(err)
 	}
 	got := mustResume(t, eng, st, d)
-	after := Stats()
+	after := st.Stats()
 	requireEqualResults(t, "after late submit", got,
-		mustEvaluate(t, &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}, d))
+		reference(t, d))
 
 	if n := after.Analyzed - before.Analyzed; n != 2 {
 		t.Errorf("analyses = %d, want 2 (p1 in epoch 2 and in the final pass)", n)
@@ -93,7 +93,7 @@ func TestSubmitComputesSeriesSignalsOncePerResume(t *testing.T) {
 func TestFinalHitNeverAliasesServedMarks(t *testing.T) {
 	d := versionedTestDataset(t, 31, 3, 150)
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-	want := mustEvaluate(t, &Engine{Detect: detect.DefaultConfig(), DisableMemo: true}, d)
+	want := reference(t, d)
 	st := NewState()
 	for round := 0; round < 3; round++ {
 		got := mustResume(t, eng, st, d)

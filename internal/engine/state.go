@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"repro/internal/dataset"
 	"repro/internal/epoch"
 	"repro/internal/trust"
@@ -33,6 +35,9 @@ import (
 //     last completed runs, which invalidation does not rewrite.
 //   - finalConsistent is trustSame for the uncheckpointed final pass:
 //     the final entries were recorded under the current final trust.
+//
+// The state also counts the work done on it (Stats). The counters survive
+// Reset and rebinding, so they only grow over the state's life.
 type EvalState struct {
 	horizon     float64
 	products    []string
@@ -47,6 +52,70 @@ type EvalState struct {
 	folds           [][]raterFold // one per epoch
 	trustSame       []bool        // one per epoch boundary (len = epochs+1)
 	finalConsistent bool
+
+	stats counters
+}
+
+// counters is an EvalState's work instrumentation. The fields are atomic
+// because pool workers add to them concurrently and Stats may be read by a
+// metrics scrape while a Resume runs.
+type counters struct {
+	analyzed, skipped                     atomic.Uint64
+	memoHits, memoMisses, memoInvalidated atomic.Uint64
+	signalHits, signalMisses              atomic.Uint64
+}
+
+// countSignals counts the signals-tier lookup behind one trust-tier miss:
+// a hit or a miss for each of its two parts.
+func (c *counters) countSignals(r signalReuse) {
+	for _, hit := range [2]bool{r.series, r.arc} {
+		if hit {
+			c.signalHits.Add(1)
+		} else {
+			c.signalMisses.Add(1)
+		}
+	}
+}
+
+// Stats is a snapshot of an EvalState's work counters. They are cumulative
+// over the state's life; deltas between two snapshots bound the work done
+// in between.
+type Stats struct {
+	// Analyzed counts products whose detector analysis ran to completion.
+	Analyzed uint64
+	// Skipped counts products abandoned because the evaluation's context
+	// was cancelled before their analysis started.
+	Skipped uint64
+	// MemoHits counts per-(product, epoch) and final-pass lookups served
+	// from the memo plane instead of re-analysis.
+	MemoHits uint64
+	// MemoMisses counts lookups that fell through to analysis (and, on
+	// success, re-recorded the entry). Unversioned products perform no
+	// lookups.
+	MemoMisses uint64
+	// MemoInvalidated counts cached entries dropped because the product's
+	// series version changed or the product became unversioned.
+	MemoInvalidated uint64
+	// SignalHits counts trust-free signal parts (MC/HC/ME, or H-/L-ARC) a
+	// memo miss reused instead of recomputing; only Decide ran for them.
+	SignalHits uint64
+	// SignalMisses counts signal parts a memo miss recomputed.
+	SignalMisses uint64
+}
+
+// Stats returns a snapshot of the work counted on this state. It is safe
+// to call concurrently with Resume.
+func (st *EvalState) Stats() Stats {
+	c := &st.stats
+	return Stats{
+		Analyzed:        c.analyzed.Load(),
+		Skipped:         c.skipped.Load(),
+		MemoHits:        c.memoHits.Load(),
+		MemoMisses:      c.memoMisses.Load(),
+		MemoInvalidated: c.memoInvalidated.Load(),
+		SignalHits:      c.signalHits.Load(),
+		SignalMisses:    c.signalMisses.Load(),
+	}
 }
 
 // NewState returns an empty state; the first Resume evaluates from scratch.
@@ -80,6 +149,13 @@ func (st *EvalState) Invalidate(day float64) {
 	}
 }
 
+// Reset drops every checkpoint and the memo plane, so the next Resume
+// matches nothing, rebinds and evaluates from scratch. The counters are
+// kept.
+func (st *EvalState) Reset() {
+	st.checkpoints, st.memo = nil, nil
+}
+
 // Matches reports whether the state's checkpoints were computed for this
 // dataset identity (bit-identical horizon, same product list in the same
 // order). The identity is content-based, not pointer-based: a combined
@@ -105,9 +181,9 @@ func (st *EvalState) matches(d *dataset.Dataset) bool {
 	return true
 }
 
-// reset rebinds the state to the dataset and discards all checkpoints and
+// bind rebinds the state to the dataset and discards all checkpoints and
 // memo state.
-func (st *EvalState) reset(d *dataset.Dataset) {
+func (st *EvalState) bind(d *dataset.Dataset) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
 	st.checkpoints = []*trust.Manager{trust.NewManager()}

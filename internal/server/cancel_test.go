@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/engine"
 	"repro/internal/faultfs"
 )
 
@@ -111,10 +110,10 @@ func TestHTTPCancelledRequestShedsEngineWork(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := engine.Stats()
+	before := svc.engState.Stats()
 	rw := httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest("GET", "/products/tv1/scores", nil).WithContext(ctx))
-	after := engine.Stats()
+	after := svc.engState.Stats()
 	if rw.Code != http.StatusServiceUnavailable {
 		t.Errorf("cancelled request status = %d, want 503", rw.Code)
 	}
@@ -130,7 +129,7 @@ func TestHTTPCancelledRequestShedsEngineWork(t *testing.T) {
 	if rw.Code != http.StatusOK {
 		t.Fatalf("live request status = %d", rw.Code)
 	}
-	if live := engine.Stats(); live.Analyzed == after.Analyzed {
+	if live := svc.engState.Stats(); live.Analyzed == after.Analyzed {
 		t.Error("live request did no engine work; instrumentation broken?")
 	}
 }

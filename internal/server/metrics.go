@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -92,7 +91,7 @@ func routeLabel(r *http.Request) string {
 // EnableMetrics registers the service's observability with reg and turns
 // on the /metrics route of Handler: per-route request latency histograms
 // and status-class counters in the middleware, aggregate recompute
-// duration, the engine memo plane's counters, and the storage layer's
+// duration, the engine state's work counters, and the storage layer's
 // per-shard submit/WAL/replay metrics. Call it before Handler (the route
 // set is fixed when the mux is built); the recording paths themselves are
 // lock-free and nil-safe, so a service without metrics pays only nil
@@ -105,26 +104,28 @@ func (s *Service) EnableMetrics(reg *obs.Registry) {
 	s.obsReg = reg
 	s.evalSeconds = reg.Histogram("engine_eval_seconds",
 		"Aggregate recompute (scheme evaluation) duration in seconds.", obs.LatencyBuckets)
+	st := s.engState
 	s.mu.Unlock()
 	s.httpM.Store(newHTTPMetrics(reg))
-	// The engine memo plane keeps process-wide atomic counters; export them
-	// at scrape time rather than double-counting on the hot path. They only
-	// grow, so they are counters; the names predate the _total convention
-	// and are kept because scrapers read them by name.
+	// The engine state counts its own work atomically; export the counts at
+	// scrape time rather than double-counting on the hot path. The state is
+	// never replaced, so the closures may hold it. The counts only grow, so
+	// they are counters; the names predate the _total convention and are
+	// kept because scrapers read them by name.
 	reg.CounterFunc("engine_memo_hits", "Memo lookups served from cache.",
-		func() float64 { return float64(engine.Stats().MemoHits) })
+		func() float64 { return float64(st.Stats().MemoHits) })
 	reg.CounterFunc("engine_memo_misses", "Memo lookups that fell through to analysis.",
-		func() float64 { return float64(engine.Stats().MemoMisses) })
+		func() float64 { return float64(st.Stats().MemoMisses) })
 	reg.CounterFunc("engine_memo_invalidated", "Memo entries dropped because a product's series changed.",
-		func() float64 { return float64(engine.Stats().MemoInvalidated) })
+		func() float64 { return float64(st.Stats().MemoInvalidated) })
 	reg.CounterFunc("engine_signal_hits", "Trust-free detector signal parts a memo miss reused.",
-		func() float64 { return float64(engine.Stats().SignalHits) })
+		func() float64 { return float64(st.Stats().SignalHits) })
 	reg.CounterFunc("engine_signal_misses", "Trust-free detector signal parts a memo miss recomputed.",
-		func() float64 { return float64(engine.Stats().SignalMisses) })
+		func() float64 { return float64(st.Stats().SignalMisses) })
 	reg.CounterFunc("engine_products_analyzed_total", "Products analyzed by the detector pool.",
-		func() float64 { return float64(engine.Stats().Analyzed) })
+		func() float64 { return float64(st.Stats().Analyzed) })
 	reg.CounterFunc("engine_products_skipped_total", "Detector-pool analyses abandoned because the evaluation was cancelled.",
-		func() float64 { return float64(engine.Stats().Skipped) })
+		func() float64 { return float64(st.Stats().Skipped) })
 	s.store.EnableMetrics(reg)
 }
 

@@ -73,10 +73,12 @@ type Service struct {
 	scheme  agg.Scheme
 	cached  agg.Table
 	pResult *agg.Result // set when scheme is the P-scheme
-	// engState holds the P-scheme engine's per-epoch trust checkpoints
-	// across recomputes (nil for other schemes, or after a failed
-	// recompute — the next attempt then starts cold). Each recompute hands
-	// it a fresh combined dataset built from the shard cut; the engine
+	// engState holds the P-scheme engine's per-epoch trust checkpoints and
+	// memo across recomputes, and counts the engine's work for /metrics.
+	// It is created with the service and never replaced (unused by other
+	// schemes); Load and a failed recompute Reset it, so the next attempt
+	// starts cold while the counters keep growing. Each recompute hands it
+	// a fresh combined dataset built from the shard cut; the engine
 	// recognizes the identical product list + horizon and resumes from its
 	// checkpoints (engine.EvalState.Matches).
 	engState *engine.EvalState
@@ -120,7 +122,7 @@ func NewSharded(scheme agg.Scheme, horizonDays float64, products []string, shard
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{scheme: scheme, store: st}
+	s := &Service{scheme: scheme, store: st, engState: engine.NewState()}
 	s.logger.Store(log.New(io.Discard, "", 0))
 	st.SetLogf(s.logf)
 	return s, nil
@@ -176,7 +178,7 @@ func OpenWAL(scheme agg.Scheme, horizonDays float64, products []string, opts WAL
 	if opts.FS == nil && opts.Dir == "" {
 		return nil, nil, errors.New("server: WAL dir required")
 	}
-	s := &Service{scheme: scheme}
+	s := &Service{scheme: scheme, engState: engine.NewState()}
 	s.logger.Store(log.New(io.Discard, "", 0))
 	st, report, err := store.Open(horizonDays, products, store.Options{
 		Dir:            opts.Dir,
@@ -219,7 +221,7 @@ func (s *Service) Load(ctx context.Context, d *dataset.Dataset) error {
 	if err := s.store.Load(ctx, d); err != nil {
 		return err
 	}
-	s.engState = nil // drop checkpoints computed for the old history
+	s.engState.Reset() // drop checkpoints computed for the old history
 	return nil
 }
 
@@ -404,19 +406,6 @@ type Report struct {
 	// panicked) and Scores is the last successfully computed table —
 	// degraded service rather than no service.
 	Stale bool `json:"stale,omitempty"`
-	// Memo reports the engine memo plane's cache counters (P-scheme only).
-	Memo *MemoStats `json:"memo,omitempty"`
-}
-
-// MemoStats mirrors the engine's process-wide memo-plane counters: lookups
-// served from cache, lookups that fell through to analysis, and cached
-// entries dropped because a product's series changed. The values are
-// cumulative since process start, so operators diff successive reports the
-// same way the deterministic counting tests do.
-type MemoStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Invalidations uint64 `json:"invalidations"`
 }
 
 // Inspect returns the defense report for a product. Suspicious-mark data
@@ -443,12 +432,6 @@ func (s *Service) Inspect(ctx context.Context, product string) (Report, error) {
 			if m {
 				rep.Suspicious++
 			}
-		}
-		es := engine.Stats()
-		rep.Memo = &MemoStats{
-			Hits:          es.MemoHits,
-			Misses:        es.MemoMisses,
-			Invalidations: es.MemoInvalidated,
 		}
 	}
 	return rep, nil
@@ -502,9 +485,9 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 		s.stale = true
 		s.staleErr = err
 		// The engine state may hold checkpoints from a half-finished
-		// resume; drop it so the retry starts from a clean slate (the
+		// resume; reset it so the retry starts from a clean slate (the
 		// cost of one cold evaluation, only on the failure path).
-		s.engState = nil
+		s.engState.Reset()
 		s.logf("server: aggregate recompute failed, serving stale table: %v", err)
 		return nil
 	}
@@ -532,9 +515,6 @@ func (s *Service) evaluateLocked(ctx context.Context, v *store.RecomputeView) (t
 		}
 	}()
 	if p, ok := s.scheme.(*agg.PScheme); ok {
-		if s.engState == nil {
-			s.engState = engine.NewState()
-		}
 		s.engState.Invalidate(v.DirtyFrom)
 		res, rerr := p.Engine().Resume(ctx, s.engState, v.Data)
 		if rerr != nil {
