@@ -3,9 +3,12 @@
 // when a benchmark regresses beyond tolerance.
 //
 // Allocation counts are deterministic for the serial detector kernels, so an
-// allocs/op regression fails hard. Wall-clock ns/op is noisy on shared CI
-// runners, so ns/op regressions only warn — the recorded numbers document
-// the expected order of magnitude, not a hard gate.
+// allocs/op regression fails hard, and so does a B/op regression for a
+// baseline that records bytes_per_op (a few large allocations can cost
+// megabytes that an allocs/op gate cannot see). Both share -alloc-tol and
+// -alloc-slack. Wall-clock ns/op is noisy on shared CI runners, so ns/op
+// regressions only warn — the recorded numbers document the expected order
+// of magnitude, not a hard gate.
 //
 // Usage:
 //
@@ -28,6 +31,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // baselineFile mirrors the BENCH_*.json layout.
@@ -41,13 +45,15 @@ type baselineFile struct {
 type baselineEntry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 }
 
 // measurement is one parsed benchmark result line.
 type measurement struct {
 	nsPerOp     float64
 	allocsPerOp int64
-	hasAllocs   bool
+	bytesPerOp  int64
+	hasAllocs   bool // allocs/op and B/op columns (-benchmem or b.ReportAllocs)
 }
 
 // benchLine matches one `go test -bench` result row:
@@ -55,7 +61,7 @@ type measurement struct {
 //	BenchmarkDetectorHC-8   100   546827 ns/op   98304 B/op   1224 allocs/op
 //
 // The B/op and allocs/op columns appear only under -benchmem.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ B/op)?(?:\s+([0-9]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9]+) allocs/op)?`)
 
 // gomaxprocsSuffix is the `-N` the testing package appends to benchmark
 // names when GOMAXPROCS != 1. Sub-benchmark names can themselves end in
@@ -101,7 +107,14 @@ func parseBench(r io.Reader) (benchResults, error) {
 		}
 		res := measurement{nsPerOp: ns}
 		if m[3] != "" {
-			allocs, err := strconv.ParseInt(m[3], 10, 64)
+			bytes, err := strconv.ParseFloat(m[3], 64)
+			if err != nil {
+				return results, fmt.Errorf("line %q: %v", sc.Text(), err)
+			}
+			res.bytesPerOp = int64(bytes)
+		}
+		if m[4] != "" {
+			allocs, err := strconv.ParseInt(m[4], 10, 64)
 			if err != nil {
 				return results, fmt.Errorf("line %q: %v", sc.Text(), err)
 			}
@@ -119,8 +132,8 @@ func parseBench(r io.Reader) (benchResults, error) {
 // tolerances bundles the comparison knobs.
 type tolerances struct {
 	nsTol      float64 // relative ns/op headroom before a warning
-	allocTol   float64 // relative allocs/op headroom before failing
-	allocSlack int64   // absolute allocs/op headroom on top of allocTol
+	allocTol   float64 // relative allocs/op and B/op headroom before failing
+	allocSlack int64   // absolute allocs/op and B/op headroom on top of allocTol
 }
 
 // compare checks every baseline entry against the measured results, writing
@@ -146,20 +159,27 @@ func compare(w io.Writer, source string, base baselineFile, results benchResults
 			detail = fmt.Sprintf("%.0f ns/op exceeds baseline %.0f by more than %.0f%% (informational: ns/op is noisy on CI)",
 				got.nsPerOp, want.NsPerOp, tol.nsTol*100)
 		}
-		if want.AllocsPerOp != nil {
-			limit := int64(float64(*want.AllocsPerOp)*(1+tol.allocTol)) + tol.allocSlack
+		var fails []string
+		for _, g := range []struct {
+			unit string
+			want *int64
+			got  int64
+		}{{"allocs/op", want.AllocsPerOp, got.allocsPerOp}, {"B/op", want.BytesPerOp, got.bytesPerOp}} {
+			if g.want == nil {
+				continue
+			}
+			limit := int64(float64(*g.want)*(1+tol.allocTol)) + tol.allocSlack
 			switch {
 			case !got.hasAllocs:
-				status = "FAIL"
-				detail = "baseline records allocs/op but bench output has none (run with -benchmem or b.ReportAllocs)"
-				failed = true
-			case got.allocsPerOp > limit:
-				status = "FAIL"
-				detail = fmt.Sprintf("%d allocs/op exceeds baseline %d (limit %d)", got.allocsPerOp, *want.AllocsPerOp, limit)
-				failed = true
+				fails = append(fails, fmt.Sprintf("baseline records %s but bench output has none (run with -benchmem or b.ReportAllocs)", g.unit))
+			case g.got > limit:
+				fails = append(fails, fmt.Sprintf("%d %s exceeds baseline %d (limit %d)", g.got, g.unit, *g.want, limit))
 			default:
-				detail += fmt.Sprintf(", %d allocs/op (baseline %d)", got.allocsPerOp, *want.AllocsPerOp)
+				detail += fmt.Sprintf(", %d %s (baseline %d)", g.got, g.unit, *g.want)
 			}
+		}
+		if len(fails) > 0 {
+			status, detail, failed = "FAIL", strings.Join(fails, "; "), true
 		}
 		fmt.Fprintf(w, "%s %-55s %s [%s]\n", status, name, detail, source)
 	}
@@ -224,7 +244,7 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "benchdiff: allocation regression detected")
+		fmt.Fprintln(os.Stderr, "benchdiff: allocation or memory regression detected")
 		os.Exit(1)
 	}
 }

@@ -157,3 +157,33 @@ func TestCompareNsOnlyBaselineNeverFails(t *testing.T) {
 		t.Fatalf("ns-only baseline must not fail:\n%s", buf.String())
 	}
 }
+
+// TestCompareBytesGate: a baseline's bytes_per_op is hard-gated like
+// allocs/op, under the same tolerance and slack, and fails loudly when the
+// run has no B/op column.
+func TestCompareBytesGate(t *testing.T) {
+	tests := []struct {
+		name  string
+		entry baselineEntry
+		input string
+		fail  bool
+		want  string
+	}{
+		// MC measured 48000 B/op and 90 allocs/op.
+		{"within tolerance", baselineEntry{NsPerOp: 120000, AllocsPerOp: intPtr(90), BytesPerOp: intPtr(40000)}, sampleOutput, false, "48000 B/op (baseline 40000)"}, // limit 40000*1.25+16
+		{"regression", baselineEntry{NsPerOp: 120000, AllocsPerOp: intPtr(90), BytesPerOp: intPtr(30000)}, sampleOutput, true, "48000 B/op exceeds baseline 30000 (limit 37516)"},
+		{"allocs and bytes both regress", baselineEntry{NsPerOp: 120000, AllocsPerOp: intPtr(10), BytesPerOp: intPtr(30000)}, sampleOutput, true, "90 allocs/op exceeds baseline 10 (limit 28); 48000 B/op exceeds"},
+		{"bytes only", baselineEntry{NsPerOp: 120000, BytesPerOp: intPtr(30000)}, sampleOutput, true, "48000 B/op exceeds"},
+		{"no B/op column", baselineEntry{NsPerOp: 120000, BytesPerOp: intPtr(48000)}, "BenchmarkDetectorMC-8   100   120000 ns/op\n", true, "baseline records B/op but bench output has none"},
+	}
+	for _, tt := range tests {
+		base := baselineFile{Benchmarks: map[string]baselineEntry{"BenchmarkDetectorMC": tt.entry}}
+		var buf strings.Builder
+		if got := compare(&buf, "test.json", base, parse(t, tt.input), defaultTol()); got != tt.fail {
+			t.Errorf("%s: failed = %v, want %v:\n%s", tt.name, got, tt.fail, buf.String())
+		}
+		if !strings.Contains(buf.String(), tt.want) {
+			t.Errorf("%s: report lacks %q:\n%s", tt.name, tt.want, buf.String())
+		}
+	}
+}

@@ -108,5 +108,5 @@ func (b *BFScheme) filter(period dataset.Series) []bool {
 // weightedMean aggregates the kept ratings of a period with the given
 // per-rater weight function; see epoch.WeightedMean for the fallback rules.
 func weightedMean(period dataset.Series, kept []bool, weight func(string) float64) float64 {
-	return epoch.WeightedMean(period, kept, weight)
+	return epoch.WeightedMean(period, kept, func(i int) float64 { return weight(period[i].Rater) })
 }

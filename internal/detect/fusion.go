@@ -160,7 +160,8 @@ type Decision struct {
 // low) ratings inside the overlap are marked suspicious.
 //
 // Both paths always run (there may be multiple attacks against one
-// product). ts supplies rater trust (nil for the neutral 0.5 source).
+// product). ts supplies rater trust (nil for the neutral 0.5 source); a
+// SeriesTrust must be bound to s.
 func Decide(s dataset.Series, sig Signals, cfg Config, ts TrustSource) Decision {
 	var segs []MCSegment
 	if len(sig.MC) > 0 {

@@ -348,7 +348,7 @@ func TestAverageTrustRangeMatchesAverageTrust(t *testing.T) {
 		raters[i] = r.Rater
 	}
 	for _, ts := range trustSources(rng)[:2] {
-		got := averageTrustRange(ts, s)
+		got := averageTrustRange(ts, s, 0, len(s))
 		want := ts.AverageTrust(raters)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%T: averageTrustRange = %v, AverageTrust = %v", ts, got, want)

@@ -25,21 +25,36 @@ func (neutralTrust) AverageTrust([]string) float64 { return 0.5 }
 // NeutralTrust returns a TrustSource that reports 0.5 for every rater.
 func NeutralTrust() TrustSource { return neutralTrust{} }
 
-// averageTrustRange averages ts's trust over the raters of s by walking the
-// series directly instead of materializing a []string. Summing Trust() per
-// rating in series order is bit-identical to AverageTrust over the same
-// raters for every TrustSource in the repo (trust.Manager sums Trust(id) in
-// input order; the neutral source's constant 0.5 averages back to exactly
-// 0.5 since n·0.5 and its division by n are both exact).
-func averageTrustRange(ts TrustSource, s dataset.Series) float64 {
-	if len(s) == 0 {
+// SeriesTrust is an optional TrustSource extension for a source bound to
+// the series being decided: RatingTrust(i) is the trust of the rater of
+// rating i, bit for bit, read by position instead of by rater ID.
+type SeriesTrust interface {
+	TrustSource
+	RatingTrust(i int) float64
+}
+
+// averageTrustRange averages ts's trust over the raters of s[from:to] by
+// walking the series directly instead of materializing a []string. Summing
+// Trust() per rating in series order is bit-identical to AverageTrust over
+// the same raters for every TrustSource in the repo (trust.Manager sums
+// Trust(id) in input order; the neutral source's constant 0.5 averages back
+// to exactly 0.5 since n·0.5 and its division by n are both exact), and a
+// SeriesTrust bound to s sums the same values in the same order.
+func averageTrustRange(ts TrustSource, s dataset.Series, from, to int) float64 {
+	if from == to {
 		return ts.AverageTrust(nil)
 	}
 	var sum float64
-	for i := range s {
-		sum += ts.Trust(s[i].Rater)
+	if bound, ok := ts.(SeriesTrust); ok {
+		for i := from; i < to; i++ {
+			sum += bound.RatingTrust(i)
+		}
+	} else {
+		for i := from; i < to; i++ {
+			sum += ts.Trust(s[i].Rater)
+		}
 	}
-	return sum / float64(len(s))
+	return sum / float64(to-from)
 }
 
 // MCCurve computes the mean-change indicator curve of Section IV-B.2: for
@@ -284,9 +299,10 @@ func decideSegments(dst []MCSegment, s dataset.Series, segs []MCSegment, cfg Con
 	if ts == nil {
 		ts = NeutralTrust()
 	}
-	tAvg := averageTrustRange(ts, s)
+	tAvg := averageTrustRange(ts, s, 0, len(s))
 	for i, m := range segs {
-		m.AvgTrust = averageTrustRange(ts, s.Between(m.Interval.Start, m.Interval.End))
+		from, to := s.BetweenIndex(m.Interval.Start, m.Interval.End)
+		m.AvgTrust = averageTrustRange(ts, s, from, to)
 		dev := abs(m.Shift)
 		switch {
 		case dev > cfg.MCThreshold1:

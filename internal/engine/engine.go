@@ -64,7 +64,10 @@ func New(cfg detect.Config) *Engine { return &Engine{Detect: cfg} }
 // every period with hindsight (final marks, final trust); Published holds
 // each period's score as published at the end of its epoch (that epoch's
 // marks, the trust right after its fold), never revised by later data —
-// the table agg.OnlinePScheme returns.
+// the table agg.OnlinePScheme returns. Trust is the state's final
+// checkpoint: no later Resume writes it, so it may be read concurrently
+// with one, but callers must not write it either (Clone it for what-if
+// evaluation).
 type Result struct {
 	Table      map[string][]float64
 	Suspicious map[string][]bool
@@ -99,51 +102,55 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	if !st.matches(d) {
 		st.bind(d)
 	}
+	cols := st.intern(d)
 	n := epoch.Periods(d.HorizonDays)
 
 	// Stages 1+2 (per-product epoch analysis, per-rater trust fold):
-	// resume Procedure 1 from the newest surviving checkpoint. The working
-	// manager is a clone, so earlier checkpoints — and any previously
-	// returned Result — are never mutated.
+	// resume Procedure 1 from the newest surviving checkpoint. Epoch ep
+	// reads checkpoint ep and folds into a clone of it onto the state's
+	// current symbol table, which becomes checkpoint ep+1. A checkpoint is
+	// never written once appended, so memo entries and callers share them:
+	// the last one is the final trust, handed out as Result.Trust.
 	//
 	// Each completed epoch also maintains the memo plane's trust-sameness
 	// cascade: once epoch ep completes, every memo entry recorded at ep is
 	// keyed against checkpoint ep (hits were verified against it, misses
 	// re-recorded under it), so trustSame[ep] becomes true. If additionally
 	// the incoming trust was unchanged (same) and the fresh fold equals the
-	// last completed run's fold (foldSame), the outgoing trust — the next
-	// checkpoint — is unchanged too, and the sameness cascades forward.
+	// last completed run's fold (foldSame; counts are integers, so the
+	// comparison is exact), the outgoing trust — the next checkpoint — is
+	// unchanged too, and the sameness cascades forward.
 	//
 	// Right after each fold, period ep is published into st.published[ep]:
 	// Eq. 7 over the epoch's own marks with the post-fold trust.
 	//
-	// Each analyzed product extends its carry (prefixCarry) instead of
+	// Each analyzed product extends its carried detect.Prefix instead of
 	// recomputing its prefix: epoch e+1's prefix is epoch e's plus later
 	// ratings, and the final pass's series extends every epoch's prefix.
-	mgr := st.checkpoints[len(st.checkpoints)-1].Clone()
 	var kept []bool
-	var carry []prefixCarry
+	var carry []detect.Prefix
 	for ep := len(st.checkpoints) - 1; ep < n; ep++ {
 		same := st.trustSame[ep]
-		fold, marks, err := e.runEpoch(ctx, d, ep, mgr, st, same, &carry)
+		fold, marks, err := e.runEpoch(ctx, d, cols, ep, st.checkpoints[ep], st, same, &carry)
 		if err != nil {
 			return nil, err
 		}
-		foldSame := st.folds[ep] != nil && foldsEqual(st.folds[ep], fold)
+		foldSame := st.folds[ep] != nil && slices.Equal(st.folds[ep], fold)
 		st.folds[ep] = fold
 		st.trustSame[ep] = true
+		next := st.checkpoints[ep].CloneOver(st.syms)
 		for _, fc := range fold {
-			mgr.Observe(fc.rater, fc.n, fc.f)
+			next.ObserveAt(fc.ord, fc.n, fc.f)
 		}
 		lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
 		row := make([]float64, len(d.Products))
 		for i := range d.Products {
 			s := d.Products[i].Ratings
 			start, end := s.BetweenIndex(lo, hi)
-			row[i], kept = e.aggregatePeriod(s[start:end], marks[i], mgr, kept)
+			row[i], kept = e.aggregatePeriod(s[start:end], cols[i][start:end], marks[i], next, kept)
 		}
 		st.published[ep] = row
-		st.checkpoints = append(st.checkpoints, mgr.Clone())
+		st.checkpoints = append(st.checkpoints, next)
 		cascade := same && foldSame
 		st.trustSame[ep+1] = st.trustSame[ep+1] && cascade
 		if ep == n-1 {
@@ -162,6 +169,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// raters' trust moved reuses its cached signals and only runs Decide.
 	// Trust is read-only here, so misses fan out freely over the pool
 	// while hits are resolved serially up front.
+	mgr := st.checkpoints[n]
 	marks := make([][]bool, len(d.Products))
 	scores := make([][]float64, len(d.Products))
 	memos := make([]*productMemo, len(d.Products))
@@ -171,7 +179,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		prod := &d.Products[i]
 		if m := st.memoFor(prod); m != nil {
 			memos[i] = m
-			if mk, sc, ok := m.finalHit(len(prod.Ratings), mgr, st.finalConsistent); ok {
+			if mk, sc, ok := m.finalHit(cols[i], mgr, st.finalConsistent); ok {
 				marks[i], scores[i] = mk, sc
 				st.stats.memoHits.Add(1)
 				continue
@@ -188,13 +196,10 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		i := work[k]
 		prod := &d.Products[i]
 		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &carries[i])
-		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, mgr).Suspicious
-		scores[i] = e.aggregateProduct(prod.Ratings, marks[i], d.HorizonDays, mgr)
+		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
+		scores[i] = e.aggregateProduct(prod.Ratings, cols[i], marks[i], d.HorizonDays, mgr)
 		if memos[i] != nil {
-			if pre.raters == nil {
-				pre.raters = carries[i].sortedRaters(prod.Ratings)
-			}
-			ents[i] = newFinalEntry(memos[i].version, len(prod.Ratings), pre, mgr, marks[i], scores[i])
+			ents[i] = newFinalEntry(memos[i].version, cols[i], pre, mgr, marks[i], scores[i])
 		}
 	})
 	if err != nil {
@@ -237,29 +242,28 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 type raterCounts struct{ n, f int }
 
 // runEpoch executes one trust epoch of Procedure 1: analyze every product's
-// prefix [0, end-of-epoch) under the trust at the epoch start, count each
-// rater's (observed, suspicious) ratings inside the epoch, and return the
-// merged per-rater counts in canonical sorted form (the caller folds them
-// into mgr, so mgr is read-only here and while workers run). It also
-// returns each product's marks for the epoch's own ratings, aligned with
-// the product's [lo, hi) period, for the caller's causal publication.
+// prefix [0, end-of-epoch) under mgr, the trust checkpoint at the epoch
+// start, count each rater's (observed, suspicious) ratings inside the
+// epoch, and return the merged per-rater counts in canonical form (the
+// caller folds them into a clone of mgr). cols are the products' ordinal
+// columns (EvalState.intern). It also returns each product's marks for the
+// epoch's own ratings, aligned with the product's [lo, hi) period, from
+// which the counts are taken and the caller publishes the period.
 //
 // A product with no ratings in the epoch is skipped outright: its fold is
 // empty and it publishes nothing, so no analysis can matter. Products
 // whose (series prefix, rater-scoped trust) key matches their memo entry
-// replay the cached counts and skip analysis entirely; trustSame
+// replay the cached marks and skip analysis entirely; trustSame
 // short-circuits even the fingerprint work when the caller proved the whole
 // epoch-start snapshot unchanged. A miss whose prefix is cached reuses the
 // entry's trust-free signals and runs only detect.Decide (memo.go). Hit
 // checks (signal lookups included) and entry commits run serially
 // on either side of the pool — only misses fan out. Each miss extends the
-// product's entry of the caller's carry (see carriesFor). On cancellation
-// the partially collected counts and entries are discarded without touching
-// mgr or the memo, so the caller's state still describes whole completed
-// epochs.
-func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *trust.Manager, st *EvalState, trustSame bool, carry *[]prefixCarry) ([]raterFold, [][]bool, error) {
+// product's carried prefix (see carriesFor). On cancellation
+// the partially collected marks and entries are discarded without touching
+// the memo, so the caller's state still describes whole completed epochs.
+func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, mgr *trust.Manager, st *EvalState, trustSame bool, carry *[]detect.Prefix) ([]raterFold, [][]bool, error) {
 	lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
-	perProduct := make([][]raterFold, len(d.Products))
 	marks := make([][]bool, len(d.Products))
 
 	memos := make([]*productMemo, len(d.Products))
@@ -280,8 +284,8 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 		if m != nil {
 			memos[i] = m
 			start, end := prod.Ratings.BetweenIndex(0, hi)
-			if counts, mk, ok := m.epochHit(ep, end-start, mgr, trustSame); ok {
-				perProduct[i], marks[i] = counts, mk
+			if mk, ok := m.epochHit(ep, cols[i][start:end], mgr, trustSame); ok {
+				marks[i] = mk
 				st.stats.memoHits.Add(1)
 				continue
 			}
@@ -297,28 +301,16 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
-		seen := prod.Ratings.Between(0, hi)
+		start, end := prod.Ratings.BetweenIndex(0, hi)
+		seen, ords := prod.Ratings[start:end], cols[i][start:end]
 		pre := e.completeSignals(seen, hi, reuse[i], sc, &carries[i])
-		dec := detect.Decide(seen, pre.sig, e.Detect, mgr)
-		// Earlier epochs already judged the ratings before lo: count, and
-		// keep the marks of, only the epoch's own [lo, hi) ratings.
+		dec := detect.Decide(seen, pre.sig, e.Detect, &seriesTrust{mgr, ords})
+		// Earlier epochs already judged the ratings before lo: keep the
+		// marks of only the epoch's own [lo, hi) ratings.
 		from, _ := seen.BetweenIndex(lo, hi)
 		marks[i] = append([]bool(nil), dec.Suspicious[from:]...)
-		counts := make(map[string]raterCounts)
-		for j, r := range seen[from:] {
-			c := counts[r.Rater]
-			c.n++
-			if marks[i][j] {
-				c.f++
-			}
-			counts[r.Rater] = c
-		}
-		perProduct[i] = sortedFold(counts)
 		if memos[i] != nil {
-			if pre.raters == nil {
-				pre.raters = carries[i].sortedRaters(seen)
-			}
-			ents[i] = newEpochEntry(memos[i].version, len(seen), pre, mgr, perProduct[i], marks[i])
+			ents[i] = newEpochEntry(memos[i].version, ords, pre, mgr, marks[i])
 		}
 	})
 	if err != nil {
@@ -332,31 +324,58 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, ep int, mgr *
 		}
 	}
 
-	// Merge. The merged counts are integers, so neither the worker
-	// schedule nor hit-vs-miss provenance can change any total; the
-	// canonical sorted return then makes the caller's fold walk raters in
-	// sorted order, keeping the per-epoch trust fold's bit-exactness
-	// structural rather than an argument about commutativity.
-	total := make(map[string]raterCounts)
-	for _, counts := range perProduct {
-		for _, fc := range counts {
-			t := total[fc.rater]
-			t.n += fc.n
-			t.f += fc.f
-			total[fc.rater] = t
+	// Count each rater's epoch ratings into the dense tally, from the
+	// products' marks (replayed or fresh) and ordinal columns. Counts are
+	// integers, so neither the worker schedule nor hit-vs-miss provenance
+	// can change a total, and the fold holds each rater once: the caller's
+	// Observe calls touch disjoint records, so their order cannot change a
+	// bit. Sorting by ordinal only makes the fold canonical, so Resume can
+	// compare it with the epoch's last one (foldSame).
+	if len(st.tally) < st.syms.Len() {
+		st.tally = make([]raterCounts, st.syms.Len())
+	}
+	var touched []uint32
+	for i, mk := range marks {
+		from, _ := d.Products[i].Ratings.BetweenIndex(lo, hi)
+		for j, o := range cols[i][from : from+len(mk)] {
+			t := &st.tally[o]
+			if t.n == 0 {
+				touched = append(touched, o)
+			}
+			t.n++
+			if mk[j] {
+				t.f++
+			}
 		}
 	}
-	return sortedFold(total), marks, nil
+	slices.Sort(touched)
+	fold := make([]raterFold, len(touched))
+	for k, o := range touched {
+		fold[k] = raterFold{o, st.tally[o]}
+		st.tally[o] = raterCounts{}
+	}
+	return fold, marks, nil
 }
+
+// seriesTrust is the detect.SeriesTrust the engine hands Decide: mgr's
+// trust bound to one series through its ordinal column, so the MC segment
+// test indexes a slice per rating instead of hashing the rater ID.
+type seriesTrust struct {
+	mgr  *trust.Manager
+	ords []uint32 // aligned with the decided series
+}
+
+func (t *seriesTrust) Trust(id string) float64           { return t.mgr.Trust(id) }
+func (t *seriesTrust) AverageTrust(ids []string) float64 { return t.mgr.AverageTrust(ids) }
+func (t *seriesTrust) RatingTrust(i int) float64         { return t.mgr.TrustAt(t.ords[i]) }
 
 // completeSignals returns the signals tier of series s at horizon hi:
 // the parts r carries are reused, the rest computed by the trust-free
-// detectors, extending the product's carry pc. Raters are left to the
-// callers that record memo entries.
-func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc *detect.Scratch, pc *prefixCarry) prefixSignals {
+// detectors, extending the product's carried prefix pc.
+func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc *detect.Scratch, pc *detect.Prefix) prefixSignals {
 	pre := r.pre
 	if !r.series {
-		sig := detect.SeriesSignals(s, e.Detect, sc, &pc.det)
+		sig := detect.SeriesSignals(s, e.Detect, sc, pc)
 		pre.sig.MC, pre.sig.HC, pre.sig.ME = sig.MC, sig.HC, sig.ME
 	}
 	if !r.arc {
@@ -366,92 +385,49 @@ func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc
 	return pre
 }
 
-// prefixCarry is what one product carries across the passes of one
-// Resume: the detector values (detect.Prefix) and the sorted unique raters
-// of the longest prefix analyzed so far. Every pass analyzes a prefix that
-// extends the previous one, so only the new ratings' windows and raters
-// are computed. It is never stored in EvalState or the memo: it lives for
-// one Resume, so it needs no invalidation, and a cancelled Resume simply
-// drops it.
-type prefixCarry struct {
-	det    detect.Prefix
-	raters []string // sorted unique raters of the first n ratings
-	n      int
-}
-
-// carriesFor returns the Resume's per-product carries, allocating them the
-// first time a pass has products to analyze (a pure memo replay allocates
-// none). It runs before the pool; each worker then owns entry i of the
-// product it analyzes, so the carries need no locks.
-func carriesFor(carry *[]prefixCarry, products, work int) []prefixCarry {
+// carriesFor returns the Resume's per-product carried prefixes, allocating
+// them the first time a pass has products to analyze (a pure memo replay
+// allocates none). Each pass analyzes a prefix that extends the previous
+// one, so a carried detect.Prefix only computes the new ratings' windows.
+// Carries live for one Resume, so they need no invalidation, and a
+// cancelled Resume simply drops them. This runs before the pool; each
+// worker then owns entry i of the product it analyzes, so the carries need
+// no locks.
+func carriesFor(carry *[]detect.Prefix, products, work int) []detect.Prefix {
 	if *carry == nil && work > 0 {
-		*carry = make([]prefixCarry, products)
+		*carry = make([]detect.Prefix, products)
 	}
 	return *carry
-}
-
-// sortedRaters returns the sorted unique raters of s, which must extend
-// the prefix pc covers (a shorter s starts over): the raters of the new
-// ratings are sorted and merged into the carried set. The returned slice
-// is shared with the memo entries it is recorded in, so it is never
-// written afterwards; the next extension merges into a fresh one.
-func (pc *prefixCarry) sortedRaters(s dataset.Series) []string {
-	if len(s) < pc.n {
-		pc.raters, pc.n = nil, 0
-	}
-	if len(s) == pc.n {
-		return pc.raters
-	}
-	fresh := make([]string, 0, len(s)-pc.n)
-	for _, r := range s[pc.n:] {
-		fresh = append(fresh, r.Rater)
-	}
-	slices.Sort(fresh)
-	fresh = slices.Compact(fresh)
-	merged := make([]string, 0, len(pc.raters)+len(fresh))
-	old := pc.raters
-	for len(old) > 0 && len(fresh) > 0 {
-		switch {
-		case old[0] < fresh[0]:
-			merged, old = append(merged, old[0]), old[1:]
-		case fresh[0] < old[0]:
-			merged, fresh = append(merged, fresh[0]), fresh[1:]
-		default:
-			merged, old, fresh = append(merged, old[0]), old[1:], fresh[1:]
-		}
-	}
-	merged = append(append(merged, old...), fresh...)
-	pc.raters, pc.n = merged, len(s)
-	return merged
 }
 
 // aggregateProduct computes one product's per-period scores (Eq. 7) from
 // its full-series marks. Each period is sliced out of the sorted series by
 // index, so the whole table costs O(len(s) + periods·log len(s)) instead of
 // a full scan per period.
-func (e *Engine) aggregateProduct(s dataset.Series, susMarks []bool, horizon float64, mgr *trust.Manager) []float64 {
+func (e *Engine) aggregateProduct(s dataset.Series, ords []uint32, susMarks []bool, horizon float64, mgr *trust.Manager) []float64 {
 	scores := make([]float64, epoch.Periods(horizon))
 	var kept []bool
 	for i := range scores {
 		lo, hi := epoch.PeriodInterval(i, horizon)
 		start, end := s.BetweenIndex(lo, hi)
-		scores[i], kept = e.aggregatePeriod(s[start:end], susMarks[start:end], mgr, kept)
+		scores[i], kept = e.aggregatePeriod(s[start:end], ords[start:end], susMarks[start:end], mgr, kept)
 	}
 	return scores
 }
 
-// aggregatePeriod scores one period (Eq. 7): marked ratings (marks is
-// aligned with period) are dropped, the rest weighted by max(T−0.5, 0); an
-// empty period scores NaN. kept is a reusable buffer, returned grown.
-func (e *Engine) aggregatePeriod(period dataset.Series, marks []bool, mgr *trust.Manager, kept []bool) (float64, []bool) {
+// aggregatePeriod scores one period (Eq. 7): marked ratings (marks and
+// the ordinals ords are aligned with period) are dropped, the rest
+// weighted by max(T−0.5, 0); an empty period scores NaN. kept is a
+// reusable buffer, returned grown.
+func (e *Engine) aggregatePeriod(period dataset.Series, ords []uint32, marks []bool, mgr *trust.Manager, kept []bool) (float64, []bool) {
 	if len(period) == 0 {
 		return math.NaN(), kept
 	}
-	weight := func(rater string) float64 {
-		return math.Max(mgr.Trust(rater)-0.5, 0)
+	weight := func(j int) float64 {
+		return math.Max(mgr.TrustAt(ords[j])-0.5, 0)
 	}
 	if e.DisableTrustWeighting {
-		weight = func(string) float64 { return 1 }
+		weight = func(int) float64 { return 1 }
 	}
 	kept = kept[:0]
 	for j := range period {

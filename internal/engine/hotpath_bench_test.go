@@ -12,17 +12,17 @@ import (
 // epoch, so an allocation here would tax exactly the path the memo plane
 // exists to make cheap.
 
-func memoBenchFixture() (*trust.Manager, []string, []trust.Record) {
+func memoBenchFixture() (*trust.Manager, []uint32, *trust.Manager) {
 	mgr := trust.NewManager()
-	raters := []string{"alice", "bob", "carol", "dave", "erin", "frank"}
-	for i, r := range raters {
-		mgr.Observe(r, 10+i, i)
+	raters := []uint32{0, 1, 2, 3, 4, 5}
+	for i, o := range raters {
+		mgr.ObserveAt(o, 10+i, i)
 	}
-	return mgr, raters, snapshotRecords(mgr, raters)
+	return mgr, raters, mgr.Clone()
 }
 
 func TestFingerprintsAllocFree(t *testing.T) {
-	mgr, raters, recs := memoBenchFixture()
+	mgr, raters, under := memoBenchFixture()
 	var sink uint64
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink += seriesFingerprint(42, 1000)
@@ -36,12 +36,12 @@ func TestFingerprintsAllocFree(t *testing.T) {
 	}
 	ok := true
 	if allocs := testing.AllocsPerRun(100, func() {
-		ok = ok && trustRecordsMatch(mgr, raters, recs)
+		ok = ok && trustRecordsMatch(mgr, raters, under)
 	}); allocs != 0 {
 		t.Errorf("trustRecordsMatch: %v allocs/op, want 0", allocs)
 	}
 	if !ok {
-		t.Error("trustRecordsMatch rejected its own snapshot")
+		t.Error("trustRecordsMatch rejected an identical clone")
 	}
 	_ = sink
 }
@@ -49,6 +49,7 @@ func TestFingerprintsAllocFree(t *testing.T) {
 func BenchmarkTrustFingerprint(b *testing.B) {
 	mgr, raters, _ := memoBenchFixture()
 	b.ReportAllocs()
+	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += trustFingerprint(mgr, raters)

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"math"
-	"slices"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -27,32 +25,38 @@ import (
 //
 //   - The signals tier (prefixSignals) holds what the detectors compute
 //     without trust: detect.Signals (MC segments, HC and ME windows, H-/L-ARC
-//     peak days, segments and thresholds; no curves) and the prefix's
-//     sorted raters. Raters and the MC/HC/ME part are keyed by the series
-//     prefix alone — the product's monotone content Version (maintained
-//     incrementally by internal/store on every applied submit; no
-//     rehashing) plus the prefix length. The ARC part is additionally
-//     keyed by the horizon hi, because its daily counts span [0, hi).
+//     peak days, segments and thresholds; no curves). The MC/HC/ME part is
+//     keyed by the series prefix alone — the product's monotone content
+//     Version (maintained incrementally by internal/store on every applied
+//     submit; no rehashing) plus the prefix length. The ARC part is
+//     additionally keyed by the horizon hi, because its daily counts span
+//     [0, hi).
 //   - The trust tier holds the outcome of detect.Decide under one trust
-//     snapshot: the fold counts and marks (final pass: marks and scores),
-//     keyed additionally by a rater-scoped trust fingerprint, an FNV-1a
-//     hash over the prefix's sorted raters and their trust records.
+//     snapshot: the epoch's own marks, which its fold counts are taken
+//     from (final pass: marks and scores), keyed additionally by a
+//     rater-scoped trust fingerprint, an FNV-1a hash over the prefix's
+//     ordinal column (EvalState.intern) and its raters' trust records. The
+//     column is a function of the prefix too, so entries store none.
 //
-// A trust-tier hit replays the cached fold and runs nothing. A miss whose
+// A trust-tier hit replays the cached marks and runs nothing. A miss whose
 // prefix matches (the common "only a shared rater's trust moved" case)
 // reuses the signals tier and costs one Decide pass; the final pass also
 // reuses the newest epoch's signals when its prefix is the whole series.
 // Signals are shared between entries and Resumes and never written:
 // Decide only reads them.
 //
-// A trust hit is never served on fingerprint equality alone: the cached
-// records are compared bit-for-bit against the live manager first (the
-// cache verifies, it never trusts the hash blindly), so a 64-bit collision
-// can cost a miss but never a wrong answer. Bit-exactness is then by
-// construction — a hit replays the exact cached fold (final pass: copies
-// of the cached marks and scores), and the signals are pure functions of
-// (prefix, horizon, detector config) that Decide reads exactly as
-// detect.AnalyzeWith would.
+// A trust hit is never served on fingerprint equality alone: the raters'
+// records under the trust the entry was decided under are compared
+// bit-for-bit against the live trust first (the cache verifies, it never
+// trusts the hash blindly), so a 64-bit collision can cost a miss but never
+// a wrong answer. That trust is a checkpoint, which is never written, so
+// an entry points at it instead of copying records; a hit rebinds the
+// entry to the live checkpoint it was just proven equal to, so entries
+// that keep hitting never pin superseded checkpoints. Bit-exactness is then
+// by construction — a hit replays the exact cached marks (final pass:
+// copies of the cached marks and scores), and the signals are pure
+// functions of (prefix, horizon, detector config) that Decide reads
+// exactly as detect.AnalyzeWith would.
 
 // FNV-1a 64-bit parameters, inlined so the fingerprint hot paths stay
 // dependency- and allocation-free.
@@ -67,37 +71,33 @@ const (
 // ever being served (see TestFingerprintCollisionNeverServed).
 var memoFPMask = ^uint64(0)
 
-// raterFold is one rater's in-epoch fold contribution in canonical
-// (sorted-by-rater) form: n ratings observed in the epoch, f of them marked
-// suspicious.
+// raterFold is one rater's in-epoch fold contribution, identified by its
+// ordinal. Folds are canonical: one entry per rater, sorted by ordinal.
 type raterFold struct {
-	rater string
-	n, f  int
+	ord uint32
+	raterCounts
 }
 
-// prefixSignals is an entry's signals tier: the trust-free facts about one
-// series prefix — its sorted unique raters and its detector signals.
-// Raters and the MC/HC/ME signals are keyed by the prefix alone; the
-// H-/L-ARC signals were computed over the daily counts of [0, arcHi).
+// prefixSignals is an entry's signals tier: the trust-free detector
+// signals of one series prefix. The MC/HC/ME signals are keyed by the
+// prefix alone; the H-/L-ARC signals were computed over the daily counts of
+// [0, arcHi).
 type prefixSignals struct {
-	raters []string
-	sig    detect.Signals
-	arcHi  float64
+	sig   detect.Signals
+	arcHi float64
 }
 
 // memoEntry caches one product's outcome for one epoch: the signals tier
-// of its prefix plus the trust tier — the per-rater fold counts the
-// epoch's analysis produced and the marks of the epoch's own [lo, hi)
-// ratings, keyed by the rater-scoped trust snapshot they were decided
-// under.
+// of its prefix plus the trust tier — the marks of the epoch's own [lo, hi)
+// ratings, from which the epoch's fold counts are taken, keyed by the
+// rater-scoped trust snapshot they were decided under.
 type memoEntry struct {
 	valid     bool
 	prefixLen int            // ratings in [0, hi) when recorded
 	seriesFP  uint64         // seriesFingerprint(version, prefixLen) at record time
 	pre       prefixSignals  // signals tier
-	trustFP   uint64         // trustFingerprint over pre.raters at record time
-	recs      []trust.Record // their records at the epoch start, aligned with pre.raters
-	counts    []raterFold    // the cached fold result (canonical order)
+	trustFP   uint64         // trustFingerprint over the prefix's column at record time
+	under     *trust.Manager // epoch-start trust checkpoint the entry was decided under
 	marks     []bool         // marks of the epoch's [lo, hi) ratings
 }
 
@@ -109,8 +109,8 @@ type finalEntry struct {
 	seriesFP uint64
 	pre      prefixSignals
 	trustFP  uint64
-	recs     []trust.Record
-	marks    []bool // never aliased by served results
+	under    *trust.Manager // final trust the entry was decided under
+	marks    []bool         // never aliased by served results
 	scores   []float64
 }
 
@@ -195,18 +195,16 @@ func seriesFingerprint(version uint64, prefixLen int) uint64 {
 }
 
 // trustFingerprint hashes the trust records of exactly the given raters
-// (callers pass the sorted unique raters of one product's prefix, making
-// the fingerprint rater-scoped: churn on other raters cannot move it).
+// (callers pass the ordinal column of one product's prefix, making the
+// fingerprint rater-scoped: churn on other raters cannot move it).
 //
 //lint:hotpath
-func trustFingerprint(mgr *trust.Manager, raters []string) uint64 {
+func trustFingerprint(mgr *trust.Manager, raters []uint32) uint64 {
 	h := memoFNVOffset
-	for _, r := range raters {
-		for i := 0; i < len(r); i++ {
-			h ^= uint64(r[i])
-			h *= memoFNVPrime
-		}
-		rec := mgr.Record(r)
+	for _, o := range raters {
+		h ^= uint64(o)
+		h *= memoFNVPrime
+		rec := mgr.RecordAt(o)
 		h ^= math.Float64bits(rec.S)
 		h *= memoFNVPrime
 		h ^= math.Float64bits(rec.F)
@@ -216,18 +214,15 @@ func trustFingerprint(mgr *trust.Manager, raters []string) uint64 {
 }
 
 // trustRecordsMatch is the exact (collision-proof) verification behind
-// every fingerprint hit: each cached record must equal the live manager's
-// bit for bit.
+// every fingerprint hit: each rater's record under the entry's trust must
+// equal the live manager's bit for bit.
 //
 //lint:hotpath
-func trustRecordsMatch(mgr *trust.Manager, raters []string, recs []trust.Record) bool {
-	if len(raters) != len(recs) {
-		return false
-	}
-	for i, r := range raters {
-		rec := mgr.Record(r)
-		if math.Float64bits(rec.S) != math.Float64bits(recs[i].S) ||
-			math.Float64bits(rec.F) != math.Float64bits(recs[i].F) {
+func trustRecordsMatch(mgr *trust.Manager, raters []uint32, under *trust.Manager) bool {
+	for _, o := range raters {
+		rec, was := mgr.RecordAt(o), under.RecordAt(o)
+		if math.Float64bits(rec.S) != math.Float64bits(was.S) ||
+			math.Float64bits(rec.F) != math.Float64bits(was.F) {
 			return false
 		}
 	}
@@ -235,47 +230,50 @@ func trustRecordsMatch(mgr *trust.Manager, raters []string, recs []trust.Record)
 }
 
 // epochHit reports whether the cached entry for epoch ep can be replayed
-// for a prefix of prefixLen ratings under mgr, returning the cached fold
-// and epoch marks (shared with the cache: callers must not modify them).
+// for the prefix whose ordinal column is ords under mgr, returning the
+// cached epoch marks (shared with the cache: callers must not modify them).
 // trustSame short-circuits the trust check: the caller proved the whole
 // epoch-start trust snapshot is unchanged since the entry was recorded
-// (see EvalState.trustSame), so the rater-scoped restriction is too.
-func (m *productMemo) epochHit(ep, prefixLen int, mgr *trust.Manager, trustSame bool) ([]raterFold, []bool, bool) {
+// (see EvalState.trustSame), so the rater-scoped restriction is too. mgr
+// must be a checkpoint: a hit rebinds the entry to it.
+func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager, trustSame bool) ([]bool, bool) {
 	if ep >= len(m.epochs) {
-		return nil, nil, false
+		return nil, false
 	}
 	ent := &m.epochs[ep]
-	if !ent.valid || ent.prefixLen != prefixLen ||
-		ent.seriesFP != seriesFingerprint(m.version, prefixLen) {
-		return nil, nil, false
+	if !ent.valid || ent.prefixLen != len(ords) ||
+		ent.seriesFP != seriesFingerprint(m.version, len(ords)) {
+		return nil, false
 	}
 	if !trustSame {
-		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ent.pre.raters)&memoFPMask {
-			return nil, nil, false
+		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ords)&memoFPMask {
+			return nil, false
 		}
-		if !trustRecordsMatch(mgr, ent.pre.raters, ent.recs) {
-			return nil, nil, false // fingerprint collision: verify caught it
+		if !trustRecordsMatch(mgr, ords, ent.under) {
+			return nil, false // fingerprint collision: verify caught it
 		}
 	}
-	return ent.counts, ent.marks, true
+	ent.under = mgr
+	return ent.marks, true
 }
 
 // finalHit is epochHit for the final pass: on a hit it returns fresh
 // copies of the cached suspicious marks and scores (served results must
 // never alias cache memory — callers own what Resume returns).
-func (m *productMemo) finalHit(seriesLen int, mgr *trust.Manager, trustSame bool) ([]bool, []float64, bool) {
+func (m *productMemo) finalHit(ords []uint32, mgr *trust.Manager, trustSame bool) ([]bool, []float64, bool) {
 	ent := &m.final
-	if !ent.valid || ent.seriesFP != seriesFingerprint(m.version, seriesLen) {
+	if !ent.valid || ent.seriesFP != seriesFingerprint(m.version, len(ords)) {
 		return nil, nil, false
 	}
 	if !trustSame {
-		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ent.pre.raters)&memoFPMask {
+		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ords)&memoFPMask {
 			return nil, nil, false
 		}
-		if !trustRecordsMatch(mgr, ent.pre.raters, ent.recs) {
+		if !trustRecordsMatch(mgr, ords, ent.under) {
 			return nil, nil, false
 		}
 	}
+	ent.under = mgr
 	return append([]bool(nil), ent.marks...), append([]float64(nil), ent.scores...), true
 }
 
@@ -284,7 +282,7 @@ func (m *productMemo) finalHit(seriesLen int, mgr *trust.Manager, trustSame bool
 // horizon being analyzed. completeSignals computes the rest.
 type signalReuse struct {
 	pre    prefixSignals
-	series bool // raters and the MC/HC/ME signals
+	series bool // the MC/HC/ME signals
 	arc    bool // the H-/L-ARC signals
 }
 
@@ -331,81 +329,34 @@ func (m *productMemo) finalSignals(n int, horizon float64) signalReuse {
 	return reuseSignals(false, 0, n, prefixSignals{}, horizon)
 }
 
-// newEpochEntry snapshots one product's epoch analysis of a prefix of
-// prefixLen ratings for the memo: the prefix's signals tier (raters
-// included), the raters' current records, the fold counts and the epoch's
-// own marks.
-func newEpochEntry(version uint64, prefixLen int, pre prefixSignals, mgr *trust.Manager, counts []raterFold, marks []bool) memoEntry {
+// newEpochEntry snapshots one product's epoch analysis of the prefix whose
+// ordinal column is ords for the memo: the prefix's signals tier, the
+// epoch-start checkpoint mgr it was decided under and the epoch's own
+// marks.
+func newEpochEntry(version uint64, ords []uint32, pre prefixSignals, mgr *trust.Manager, marks []bool) memoEntry {
 	return memoEntry{
 		valid:     true,
-		prefixLen: prefixLen,
-		seriesFP:  seriesFingerprint(version, prefixLen),
+		prefixLen: len(ords),
+		seriesFP:  seriesFingerprint(version, len(ords)),
 		pre:       pre,
-		trustFP:   trustFingerprint(mgr, pre.raters),
-		recs:      snapshotRecords(mgr, pre.raters),
-		counts:    counts,
+		trustFP:   trustFingerprint(mgr, ords),
+		under:     mgr,
 		marks:     marks,
 	}
 }
 
-// newFinalEntry snapshots one product's final pass over its seriesLen
-// ratings: the full series' signals tier (raters included) and copies of
-// the marks and scores under the final trust (the live ones are handed to
+// newFinalEntry snapshots one product's final pass over the series whose
+// ordinal column is ords: its signals tier, the final trust mgr and copies
+// of the marks and scores decided under it (the live ones are handed to
 // the caller).
-func newFinalEntry(version uint64, seriesLen int, pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
+func newFinalEntry(version uint64, ords []uint32, pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
 	return finalEntry{
 		valid:    true,
-		seriesFP: seriesFingerprint(version, seriesLen),
+		seriesFP: seriesFingerprint(version, len(ords)),
 		pre:      pre,
-		trustFP:  trustFingerprint(mgr, pre.raters),
-		recs:     snapshotRecords(mgr, pre.raters),
+		trustFP:  trustFingerprint(mgr, ords),
+		under:    mgr,
 		marks:    append([]bool(nil), marks...),
 		scores:   append([]float64(nil), scores...),
 	}
-}
-
-// snapshotRecords copies the raters' current trust records, aligned with
-// the (sorted) rater slice.
-func snapshotRecords(mgr *trust.Manager, raters []string) []trust.Record {
-	if len(raters) == 0 {
-		return nil
-	}
-	recs := make([]trust.Record, len(raters))
-	for i, r := range raters {
-		recs[i] = mgr.Record(r)
-	}
-	return recs
-}
-
-// sortedFold converts a rater→counts map into the canonical sorted slice
-// form used by memo entries and fold comparison.
-func sortedFold(counts map[string]raterCounts) []raterFold {
-	out := make([]raterFold, 0, len(counts))
-	for rater := range counts {
-		out = append(out, raterFold{rater: rater})
-	}
-	// Rater keys are unique, so any correct sort gives this one order.
-	slices.SortFunc(out, func(a, b raterFold) int { return strings.Compare(a.rater, b.rater) })
-	for i := range out {
-		c := counts[out[i].rater]
-		out[i].n = c.n
-		out[i].f = c.f
-	}
-	return out
-}
-
-// foldsEqual reports whether two canonical folds are identical. Counts are
-// integers, so equality here is exact, and equal folds applied to equal
-// incoming trust produce bit-identical outgoing trust — the cascade that
-// keeps later epochs' caches warm.
-func foldsEqual(a, b []raterFold) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

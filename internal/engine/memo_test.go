@@ -283,21 +283,21 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	memoFPMask = 0
 	defer func() { memoFPMask = old }()
 
-	seen := dataset.Series{{Day: 1, Value: 2, Rater: "a"}}
-	counts := []raterFold{{rater: "a", n: 1}}
+	ords := []uint32{0} // one rating, by the rater of ordinal 0
+	marks := []bool{true}
 	mgr1 := trust.NewManager()
 	m := &productMemo{version: 1, epochs: make([]memoEntry, 1)}
-	m.setEpoch(0, newEpochEntry(1, len(seen), prefixSignals{raters: []string{"a"}}, mgr1, counts, []bool{false}))
+	m.setEpoch(0, newEpochEntry(1, ords, prefixSignals{}, mgr1, marks))
 
 	mgr2 := trust.NewManager()
-	mgr2.Observe("a", 5, 3)
-	if _, _, ok := m.epochHit(0, 1, mgr2, false); ok {
+	mgr2.ObserveAt(0, 5, 3)
+	if _, ok := m.epochHit(0, ords, mgr2, false); ok {
 		t.Fatal("colliding stale-trust entry was served")
 	}
-	if got, _, ok := m.epochHit(0, 1, mgr1, false); !ok || len(got) != 1 || got[0] != counts[0] {
+	if got, ok := m.epochHit(0, ords, mgr1, false); !ok || len(got) != 1 || got[0] != marks[0] {
 		t.Fatalf("matching entry not served: %v %v", got, ok)
 	}
-	if _, _, ok := m.epochHit(0, 2, mgr1, false); ok {
+	if _, ok := m.epochHit(0, []uint32{0, 0}, mgr1, false); ok {
 		t.Fatal("entry served for a different prefix length")
 	}
 }

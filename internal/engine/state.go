@@ -36,12 +36,24 @@ import (
 //   - finalConsistent is trustSame for the uncheckpointed final pass:
 //     the final entries were recorded under the current final trust.
 //
+// Rater identity is interned once per state: syms maps each rater ID to a
+// dense ordinal (append-only, first-seen order), and cols[i] is product
+// i's ordinal column, so trust, memo keys and folds index slices instead
+// of hashing IDs. Ordinals depend on the order the state first saw its
+// raters, never on the ratings alone, so no output depends on them:
+// folds and memo keys only compare ordinals of this one table, and every
+// order that is observed (Snapshot) is by rater ID.
+//
 // The state also counts the work done on it (Stats). The counters survive
 // Reset and rebinding, so they only grow over the state's life.
 type EvalState struct {
 	horizon     float64
 	products    []string
 	checkpoints []*trust.Manager
+
+	syms  *trust.Symbols
+	cols  []raterColumn
+	tally []raterCounts // runEpoch's merge scratch by ordinal, zero between epochs
 
 	// published[e] is period e's causal score per product, written with
 	// checkpoints[e+1]: rows before a resume epoch are reused, later ones
@@ -149,11 +161,56 @@ func (st *EvalState) Invalidate(day float64) {
 	}
 }
 
-// Reset drops every checkpoint and the memo plane, so the next Resume
-// matches nothing, rebinds and evaluates from scratch. The counters are
-// kept.
+// Reset drops every checkpoint, the memo plane and the symbol table, so
+// the next Resume matches nothing, rebinds and evaluates from scratch. The
+// counters are kept.
 func (st *EvalState) Reset() {
 	st.checkpoints, st.memo = nil, nil
+	st.syms, st.cols, st.tally = nil, nil, nil
+}
+
+// raterColumn is one product's ordinal column: ords[j] is the ordinal of
+// the rater of rating j of the series at version.
+type raterColumn struct {
+	version uint64
+	ords    []uint32
+}
+
+// intern brings every product's ordinal column in line with its series
+// and returns the columns. A versioned product whose version is unchanged
+// keeps its column; any other is re-interned (an unversioned product on
+// every Resume). New raters extend the symbol table: the previous
+// Resume's managers read it, so the first new rater of a Resume copies its
+// name index (trust.Symbols.Intern), and a Result handed out earlier never
+// sees it written.
+func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
+	cols := make([][]uint32, len(d.Products))
+	for i := range d.Products {
+		p, c := &d.Products[i], &st.cols[i]
+		if p.Version == 0 || c.version != p.Version {
+			c.version, c.ords = p.Version, st.reintern(p.Ratings, c.ords)
+		}
+		cols[i] = c.ords
+	}
+	return cols
+}
+
+// reintern returns the ordinal column of s given old, the column of an
+// earlier version of the series: the old ordinals of the longest prefix
+// whose raters match by name are kept, and only the rest is looked up, so a
+// submit of a rating later than the rest interns one.
+func (st *EvalState) reintern(s dataset.Series, old []uint32) []uint32 {
+	keep := 0
+	for keep < len(old) && keep < len(s) && s[keep].Rater == st.syms.Name(old[keep]) {
+		keep++
+	}
+	col := append(make([]uint32, 0, len(s)), old[:keep]...)
+	for _, r := range s[keep:] {
+		var o uint32
+		st.syms, o = st.syms.Intern(r.Rater)
+		col = append(col, o)
+	}
+	return col
 }
 
 // Matches reports whether the state's checkpoints were computed for this
@@ -186,6 +243,8 @@ func (st *EvalState) matches(d *dataset.Dataset) bool {
 func (st *EvalState) bind(d *dataset.Dataset) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
+	st.syms = trust.NewSymbols()
+	st.cols = make([]raterColumn, len(d.Products))
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
 	n := epoch.Periods(d.HorizonDays)
 	st.published = make([][]float64, n)

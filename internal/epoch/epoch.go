@@ -54,10 +54,11 @@ func PeriodOf(day, horizon float64) int {
 }
 
 // WeightedMean aggregates the kept ratings of a period with the given
-// per-rater weight function. It falls back to the simple mean of the kept
-// ratings when all weights vanish, and to the simple mean of the whole
-// period when everything was filtered.
-func WeightedMean(period dataset.Series, kept []bool, weight func(string) float64) float64 {
+// per-rating weight function, called with each kept rating's index in
+// period. It falls back to the simple mean of the kept ratings when all
+// weights vanish, and to the simple mean of the whole period when
+// everything was filtered.
+func WeightedMean(period dataset.Series, kept []bool, weight func(i int) float64) float64 {
 	// keptSum accumulates in series order, so keptSum/keptN is exactly
 	// stats.Mean over the kept values without collecting them.
 	var num, den, keptSum float64
@@ -68,7 +69,7 @@ func WeightedMean(period dataset.Series, kept []bool, weight func(string) float6
 		}
 		keptSum += r.Value
 		keptN++
-		w := weight(r.Rater)
+		w := weight(i)
 		num += w * r.Value
 		den += w
 	}

@@ -128,11 +128,11 @@ func TestWeightedMeanFallbacks(t *testing.T) {
 		{Day: 2, Value: 4, Rater: "b"},
 		{Day: 3, Value: 5, Rater: "c"},
 	}
-	unit := func(string) float64 { return 1 }
+	unit := func(int) float64 { return 1 }
 
 	// Weighted path: rater b carries all the weight.
-	got := WeightedMean(period, nil, func(r string) float64 {
-		if r == "b" {
+	got := WeightedMean(period, nil, func(i int) float64 {
+		if period[i].Rater == "b" {
 			return 2
 		}
 		return 0
@@ -142,7 +142,7 @@ func TestWeightedMeanFallbacks(t *testing.T) {
 	}
 
 	// All weights vanish → simple mean of the kept ratings.
-	got = WeightedMean(period, []bool{true, false, true}, func(string) float64 { return 0 })
+	got = WeightedMean(period, []bool{true, false, true}, func(int) float64 { return 0 })
 	if got != 3.5 {
 		t.Errorf("zero-weight fallback = %v, want 3.5", got)
 	}

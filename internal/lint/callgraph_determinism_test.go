@@ -52,9 +52,9 @@ func TestCallGraphDeterministic(t *testing.T) {
 
 // TestInterfaceResolutionPinned pins CHA resolution against a known
 // interface in the repo: a call to TrustSource.Trust inside
-// internal/detect must fan out to exactly the program's two implementers —
-// detect.neutralTrust and *trust.Manager — as Interface-kind edges from
-// one call site. A missing implementer means CHA went blind (analyzers
+// internal/detect must fan out to exactly the program's three implementers
+// — detect.neutralTrust, *trust.Manager and the engine's series-bound
+// *seriesTrust — as Interface-kind edges from one call site. A missing implementer means CHA went blind (analyzers
 // would silently under-approximate); an extra one means the receiver
 // static-type narrowing regressed toward the declaring-interface blowup.
 func TestInterfaceResolutionPinned(t *testing.T) {
@@ -64,6 +64,7 @@ func TestInterfaceResolutionPinned(t *testing.T) {
 	g := buildRepoGraph(t)
 
 	want := []string{
+		"(*repro/internal/engine.seriesTrust).Trust",
 		"(*repro/internal/trust.Manager).Trust",
 		"(repro/internal/detect.neutralTrust).Trust",
 	}
