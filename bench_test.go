@@ -441,7 +441,8 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 	// so Insert copies it) under a new version, and the rater is the same
 	// one each time: it is fresh to the data, and the state's append-only
 	// symbol table does not grow with b.N. So every iteration does the
-	// same work.
+	// same work, except that only the first interns the rater and forks
+	// the table: the row carries that fork as 1/b.N of one.
 	b.Run("warm-single-product-touch", func(b *testing.B) {
 		dd := benchEngineDataset(b, 5, 300)
 		st := engine.NewState()

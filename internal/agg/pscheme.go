@@ -62,7 +62,9 @@ type Result struct {
 	// Suspicious maps product ID to a per-rating mark aligned with the
 	// product's (sorted) rating series.
 	Suspicious map[string][]bool
-	// Trust is the final trust manager state after all epochs.
+	// Trust is the final trust manager state after all epochs. It is the
+	// engine's final checkpoint, which later evaluations on the same state
+	// read: callers must not write it (Clone it for what-if evaluation).
 	Trust *trust.Manager
 }
 

@@ -254,8 +254,8 @@ type raterCounts struct{ n, f int }
 // empty and it publishes nothing, so no analysis can matter. Products
 // whose (series prefix, rater-scoped trust) key matches their memo entry
 // replay the cached marks and skip analysis entirely; trustSame
-// short-circuits even the fingerprint work when the caller proved the whole
-// epoch-start snapshot unchanged. A miss whose prefix is cached reuses the
+// short-circuits even the trust-record compare when the caller proved the
+// whole epoch-start snapshot unchanged. A miss whose prefix is cached reuses the
 // entry's trust-free signals and runs only detect.Decide (memo.go). Hit
 // checks (signal lookups included) and entry commits run serially
 // on either side of the pool — only misses fan out. Each miss extends the

@@ -6,11 +6,11 @@ import (
 	"repro/internal/trust"
 )
 
-// Runtime counterparts of the //lint:hotpath annotations on the memo
-// fingerprint functions: the static gate proves they cannot allocate,
-// AllocsPerRun proves they did not. They run on every cache probe of every
-// epoch, so an allocation here would tax exactly the path the memo plane
-// exists to make cheap.
+// Runtime counterparts of the //lint:hotpath annotations on the memo key
+// functions: the static gate proves they cannot allocate, AllocsPerRun
+// proves they did not. They run on every cache probe of every epoch, so an
+// allocation here would tax exactly the path the memo plane exists to make
+// cheap.
 
 func memoBenchFixture() (*trust.Manager, []uint32, *trust.Manager) {
 	mgr := trust.NewManager()
@@ -29,11 +29,6 @@ func TestFingerprintsAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("seriesFingerprint: %v allocs/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		sink += trustFingerprint(mgr, raters)
-	}); allocs != 0 {
-		t.Errorf("trustFingerprint: %v allocs/op, want 0", allocs)
-	}
 	ok := true
 	if allocs := testing.AllocsPerRun(100, func() {
 		ok = ok && trustRecordsMatch(mgr, raters, under)
@@ -46,13 +41,15 @@ func TestFingerprintsAllocFree(t *testing.T) {
 	_ = sink
 }
 
-func BenchmarkTrustFingerprint(b *testing.B) {
-	mgr, raters, _ := memoBenchFixture()
+func BenchmarkTrustRecordsMatch(b *testing.B) {
+	mgr, raters, under := memoBenchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var sink uint64
+	ok := true
 	for i := 0; i < b.N; i++ {
-		sink += trustFingerprint(mgr, raters)
+		ok = ok && trustRecordsMatch(mgr, raters, under)
 	}
-	_ = sink
+	if !ok {
+		b.Fatal("trustRecordsMatch rejected an identical clone")
+	}
 }

@@ -182,14 +182,13 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 
 // TestReinternNamesEveryRating edits a series at random — inserts,
 // deletions, replacements, repeated raters — and requires the column
-// reintern derives from the previous version's to name each rating's rater
-// exactly, as a fresh interning would.
+// reintern builds for each version over one table to name each rating's
+// rater exactly.
 func TestReinternNamesEveryRating(t *testing.T) {
 	rng := stats.NewRNG(17)
 	st := &EvalState{syms: trust.NewSymbols()}
 	rater := func() string { return fmt.Sprintf("r%d", rng.IntN(12)) }
 	var s dataset.Series
-	var col []uint32
 	for step := 0; step < 500; step++ {
 		next := append(dataset.Series(nil), s...)
 		switch k := rng.IntN(4); {
@@ -204,7 +203,8 @@ func TestReinternNamesEveryRating(t *testing.T) {
 		default:
 			next = next[:rng.IntN(len(next)+1)]
 		}
-		s, col = next, st.reintern(next, col)
+		s = next
+		col := st.reintern(s)
 		if len(col) != len(s) {
 			t.Fatalf("step %d: column has %d ordinals for %d ratings", step, len(col), len(s))
 		}

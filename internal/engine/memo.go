@@ -33,10 +33,10 @@ import (
 //     [0, hi).
 //   - The trust tier holds the outcome of detect.Decide under one trust
 //     snapshot: the epoch's own marks, which its fold counts are taken
-//     from (final pass: marks and scores), keyed additionally by a
-//     rater-scoped trust fingerprint, an FNV-1a hash over the prefix's
-//     ordinal column (EvalState.intern) and its raters' trust records. The
-//     column is a function of the prefix too, so entries store none.
+//     from (final pass: marks and scores), keyed additionally by the trust
+//     records of the prefix's raters — the prefix's ordinal column
+//     (EvalState.intern) indexes them. The column is a function of the
+//     prefix too, so entries store none.
 //
 // A trust-tier hit replays the cached marks and runs nothing. A miss whose
 // prefix matches (the common "only a shared rater's trust moved" case)
@@ -45,31 +45,23 @@ import (
 // Signals are shared between entries and Resumes and never written:
 // Decide only reads them.
 //
-// A trust hit is never served on fingerprint equality alone: the raters'
-// records under the trust the entry was decided under are compared
-// bit-for-bit against the live trust first (the cache verifies, it never
-// trusts the hash blindly), so a 64-bit collision can cost a miss but never
-// a wrong answer. That trust is a checkpoint, which is never written, so
-// an entry points at it instead of copying records; a hit rebinds the
-// entry to the live checkpoint it was just proven equal to, so entries
-// that keep hitting never pin superseded checkpoints. Bit-exactness is then
-// by construction — a hit replays the exact cached marks (final pass:
-// copies of the cached marks and scores), and the signals are pure
-// functions of (prefix, horizon, detector config) that Decide reads
-// exactly as detect.AnalyzeWith would.
+// A trust hit compares the raters' records under the trust the entry was
+// decided under bit-for-bit against the live trust, stopping at the first
+// difference; no hash stands in for the records. That trust is a
+// checkpoint, which is never written, so an entry points at it instead of
+// copying records; a hit rebinds the entry to the live checkpoint it was
+// just proven equal to, so entries that keep hitting never pin superseded
+// checkpoints. Bit-exactness is then by construction — a hit replays the
+// exact cached marks (final pass: copies of the cached marks and scores),
+// and the signals are pure functions of (prefix, horizon, detector config)
+// that Decide reads exactly as detect.AnalyzeWith would.
 
-// FNV-1a 64-bit parameters, inlined so the fingerprint hot paths stay
+// FNV-1a 64-bit parameters, inlined so the series fingerprint stays
 // dependency- and allocation-free.
 const (
 	memoFNVOffset uint64 = 14695981039346656037
 	memoFNVPrime  uint64 = 1099511628211
 )
-
-// memoFPMask post-masks trust fingerprints before they are compared.
-// Production value is all-ones (full 64-bit compare); tests shrink it to
-// force collisions and prove the verify step keeps colliding entries from
-// ever being served (see TestFingerprintCollisionNeverServed).
-var memoFPMask = ^uint64(0)
 
 // raterFold is one rater's in-epoch fold contribution, identified by its
 // ordinal. Folds are canonical: one entry per rater, sorted by ordinal.
@@ -96,7 +88,6 @@ type memoEntry struct {
 	prefixLen int            // ratings in [0, hi) when recorded
 	seriesFP  uint64         // seriesFingerprint(version, prefixLen) at record time
 	pre       prefixSignals  // signals tier
-	trustFP   uint64         // trustFingerprint over the prefix's column at record time
 	under     *trust.Manager // epoch-start trust checkpoint the entry was decided under
 	marks     []bool         // marks of the epoch's [lo, hi) ratings
 }
@@ -108,7 +99,6 @@ type finalEntry struct {
 	valid    bool
 	seriesFP uint64
 	pre      prefixSignals
-	trustFP  uint64
 	under    *trust.Manager // final trust the entry was decided under
 	marks    []bool         // never aliased by served results
 	scores   []float64
@@ -194,28 +184,8 @@ func seriesFingerprint(version uint64, prefixLen int) uint64 {
 	return h
 }
 
-// trustFingerprint hashes the trust records of exactly the given raters
-// (callers pass the ordinal column of one product's prefix, making the
-// fingerprint rater-scoped: churn on other raters cannot move it).
-//
-//lint:hotpath
-func trustFingerprint(mgr *trust.Manager, raters []uint32) uint64 {
-	h := memoFNVOffset
-	for _, o := range raters {
-		h ^= uint64(o)
-		h *= memoFNVPrime
-		rec := mgr.RecordAt(o)
-		h ^= math.Float64bits(rec.S)
-		h *= memoFNVPrime
-		h ^= math.Float64bits(rec.F)
-		h *= memoFNVPrime
-	}
-	return h
-}
-
-// trustRecordsMatch is the exact (collision-proof) verification behind
-// every fingerprint hit: each rater's record under the entry's trust must
-// equal the live manager's bit for bit.
+// trustRecordsMatch is the trust-tier key compare: each rater's record
+// under the entry's trust must equal the live manager's bit for bit.
 //
 //lint:hotpath
 func trustRecordsMatch(mgr *trust.Manager, raters []uint32, under *trust.Manager) bool {
@@ -245,13 +215,8 @@ func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager, trustS
 		ent.seriesFP != seriesFingerprint(m.version, len(ords)) {
 		return nil, false
 	}
-	if !trustSame {
-		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ords)&memoFPMask {
-			return nil, false
-		}
-		if !trustRecordsMatch(mgr, ords, ent.under) {
-			return nil, false // fingerprint collision: verify caught it
-		}
+	if !trustSame && !trustRecordsMatch(mgr, ords, ent.under) {
+		return nil, false
 	}
 	ent.under = mgr
 	return ent.marks, true
@@ -265,13 +230,8 @@ func (m *productMemo) finalHit(ords []uint32, mgr *trust.Manager, trustSame bool
 	if !ent.valid || ent.seriesFP != seriesFingerprint(m.version, len(ords)) {
 		return nil, nil, false
 	}
-	if !trustSame {
-		if ent.trustFP&memoFPMask != trustFingerprint(mgr, ords)&memoFPMask {
-			return nil, nil, false
-		}
-		if !trustRecordsMatch(mgr, ords, ent.under) {
-			return nil, nil, false
-		}
+	if !trustSame && !trustRecordsMatch(mgr, ords, ent.under) {
+		return nil, nil, false
 	}
 	ent.under = mgr
 	return append([]bool(nil), ent.marks...), append([]float64(nil), ent.scores...), true
@@ -339,7 +299,6 @@ func newEpochEntry(version uint64, ords []uint32, pre prefixSignals, mgr *trust.
 		prefixLen: len(ords),
 		seriesFP:  seriesFingerprint(version, len(ords)),
 		pre:       pre,
-		trustFP:   trustFingerprint(mgr, ords),
 		under:     mgr,
 		marks:     marks,
 	}
@@ -354,7 +313,6 @@ func newFinalEntry(version uint64, ords []uint32, pre prefixSignals, mgr *trust.
 		valid:    true,
 		seriesFP: seriesFingerprint(version, len(ords)),
 		pre:      pre,
-		trustFP:  trustFingerprint(mgr, ords),
 		under:    mgr,
 		marks:    append([]bool(nil), marks...),
 		scores:   append([]float64(nil), scores...),

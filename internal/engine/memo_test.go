@@ -244,16 +244,11 @@ func TestMemoPureReplayAfterInvalidate(t *testing.T) {
 	}
 }
 
-// TestFingerprintCollisionNeverServed runs the equivalence property with
-// the trust fingerprint masked down to zero bits — every lookup collides —
-// and requires bit-identical output anyway: the exact record verification
-// must reject every stale entry, so a hash collision can cost a miss but
-// never an answer.
+// TestFingerprintCollisionNeverServed runs the equivalence property over
+// random touches and requires bit-identical output: no hash screens the
+// trust tier, so the exact record compare alone must reject every stale
+// entry.
 func TestFingerprintCollisionNeverServed(t *testing.T) {
-	old := memoFPMask
-	memoFPMask = 0
-	defer func() { memoFPMask = old }()
-
 	const horizon = 150.0
 	rng := stats.NewRNG(41)
 	d := versionedTestDataset(t, 41, 3, horizon)
@@ -275,14 +270,10 @@ func TestFingerprintCollisionNeverServed(t *testing.T) {
 	}
 }
 
-// TestEpochHitRejectsStaleTrust unit-tests the verify step directly: an
-// entry recorded under one trust state, probed under another whose
-// fingerprint is forced to collide, must never be served.
+// TestEpochHitRejectsStaleTrust unit-tests the trust-record compare
+// directly: an entry recorded under one trust state, probed under another
+// over the same prefix, must never be served.
 func TestEpochHitRejectsStaleTrust(t *testing.T) {
-	old := memoFPMask
-	memoFPMask = 0
-	defer func() { memoFPMask = old }()
-
 	ords := []uint32{0} // one rating, by the rater of ordinal 0
 	marks := []bool{true}
 	mgr1 := trust.NewManager()
@@ -292,7 +283,7 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	mgr2 := trust.NewManager()
 	mgr2.ObserveAt(0, 5, 3)
 	if _, ok := m.epochHit(0, ords, mgr2, false); ok {
-		t.Fatal("colliding stale-trust entry was served")
+		t.Fatal("stale-trust entry was served")
 	}
 	if got, ok := m.epochHit(0, ords, mgr1, false); !ok || len(got) != 1 || got[0] != marks[0] {
 		t.Fatalf("matching entry not served: %v %v", got, ok)

@@ -30,7 +30,7 @@ import (
 //   - trustSame[e] means checkpoint e's trust content equals the incoming
 //     trust of the last completed run of epoch e — i.e. every memo entry
 //     recorded at epoch e is keyed against the *current* checkpoint, so
-//     epoch e may skip even the rater-scoped fingerprint work. trustSame is
+//     epoch e may skip even the rater-scoped record compare. trustSame is
 //     deliberately NOT truncated by Invalidate: it describes the epochs'
 //     last completed runs, which invalidation does not rewrite.
 //   - finalConsistent is trustSame for the uncheckpointed final pass:
@@ -188,27 +188,19 @@ func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 	for i := range d.Products {
 		p, c := &d.Products[i], &st.cols[i]
 		if p.Version == 0 || c.version != p.Version {
-			c.version, c.ords = p.Version, st.reintern(p.Ratings, c.ords)
+			c.version, c.ords = p.Version, st.reintern(p.Ratings)
 		}
 		cols[i] = c.ords
 	}
 	return cols
 }
 
-// reintern returns the ordinal column of s given old, the column of an
-// earlier version of the series: the old ordinals of the longest prefix
-// whose raters match by name are kept, and only the rest is looked up, so a
-// submit of a rating later than the rest interns one.
-func (st *EvalState) reintern(s dataset.Series, old []uint32) []uint32 {
-	keep := 0
-	for keep < len(old) && keep < len(s) && s[keep].Rater == st.syms.Name(old[keep]) {
-		keep++
-	}
-	col := append(make([]uint32, 0, len(s)), old[:keep]...)
-	for _, r := range s[keep:] {
-		var o uint32
-		st.syms, o = st.syms.Intern(r.Rater)
-		col = append(col, o)
+// reintern returns the ordinal column of s. A rater already in the table
+// keeps its ordinal; a new one extends the table.
+func (st *EvalState) reintern(s dataset.Series) []uint32 {
+	col := make([]uint32, len(s))
+	for j, r := range s {
+		st.syms, col[j] = st.syms.Intern(r.Rater)
 	}
 	return col
 }

@@ -72,7 +72,7 @@ type Service struct {
 	mu      sync.RWMutex
 	scheme  agg.Scheme
 	cached  agg.Table
-	pResult *agg.Result // set when scheme is the P-scheme
+	pResult *agg.Result // set when scheme is the P-scheme; its Trust is read-only
 	// engState holds the P-scheme engine's per-epoch trust checkpoints and
 	// memo across recomputes, and counts the engine's work for /metrics.
 	// It is created with the service and never replaced (unused by other
