@@ -440,9 +440,13 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 	// Every iteration inserts into the same base series (capacity-clipped,
 	// so Insert copies it) under a new version, and the rater is the same
 	// one each time: it is fresh to the data, and the state's append-only
-	// symbol table does not grow with b.N. So every iteration does the
-	// same work, except that only the first interns the rater and forks
-	// the table: the row carries that fork as 1/b.N of one.
+	// symbol table does not grow with b.N. The rating's value alternates,
+	// so every iteration's series differs from the last one at the new
+	// rating: the product's stored detector carry is cut back by that one
+	// rating and re-extended, instead of covering identical content and
+	// computing nothing after the first iteration. So every iteration does
+	// the same work, except that only the first interns the rater and
+	// forks the table: the row carries that fork as 1/b.N of one.
 	b.Run("warm-single-product-touch", func(b *testing.B) {
 		dd := benchEngineDataset(b, 5, 300)
 		st := engine.NewState()
@@ -453,10 +457,11 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		base := slices.Clip(prod.Ratings)
-		late := dataset.Rating{Day: day, Value: 4, Rater: "late"}
+		late := dataset.Rating{Day: day, Rater: "late"}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			late.Value = float64(2 + 2*(i%2))
 			prod.Ratings = base.Insert(late)
 			prod.Version++
 			st.Invalidate(day)

@@ -1,6 +1,10 @@
 package detect
 
-import "repro/internal/dataset"
+import (
+	"math"
+
+	"repro/internal/dataset"
+)
 
 // Report is the joint outcome of the four detectors plus the two-path
 // fusion of Figure 1 on one product's rating series.
@@ -91,22 +95,26 @@ type Signals struct {
 // and returns their trust-free signals; HARC and LARC are left zero (see
 // ArrivalSignals).
 //
-// p carries the per-position detector values of the prefix it last
+// p carries the per-position detector values of the series it last
 // covered, and is brought up to s (nil computes everything from scratch).
-// A caller that analyzes growing prefixes of one series under one Config
-// passes the same Prefix each time: every MC point, HC window and ME window
-// whose inputs lie inside the covered prefix is copied, and only those the
-// new ratings reach are computed. A shorter s resets p. Peaks, segments
-// and interval merges are redone over the full arrays, so the result is
-// bit-identical to a fresh call.
+// p must agree with s on every rating both cover: a caller whose series
+// may have changed since p last covered it calls p.Rewind first. A caller
+// that analyzes prefixes of one series under one Config passes the same
+// Prefix each time: a shorter s truncates p, and a longer one extends it.
+// Every MC point, HC window and ME window whose inputs lie inside the
+// covered prefix is copied, and only those the new ratings reach are
+// computed. Peaks, segments and interval merges are redone over the full
+// arrays, so the result is bit-identical to a fresh call.
 func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch, p *Prefix) Signals {
 	if p == nil {
 		p = new(Prefix)
-	} else if len(s) < p.mc.Len() {
-		// Not an extension: start over, keeping the buffers.
-		p.mc.X, p.mc.Y, p.hc, p.me = p.mc.X[:0], p.mc.Y[:0], p.hc[:0], p.me[:0]
+	} else if len(s) < len(p.vals) {
+		p.truncate(len(s), cfg)
 	}
-	p.mc = mcExtend(s, cfg, p.mc)
+	for _, r := range s[len(p.vals):] {
+		p.vals = append(p.vals, r.Value)
+	}
+	p.mc = mcExtend(s, cfg, Curve{X: p.mc.X[:len(p.mc.Y)], Y: p.mc.Y})
 	p.hc = hcExtend(sc, s, cfg, p.hc)
 	p.me = meExtend(sc, s, cfg, p.me)
 	return Signals{
@@ -116,16 +124,51 @@ func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch, p *Prefix) Signals
 	}
 }
 
-// Prefix is what SeriesSignals carries from one prefix of a series to a
-// longer one: the MC curve (one point per rating), the HC ratio of every
-// window and the ME fit of every window of the prefix it covers. The zero
-// value covers the empty prefix. A Prefix must only ever be brought up to
-// series that extend the one it covers (same leading ratings, same
-// Config); it is not safe for concurrent use.
+// Prefix is what SeriesSignals carries from one series to the next: the
+// rating values it covers, the MC curve, the HC ratio of every window and
+// the ME fit of every window. mc.X holds the covered days, so they are not
+// copied again; mc.Y holds the MC points of the first len(mc.Y) ratings,
+// which is all of them except between a Rewind and the next SeriesSignals.
+// The zero value covers the empty series. A Prefix is only valid under the
+// Config it was computed with, and it is not safe for concurrent use.
 type Prefix struct {
-	mc Curve
-	hc []float64
-	me []meFit
+	vals []float64
+	mc   Curve
+	hc   []float64
+	me   []meFit
+}
+
+// Rewind truncates p to the longest prefix it shares with s: the leading
+// ratings whose Day and Value bits equal those p covers. Raters do not
+// count, because MC, HC and ME never read them. cfg must be the Config p
+// was computed with. Afterwards p agrees with s, so SeriesSignals can
+// extend it to s or to any prefix of s.
+func (p *Prefix) Rewind(s dataset.Series, cfg Config) {
+	k, n := 0, min(len(s), len(p.vals))
+	for k < n && math.Float64bits(s[k].Day) == math.Float64bits(p.mc.X[k]) &&
+		math.Float64bits(s[k].Value) == math.Float64bits(p.vals[k]) {
+		k++
+	}
+	p.truncate(k, cfg)
+}
+
+// truncate cuts p to its first k ratings, keeping exactly the values whose
+// inputs lie inside them, by the extension's own keep rules: an HC or ME
+// window is kept iff it ends before k, and an MC point iff its forward
+// window stopped before the old rating k, !(old[k].Day < t(j)+W). The MC
+// points kept may be fewer than k; the next extension recomputes the rest,
+// and also every kept point whose forward window reaches the new rating k.
+func (p *Prefix) truncate(k int, cfg Config) {
+	if k >= len(p.vals) {
+		return
+	}
+	keep, half := min(k, len(p.mc.Y)), cfg.MCWindowDays/2
+	for keep > 0 && p.mc.X[k] < p.mc.X[keep-1]+half {
+		keep--
+	}
+	p.vals, p.mc.X, p.mc.Y = p.vals[:k], p.mc.X[:k], p.mc.Y[:keep]
+	p.hc = p.hc[:min(len(p.hc), windowsWithin(k, cfg.HCWindowRatings, cfg.HCStepRatings))]
+	p.me = p.me[:min(len(p.me), windowsWithin(k, cfg.MEWindowRatings, cfg.MEStepRatings))]
 }
 
 // ArrivalSignals runs H-ARC and L-ARC over the daily counts of

@@ -52,6 +52,15 @@ func windowStep(step int) int {
 	return step
 }
 
+// windowsWithin returns how many windows of w ratings, slid by step, end
+// inside the first k ratings.
+func windowsWithin(k, w, step int) int {
+	if w <= 0 || k < w {
+		return 0
+	}
+	return (k-w)/windowStep(step) + 1
+}
+
 // hcExtend returns ratios extended to the HC statistic of every window of
 // s. ratios must hold the statistics of the windows of a prefix of s under
 // cfg (nil for a cold sweep); those windows end inside the prefix, so
@@ -67,10 +76,9 @@ func windowStep(step int) int {
 // DESIGN.md §10). Cost per window drops from O(w log w) + allocations to
 // O(w) with none.
 func hcExtend(sc *Scratch, s dataset.Series, cfg Config, ratios []float64) []float64 {
-	w := cfg.HCWindowRatings
-	step, nWin := windowStep(cfg.HCStepRatings), 0
-	if w > 1 && len(s) >= w {
-		nWin = (len(s)-w)/step + 1
+	w, step, nWin := cfg.HCWindowRatings, windowStep(cfg.HCStepRatings), 0
+	if w > 1 {
+		nWin = windowsWithin(len(s), w, step)
 	}
 	from := len(ratios)
 	if from >= nWin {

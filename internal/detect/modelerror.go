@@ -59,10 +59,9 @@ type meFit struct {
 // its input; the fitted numbers are those of armodel.FitMethod, so the
 // curve is bit-identical to modelErrorRef.
 func meExtend(sc *Scratch, s dataset.Series, cfg Config, fits []meFit) []meFit {
-	w := cfg.MEWindowRatings
-	step, nWin := windowStep(cfg.MEStepRatings), 0
-	if w > 2*cfg.MEOrder && len(s) >= w {
-		nWin = (len(s)-w)/step + 1
+	w, step, nWin := cfg.MEWindowRatings, windowStep(cfg.MEStepRatings), 0
+	if w > 2*cfg.MEOrder {
+		nWin = windowsWithin(len(s), w, step)
 	}
 	if len(fits) >= nWin {
 		return fits

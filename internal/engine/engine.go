@@ -58,6 +58,15 @@ type Engine struct {
 // New returns an engine with the given detector configuration.
 func New(cfg detect.Config) *Engine { return &Engine{Detect: cfg} }
 
+// key is the configuration an EvalState's checkpoints, memo and carries
+// are computed under: e with Workers zeroed, because the pool width never
+// changes an output bit.
+func (e *Engine) key() Engine {
+	k := *e
+	k.Workers = 0
+	return k
+}
+
 // Result is the full outcome of an evaluation: the per-product per-period
 // aggregates, the per-rating suspicious marks (aligned with each product's
 // sorted series), the final trust state, and the causal table. Table judges
@@ -99,8 +108,8 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !st.matches(d) {
-		st.bind(d)
+	if config := e.key(); !st.matches(d) || st.config != config {
+		st.bind(d, config)
 	}
 	cols := st.intern(d)
 	n := epoch.Periods(d.HorizonDays)
@@ -124,14 +133,15 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// Right after each fold, period ep is published into st.published[ep]:
 	// Eq. 7 over the epoch's own marks with the post-fold trust.
 	//
-	// Each analyzed product extends its carried detect.Prefix instead of
-	// recomputing its prefix: epoch e+1's prefix is epoch e's plus later
-	// ratings, and the final pass's series extends every epoch's prefix.
+	// Each analyzed product brings its stored detector carry
+	// (st.carries) up to the prefix it analyzes instead of recomputing it:
+	// every such prefix is a prefix of the series intern rewound the carry
+	// to, epoch e+1's extends epoch e's, and the final pass's series
+	// extends every epoch's prefix.
 	var kept []bool
-	var carry []detect.Prefix
 	for ep := len(st.checkpoints) - 1; ep < n; ep++ {
 		same := st.trustSame[ep]
-		fold, marks, err := e.runEpoch(ctx, d, cols, ep, st.checkpoints[ep], st, same, &carry)
+		fold, marks, err := e.runEpoch(ctx, d, cols, ep, st.checkpoints[ep], st, same)
 		if err != nil {
 			return nil, err
 		}
@@ -191,11 +201,10 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		work = append(work, i)
 	}
 	ents := make([]finalEntry, len(d.Products))
-	carries := carriesFor(&carry, len(d.Products), len(work))
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
-		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &carries[i])
+		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &st.carries[i])
 		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
 		scores[i] = e.aggregateProduct(prod.Ratings, cols[i], marks[i], d.HorizonDays, mgr)
 		if memos[i] != nil {
@@ -258,11 +267,12 @@ type raterCounts struct{ n, f int }
 // whole epoch-start snapshot unchanged. A miss whose prefix is cached reuses the
 // entry's trust-free signals and runs only detect.Decide (memo.go). Hit
 // checks (signal lookups included) and entry commits run serially
-// on either side of the pool — only misses fan out. Each miss extends the
-// product's carried prefix (see carriesFor). On cancellation
+// on either side of the pool — only misses fan out. Each miss brings the
+// product's stored carry up to its prefix; each worker owns the carry of
+// the product it analyzes, so the carries need no locks. On cancellation
 // the partially collected marks and entries are discarded without touching
 // the memo, so the caller's state still describes whole completed epochs.
-func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, mgr *trust.Manager, st *EvalState, trustSame bool, carry *[]detect.Prefix) ([]raterFold, [][]bool, error) {
+func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, mgr *trust.Manager, st *EvalState, trustSame bool) ([]raterFold, [][]bool, error) {
 	lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
 	marks := make([][]bool, len(d.Products))
 
@@ -297,13 +307,12 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 	}
 
 	ents := make([]memoEntry, len(d.Products))
-	carries := carriesFor(carry, len(d.Products), len(work))
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
 		start, end := prod.Ratings.BetweenIndex(0, hi)
 		seen, ords := prod.Ratings[start:end], cols[i][start:end]
-		pre := e.completeSignals(seen, hi, reuse[i], sc, &carries[i])
+		pre := e.completeSignals(seen, hi, reuse[i], sc, &st.carries[i])
 		dec := detect.Decide(seen, pre.sig, e.Detect, &seriesTrust{mgr, ords})
 		// Earlier epochs already judged the ratings before lo: keep the
 		// marks of only the epoch's own [lo, hi) ratings.
@@ -383,21 +392,6 @@ func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc
 		pre.arcHi = hi
 	}
 	return pre
-}
-
-// carriesFor returns the Resume's per-product carried prefixes, allocating
-// them the first time a pass has products to analyze (a pure memo replay
-// allocates none). Each pass analyzes a prefix that extends the previous
-// one, so a carried detect.Prefix only computes the new ratings' windows.
-// Carries live for one Resume, so they need no invalidation, and a
-// cancelled Resume simply drops them. This runs before the pool; each
-// worker then owns entry i of the product it analyzes, so the carries need
-// no locks.
-func carriesFor(carry *[]detect.Prefix, products, work int) []detect.Prefix {
-	if *carry == nil && work > 0 {
-		*carry = make([]detect.Prefix, products)
-	}
-	return *carry
 }
 
 // aggregateProduct computes one product's per-period scores (Eq. 7) from

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataset"
+	"repro/internal/detect"
 	"repro/internal/epoch"
 	"repro/internal/trust"
 )
@@ -13,7 +14,8 @@ import (
 // epoch e — i.e. after folding epochs [0, e) — so checkpoints[0] is the
 // empty manager and, once an evaluation has run, the last element is the
 // final trust. A state is bound to one dataset identity (product set +
-// horizon); Resume resets it transparently if either changes.
+// horizon) and one engine configuration (Engine.key); Resume resets it
+// transparently if either changes.
 //
 // An EvalState is not safe for concurrent use; callers (internal/server)
 // serialize Resume/Invalidate under their own lock.
@@ -44,16 +46,27 @@ import (
 // folds and memo keys only compare ordinals of this one table, and every
 // order that is observed (Snapshot) is by rater ID.
 //
+// carries[i] is product i's detector carry (detect.Prefix): the MC, HC and
+// ME values of the series it last covered. It outlives the Resume that
+// computed it, so a submit recomputes only the detector windows its rating
+// reaches. The carry is keyed by content: intern rewinds it to the prefix
+// it shares with the product's series once per version change, and
+// within one Resume every analyzed prefix is a prefix of that series.
+// An unversioned product's carry is dropped on every Resume, so its
+// evaluation starts from scratch.
+//
 // The state also counts the work done on it (Stats). The counters survive
 // Reset and rebinding, so they only grow over the state's life.
 type EvalState struct {
 	horizon     float64
 	products    []string
+	config      Engine // the engine the state was bound under, Workers zeroed
 	checkpoints []*trust.Manager
 
-	syms  *trust.Symbols
-	cols  []raterColumn
-	tally []raterCounts // runEpoch's merge scratch by ordinal, zero between epochs
+	syms    *trust.Symbols
+	cols    []raterColumn
+	carries []detect.Prefix
+	tally   []raterCounts // runEpoch's merge scratch by ordinal, zero between epochs
 
 	// published[e] is period e's causal score per product, written with
 	// checkpoints[e+1]: rows before a resume epoch are reused, later ones
@@ -161,12 +174,12 @@ func (st *EvalState) Invalidate(day float64) {
 	}
 }
 
-// Reset drops every checkpoint, the memo plane and the symbol table, so
-// the next Resume matches nothing, rebinds and evaluates from scratch. The
-// counters are kept.
+// Reset drops every checkpoint, the memo plane, the symbol table and the
+// detector carries, so the next Resume matches nothing, rebinds and
+// evaluates from scratch. The counters are kept.
 func (st *EvalState) Reset() {
 	st.checkpoints, st.memo = nil, nil
-	st.syms, st.cols, st.tally = nil, nil, nil
+	st.syms, st.cols, st.carries, st.tally = nil, nil, nil, nil
 }
 
 // raterColumn is one product's ordinal column: ords[j] is the ordinal of
@@ -176,19 +189,26 @@ type raterColumn struct {
 	ords    []uint32
 }
 
-// intern brings every product's ordinal column in line with its series
-// and returns the columns. A versioned product whose version is unchanged
-// keeps its column; any other is re-interned (an unversioned product on
-// every Resume). New raters extend the symbol table: the previous
-// Resume's managers read it, so the first new rater of a Resume copies its
-// name index (trust.Symbols.Intern), and a Result handed out earlier never
-// sees it written.
+// intern brings every product's ordinal column and detector carry in line
+// with its series and returns the columns. A versioned product whose
+// version is unchanged keeps both; any other is re-interned (an
+// unversioned product on every Resume), and its carry is rewound to the
+// prefix it shares with the series (an unversioned product's is dropped).
+// New raters extend the symbol table: the previous Resume's managers read
+// it, so the first new rater of a Resume copies its name index
+// (trust.Symbols.Intern), and a Result handed out earlier never sees it
+// written.
 func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 	cols := make([][]uint32, len(d.Products))
 	for i := range d.Products {
 		p, c := &d.Products[i], &st.cols[i]
 		if p.Version == 0 || c.version != p.Version {
 			c.version, c.ords = p.Version, st.reintern(p.Ratings)
+			if p.Version == 0 {
+				st.carries[i] = detect.Prefix{}
+			} else {
+				st.carries[i].Rewind(p.Ratings, st.config.Detect)
+			}
 		}
 		cols[i] = c.ords
 	}
@@ -230,13 +250,15 @@ func (st *EvalState) matches(d *dataset.Dataset) bool {
 	return true
 }
 
-// bind rebinds the state to the dataset and discards all checkpoints and
-// memo state.
-func (st *EvalState) bind(d *dataset.Dataset) {
+// bind rebinds the state to the dataset and the engine configuration and
+// discards all checkpoints, memo state and carries.
+func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
+	st.config = config
 	st.syms = trust.NewSymbols()
 	st.cols = make([]raterColumn, len(d.Products))
+	st.carries = make([]detect.Prefix, len(d.Products))
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
 	n := epoch.Periods(d.HorizonDays)
 	st.published = make([][]float64, n)
