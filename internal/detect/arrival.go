@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -48,22 +49,42 @@ func BandThresholds(mean float64) (thresholdA, thresholdB float64) {
 	return 0.5 * mean, tb
 }
 
-// bandCountsInto buckets the ratings selected by band into daily counts
-// over [0, horizon), writing into buf (grown and zeroed as needed) and
-// returning the counts slice. Band membership is tested while bucketing —
+// arcHalfWindow returns D, the ARC half-window in days (at least 3).
+func arcHalfWindow(cfg Config) int {
+	d := int(cfg.ARCWindowDays / 2)
+	if d < 3 {
+		d = 3
+	}
+	return d
+}
+
+// horizonDays returns the number of daily counts over [0, horizon).
+func horizonDays(horizon float64) int {
+	return max(int(math.Ceil(horizon)), 0)
+}
+
+// curvePoints returns the number of ARC curve points over n days: a point
+// exists exactly for each day k in [3, n−3], and point j sits at day j+3.
+func curvePoints(n int) int { return max(n-5, 0) }
+
+// curveDays returns the days of the first m ARC curve points: 3, 4, 5, …
+func curveDays(m int) []float64 {
+	days := make([]float64, m)
+	for j := range days {
+		days[j] = float64(j + 3)
+	}
+	return days
+}
+
+// bandSums buckets the ratings selected by band (against thresholds ta
+// and tb) into the daily counts of [0, n) and returns their prefix sums,
+// sums[i] = the band ratings on days before i (on scratch, len n+1), and
+// the largest daily count. Band membership is tested while bucketing —
 // one pass, no intermediate filtered series — which produces the same
 // integer counts as filtering first (bandCountsRef): each selected rating
 // increments exactly one bucket either way.
-func bandCountsInto(s dataset.Series, horizon float64, band ARCBand, sc *Scratch) []float64 {
-	n := int(math.Ceil(horizon))
-	if n < 0 {
-		n = 0
-	}
-	counts := sc.countsBuf(n)
-	var ta, tb float64
-	if band == HighBand || band == LowBand {
-		ta, tb = BandThresholds(s.Mean())
-	}
+func (sc *Scratch) bandSums(s dataset.Series, n int, band ARCBand, ta, tb float64) (sums []int64, peak int64) {
+	sums = sc.sumsBuf(n + 1)
 	for i := range s {
 		r := &s[i]
 		switch band {
@@ -80,44 +101,75 @@ func bandCountsInto(s dataset.Series, horizon float64, band ARCBand, sc *Scratch
 		if d < 0 || d >= n {
 			continue
 		}
-		counts[d]++
+		sums[d+1]++
+		peak = max(peak, sums[d+1])
 	}
-	return counts
+	for i := 1; i <= n; i++ {
+		sums[i] += sums[i-1]
+	}
+	return sums, peak
 }
 
-// arcCurveFromCounts computes the ARC indicator curve from precomputed
-// daily counts. Each position's Poisson GLRT is evaluated exactly over the
-// count sub-ranges (no rolling sums: the per-window statistic must stay
-// bit-identical to the reference), but the counts themselves are computed
-// once per detector run instead of once per pass.
-func arcCurveFromCounts(counts []float64, cfg Config) Curve {
-	n := len(counts)
-	d := int(cfg.ARCWindowDays / 2)
-	if d < 3 {
-		d = 3
+// arcCarry is one band's part of a Prefix: the daily band counts of the
+// horizon it last covered and the ARC curve over them (y[j] at day j+3,
+// so the days are not stored). The zero value covers no days.
+type arcCarry struct {
+	counts []int32
+	y      []float64
+}
+
+// update brings c up to the daily counts whose prefix sums are sums,
+// recomputing only the curve points whose inputs changed (arcCurveUpdate),
+// and makes those counts the carried ones. It assumes nothing about how
+// the counts moved, so any series and horizon may follow any other.
+func (c *arcCarry) update(sums []int64, d int) {
+	n, m := len(sums)-1, curvePoints(len(sums)-1)
+	if cap(c.y) < m {
+		c.y = slices.Grow(c.y, m-len(c.y))
 	}
-	c := Curve{}
-	if n >= 6 {
-		// Points exist exactly for k in [3, n-3]; preallocate once.
-		c.X = make([]float64, 0, n-5)
-		c.Y = make([]float64, 0, n-5)
+	arcCurveUpdate(c.y[:m], c.counts, sums, d)
+	c.y = c.y[:m]
+	c.counts = grow(c.counts, n)
+	for i := range c.counts {
+		c.counts[i] = int32(sums[i+1] - sums[i])
 	}
-	for k := 0; k < n; k++ {
-		lo := k - d
-		if lo < 0 {
-			lo = 0
+}
+
+// arcCurveUpdate writes into y the ARC curve of Section IV-C.2 over the
+// daily counts whose prefix sums are sums (n days): y[j] is the Poisson
+// GLRT at day k = j+3 over the window [max(0, k−d), min(n, k+d)) split at
+// k. On entry y holds the curve over the counts old. A point is
+// recomputed only if its window covers a day whose count differs from
+// old's, or a day old does not cover, or if its window's clip at the
+// horizon moved (min(len(old), k+d) ≠ min(n, k+d)); a point the old curve
+// lacks falls under the last two rules. Every other point has the same
+// inputs, so it keeps its value. Band counts are not monotone in the
+// prefix — threshold_a moves with the prefix mean, so old ratings can
+// leave or join a band — which is why the counts are compared rather than
+// assumed grown.
+//
+// The counts are integers, so the window sums are prefix-sum differences,
+// exact below 2^53: each point costs O(1) and equals the reference's
+// stats.RateChangeGLRT over the count sub-ranges bit for bit. The scan
+// for changed days only moves forward, so a call is O(n) plus the
+// recomputed points.
+//
+//lint:hotpath
+func arcCurveUpdate(y []float64, old []int32, sums []int64, d int) {
+	n, n0 := len(sums)-1, len(old)
+	next := 0 // the days of the current window before next are unchanged
+	for j := range y {
+		k := j + 3
+		lo, hi := max(k-d, 0), min(k+d, n)
+		next = max(next, lo)
+		for next < hi && next < n0 && int64(old[next]) == sums[next+1]-sums[next] {
+			next++
 		}
-		hi := k + d
-		if hi > n {
-			hi = n
+		if next < hi || min(k+d, n0) != hi {
+			y[j] = stats.RateChangeGLRTSums(float64(sums[k]-sums[lo]), float64(sums[hi]-sums[k]),
+				float64(k-lo), float64(hi-k))
 		}
-		if k-lo < 3 || hi-k < 3 {
-			continue
-		}
-		c.X = append(c.X, float64(k))
-		c.Y = append(c.Y, stats.RateChangeGLRT(counts[lo:k], counts[k:hi]))
 	}
-	return c
 }
 
 // ARCCurve computes the arrival-rate-change curve of Section IV-C.2 for the
@@ -125,7 +177,7 @@ func arcCurveFromCounts(counts []float64, cfg Config) Curve {
 // the 2D-day window centred at k′ (smaller windows at the boundaries, with a
 // minimum of 3 days per side).
 func ARCCurve(s dataset.Series, horizon float64, band ARCBand, cfg Config) Curve {
-	return arcCurveFromCounts(bandCountsInto(s, horizon, band, NewScratch()), cfg)
+	return ArrivalRateChange(s, horizon, band, cfg).Curve
 }
 
 // ARCSegment is a run of days between consecutive ARC peaks.
@@ -231,23 +283,35 @@ func (a ARCSignals) UShape() []Interval {
 // ArrivalRateChange runs the full (H-/L-)ARC detector of Section IV-C:
 // curve, peaks, segmentation, and the elevated-rate segment test.
 func ArrivalRateChange(s dataset.Series, horizon float64, band ARCBand, cfg Config) ARCResult {
-	return arrivalRateChangeWith(NewScratch(), s, horizon, band, cfg)
+	ta, tb := BandThresholds(s.Mean())
+	return arrivalRateChangeWith(NewScratch(), s, horizon, band, ta, tb, cfg)
 }
 
-// arrivalRateChangeWith is ArrivalRateChange on reusable scratch buffers:
-// the daily band counts are bucketed once (the reference recomputes them
-// for the curve pass and again for the segment pass) and the baseline
-// quantile sorts a scratch copy in place instead of allocating one.
-func arrivalRateChangeWith(sc *Scratch, s dataset.Series, horizon float64, band ARCBand, cfg Config) ARCResult {
-	counts := bandCountsInto(s, horizon, band, sc)
-	res := ARCResult{Band: band, Curve: arcCurveFromCounts(counts, cfg)}
-	res.ThresholdA, res.ThresholdB = BandThresholds(s.Mean())
-	if res.Curve.Len() == 0 {
+// arrivalRateChangeWith is ArrivalRateChange on reusable scratch buffers,
+// with the band thresholds ta, tb of the series mean passed in: arcBand
+// over an empty carry, whose curve the result then owns.
+func arrivalRateChangeWith(sc *Scratch, s dataset.Series, horizon float64, band ARCBand, ta, tb float64, cfg Config) ARCResult {
+	n := horizonDays(horizon)
+	var c arcCarry
+	return arcBand(sc, s, n, band, ta, tb, cfg, &c, curveDays(curvePoints(n)))
+}
+
+// arcBand runs one band of the (H-/L-)ARC detector over the daily counts
+// of [0, n) under thresholds ta, tb: the curve comes from carry c, brought
+// up to the counts, and the peaks, segments and baseline are computed over
+// the full arrays. The result's curve is c.y at days (the first
+// curvePoints(n) days of curveDays), so it aliases both.
+func arcBand(sc *Scratch, s dataset.Series, n int, band ARCBand, ta, tb float64, cfg Config, c *arcCarry, days []float64) ARCResult {
+	sums, peak := sc.bandSums(s, n, band, ta, tb)
+	c.update(sums, arcHalfWindow(cfg))
+	res := ARCResult{Band: band, ThresholdA: ta, ThresholdB: tb}
+	if len(c.y) == 0 {
 		return res
 	}
+	res.Curve = Curve{X: days, Y: c.y}
 	res.Peaks = res.Curve.Peaks(cfg.ARCPeakThreshold, cfg.ARCPeakMinSepDays)
 
-	bounds := daySegments(len(counts), res.Curve, res.Peaks)
+	bounds := daySegments(n, res.Curve, res.Peaks)
 	// Baseline band rate, estimated from the lower-quartile daily count.
 	// A quantile baseline — rather than a previous-segment comparison —
 	// gives attacks that start on day 0 no place to hide, and the 25th
@@ -255,9 +319,7 @@ func arrivalRateChangeWith(sc *Scratch, s dataset.Series, horizon float64, band 
 	// quarters of all days (a dilute long-duration attack poisons the
 	// median). For a Poisson(λ) band the lower quartile sits ≈ 0.7·√λ
 	// below the mean, so that gap is added back to recover λ.
-	quant := sc.quantBuf(len(counts))
-	copy(quant, counts)
-	q25 := stats.QuantileInPlace(quant, 0.25)
+	q25 := stats.QuantileCounts(c.counts, 0.25, sc.histBuf(int(peak)+1))
 	baseline := q25 + 0.7*math.Sqrt(q25)
 	// The alarm margin scales with the baseline: busy bands (H-ARC on a
 	// popular product counts nearly every rating) fluctuate in absolute
@@ -269,7 +331,7 @@ func arrivalRateChangeWith(sc *Scratch, s dataset.Series, horizon float64, band 
 	}
 	res.Segments = make([]ARCSegment, 0, len(bounds))
 	for _, iv := range bounds {
-		seg := ARCSegment{Interval: iv, Rate: meanCounts(counts, iv)}
+		seg := ARCSegment{Interval: iv, Rate: meanSums(sums, iv)}
 		seg.Suspicious = seg.Rate-baseline > margin
 		res.Segments = append(res.Segments, seg)
 	}
@@ -297,17 +359,20 @@ func daySegments(days int, c Curve, peaks []int) []Interval {
 	return out
 }
 
-func meanCounts(counts []float64, iv Interval) float64 {
+// meanSums returns the mean daily count over iv, clipped to the days
+// whose prefix sums are sums. The counts are integers, so the prefix-sum
+// difference is exactly the sum the reference (meanCounts) adds up.
+func meanSums(sums []int64, iv Interval) float64 {
 	lo := int(iv.Start)
 	hi := int(math.Ceil(iv.End))
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(counts) {
-		hi = len(counts)
+	if hi > len(sums)-1 {
+		hi = len(sums) - 1
 	}
 	if hi <= lo {
 		return 0
 	}
-	return stats.Mean(counts[lo:hi])
+	return float64(sums[hi]-sums[lo]) / float64(hi-lo)
 }

@@ -55,10 +55,11 @@ func AnalyzeWith(s dataset.Series, horizon float64, cfg Config, ts TrustSource, 
 	if sc == nil {
 		sc = NewScratch()
 	}
+	ta, tb := BandThresholds(s.Mean())
 	rep := Report{
 		MC:   meanChangeSignals(s, cfg),
-		HARC: arrivalRateChangeWith(sc, s, horizon, HighBand, cfg),
-		LARC: arrivalRateChangeWith(sc, s, horizon, LowBand, cfg),
+		HARC: arrivalRateChangeWith(sc, s, horizon, HighBand, ta, tb, cfg),
+		LARC: arrivalRateChangeWith(sc, s, horizon, LowBand, ta, tb, cfg),
 		HC:   histogramChangeWith(sc, s, cfg),
 		ME:   modelErrorWith(sc, s, cfg),
 	}
@@ -124,18 +125,23 @@ func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch, p *Prefix) Signals
 	}
 }
 
-// Prefix is what SeriesSignals carries from one series to the next: the
-// rating values it covers, the MC curve, the HC ratio of every window and
-// the ME fit of every window. mc.X holds the covered days, so they are not
-// copied again; mc.Y holds the MC points of the first len(mc.Y) ratings,
-// which is all of them except between a Rewind and the next SeriesSignals.
-// The zero value covers the empty series. A Prefix is only valid under the
-// Config it was computed with, and it is not safe for concurrent use.
+// Prefix is what SeriesSignals and ArrivalSignals carry from one call to
+// the next. SeriesSignals' part covers a series: the rating values, the MC
+// curve, the HC ratio of every window and the ME fit of every window. mc.X
+// holds the covered days, so they are not copied again; mc.Y holds the MC
+// points of the first len(mc.Y) ratings, which is all of them except
+// between a Rewind and the next SeriesSignals. ArrivalSignals' part, arc
+// (H-ARC, then L-ARC), covers the daily band counts of the last series and
+// horizon it saw, and their curves; it checks itself against the counts on
+// every call, so Rewind leaves it alone. The zero value covers nothing. A
+// Prefix is only valid under the Config it was computed with, and it is
+// not safe for concurrent use.
 type Prefix struct {
 	vals []float64
 	mc   Curve
 	hc   []float64
 	me   []meFit
+	arc  [2]arcCarry
 }
 
 // Rewind truncates p to the longest prefix it shares with s: the leading
@@ -172,10 +178,25 @@ func (p *Prefix) truncate(k int, cfg Config) {
 }
 
 // ArrivalSignals runs H-ARC and L-ARC over the daily counts of
-// [0, horizon) on scratch sc and returns their signals.
-func ArrivalSignals(s dataset.Series, horizon float64, cfg Config, sc *Scratch) (high, low ARCSignals) {
-	high = arrivalRateChangeWith(sc, s, horizon, HighBand, cfg).signals()
-	low = arrivalRateChangeWith(sc, s, horizon, LowBand, cfg).signals()
+// [0, horizon) on scratch sc and returns their signals. The prefix mean
+// and the band thresholds are computed once for both bands.
+//
+// p carries each band's daily counts and curve from the last call (nil
+// computes everything from scratch). The counts are bucketed fresh and
+// compared with the carried ones, and only the curve points whose window
+// covers a changed day, or whose clip at the horizon moved, are
+// recomputed; nothing is assumed about how the series or the horizon
+// changed, so no Rewind is needed. Peaks, baseline and segments are redone
+// over the full arrays, so the result is bit-identical to a fresh call.
+func ArrivalSignals(s dataset.Series, horizon float64, cfg Config, sc *Scratch, p *Prefix) (high, low ARCSignals) {
+	if p == nil {
+		p = new(Prefix)
+	}
+	ta, tb := BandThresholds(s.Mean())
+	n := horizonDays(horizon)
+	days := sc.curveDays(curvePoints(n))
+	high = arcBand(sc, s, n, HighBand, ta, tb, cfg, &p.arc[0], days).signals()
+	low = arcBand(sc, s, n, LowBand, ta, tb, cfg, &p.arc[1], days).signals()
 	return high, low
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // The benchmarks and the alloc-free guard below back the //lint:hotpath
@@ -31,8 +32,11 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	s := hotpathSeries(256)
 	x1, x2 := s[:128], s[128:]
 	sorted := hotpathSorted(64)
-	buf := make([]float64, 512)
 	iv := Interval{Start: 32, End: 96}
+	sums, peak := NewScratch().bandSums(s, 300, HighBand, 1.5, 3)
+	var c arcCarry
+	c.update(sums, 15)
+	hist := make([]int32, peak+1)
 	kernels := map[string]func(){
 		"seriesMean":           func() { seriesMean(s) },
 		"seriesSum":            func() { seriesSum(s) },
@@ -41,7 +45,8 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 		"sortedGapRatio":       func() { sortedGapRatio(sorted, 0.1) },
 		"contextMean":          func() { contextMean(s, iv) },
 		"BandThresholds":       func() { BandThresholds(3.5) },
-		"clearFloats":          func() { clearFloats(buf) },
+		"arcCurveUpdate":       func() { arcCurveUpdate(c.y, c.counts[:200], sums, 15) },
+		"QuantileCounts":       func() { stats.QuantileCounts(c.counts, 0.25, hist) },
 	}
 	for name, fn := range kernels {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -90,3 +95,45 @@ func BenchmarkContextMean(b *testing.B) {
 		contextMean(s, iv)
 	}
 }
+
+// arrivalBenchSeries returns a 300-day product with one to six ratings a
+// day, whose values cycle to a mean near 3.8, clear of any band-threshold
+// boundary, and the index of a day-150 rating valued 1.
+func arrivalBenchSeries() (dataset.Series, int) {
+	cycle := []float64{4, 4.5, 3.5, 5, 3, 2.5, 4}
+	var s dataset.Series
+	at := -1
+	for day := 0; day < 300; day++ {
+		for j := 0; j < 1+day*7%6; j++ {
+			r := dataset.Rating{Day: float64(day) + float64(j)/8, Value: cycle[len(s)%len(cycle)]}
+			if day == 150 && at < 0 {
+				at, r.Value = len(s), 1
+			}
+			s = append(s, r)
+		}
+	}
+	return s, at
+}
+
+// benchArrivalSignals times ArrivalSignals over arrivalBenchSeries, the
+// carry p kept across iterations (nil: a fresh run each). Each iteration
+// first toggles the day-150 rating between 1 (L-ARC) and 5 (H-ARC), so
+// both bands' counts change on one day and the thresholds stay put: a
+// carried run recomputes the 2D curve points around that day, and the
+// per-op cost does not depend on b.N.
+func benchArrivalSignals(b *testing.B, p *Prefix) {
+	s, at := arrivalBenchSeries()
+	cfg := DefaultConfig()
+	sc := NewScratch()
+	ArrivalSignals(s, 300, cfg, sc, p) // warm the scratch and the carry
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s[at].Value = 6 - s[at].Value
+		ArrivalSignals(s, 300, cfg, sc, p)
+	}
+}
+
+func BenchmarkArrivalSignalsCarried(b *testing.B) { benchArrivalSignals(b, new(Prefix)) }
+
+func BenchmarkArrivalSignalsFresh(b *testing.B) { benchArrivalSignals(b, nil) }

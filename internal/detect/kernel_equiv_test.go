@@ -34,6 +34,23 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// meanCounts is the reference segment rate: the mean of the float64 daily
+// counts over iv (arrivalRateChangeRef reads it).
+func meanCounts(counts []float64, iv Interval) float64 {
+	lo := int(iv.Start)
+	hi := int(math.Ceil(iv.End))
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > len(counts) {
+		hi = len(counts)
+	}
+	if hi <= lo {
+		return 0
+	}
+	return stats.Mean(counts[lo:hi])
+}
+
 func curvesEqual(a, b Curve) bool {
 	return bitsEqual(a.X, b.X) && bitsEqual(a.Y, b.Y)
 }

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -44,6 +45,105 @@ func checkCarried(t *testing.T, label string, s dataset.Series, cfg Config, got 
 	if !bitsEqual(relErrs, me.Curve.Y) || !intervalsEqual(got.ME, me.Intervals) {
 		t.Fatalf("%s: carried ME diverges from modelErrorRef", label)
 	}
+}
+
+// arcHorizons names the horizon moves nextHorizon makes, in kind order.
+var arcHorizons = [...]string{"shorter", "equal", "longer"}
+
+// nextHorizon returns the horizon after hi for the move kind%3 (an index
+// into arcHorizons), scaled by the byte v: a shorter one clips the
+// carried counts, an equal one keeps them, a longer one extends them.
+func nextHorizon(hi float64, kind, v byte) (float64, int) {
+	switch k := int(kind) % len(arcHorizons); k {
+	case 0:
+		return hi * float64(v) / 256, k
+	case 1:
+		return hi, k
+	default:
+		return hi + float64(v%64)/2, k
+	}
+}
+
+// arcWalk tracks a carry's ARC calls for the property tests' teeth: the
+// horizon moves made, and the calls whose series mean crossed 4.0 since
+// the previous one while a 2.0 rating sat inside the horizon, which moves
+// that rating across threshold_a = 0.5·mean and so in or out of H-ARC.
+type arcWalk struct {
+	horizons  [len(arcHorizons)]int
+	crossings int
+	below     bool // the previous call's mean was below 4.0
+}
+
+// check runs checkArrivalCarried and counts the call.
+func (w *arcWalk) check(t *testing.T, label string, s dataset.Series, hi float64, cfg Config, sc *Scratch, p *Prefix) {
+	t.Helper()
+	below := s.Mean() < 4
+	if below != w.below && slices.ContainsFunc(s, func(r dataset.Rating) bool { return r.Value == 2 && r.Day < hi }) {
+		w.crossings++
+	}
+	w.below = below
+	checkArrivalCarried(t, label, s, hi, cfg, sc, p)
+}
+
+// teeth fails the test unless the walk made every horizon move and at
+// least one threshold crossing.
+func (w *arcWalk) teeth(t *testing.T) {
+	t.Helper()
+	t.Logf("ARC horizons %v of %v; %d mean crossings of 4.0 over a 2.0 rating", w.horizons, arcHorizons, w.crossings)
+	for k, n := range w.horizons {
+		if n == 0 {
+			t.Fatalf("the walk never moved the horizon %s; the property test has lost its teeth", arcHorizons[k])
+		}
+	}
+	if w.crossings == 0 {
+		t.Fatal("no series mean crossed 4.0 over a 2.0 rating; the property test has lost its teeth")
+	}
+}
+
+// checkArrivalCarried requires ArrivalSignals through the carry p at
+// horizon hi to equal a fresh call bit for bit, and p's carried band
+// counts and curves to equal the reference kernels'.
+func checkArrivalCarried(t *testing.T, label string, s dataset.Series, hi float64, cfg Config, sc *Scratch, p *Prefix) {
+	t.Helper()
+	high, low := ArrivalSignals(s, hi, cfg, sc, p)
+	freshHigh, freshLow := ArrivalSignals(s, hi, cfg, NewScratch(), nil)
+	for i, band := range [2]ARCBand{HighBand, LowBand} {
+		got, fresh := high, freshHigh
+		if band == LowBand {
+			got, fresh = low, freshLow
+		}
+		if !arcSignalsEqual(got, fresh) {
+			t.Fatalf("%s, horizon %v: carried %v signals %+v, fresh %+v", label, hi, band, got, fresh)
+		}
+		want := arrivalRateChangeRef(s, hi, band, cfg)
+		if !arcSignalsEqual(got, want.signals()) {
+			t.Fatalf("%s, horizon %v: %v signals %+v, arrivalRateChangeRef %+v", label, hi, band, got, want.signals())
+		}
+		c := &p.arc[i]
+		counts := make([]float64, len(c.counts))
+		for d, n := range c.counts {
+			counts[d] = float64(n)
+		}
+		if !bitsEqual(c.y, want.Curve.Y) || !bitsEqual(counts, bandCountsRef(s, hi, band)) {
+			t.Fatalf("%s, horizon %v: carried %v curve or counts diverge from the reference", label, hi, band)
+		}
+	}
+}
+
+// nearFourSeries returns n ratings, about three a day, whose values
+// (5, 5, 4, 4, 4, 2 in a shuffled cycle) average exactly 4.0: threshold_a
+// = 0.5·mean sits on the 2.0 ratings, so an edit that moves the mean
+// across 4.0 moves every 2.0 rating in or out of the H-ARC band.
+func nearFourSeries(rng *rand.Rand, n int) dataset.Series {
+	cycle := []float64{5, 5, 4, 4, 4, 2}
+	s := make(dataset.Series, n)
+	for i := range s {
+		if i%len(cycle) == 0 {
+			rng.Shuffle(len(cycle), func(a, b int) { cycle[a], cycle[b] = cycle[b], cycle[a] })
+		}
+		s[i] = dataset.Rating{Day: float64(i) / 3, Value: cycle[i%len(cycle)], Rater: fmt.Sprintf("r%02d", i%31)}
+	}
+	return s
 }
 
 // TestPrefixExtensionProperty carries one Prefix over a random walk of cut
@@ -159,26 +259,43 @@ func applyEdit(s dataset.Series, op, pos, v byte) (dataset.Series, int) {
 // its product again on the next Resume. After every edit the carry is
 // rewound to the new series, sometimes brought up to one of its prefixes
 // first (an epoch's), and then to the whole series; every step must match
-// a fresh SeriesSignals and the reference kernels bit for bit.
+// a fresh SeriesSignals and the reference kernels bit for bit. Each step
+// also runs the carried ArrivalSignals at a horizon shorter than, equal
+// to or longer than the last one, against a fresh call and the reference.
+// A third of the series average exactly 4.0, so the edits move their
+// mean, and with it threshold_a, across the 2.0 ratings.
 func TestPrefixEditProperty(t *testing.T) {
 	sc := NewScratch()
 	var kinds [len(editKinds)]int
-	viaPrefix := 0
-	for seed := uint64(1); seed <= 30; seed++ {
+	var walk arcWalk
+	viaPrefix, clamped := 0, 0
+	for seed := uint64(1); seed <= 36; seed++ {
 		rng := stats.NewRNG(seed + 100)
 		cfg := DefaultConfig()
 		var s dataset.Series
-		if seed%2 == 0 {
+		switch seed % 3 {
+		case 0:
 			start := 10 + rng.Float64()*80
-			s = attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), 1.0+3.5*float64(seed/2%2), 0.6)
-		} else {
-			s = equivSeries(rng, int(seed/2), 30+int(rng.UintN(200)))
+			s = attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), 1.0+3.5*float64(seed/3%2), 0.6)
+		case 1:
+			s = equivSeries(rng, int(seed/3), 30+int(rng.UintN(200)))
 			cfg = equivConfig(rng)
+		default:
+			s = nearFourSeries(rng, 40+int(rng.UintN(160)))
+			cfg = equivConfig(rng)
+		}
+		if cfg.ARCWindowDays/2 < 3 {
+			clamped++
+		}
+		hi := 1.0
+		if len(s) > 0 {
+			hi += s[len(s)-1].Day
 		}
 		var p Prefix
 		checkCarried(t, fmt.Sprintf("seed %d, start", seed), s, cfg, SeriesSignals(s, cfg, sc, &p), &p)
+		walk.check(t, fmt.Sprintf("seed %d, start", seed), s, hi, cfg, sc, &p)
 		for step := 0; step < 12; step++ {
-			var kind int
+			var kind, move int
 			s, kind = applyEdit(s, byte(rng.UintN(256)), byte(rng.UintN(256)), byte(rng.UintN(256)))
 			kinds[kind]++
 			label := fmt.Sprintf("seed %d, step %d, %s, %d ratings", seed, step, editKinds[kind], len(s))
@@ -186,42 +303,60 @@ func TestPrefixEditProperty(t *testing.T) {
 			if len(s) > 0 && rng.UintN(3) == 0 {
 				j := rng.IntN(len(s))
 				checkCarried(t, label+fmt.Sprintf(", prefix %d", j), s[:j], cfg, SeriesSignals(s[:j], cfg, sc, &p), &p)
+				walk.check(t, label+fmt.Sprintf(", prefix %d", j), s[:j], s[j].Day, cfg, sc, &p)
 				viaPrefix++
 			}
 			checkCarried(t, label, s, cfg, SeriesSignals(s, cfg, sc, &p), &p)
+			hi, move = nextHorizon(hi, byte(rng.UintN(256)), byte(rng.UintN(256)))
+			walk.horizons[move]++
+			walk.check(t, label, s, hi, cfg, sc, &p)
 		}
 	}
-	t.Logf("edits %v of %v; %d analyzed a prefix first", kinds, editKinds, viaPrefix)
+	t.Logf("edits %v of %v; %d analyzed a prefix first; %d configs clamp D to 3", kinds, editKinds, viaPrefix, clamped)
 	for kind, n := range kinds {
 		if n == 0 {
 			t.Fatalf("the edit walk made no %s; the property test has lost its teeth", editKinds[kind])
 		}
 	}
-	if viaPrefix == 0 {
-		t.Fatal("the edit walk never analyzed a prefix first")
+	if viaPrefix == 0 || clamped == 0 {
+		t.Fatal("the edit walk never analyzed a prefix first or never clamped D; the property test has lost its teeth")
 	}
+	walk.teeth(t)
 }
 
 // FuzzPrefixEdit is TestPrefixEditProperty on fuzzed input: a series, a
-// configuration and a sequence of edits (three bytes each, as applyEdit
-// reads them). The carry is rewound and extended after every edit and must
-// match a fresh run and the reference kernels bit for bit.
+// configuration and a sequence of edits (four bytes each: three as
+// applyEdit reads them, one for nextHorizon). The carry is rewound and
+// extended after every edit, and its ArrivalSignals run at the moved
+// horizon; both must match a fresh run and the reference kernels bit for
+// bit.
 func FuzzPrefixEdit(f *testing.F) {
-	f.Add([]byte{1, 5, 2, 6, 3, 7, 4, 8}, []byte{0, 0, 3, 1, 2, 9, 4, 1, 0}, byte(4), byte(1), byte(6))
-	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 0, 5}, []byte{2, 1, 5, 3, 2, 2, 5, 0, 0}, byte(2), byte(2), byte(9)) // duplicate days
-	f.Add([]byte{4, 2, 4, 9, 4, 1, 4, 10, 4, 3}, []byte{3, 3, 0, 1, 4, 7, 0, 0, 2}, byte(40), byte(5), byte(40))
+	f.Add([]byte{1, 5, 2, 6, 3, 7, 4, 8}, []byte{0, 0, 3, 1, 1, 2, 9, 2, 4, 1, 0, 0}, byte(4), byte(1), byte(6))
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 0, 5}, []byte{2, 1, 5, 3, 3, 2, 2, 7, 5, 0, 0, 1}, byte(2), byte(2), byte(9)) // duplicate days
+	f.Add([]byte{4, 2, 4, 9, 4, 1, 4, 10, 4, 3}, []byte{3, 3, 0, 200, 1, 4, 7, 2, 0, 0, 2, 5}, byte(40), byte(5), byte(40))
+	// Mean exactly 4.0 with 2.0 ratings: value edits move threshold_a across them.
+	f.Add([]byte{1, 10, 1, 10, 1, 8, 1, 8, 1, 8, 1, 4, 1, 10, 1, 10, 1, 8, 1, 8, 1, 8, 1, 4, 1, 10, 1, 10, 1, 8, 1, 8, 1, 8, 1, 4},
+		[]byte{3, 5, 10, 1, 3, 2, 3, 0, 0, 9, 8, 2, 3, 11, 1, 1}, byte(12), byte(3), byte(5))
 
 	sc := NewScratch()
 	f.Fuzz(func(t *testing.T, raw, edits []byte, a, b, c byte) {
 		s := fuzzSeries(raw)
 		cfg := fuzzConfig(a, b, c)
+		hi := 1.0
+		if len(s) > 0 {
+			hi += s[len(s)-1].Day
+		}
 		var p Prefix
 		checkCarried(t, "start", s, cfg, SeriesSignals(s, cfg, sc, &p), &p)
-		for i := 0; i+2 < len(edits) && i < 60; i += 3 {
+		checkArrivalCarried(t, "start", s, hi, cfg, sc, &p)
+		for i := 0; i+3 < len(edits) && i < 80; i += 4 {
 			var kind int
 			s, kind = applyEdit(s, edits[i], edits[i+1], edits[i+2])
 			p.Rewind(s, cfg)
-			checkCarried(t, fmt.Sprintf("edit %d (%s)", i/3, editKinds[kind]), s, cfg, SeriesSignals(s, cfg, sc, &p), &p)
+			label := fmt.Sprintf("edit %d (%s)", i/4, editKinds[kind])
+			checkCarried(t, label, s, cfg, SeriesSignals(s, cfg, sc, &p), &p)
+			hi, _ = nextHorizon(hi, edits[i+3], edits[i+3]>>2)
+			checkArrivalCarried(t, label, s, hi, cfg, sc, &p)
 		}
 	})
 }

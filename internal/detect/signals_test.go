@@ -87,7 +87,7 @@ func TestDecideMatchesAnalyzeProperty(t *testing.T) {
 		seen := s.Between(0, hi)
 
 		sig := SeriesSignals(seen, cfg, sc, nil)
-		sig.HARC, sig.LARC = ArrivalSignals(seen, hi, cfg, sc)
+		sig.HARC, sig.LARC = ArrivalSignals(seen, hi, cfg, sc, nil)
 		pristine := cloneSignals(sig)
 
 		var first []MCSegment

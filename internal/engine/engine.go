@@ -388,7 +388,7 @@ func (e *Engine) completeSignals(s dataset.Series, hi float64, r signalReuse, sc
 		pre.sig.MC, pre.sig.HC, pre.sig.ME = sig.MC, sig.HC, sig.ME
 	}
 	if !r.arc {
-		pre.sig.HARC, pre.sig.LARC = detect.ArrivalSignals(s, hi, e.Detect, sc)
+		pre.sig.HARC, pre.sig.LARC = detect.ArrivalSignals(s, hi, e.Detect, sc, pc)
 		pre.arcHi = hi
 	}
 	return pre

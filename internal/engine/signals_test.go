@@ -127,7 +127,7 @@ func TestColdResumeRecordsFreshSignals(t *testing.T) {
 		check := func(label string, s dataset.Series, pre prefixSignals) {
 			t.Helper()
 			want := detect.SeriesSignals(s, cfg, sc, nil)
-			want.HARC, want.LARC = detect.ArrivalSignals(s, pre.arcHi, cfg, sc)
+			want.HARC, want.LARC = detect.ArrivalSignals(s, pre.arcHi, cfg, sc, nil)
 			if !reflect.DeepEqual(pre.sig, want) {
 				t.Fatalf("%s: recorded signals %+v, fresh %+v", label, pre.sig, want)
 			}

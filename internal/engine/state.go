@@ -47,11 +47,13 @@ import (
 // order that is observed (Snapshot) is by rater ID.
 //
 // carries[i] is product i's detector carry (detect.Prefix): the MC, HC and
-// ME values of the series it last covered. It outlives the Resume that
-// computed it, so a submit recomputes only the detector windows its rating
-// reaches. The carry is keyed by content: intern rewinds it to the prefix
-// it shares with the product's series once per version change, and
-// within one Resume every analyzed prefix is a prefix of that series.
+// ME values of the series it last covered, and the H-/L-ARC daily counts
+// and curves of the last horizon. It outlives the Resume that computed it,
+// so a submit recomputes only the detector windows its rating reaches. The
+// carry is keyed by content: intern rewinds its MC/HC/ME part to the
+// prefix it shares with the product's series once per version change, and
+// within one Resume every analyzed prefix is a prefix of that series. The
+// ARC part diffs its counts on every call, so it needs no rewind.
 // An unversioned product's carry is dropped on every Resume, so its
 // evaluation starts from scratch.
 //

@@ -82,14 +82,25 @@ func xlnx(x float64) float64 {
 // A value at or above ln(γ)/2D decides H1 (rate change present). The
 // statistic is 0 when either segment is empty.
 func RateChangeGLRT(y1, y2 []float64) float64 {
-	a, b := float64(len(y1)), float64(len(y2))
-	//lint:ignore floateq a and b are float64 conversions of segment lengths; integer-valued, so equality is exact
+	return RateChangeGLRTSums(Sum(y1), Sum(y2), float64(len(y1)), float64(len(y2)))
+}
+
+// RateChangeGLRTSums is RateChangeGLRT from the segment sums s1, s2 and
+// lengths a, b: each sum is taken once, and the statistic is the same
+// expression in the same operation order, so RateChangeGLRT(y1, y2) equals
+// RateChangeGLRTSums(Sum(y1), Sum(y2), len(y1), len(y2)) bit for bit. A
+// caller holding integer counts can pass prefix-sum differences, which are
+// exact below 2^53.
+//
+//lint:hotpath
+func RateChangeGLRTSums(s1, s2, a, b float64) float64 {
+	//lint:ignore floateq a and b are segment lengths; integer-valued, so equality is exact
 	if a == 0 || b == 0 {
 		return 0
 	}
 	total := a + b
-	m1 := Sum(y1) / a
-	m2 := Sum(y2) / b
-	m := (Sum(y1) + Sum(y2)) / total
+	m1 := s1 / a
+	m2 := s2 / b
+	m := (s1 + s2) / total
 	return (a/total)*xlnx(m1) + (b/total)*xlnx(m2) - xlnx(m)
 }

@@ -137,3 +137,36 @@ func TestXlnx(t *testing.T) {
 		t.Errorf("xlnx(e) = %v, want e", got)
 	}
 }
+
+// Property: RateChangeGLRT, now one sum per half, equals the original
+// two-pass form (each half summed again for the pooled mean) bit for bit
+// on arbitrary real inputs, and RateChangeGLRTSums equals it from the sums.
+func TestRateChangeGLRTMatchesTwoPassForm(t *testing.T) {
+	twoPass := func(y1, y2 []float64) float64 {
+		a, b := float64(len(y1)), float64(len(y2))
+		if len(y1) == 0 || len(y2) == 0 {
+			return 0
+		}
+		total := a + b
+		m1 := Sum(y1) / a
+		m2 := Sum(y2) / b
+		m := (Sum(y1) + Sum(y2)) / total
+		return (a/total)*xlnx(m1) + (b/total)*xlnx(m2) - xlnx(m)
+	}
+	f := func(raw1, raw2 []uint16) bool {
+		y1 := make([]float64, len(raw1))
+		y2 := make([]float64, len(raw2))
+		for i, v := range raw1 {
+			y1[i] = float64(v) / 7
+		}
+		for i, v := range raw2 {
+			y2[i] = float64(v) / 13
+		}
+		want := math.Float64bits(twoPass(y1, y2))
+		return math.Float64bits(RateChangeGLRT(y1, y2)) == want &&
+			math.Float64bits(RateChangeGLRTSums(Sum(y1), Sum(y2), float64(len(y1)), float64(len(y2)))) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -143,6 +143,58 @@ func QuantileInPlace(xs []float64, q float64) float64 {
 	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
+// QuantileCounts is Quantile over non-negative integer samples, by a
+// counting select instead of a sort. hist must be longer than the largest
+// count; it is overwritten. The order statistics it finds are the values a
+// sort would put at the same ranks, and they are interpolated by the same
+// expression, so the result equals Quantile over the counts as float64
+// bit for bit.
+//
+//lint:hotpath
+func QuantileCounts(counts []int32, q float64, hist []int32) float64 {
+	n := len(counts)
+	if n == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	if n == 1 {
+		return float64(counts[0])
+	}
+	for i := range hist {
+		hist[i] = 0
+	}
+	for _, c := range counts {
+		hist[c]++
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return orderStat(hist, lo)
+	}
+	frac := pos - float64(lo)
+	return orderStat(hist, lo)*(1-frac) + orderStat(hist, hi)*frac
+}
+
+// orderStat returns the r-th smallest (from 0) of the samples counted in
+// hist, where hist[v] is how many samples equal v.
+//
+//lint:hotpath
+func orderStat(hist []int32, r int) float64 {
+	for v, c := range hist {
+		if r < int(c) {
+			return float64(v)
+		}
+		r -= int(c)
+	}
+	panic("stats: order statistic beyond the sample count")
+}
+
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	var s float64

@@ -259,3 +259,29 @@ func TestQuantileInPlaceMatchesQuantile(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: QuantileCounts agrees with Quantile over the same counts as
+// float64 bit for bit, including single samples, repeated values and a
+// hist longer than needed.
+func TestQuantileCountsMatchesQuantile(t *testing.T) {
+	f := func(raw []uint8, qRaw uint8, spare uint8) bool {
+		q := float64(qRaw%121)/100 - 0.1 // includes out-of-range q
+		counts := make([]int32, len(raw))
+		xs := make([]float64, len(raw))
+		peak := int32(0)
+		for i, v := range raw {
+			counts[i] = int32(v % 40)
+			xs[i] = float64(counts[i])
+			peak = max(peak, counts[i])
+		}
+		hist := make([]int32, int(peak)+1+int(spare%4))
+		for i := range hist {
+			hist[i] = 7 // stale contents must not leak
+		}
+		got := QuantileCounts(counts, q, hist)
+		return math.Float64bits(got) == math.Float64bits(Quantile(xs, q))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
