@@ -411,13 +411,6 @@ func survivingRatings(image *faultfs.FS) (map[string]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rec.Snapshot != nil {
-			for _, p := range rec.Snapshot.Products {
-				for _, r := range p.Ratings {
-					out[key(p.ID, r.Rater)] = true
-				}
-			}
-		}
 		for _, r := range rec.Records {
 			out[key(r.Product, r.Rater)] = true
 		}
@@ -478,29 +471,19 @@ func replayReference(image *faultfs.FS, opts Options) (int, *server.Service, err
 	}
 	n := 0
 	ctx := context.Background()
-	apply := func(product, rater string, value, day float64) {
-		// Duplicates (snapshot + unrotated log overlap) and validation
-		// rejects mirror the recovery path's own skip rules; any true
-		// divergence surfaces as a score mismatch in the audit.
-		if err := svc.Submit(ctx, product, rater, value, day); err == nil {
-			n++
-		}
-	}
 	for _, fsys := range streams {
 		w, rec, err := wal.Open(fsys, wal.Options{})
 		if err != nil {
 			svc.Close()
 			return 0, nil, fmt.Errorf("read crash image: %v", err)
 		}
-		if rec.Snapshot != nil {
-			for _, p := range rec.Snapshot.Products {
-				for _, r := range p.Ratings {
-					apply(p.ID, r.Rater, r.Value, r.Day)
-				}
-			}
-		}
 		for _, r := range rec.Records {
-			apply(r.Product, r.Rater, r.Value, r.Day)
+			// Duplicates (snapshot + unrotated log overlap) and validation
+			// rejects mirror the recovery path's own skip rules; any true
+			// divergence surfaces as a score mismatch in the audit.
+			if err := svc.Submit(ctx, r.Product, r.Rater, r.Value, r.Day); err == nil {
+				n++
+			}
 		}
 		w.Close()
 	}

@@ -227,13 +227,6 @@ func readShardSurvivors(t *testing.T, fsys wal.FS, shards int) []wal.Record {
 		if err != nil {
 			t.Fatalf("open shard %d of crash image: %v", i, err)
 		}
-		if rec.Snapshot != nil {
-			for _, p := range rec.Snapshot.Products {
-				for _, r := range p.Ratings {
-					out = append(out, wal.Record{Product: p.ID, Rater: r.Rater, Value: r.Value, Day: r.Day})
-				}
-			}
-		}
 		out = append(out, rec.Records...)
 		w.Close()
 	}

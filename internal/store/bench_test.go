@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/faultfs"
 )
 
 // BenchmarkShardRoute pins the routing hot path: one inline FNV-1a pass,
@@ -62,5 +64,62 @@ func BenchmarkSubmitParallel(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkStoreOpen times a cold boot: Open replays one fixed in-memory
+// WAL image of 2 shards, each holding ~2.5k snapshot ratings and ~2.5k log
+// records in day order (the restart workload's shape), and Close closes
+// it. Open neither truncates nor compacts a clean image, so every
+// iteration replays the same bytes and the per-op cost does not depend on
+// b.N.
+func BenchmarkStoreOpen(b *testing.B) {
+	const shards, perPhase = 2, 5000
+	// Four products per shard, so both shards get the same share.
+	var products []string
+	var perShard [shards]int
+	for i := 0; len(products) < 8; i++ {
+		id := fmt.Sprintf("tv%d", i)
+		if s := Route(id, shards); perShard[s] < 4 {
+			perShard[s]++
+			products = append(products, id)
+		}
+	}
+	img := faultfs.New()
+	st, _, err := Open(600, products, Options{FS: img, Shards: shards})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	submit := func(from int, day0 float64) {
+		for i := from; i < from+perPhase; i++ {
+			day := day0 + 300*float64(i-from)/perPhase
+			if _, err := st.Submit(ctx, products[i%len(products)], fmt.Sprintf("rater-%05d", i), float64(i%11)/2, day); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	submit(0, 0)
+	if err := st.Checkpoint(ctx); err != nil {
+		b.Fatal(err)
+	}
+	submit(perPhase, 300)
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, rep, err := Open(600, products, Options{FS: img, Shards: shards})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.SnapshotRatings != perPhase || rep.ReplayedRatings != perPhase {
+			b.Fatalf("recovered %d snapshot + %d replayed ratings, want %d + %d", rep.SnapshotRatings, rep.ReplayedRatings, perPhase, perPhase)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

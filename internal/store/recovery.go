@@ -221,10 +221,10 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 				return
 			}
 			results[i].rep.TruncatedBytes = rec.TruncatedBytes
-			st.replayShard(i, rec, &results[i].rep)
+			st.replay(rec, &results[i].rep, func(string) int { return i })
 			sh := st.shards[i]
 			sh.wal = w
-			sh.sinceSnapshot = len(rec.Records)
+			sh.sinceSnapshot = len(rec.Tail())
 			results[i].w = w
 		}(i)
 	}
@@ -246,20 +246,18 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 	return report, nil
 }
 
-// replayShard applies one shard's recovered snapshot and log records into
-// its in-memory state, folding outcomes into the shard's report. It runs
-// during Open, one goroutine per shard, before the store escapes — each
-// shard is touched by exactly its own goroutine, so no locks are taken.
-func (st *Store) replayShard(i int, rec *wal.Recovery, report *RecoveryReport) {
-	if rec.Snapshot != nil {
-		for _, p := range rec.Snapshot.Products {
-			for _, r := range p.Ratings {
-				st.recoverRating(i, p.ID, r.Rater, r.Value, r.Day, &report.SnapshotRatings, report)
-			}
+// replay applies recovered records (the checkpoint's, then the log
+// tail's) into in-memory state through the recovery validation, folding
+// outcomes into report. shardOf names the shard each record is applied
+// to. It runs during Open, before the store escapes: one goroutine per
+// shard, each touching only its own shard, or the single migration pass.
+func (st *Store) replay(rec *wal.Recovery, report *RecoveryReport, shardOf func(product string) int) {
+	for j, r := range rec.Records {
+		applied := &report.ReplayedRatings
+		if j < rec.SnapshotRecords {
+			applied = &report.SnapshotRatings
 		}
-	}
-	for _, r := range rec.Records {
-		st.recoverRating(i, r.Product, r.Rater, r.Value, r.Day, &report.ReplayedRatings, report)
+		st.recoverRating(shardOf(r.Product), r.Product, r.Rater, r.Value, r.Day, applied, report)
 	}
 }
 
@@ -362,25 +360,9 @@ func (st *Store) migrateLegacy(fsys wal.FS, walOpts wal.Options) (*RecoveryRepor
 		return nil, fmt.Errorf("store: close legacy WAL: %w", err)
 	}
 	report := &RecoveryReport{TruncatedBytes: rec.TruncatedBytes, MigratedFromLegacy: true}
-	if rec.Snapshot != nil {
-		for _, p := range rec.Snapshot.Products {
-			for _, r := range p.Ratings {
-				if l, ok := st.byID[p.ID]; ok {
-					st.recoverRating(l.shard, p.ID, r.Rater, r.Value, r.Day, &report.SnapshotRatings, report)
-				} else {
-					st.recoverRating(0, p.ID, r.Rater, r.Value, r.Day, &report.SnapshotRatings, report)
-				}
-			}
-		}
-	}
-	for _, r := range rec.Records {
-		l, ok := st.byID[r.Product]
-		shardIdx := 0
-		if ok {
-			shardIdx = l.shard
-		}
-		st.recoverRating(shardIdx, r.Product, r.Rater, r.Value, r.Day, &report.ReplayedRatings, report)
-	}
+	// A product this store does not register maps to shard 0, where the
+	// validation counts it as a skip.
+	st.replay(rec, report, func(product string) int { return st.byID[product].shard })
 
 	fses, err := shardFS(fsys, len(st.shards), true)
 	if err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
@@ -243,6 +245,76 @@ func TestLegacyDirectoryMigration(t *testing.T) {
 	}
 	if got := rep3.SnapshotRatings + rep3.ReplayedRatings; got != 30 {
 		t.Fatalf("post-migration reopen recovered %d ratings, want 30", got)
+	}
+}
+
+// A legacy directory whose checkpoint is a JSON snapshot.json, as builds
+// before the binary snapshot format wrote it, migrates like any other:
+// every rating of the snapshot and of the log tail lands in its routed
+// shard bit for bit, and the shards' binary snapshots reopen the same.
+func TestLegacyDirectoryMigrationFromJSONSnapshot(t *testing.T) {
+	fs := faultfs.New()
+	products := testProducts(10)
+	legacy := &dataset.Dataset{HorizonDays: 90}
+	for i, id := range products {
+		p := dataset.Product{ID: id}
+		for j := 0; j < 6; j++ {
+			p.Ratings = append(p.Ratings, dataset.Rating{
+				Day:   float64(17*j+i) / 7,
+				Value: math.Mod(0.1*float64(3*i+j), 5),
+				Rater: fmt.Sprintf("json-%d-%d", i, j),
+			})
+		}
+		legacy.Products = append(legacy.Products, p)
+	}
+	var js bytes.Buffer
+	if err := legacy.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	fs.WriteFile("snapshot.json", js.Bytes())
+
+	// A single-stream boot reads the JSON snapshot and grows a log tail
+	// without compacting; its view is the reference.
+	st, rep, err := Open(90, products, Options{FS: fs, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SnapshotRatings != 60 {
+		t.Fatalf("single-stream boot restored %d snapshot ratings, want 60 (report %+v)", rep.SnapshotRatings, rep)
+	}
+	submitN(t, st, 20)
+	want := st.View()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if img, _ := fs.ReadFile("snapshot.json"); !bytes.Equal(img, js.Bytes()) {
+		t.Fatal("the single-stream boot rewrote the JSON snapshot")
+	}
+
+	st2, rep, err := Open(90, products, Options{FS: fs, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.MigratedFromLegacy || rep.SnapshotRatings != 60 || rep.ReplayedRatings != 20 || rep.SkippedRecords != 0 {
+		t.Fatalf("migration report %+v, want 60 snapshot + 20 replayed ratings", rep)
+	}
+	if got := st2.View(); !sameDataset(got, want) {
+		t.Fatal("migrated store differs from the single-stream reference")
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st3, rep, err := Open(90, products, Options{FS: fs, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	if rep.SnapshotRatings != 80 || rep.ReplayedRatings != 0 {
+		t.Fatalf("post-migration reopen %+v, want 80 snapshot ratings", rep)
+	}
+	if got := st3.View(); !sameDataset(got, want) {
+		t.Fatal("store reopened from the migrated shard snapshots differs from the reference")
 	}
 }
 

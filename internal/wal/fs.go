@@ -28,7 +28,8 @@ type FS interface {
 	Open(name string) (File, error)
 	// OpenAppend opens name for appending, creating it if absent.
 	OpenAppend(name string) (File, error)
-	// Rename atomically replaces newname with oldname.
+	// Rename atomically replaces newname with oldname. It returns once
+	// the rename itself is durable.
 	Rename(oldname, newname string) error
 	// Remove deletes name; removing a missing file is not an error.
 	Remove(name string) error
@@ -59,8 +60,23 @@ func (d osDir) OpenAppend(name string) (File, error) {
 	return os.OpenFile(d.path(name), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }
 
+// Rename renames within the directory and then fsyncs the directory, so
+// the new entry is durable before the caller's next write: Compact's log
+// truncate must not reach the disk ahead of its snapshot rename, and
+// WriteManifest's publish must survive a power loss.
 func (d osDir) Rename(oldname, newname string) error {
-	return os.Rename(d.path(oldname), d.path(newname))
+	if err := os.Rename(d.path(oldname), d.path(newname)); err != nil {
+		return err
+	}
+	dir, err := os.Open(d.root)
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (d osDir) Remove(name string) error {

@@ -42,7 +42,7 @@ func FuzzWALDecode(f *testing.F) {
 		// frames must round-trip byte-for-byte.
 		off := 0
 		for off < len(raw) {
-			r, n, ok := decodeRecord(raw[off:])
+			r, n, ok := decodeRecord(raw[off:], nil)
 			if !ok {
 				break
 			}
@@ -135,6 +135,85 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
+// FuzzSnapshotDecode drives the snapshot reader with arbitrary, cut and
+// bit-flipped images. A published snapshot is never torn, so the contract
+// differs from the log's (DESIGN.md §7):
+//
+//  1. parseSnapshot never panics on arbitrary bytes, and a binary image
+//     it accepts re-encodes (header plus appendRecord frames) to the
+//     identical bytes: the format is canonical.
+//  2. Cutting an encoded image at any byte short of its end is rejected.
+//  3. Flipping any single bit is rejected or decodes to exactly the
+//     encoded records: a damaged snapshot never yields a shorter or
+//     different history.
+func FuzzSnapshotDecode(f *testing.F) {
+	var seed []byte
+	seed = appendSnapshotHeader(seed, 2)
+	seed, _ = appendRecord(seed, Record{Product: "p0", Rater: "alice", Value: 4.5, Day: 3})
+	seed, _ = appendRecord(seed, Record{Product: "p1", Rater: "bob", Value: 1, Day: 61})
+	f.Add(seed, uint16(len(seed)-1), uint32(5))
+	f.Add(appendSnapshotHeader(nil, 0), uint16(3), uint32(70))
+	f.Add([]byte(`{"horizonDays":90,"products":[{"id":"tv0","ratings":[{"day":1,"value":4,"rater":"a"}]}]}`), uint16(9), uint32(1))
+	f.Add([]byte("RSNP\x02\x00\x00\x00"), uint16(0), uint32(0))
+	f.Add([]byte("not a snapshot"), uint16(7), uint32(13))
+
+	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
+		// (1) Arbitrary bytes.
+		if recs, err := parseSnapshot(raw, nil); err == nil && (len(raw) == 0 || raw[0] != '{') {
+			if re := encodeRecords(t, recs); !bytes.Equal(re, raw) {
+				t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", raw, re)
+			}
+		}
+
+		// Encode a known-good image from the fuzz input (possibly empty).
+		recs := deriveRecords(raw)
+		img := encodeRecords(t, recs)
+		got, err := parseSnapshot(img, nil)
+		if err != nil {
+			t.Fatalf("encoded snapshot rejected: %v", err)
+		}
+		requireSameRecords(t, "round trip", recs, got)
+
+		// (2) Every cut short of the end is rejected.
+		cutAt := int(cut) % len(img)
+		if got, err := parseSnapshot(img[:cutAt], nil); err == nil {
+			t.Fatalf("snapshot cut at %d of %d accepted with %d records", cutAt, len(img), len(got))
+		}
+
+		// (3) A flipped bit is rejected or changes nothing.
+		flipAt := int(flip) % (len(img) * 8)
+		flipped := bytes.Clone(img)
+		flipped[flipAt/8] ^= 1 << (flipAt % 8)
+		if got, err := parseSnapshot(flipped, interner{}); err == nil {
+			requireSameRecords(t, fmt.Sprintf("flip bit %d", flipAt), recs, got)
+		}
+	})
+}
+
+// encodeRecords encodes recs as a binary snapshot image.
+func encodeRecords(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	buf := appendSnapshotHeader(nil, len(recs))
+	for _, r := range recs {
+		var err error
+		if buf, err = appendRecord(buf, r); err != nil {
+			t.Fatalf("encode %+v: %v", r, err)
+		}
+	}
+	return buf
+}
+
+// requireSameRecords compares record lists with requireSameRecord.
+func requireSameRecords(t *testing.T, label string, want, got []Record) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		requireSameRecord(t, fmt.Sprintf("%s record %d", label, i), want[i], got[i])
+	}
+}
+
 // FuzzManifest drives ReadManifest with arbitrary wal-manifest.json bytes —
 // the file a reopen trusts for the shard count and routing hash. The
 // properties under test:
@@ -199,7 +278,7 @@ func scanRecords(data []byte) []Record {
 	var out []Record
 	off := 0
 	for off < len(data) {
-		r, n, ok := decodeRecord(data[off:])
+		r, n, ok := decodeRecord(data[off:], nil)
 		if !ok {
 			break
 		}

@@ -25,9 +25,9 @@ const RouteHashName = "fnv1a64"
 
 // Manifest describes a sharded WAL directory: the base directory holds
 // wal-manifest.json plus one shard-NNN/ subdirectory per shard, each an
-// independent WAL (snapshot.json + wal.log). A directory without a
-// manifest is the legacy single-stream layout (snapshot + log at the top
-// level). The manifest pins the shard count and routing hash so a reopen
+// independent WAL (snapshot.json, a binary checkpoint despite its name,
+// + wal.log). A directory without a manifest is the legacy single-stream
+// layout (snapshot + log at the top level). The manifest pins the shard count and routing hash so a reopen
 // with different parameters fails loudly instead of silently splitting
 // products across the wrong logs.
 type Manifest struct {

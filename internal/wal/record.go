@@ -69,7 +69,8 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 // decodeRecord parses one record from the front of data. It returns the
 // record and the number of bytes consumed, or ok=false when data holds no
 // complete, checksum-valid record at its front (a torn or corrupt tail).
-func decodeRecord(data []byte) (r Record, n int, ok bool) {
+// The product ID is interned in ids (which may be nil).
+func decodeRecord(data []byte, ids interner) (r Record, n int, ok bool) {
 	if len(data) < headerSize {
 		return Record{}, 0, false
 	}
@@ -90,7 +91,7 @@ func decodeRecord(data []byte) (r Record, n int, ok bool) {
 	if len(rest) < pLen+2 {
 		return Record{}, 0, false
 	}
-	r.Product = string(rest[:pLen])
+	r.Product = ids.intern(rest[:pLen])
 	rest = rest[pLen:]
 	rLen := int(binary.LittleEndian.Uint16(rest))
 	rest = rest[2:]
@@ -103,4 +104,20 @@ func decodeRecord(data []byte) (r Record, n int, ok bool) {
 	r.Day = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
 	r.ReceivedUnixNano = int64(binary.LittleEndian.Uint64(rest[16:]))
 	return r, headerSize + payloadLen, true
+}
+
+// interner hands out one string per distinct product ID while files are
+// decoded: a snapshot or log names a handful of products thousands of
+// times, and each copy would be an allocation the replay keeps alive.
+type interner map[string]string
+
+func (in interner) intern(b []byte) string {
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if in != nil {
+		in[s] = s
+	}
+	return s
 }

@@ -2,10 +2,14 @@
 // service durable: an append-only, length-prefixed, CRC32-checksummed log
 // of submitted ratings plus periodic full-dataset snapshots, so recovery
 // after a crash costs O(snapshot + log tail) rather than O(all history).
+// Both files use one record codec: a snapshot is a short header followed
+// by one log-framed record per rating.
 //
 // Layout inside the WAL directory:
 //
-//	snapshot.json  full dataset checkpoint (internal/dataset JSON encoding)
+//	snapshot.json  full dataset checkpoint: binary records behind a
+//	               magic+version header (the name predates the format;
+//	               a JSON checkpoint from an earlier build still loads)
 //	wal.log        ratings appended since the snapshot
 //	snapshot.tmp   in-flight checkpoint; removed on open
 //
@@ -19,7 +23,9 @@
 // same error and the service must be restarted to recover.
 //
 // Crash safety: a torn final record (short header, short payload, or CRC
-// mismatch) is detected on open and truncated away; Compact orders its
+// mismatch) is detected on open and truncated away. A published snapshot
+// was fsynced before its rename, so a bad snapshot is corruption and Open
+// fails (ErrCorruptSnapshot) instead of truncating it. Compact orders its
 // writes (write tmp, fsync, rename, reset log) so that a crash at any
 // point leaves either the old snapshot+log or the new snapshot with a
 // possibly redundant log, which replay deduplicates.
@@ -114,9 +120,13 @@ func (a Ack) String() string {
 
 // Recovery reports what Open found on disk.
 type Recovery struct {
-	// Snapshot is the last checkpoint, nil when none exists.
-	Snapshot *dataset.Dataset
-	// Records are the log records appended after the snapshot, in order.
+	// HasSnapshot is set when a checkpoint exists, even an empty one.
+	HasSnapshot bool
+	// SnapshotRecords counts the leading Records that came from the
+	// checkpoint.
+	SnapshotRecords int
+	// Records are the checkpoint's ratings, product by product in series
+	// order, followed by the log records appended after it, in log order.
 	Records []Record
 	// TruncatedBytes counts bytes of torn or corrupt log tail that were
 	// discarded (and physically truncated from the file).
@@ -160,10 +170,11 @@ func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
 		return nil, nil, fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
 	}
 	rec := &Recovery{}
-	if err := readSnapshot(fsys, rec); err != nil {
+	ids := interner{}
+	if err := readSnapshot(fsys, rec, ids); err != nil {
 		return nil, nil, err
 	}
-	goodBytes, err := readLog(fsys, rec)
+	goodBytes, err := readLog(fsys, rec, ids)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,26 +189,8 @@ func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
 	return w, rec, nil
 }
 
-func readSnapshot(fsys FS, rec *Recovery) error {
-	f, err := fsys.Open(snapshotName)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: open snapshot: %w", err)
-	}
-	defer f.Close()
-	data, err := readFile(fsys, snapshotName, f)
-	if err != nil {
-		return fmt.Errorf("wal: read snapshot: %w", err)
-	}
-	d, err := dataset.DecodeJSON(data)
-	if err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	rec.Snapshot = d
-	return nil
-}
+// Tail returns the records replayed from the log, after the checkpoint's.
+func (r *Recovery) Tail() []Record { return r.Records[r.SnapshotRecords:] }
 
 // readFile reads the whole of name, already open as f, into one buffer of
 // its exact size. Recovery thus allocates each file once, instead of
@@ -218,7 +211,7 @@ func readFile(fsys FS, name string, f File) ([]byte, error) {
 
 // readLog scans the log, collects checksum-valid records, and truncates
 // any torn tail. It returns the byte length of the valid prefix.
-func readLog(fsys FS, rec *Recovery) (int64, error) {
+func readLog(fsys FS, rec *Recovery, ids interner) (int64, error) {
 	f, err := fsys.Open(logName)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -233,7 +226,7 @@ func readLog(fsys FS, rec *Recovery) (int64, error) {
 	}
 	off := 0
 	for off < len(data) {
-		r, n, ok := decodeRecord(data[off:])
+		r, n, ok := decodeRecord(data[off:], ids)
 		if !ok {
 			break
 		}
@@ -434,10 +427,13 @@ func (w *WAL) Sync() error {
 }
 
 // Compact checkpoints the full dataset and resets the log, bounding
-// recovery cost. Write order matters for crash safety:
+// recovery cost. The checkpoint is one binary snapshot image (see
+// snapshot.go): every rating of d as a log record, behind a magic,
+// version and count header. Write order matters for crash safety:
 //
-//  1. write the dataset to snapshot.tmp and fsync it
-//  2. rename snapshot.tmp → snapshot.json (atomic)
+//  1. write the image to snapshot.tmp and fsync it
+//  2. rename snapshot.tmp → snapshot.json (atomic; the directory is
+//     fsynced so the rename is durable before step 3)
 //  3. truncate the log to zero
 //
 // A crash before (2) leaves the old snapshot+log intact; a crash between
@@ -458,11 +454,15 @@ func (w *WAL) Compact(d *dataset.Dataset) error {
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
+	img, err := encodeSnapshot(d)
+	if err != nil {
+		return fmt.Errorf("wal: encode snapshot: %w", err)
+	}
 	f, err := w.fs.Create(snapshotTmp)
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot tmp: %w", err)
 	}
-	if err := d.WriteJSON(f); err != nil {
+	if _, err := f.Write(img); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: write snapshot: %w", err)
 	}

@@ -41,7 +41,7 @@ func TestRoundtripOSDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Snapshot != nil || len(rc.Records) != 0 || rc.TruncatedBytes != 0 {
+	if rc.HasSnapshot || len(rc.Records) != 0 || rc.TruncatedBytes != 0 {
 		t.Fatalf("fresh dir recovery = %+v", rc)
 	}
 	appendN(t, w, 0, 10)
@@ -289,14 +289,12 @@ func TestCompactCheckpointsAndResetsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Snapshot == nil {
+	if !rc.HasSnapshot {
 		t.Fatal("no snapshot recovered")
 	}
-	if n := len(rc.Snapshot.Products); n != 2 {
-		t.Errorf("snapshot products = %d, want 2", n)
-	}
-	if len(rc.Records) != 2 || rc.Records[0] != rec(8) || rc.Records[1] != rec(9) {
-		t.Errorf("log tail = %+v, want records 8 and 9", rc.Records)
+	requireRecords(t, "snapshot", rc.Records[:rc.SnapshotRecords], snapshotRecords(snapshotDataset()))
+	if tail := rc.Tail(); len(tail) != 2 || tail[0] != rec(8) || tail[1] != rec(9) {
+		t.Errorf("log tail = %+v, want records 8 and 9", tail)
 	}
 }
 
@@ -310,7 +308,7 @@ func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if rc.Snapshot != nil {
+	if rc.HasSnapshot {
 		t.Error("unpublished snapshot.tmp treated as a snapshot")
 	}
 	if _, err := fs.ReadFile("snapshot.tmp"); err == nil {
