@@ -40,8 +40,8 @@ func TestHotpathKernelsAllocFree(t *testing.T) {
 	kernels := map[string]func(){
 		"seriesMean":           func() { seriesMean(s) },
 		"seriesSum":            func() { seriesSum(s) },
-		"seriesPooledVariance": func() { seriesPooledVariance(x1, x2, 1) },
-		"seriesMeanChangeGLRT": func() { seriesMeanChangeGLRT(x1, x2, 1) },
+		"seriesPooledVariance": func() { seriesPooledVariance(x1, x2, 2, 3, 1) },
+		"meanChangeGLRT":       func() { meanChangeGLRT(len(x1), len(x2), 2, 3, 1) },
 		"sortedGapRatio":       func() { sortedGapRatio(sorted, 0.1) },
 		"contextMean":          func() { contextMean(s, iv) },
 		"BandThresholds":       func() { BandThresholds(3.5) },
@@ -67,15 +67,18 @@ func BenchmarkSeriesPooledVariance(b *testing.B) {
 	s := hotpathSeries(256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		seriesPooledVariance(s[:128], s[128:], 1)
+		seriesPooledVariance(s[:128], s[128:], seriesMean(s[:128]), seriesMean(s[128:]), 1)
 	}
 }
 
-func BenchmarkSeriesMeanChangeGLRT(b *testing.B) {
-	s := hotpathSeries(256)
+// BenchmarkMCCurve times a cold MC sweep: both window means, the pooled
+// variance and the GLRT at every point of a 1,024-rating series.
+func BenchmarkMCCurve(b *testing.B) {
+	s := hotpathSeries(1024)
+	cfg := DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		seriesMeanChangeGLRT(s[:128], s[128:], 1)
+		MCCurve(s, cfg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -94,8 +95,9 @@ func mcExtend(s dataset.Series, cfg Config, c Curve) Curve {
 			from--
 		}
 	}
-	c.X = append(c.X[:from], make([]float64, n-from)...)
-	c.Y = append(c.Y[:from], make([]float64, n-from)...)
+	// Every point from on is overwritten below, so the storage only grows.
+	c.X = slices.Grow(c.X[:from], n-from)[:n]
+	c.Y = slices.Grow(c.Y[:from], n-from)[:n]
 	if from == n {
 		return c
 	}
@@ -118,9 +120,10 @@ func mcExtend(s dataset.Series, cfg Config, c Curve) Curve {
 		}
 		x1 := s[lo:mid]
 		x2 := s[mid:hi]
-		sigma2 := seriesPooledVariance(x1, x2, 0.25)
+		m1, m2 := seriesMean(x1), seriesMean(x2)
+		sigma2 := seriesPooledVariance(x1, x2, m1, m2, 0.25)
 		c.X[k] = t
-		c.Y[k] = seriesMeanChangeGLRT(x1, x2, sigma2)
+		c.Y[k] = meanChangeGLRT(len(x1), len(x2), m1, m2, sigma2)
 	}
 	return c
 }
@@ -158,15 +161,15 @@ func seriesSum(s dataset.Series) float64 {
 }
 
 // seriesPooledVariance mirrors stats.PooledVariance over two series
-// segments (identical arithmetic, no copies).
+// segments whose means m1 and m2 the caller computed with seriesMean
+// (identical arithmetic, no copies).
 //
 //lint:hotpath
-func seriesPooledVariance(x1, x2 dataset.Series, fallback float64) float64 {
+func seriesPooledVariance(x1, x2 dataset.Series, m1, m2, fallback float64) float64 {
 	n := len(x1) + len(x2)
 	if n < 3 {
 		return fallback
 	}
-	m1, m2 := seriesMean(x1), seriesMean(x2)
 	var ss float64
 	for i := range x1 {
 		d := x1[i].Value - m1
@@ -183,16 +186,15 @@ func seriesPooledVariance(x1, x2 dataset.Series, fallback float64) float64 {
 	return v
 }
 
-// seriesMeanChangeGLRT mirrors stats.MeanChangeGLRT over two series
-// segments.
+// meanChangeGLRT mirrors stats.MeanChangeGLRT for two segments of n1 and
+// n2 values with means m1 and m2.
 //
 //lint:hotpath
-func seriesMeanChangeGLRT(x1, x2 dataset.Series, sigma2 float64) float64 {
-	n1, n2 := len(x1), len(x2)
+func meanChangeGLRT(n1, n2 int, m1, m2, sigma2 float64) float64 {
 	if n1 == 0 || n2 == 0 || sigma2 <= 0 {
 		return 0
 	}
-	d := seriesMean(x1) - seriesMean(x2)
+	d := m1 - m2
 	w := 2 * float64(n1) * float64(n2) / float64(n1+n2)
 	return w * d * d / (2 * sigma2)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -252,12 +253,46 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 // to. It runs during Open, before the store escapes: one goroutine per
 // shard, each touching only its own shard, or the single migration pass.
 func (st *Store) replay(rec *wal.Recovery, report *RecoveryReport, shardOf func(product string) int) {
+	st.presize(rec.Records, shardOf)
 	for j, r := range rec.Records {
 		applied := &report.ReplayedRatings
 		if j < rec.SnapshotRecords {
 			applied = &report.SnapshotRatings
 		}
 		st.recoverRating(shardOf(r.Product), r.Product, r.Rater, r.Value, r.Day, applied, report)
+	}
+}
+
+// presize grows the series and seen set of every product the records name
+// once, to hold all of the product's records, so applying them never
+// regrows either. It grows only products that route to the shard shardOf
+// applies their records to: openShards replays shards concurrently, and a
+// misrouted record (skipped when applied) must not touch another shard's
+// state. Replay runs on a fresh store, so the seen sets it replaces are
+// empty.
+//
+//lint:ignore lockheld only called from replay during Open, before the Store is returned to any other goroutine; each goroutine grows only its own shard's products
+func (st *Store) presize(recs []wal.Record, shardOf func(product string) int) {
+	counts := make([][]int, len(st.shards))
+	for _, r := range recs {
+		l, ok := st.byID[r.Product]
+		if !ok || l.shard != shardOf(r.Product) {
+			continue
+		}
+		if counts[l.shard] == nil {
+			counts[l.shard] = make([]int, len(st.shards[l.shard].data.Products))
+		}
+		counts[l.shard][l.pos]++
+	}
+	for i, c := range counts {
+		sh := st.shards[i]
+		for pos, n := range c {
+			if n > 0 {
+				p := &sh.data.Products[pos]
+				p.Ratings = slices.Grow(p.Ratings, n)
+				sh.seen[pos] = make(map[string]bool, n)
+			}
+		}
 	}
 }
 
@@ -310,10 +345,11 @@ func (st *Store) applyRecovered(i int, product, rater string, value, day float64
 	if l.shard != i {
 		return fmt.Errorf("store: product %q routes to shard %d but its record was found in shard %d's log", product, l.shard, i)
 	}
-	if sh.seen[product][rater] {
+	seen := sh.seen[l.pos]
+	if seen[rater] {
 		return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, product)
 	}
-	sh.seen[product][rater] = true
+	seen[rater] = true
 	p := &sh.data.Products[l.pos]
 	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: day, Value: value, Rater: rater})
 	p.Version++

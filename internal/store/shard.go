@@ -28,7 +28,10 @@ type shard struct {
 	mu   sync.Mutex
 	// data holds only this shard's products, in registration order.
 	data *dataset.Dataset
-	seen map[string]map[string]bool // product → rater → rated?
+	// seen[pos] is the set of raters who rated data.Products[pos], indexed
+	// by partition position like data.Products, so once the router has
+	// resolved a product's position no check hashes its ID again.
+	seen []map[string]bool
 	// dirtyFrom is the earliest rating day accepted on this shard since the
 	// coordinator's last consistent cut (+Inf = clean).
 	dirtyFrom     float64
@@ -64,7 +67,7 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 		sh.mu.Unlock()
 		return wal.AckDurable, false, err
 	}
-	if err := sh.checkLocked(product, rater, day); err != nil {
+	if err := sh.checkLocked(pos, product, rater, day); err != nil {
 		sh.mu.Unlock()
 		return wal.AckDurable, false, err
 	}
@@ -72,7 +75,7 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 	now := sh.now
 	// Reserve the rater slot so a concurrent duplicate submission fails
 	// during this one's fsync instead of double-logging.
-	sh.seen[product][rater] = true
+	sh.seen[pos][rater] = true
 	sh.mu.Unlock()
 
 	ack := wal.AckDurable
@@ -84,7 +87,7 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 		})
 		if err != nil {
 			sh.mu.Lock()
-			delete(sh.seen[product], rater) // roll back: the rating was not accepted
+			delete(sh.seen[pos], rater) // roll back: the rating was not accepted
 			sh.mu.Unlock()
 			return ack, false, fmt.Errorf("%w: %v", ErrUnavailable, err)
 		}
@@ -108,13 +111,14 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 }
 
 // checkLocked runs the stateful submit validations (day range, duplicate
-// rater) without mutating anything. Product existence is the router's job:
-// a product reaches a shard only through the store's routing table.
-func (sh *shard) checkLocked(product, rater string, day float64) error {
+// rater) on the product at partition position pos without mutating
+// anything. Product existence is the router's job: a product reaches a
+// shard only through the store's routing table.
+func (sh *shard) checkLocked(pos int, product, rater string, day float64) error {
 	if day < 0 || day >= sh.horizon {
 		return fmt.Errorf("%w: day %v outside [0,%v)", ErrBadRating, day, sh.horizon)
 	}
-	if sh.seen[product][rater] {
+	if sh.seen[pos][rater] {
 		return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, product)
 	}
 	return nil

@@ -119,7 +119,6 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 	for i := 0; i < shards; i++ {
 		st.shards = append(st.shards, &shard{
 			data:      &dataset.Dataset{HorizonDays: horizonDays},
-			seen:      make(map[string]map[string]bool),
 			dirtyFrom: 0, // everything dirty: the first read computes the table
 			horizon:   horizonDays,
 			now:       time.Now,
@@ -135,7 +134,7 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 		// Version 1, not 0: store products are version-maintained from
 		// birth, so the engine's memo plane may key on them immediately.
 		sh.data.Products = append(sh.data.Products, dataset.Product{ID: id, Version: 1})
-		sh.seen[id] = make(map[string]bool)
+		sh.seen = append(sh.seen, make(map[string]bool))
 		st.globals[s] = append(st.globals[s], g)
 		st.products = append(st.products, id)
 	}
@@ -401,11 +400,10 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 	n := len(st.shards)
 	clone := d.Clone()
 	parts := make([]*dataset.Dataset, n)
-	seen := make([]map[string]map[string]bool, n)
+	seen := make([][]map[string]bool, n)
 	globals := make([][]int, n)
 	for i := 0; i < n; i++ {
 		parts[i] = &dataset.Dataset{HorizonDays: clone.HorizonDays}
-		seen[i] = make(map[string]map[string]bool)
 	}
 	products := make([]string, 0, len(clone.Products))
 	byID := make(map[string]loc, len(clone.Products))
@@ -427,7 +425,7 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 		// i.e. unversioned) value so the loaded series is version-keyed too.
 		p.Version++
 		parts[s].Products = append(parts[s].Products, p)
-		seen[s][p.ID] = m
+		seen[s] = append(seen[s], m)
 		globals[s] = append(globals[s], g)
 		products = append(products, p.ID)
 	}

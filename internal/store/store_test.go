@@ -336,7 +336,7 @@ func TestSubmitWALFailureRollsBackReservation(t *testing.T) {
 		t.Fatalf("submit under failing fsync = %v, want ErrUnavailable", err)
 	}
 	st.mu.RLock()
-	burned := st.shards[0].seen[products[0]]["alice"]
+	burned := st.shards[0].seen[st.byID[products[0]].pos]["alice"]
 	st.mu.RUnlock()
 	if burned {
 		t.Fatal("failed submit left the rater reservation behind")
@@ -387,20 +387,28 @@ func TestAbortRecomputeRestoresWatermark(t *testing.T) {
 }
 
 // A record planted in the wrong shard's log (corruption, manual tampering)
-// is refused on replay with a routing skip, never silently applied.
+// is refused on replay with a routing skip, never silently applied. The
+// victim product also has records in its own shard's log, which replays
+// concurrently: under -race this catches a replay that touches the
+// victim's state from the wrong shard's goroutine, even to presize it.
 func TestMisroutedRecordSkippedOnRecovery(t *testing.T) {
-	const shards = 4
+	const shards, legit = 4, 3
 	fs := faultfs.New()
 	products := testProducts(8)
 	st, _, err := Open(90, products, Options{FS: fs, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim := products[0]
+	for i := 0; i < legit; i++ {
+		if _, err := st.Submit(context.Background(), victim, fmt.Sprintf("rater-%d", i), 4, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	victim := products[0]
 	wrong := (Route(victim, shards) + 1) % shards
 	sub, err := wal.Sub(fs, wal.ShardDir(wrong))
 	if err != nil {
@@ -434,8 +442,8 @@ func TestMisroutedRecordSkippedOnRecovery(t *testing.T) {
 	if !found {
 		t.Fatalf("skip reasons %q do not name the routing violation", rep.SkipReasons)
 	}
-	if n, _ := st2.RatingCount(victim); n != 0 {
-		t.Fatalf("misrouted record was applied: count %d", n)
+	if n, _ := st2.RatingCount(victim); n != legit {
+		t.Fatalf("victim holds %d ratings, want its %d own-shard ones (misrouted record applied?)", n, legit)
 	}
 }
 

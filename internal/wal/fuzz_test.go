@@ -159,7 +159,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
 		// (1) Arbitrary bytes.
-		if recs, err := parseSnapshot(raw, nil); err == nil && (len(raw) == 0 || raw[0] != '{') {
+		if recs, err := parseSnapshot(raw, nil, 0); err == nil && (len(raw) == 0 || raw[0] != '{') {
 			if re := encodeRecords(t, recs); !bytes.Equal(re, raw) {
 				t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", raw, re)
 			}
@@ -168,7 +168,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// Encode a known-good image from the fuzz input (possibly empty).
 		recs := deriveRecords(raw)
 		img := encodeRecords(t, recs)
-		got, err := parseSnapshot(img, nil)
+		got, err := parseSnapshot(img, nil, 0)
 		if err != nil {
 			t.Fatalf("encoded snapshot rejected: %v", err)
 		}
@@ -176,7 +176,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 		// (2) Every cut short of the end is rejected.
 		cutAt := int(cut) % len(img)
-		if got, err := parseSnapshot(img[:cutAt], nil); err == nil {
+		if got, err := parseSnapshot(img[:cutAt], nil, 0); err == nil {
 			t.Fatalf("snapshot cut at %d of %d accepted with %d records", cutAt, len(img), len(got))
 		}
 
@@ -184,7 +184,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipAt := int(flip) % (len(img) * 8)
 		flipped := bytes.Clone(img)
 		flipped[flipAt/8] ^= 1 << (flipAt % 8)
-		if got, err := parseSnapshot(flipped, interner{}); err == nil {
+		if got, err := parseSnapshot(flipped, interner{}, 0); err == nil {
 			requireSameRecords(t, fmt.Sprintf("flip bit %d", flipAt), recs, got)
 		}
 	})

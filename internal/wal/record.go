@@ -106,6 +106,24 @@ func decodeRecord(data []byte, ids interner) (r Record, n int, ok bool) {
 	return r, headerSize + payloadLen, true
 }
 
+// countFrames counts the frames at the front of a log image from their
+// length prefixes alone, without checksums, stopping at the first length
+// that decodeRecord would reject as too short or too long or that runs
+// past the image. It bounds the records the checked scan can accept, so
+// recovery sizes its record slice before decoding; a corrupt image still
+// gets at most one slot per minFrameSize bytes.
+func countFrames(data []byte) int {
+	n := 0
+	for off := 0; len(data)-off >= headerSize; n++ {
+		l := int(binary.LittleEndian.Uint32(data[off:]))
+		if l < minFrameSize-headerSize || l > maxRecordSize || len(data)-off-headerSize < l {
+			break
+		}
+		off += headerSize + l
+	}
+	return n
+}
+
 // interner hands out one string per distinct product ID while files are
 // decoded: a snapshot or log names a handful of products thousands of
 // times, and each copy would be an allocation the replay keeps alive.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/dataset"
 )
@@ -70,9 +69,10 @@ func encodeSnapshot(d *dataset.Dataset) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeSnapshot decodes a binary snapshot image. Any deviation from the
-// format is an error wrapping ErrCorruptSnapshot.
-func decodeSnapshot(data []byte, ids interner) ([]Record, error) {
+// decodeSnapshot decodes a binary snapshot image into a slice with room
+// for extra more records. Any deviation from the format is an error
+// wrapping ErrCorruptSnapshot.
+func decodeSnapshot(data []byte, ids interner, extra int) ([]Record, error) {
 	if len(data) < snapshotHeaderSize {
 		return nil, fmt.Errorf("%w: %d-byte header", ErrCorruptSnapshot, len(data))
 	}
@@ -87,7 +87,7 @@ func decodeSnapshot(data []byte, ids interner) ([]Record, error) {
 	if count > uint64(len(body)/minFrameSize) {
 		return nil, fmt.Errorf("%w: %d records cannot fit in %d bytes", ErrCorruptSnapshot, count, len(body))
 	}
-	recs := make([]Record, 0, count)
+	recs := make([]Record, 0, int(count)+extra)
 	off := 0
 	for i := uint64(0); i < count; i++ {
 		r, n, ok := decodeRecord(body[off:], ids)
@@ -105,44 +105,25 @@ func decodeSnapshot(data []byte, ids interner) ([]Record, error) {
 
 // parseSnapshot decodes a snapshot file's bytes: a binary image, or a
 // legacy JSON dataset flattened into records in product and series order.
-func parseSnapshot(data []byte, ids interner) ([]Record, error) {
+// The result has room for extra more records, so the log tail recovered
+// after the checkpoint appends without regrowing it.
+func parseSnapshot(data []byte, ids interner, extra int) ([]Record, error) {
 	if len(data) == 0 || data[0] != '{' {
-		return decodeSnapshot(data, ids)
+		return decodeSnapshot(data, ids, extra)
 	}
 	d, err := dataset.DecodeJSON(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	var recs []Record
+	n := extra
+	for _, p := range d.Products {
+		n += len(p.Ratings)
+	}
+	recs := make([]Record, 0, n)
 	for _, p := range d.Products {
 		for _, r := range p.Ratings {
 			recs = append(recs, Record{Product: p.ID, Rater: r.Rater, Value: r.Value, Day: r.Day})
 		}
 	}
 	return recs, nil
-}
-
-// readSnapshot loads the published snapshot, if any, as the leading
-// records of rec.
-func readSnapshot(fsys FS, rec *Recovery, ids interner) error {
-	f, err := fsys.Open(snapshotName)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: open snapshot: %w", err)
-	}
-	defer f.Close()
-	data, err := readFile(fsys, snapshotName, f)
-	if err != nil {
-		return fmt.Errorf("wal: read snapshot: %w", err)
-	}
-	recs, err := parseSnapshot(data, ids)
-	if err != nil {
-		return fmt.Errorf("wal: %s: %w", snapshotName, err)
-	}
-	rec.HasSnapshot = true
-	rec.Records = recs
-	rec.SnapshotRecords = len(recs)
-	return nil
 }

@@ -62,7 +62,8 @@ func compacted(t *testing.T, d *dataset.Dataset) *faultfs.FS {
 
 // A snapshot recovers exactly the compacted ratings, in product and
 // series order, bit for bit (negative zero and fractional days included),
-// ahead of the log tail; the published file starts with the magic.
+// ahead of the log tail; the published file starts with the magic. The
+// record slice is sized once for both, not regrown by the tail.
 func TestSnapshotRoundtripExact(t *testing.T) {
 	d := &dataset.Dataset{HorizonDays: 90, Products: []dataset.Product{
 		{ID: "tv0", Ratings: dataset.Series{{Day: 0, Value: math.Copysign(0, -1), Rater: "a"}, {Day: 1.0 / 3, Value: 0.1, Rater: "b", Unfair: true}}},
@@ -93,6 +94,9 @@ func TestSnapshotRoundtripExact(t *testing.T) {
 	}
 	requireRecords(t, "snapshot", rc.Records[:rc.SnapshotRecords], snapshotRecords(d))
 	requireRecords(t, "tail", rc.Tail(), []wal.Record{rec(0), rec(1)})
+	if cap(rc.Records) != len(rc.Records) {
+		t.Fatalf("recovered %d records into capacity %d, want it exact", len(rc.Records), cap(rc.Records))
+	}
 }
 
 // An empty snapshot is a snapshot: recovery tells it apart from none.
@@ -192,6 +196,9 @@ func TestLegacyJSONSnapshotRecovers(t *testing.T) {
 	}
 	requireRecords(t, "legacy snapshot before tail", rc.Records[:rc.SnapshotRecords], want)
 	requireRecords(t, "tail after legacy snapshot", rc.Tail(), []wal.Record{rec(0), rec(1)})
+	if cap(rc.Records) != len(rc.Records) {
+		t.Fatalf("recovered %d records into capacity %d, want it exact", len(rc.Records), cap(rc.Records))
+	}
 	if err := w.Compact(d); err != nil {
 		t.Fatal(err)
 	}

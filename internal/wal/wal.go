@@ -169,12 +169,30 @@ func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
 	if err := fsys.Remove(snapshotTmp); err != nil {
 		return nil, nil, fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
 	}
-	rec := &Recovery{}
-	ids := interner{}
-	if err := readSnapshot(fsys, rec, ids); err != nil {
+	snap, hasSnap, err := readImage(fsys, snapshotName, "snapshot")
+	if err != nil {
 		return nil, nil, err
 	}
-	goodBytes, err := readLog(fsys, rec, ids)
+	logImg, _, err := readImage(fsys, logName, "log")
+	if err != nil {
+		return nil, nil, err
+	}
+	// Size Records once for the checkpoint and the log tail together:
+	// appending the tail to an exactly sized checkpoint slice would copy
+	// the checkpoint and then regrow the copy as the tail decodes.
+	tail := countFrames(logImg)
+	rec := &Recovery{HasSnapshot: hasSnap}
+	ids := interner{}
+	if hasSnap {
+		recs, err := parseSnapshot(snap, ids, tail)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: %s: %w", snapshotName, err)
+		}
+		rec.Records, rec.SnapshotRecords = recs, len(recs)
+	} else {
+		rec.Records = make([]Record, 0, tail)
+	}
+	goodBytes, err := readLog(fsys, logImg, rec, ids)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,38 +210,35 @@ func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
 // Tail returns the records replayed from the log, after the checkpoint's.
 func (r *Recovery) Tail() []Record { return r.Records[r.SnapshotRecords:] }
 
-// readFile reads the whole of name, already open as f, into one buffer of
-// its exact size. Recovery thus allocates each file once, instead of
-// several times its size in the doubling buffers of io.ReadAll or a
-// streaming JSON decoder; that garbage would force collections during
-// replay.
-func readFile(fsys FS, name string, f File) ([]byte, error) {
-	size, err := fsys.Size(name)
+// readImage reads the whole of name into one buffer of its exact size;
+// ok is false when the file does not exist. Recovery thus allocates each
+// file once, instead of several times its size in the doubling buffers of
+// io.ReadAll or a streaming JSON decoder; that garbage would force
+// collections during replay. what names the file in errors.
+func readImage(fsys FS, name, what string) (data []byte, ok bool, err error) {
+	f, err := fsys.Open(name)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, false, nil
+	}
 	if err != nil {
-		return nil, err
+		return nil, false, fmt.Errorf("wal: open %s: %w", what, err)
 	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, err
+	defer f.Close()
+	size, err := fsys.Size(name)
+	if err == nil {
+		data = make([]byte, size)
+		_, err = io.ReadFull(f, data)
 	}
-	return data, nil
+	if err != nil {
+		return nil, false, fmt.Errorf("wal: read %s: %w", what, err)
+	}
+	return data, true, nil
 }
 
-// readLog scans the log, collects checksum-valid records, and truncates
-// any torn tail. It returns the byte length of the valid prefix.
-func readLog(fsys FS, rec *Recovery, ids interner) (int64, error) {
-	f, err := fsys.Open(logName)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: open log: %w", err)
-	}
-	data, err := readFile(fsys, logName, f)
-	f.Close()
-	if err != nil {
-		return 0, fmt.Errorf("wal: read log: %w", err)
-	}
+// readLog appends the checksum-valid records at the front of the log
+// image data to rec and truncates any torn tail from the file. It returns
+// the byte length of the valid prefix.
+func readLog(fsys FS, data []byte, rec *Recovery, ids interner) (int64, error) {
 	off := 0
 	for off < len(data) {
 		r, n, ok := decodeRecord(data[off:], ids)
