@@ -225,78 +225,50 @@ func benchSeries(b *testing.B) dataset.Series {
 	return prod.Ratings
 }
 
-// BenchmarkDetectorMC measures the mean-change detector alone.
-func BenchmarkDetectorMC(b *testing.B) {
-	s := benchSeries(b)
-	cfg := detect.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detect.MeanChange(s, cfg, nil)
-	}
-}
+// BenchmarkDetectorMC, BenchmarkDetectorHC and BenchmarkDetectorME run
+// their kernels alone in internal/detect's hotpath_bench_test.go, on an
+// attacked series of the same shape.
 
-// BenchmarkDetectorARC measures the H-ARC/L-ARC pair.
+// BenchmarkDetectorARC measures the H-ARC/L-ARC pair on fresh buffers.
 func BenchmarkDetectorARC(b *testing.B) {
 	s := benchSeries(b)
 	cfg := detect.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detect.ArrivalRateChange(s, 120, detect.HighBand, cfg)
-		detect.ArrivalRateChange(s, 120, detect.LowBand, cfg)
+		detect.ArrivalSignals(s, 120, cfg, detect.NewScratch(), nil)
 	}
 }
 
-// BenchmarkDetectorHC measures the histogram-change detector (single-linkage
-// clustering per window).
-func BenchmarkDetectorHC(b *testing.B) {
-	s := benchSeries(b)
+// benchFusion runs the full stack on s — the trust-free detector signals
+// (all four detectors), then Decide's two-path fusion — on scratch sc
+// (nil: fresh buffers each run).
+func benchFusion(b *testing.B, s dataset.Series, sc *detect.Scratch) {
 	cfg := detect.DefaultConfig()
+	run := func(sc *detect.Scratch) {
+		if sc == nil {
+			sc = detect.NewScratch()
+		}
+		sig := detect.SeriesSignals(s, cfg, sc, nil)
+		sig.HARC, sig.LARC = detect.ArrivalSignals(s, 120, cfg, sc, nil)
+		detect.Decide(s, sig, cfg, nil)
+	}
+	run(sc) // warm the buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detect.HistogramChange(s, cfg)
+		run(sc)
 	}
 }
 
-// BenchmarkDetectorME measures the AR-model-error detector (covariance
-// method fit per window).
-func BenchmarkDetectorME(b *testing.B) {
-	s := benchSeries(b)
-	cfg := detect.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detect.ModelError(s, cfg)
-	}
-}
+// BenchmarkDetectorFusion measures the full stack on fresh buffers.
+func BenchmarkDetectorFusion(b *testing.B) { benchFusion(b, benchSeries(b), nil) }
 
-// BenchmarkDetectorFusion measures the full Analyze stack (all four
-// detectors plus the two-path fusion).
-func BenchmarkDetectorFusion(b *testing.B) {
-	s := benchSeries(b)
-	cfg := detect.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detect.Analyze(s, 120, cfg, nil)
-	}
-}
-
-// BenchmarkDetectorFusionWarm measures Analyze with a caller-owned warm
-// scratch — the shape the engine's per-product fan-out runs in, where the
-// window buffers are reused across every product in a worker's batch.
+// BenchmarkDetectorFusionWarm measures the full stack on a caller-owned
+// warm scratch — the shape the engine's per-product fan-out runs in, where
+// the window buffers are reused across every product in a worker's batch.
 func BenchmarkDetectorFusionWarm(b *testing.B) {
-	s := benchSeries(b)
-	cfg := detect.DefaultConfig()
-	sc := detect.NewScratch()
-	detect.AnalyzeWith(s, 120, cfg, nil, sc) // warm the buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		detect.AnalyzeWith(s, 120, cfg, nil, sc)
-	}
+	benchFusion(b, benchSeries(b), detect.NewScratch())
 }
 
 // BenchmarkGeneratorAttack measures generating one 50-rating attack

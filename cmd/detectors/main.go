@@ -53,40 +53,49 @@ func run(w io.Writer, inPath string, demo, verbose bool, curvesPath string) erro
 		fmt.Fprintln(curvesOut, "product,curve,day,value")
 	}
 	cfg := detect.DefaultConfig()
+	sc := detect.NewScratch()
 	for _, p := range d.Products {
-		rep := detect.Analyze(p.Ratings, d.HorizonDays, cfg, nil)
+		var carry detect.Prefix
+		sig := detect.SeriesSignals(p.Ratings, cfg, sc, &carry)
+		sig.HARC, sig.LARC = detect.ArrivalSignals(p.Ratings, d.HorizonDays, cfg, sc, &carry)
+		dec := detect.Decide(p.Ratings, sig, cfg, nil)
+		mc, high, low, hc, me := carry.Curves(cfg)
+		suspiciousSegments := 0
+		for _, seg := range dec.Segments {
+			if seg.Suspicious {
+				suspiciousSegments++
+			}
+		}
 		fmt.Fprintf(w, "== product %s: %s ==\n", p.ID, p.Ratings.Stats())
 		fmt.Fprintf(w, "  MC peaks %d, suspicious segments %d | H-ARC alarm %v | L-ARC alarm %v | HC windows %d | ME windows %d\n",
-			len(rep.MC.Peaks), len(rep.MC.SuspiciousIntervals()),
-			rep.HARC.Alarm(), rep.LARC.Alarm(),
-			len(rep.HC.Intervals), len(rep.ME.Intervals))
-		if len(rep.Intervals) == 0 {
+			len(mc.Peaks(cfg.MCPeakThreshold, cfg.MCPeakMinSepDays)), suspiciousSegments,
+			sig.HARC.Alarm(), sig.LARC.Alarm(), len(sig.HC), len(sig.ME))
+		if len(dec.Intervals) == 0 {
 			fmt.Fprintln(w, "  verdict: no suspicious ratings")
 			continue
 		}
-		fmt.Fprintf(w, "  verdict: %d suspicious ratings in %d interval(s):\n",
-			rep.SuspiciousCount(), len(rep.Intervals))
-		for _, iv := range rep.Intervals {
+		// tp+fp counts the marks; with ground truth (attackgen tags unfair
+		// ratings), tp and fn also score them.
+		var tp, fp, fn int
+		for i, r := range p.Ratings {
+			switch {
+			case r.Unfair && dec.Suspicious[i]:
+				tp++
+			case !r.Unfair && dec.Suspicious[i]:
+				fp++
+			case r.Unfair && !dec.Suspicious[i]:
+				fn++
+			}
+		}
+		fmt.Fprintf(w, "  verdict: %d suspicious ratings in %d interval(s):\n", tp+fp, len(dec.Intervals))
+		for _, iv := range dec.Intervals {
 			fmt.Fprintf(w, "    days %.1f – %.1f\n", iv.Start, iv.End)
 		}
 		if verbose {
 			for i, r := range p.Ratings {
-				if rep.Suspicious[i] {
+				if dec.Suspicious[i] {
 					fmt.Fprintf(w, "    day %7.2f  value %.1f  rater %s\n", r.Day, r.Value, r.Rater)
 				}
-			}
-		}
-		// With ground truth (attackgen tags unfair ratings), report
-		// detection quality.
-		var tp, fp, fn int
-		for i, r := range p.Ratings {
-			switch {
-			case r.Unfair && rep.Suspicious[i]:
-				tp++
-			case !r.Unfair && rep.Suspicious[i]:
-				fp++
-			case r.Unfair && !rep.Suspicious[i]:
-				fn++
 			}
 		}
 		if tp+fn > 0 {
@@ -95,25 +104,17 @@ func run(w io.Writer, inPath string, demo, verbose bool, curvesPath string) erro
 				100*float64(tp)/float64(max(tp+fp, 1)), tp+fn)
 		}
 		if curvesOut != nil {
-			writeCurves(curvesOut, p.ID, rep)
+			for _, c := range []struct {
+				name  string
+				curve detect.Curve
+			}{{"MC", mc}, {"H-ARC", high}, {"L-ARC", low}, {"HC", hc}, {"ME", me}} {
+				for i := range c.curve.X {
+					fmt.Fprintf(curvesOut, "%s,%s,%.4f,%.6f\n", p.ID, c.name, c.curve.X[i], c.curve.Y[i])
+				}
+			}
 		}
 	}
 	return nil
-}
-
-// writeCurves dumps every indicator curve as flat CSV rows for external
-// plotting.
-func writeCurves(w io.Writer, product string, rep detect.Report) {
-	emit := func(name string, c detect.Curve) {
-		for i := range c.X {
-			fmt.Fprintf(w, "%s,%s,%.4f,%.6f\n", product, name, c.X[i], c.Y[i])
-		}
-	}
-	emit("MC", rep.MC.Curve)
-	emit("H-ARC", rep.HARC.Curve)
-	emit("L-ARC", rep.LARC.Curve)
-	emit("HC", rep.HC.Curve)
-	emit("ME", rep.ME.Curve)
 }
 
 func load(inPath string, demo bool) (*dataset.Dataset, error) {

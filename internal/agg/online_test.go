@@ -15,10 +15,11 @@ import (
 )
 
 // onlineReference is the standalone online P-scheme loop OnlinePScheme
-// used before publication moved into the engine, kept verbatim as the
-// reference the engine's causal table must match bit for bit: per epoch,
-// analyze every product's prefix, fold the epoch's per-rater counts into
-// trust, then publish the period with the post-fold trust.
+// used before publication moved into the engine, kept as the reference
+// the engine's causal table must match bit for bit: per epoch, analyze
+// every product's prefix from scratch (no carried Prefix), fold the
+// epoch's per-rater counts into trust, then publish the period with the
+// post-fold trust.
 func onlineReference(p *OnlinePScheme, d *dataset.Dataset) Table {
 	mgr := trust.NewManager()
 	n := Periods(d.HorizonDays)
@@ -30,6 +31,7 @@ func onlineReference(p *OnlinePScheme, d *dataset.Dataset) Table {
 	for _, prod := range d.Products {
 		marks[prod.ID] = make([]bool, len(prod.Ratings))
 	}
+	sc := detect.NewScratch()
 
 	for epoch := 0; epoch < n; epoch++ {
 		lo, hi := PeriodInterval(epoch, d.HorizonDays)
@@ -38,7 +40,9 @@ func onlineReference(p *OnlinePScheme, d *dataset.Dataset) Table {
 		// Judge this epoch's ratings from the data published so far.
 		for _, prod := range d.Products {
 			seen := prod.Ratings.Between(0, hi)
-			rep := detect.Analyze(seen, hi, p.Detect, mgr)
+			sig := detect.SeriesSignals(seen, p.Detect, sc, nil)
+			sig.HARC, sig.LARC = detect.ArrivalSignals(seen, hi, p.Detect, sc, nil)
+			rep := detect.Decide(seen, sig, p.Detect, mgr)
 			m := marks[prod.ID]
 			for i, r := range seen {
 				if r.Day < lo {

@@ -14,10 +14,10 @@ func TestMEMethodAblation(t *testing.T) {
 	for _, m := range []armodel.Method{armodel.Covariance, armodel.Autocorrelation, armodel.Burg} {
 		cfg := DefaultConfig()
 		cfg.MEMethod = m
-		if !ModelError(atk, cfg).Suspicious() {
+		if len(SeriesSignals(atk, cfg, NewScratch(), nil).ME) == 0 {
 			t.Errorf("method %v: dense constant attack not ME-suspicious", m)
 		}
-		if ModelError(fair, cfg).Suspicious() {
+		if len(SeriesSignals(fair, cfg, NewScratch(), nil).ME) > 0 {
 			t.Errorf("method %v: fair data ME-suspicious", m)
 		}
 	}
@@ -33,7 +33,7 @@ func TestFusionPathAblation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MCThreshold1 = 99
 	cfg.MCThreshold2 = 99
-	rep := Analyze(strong, testHorizon, cfg, nil)
+	_, rep, _ := analyze(strong, testHorizon, cfg, nil, NewScratch())
 	recall, _ := recallPrecision(strong, rep.Suspicious)
 	if recall < 0.4 {
 		t.Errorf("path-2-only recall = %v", recall)
@@ -44,7 +44,7 @@ func TestFusionPathAblation(t *testing.T) {
 	cfg = DefaultConfig()
 	cfg.METhreshold = -1 // RelErr can never drop below −1
 	cfg.HCThreshold = 99
-	rep = Analyze(strong, testHorizon, cfg, nil)
+	_, rep, _ = analyze(strong, testHorizon, cfg, nil, NewScratch())
 	recall, _ = recallPrecision(strong, rep.Suspicious)
 	if recall < 0.4 {
 		t.Errorf("path-1-only recall = %v", recall)
@@ -58,8 +58,8 @@ func TestWindowSizeSensitivity(t *testing.T) {
 	for _, wnd := range []float64{15, 30, 60} {
 		cfg := DefaultConfig()
 		cfg.MCWindowDays = wnd
-		res := MeanChange(strong, cfg, nil)
-		if !res.Suspicious() {
+		_, dec, _ := analyze(strong, testHorizon, cfg, nil, NewScratch())
+		if len(suspiciousSegments(dec.Segments)) == 0 {
 			t.Errorf("MC window %v days: attack not suspicious", wnd)
 		}
 	}

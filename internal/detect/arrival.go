@@ -172,14 +172,6 @@ func arcCurveUpdate(y []float64, old []int32, sums []int64, d int) {
 	}
 }
 
-// ARCCurve computes the arrival-rate-change curve of Section IV-C.2 for the
-// chosen band: at each day k′, the normalized Poisson GLRT statistic over
-// the 2D-day window centred at k′ (smaller windows at the boundaries, with a
-// minimum of 3 days per side).
-func ARCCurve(s dataset.Series, horizon float64, band ARCBand, cfg Config) Curve {
-	return ArrivalRateChange(s, horizon, band, cfg).Curve
-}
-
 // ARCSegment is a run of days between consecutive ARC peaks.
 type ARCSegment struct {
 	Interval   Interval
@@ -187,52 +179,9 @@ type ARCSegment struct {
 	Suspicious bool    // band rate elevated above the series baseline
 }
 
-// ARCResult is the outcome of the (H-/L-)ARC detector on one series.
-type ARCResult struct {
-	Band     ARCBand
-	Curve    Curve
-	Peaks    []int // indices into Curve
-	Segments []ARCSegment
-	// ThresholdA and ThresholdB are the band thresholds derived from the
-	// series mean, echoed for the fusion stage.
-	ThresholdA float64
-	ThresholdB float64
-}
-
-// signals returns the part of the result the Figure 1 fusion reads: the
-// band, peak days, segments and thresholds, without the curve.
-func (r ARCResult) signals() ARCSignals {
-	out := ARCSignals{
-		Band:       r.Band,
-		Segments:   r.Segments,
-		ThresholdA: r.ThresholdA,
-		ThresholdB: r.ThresholdB,
-	}
-	if len(r.Peaks) > 0 {
-		out.PeakDays = make([]float64, len(r.Peaks))
-		for i, p := range r.Peaks {
-			out.PeakDays[i] = r.Curve.X[p]
-		}
-	}
-	return out
-}
-
-// Alarm reports whether the detector saw a rate-change peak or an elevated
-// segment (see ARCSignals.Alarm).
-func (r ARCResult) Alarm() bool { return r.signals().Alarm() }
-
-// Suspicious reports whether any segment shows a suspicious rate increase.
-func (r ARCResult) Suspicious() bool { return r.signals().Suspicious() }
-
-// SuspiciousIntervals returns the intervals of the suspicious segments.
-func (r ARCResult) SuspiciousIntervals() []Interval { return r.signals().SuspiciousIntervals() }
-
-// UShape returns, for each pair of consecutive peaks, the interval between
-// them (see ARCSignals.UShape).
-func (r ARCResult) UShape() []Interval { return r.signals().UShape() }
-
-// ARCSignals is the trust-free (H-/L-)ARC evidence the fusion reads: an
-// ARCResult without its indicator curve, small enough to cache.
+// ARCSignals is the outcome of the (H-/L-)ARC detector of Section IV-C on
+// one series: the trust-free evidence the fusion reads, without the
+// indicator curve, small enough to cache.
 type ARCSignals struct {
 	Band     ARCBand
 	PeakDays []float64 // days of the curve's peaks, in order
@@ -280,38 +229,26 @@ func (a ARCSignals) UShape() []Interval {
 	return out
 }
 
-// ArrivalRateChange runs the full (H-/L-)ARC detector of Section IV-C:
-// curve, peaks, segmentation, and the elevated-rate segment test.
-func ArrivalRateChange(s dataset.Series, horizon float64, band ARCBand, cfg Config) ARCResult {
-	ta, tb := BandThresholds(s.Mean())
-	return arrivalRateChangeWith(NewScratch(), s, horizon, band, ta, tb, cfg)
-}
-
-// arrivalRateChangeWith is ArrivalRateChange on reusable scratch buffers,
-// with the band thresholds ta, tb of the series mean passed in: arcBand
-// over an empty carry, whose curve the result then owns.
-func arrivalRateChangeWith(sc *Scratch, s dataset.Series, horizon float64, band ARCBand, ta, tb float64, cfg Config) ARCResult {
-	n := horizonDays(horizon)
-	var c arcCarry
-	return arcBand(sc, s, n, band, ta, tb, cfg, &c, curveDays(curvePoints(n)))
-}
-
 // arcBand runs one band of the (H-/L-)ARC detector over the daily counts
 // of [0, n) under thresholds ta, tb: the curve comes from carry c, brought
 // up to the counts, and the peaks, segments and baseline are computed over
-// the full arrays. The result's curve is c.y at days (the first
-// curvePoints(n) days of curveDays), so it aliases both.
-func arcBand(sc *Scratch, s dataset.Series, n int, band ARCBand, ta, tb float64, cfg Config, c *arcCarry, days []float64) ARCResult {
+// the full arrays. days holds the days of the curve's points (the first
+// curvePoints(n) of curveDays).
+func arcBand(sc *Scratch, s dataset.Series, n int, band ARCBand, ta, tb float64, cfg Config, c *arcCarry, days []float64) ARCSignals {
 	sums, peak := sc.bandSums(s, n, band, ta, tb)
 	c.update(sums, arcHalfWindow(cfg))
-	res := ARCResult{Band: band, ThresholdA: ta, ThresholdB: tb}
+	out := ARCSignals{Band: band, ThresholdA: ta, ThresholdB: tb}
 	if len(c.y) == 0 {
-		return res
+		return out
 	}
-	res.Curve = Curve{X: days, Y: c.y}
-	res.Peaks = res.Curve.Peaks(cfg.ARCPeakThreshold, cfg.ARCPeakMinSepDays)
+	if peaks := (Curve{X: days, Y: c.y}).Peaks(cfg.ARCPeakThreshold, cfg.ARCPeakMinSepDays); len(peaks) > 0 {
+		out.PeakDays = make([]float64, len(peaks))
+		for i, p := range peaks {
+			out.PeakDays[i] = days[p]
+		}
+	}
 
-	bounds := daySegments(n, res.Curve, res.Peaks)
+	bounds := daySegments(n, out.PeakDays)
 	// Baseline band rate, estimated from the lower-quartile daily count.
 	// A quantile baseline — rather than a previous-segment comparison —
 	// gives attacks that start on day 0 no place to hide, and the 25th
@@ -329,25 +266,24 @@ func arcBand(sc *Scratch, s dataset.Series, n int, band ARCBand, ta, tb float64,
 	if rel := cfg.ARCRelDelta * baseline; rel > margin {
 		margin = rel
 	}
-	res.Segments = make([]ARCSegment, 0, len(bounds))
+	out.Segments = make([]ARCSegment, 0, len(bounds))
 	for _, iv := range bounds {
 		seg := ARCSegment{Interval: iv, Rate: meanSums(sums, iv)}
 		seg.Suspicious = seg.Rate-baseline > margin
-		res.Segments = append(res.Segments, seg)
+		out.Segments = append(out.Segments, seg)
 	}
-	return res
+	return out
 }
 
-// daySegments splits [0, days) at the peak day positions.
-func daySegments(days int, c Curve, peaks []int) []Interval {
+// daySegments splits [0, days) at the peak days.
+func daySegments(days int, peakDays []float64) []Interval {
 	end := float64(days)
-	if len(peaks) == 0 {
+	if len(peakDays) == 0 {
 		return []Interval{{Start: 0, End: end}}
 	}
-	out := make([]Interval, 0, len(peaks)+1)
+	out := make([]Interval, 0, len(peakDays)+1)
 	prev := 0.0
-	for _, p := range peaks {
-		t := c.X[p]
+	for _, t := range peakDays {
 		if t > prev {
 			out = append(out, Interval{Start: prev, End: t})
 		}

@@ -19,7 +19,7 @@ func TestMCCurveSpikesAtChangePoint(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	c := MCCurve(s, cfg)
+	c := mcExtend(s, cfg, Curve{})
 	// The maximum statistic should be near day 50.
 	best, bestY := 0.0, -1.0
 	for i, y := range c.Y {
@@ -39,9 +39,9 @@ func TestMeanChangeQuietOnFairData(t *testing.T) {
 	cfg := DefaultConfig()
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := fairSeries(t, seed)
-		res := MeanChange(s, cfg, nil)
-		if res.Suspicious() {
-			t.Errorf("seed %d: fair data flagged MC-suspicious (segments %+v)", seed, res.Segments)
+		_, dec, _ := analyze(s, testHorizon, cfg, nil, NewScratch())
+		if len(suspiciousSegments(dec.Segments)) > 0 {
+			t.Errorf("seed %d: fair data flagged MC-suspicious (segments %+v)", seed, dec.Segments)
 		}
 	}
 }
@@ -50,27 +50,30 @@ func TestMeanChangeFlagsDowngradeAttack(t *testing.T) {
 	cfg := DefaultConfig()
 	// 50 ratings at ≈1.0 over days 60–80 against a mean-4 product.
 	s := attacked(t, 7, 60, 80, 50, 1.0, 0.3)
-	res := MeanChange(s, cfg, nil)
-	if !res.Suspicious() {
-		t.Fatalf("strong downgrade not MC-suspicious (peaks %v, max %v)", res.Peaks, res.Curve.Max())
+	_, dec, p := analyze(s, testHorizon, cfg, nil, NewScratch())
+	suspicious := suspiciousSegments(dec.Segments)
+	if len(suspicious) == 0 {
+		mc, _, _, _, _ := p.Curves(cfg)
+		t.Fatalf("strong downgrade not MC-suspicious (peaks %v, max %v)",
+			mc.Peaks(cfg.MCPeakThreshold, cfg.MCPeakMinSepDays), mc.Max())
 	}
 	// A suspicious segment should overlap the attack window.
 	overlap := false
-	for _, iv := range res.SuspiciousIntervals() {
+	for _, iv := range suspicious {
 		if iv.Overlaps(Interval{Start: 60, End: 80}) {
 			overlap = true
 		}
 	}
 	if !overlap {
-		t.Errorf("suspicious intervals %v do not overlap attack window", res.SuspiciousIntervals())
+		t.Errorf("suspicious intervals %v do not overlap attack window", suspicious)
 	}
 }
 
 func TestMeanChangeSegmentBoundsCoverSeries(t *testing.T) {
 	s := attacked(t, 3, 40, 60, 40, 1.5, 0.4)
-	res := MeanChange(s, DefaultConfig(), nil)
+	sig := SeriesSignals(s, DefaultConfig(), NewScratch(), nil)
 	total := 0
-	for _, seg := range res.Segments {
+	for _, seg := range sig.MC {
 		total += len(s.Between(seg.Interval.Start, seg.Interval.End))
 	}
 	if total != len(s) {
@@ -83,7 +86,7 @@ func TestARCQuietOnFairData(t *testing.T) {
 	quietSeeds := 0
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := fairSeries(t, seed)
-		res := ArrivalRateChange(s, testHorizon, AllRatings, cfg)
+		res, _ := arcKernel(s, testHorizon, AllRatings, cfg)
 		if !res.Suspicious() {
 			quietSeeds++
 		}
@@ -99,9 +102,9 @@ func TestARCFlagsRateBurst(t *testing.T) {
 	cfg := DefaultConfig()
 	// 60 extra low ratings in 10 days ≈ +6/day on a 3.5/day baseline.
 	s := attacked(t, 11, 70, 80, 60, 1.0, 0.3)
-	res := ArrivalRateChange(s, testHorizon, AllRatings, cfg)
+	res, curve := arcKernel(s, testHorizon, AllRatings, cfg)
 	if !res.Alarm() {
-		t.Fatalf("rate burst raised no ARC alarm (max %v)", res.Curve.Max())
+		t.Fatalf("rate burst raised no ARC alarm (max %v)", curve.Max())
 	}
 	if !res.Suspicious() {
 		t.Fatalf("rate burst has no suspicious segment (segments %+v)", res.Segments)
@@ -120,14 +123,15 @@ func TestARCFlagsRateBurst(t *testing.T) {
 func TestLARCSelectsLowRatings(t *testing.T) {
 	cfg := DefaultConfig()
 	s := attacked(t, 13, 70, 80, 60, 1.0, 0.3)
-	res := ArrivalRateChange(s, testHorizon, LowBand, cfg)
-	if !res.Alarm() {
+	var p Prefix
+	_, low := ArrivalSignals(s, testHorizon, cfg, NewScratch(), &p)
+	if !low.Alarm() {
 		t.Errorf("L-ARC missed a low-value burst")
 	}
 	// H-ARC should see far less signal from a low-value attack.
-	h := ArrivalRateChange(s, testHorizon, HighBand, cfg)
-	if h.Curve.Max() >= res.Curve.Max() {
-		t.Errorf("H-ARC max %v ≥ L-ARC max %v for low-value attack", h.Curve.Max(), res.Curve.Max())
+	_, hCurve, lCurve, _, _ := p.Curves(cfg)
+	if hCurve.Max() >= lCurve.Max() {
+		t.Errorf("H-ARC max %v ≥ L-ARC max %v for low-value attack", hCurve.Max(), lCurve.Max())
 	}
 }
 
@@ -152,7 +156,7 @@ func TestHCQuietOnFairData(t *testing.T) {
 	quiet := 0
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := fairSeries(t, seed)
-		if !HistogramChange(s, cfg).Suspicious() {
+		if len(SeriesSignals(s, cfg, NewScratch(), nil).HC) == 0 {
 			quiet++
 		}
 	}
@@ -164,9 +168,10 @@ func TestHCQuietOnFairData(t *testing.T) {
 func TestHCFlagsBimodalWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	s := attacked(t, 17, 60, 90, 60, 0.8, 0.2)
-	res := HistogramChange(s, cfg)
-	if !res.Suspicious() {
-		t.Fatalf("bimodal attack not HC-suspicious (max ratio %v)", res.Curve.Max())
+	var p Prefix
+	if len(SeriesSignals(s, cfg, NewScratch(), &p).HC) == 0 {
+		_, _, _, hc, _ := p.Curves(cfg)
+		t.Fatalf("bimodal attack not HC-suspicious (max ratio %v)", hc.Max())
 	}
 }
 
@@ -175,7 +180,7 @@ func TestMEQuietOnFairData(t *testing.T) {
 	quiet := 0
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := fairSeries(t, seed)
-		if !ModelError(s, cfg).Suspicious() {
+		if len(SeriesSignals(s, cfg, NewScratch(), nil).ME) == 0 {
 			quiet++
 		}
 	}
@@ -188,10 +193,11 @@ func TestMEFlagsConstantSignal(t *testing.T) {
 	cfg := DefaultConfig()
 	// A dense constant-value attack makes windows highly predictable.
 	s := attacked(t, 19, 60, 75, 80, 1.0, 0.05)
-	res := ModelError(s, cfg)
-	if !res.Suspicious() {
+	var p Prefix
+	if len(SeriesSignals(s, cfg, NewScratch(), &p).ME) == 0 {
+		_, _, _, _, me := p.Curves(cfg)
 		min := 2.0
-		for _, y := range res.Curve.Y {
+		for _, y := range me.Y {
 			if y < min {
 				min = y
 			}
@@ -203,7 +209,7 @@ func TestMEFlagsConstantSignal(t *testing.T) {
 func TestAnalyzeMarksStrongAttack(t *testing.T) {
 	cfg := DefaultConfig()
 	s := attacked(t, 23, 60, 80, 50, 1.0, 0.3)
-	rep := Analyze(s, testHorizon, cfg, nil)
+	_, rep, _ := analyze(s, testHorizon, cfg, nil, NewScratch())
 	recall, precision := recallPrecision(s, rep.Suspicious)
 	if recall < 0.5 {
 		t.Errorf("recall = %v, want ≥ 0.5", recall)
@@ -220,8 +226,8 @@ func TestAnalyzeQuietOnFairData(t *testing.T) {
 	cfg := DefaultConfig()
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := fairSeries(t, seed)
-		rep := Analyze(s, testHorizon, cfg, nil)
-		frac := float64(rep.SuspiciousCount()) / float64(len(s))
+		_, rep, _ := analyze(s, testHorizon, cfg, nil, NewScratch())
+		frac := float64(countMarks(rep.Suspicious)) / float64(len(s))
 		if frac > 0.10 {
 			t.Errorf("seed %d: %.1f%% of fair ratings marked suspicious", seed, 100*frac)
 		}
@@ -229,8 +235,8 @@ func TestAnalyzeQuietOnFairData(t *testing.T) {
 }
 
 func TestAnalyzeEmptySeries(t *testing.T) {
-	rep := Analyze(nil, testHorizon, DefaultConfig(), nil)
-	if rep.SuspiciousCount() != 0 || len(rep.Intervals) != 0 {
+	_, rep, _ := analyze(nil, testHorizon, DefaultConfig(), nil, NewScratch())
+	if countMarks(rep.Suspicious) != 0 || len(rep.Intervals) != 0 {
 		t.Error("empty series produced marks")
 	}
 }
@@ -244,12 +250,12 @@ func TestBoostAttackWeakerSignatureThanDowngrade(t *testing.T) {
 	boost := attacked(t, 29, 60, 72, 50, 5.0, 0.1)
 	down := attacked(t, 29, 60, 72, 50, 1.0, 0.1)
 
-	h := ArrivalRateChange(boost, testHorizon, HighBand, cfg)
+	h, _ := ArrivalSignals(boost, testHorizon, cfg, NewScratch(), nil)
 	if !h.Alarm() {
 		t.Error("boost attack raised no H-ARC alarm")
 	}
-	mcBoost := MeanChange(boost, cfg, nil).Curve.Max()
-	mcDown := MeanChange(down, cfg, nil).Curve.Max()
+	mcBoost := mcExtend(boost, cfg, Curve{}).Max()
+	mcDown := mcExtend(down, cfg, Curve{}).Max()
 	if mcBoost >= mcDown*0.8 {
 		t.Errorf("boost MC max %v not clearly below downgrade MC max %v", mcBoost, mcDown)
 	}
@@ -259,8 +265,5 @@ func TestNeutralTrustSource(t *testing.T) {
 	ts := NeutralTrust()
 	if ts.Trust("anyone") != 0.5 {
 		t.Error("neutral Trust != 0.5")
-	}
-	if ts.AverageTrust([]string{"a", "b"}) != 0.5 {
-		t.Error("neutral AverageTrust != 0.5")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/detect"
 )
 
-func ExampleAnalyze() {
+func ExampleDecide() {
 	// 100 days of honest 4-star ratings with a 10-day block of 0.5-star
 	// unfair ratings planted on days 40–50.
 	var s dataset.Series
@@ -30,15 +30,23 @@ func ExampleAnalyze() {
 	}
 	s.Sort()
 
-	rep := detect.Analyze(s, 100, detect.DefaultConfig(), nil)
-	caught := 0
+	// Stage 1: the trust-free detector signals. Stage 2: the trust
+	// decision and the Figure 1 fusion (nil: every rater trusted 0.5).
+	cfg, sc := detect.DefaultConfig(), detect.NewScratch()
+	sig := detect.SeriesSignals(s, cfg, sc, nil)
+	sig.HARC, sig.LARC = detect.ArrivalSignals(s, 100, cfg, sc, nil)
+	dec := detect.Decide(s, sig, cfg, nil)
+	flagged, caught := 0, 0
 	for i, r := range s {
-		if r.Unfair && rep.Suspicious[i] {
-			caught++
+		if dec.Suspicious[i] {
+			flagged++
+			if r.Unfair {
+				caught++
+			}
 		}
 	}
-	fmt.Printf("flagged %d ratings, %d of the 30 unfair ones\n", rep.SuspiciousCount(), caught)
-	fmt.Printf("suspicious interval starts near day %.0f\n", rep.Intervals[0].Start)
+	fmt.Printf("flagged %d ratings, %d of the 30 unfair ones\n", flagged, caught)
+	fmt.Printf("suspicious interval starts near day %.0f\n", dec.Intervals[0].Start)
 	// Output:
 	// flagged 30 ratings, 30 of the 30 unfair ones
 	// suspicious interval starts near day 35

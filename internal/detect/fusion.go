@@ -6,75 +6,12 @@ import (
 	"repro/internal/dataset"
 )
 
-// Report is the joint outcome of the four detectors plus the two-path
-// fusion of Figure 1 on one product's rating series.
-type Report struct {
-	MC   MCResult
-	HARC ARCResult
-	LARC ARCResult
-	HC   HCResult
-	ME   MEResult
-
-	// Suspicious marks each rating index judged suspicious by the fusion.
-	Suspicious []bool
-	// Intervals is the merged set of time intervals in which suspicious
-	// ratings were marked.
-	Intervals []Interval
-}
-
-// SuspiciousCount returns the number of ratings marked suspicious.
-func (r Report) SuspiciousCount() int {
-	n := 0
-	for _, s := range r.Suspicious {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
-// Analyze runs the full detector stack and Figure 1 fusion on the series
-// (the two fusion paths are described at Decide). horizon is the dataset
-// horizon in days; ts supplies rater trust for the MC segment test (pass
-// nil for the neutral 0.5 source).
-func Analyze(s dataset.Series, horizon float64, cfg Config, ts TrustSource) Report {
-	return AnalyzeWith(s, horizon, cfg, ts, nil)
-}
-
-// AnalyzeWith is Analyze with caller-owned scratch buffers: sc (from
-// NewScratch) carries the detector kernels' working memory across calls, so
-// a loop over many products performs O(1) window allocations per product
-// instead of O(windows). Pass nil to allocate fresh buffers (equivalent to
-// Analyze). The returned Report never aliases scratch memory; a Scratch
-// must not be shared between concurrent calls.
+// A detector run on one product is two stages: the trust-free detectors
+// (SeriesSignals for MC, HC and ME; ArrivalSignals for H-ARC and L-ARC)
+// fill a Signals, and Decide, the only stage that reads rater trust, fuses
+// it into a Decision. The indicator curves stay in the Prefix the
+// detectors carry (Prefix.Curves).
 //
-// The run is the two stages callers may also drive separately: the
-// trust-free detector signals (SeriesSignals, ArrivalSignals), then
-// Decide, the only stage that reads ts.
-func AnalyzeWith(s dataset.Series, horizon float64, cfg Config, ts TrustSource, sc *Scratch) Report {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	ta, tb := BandThresholds(s.Mean())
-	rep := Report{
-		MC:   meanChangeSignals(s, cfg),
-		HARC: arrivalRateChangeWith(sc, s, horizon, HighBand, ta, tb, cfg),
-		LARC: arrivalRateChangeWith(sc, s, horizon, LowBand, ta, tb, cfg),
-		HC:   histogramChangeWith(sc, s, cfg),
-		ME:   modelErrorWith(sc, s, cfg),
-	}
-	// The report owns its MC segments, so they are decided in place.
-	dec := decide(s, Signals{
-		MC:   rep.MC.Segments,
-		HARC: rep.HARC.signals(),
-		LARC: rep.LARC.signals(),
-		HC:   rep.HC.Intervals,
-		ME:   rep.ME.Intervals,
-	}, cfg, ts, rep.MC.Segments)
-	rep.Suspicious, rep.Intervals = dec.Suspicious, dec.Intervals
-	return rep
-}
-
 // Signals is the trust-free half of one detector run: everything Decide
 // reads, and no indicator curves. It is a pure function of the series,
 // the horizon (ARC bands only) and the Config, so it can be cached and
@@ -119,7 +56,7 @@ func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch, p *Prefix) Signals
 	p.hc = hcExtend(sc, s, cfg, p.hc)
 	p.me = meExtend(sc, s, cfg, p.me)
 	return Signals{
-		MC: mcSegments(s, cfg, p.mc).Segments,
+		MC: mcSegments(s, cfg, p.mc),
 		HC: hcIntervals(s, cfg, p.hc),
 		ME: meIntervals(s, cfg, p.me),
 	}
@@ -177,6 +114,44 @@ func (p *Prefix) truncate(k int, cfg Config) {
 	p.me = p.me[:min(len(p.me), windowsWithin(k, cfg.MEWindowRatings, cfg.MEStepRatings))]
 }
 
+// Curves returns the indicator curves of the series p covers, as the last
+// SeriesSignals and ArrivalSignals left it: the MC curve (one point per
+// rating), the H-ARC and L-ARC curves (one point per day of [3, n−3] over
+// the n days of the horizon), and the HC and ME curves (one point per
+// window, at the window's centre day; an ME window whose AR fit failed has
+// none). cfg must be the Config p was computed with. The MC, ARC and HC
+// values alias p, so they are valid until p is next extended or rewound.
+func (p *Prefix) Curves(cfg Config) (mc, high, low, hc, me Curve) {
+	days := p.mc.X
+	mc = Curve{X: days[:len(p.mc.Y)], Y: p.mc.Y}
+	arc := func(c *arcCarry) Curve {
+		if len(c.y) == 0 {
+			return Curve{}
+		}
+		return Curve{X: curveDays(len(c.y)), Y: c.y}
+	}
+	high, low = arc(&p.arc[0]), arc(&p.arc[1])
+	// centre returns the day midway between window j's first and last
+	// ratings.
+	centre := func(j, w, step int) float64 {
+		start := j * windowStep(step)
+		return (days[start] + days[start+w-1]) / 2
+	}
+	if len(p.hc) > 0 {
+		hc = Curve{X: make([]float64, len(p.hc)), Y: p.hc}
+		for j := range p.hc {
+			hc.X[j] = centre(j, cfg.HCWindowRatings, cfg.HCStepRatings)
+		}
+	}
+	for j, f := range p.me {
+		if f.ok {
+			me.X = append(me.X, centre(j, cfg.MEWindowRatings, cfg.MEStepRatings))
+			me.Y = append(me.Y, f.relErr)
+		}
+	}
+	return mc, high, low, hc, me
+}
+
 // ArrivalSignals runs H-ARC and L-ARC over the daily counts of
 // [0, horizon) on scratch sc and returns their signals. The prefix mean
 // and the band thresholds are computed once for both bands.
@@ -195,8 +170,8 @@ func ArrivalSignals(s dataset.Series, horizon float64, cfg Config, sc *Scratch, 
 	ta, tb := BandThresholds(s.Mean())
 	n := horizonDays(horizon)
 	days := sc.curveDays(curvePoints(n))
-	high = arcBand(sc, s, n, HighBand, ta, tb, cfg, &p.arc[0], days).signals()
-	low = arcBand(sc, s, n, LowBand, ta, tb, cfg, &p.arc[1], days).signals()
+	high = arcBand(sc, s, n, HighBand, ta, tb, cfg, &p.arc[0], days)
+	low = arcBand(sc, s, n, LowBand, ta, tb, cfg, &p.arc[1], days)
 	return high, low
 }
 
@@ -204,9 +179,11 @@ func ArrivalSignals(s dataset.Series, horizon float64, cfg Config, sc *Scratch, 
 type Decision struct {
 	// Segments are the MC segments with AvgTrust and Suspicious decided.
 	Segments []MCSegment
-	// Suspicious and Intervals are Report's fields of the same names.
+	// Suspicious marks each rating index judged suspicious by the fusion.
 	Suspicious []bool
-	Intervals  []Interval
+	// Intervals is the merged set of time intervals in which suspicious
+	// ratings were marked.
+	Intervals []Interval
 }
 
 // Decide is the trust stage of the stack: the MC segment test (segment
@@ -227,18 +204,7 @@ type Decision struct {
 // product). ts supplies rater trust (nil for the neutral 0.5 source); a
 // SeriesTrust must be bound to s.
 func Decide(s dataset.Series, sig Signals, cfg Config, ts TrustSource) Decision {
-	var segs []MCSegment
-	if len(sig.MC) > 0 {
-		segs = make([]MCSegment, len(sig.MC))
-	}
-	return decide(s, sig, cfg, ts, segs)
-}
-
-// decide is Decide writing the decided MC segments into segs (len(sig.MC);
-// may be sig.MC itself when the caller owns it).
-func decide(s dataset.Series, sig Signals, cfg Config, ts TrustSource, segs []MCSegment) Decision {
-	decideSegments(segs, s, sig.MC, cfg, ts)
-	dec := Decision{Segments: segs, Suspicious: make([]bool, len(s))}
+	dec := Decision{Segments: decideSegments(s, sig.MC, cfg, ts), Suspicious: make([]bool, len(s))}
 	if len(s) == 0 {
 		return dec
 	}

@@ -43,7 +43,7 @@ func fuzzConfig(a, b, c byte) Config {
 // FuzzKernelEquivalence throws arbitrary series and configurations at the
 // incremental kernels and requires bit-exact agreement with the reference
 // kernels, plus scratch-reuse hygiene (a warm Scratch must reproduce the
-// fresh-buffer Report exactly) and prefix extension (signals carried from
+// fresh-buffer run exactly) and prefix extension (signals carried from
 // the prefix cut at the cut byte, then extended to the whole series, must
 // equal a fresh run).
 func FuzzKernelEquivalence(f *testing.F) {
@@ -63,32 +63,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 			horizon = last + 1
 		}
 
-		if got, want := MCCurve(s, cfg), mcCurveRef(s, cfg); !curvesEqual(got, want) {
-			t.Fatal("MCCurve diverges from reference")
-		}
-		if got, want := MeanChange(s, cfg, nil), meanChangeRef(s, cfg, nil); !mcResultsEqual(got, want) {
-			t.Fatal("MeanChange diverges from reference")
-		}
-		for _, band := range []ARCBand{AllRatings, HighBand, LowBand} {
-			got := ArrivalRateChange(s, horizon, band, cfg)
-			want := arrivalRateChangeRef(s, horizon, band, cfg)
-			if !arcResultsEqual(got, want) {
-				t.Fatalf("ArrivalRateChange(%v) diverges from reference", band)
-			}
-		}
-		gotHC, wantHC := HistogramChange(s, cfg), histogramChangeRef(s, cfg)
-		if !curvesEqual(gotHC.Curve, wantHC.Curve) || !intervalsEqual(gotHC.Intervals, wantHC.Intervals) {
-			t.Fatal("HistogramChange diverges from reference")
-		}
-		gotME, wantME := ModelError(s, cfg), modelErrorRef(s, cfg)
-		if !curvesEqual(gotME.Curve, wantME.Curve) || !intervalsEqual(gotME.Intervals, wantME.Intervals) {
-			t.Fatal("ModelError diverges from reference")
-		}
+		checkReference(t, "fresh", s, horizon, cfg, []TrustSource{nil})
 		// Scratch hygiene: the shared warm scratch (reused across every
-		// fuzz input) must reproduce the fresh-buffer fusion bit-for-bit.
-		if !reportsEqual(AnalyzeWith(s, horizon, cfg, nil, sc), Analyze(s, horizon, cfg, nil)) {
-			t.Fatal("warm-scratch Analyze diverges from fresh run")
-		}
+		// fuzz input) must reproduce the fresh-buffer run bit-for-bit.
+		checkScratchReuse(t, "warm scratch", s, horizon, cfg, sc)
 		var p Prefix
 		k := int(cut) % (len(s) + 1)
 		checkCarried(t, fmt.Sprintf("prefix of %d", k), s[:k], cfg, SeriesSignals(s[:k], cfg, sc, &p), &p)

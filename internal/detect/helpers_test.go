@@ -71,3 +71,53 @@ func recallPrecision(s dataset.Series, suspicious []bool) (recall, precision flo
 	}
 	return recall, precision
 }
+
+// analyze runs the whole detector stack on s the way cmd/detectors does:
+// SeriesSignals and ArrivalSignals through one fresh Prefix on scratch sc,
+// then Decide under ts. The Prefix's Curves are the series' curves.
+func analyze(s dataset.Series, horizon float64, cfg Config, ts TrustSource, sc *Scratch) (Signals, Decision, *Prefix) {
+	p := new(Prefix)
+	sig := SeriesSignals(s, cfg, sc, p)
+	sig.HARC, sig.LARC = ArrivalSignals(s, horizon, cfg, sc, p)
+	return sig, Decide(s, sig, cfg, ts), p
+}
+
+// prefixCurves returns p.Curves as an array: MC, H-ARC, L-ARC, HC, ME.
+func prefixCurves(p *Prefix, cfg Config) (c [5]Curve) {
+	c[0], c[1], c[2], c[3], c[4] = p.Curves(cfg)
+	return c
+}
+
+// arcKernel runs one band of the ARC detector over [0, horizon) from an
+// empty carry, as ArrivalSignals does for H-ARC and L-ARC, and returns its
+// signals and curve. It also reaches AllRatings, the plain ARC detector.
+func arcKernel(s dataset.Series, horizon float64, band ARCBand, cfg Config) (ARCSignals, Curve) {
+	ta, tb := BandThresholds(s.Mean())
+	n := horizonDays(horizon)
+	days := curveDays(curvePoints(n))
+	var c arcCarry
+	sig := arcBand(NewScratch(), s, n, band, ta, tb, cfg, &c, days)
+	return sig, Curve{X: days, Y: c.y}
+}
+
+// countMarks returns the number of ratings marked suspicious.
+func countMarks(marks []bool) int {
+	n := 0
+	for _, m := range marks {
+		if m {
+			n++
+		}
+	}
+	return n
+}
+
+// suspiciousSegments returns the intervals of the suspicious MC segments.
+func suspiciousSegments(segs []MCSegment) []Interval {
+	var out []Interval
+	for _, seg := range segs {
+		if seg.Suspicious {
+			out = append(out, seg.Interval)
+		}
+	}
+	return out
+}

@@ -8,42 +8,6 @@ import (
 	"repro/internal/dataset"
 )
 
-// HCResult is the outcome of the histogram-change detector on one series.
-type HCResult struct {
-	Curve     Curve
-	Intervals []Interval // windows whose statistic crossed the threshold
-}
-
-// Suspicious reports whether any window crossed the HC threshold.
-func (r HCResult) Suspicious() bool { return len(r.Intervals) > 0 }
-
-// HistogramChange runs the histogram-change detector of Section IV-D:
-// within each sliding window of HCWindowRatings ratings, the values are cut
-// into two single-linkage clusters and HC(k) = min(n1/n2, n2/n1) (Eq. 6). A
-// window is suspicious when a *separated* second population appears — the
-// size ratio reaches HCThreshold and the gap between the clusters is at
-// least HCMinGap rating points.
-func HistogramChange(s dataset.Series, cfg Config) HCResult {
-	return histogramChangeWith(NewScratch(), s, cfg)
-}
-
-// histogramChangeWith is the incremental HC kernel (hcExtend from no
-// windows) plus the curve and merged intervals of its window ratios.
-func histogramChangeWith(sc *Scratch, s dataset.Series, cfg Config) HCResult {
-	ratios := hcExtend(sc, s, cfg, nil)
-	res := HCResult{Intervals: hcIntervals(s, cfg, ratios)}
-	if len(ratios) == 0 {
-		return res
-	}
-	w, step := cfg.HCWindowRatings, windowStep(cfg.HCStepRatings)
-	res.Curve = Curve{X: make([]float64, len(ratios)), Y: ratios}
-	for j := range ratios {
-		start := j * step
-		res.Curve.X[j] = (s[start].Day + s[start+w-1].Day) / 2
-	}
-	return res
-}
-
 // windowStep clamps a configured slide step to at least one rating.
 func windowStep(step int) int {
 	if step <= 0 {
@@ -61,8 +25,15 @@ func windowsWithin(k, w, step int) int {
 	return (k-w)/windowStep(step) + 1
 }
 
-// hcExtend returns ratios extended to the HC statistic of every window of
-// s. ratios must hold the statistics of the windows of a prefix of s under
+// hcExtend runs the histogram-change detector of Section IV-D: within
+// each sliding window of HCWindowRatings ratings, the values are cut into
+// two single-linkage clusters and HC(k) = min(n1/n2, n2/n1) (Eq. 6); a
+// window is suspicious (hcIntervals) when a *separated* second population
+// appears — the size ratio reaches HCThreshold and the gap between the
+// clusters is at least HCMinGap rating points.
+//
+// It returns ratios extended to the HC statistic of every window of s.
+// ratios must hold the statistics of the windows of a prefix of s under
 // cfg (nil for a cold sweep); those windows end inside the prefix, so
 // their inputs are unchanged and they are kept. The sweep resumes at the
 // first window past them.

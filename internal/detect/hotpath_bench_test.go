@@ -3,6 +3,7 @@ package detect
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/stats"
 )
@@ -78,7 +79,77 @@ func BenchmarkMCCurve(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MCCurve(s, cfg)
+		mcExtend(s, cfg, Curve{})
+	}
+}
+
+// detectorBenchSeries returns the series of the root package's detector
+// benches (benchSeries): one 120-day fair product, about 500 ratings, with
+// a 50-rating downward attack injected over days 40–70.
+func detectorBenchSeries(b *testing.B) dataset.Series {
+	b.Helper()
+	cfg := dataset.DefaultFairConfig()
+	cfg.Products = 3
+	cfg.HorizonDays = 120
+	d, err := dataset.GenerateFair(stats.NewRNG(3), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prod, err := d.Product("tv1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	atk, err := core.NewGenerator(4, core.DefaultRaters(50)).GenerateProduct(core.Profile{
+		Bias: -2.5, StdDev: 0.8, Count: 50, StartDay: 40,
+		DurationDays: 30, Correlation: core.Independent, Quantize: true,
+	}, prod.Ratings)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := d.InjectUnfair("tv1", atk); err != nil {
+		b.Fatal(err)
+	}
+	return prod.Ratings
+}
+
+// The DetectorMC, DetectorHC and DetectorME benches run one detector's
+// kernel the way SeriesSignals does from an empty carry, on fresh scratch
+// buffers each time: the values of every window, then the segments or the
+// merged suspicious windows.
+
+// BenchmarkDetectorMC measures the mean-change detector: the MC curve
+// sweep, its peaks and the segments between them.
+func BenchmarkDetectorMC(b *testing.B) {
+	s := detectorBenchSeries(b)
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mcSegments(s, cfg, mcExtend(s, cfg, Curve{}))
+	}
+}
+
+// BenchmarkDetectorHC measures the histogram-change detector (single-linkage
+// clustering per window).
+func BenchmarkDetectorHC(b *testing.B) {
+	s := detectorBenchSeries(b)
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hcIntervals(s, cfg, hcExtend(NewScratch(), s, cfg, nil))
+	}
+}
+
+// BenchmarkDetectorME measures the AR-model-error detector (covariance
+// method fit per window).
+func BenchmarkDetectorME(b *testing.B) {
+	s := detectorBenchSeries(b)
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meIntervals(s, cfg, meExtend(NewScratch(), s, cfg, nil))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -11,10 +12,10 @@ import (
 	"repro/internal/trust"
 )
 
-// The incremental kernels (MCCurve's two-pointer sweep, the ARC single-pass
+// The incremental kernels (mcExtend's two-pointer sweep, the ARC single-pass
 // band counts, HC's order-maintained window, ME's reused value buffer) must
 // be bit-identical to the straightforward reference kernels in
-// reference.go. These tests pin that contract over randomized series —
+// reference_test.go. These tests pin that contract over randomized series —
 // including duplicate days, all-equal values, single ratings and empty
 // windows — and over randomized configurations including degenerate window
 // and step sizes (step larger than the window, windows longer than the
@@ -55,18 +56,6 @@ func curvesEqual(a, b Curve) bool {
 	return bitsEqual(a.X, b.X) && bitsEqual(a.Y, b.Y)
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func intervalsEqual(a, b []Interval) bool {
 	if len(a) != len(b) {
 		return false
@@ -80,15 +69,12 @@ func intervalsEqual(a, b []Interval) bool {
 	return true
 }
 
-func mcResultsEqual(a, b MCResult) bool {
-	if !curvesEqual(a.Curve, b.Curve) || !intsEqual(a.Peaks, b.Peaks) {
+func segmentsEqual(a, b []MCSegment) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	if len(a.Segments) != len(b.Segments) {
-		return false
-	}
-	for i := range a.Segments {
-		x, y := a.Segments[i], b.Segments[i]
+	for i := range a {
+		x, y := a[i], b[i]
 		if x.Interval != y.Interval || x.Suspicious != y.Suspicious {
 			return false
 		}
@@ -101,43 +87,66 @@ func mcResultsEqual(a, b MCResult) bool {
 	return true
 }
 
-func arcResultsEqual(a, b ARCResult) bool {
-	if a.Band != b.Band || !curvesEqual(a.Curve, b.Curve) || !intsEqual(a.Peaks, b.Peaks) {
-		return false
-	}
-	if math.Float64bits(a.ThresholdA) != math.Float64bits(b.ThresholdA) ||
-		math.Float64bits(a.ThresholdB) != math.Float64bits(b.ThresholdB) {
-		return false
-	}
-	if len(a.Segments) != len(b.Segments) {
-		return false
-	}
-	for i := range a.Segments {
-		x, y := a.Segments[i], b.Segments[i]
-		if x.Interval != y.Interval || x.Suspicious != y.Suspicious ||
-			math.Float64bits(x.Rate) != math.Float64bits(y.Rate) {
-			return false
-		}
-	}
-	return true
+func decisionsEqual(a, b Decision) bool {
+	return segmentsEqual(a.Segments, b.Segments) && slices.Equal(a.Suspicious, b.Suspicious) &&
+		intervalsEqual(a.Intervals, b.Intervals)
 }
 
-func reportsEqual(a, b Report) bool {
-	if !mcResultsEqual(a.MC, b.MC) ||
-		!arcResultsEqual(a.HARC, b.HARC) || !arcResultsEqual(a.LARC, b.LARC) ||
-		!curvesEqual(a.HC.Curve, b.HC.Curve) || !intervalsEqual(a.HC.Intervals, b.HC.Intervals) ||
-		!curvesEqual(a.ME.Curve, b.ME.Curve) || !intervalsEqual(a.ME.Intervals, b.ME.Intervals) {
-		return false
+// checkReference runs the stack on s through a fresh Prefix and requires
+// its curves, signals and decided MC segments to equal the reference
+// kernels' bit for bit, under each trust source, and every band of the
+// ARC kernel (AllRatings too) to equal arrivalRateChangeRef and
+// arcCurveRef.
+func checkReference(t *testing.T, label string, s dataset.Series, horizon float64, cfg Config, sources []TrustSource) {
+	t.Helper()
+	sig, _, p := analyze(s, horizon, cfg, nil, NewScratch())
+	mc, high, low, hc, me := p.Curves(cfg)
+	if !curvesEqual(mc, mcCurveRef(s, cfg)) {
+		t.Fatalf("%s: MC curve diverges from mcCurveRef", label)
 	}
-	if len(a.Suspicious) != len(b.Suspicious) || !intervalsEqual(a.Intervals, b.Intervals) {
-		return false
-	}
-	for i := range a.Suspicious {
-		if a.Suspicious[i] != b.Suspicious[i] {
-			return false
+	for _, ts := range sources {
+		if got, want := Decide(s, sig, cfg, ts).Segments, meanChangeRef(s, cfg, ts); !segmentsEqual(got, want) {
+			t.Fatalf("%s: MC segments %+v, meanChangeRef %+v (ts=%T)", label, got, want, ts)
 		}
 	}
-	return true
+	for _, arc := range []struct {
+		sig   ARCSignals
+		curve Curve
+	}{{sig.HARC, high}, {sig.LARC, low}} {
+		band := arc.sig.Band
+		if !arcSignalsEqual(arc.sig, arrivalRateChangeRef(s, horizon, band, cfg)) || !curvesEqual(arc.curve, arcCurveRef(s, horizon, band, cfg)) {
+			t.Fatalf("%s: ArrivalSignals %v diverges from reference", label, band)
+		}
+	}
+	for _, band := range []ARCBand{AllRatings, HighBand, LowBand} {
+		got, curve := arcKernel(s, horizon, band, cfg)
+		if !arcSignalsEqual(got, arrivalRateChangeRef(s, horizon, band, cfg)) || !curvesEqual(curve, arcCurveRef(s, horizon, band, cfg)) {
+			t.Fatalf("%s: ARC kernel (%v) diverges from reference", label, band)
+		}
+	}
+	if want, ivs := histogramChangeRef(s, cfg); !curvesEqual(hc, want) || !intervalsEqual(sig.HC, ivs) {
+		t.Fatalf("%s: HC diverges from histogramChangeRef", label)
+	}
+	if want, ivs := modelErrorRef(s, cfg); !curvesEqual(me, want) || !intervalsEqual(sig.ME, ivs) {
+		t.Fatalf("%s: ME diverges from modelErrorRef", label)
+	}
+}
+
+// checkScratchReuse requires a run on the warm scratch sc to equal a run
+// on fresh buffers bit for bit: signals, decision and curves.
+func checkScratchReuse(t *testing.T, label string, s dataset.Series, horizon float64, cfg Config, sc *Scratch) {
+	t.Helper()
+	gotSig, gotDec, gotP := analyze(s, horizon, cfg, nil, sc)
+	wantSig, wantDec, wantP := analyze(s, horizon, cfg, nil, NewScratch())
+	if !signalsEqual(gotSig, wantSig) || !decisionsEqual(gotDec, wantDec) {
+		t.Fatalf("%s: warm-scratch run diverges from fresh run", label)
+	}
+	got, want := prefixCurves(gotP, cfg), prefixCurves(wantP, cfg)
+	for i := range got {
+		if !curvesEqual(got[i], want[i]) {
+			t.Fatalf("%s: warm-scratch curve %d diverges from fresh run", label, i)
+		}
+	}
 }
 
 // equivSeries generates a sorted series stressing the kernel edge cases:
@@ -247,35 +256,12 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 			_, last := s.Span()
 			horizon = last + 1
 		}
-
-		if got, want := MCCurve(s, cfg), mcCurveRef(s, cfg); !curvesEqual(got, want) {
-			t.Fatalf("seed %d: MCCurve diverges from reference", seed)
-		}
-		for _, ts := range trustSources(rng) {
-			if got, want := MeanChange(s, cfg, ts), meanChangeRef(s, cfg, ts); !mcResultsEqual(got, want) {
-				t.Fatalf("seed %d: MeanChange diverges from reference (ts=%T)", seed, ts)
-			}
-		}
-		for _, band := range []ARCBand{AllRatings, HighBand, LowBand} {
-			got := ArrivalRateChange(s, horizon, band, cfg)
-			want := arrivalRateChangeRef(s, horizon, band, cfg)
-			if !arcResultsEqual(got, want) {
-				t.Fatalf("seed %d: ArrivalRateChange(%v) diverges from reference", seed, band)
-			}
-		}
-		gotHC, wantHC := HistogramChange(s, cfg), histogramChangeRef(s, cfg)
-		if !curvesEqual(gotHC.Curve, wantHC.Curve) || !intervalsEqual(gotHC.Intervals, wantHC.Intervals) {
-			t.Fatalf("seed %d: HistogramChange diverges from reference", seed)
-		}
-		gotME, wantME := ModelError(s, cfg), modelErrorRef(s, cfg)
-		if !curvesEqual(gotME.Curve, wantME.Curve) || !intervalsEqual(gotME.Intervals, wantME.Intervals) {
-			t.Fatalf("seed %d: ModelError diverges from reference", seed)
-		}
+		checkReference(t, fmt.Sprintf("seed %d", seed), s, horizon, cfg, trustSources(rng))
 	}
 }
 
 // TestScratchReuseBitExact drives one Scratch through many different series
-// and configurations and checks every Report against a fresh-buffer run:
+// and configurations and checks every run against a fresh-buffer run:
 // leftover buffer contents from a previous, larger series must never leak
 // into a result.
 func TestScratchReuseBitExact(t *testing.T) {
@@ -289,11 +275,7 @@ func TestScratchReuseBitExact(t *testing.T) {
 			_, last := s.Span()
 			horizon = last + 1
 		}
-		got := AnalyzeWith(s, horizon, cfg, nil, sc)
-		want := Analyze(s, horizon, cfg, nil)
-		if !reportsEqual(got, want) {
-			t.Fatalf("seed %d: scratch-reuse Analyze diverges from fresh run", seed)
-		}
+		checkScratchReuse(t, fmt.Sprintf("seed %d", seed), s, horizon, cfg, sc)
 	}
 }
 
@@ -332,31 +314,13 @@ func TestKernelEquivalenceEdgeCases(t *testing.T) {
 			_, last := s.Span()
 			horizon = last + 1
 		}
-		if got, want := MCCurve(s, cfg), mcCurveRef(s, cfg); !curvesEqual(got, want) {
-			t.Errorf("case %d: MCCurve diverges", i)
-		}
-		if got, want := MeanChange(s, cfg, nil), meanChangeRef(s, cfg, nil); !mcResultsEqual(got, want) {
-			t.Errorf("case %d: MeanChange diverges", i)
-		}
-		for _, band := range []ARCBand{AllRatings, HighBand, LowBand} {
-			if got, want := ArrivalRateChange(s, horizon, band, cfg), arrivalRateChangeRef(s, horizon, band, cfg); !arcResultsEqual(got, want) {
-				t.Errorf("case %d: ARC(%v) diverges", i, band)
-			}
-		}
-		gotHC, wantHC := HistogramChange(s, cfg), histogramChangeRef(s, cfg)
-		if !curvesEqual(gotHC.Curve, wantHC.Curve) || !intervalsEqual(gotHC.Intervals, wantHC.Intervals) {
-			t.Errorf("case %d: HistogramChange diverges", i)
-		}
-		gotME, wantME := ModelError(s, cfg), modelErrorRef(s, cfg)
-		if !curvesEqual(gotME.Curve, wantME.Curve) || !intervalsEqual(gotME.Intervals, wantME.Intervals) {
-			t.Errorf("case %d: ModelError diverges", i)
-		}
+		checkReference(t, fmt.Sprintf("case %d", i), s, horizon, cfg, []TrustSource{nil})
 	}
 }
 
-// TestAverageTrustRangeMatchesAverageTrust pins the satellite contract: the
-// slice-free trust walk equals TrustSource.AverageTrust over the same
-// raters, bit for bit, for both the manager and the neutral source.
+// TestAverageTrustRangeMatchesAverageTrust pins the slice-free trust walk:
+// it equals the plain in-order mean of Trust over the same raters, bit for
+// bit, for both the manager and the neutral source.
 func TestAverageTrustRangeMatchesAverageTrust(t *testing.T) {
 	rng := stats.NewRNG(7)
 	s := equivSeries(rng, 0, 120)
@@ -366,9 +330,9 @@ func TestAverageTrustRangeMatchesAverageTrust(t *testing.T) {
 	}
 	for _, ts := range trustSources(rng)[:2] {
 		got := averageTrustRange(ts, s, 0, len(s))
-		want := ts.AverageTrust(raters)
+		want := averageTrustRef(ts, raters)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%T: averageTrustRange = %v, AverageTrust = %v", ts, got, want)
+			t.Errorf("%T: averageTrustRange = %v, in-order mean = %v", ts, got, want)
 		}
 	}
 }

@@ -13,15 +13,15 @@ import (
 type TrustSource interface {
 	// Trust returns the current trust in the given rater.
 	Trust(rater string) float64
-	// AverageTrust returns the mean trust over the raters (0.5 for none).
-	AverageTrust(raters []string) float64
 }
+
+// priorTrust is the beta model's zero-history trust, 0.5.
+const priorTrust = 0.5
 
 // neutralTrust is the TrustSource used when no trust manager is wired in.
 type neutralTrust struct{}
 
-func (neutralTrust) Trust(string) float64          { return 0.5 }
-func (neutralTrust) AverageTrust([]string) float64 { return 0.5 }
+func (neutralTrust) Trust(string) float64 { return priorTrust }
 
 // NeutralTrust returns a TrustSource that reports 0.5 for every rater.
 func NeutralTrust() TrustSource { return neutralTrust{} }
@@ -34,16 +34,13 @@ type SeriesTrust interface {
 	RatingTrust(i int) float64
 }
 
-// averageTrustRange averages ts's trust over the raters of s[from:to] by
-// walking the series directly instead of materializing a []string. Summing
-// Trust() per rating in series order is bit-identical to AverageTrust over
-// the same raters for every TrustSource in the repo (trust.Manager sums
-// Trust(id) in input order; the neutral source's constant 0.5 averages back
-// to exactly 0.5 since n·0.5 and its division by n are both exact), and a
-// SeriesTrust bound to s sums the same values in the same order.
+// averageTrustRange averages ts's trust over the raters of s[from:to],
+// summing Trust per rating in series order; a SeriesTrust bound to s sums
+// the same values in the same order, read by position. An empty range
+// has no raters to distrust, so it averages to the prior.
 func averageTrustRange(ts TrustSource, s dataset.Series, from, to int) float64 {
 	if from == to {
-		return ts.AverageTrust(nil)
+		return priorTrust
 	}
 	var sum float64
 	if bound, ok := ts.(SeriesTrust); ok {
@@ -58,25 +55,12 @@ func averageTrustRange(ts TrustSource, s dataset.Series, from, to int) float64 {
 	return sum / float64(to-from)
 }
 
-// MCCurve computes the mean-change indicator curve of Section IV-B.2: for
-// each rating k, the GLRT statistic for a mean change at t(k) between the
-// ratings in [t(k)−W, t(k)) and [t(k), t(k)+W) with W = MCWindowDays/2.
-// Boundary positions use whatever smaller half-windows are available.
+// mcExtend returns c extended to the mean-change indicator curve of
+// Section IV-B.2 over s, reusing c's storage: for each rating k, the GLRT
+// statistic for a mean change at t(k) between the ratings in [t(k)−W,
+// t(k)) and [t(k), t(k)+W) with W = MCWindowDays/2. Boundary positions use
+// whatever smaller half-windows are available.
 //
-// The kernel is an incremental two-pointer sweep: because the series is
-// sorted, the three window boundaries (t−W, t, t+W) are non-decreasing in
-// k, so each advances monotonically across the whole series — O(n) pointer
-// work total instead of two binary searches per rating — and the GLRT
-// statistics are computed directly over series index ranges, with no
-// per-rating Values() copies. The window statistics themselves are
-// recomputed exactly per position (same summation order as the reference
-// kernel), so the curve is bit-identical to mcCurveRef.
-func MCCurve(s dataset.Series, cfg Config) Curve {
-	n := len(s)
-	return mcExtend(s, cfg, Curve{X: make([]float64, 0, n), Y: make([]float64, 0, n)})
-}
-
-// mcExtend returns c extended to the MC curve of s, reusing c's storage.
 // c must be the MC curve of the prefix s[:c.Len()] under cfg (empty for a
 // cold sweep). Point k of c keeps its value iff its forward half-window
 // stops before the first new rating, !(s[old].Day < t(k)+W) with
@@ -84,6 +68,15 @@ func MCCurve(s dataset.Series, cfg Config) Curve {
 // the kept point read exactly the ratings it reads now. Its backward
 // windows end at t(k) and lie inside the prefix anyway. Every other point
 // is swept afresh.
+//
+// The sweep is incremental: because the series is sorted, the three
+// window boundaries (t−W, t, t+W) are non-decreasing in k, so each
+// advances monotonically — O(n) pointer work in total instead of two
+// binary searches per rating — and the GLRT statistics are computed
+// directly over series index ranges, with no per-rating Values() copies.
+// The window statistics themselves are recomputed exactly per position
+// (same summation order as the reference kernel), so the curve is
+// bit-identical to mcCurveRef.
 func mcExtend(s dataset.Series, cfg Config, c Curve) Curve {
 	n, old := len(s), c.Len()
 	half := cfg.MCWindowDays / 2
@@ -210,67 +203,21 @@ type MCSegment struct {
 	Suspicious bool
 }
 
-// MCResult is the outcome of the mean-change detector on one series.
-type MCResult struct {
-	Curve    Curve
-	Peaks    []int // indices into Curve (== series indices)
-	Segments []MCSegment
-}
-
-// Suspicious reports whether any segment was marked suspicious.
-func (r MCResult) Suspicious() bool {
-	for _, seg := range r.Segments {
-		if seg.Suspicious {
-			return true
-		}
-	}
-	return false
-}
-
-// SuspiciousIntervals returns the intervals of the suspicious segments.
-func (r MCResult) SuspiciousIntervals() []Interval {
-	var out []Interval
-	for _, seg := range r.Segments {
-		if seg.Suspicious {
-			out = append(out, seg.Interval)
-		}
-	}
-	return out
-}
-
-// MeanChange runs the full MC detector of Section IV-B: indicator curve,
-// peak detection, segmentation at the peaks, and the two-condition segment
-// suspiciousness test (large mean change, or moderate mean change plus
-// below-par rater trust). Segment means and trust averages walk series
-// index ranges directly — the detector performs no per-segment slice
-// materialization (bit-identical to meanChangeRef, which does).
-func MeanChange(s dataset.Series, cfg Config, ts TrustSource) MCResult {
-	res := meanChangeSignals(s, cfg)
-	decideSegments(res.Segments, s, res.Segments, cfg, ts)
-	return res
-}
-
-// meanChangeSignals is the trust-free part of MeanChange: the curve, the
-// peaks and each segment's bounds, mean and shift. AvgTrust and Suspicious
-// are left zero for decideSegments.
-func meanChangeSignals(s dataset.Series, cfg Config) MCResult {
-	return mcSegments(s, cfg, MCCurve(s, cfg))
-}
-
-// mcSegments is meanChangeSignals on the already computed MC curve c of s.
-// The result's Curve is c; its peaks and segments are freshly allocated.
-func mcSegments(s dataset.Series, cfg Config, c Curve) MCResult {
-	res := MCResult{Curve: c}
+// mcSegments runs the trust-free part of the MC detector of Section IV-B
+// on the MC curve c of s: peak detection, segmentation at the peaks, and
+// each segment's bounds, mean and shift. AvgTrust and Suspicious are left
+// zero for decideSegments. Segment means walk series index ranges
+// directly, with no per-segment slice materialization (bit-identical to
+// meanChangeRef, which does).
+func mcSegments(s dataset.Series, cfg Config, c Curve) []MCSegment {
 	if len(s) == 0 {
-		return res
+		return nil
 	}
-	res.Peaks = res.Curve.Peaks(cfg.MCPeakThreshold, cfg.MCPeakMinSepDays)
-
-	bounds := segmentBounds(s, res.Peaks)
+	bounds := segmentBounds(s, c.Peaks(cfg.MCPeakThreshold, cfg.MCPeakMinSepDays))
 	totalSum := seriesSum(s)
 	totalN := float64(len(s))
 
-	res.Segments = make([]MCSegment, 0, len(bounds))
+	segs := make([]MCSegment, 0, len(bounds))
 	for _, iv := range bounds {
 		seg := s.Between(iv.Start, iv.End)
 		if len(seg) == 0 {
@@ -285,22 +232,23 @@ func mcSegments(s dataset.Series, cfg Config, c Curve) MCResult {
 			bAvg = (totalSum - m.Mean*float64(len(seg))) / rest
 		}
 		m.Shift = m.Mean - bAvg
-		res.Segments = append(res.Segments, m)
+		segs = append(segs, m)
 	}
-	return res
+	return segs
 }
 
-// decideSegments is the trust half of the MC segment test: it writes segs
-// (from meanChangeSignals over the same s) into dst with each segment's
-// AvgTrust and Suspicious set. dst must have len(segs) and may be segs
-// itself; otherwise segs is only read.
-func decideSegments(dst []MCSegment, s dataset.Series, segs []MCSegment, cfg Config, ts TrustSource) {
+// decideSegments is the trust half of the MC segment test: it returns a
+// copy of segs (from mcSegments over the same s) with each segment's
+// AvgTrust and Suspicious set — a large mean change, or a moderate one
+// whose raters are trusted below par. segs is only read.
+func decideSegments(s dataset.Series, segs []MCSegment, cfg Config, ts TrustSource) []MCSegment {
 	if len(segs) == 0 {
-		return
+		return nil
 	}
 	if ts == nil {
 		ts = NeutralTrust()
 	}
+	out := make([]MCSegment, len(segs))
 	tAvg := averageTrustRange(ts, s, 0, len(s))
 	for i, m := range segs {
 		from, to := s.BetweenIndex(m.Interval.Start, m.Interval.End)
@@ -312,8 +260,9 @@ func decideSegments(dst []MCSegment, s dataset.Series, segs []MCSegment, cfg Con
 		case dev > cfg.MCThreshold2 && tAvg > 0 && m.AvgTrust/tAvg < cfg.MCTrustRatio:
 			m.Suspicious = true
 		}
-		dst[i] = m
+		out[i] = m
 	}
+	return out
 }
 
 // segmentBounds splits the series' time span at the peak positions,

@@ -6,44 +6,6 @@ import (
 	"repro/internal/dataset"
 )
 
-// MEResult is the outcome of the signal-model-change detector on one series.
-type MEResult struct {
-	Curve     Curve      // relative AR model error per window center
-	Intervals []Interval // windows whose model error dropped below threshold
-}
-
-// Suspicious reports whether any window dropped below the ME threshold.
-func (r MEResult) Suspicious() bool { return len(r.Intervals) > 0 }
-
-// ModelError runs the signal-model-change detector of Section IV-E (the
-// detector of Yang et al. 2007): the ratings in each sliding window of
-// MEWindowRatings ratings are fitted with an AR(MEOrder) model via the
-// covariance method; honest ratings look like white noise (relative model
-// error near 1) and a window is suspicious when the relative model error
-// drops below METhreshold — a predictable "signal" from collaborative
-// raters is present.
-func ModelError(s dataset.Series, cfg Config) MEResult {
-	return modelErrorWith(NewScratch(), s, cfg)
-}
-
-// modelErrorWith is the ME kernel (meExtend from no windows) plus the
-// curve and merged intervals of the windows whose fit succeeded. A window
-// can drop out when its AR fit fails, so the curve grows by append: in the
-// degenerate all-windows-fail case it stays nil, like the reference's.
-func modelErrorWith(sc *Scratch, s dataset.Series, cfg Config) MEResult {
-	fits := meExtend(sc, s, cfg, nil)
-	res := MEResult{Intervals: meIntervals(s, cfg, fits)}
-	w, step := cfg.MEWindowRatings, windowStep(cfg.MEStepRatings)
-	for j, f := range fits {
-		if f.ok {
-			start := j * step
-			res.Curve.X = append(res.Curve.X, (s[start].Day+s[start+w-1].Day)/2)
-			res.Curve.Y = append(res.Curve.Y, f.relErr)
-		}
-	}
-	return res
-}
-
 // meFit is one ME window's outcome: the relative model error, when the AR
 // fit succeeded.
 type meFit struct {
@@ -51,7 +13,15 @@ type meFit struct {
 	ok     bool
 }
 
-// meExtend returns fits extended to the AR fit of every ME window of s.
+// meExtend runs the signal-model-change detector of Section IV-E (the
+// detector of Yang et al. 2007): the ratings in each sliding window of
+// MEWindowRatings ratings are fitted with an AR(MEOrder) model via the
+// covariance method; honest ratings look like white noise (relative model
+// error near 1) and a window is suspicious (meIntervals) when the relative
+// model error drops below METhreshold — a predictable "signal" from
+// collaborative raters is present.
+//
+// It returns fits extended to the AR fit of every ME window of s.
 // fits must hold the fits of the windows of a prefix of s under cfg (nil
 // for a cold sweep); those windows end inside the prefix and are kept.
 // Each new window's values are copied into one reused scratch buffer and

@@ -22,27 +22,20 @@ func checkCarried(t *testing.T, label string, s dataset.Series, cfg Config, got 
 		t.Fatalf("%s: carried MC curve diverges from mcCurveRef", label)
 	}
 	mc := meanChangeRef(s, cfg, nil)
-	if len(got.MC) != len(mc.Segments) {
-		t.Fatalf("%s: %d MC segments, meanChangeRef has %d", label, len(got.MC), len(mc.Segments))
+	if len(got.MC) != len(mc) {
+		t.Fatalf("%s: %d MC segments, meanChangeRef has %d", label, len(got.MC), len(mc))
 	}
-	for i, seg := range mc.Segments {
+	for i, seg := range mc {
 		seg.AvgTrust, seg.Suspicious = 0, false // Decide's fields
-		if !mcResultsEqual(MCResult{Segments: got.MC[i : i+1]}, MCResult{Segments: []MCSegment{seg}}) {
+		if !segmentsEqual(got.MC[i:i+1], []MCSegment{seg}) {
 			t.Fatalf("%s: MC segment %d is %+v, meanChangeRef %+v", label, i, got.MC[i], seg)
 		}
 	}
-	hc := histogramChangeRef(s, cfg)
-	if !bitsEqual(p.hc, hc.Curve.Y) || !intervalsEqual(got.HC, hc.Intervals) {
+	_, _, _, hc, me := p.Curves(cfg)
+	if want, ivs := histogramChangeRef(s, cfg); !curvesEqual(hc, want) || !intervalsEqual(got.HC, ivs) {
 		t.Fatalf("%s: carried HC diverges from histogramChangeRef", label)
 	}
-	var relErrs []float64
-	for _, f := range p.me {
-		if f.ok {
-			relErrs = append(relErrs, f.relErr)
-		}
-	}
-	me := modelErrorRef(s, cfg)
-	if !bitsEqual(relErrs, me.Curve.Y) || !intervalsEqual(got.ME, me.Intervals) {
+	if want, ivs := modelErrorRef(s, cfg); !curvesEqual(me, want) || !intervalsEqual(got.ME, ivs) {
 		t.Fatalf("%s: carried ME diverges from modelErrorRef", label)
 	}
 }
@@ -115,16 +108,15 @@ func checkArrivalCarried(t *testing.T, label string, s dataset.Series, hi float6
 		if !arcSignalsEqual(got, fresh) {
 			t.Fatalf("%s, horizon %v: carried %v signals %+v, fresh %+v", label, hi, band, got, fresh)
 		}
-		want := arrivalRateChangeRef(s, hi, band, cfg)
-		if !arcSignalsEqual(got, want.signals()) {
-			t.Fatalf("%s, horizon %v: %v signals %+v, arrivalRateChangeRef %+v", label, hi, band, got, want.signals())
+		if want := arrivalRateChangeRef(s, hi, band, cfg); !arcSignalsEqual(got, want) {
+			t.Fatalf("%s, horizon %v: %v signals %+v, arrivalRateChangeRef %+v", label, hi, band, got, want)
 		}
 		c := &p.arc[i]
 		counts := make([]float64, len(c.counts))
 		for d, n := range c.counts {
 			counts[d] = float64(n)
 		}
-		if !bitsEqual(c.y, want.Curve.Y) || !bitsEqual(counts, bandCountsRef(s, hi, band)) {
+		if !bitsEqual(c.y, arcCurveRef(s, hi, band, cfg).Y) || !bitsEqual(counts, bandCountsRef(s, hi, band)) {
 			t.Fatalf("%s, horizon %v: carried %v curve or counts diverge from the reference", label, hi, band)
 		}
 	}

@@ -35,7 +35,7 @@ func TestAnalyzeMarksInsideIntervalsProperty(t *testing.T) {
 			_, last := s.Span()
 			horizon = last + 1
 		}
-		rep := Analyze(s, horizon, cfg, nil)
+		_, rep, _ := analyze(s, horizon, cfg, nil, NewScratch())
 		if len(rep.Suspicious) != len(s) {
 			return false
 		}
@@ -73,9 +73,9 @@ func TestAnalyzeDeterministicProperty(t *testing.T) {
 		}
 		s := randomSeries(raw)
 		_, last := s.Span()
-		a := Analyze(s, last+1, cfg, nil)
-		b := Analyze(s, last+1, cfg, nil)
-		if a.SuspiciousCount() != b.SuspiciousCount() || len(a.Intervals) != len(b.Intervals) {
+		_, a, _ := analyze(s, last+1, cfg, nil, NewScratch())
+		_, b, _ := analyze(s, last+1, cfg, nil, NewScratch())
+		if countMarks(a.Suspicious) != countMarks(b.Suspicious) || len(a.Intervals) != len(b.Intervals) {
 			return false
 		}
 		for i := range a.Suspicious {
@@ -99,9 +99,9 @@ func TestMCSegmentsTileProperty(t *testing.T) {
 		if len(s) == 0 {
 			return true
 		}
-		res := MeanChange(s, cfg, nil)
+		sig := SeriesSignals(s, cfg, NewScratch(), nil)
 		covered := 0
-		for _, seg := range res.Segments {
+		for _, seg := range sig.MC {
 			covered += len(s.Between(seg.Interval.Start, seg.Interval.End))
 		}
 		return covered == len(s)

@@ -35,19 +35,19 @@ func mcCurveRef(s dataset.Series, cfg Config) Curve {
 	return c
 }
 
-// meanChangeRef is the original MeanChange: per-segment []float64 and
-// []string materialization, trust averaged via TrustSource.AverageTrust.
-func meanChangeRef(s dataset.Series, cfg Config, ts TrustSource) MCResult {
+// meanChangeRef is the original MC detector: peaks on mcCurveRef,
+// per-segment []float64 and []string materialization, and trust averaged
+// by summing Trust over the materialized raters in input order. It returns
+// the decided segments.
+func meanChangeRef(s dataset.Series, cfg Config, ts TrustSource) []MCSegment {
 	if ts == nil {
 		ts = NeutralTrust()
 	}
-	res := MCResult{Curve: mcCurveRef(s, cfg)}
 	if len(s) == 0 {
-		return res
+		return nil
 	}
-	res.Peaks = res.Curve.Peaks(cfg.MCPeakThreshold, cfg.MCPeakMinSepDays)
-
-	bounds := segmentBounds(s, res.Peaks)
+	curve := mcCurveRef(s, cfg)
+	bounds := segmentBounds(s, curve.Peaks(cfg.MCPeakThreshold, cfg.MCPeakMinSepDays))
 	overall := s.Values()
 	totalSum := stats.Sum(overall)
 	totalN := float64(len(overall))
@@ -57,8 +57,9 @@ func meanChangeRef(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 	for i, r := range s {
 		allRaters[i] = r.Rater
 	}
-	tAvg := ts.AverageTrust(allRaters)
+	tAvg := averageTrustRef(ts, allRaters)
 
+	var segs []MCSegment
 	for _, iv := range bounds {
 		seg := s.Between(iv.Start, iv.End)
 		if len(seg) == 0 {
@@ -71,7 +72,7 @@ func meanChangeRef(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 		m := MCSegment{
 			Interval: iv,
 			Mean:     stats.Mean(seg.Values()),
-			AvgTrust: ts.AverageTrust(raters),
+			AvgTrust: averageTrustRef(ts, raters),
 		}
 		bAvg := m.Mean
 		if rest := totalN - float64(len(seg)); rest > 0 {
@@ -85,9 +86,22 @@ func meanChangeRef(s dataset.Series, cfg Config, ts TrustSource) MCResult {
 		case dev > cfg.MCThreshold2 && tAvg > 0 && m.AvgTrust/tAvg < cfg.MCTrustRatio:
 			m.Suspicious = true
 		}
-		res.Segments = append(res.Segments, m)
+		segs = append(segs, m)
 	}
-	return res
+	return segs
+}
+
+// averageTrustRef is the mean of ts.Trust over raters, summed in input
+// order (0.5 for none).
+func averageTrustRef(ts TrustSource, raters []string) float64 {
+	if len(raters) == 0 {
+		return 0.5
+	}
+	var sum float64
+	for _, id := range raters {
+		sum += ts.Trust(id)
+	}
+	return sum / float64(len(raters))
 }
 
 // bandCountsRef materializes a filtered sub-series before bucketing it into
@@ -141,17 +155,21 @@ func arcCurveRef(s dataset.Series, horizon float64, band ARCBand, cfg Config) Cu
 
 // arrivalRateChangeRef recomputes the band counts a second time for the
 // segment pass and takes the quantile via an allocating copy (the original
-// ArrivalRateChange).
-func arrivalRateChangeRef(s dataset.Series, horizon float64, band ARCBand, cfg Config) ARCResult {
-	res := ARCResult{Band: band, Curve: arcCurveRef(s, horizon, band, cfg)}
+// ArrivalRateChange). It returns the band's signals; its curve is
+// arcCurveRef's.
+func arrivalRateChangeRef(s dataset.Series, horizon float64, band ARCBand, cfg Config) ARCSignals {
+	res := ARCSignals{Band: band}
 	res.ThresholdA, res.ThresholdB = BandThresholds(s.Mean())
-	if res.Curve.Len() == 0 {
+	curve := arcCurveRef(s, horizon, band, cfg)
+	if curve.Len() == 0 {
 		return res
 	}
-	res.Peaks = res.Curve.Peaks(cfg.ARCPeakThreshold, cfg.ARCPeakMinSepDays)
+	for _, p := range curve.Peaks(cfg.ARCPeakThreshold, cfg.ARCPeakMinSepDays) {
+		res.PeakDays = append(res.PeakDays, curve.X[p])
+	}
 
 	counts := bandCountsRef(s, horizon, band)
-	bounds := daySegments(len(counts), res.Curve, res.Peaks)
+	bounds := daySegments(len(counts), res.PeakDays)
 	q25 := stats.Quantile(counts, 0.25)
 	baseline := q25 + 0.7*math.Sqrt(q25)
 	margin := cfg.ARCRateDelta
@@ -167,30 +185,30 @@ func arrivalRateChangeRef(s dataset.Series, horizon float64, band ARCBand, cfg C
 }
 
 // histogramChangeRef re-sorts and re-clusters every window from scratch via
-// cluster.SingleLinkage (the original HistogramChange).
-func histogramChangeRef(s dataset.Series, cfg Config) HCResult {
-	res := HCResult{}
+// cluster.SingleLinkage (the original HistogramChange). It returns the
+// curve (one point per window, at its centre day) and the merged
+// suspicious windows.
+func histogramChangeRef(s dataset.Series, cfg Config) (curve Curve, intervals []Interval) {
 	w := cfg.HCWindowRatings
 	step := cfg.HCStepRatings
 	if step <= 0 {
 		step = 1
 	}
 	if w <= 1 || len(s) < w {
-		return res
+		return curve, nil
 	}
 	for start := 0; start+w <= len(s); start += step {
 		win := s[start : start+w]
 		vals := win.Values()
 		ratio := clusterGapRatio(vals, cfg.HCMinGap)
 		center := (win[0].Day + win[w-1].Day) / 2
-		res.Curve.X = append(res.Curve.X, center)
-		res.Curve.Y = append(res.Curve.Y, ratio)
+		curve.X = append(curve.X, center)
+		curve.Y = append(curve.Y, ratio)
 		if ratio >= cfg.HCThreshold {
-			res.Intervals = append(res.Intervals, Interval{Start: win[0].Day, End: win[w-1].Day})
+			intervals = append(intervals, Interval{Start: win[0].Day, End: win[w-1].Day})
 		}
 	}
-	res.Intervals = mergeIntervals(res.Intervals)
-	return res
+	return curve, mergeIntervals(intervals)
 }
 
 // clusterGapRatio computes the two-cluster size ratio, but returns 0 when
@@ -241,16 +259,16 @@ func clusterGapRatio(vals []float64, minGap float64) float64 {
 }
 
 // modelErrorRef copies every window's values before fitting (the original
-// ModelError).
-func modelErrorRef(s dataset.Series, cfg Config) MEResult {
-	res := MEResult{}
+// ModelError). It returns the curve (one point per window whose fit
+// succeeded, at its centre day) and the merged suspicious windows.
+func modelErrorRef(s dataset.Series, cfg Config) (curve Curve, intervals []Interval) {
 	w := cfg.MEWindowRatings
 	step := cfg.MEStepRatings
 	if step <= 0 {
 		step = 1
 	}
 	if w <= 2*cfg.MEOrder || len(s) < w {
-		return res
+		return curve, nil
 	}
 	for start := 0; start+w <= len(s); start += step {
 		win := s[start : start+w]
@@ -259,12 +277,11 @@ func modelErrorRef(s dataset.Series, cfg Config) MEResult {
 			continue
 		}
 		center := (win[0].Day + win[w-1].Day) / 2
-		res.Curve.X = append(res.Curve.X, center)
-		res.Curve.Y = append(res.Curve.Y, m.RelErr)
+		curve.X = append(curve.X, center)
+		curve.Y = append(curve.Y, m.RelErr)
 		if m.RelErr < cfg.METhreshold {
-			res.Intervals = append(res.Intervals, Interval{Start: win[0].Day, End: win[w-1].Day})
+			intervals = append(intervals, Interval{Start: win[0].Day, End: win[w-1].Day})
 		}
 	}
-	res.Intervals = mergeIntervals(res.Intervals)
-	return res
+	return curve, mergeIntervals(intervals)
 }

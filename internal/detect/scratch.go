@@ -10,11 +10,11 @@ import "repro/internal/armodel"
 // equivalence tests) — but it is not safe for concurrent use; give each
 // goroutine its own (the engine's worker pool does exactly that).
 //
-// Results returned by the detectors never alias scratch memory: curves,
-// peaks, segments and intervals are freshly allocated, so a Report outlives
-// any later reuse of the Scratch that produced it. With a warm Scratch a
-// full Analyze performs O(1) allocations per product (the returned result
-// itself) instead of O(windows).
+// Results returned by the detectors never alias scratch memory: peaks,
+// segments and intervals are freshly allocated, so Signals outlive any
+// later reuse of the Scratch that produced them. With a warm Scratch a
+// full detector run performs O(1) allocations per product (the returned
+// result itself) instead of O(windows).
 type Scratch struct {
 	sums   []int64   // ARC: prefix sums of the current band's daily counts
 	hist   []int32   // ARC: histogram of the daily counts for the baseline quantile

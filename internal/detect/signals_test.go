@@ -45,7 +45,7 @@ func arcSignalsEqual(a, b ARCSignals) bool {
 
 // signalsEqual compares two Signals bit for bit.
 func signalsEqual(a, b Signals) bool {
-	return mcResultsEqual(MCResult{Segments: a.MC}, MCResult{Segments: b.MC}) &&
+	return segmentsEqual(a.MC, b.MC) &&
 		arcSignalsEqual(a.HARC, b.HARC) && arcSignalsEqual(a.LARC, b.LARC) &&
 		intervalsEqual(a.HC, b.HC) && intervalsEqual(a.ME, b.ME)
 }
@@ -67,14 +67,15 @@ func splitTrustSources(s dataset.Series) []TrustSource {
 	return []TrustSource{distrustAttack, distrustFair, NeutralTrust()}
 }
 
-// TestDecideMatchesAnalyzeProperty: on seeded attacked series cut at random
-// horizons (the prefixes the engine analyzes per epoch), Decide over the
-// curve-free signals of SeriesSignals and ArrivalSignals must equal
-// AnalyzeWith bit for bit in Suspicious, Intervals and the MC segments,
-// under several trust sources — and deciding the same signals again under
-// other trust must leave them untouched, because the engine shares cached
-// signals across epochs and evaluations.
-func TestDecideMatchesAnalyzeProperty(t *testing.T) {
+// TestDecideSharedSignalsProperty: on seeded attacked series cut at random
+// horizons (the prefixes the engine analyzes per epoch), Decide over one
+// shared set of signals from SeriesSignals and ArrivalSignals, under
+// several trust sources in turn, must equal a run on fresh signals bit for
+// bit in Suspicious and Intervals, and its MC segments must equal
+// meanChangeRef's under the same trust — and deciding must leave the
+// shared signals untouched, because the engine shares cached signals
+// across epochs and evaluations.
+func TestDecideSharedSignalsProperty(t *testing.T) {
 	cfg := DefaultConfig()
 	sc := NewScratch()
 	trustMattered := 0
@@ -93,22 +94,21 @@ func TestDecideMatchesAnalyzeProperty(t *testing.T) {
 		var first []MCSegment
 		for k, ts := range splitTrustSources(seen) {
 			dec := Decide(seen, sig, cfg, ts)
-			rep := AnalyzeWith(seen, hi, cfg, ts, nil)
+			_, fresh, _ := analyze(seen, hi, cfg, ts, NewScratch())
 			label := fmt.Sprintf("seed %d, horizon %.2f, trust source %d", seed, hi, k)
-			if len(dec.Suspicious) != len(rep.Suspicious) {
-				t.Fatalf("%s: %d marks, AnalyzeWith has %d", label, len(dec.Suspicious), len(rep.Suspicious))
+			if len(dec.Suspicious) != len(fresh.Suspicious) {
+				t.Fatalf("%s: %d marks, fresh run has %d", label, len(dec.Suspicious), len(fresh.Suspicious))
 			}
 			for i := range dec.Suspicious {
-				if dec.Suspicious[i] != rep.Suspicious[i] {
-					t.Fatalf("%s: mark %d differs from AnalyzeWith", label, i)
+				if dec.Suspicious[i] != fresh.Suspicious[i] {
+					t.Fatalf("%s: mark %d differs from the fresh run", label, i)
 				}
 			}
-			if !intervalsEqual(dec.Intervals, rep.Intervals) {
-				t.Fatalf("%s: intervals %v, AnalyzeWith %v", label, dec.Intervals, rep.Intervals)
+			if !intervalsEqual(dec.Intervals, fresh.Intervals) {
+				t.Fatalf("%s: intervals %v, fresh run %v", label, dec.Intervals, fresh.Intervals)
 			}
-			decided := MCResult{Curve: rep.MC.Curve, Peaks: rep.MC.Peaks, Segments: dec.Segments}
-			if !mcResultsEqual(decided, rep.MC) {
-				t.Fatalf("%s: MC segments %+v, AnalyzeWith %+v", label, dec.Segments, rep.MC.Segments)
+			if want := meanChangeRef(seen, cfg, ts); !segmentsEqual(dec.Segments, want) {
+				t.Fatalf("%s: MC segments %+v, meanChangeRef %+v", label, dec.Segments, want)
 			}
 			if !signalsEqual(sig, pristine) {
 				t.Fatalf("%s: Decide wrote its input signals", label)

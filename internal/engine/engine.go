@@ -11,8 +11,9 @@
 //   - Within one epoch, rater trust is frozen: every product's detector
 //     analysis reads the same trust snapshot and no product's marks feed
 //     another product until the fold at the epoch boundary. Per-product
-//     detect.Analyze calls are therefore independent and fan out over a
-//     bounded worker pool.
+//     detector runs (detect.SeriesSignals, detect.ArrivalSignals, then
+//     detect.Decide) are therefore independent and fan out over a bounded
+//     worker pool.
 //
 //   - Trust accumulation is strictly causal: the state at the start of
 //     epoch e is a pure function of the ratings with Day < 30·e. A new
@@ -374,9 +375,8 @@ type seriesTrust struct {
 	ords []uint32 // aligned with the decided series
 }
 
-func (t *seriesTrust) Trust(id string) float64           { return t.mgr.Trust(id) }
-func (t *seriesTrust) AverageTrust(ids []string) float64 { return t.mgr.AverageTrust(ids) }
-func (t *seriesTrust) RatingTrust(i int) float64         { return t.mgr.TrustAt(t.ords[i]) }
+func (t *seriesTrust) Trust(id string) float64   { return t.mgr.Trust(id) }
+func (t *seriesTrust) RatingTrust(i int) float64 { return t.mgr.TrustAt(t.ords[i]) }
 
 // completeSignals returns the signals tier of series s at horizon hi:
 // the parts r carries are reused, the rest computed by the trust-free

@@ -54,7 +54,7 @@ import (
 // checkpoints. Bit-exactness is then by construction — a hit replays the
 // exact cached marks (final pass: copies of the cached marks and scores),
 // and the signals are pure functions of (prefix, horizon, detector config)
-// that Decide reads exactly as detect.AnalyzeWith would.
+// that Decide reads the same whether they are cached or fresh.
 
 // FNV-1a 64-bit parameters, inlined so the series fingerprint stays
 // dependency- and allocation-free.

@@ -182,17 +182,3 @@ type RaterTrust struct {
 	Rater string
 	Trust float64
 }
-
-// AverageTrust returns the mean trust over the given rater IDs, using
-// InitialTrust for unknown raters. It returns InitialTrust for an empty set
-// (neutral, per the paper's segment-trust comparison).
-func (m *Manager) AverageTrust(ids []string) float64 {
-	if len(ids) == 0 {
-		return InitialTrust
-	}
-	var sum float64
-	for _, id := range ids {
-		sum += m.Trust(id)
-	}
-	return sum / float64(len(ids))
-}

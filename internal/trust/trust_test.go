@@ -127,22 +127,6 @@ func TestCloneEmpty(t *testing.T) {
 	}
 }
 
-func TestAverageTrust(t *testing.T) {
-	m := NewManager()
-	m.Observe("good", 8, 0) // 0.9
-	m.Observe("bad", 8, 8)  // 0.1
-	if got := m.AverageTrust([]string{"good", "bad"}); got != 0.5 {
-		t.Errorf("AverageTrust = %v, want 0.5", got)
-	}
-	if got := m.AverageTrust(nil); got != InitialTrust {
-		t.Errorf("AverageTrust(empty) = %v, want %v", got, InitialTrust)
-	}
-	// Unknown raters count as InitialTrust.
-	if got := m.AverageTrust([]string{"good", "stranger"}); got != 0.7 {
-		t.Errorf("AverageTrust(with unknown) = %v, want 0.7", got)
-	}
-}
-
 // Property: trust is always in (0,1), increases with S, decreases with F.
 func TestBetaBoundsAndMonotonicityProperty(t *testing.T) {
 	f := func(sRaw, fRaw uint16) bool {
