@@ -70,6 +70,16 @@ func run(w io.Writer, inPath string, demo, verbose bool, curvesPath string) erro
 		fmt.Fprintf(w, "  MC peaks %d, suspicious segments %d | H-ARC alarm %v | L-ARC alarm %v | HC windows %d | ME windows %d\n",
 			len(mc.Peaks(cfg.MCPeakThreshold, cfg.MCPeakMinSepDays)), suspiciousSegments,
 			sig.HARC.Alarm(), sig.LARC.Alarm(), len(sig.HC), len(sig.ME))
+		if curvesOut != nil {
+			for _, c := range []struct {
+				name  string
+				curve detect.Curve
+			}{{"MC", mc}, {"H-ARC", high}, {"L-ARC", low}, {"HC", hc}, {"ME", me}} {
+				for i := range c.curve.X {
+					fmt.Fprintf(curvesOut, "%s,%s,%.4f,%.6f\n", p.ID, c.name, c.curve.X[i], c.curve.Y[i])
+				}
+			}
+		}
 		if len(dec.Intervals) == 0 {
 			fmt.Fprintln(w, "  verdict: no suspicious ratings")
 			continue
@@ -102,16 +112,6 @@ func run(w io.Writer, inPath string, demo, verbose bool, curvesPath string) erro
 			fmt.Fprintf(w, "  ground truth: recall %.0f%%, precision %.0f%% (%d unfair ratings)\n",
 				100*float64(tp)/float64(tp+fn),
 				100*float64(tp)/float64(max(tp+fp, 1)), tp+fn)
-		}
-		if curvesOut != nil {
-			for _, c := range []struct {
-				name  string
-				curve detect.Curve
-			}{{"MC", mc}, {"H-ARC", high}, {"L-ARC", low}, {"HC", hc}, {"ME", me}} {
-				for i := range c.curve.X {
-					fmt.Fprintf(curvesOut, "%s,%s,%.4f,%.6f\n", p.ID, c.name, c.curve.X[i], c.curve.Y[i])
-				}
-			}
 		}
 	}
 	return nil

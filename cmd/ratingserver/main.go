@@ -18,8 +18,11 @@
 // State is partitioned into -shards product shards (default GOMAXPROCS),
 // each with its own lock stripe and WAL segment: submissions to different
 // products commit concurrently, and recovery replays all shards in
-// parallel. -shards 1 reproduces the legacy single-stream layout; opening
-// a legacy directory with -shards > 1 migrates it in place.
+// parallel. At every count, -shards 1 included, the WAL directory holds
+// wal-manifest.json and one shard-NNN/ subdirectory per shard; a reopen
+// must use the recorded count. A directory in the single-stream layout of
+// earlier builds (top-level wal.log or snapshot.json, no manifest) is
+// refused: migrate it with an earlier build first.
 //
 // With -seed-history the server starts pre-loaded with synthetic fair
 // rating history, which makes the defense meaningful from the first query.
@@ -66,7 +69,7 @@ func main() {
 		syncEv   = flag.Int("sync-every", 1, "fsync the WAL every N accepted ratings (group commit)")
 		snapEv   = flag.Int("snapshot-every", 4096, "checkpoint the dataset and compact the WAL every N ratings (0 = never)")
 		workers  = flag.Int("workers", 0, "P-scheme per-product analysis workers per recompute (0 = GOMAXPROCS, 1 = serial)")
-		shards   = flag.Int("shards", 0, "product shards with independent locks and WAL segments (0 = GOMAXPROCS, 1 = legacy single-shard layout)")
+		shards   = flag.Int("shards", 0, "product shards with independent locks and WAL segments (0 = GOMAXPROCS; recorded in the WAL manifest, a reopen must match)")
 
 		maxInflight  = flag.Int("max-inflight", 256, "max concurrent requests before queueing (0 = unbounded)")
 		queueDepth   = flag.Int("queue-depth", 512, "max requests waiting for an inflight slot before shedding 503")
@@ -184,9 +187,6 @@ func buildService(cfg config) (*server.Service, agg.Scheme, error) {
 			"snapshot", rep.SnapshotRatings, "replayed", rep.ReplayedRatings,
 			"duplicate", rep.DuplicateRecords, "skipped", rep.SkippedRecords,
 			"tornBytes", rep.TruncatedBytes)
-		if rep.MigratedFromLegacy {
-			cfg.log().Info("migrated legacy single-stream WAL to sharded layout", "dir", cfg.walDir, "shards", shards)
-		}
 		for _, reason := range rep.SkipReasons {
 			cfg.log().Warn("recovery skipped record", "reason", reason)
 		}

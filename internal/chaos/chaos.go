@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -49,10 +50,10 @@ type Options struct {
 	// Products and Horizon shape the service under test.
 	Products []string
 	Horizon  float64
-	// Shards is the product-shard count for the store under test (0 or 1 =
-	// legacy single-stream layout). With more shards the storm's submits
-	// commit through independent WAL segments, so the fault schedule's
-	// stalls and disk-full windows cut each stream at a different point.
+	// Shards is the product-shard count for the store under test (0 means
+	// 1). With more shards the storm's submits commit through independent
+	// WAL segments, so the fault schedule's stalls and disk-full windows
+	// cut each stream at a different point.
 	Shards int
 	// Clients is the number of concurrent storm clients; each issues
 	// RequestsPerClient requests (≈80% submits, 20% reads).
@@ -377,8 +378,8 @@ func Audit(rep *Report, image *faultfs.FS, opts Options, maxShedP99 time.Duratio
 func key(product, rater string) string { return product + "\x00" + rater }
 
 // shardStreams enumerates the independent WAL streams in a crash image:
-// a manifest names the sharded layout and each shard directory is one
-// stream; without a manifest the image is the legacy single stream.
+// the manifest names the shard count and each shard directory is one
+// stream.
 func shardStreams(image *faultfs.FS) ([]wal.FS, error) {
 	fsys := image.Clone()
 	m, err := wal.ReadManifest(fsys)
@@ -386,7 +387,7 @@ func shardStreams(image *faultfs.FS) ([]wal.FS, error) {
 		return nil, err
 	}
 	if m == nil {
-		return []wal.FS{fsys}, nil
+		return nil, errors.New("crash image has no WAL manifest")
 	}
 	streams := make([]wal.FS, m.Shards)
 	for i := range streams {

@@ -21,9 +21,9 @@ func soakOptions() Options {
 		Products: []string{"tv1", "tv2", "tv3"},
 		Horizon:  90,
 		// Three shards over three products: the storm commits through
-		// independent WAL segments and the audit walks the sharded layout.
-		// (TestChaosKillDuringDrain keeps the 1-shard legacy layout so both
-		// paths stay covered.)
+		// independent WAL segments and the audit walks three streams.
+		// (TestChaosKillDuringDrain runs one shard, so the audit also
+		// covers a single stream.)
 		Shards:            3,
 		Clients:           8,
 		RequestsPerClient: 120,

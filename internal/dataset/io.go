@@ -28,18 +28,6 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	return &d, nil
 }
 
-// DecodeJSON is ReadJSON over an encoding already in memory (exactly one
-// JSON value, as WriteJSON writes). It decodes in place, without the
-// growing read buffer of a stream decoder.
-func DecodeJSON(data []byte) (*Dataset, error) {
-	var d Dataset
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("decode dataset: %w", err)
-	}
-	d.sortSeries()
-	return &d, nil
-}
-
 func (d *Dataset) sortSeries() {
 	for i := range d.Products {
 		d.Products[i].Ratings.Sort()

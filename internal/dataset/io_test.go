@@ -20,25 +20,19 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeJSON(buf.Bytes())
+	got, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	read, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if got.HorizonDays != d.HorizonDays {
+		t.Errorf("horizon = %v, want %v", got.HorizonDays, d.HorizonDays)
 	}
-	for _, got := range []*Dataset{read, decoded} {
-		if got.HorizonDays != d.HorizonDays {
-			t.Errorf("horizon = %v, want %v", got.HorizonDays, d.HorizonDays)
-		}
-		if len(got.Products) != len(d.Products) {
-			t.Fatalf("products = %d, want %d", len(got.Products), len(d.Products))
-		}
-		for i := range d.Products {
-			if len(got.Products[i].Ratings) != len(d.Products[i].Ratings) {
-				t.Fatalf("product %d rating count mismatch", i)
-			}
+	if len(got.Products) != len(d.Products) {
+		t.Fatalf("products = %d, want %d", len(got.Products), len(d.Products))
+	}
+	for i := range d.Products {
+		if len(got.Products[i].Ratings) != len(d.Products[i].Ratings) {
+			t.Fatalf("product %d rating count mismatch", i)
 		}
 	}
 }
@@ -46,9 +40,6 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestReadJSONInvalid(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("{nonsense")); err == nil {
 		t.Error("ReadJSON(invalid): want error")
-	}
-	if _, err := DecodeJSON([]byte("{nonsense")); err == nil {
-		t.Error("DecodeJSON(invalid): want error")
 	}
 }
 

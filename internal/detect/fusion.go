@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 )
@@ -49,6 +50,7 @@ func SeriesSignals(s dataset.Series, cfg Config, sc *Scratch, p *Prefix) Signals
 	} else if len(s) < len(p.vals) {
 		p.truncate(len(s), cfg)
 	}
+	p.vals = slices.Grow(p.vals, len(s)-len(p.vals))
 	for _, r := range s[len(p.vals):] {
 		p.vals = append(p.vals, r.Value)
 	}

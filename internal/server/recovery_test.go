@@ -25,6 +25,9 @@ func workloadRating(i int) (product, rater string, value, day float64) {
 
 var workloadProducts = []string{"tv0", "tv1", "tv2"}
 
+// logPath is the log of the one shard a default service writes.
+var logPath = wal.ShardDir(0) + "/wal.log"
+
 // runWorkload opens a durable service over a fresh fault FS, submits n
 // workload ratings, and returns the FS, the final log image, and the log
 // size after each accepted rating (the record boundaries).
@@ -40,7 +43,7 @@ func runWorkload(t *testing.T, scheme agg.Scheme, n int) (fs *faultfs.FS, logByt
 		if err := svc.Submit(context.Background(), p, r, v, d); err != nil {
 			t.Fatalf("workload submit %d: %v", i, err)
 		}
-		size, err := fs.Size("wal.log")
+		size, err := fs.Size(logPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +52,7 @@ func runWorkload(t *testing.T, scheme agg.Scheme, n int) (fs *faultfs.FS, logByt
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	logBytes, err = fs.ReadFile("wal.log")
+	logBytes, err = fs.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func recordsContained(boundaries []int64, n int64) int {
 func recoverAt(t *testing.T, scheme agg.Scheme, logBytes []byte, n int64) (*Service, *RecoveryReport) {
 	t.Helper()
 	img := faultfs.New()
-	img.WriteFile("wal.log", logBytes[:n])
+	img.WriteFile(logPath, logBytes[:n])
 	svc, rep, err := OpenWAL(scheme, 90, workloadProducts, WALOptions{FS: img, SyncEvery: 1})
 	if err != nil {
 		t.Fatalf("recover at byte %d: %v", n, err)
@@ -257,7 +260,7 @@ func TestFsyncFailureDoesNotCorruptState(t *testing.T) {
 	// record's bytes reached the OS before the fsync failed, so recovery
 	// may legitimately resurrect it — an error response promises the
 	// rating was not silently lost, not that it cannot survive a crash.
-	svc2, rep := recoverAt(t, agg.SAScheme{}, mustRead(t, fs, "wal.log"), mustSize(t, fs, "wal.log"))
+	svc2, rep := recoverAt(t, agg.SAScheme{}, mustRead(t, fs, logPath), mustSize(t, fs, logPath))
 	defer svc2.Close()
 	if rep.SkippedRecords != 0 {
 		t.Errorf("restart skipped %d records", rep.SkippedRecords)
@@ -304,11 +307,11 @@ func TestSnapshotCompactBoundsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			fullRecord = mustSize(t, fs, "wal.log")
+			fullRecord = mustSize(t, fs, logPath)
 		}
 	}
 	svc.Close()
-	if size := mustSize(t, fs, "wal.log"); size > 6*fullRecord {
+	if size := mustSize(t, fs, logPath); size > 6*fullRecord {
 		t.Errorf("log after compaction = %d bytes; want ≈ 5 records (~%d bytes)", size, 5*fullRecord)
 	}
 
@@ -353,13 +356,17 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 		}
 	}
 	svc.Close()
-	logBytes := mustRead(t, fs, "wal.log")
+	logBytes := mustRead(t, fs, logPath)
 
 	// Publish a snapshot of the full dataset, then put the un-reset log
 	// back — exactly the on-disk state of a crash between Compact's
 	// rename and truncate steps.
 	img := fs.Clone()
-	w, _, err := wal.Open(img, wal.Options{})
+	shard, err := wal.Sub(img, wal.ShardDir(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := wal.Open(shard, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +374,7 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	img.WriteFile("wal.log", logBytes)
+	img.WriteFile(logPath, logBytes)
 
 	svc2, rep, err := OpenWAL(agg.SAScheme{}, 90, workloadProducts, WALOptions{FS: img, SyncEvery: 1})
 	if err != nil {

@@ -12,8 +12,9 @@
 // cross-product concern — the P-scheme recompute with its epoch-
 // checkpointed engine state, the trust fold, the cached table, and the
 // degradation state — and refreshes them from consistent multi-shard cuts
-// (store.BeginRecompute). With one shard (the default for New/Open) the
-// behavior and on-disk layout are exactly the pre-sharding service's.
+// (store.BeginRecompute). One shard (the default for New and OpenWAL) is
+// just the smallest count: the WAL directory still holds a manifest and
+// shard-000/.
 //
 // The service is optionally durable: constructed with Open it writes every
 // accepted rating to a write-ahead log (internal/wal) before mutating
@@ -112,8 +113,7 @@ func New(scheme agg.Scheme, horizonDays float64, products []string) (*Service, e
 }
 
 // NewSharded is New with an explicit shard count: product state and lock
-// striping are split across shards (0 and 1 both mean one shard, the
-// original layout).
+// striping are split across shards (0 and 1 both mean one shard).
 func NewSharded(scheme agg.Scheme, horizonDays float64, products []string, shards int) (*Service, error) {
 	if scheme == nil {
 		return nil, errors.New("server: nil scheme")
@@ -135,11 +135,11 @@ type WALOptions struct {
 	// FS overrides the filesystem the WAL writes through — used by tests
 	// to inject faults (internal/faultfs). Defaults to wal.OSDir(Dir).
 	FS wal.FS
-	// Shards is the storage shard count; 0 or 1 reproduces the original
-	// single-stream layout byte-for-byte (existing WAL directories stay
-	// readable), larger values shard state and WAL streams by product,
-	// migrating a legacy directory in place on first open. The count is
-	// recorded in the directory's manifest and a mismatched reopen fails.
+	// Shards is the storage shard count (0 means 1): state and WAL streams
+	// are sharded by product, one shard-NNN/ subdirectory per shard. The
+	// count is recorded in the directory's manifest and a mismatched
+	// reopen fails; a directory in the single-stream layout of earlier
+	// builds is refused (store.ErrLegacyLayout).
 	Shards int
 	// SyncEvery and SyncInterval set each shard's group-commit policy; see
 	// wal.Options. Zero SyncEvery means fsync on every append.

@@ -19,12 +19,9 @@ type Options struct {
 	// FS overrides the filesystem the WALs write through — used by tests
 	// to inject faults (internal/faultfs). Defaults to wal.OSDir(Dir).
 	FS wal.FS
-	// Shards is the shard count; 0 or 1 keeps the legacy single-stream
-	// layout (snapshot + log at the top of the directory, no manifest), so
-	// WAL directories written before sharding stay readable byte-for-byte.
-	// With more shards the directory gains a manifest and one shard-NNN/
-	// subdirectory per shard; an existing legacy directory is migrated in
-	// place on first open.
+	// Shards is the shard count; 0 means 1. The directory holds a manifest
+	// recording it and one shard-NNN/ subdirectory per shard, whatever the
+	// count.
 	Shards int
 	// SyncEvery, SyncInterval, StallThreshold, ProbeInterval set each
 	// shard's independent group-commit policy; see wal.Options.
@@ -37,8 +34,8 @@ type Options struct {
 	SnapshotEvery int
 	// Now substitutes the wall clock, for tests. Defaults to time.Now.
 	Now func() time.Time
-	// Logf receives operational log lines (snapshot failures, migration
-	// notices). Defaults to discarding.
+	// Logf receives operational log lines (snapshot failures). Defaults to
+	// discarding.
 	Logf func(format string, args ...any)
 }
 
@@ -60,10 +57,13 @@ type RecoveryReport struct {
 	SkipReasons    []string
 	// TruncatedBytes counts torn log-tail bytes discarded by the WALs.
 	TruncatedBytes int64
-	// MigratedFromLegacy is set when this open converted a legacy
-	// single-stream directory to the sharded layout in place.
-	MigratedFromLegacy bool
 }
+
+// ErrLegacyLayout is wrapped by the error Open returns for a directory
+// without a manifest that holds a top-level wal.log or snapshot.json: the
+// single-stream layout of earlier builds, which this one neither reads nor
+// migrates. Opening it as empty would drop its history.
+var ErrLegacyLayout = errors.New("legacy single-stream WAL layout")
 
 // maxSkipReasons bounds the per-boot skip-reason sample in RecoveryReport.
 const maxSkipReasons = 16
@@ -90,14 +90,12 @@ func (r *RecoveryReport) merge(o *RecoveryReport) {
 // per-shard RecoveryReports are merged in shard order, so the totals are
 // deterministic for a given on-disk state.
 //
-// Layout compatibility: with Shards<=1 the directory is the legacy
-// single-stream layout and stays that way. With Shards>1 a fresh directory
-// gets a manifest + shard subdirectories; a legacy directory is migrated
-// in place (replay, re-partition, per-shard compact, publish manifest,
-// remove legacy files — crash-safe at every step because the manifest is
-// published only after every shard snapshot is durable); a sharded
-// directory whose manifest disagrees with Shards or the routing hash is
-// refused with an error naming both values.
+// Layout: the directory holds wal-manifest.json and one shard-NNN/
+// subdirectory per shard, at every shard count. A fresh directory gets the
+// manifest before any shard is opened. A directory whose manifest
+// disagrees with Shards or the routing hash is refused with an error
+// naming both values; a directory without a manifest but with top-level
+// WAL files is refused with ErrLegacyLayout.
 //
 //lint:ignore ctxfirst boot-time recovery precedes serving; there is no request context to propagate and a partial replay must not be served
 func Open(horizonDays float64, products []string, opts Options) (*Store, *RecoveryReport, error) {
@@ -138,36 +136,23 @@ func Open(horizonDays float64, products []string, opts Options) (*Store, *Recove
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	legacy := wal.HasLegacyState(fsys)
-	switch {
-	case m != nil:
-		if m.Shards != n {
-			return nil, nil, fmt.Errorf("store: WAL directory was written with %d shards but the store is configured for %d: reopen with -shards=%d (or migrate by restoring from a checkpoint)", m.Shards, n, m.Shards)
+	if m == nil {
+		if wal.HasLegacyState(fsys) {
+			return nil, nil, fmt.Errorf("store: %w: the directory has a top-level wal.log or snapshot.json and no wal-manifest.json; migrate it by opening it once with an earlier build at -shards 2 or more", ErrLegacyLayout)
 		}
-		if m.Hash != wal.RouteHashName {
-			return nil, nil, fmt.Errorf("store: WAL manifest routing hash %q does not match this build's %q", m.Hash, wal.RouteHashName)
-		}
-		if legacy {
-			// A migration published its manifest but crashed before removing
-			// the legacy files; every shard snapshot is already durable, so
-			// just finish the cleanup.
-			if err := wal.RemoveLegacyState(fsys); err != nil {
-				return nil, nil, fmt.Errorf("store: remove migrated legacy state: %w", err)
-			}
-		}
-	case legacy && n > 1:
-		report, err := st.migrateLegacy(fsys, walOpts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, report, nil
-	case n > 1:
-		if err := wal.WriteManifest(fsys, wal.Manifest{Version: wal.ManifestVersion, Shards: n, Hash: wal.RouteHashName}); err != nil {
+		m = &wal.Manifest{Version: wal.ManifestVersion, Shards: n, Hash: wal.RouteHashName}
+		if err := wal.WriteManifest(fsys, *m); err != nil {
 			return nil, nil, fmt.Errorf("store: %w", err)
 		}
 	}
+	if m.Shards != n {
+		return nil, nil, fmt.Errorf("store: WAL directory was written with %d shards but the store is configured for %d: reopen with -shards=%d", m.Shards, n, m.Shards)
+	}
+	if m.Hash != wal.RouteHashName {
+		return nil, nil, fmt.Errorf("store: WAL manifest routing hash %q does not match this build's %q", m.Hash, wal.RouteHashName)
+	}
 
-	fses, err := shardFS(fsys, n, m != nil)
+	fses, err := shardFS(fsys, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,13 +163,9 @@ func Open(horizonDays float64, products []string, opts Options) (*Store, *Recove
 	return st, report, nil
 }
 
-// shardFS resolves the per-shard filesystems: the base itself for the
-// legacy single-stream layout, shard-NNN/ subdirectories otherwise. A
-// manifest always implies the subdirectory layout, even with one shard.
-func shardFS(fsys wal.FS, n int, manifest bool) ([]wal.FS, error) {
-	if n == 1 && !manifest {
-		return []wal.FS{fsys}, nil
-	}
+// shardFS resolves the per-shard filesystems, the shard-NNN/
+// subdirectories of the base.
+func shardFS(fsys wal.FS, n int) ([]wal.FS, error) {
 	out := make([]wal.FS, n)
 	for i := range out {
 		sub, err := wal.Sub(fsys, wal.ShardDir(i))
@@ -222,7 +203,7 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 				return
 			}
 			results[i].rep.TruncatedBytes = rec.TruncatedBytes
-			st.replay(rec, &results[i].rep, func(string) int { return i })
+			st.replay(i, rec, &results[i].rep)
 			sh := st.shards[i]
 			sh.wal = w
 			sh.sinceSnapshot = len(rec.Tail())
@@ -237,7 +218,7 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 					results[j].w.Close()
 				}
 			}
-			return nil, fmt.Errorf("store: %w", shardErr(len(st.shards), i, results[i].err))
+			return nil, fmt.Errorf("store: %s: %w", wal.ShardDir(i), results[i].err)
 		}
 	}
 	report := &RecoveryReport{}
@@ -247,51 +228,47 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 	return report, nil
 }
 
-// replay applies recovered records (the checkpoint's, then the log
-// tail's) into in-memory state through the recovery validation, folding
-// outcomes into report. shardOf names the shard each record is applied
-// to. It runs during Open, before the store escapes: one goroutine per
-// shard, each touching only its own shard, or the single migration pass.
-func (st *Store) replay(rec *wal.Recovery, report *RecoveryReport, shardOf func(product string) int) {
-	st.presize(rec.Records, shardOf)
+// replay applies shard i's recovered records (the checkpoint's, then the
+// log tail's) into in-memory state through the recovery validation,
+// folding outcomes into report. It runs during Open, before the store
+// escapes: one goroutine per shard, each touching only its own shard.
+func (st *Store) replay(i int, rec *wal.Recovery, report *RecoveryReport) {
+	st.presize(i, rec.Records)
 	for j, r := range rec.Records {
 		applied := &report.ReplayedRatings
 		if j < rec.SnapshotRecords {
 			applied = &report.SnapshotRatings
 		}
-		st.recoverRating(shardOf(r.Product), r.Product, r.Rater, r.Value, r.Day, applied, report)
+		st.recoverRating(i, r.Product, r.Rater, r.Value, r.Day, applied, report)
 	}
 }
 
-// presize grows the series and seen set of every product the records name
-// once, to hold all of the product's records, so applying them never
-// regrows either. It grows only products that route to the shard shardOf
-// applies their records to: openShards replays shards concurrently, and a
-// misrouted record (skipped when applied) must not touch another shard's
-// state. Replay runs on a fresh store, so the seen sets it replaces are
-// empty.
+// presize grows the series and seen set of every shard-i product the
+// records name once, to hold all of the product's records, so applying
+// them never regrows either. It skips products that route to another
+// shard: openShards replays shards concurrently, and a misrouted record
+// (skipped when applied) must not touch another shard's state. Replay
+// runs on a fresh store, so the seen sets it replaces are empty.
 //
 //lint:ignore lockheld only called from replay during Open, before the Store is returned to any other goroutine; each goroutine grows only its own shard's products
-func (st *Store) presize(recs []wal.Record, shardOf func(product string) int) {
-	counts := make([][]int, len(st.shards))
+func (st *Store) presize(i int, recs []wal.Record) {
+	sh := st.shards[i]
+	var counts []int
 	for _, r := range recs {
 		l, ok := st.byID[r.Product]
-		if !ok || l.shard != shardOf(r.Product) {
+		if !ok || l.shard != i {
 			continue
 		}
-		if counts[l.shard] == nil {
-			counts[l.shard] = make([]int, len(st.shards[l.shard].data.Products))
+		if counts == nil {
+			counts = make([]int, len(sh.data.Products))
 		}
-		counts[l.shard][l.pos]++
+		counts[l.pos]++
 	}
-	for i, c := range counts {
-		sh := st.shards[i]
-		for pos, n := range c {
-			if n > 0 {
-				p := &sh.data.Products[pos]
-				p.Ratings = slices.Grow(p.Ratings, n)
-				sh.seen[pos] = make(map[string]bool, n)
-			}
+	for pos, n := range counts {
+		if n > 0 {
+			p := &sh.data.Products[pos]
+			p.Ratings = slices.Grow(p.Ratings, n)
+			sh.seen[pos] = make(map[string]bool, n)
 		}
 	}
 }
@@ -375,59 +352,6 @@ func (st *Store) hasExactRating(product, rater string, value, day float64) bool 
 		}
 	}
 	return false
-}
-
-// migrateLegacy converts a legacy single-stream WAL directory to the
-// sharded layout in place: replay the legacy snapshot + log through the
-// recovery validation, partition by the routing hash, compact every shard
-// into its own subdirectory, durably publish the manifest, and only then
-// remove the legacy files. A crash at any point is safe: without a
-// manifest the next open redoes the migration from the still-intact legacy
-// state (stale shard subdirectories are overwritten by Compact); with a
-// manifest the next open serves the shards and merely re-removes leftovers.
-//
-//lint:ignore lockheld runs during Open before the Store escapes; no concurrent access exists yet
-func (st *Store) migrateLegacy(fsys wal.FS, walOpts wal.Options) (*RecoveryReport, error) {
-	legacyWAL, rec, err := wal.Open(fsys, wal.Options{Now: walOpts.Now})
-	if err != nil {
-		return nil, fmt.Errorf("store: read legacy WAL: %w", err)
-	}
-	if err := legacyWAL.Close(); err != nil {
-		return nil, fmt.Errorf("store: close legacy WAL: %w", err)
-	}
-	report := &RecoveryReport{TruncatedBytes: rec.TruncatedBytes, MigratedFromLegacy: true}
-	// A product this store does not register maps to shard 0, where the
-	// validation counts it as a skip.
-	st.replay(rec, report, func(product string) int { return st.byID[product].shard })
-
-	fses, err := shardFS(fsys, len(st.shards), true)
-	if err != nil {
-		return nil, err
-	}
-	for i, sh := range st.shards {
-		// Whatever a crashed earlier migration left in this subdirectory is
-		// superseded: its recovery is discarded and Compact below rewrites
-		// the snapshot and resets the log.
-		w, _, err := wal.Open(fses[i], walOpts)
-		if err != nil {
-			return nil, fmt.Errorf("store: open %s during migration: %w", wal.ShardDir(i), err)
-		}
-		if err := w.Compact(sh.data); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("store: compact %s during migration: %w", wal.ShardDir(i), err)
-		}
-		sh.wal = w
-		sh.sinceSnapshot = 0
-	}
-	if err := wal.WriteManifest(fsys, wal.Manifest{Version: wal.ManifestVersion, Shards: len(st.shards), Hash: wal.RouteHashName}); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := wal.RemoveLegacyState(fsys); err != nil {
-		return nil, fmt.Errorf("store: remove legacy state after migration: %w", err)
-	}
-	st.logf("store: migrated legacy WAL directory to %d shards (%d snapshot + %d replayed ratings)",
-		len(st.shards), report.SnapshotRatings, report.ReplayedRatings)
-	return report, nil
 }
 
 // isNonFinite reports NaN or ±Inf.

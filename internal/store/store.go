@@ -4,8 +4,8 @@
 // stream, so submissions on different products contend only on their own
 // shard's lock and fsync pipeline. The coordinator above (internal/server)
 // routes writes through Submit and takes consistent multi-shard read
-// snapshots through BeginRecompute; with one shard the layout and locking
-// degenerate to the original single-stream service.
+// snapshots through BeginRecompute; with one shard the locking degenerates
+// to the original single-stream service's.
 //
 // Routing is a pure function — FNV-1a(product) mod shards — recorded in
 // the WAL directory's manifest so a reopen with a different shard count
@@ -141,9 +141,9 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 	return st, nil
 }
 
-// SetLogf directs the store's operational log (snapshot failures,
-// migration notices). f must be safe to call from any goroutine without
-// acquiring locks that are ever held while calling into the store.
+// SetLogf directs the store's operational log (snapshot failures). f
+// must be safe to call from any goroutine without acquiring locks that are
+// ever held while calling into the store.
 func (st *Store) SetLogf(f func(format string, args ...any)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

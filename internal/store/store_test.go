@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -143,7 +146,7 @@ func TestShardedRestartRoutesDeterministically(t *testing.T) {
 	if got := rep.SnapshotRatings + rep.ReplayedRatings; got != 48 {
 		t.Fatalf("recovered %d ratings, want 48 (report %+v)", got, rep)
 	}
-	if rep.SkippedRecords != 0 || rep.DuplicateRecords != 0 || rep.MigratedFromLegacy {
+	if rep.SkippedRecords != 0 || rep.DuplicateRecords != 0 {
 		t.Fatalf("unexpected recovery report %+v", rep)
 	}
 	if got := totalRatings(t, st2); got != 48 {
@@ -192,130 +195,179 @@ func TestManifestShardMismatchRejected(t *testing.T) {
 	}
 }
 
-// A legacy (pre-sharding) WAL directory opened with Shards>1 is migrated in
-// place: every rating survives into its routed shard, the manifest is
-// published, the legacy files are removed, and the next open is an ordinary
-// sharded boot.
-func TestLegacyDirectoryMigration(t *testing.T) {
-	fs := faultfs.New()
-	products := testProducts(10)
-	st, _, err := Open(90, products, Options{FS: fs, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+// Every shard count has one on-disk layout, a manifest plus shard-NNN/.
+// Open refuses what it cannot read instead of opening it as empty: the
+// single-stream layout of earlier builds (a top-level wal.log and/or
+// snapshot.json without a manifest) at any shard count, and a JSON
+// checkpoint in a shard. A refused directory is left byte for byte as it
+// was, with no manifest written. A fresh directory at one shard gets a
+// one-shard manifest and is held to it like any other count.
+func TestOpenLayout(t *testing.T) {
+	products := testProducts(6)
+	// legacy writes the single-stream layout of earlier builds: the wal
+	// package's files at the top of the directory.
+	legacy := func(snapshot, log bool) func(t *testing.T, fsys wal.FS) {
+		return func(t *testing.T, fsys wal.FS) {
+			w, _, err := wal.Open(fsys, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snapshot {
+				d := &dataset.Dataset{HorizonDays: 90, Products: []dataset.Product{
+					{ID: products[0], Ratings: dataset.Series{{Day: 1, Value: 4, Rater: "snap"}}},
+				}}
+				if err := w.Compact(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if log {
+				if err := w.Append(wal.Record{Product: products[1], Rater: "tail", Value: 3, Day: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !log {
+				if err := fsys.Remove("wal.log"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	submitN(t, st, 30)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	// jsonCheckpoint writes a one-shard directory, then replaces its
+	// checkpoint with the JSON one earlier builds wrote.
+	jsonCheckpoint := func(t *testing.T, fsys wal.FS) {
+		st, _, err := Open(90, products, Options{FS: fsys, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitN(t, st, 6)
+		if err := st.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var js bytes.Buffer
+		if err := st.View().WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fsys.Create(wal.ShardDir(0) + "/snapshot.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(js.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if m, err := wal.ReadManifest(fs); err != nil || m != nil {
-		t.Fatalf("single-shard layout grew a manifest: %+v, %v", m, err)
+	cases := []struct {
+		name   string
+		setup  func(t *testing.T, fsys wal.FS)
+		shards int
+		want   error
+		names  []string // the error names each
+	}{
+		{"legacy log/1 shard", legacy(false, true), 1, ErrLegacyLayout, []string{"wal.log", "earlier build"}},
+		{"legacy log/4 shards", legacy(false, true), 4, ErrLegacyLayout, []string{"wal.log", "earlier build"}},
+		{"legacy snapshot/1 shard", legacy(true, false), 1, ErrLegacyLayout, []string{"snapshot.json", "earlier build"}},
+		{"legacy snapshot/4 shards", legacy(true, false), 4, ErrLegacyLayout, []string{"snapshot.json", "earlier build"}},
+		{"legacy snapshot and log/1 shard", legacy(true, true), 1, ErrLegacyLayout, []string{"wal.log", "earlier build"}},
+		{"legacy snapshot and log/4 shards", legacy(true, true), 4, ErrLegacyLayout, []string{"wal.log", "earlier build"}},
+		{"JSON checkpoint in shard-000", jsonCheckpoint, 1, wal.ErrCorruptSnapshot, []string{wal.ShardDir(0), "snapshot.json", "JSON checkpoint"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fsys, err := wal.OSDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.setup(t, fsys)
+			before := readTree(t, dir)
+			st, _, err := Open(90, products, Options{FS: fsys, Shards: tc.shards})
+			if err == nil {
+				st.Close()
+				t.Fatalf("Open accepted the directory holding %q", before)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Open error %q, want %v", err, tc.want)
+			}
+			for _, want := range tc.names {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("Open error %q does not name %q", err, want)
+				}
+			}
+			if after := readTree(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("refused Open changed the directory:\n before %q\n after  %q", before, after)
+			}
+		})
 	}
 
-	st2, rep, err := Open(90, products, Options{FS: fs, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.MigratedFromLegacy {
-		t.Fatalf("report %+v: MigratedFromLegacy not set", rep)
-	}
-	if got := rep.SnapshotRatings + rep.ReplayedRatings; got != 30 {
-		t.Fatalf("migration carried %d ratings, want 30", got)
-	}
-	if got := totalRatings(t, st2); got != 30 {
-		t.Fatalf("migrated store holds %d ratings, want 30", got)
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("fresh directory at 1 shard", func(t *testing.T) {
+		fs := faultfs.New()
+		st, _, err := Open(90, products, Options{FS: fs, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitN(t, st, 12)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := wal.ReadManifest(fs); err != nil || m == nil || m.Shards != 1 || m.Hash != wal.RouteHashName {
+			t.Fatalf("manifest = %+v, %v; want 1 shard with hash %q", m, err, wal.RouteHashName)
+		}
+		if wal.HasLegacyState(fs) {
+			t.Fatal("one shard wrote a top-level wal.log or snapshot.json")
+		}
+		if _, err := fs.ReadFile(wal.ShardDir(0) + "/wal.log"); err != nil {
+			t.Fatalf("one shard has no %s/wal.log: %v", wal.ShardDir(0), err)
+		}
 
-	if wal.HasLegacyState(fs) {
-		t.Fatal("legacy snapshot/log still present after migration")
-	}
-	if m, err := wal.ReadManifest(fs); err != nil || m == nil || m.Shards != 4 {
-		t.Fatalf("post-migration manifest = %+v, %v", m, err)
-	}
+		_, _, err = Open(90, products, Options{FS: fs, Shards: 2})
+		if err == nil {
+			t.Fatal("reopen of a 1-shard directory at 2 shards succeeded")
+		}
+		for _, want := range []string{"1 shards", "configured for 2", "-shards=1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("mismatch error %q does not mention %q", err, want)
+			}
+		}
 
-	st3, rep3, err := Open(90, products, Options{FS: fs, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	if rep3.MigratedFromLegacy {
-		t.Fatal("second open after migration migrated again")
-	}
-	if got := rep3.SnapshotRatings + rep3.ReplayedRatings; got != 30 {
-		t.Fatalf("post-migration reopen recovered %d ratings, want 30", got)
-	}
+		st2, rep, err := Open(90, products, Options{FS: fs, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st2.Close()
+		if rep.ReplayedRatings != 12 || rep.SnapshotRatings != 0 || rep.SkippedRecords != 0 {
+			t.Fatalf("reopen at 1 shard %+v, want 12 replayed ratings", rep)
+		}
+	})
 }
 
-// A legacy directory whose checkpoint is a JSON snapshot.json, as builds
-// before the binary snapshot format wrote it, migrates like any other:
-// every rating of the snapshot and of the log tail lands in its routed
-// shard bit for bit, and the shards' binary snapshots reopen the same.
-func TestLegacyDirectoryMigrationFromJSONSnapshot(t *testing.T) {
-	fs := faultfs.New()
-	products := testProducts(10)
-	legacy := &dataset.Dataset{HorizonDays: 90}
-	for i, id := range products {
-		p := dataset.Product{ID: id}
-		for j := 0; j < 6; j++ {
-			p.Ratings = append(p.Ratings, dataset.Rating{
-				Day:   float64(17*j+i) / 7,
-				Value: math.Mod(0.1*float64(3*i+j), 5),
-				Rater: fmt.Sprintf("json-%d-%d", i, j),
-			})
+// readTree reads every file under dir, keyed by its slash-separated path.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		legacy.Products = append(legacy.Products, p)
-	}
-	var js bytes.Buffer
-	if err := legacy.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	fs.WriteFile("snapshot.json", js.Bytes())
-
-	// A single-stream boot reads the JSON snapshot and grows a log tail
-	// without compacting; its view is the reference.
-	st, rep, err := Open(90, products, Options{FS: fs, Shards: 1})
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		out[filepath.ToSlash(rel)] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SnapshotRatings != 60 {
-		t.Fatalf("single-stream boot restored %d snapshot ratings, want 60 (report %+v)", rep.SnapshotRatings, rep)
-	}
-	submitN(t, st, 20)
-	want := st.View()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if img, _ := fs.ReadFile("snapshot.json"); !bytes.Equal(img, js.Bytes()) {
-		t.Fatal("the single-stream boot rewrote the JSON snapshot")
-	}
-
-	st2, rep, err := Open(90, products, Options{FS: fs, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.MigratedFromLegacy || rep.SnapshotRatings != 60 || rep.ReplayedRatings != 20 || rep.SkippedRecords != 0 {
-		t.Fatalf("migration report %+v, want 60 snapshot + 20 replayed ratings", rep)
-	}
-	if got := st2.View(); !sameDataset(got, want) {
-		t.Fatal("migrated store differs from the single-stream reference")
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st3, rep, err := Open(90, products, Options{FS: fs, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	if rep.SnapshotRatings != 80 || rep.ReplayedRatings != 0 {
-		t.Fatalf("post-migration reopen %+v, want 80 snapshot ratings", rep)
-	}
-	if got := st3.View(); !sameDataset(got, want) {
-		t.Fatal("store reopened from the migrated shard snapshots differs from the reference")
-	}
+	return out
 }
 
 // A WAL append failure must roll back the rater's duplicate-check

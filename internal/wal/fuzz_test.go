@@ -139,9 +139,10 @@ func FuzzWALDecode(f *testing.F) {
 // bit-flipped images. A published snapshot is never torn, so the contract
 // differs from the log's (DESIGN.md §7):
 //
-//  1. parseSnapshot never panics on arbitrary bytes, and a binary image
-//     it accepts re-encodes (header plus appendRecord frames) to the
-//     identical bytes: the format is canonical.
+//  1. decodeSnapshot never panics on arbitrary bytes, and an image it
+//     accepts re-encodes (header plus appendRecord frames) to the
+//     identical bytes: the format is canonical, and a JSON checkpoint
+//     from an earlier build is never accepted.
 //  2. Cutting an encoded image at any byte short of its end is rejected.
 //  3. Flipping any single bit is rejected or decodes to exactly the
 //     encoded records: a damaged snapshot never yields a shorter or
@@ -159,7 +160,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
 		// (1) Arbitrary bytes.
-		if recs, err := parseSnapshot(raw, nil, 0); err == nil && (len(raw) == 0 || raw[0] != '{') {
+		if recs, err := decodeSnapshot(raw, nil, 0); err == nil {
 			if re := encodeRecords(t, recs); !bytes.Equal(re, raw) {
 				t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", raw, re)
 			}
@@ -168,7 +169,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// Encode a known-good image from the fuzz input (possibly empty).
 		recs := deriveRecords(raw)
 		img := encodeRecords(t, recs)
-		got, err := parseSnapshot(img, nil, 0)
+		got, err := decodeSnapshot(img, nil, 0)
 		if err != nil {
 			t.Fatalf("encoded snapshot rejected: %v", err)
 		}
@@ -176,7 +177,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 		// (2) Every cut short of the end is rejected.
 		cutAt := int(cut) % len(img)
-		if got, err := parseSnapshot(img[:cutAt], nil, 0); err == nil {
+		if got, err := decodeSnapshot(img[:cutAt], nil, 0); err == nil {
 			t.Fatalf("snapshot cut at %d of %d accepted with %d records", cutAt, len(img), len(got))
 		}
 
@@ -184,7 +185,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipAt := int(flip) % (len(img) * 8)
 		flipped := bytes.Clone(img)
 		flipped[flipAt/8] ^= 1 << (flipAt % 8)
-		if got, err := parseSnapshot(flipped, interner{}, 0); err == nil {
+		if got, err := decodeSnapshot(flipped, interner{}, 0); err == nil {
 			requireSameRecords(t, fmt.Sprintf("flip bit %d", flipAt), recs, got)
 		}
 	})

@@ -23,13 +23,14 @@ const ManifestVersion = 1
 // put them there.
 const RouteHashName = "fnv1a64"
 
-// Manifest describes a sharded WAL directory: the base directory holds
-// wal-manifest.json plus one shard-NNN/ subdirectory per shard, each an
-// independent WAL (snapshot.json, a binary checkpoint despite its name,
-// + wal.log). A directory without a manifest is the legacy single-stream
-// layout (snapshot + log at the top level). The manifest pins the shard count and routing hash so a reopen
-// with different parameters fails loudly instead of silently splitting
-// products across the wrong logs.
+// Manifest describes a WAL base directory: it holds wal-manifest.json plus
+// one shard-NNN/ subdirectory per shard, each an independent WAL
+// (snapshot.json, a binary checkpoint despite its name, + wal.log), at
+// every shard count including one. The manifest pins the shard count and
+// routing hash so a reopen with different parameters fails loudly instead
+// of silently splitting products across the wrong logs. A directory
+// without one is fresh, or holds the single-stream layout of earlier
+// builds (HasLegacyState), which is refused.
 type Manifest struct {
 	Version int    `json:"version"`
 	Shards  int    `json:"shards"`
@@ -40,7 +41,7 @@ type Manifest struct {
 func ShardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
 // ReadManifest reads the shard manifest from the base directory. A missing
-// manifest returns (nil, nil): the directory uses the legacy layout.
+// manifest returns (nil, nil).
 func ReadManifest(fsys FS) (*Manifest, error) {
 	f, err := fsys.Open(manifestName)
 	if errors.Is(err, os.ErrNotExist) {
@@ -69,7 +70,7 @@ func ReadManifest(fsys FS) (*Manifest, error) {
 
 // WriteManifest durably publishes the shard manifest: write to a temporary
 // file, fsync, then atomically rename into place. A crash leaves either no
-// manifest (the directory reads as legacy/fresh) or a complete one.
+// manifest (the directory reads as fresh) or a complete one.
 func WriteManifest(fsys FS, m Manifest) error {
 	data, err := json.Marshal(m)
 	if err != nil {
@@ -96,17 +97,9 @@ func WriteManifest(fsys FS, m Manifest) error {
 	return nil
 }
 
-// RemoveManifest deletes the manifest (and any stale temporary), reverting
-// the directory to the legacy layout from the manifest's point of view.
-func RemoveManifest(fsys FS) error {
-	if err := fsys.Remove(manifestTmp); err != nil {
-		return err
-	}
-	return fsys.Remove(manifestName)
-}
-
-// HasLegacyState reports whether the base directory holds legacy
-// single-stream WAL state (a top-level snapshot or log).
+// HasLegacyState reports whether the base directory holds the
+// single-stream WAL state of earlier builds: a top-level snapshot or log.
+// Only meaningful without a manifest; the store refuses such a directory.
 func HasLegacyState(fsys FS) bool {
 	for _, name := range []string{logName, snapshotName} {
 		if n, err := fsys.Size(name); err == nil && n >= 0 {
@@ -114,17 +107,6 @@ func HasLegacyState(fsys FS) bool {
 		}
 	}
 	return false
-}
-
-// RemoveLegacyState deletes the legacy top-level snapshot, log, and
-// temporary snapshot — the final step of a legacy→sharded migration.
-func RemoveLegacyState(fsys FS) error {
-	for _, name := range []string{logName, snapshotName, snapshotTmp} {
-		if err := fsys.Remove(name); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SubdirFS is implemented by FS backends that can root themselves in a

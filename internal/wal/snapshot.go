@@ -23,9 +23,9 @@ import (
 // with the frames or trailing bytes are corruption: Open fails rather than
 // recover a shorter history.
 //
-// A file that starts with '{' is a dataset JSON checkpoint written before
-// the binary format; it is decoded with dataset.DecodeJSON and rewritten
-// in binary by the next Compact.
+// A file that starts with '{' is a dataset JSON checkpoint written by
+// builds before the binary format. It is not read: it fails as corrupt,
+// naming the format.
 const (
 	snapshotMagic      = "RSNP"
 	snapshotVersion    = 1
@@ -70,9 +70,13 @@ func encodeSnapshot(d *dataset.Dataset) ([]byte, error) {
 }
 
 // decodeSnapshot decodes a binary snapshot image into a slice with room
-// for extra more records. Any deviation from the format is an error
+// for extra more records, so the log tail recovered after the checkpoint
+// appends without regrowing it. Any deviation from the format is an error
 // wrapping ErrCorruptSnapshot.
 func decodeSnapshot(data []byte, ids interner, extra int) ([]Record, error) {
+	if len(data) > 0 && data[0] == '{' {
+		return nil, fmt.Errorf("%w: a JSON checkpoint from a build before the binary snapshot format", ErrCorruptSnapshot)
+	}
 	if len(data) < snapshotHeaderSize {
 		return nil, fmt.Errorf("%w: %d-byte header", ErrCorruptSnapshot, len(data))
 	}
@@ -99,31 +103,6 @@ func decodeSnapshot(data []byte, ids interner, extra int) ([]Record, error) {
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptSnapshot, len(body)-off)
-	}
-	return recs, nil
-}
-
-// parseSnapshot decodes a snapshot file's bytes: a binary image, or a
-// legacy JSON dataset flattened into records in product and series order.
-// The result has room for extra more records, so the log tail recovered
-// after the checkpoint appends without regrowing it.
-func parseSnapshot(data []byte, ids interner, extra int) ([]Record, error) {
-	if len(data) == 0 || data[0] != '{' {
-		return decodeSnapshot(data, ids, extra)
-	}
-	d, err := dataset.DecodeJSON(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	n := extra
-	for _, p := range d.Products {
-		n += len(p.Ratings)
-	}
-	recs := make([]Record, 0, n)
-	for _, p := range d.Products {
-		for _, r := range p.Ratings {
-			recs = append(recs, Record{Product: p.ID, Rater: r.Rater, Value: r.Value, Day: r.Day})
-		}
 	}
 	return recs, nil
 }

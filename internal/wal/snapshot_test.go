@@ -113,11 +113,17 @@ func TestEmptySnapshotIsASnapshot(t *testing.T) {
 
 // A published snapshot was fsynced before its rename, so any damage to it
 // is corruption, not a torn tail: Open fails naming the snapshot, leaves
-// the file as it found it, and never recovers a shorter history.
+// the file as it found it, and never recovers a shorter history. A JSON
+// checkpoint of earlier builds, whole or cut, fails the same way and the
+// error names the format.
 func TestCorruptSnapshotFailsOpen(t *testing.T) {
 	fs := compacted(t, snapshotDataset())
 	good, err := fs.ReadFile("snapshot.json")
 	if err != nil {
+		t.Fatal(err)
+	}
+	var js bytes.Buffer
+	if err := snapshotDataset().WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	frame := (len(good) - 16) / 3 // the three records are the same size
@@ -147,6 +153,7 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 		"unknown version":          withVersion(2),
 		"version zero":             withVersion(0),
 		"broken legacy JSON":       []byte(`{"horizonDays":90,"products":[{"id":"tv0","ratings":[{"day":1,`),
+		"legacy JSON checkpoint":   js.Bytes(),
 	}
 	for name, img := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -159,62 +166,14 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 			if !errors.Is(err, wal.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "snapshot.json") {
 				t.Fatalf("Open error %q does not name a corrupt snapshot.json", err)
 			}
+			if bytes.HasPrefix(img, []byte("{")) && !strings.Contains(err.Error(), "JSON checkpoint") {
+				t.Fatalf("Open error %q does not name the JSON checkpoint format", err)
+			}
 			if after, _ := bad.ReadFile("snapshot.json"); !bytes.Equal(after, img) {
 				t.Fatal("Open rewrote the corrupt snapshot")
 			}
 		})
 	}
-}
-
-// A snapshot.json written by dataset.WriteJSON (the checkpoint format of
-// earlier builds) recovers the same ratings as a binary one, ahead of its
-// log tail, and the next Compact rewrites it in binary.
-func TestLegacyJSONSnapshotRecovers(t *testing.T) {
-	d := snapshotDataset()
-	d.Products[0].Ratings[1].Unfair = true
-	var js bytes.Buffer
-	if err := d.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	fs := faultfs.New()
-	fs.WriteFile("snapshot.json", js.Bytes())
-	w, rc, err := wal.Open(fs, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rc.HasSnapshot {
-		t.Fatal("legacy snapshot not recovered")
-	}
-	want := snapshotRecords(d)
-	requireRecords(t, "legacy snapshot", rc.Records, want)
-	appendN(t, w, 0, 2)
-	w.Close()
-
-	w, rc, err = wal.Open(fs, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRecords(t, "legacy snapshot before tail", rc.Records[:rc.SnapshotRecords], want)
-	requireRecords(t, "tail after legacy snapshot", rc.Tail(), []wal.Record{rec(0), rec(1)})
-	if cap(rc.Records) != len(rc.Records) {
-		t.Fatalf("recovered %d records into capacity %d, want it exact", len(rc.Records), cap(rc.Records))
-	}
-	if err := w.Compact(d); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	img, err := fs.ReadFile("snapshot.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(img, []byte(wal.SnapshotMagic)) {
-		t.Fatalf("snapshot after Compact starts %q, want the magic", img[:4])
-	}
-	_, rc, err = wal.Open(fs, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRecords(t, "rewritten snapshot", rc.Records, want)
 }
 
 // Compact on the production FS: the rename fsyncs the directory, and a

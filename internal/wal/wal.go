@@ -5,11 +5,12 @@
 // Both files use one record codec: a snapshot is a short header followed
 // by one log-framed record per rating.
 //
-// Layout inside the WAL directory:
+// Layout inside one WAL directory (the store gives each shard its own,
+// shard-NNN/ under a base that holds the Manifest):
 //
 //	snapshot.json  full dataset checkpoint: binary records behind a
 //	               magic+version header (the name predates the format;
-//	               a JSON checkpoint from an earlier build still loads)
+//	               a JSON checkpoint from an earlier build fails as corrupt)
 //	wal.log        ratings appended since the snapshot
 //	snapshot.tmp   in-flight checkpoint; removed on open
 //
@@ -184,7 +185,7 @@ func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
 	rec := &Recovery{HasSnapshot: hasSnap}
 	ids := interner{}
 	if hasSnap {
-		recs, err := parseSnapshot(snap, ids, tail)
+		recs, err := decodeSnapshot(snap, ids, tail)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: %s: %w", snapshotName, err)
 		}
