@@ -380,28 +380,16 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			eng.Evaluate(context.Background(), d)
 		}
 	})
-	// warm-last-epoch / warm-mid-history: checkpoint-suffix invalidation
-	// with unchanged data — since the memo plane this is a pure cache
-	// replay (zero detector analyses), the floor a no-op recompute costs.
-	b.Run("warm-last-epoch", func(b *testing.B) {
+	// warm-unchanged: a Resume with nothing changed, the floor a
+	// recompute costs. Every version is unchanged, so no series is
+	// compared, no epoch re-runs and the final pass replays every product
+	// from the memo.
+	b.Run("warm-unchanged", func(b *testing.B) {
 		st := engine.NewState()
 		eng.Resume(context.Background(), st, d) // prime checkpoints + memo
-		lateDay := d.HorizonDays - 1
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st.Invalidate(lateDay)
-			eng.Resume(context.Background(), st, d)
-		}
-	})
-	b.Run("warm-mid-history", func(b *testing.B) {
-		st := engine.NewState()
-		eng.Resume(context.Background(), st, d)
-		midDay := d.HorizonDays / 2 // half the checkpoints must re-cover
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st.Invalidate(midDay)
 			eng.Resume(context.Background(), st, d)
 		}
 	})
@@ -436,7 +424,31 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			late.Value = float64(2 + 2*(i%2))
 			prod.Ratings = base.Insert(late)
 			prod.Version++
-			st.Invalidate(day)
+			eng.Resume(context.Background(), st, dd)
+		}
+	})
+	// warm-mid-history-touch: warm-single-product-touch's edit moved to
+	// day 150, so the epochs from there on re-run (5 of 10): the touched
+	// product is re-analyzed in each and in the final pass, and the other
+	// four products replay from the memo wherever their raters' trust is
+	// unchanged. Same protocol: a clipped base, one reused rater and an
+	// alternating value, so the per-op cost does not depend on b.N.
+	b.Run("warm-mid-history-touch", func(b *testing.B) {
+		dd := benchEngineDataset(b, 5, 300)
+		st := engine.NewState()
+		eng.Resume(context.Background(), st, dd)
+		prod, err := dd.Product("tv2")
+		if err != nil {
+			b.Fatal(err)
+		}
+		base := slices.Clip(prod.Ratings)
+		mid := dataset.Rating{Day: dd.HorizonDays / 2, Rater: "mid"}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mid.Value = float64(2 + 2*(i%2))
+			prod.Ratings = base.Insert(mid)
+			prod.Version++
 			eng.Resume(context.Background(), st, dd)
 		}
 	})

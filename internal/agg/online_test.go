@@ -227,7 +227,6 @@ func TestResumePublishedMatchesReference(t *testing.T) {
 						prod := &live.Products[ins.product]
 						prod.Ratings = prod.Ratings.Insert(ins.r)
 						prod.Version++
-						st.Invalidate(ins.r.Day)
 					}
 					backlog = backlog[k:]
 				}

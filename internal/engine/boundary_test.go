@@ -8,16 +8,16 @@ import (
 	"repro/internal/epoch"
 )
 
-// addRating merges one rating into a live dataset's product and invalidates
-// the incremental state at the rating's day — the server's submit path.
-func addRating(t *testing.T, d *dataset.Dataset, st *EvalState, product string, r dataset.Rating) {
+// addRating merges one rating into a live dataset's product, as a new
+// series: the server's submit path, minus the version bump (the products
+// are unversioned).
+func addRating(t *testing.T, d *dataset.Dataset, product string, r dataset.Rating) {
 	t.Helper()
 	p, err := d.Product(product)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Ratings = p.Ratings.Merge(dataset.Series{r})
-	st.Invalidate(r.Day)
 }
 
 // Ratings at exactly day 0 belong to epoch 0 and must flow through the
@@ -29,12 +29,13 @@ func TestBoundaryDayZeroRating(t *testing.T) {
 	st := NewState()
 	mustResume(t, eng, st, d)
 
-	addRating(t, d, st, d.Products[0].ID, dataset.Rating{Day: 0, Value: 3, Rater: "dayzero"})
-	if got := st.CompletedEpochs(); got != 0 {
-		t.Errorf("day-0 insert must invalidate everything: CompletedEpochs = %d", got)
+	addRating(t, d, d.Products[0].ID, dataset.Rating{Day: 0, Value: 3, Rater: "dayzero"})
+	res, first := resumeRerun(t, eng, st, d)
+	if first != 0 {
+		t.Errorf("day-0 insert must re-run every epoch: first re-run epoch = %d", first)
 	}
 	cold := &Engine{Detect: detect.DefaultConfig()}
-	requireEqualResults(t, "day-0 rating", mustResume(t, eng, st, d), mustEvaluate(t, cold, d))
+	requireEqualResults(t, "day-0 rating", res, mustEvaluate(t, cold, d))
 }
 
 // A horizon that is an exact 30-day multiple must close its last epoch with
@@ -61,7 +62,7 @@ func TestBoundaryExactMultipleHorizon(t *testing.T) {
 
 // A single-epoch history (horizon == PeriodDays) is the degenerate case of
 // the checkpoint scheme: exactly one checkpointed epoch, and every insert
-// invalidates it.
+// re-runs it.
 func TestBoundarySingleEpochHistory(t *testing.T) {
 	d := testDataset(t, 41, 2, epoch.PeriodDays)
 	eng := &Engine{Detect: detect.DefaultConfig()}
@@ -70,17 +71,18 @@ func TestBoundarySingleEpochHistory(t *testing.T) {
 	if got := st.CompletedEpochs(); got != 1 {
 		t.Fatalf("CompletedEpochs = %d, want 1", got)
 	}
-	addRating(t, d, st, d.Products[1].ID, dataset.Rating{Day: 15, Value: 4.5, Rater: "mid"})
-	if got := st.CompletedEpochs(); got != 0 {
-		t.Errorf("mid-epoch insert: CompletedEpochs = %d, want 0", got)
+	addRating(t, d, d.Products[1].ID, dataset.Rating{Day: 15, Value: 4.5, Rater: "mid"})
+	res, first := resumeRerun(t, eng, st, d)
+	if first != 0 {
+		t.Errorf("mid-epoch insert: first re-run epoch = %d, want 0", first)
 	}
 	cold := &Engine{Detect: detect.DefaultConfig()}
-	requireEqualResults(t, "single epoch", mustResume(t, eng, st, d), mustEvaluate(t, cold, d))
+	requireEqualResults(t, "single epoch", res, mustEvaluate(t, cold, d))
 }
 
 // A rating submitted at exactly day 30.0 lands in epoch 1 ([30, 60)), so
-// the epoch-0 checkpoint must survive the invalidation while every later
-// checkpoint drops — and the resumed result must still match a cold run.
+// the epoch-0 run must be kept while every later epoch re-runs — and the
+// resumed result must still match a cold run.
 func TestBoundarySubmitOnCheckpoint(t *testing.T) {
 	const horizon = 120.0
 	d := testDataset(t, 51, 3, horizon)
@@ -92,20 +94,22 @@ func TestBoundarySubmitOnCheckpoint(t *testing.T) {
 		t.Fatalf("CompletedEpochs = %d, want %d", got, n)
 	}
 
-	addRating(t, d, st, d.Products[0].ID,
+	addRating(t, d, d.Products[0].ID,
 		dataset.Rating{Day: epoch.PeriodDays, Value: 1, Rater: "boundary"})
-	if got := st.CompletedEpochs(); got != 1 {
-		t.Errorf("submit at day 30.0: CompletedEpochs = %d, want 1 (epoch 0 checkpoint must survive)", got)
+	res, first := resumeRerun(t, eng, st, d)
+	if first != 1 {
+		t.Errorf("submit at day 30.0: first re-run epoch = %d, want 1 (epoch 0 must be kept)", first)
 	}
 	cold := &Engine{Detect: detect.DefaultConfig()}
-	requireEqualResults(t, "submit on checkpoint", mustResume(t, eng, st, d), mustEvaluate(t, cold, d))
+	requireEqualResults(t, "submit on checkpoint", res, mustEvaluate(t, cold, d))
 
 	// The last representable day before the boundary belongs to epoch 0 and
-	// must invalidate it too.
-	addRating(t, d, st, d.Products[1].ID,
+	// must re-run it too.
+	addRating(t, d, d.Products[1].ID,
 		dataset.Rating{Day: 29.999999, Value: 2, Rater: "justbefore"})
-	if got := st.CompletedEpochs(); got != 0 {
-		t.Errorf("submit just before day 30: CompletedEpochs = %d, want 0", got)
+	res, first = resumeRerun(t, eng, st, d)
+	if first != 0 {
+		t.Errorf("submit just before day 30: first re-run epoch = %d, want 0", first)
 	}
-	requireEqualResults(t, "submit before checkpoint", mustResume(t, eng, st, d), mustEvaluate(t, cold, d))
+	requireEqualResults(t, "submit before checkpoint", res, mustEvaluate(t, cold, d))
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -15,6 +17,7 @@ import (
 var carryOps = [...]string{
 	"tail insert", "out-of-order insert", "same-day insert", "duplicate-value insert",
 	"unversioned round trip", "reset", "cancelled resume",
+	"rater swap", "value edit", "removal", "version bump",
 }
 
 // TestStoredCarryProgram drives one EvalState through a seeded random
@@ -24,7 +27,11 @@ var carryOps = [...]string{
 // cancelled mid-pass — and after every step requires the state's next
 // Resume to equal a fresh memo-off evaluation bit for bit. Every product's
 // detector carry outlives each Resume, so each step meets carries left by
-// the steps before it.
+// the steps before it. The last four ops are edits only the engine's own
+// change detection sees, each a new series under a bumped version: a
+// rating's rater swapped at the same day and value (the detector carry
+// never reads raters), a rating's value changed, a rating removed, and a
+// version bump over identical content.
 func TestStoredCarryProgram(t *testing.T) {
 	const horizon = 150.0
 	for _, seed := range []uint64{5, 17} {
@@ -66,9 +73,22 @@ func TestStoredCarryProgram(t *testing.T) {
 					if err != nil && !errors.Is(err, context.Canceled) {
 						t.Fatalf("%s: err = %v", label, err)
 					}
+				case 7, 8, 9, 10:
+					j := slices.Index(s, at)
+					s = s.Clone()
+					switch op {
+					case 7:
+						s[j].Rater = fmt.Sprintf("swap-%d", step)
+					case 8:
+						s[j].Value = math.Mod(s[j].Value+1, dataset.MaxValue)
+					case 9:
+						s = slices.Delete(s, j, j+1)
+					}
+					p.Ratings = s
+					p.Version++
 				}
 				if op <= 3 {
-					if err := touch(d, st, p.ID, r); err != nil {
+					if err := touch(d, p.ID, r); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -92,12 +92,16 @@ func (e *Engine) Evaluate(ctx context.Context, d *dataset.Dataset) (*Result, err
 }
 
 // Resume brings st up to date with the dataset and returns the evaluation
-// result. Epochs already checkpointed in st are reused verbatim; the caller
-// must have called st.Invalidate(day) for every rating day added, removed
-// or modified since the state was last resumed (NewState, a Reset state, or
-// a state whose product set or horizon changed, recomputes everything).
-// Products with Version 0 bypass the memo plane (memo.go): a dataset view
-// with every version zeroed is the memo-off reference evaluation.
+// result. It works out itself which epochs changed since st was last
+// resumed: every epoch before the earliest rating added, removed or
+// modified is reused verbatim (EvalState.intern). The caller's only
+// obligation is the dataset.Product contract: equal nonzero versions
+// promise a bit-identical series, and an edit makes a new series header,
+// never a write below the length of one st has seen
+// (dataset.Series.Insert). NewState, a Reset state, or a state whose
+// product set or horizon changed recomputes everything. Products with
+// Version 0 bypass the memo plane (memo.go): a dataset view with every
+// version zeroed is the memo-off reference evaluation.
 //
 // Cancelling ctx stops the evaluation between products and between epochs
 // and returns ctx.Err(). Cancellation is checkpoint-safe: st only ever
@@ -209,7 +213,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
 		scores[i] = e.aggregateProduct(prod.Ratings, cols[i], marks[i], d.HorizonDays, mgr)
 		if memos[i] != nil {
-			ents[i] = newFinalEntry(memos[i].version, cols[i], pre, mgr, marks[i], scores[i])
+			ents[i] = newFinalEntry(pre, mgr, marks[i], scores[i])
 		}
 	})
 	if err != nil {
@@ -320,7 +324,7 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		from, _ := seen.BetweenIndex(lo, hi)
 		marks[i] = append([]bool(nil), dec.Suspicious[from:]...)
 		if memos[i] != nil {
-			ents[i] = newEpochEntry(memos[i].version, ords, pre, mgr, marks[i])
+			ents[i] = newEpochEntry(ords, pre, mgr, marks[i])
 		}
 	})
 	if err != nil {

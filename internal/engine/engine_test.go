@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -59,6 +60,22 @@ func mustResume(t *testing.T, e *Engine, st *EvalState, d *dataset.Dataset) *Res
 		t.Fatalf("Resume: %v", err)
 	}
 	return res
+}
+
+// resumeRerun resumes st on d and also returns the first epoch the Resume
+// re-ran. Running epoch e appends a fresh checkpoint e+1, and a kept
+// checkpoint keeps its pointer, so the first replaced checkpoint names the
+// epoch; every later one re-ran too. It returns the epoch count when
+// nothing re-ran.
+func resumeRerun(t *testing.T, e *Engine, st *EvalState, d *dataset.Dataset) (*Result, int) {
+	t.Helper()
+	before := slices.Clone(st.checkpoints)
+	res := mustResume(t, e, st, d)
+	first := 0
+	for first+1 < len(before) && st.checkpoints[first+1] == before[first+1] {
+		first++
+	}
+	return res, first
 }
 
 // requireEqualResults fails unless a and b agree bit-for-bit on tables and
@@ -176,7 +193,6 @@ func TestIncrementalMatchesColdProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					p.Ratings = p.Ratings.Merge(dataset.Series{ins.r})
-					st.Invalidate(ins.r.Day)
 				}
 				backlog = backlog[n:]
 				res = mustResume(t, eng, st, live)
@@ -195,33 +211,84 @@ func TestIncrementalMatchesColdProperty(t *testing.T) {
 	}
 }
 
-// Invalidate must drop exactly the epochs at or after the given day.
-func TestInvalidate(t *testing.T) {
-	d := testDataset(t, 5, 2, 150)
-	eng := &Engine{Detect: detect.DefaultConfig()}
-	st := NewState()
-	mustResume(t, eng, st, d)
-	n := epoch.Periods(150) // 5
-	if st.CompletedEpochs() != n {
-		t.Fatalf("CompletedEpochs = %d, want %d", st.CompletedEpochs(), n)
+// TestChangedEpochsRerun is the dirty-epoch rule Resume works out from
+// its inputs: an edit whose earliest changed rating lies on day d re-runs
+// exactly the epochs from epoch(d) on, whatever the edit — an insert, a
+// value edit, a rater swap or a removal — and a Resume with nothing
+// changed, or only a version bump over identical content, re-runs none.
+// Every Resume must still equal a cold evaluation.
+func TestChangedEpochsRerun(t *testing.T) {
+	const horizon = 150.0
+	n := epoch.Periods(horizon) // 5
+	for _, versioned := range []bool{false, true} {
+		d := testDataset(t, 5, 2, horizon)
+		if versioned {
+			d = versionedTestDataset(t, 5, 2, horizon)
+		}
+		eng := &Engine{Detect: detect.DefaultConfig()}
+		st := NewState()
+		mustResume(t, eng, st, d)
+		if st.CompletedEpochs() != n {
+			t.Fatalf("CompletedEpochs = %d, want %d", st.CompletedEpochs(), n)
+		}
+		p := &d.Products[1]
+		// at returns the index of p's first rating on or after day.
+		at := func(day float64) int {
+			i, _ := p.Ratings.BetweenIndex(day, horizon)
+			return i
+		}
+		// Each edit returns the edited series, never written in place,
+		// and the day of its earliest changed rating (+Inf for none).
+		edits := []struct {
+			name string
+			edit func(s dataset.Series) (dataset.Series, float64)
+		}{
+			{"nothing", nil},
+			{"identical content", func(s dataset.Series) (dataset.Series, float64) {
+				return s.Clone(), math.Inf(1)
+			}},
+			{"insert on day 95", func(s dataset.Series) (dataset.Series, float64) {
+				return s.Insert(dataset.Rating{Day: 95, Value: 4, Rater: "new-95"}), 95
+			}},
+			{"tail insert", func(s dataset.Series) (dataset.Series, float64) {
+				return s.Insert(dataset.Rating{Day: horizon - 1, Value: 1, Rater: "new-tail"}), horizon - 1
+			}},
+			{"value edit", func(s dataset.Series) (dataset.Series, float64) {
+				s, i := s.Clone(), at(65)
+				s[i].Value = math.Mod(s[i].Value+1, dataset.MaxValue)
+				return s, s[i].Day
+			}},
+			{"rater swap", func(s dataset.Series) (dataset.Series, float64) {
+				s, i := s.Clone(), at(40)
+				s[i].Rater = "swapped"
+				return s, s[i].Day
+			}},
+			{"removal", func(s dataset.Series) (dataset.Series, float64) {
+				i := at(100)
+				return slices.Delete(s.Clone(), i, i+1), s[i].Day
+			}},
+			{"insert on day 0", func(s dataset.Series) (dataset.Series, float64) {
+				return s.Insert(dataset.Rating{Day: 0, Value: 3, Rater: "new-0"}), 0
+			}},
+		}
+		for _, e := range edits {
+			label := fmt.Sprintf("versioned=%v %s", versioned, e.name)
+			want := n
+			if e.edit != nil {
+				var day float64
+				p.Ratings, day = e.edit(p.Ratings)
+				want = epoch.PeriodOf(day, horizon)
+				if versioned {
+					p.Version++
+				}
+			}
+			res, first := resumeRerun(t, eng, st, d)
+			if first != want {
+				t.Errorf("%s: first re-run epoch = %d, want %d", label, first, want)
+			}
+			requireEqualResults(t, label, res, mustEvaluate(t, eng, d))
+		}
 	}
-	st.Invalidate(200) // past the horizon: nothing to drop
-	if st.CompletedEpochs() != n {
-		t.Errorf("Invalidate(past horizon) dropped epochs: %d", st.CompletedEpochs())
-	}
-	st.Invalidate(95) // epoch 3: epochs 3,4 drop
-	if st.CompletedEpochs() != 3 {
-		t.Errorf("Invalidate(95): CompletedEpochs = %d, want 3", st.CompletedEpochs())
-	}
-	st.Invalidate(100) // later day, already-invalid suffix: no-op
-	if st.CompletedEpochs() != 3 {
-		t.Errorf("Invalidate(100) after Invalidate(95): CompletedEpochs = %d, want 3", st.CompletedEpochs())
-	}
-	st.Invalidate(-4) // defensive: clamps to epoch 0
-	if st.CompletedEpochs() != 0 {
-		t.Errorf("Invalidate(-4): CompletedEpochs = %d, want 0", st.CompletedEpochs())
-	}
-	requireEqualResults(t, "after full invalidation", mustResume(t, eng, st, d), mustEvaluate(t, eng, d))
 }
 
 // A state bound to one dataset identity must transparently reset — not
@@ -274,7 +341,7 @@ func TestMatchesRebuiltDataset(t *testing.T) {
 	}
 
 	rebuilt := d.Clone()
-	if !st.Matches(rebuilt) {
+	if !st.matches(rebuilt) {
 		t.Fatal("state does not match a rebuilt content-identical dataset")
 	}
 	res2 := mustResume(t, eng, st, rebuilt)
@@ -287,15 +354,15 @@ func TestMatchesRebuiltDataset(t *testing.T) {
 	// different dataset and must not match.
 	horizonChanged := d.Clone()
 	horizonChanged.HorizonDays += 30
-	if st.Matches(horizonChanged) {
+	if st.matches(horizonChanged) {
 		t.Error("state matches a dataset with a different horizon")
 	}
 	reordered := d.Clone()
 	reordered.Products[0], reordered.Products[1] = reordered.Products[1], reordered.Products[0]
-	if st.Matches(reordered) {
+	if st.matches(reordered) {
 		t.Error("state matches a dataset with reordered products")
 	}
-	if NewState().Matches(d) {
+	if NewState().matches(d) {
 		t.Error("fresh state (no checkpoints) claims to match")
 	}
 }

@@ -83,7 +83,7 @@ func TestOrdinalsInvisible(t *testing.T) {
 					if k == 1 {
 						ins = held[len(held)-1-j]
 					}
-					if err := touch(d, st, ins.product, ins.r); err != nil {
+					if err := touch(d, ins.product, ins.r); err != nil {
 						t.Fatal(err)
 					}
 					if j%4 == 3 {
@@ -160,7 +160,7 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 	}()
 	for i := 0; i < 8; i++ {
 		r := dataset.Rating{Day: horizon - 40 + 4*float64(i), Value: 1, Rater: fmt.Sprintf("late-%d", i)}
-		if err := touch(d, st, d.Products[i%3].ID, r); err != nil {
+		if err := touch(d, d.Products[i%3].ID, r); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Resume(context.Background(), st, d); err != nil {

@@ -26,11 +26,12 @@ import (
 //   - The signals tier (prefixSignals) holds what the detectors compute
 //     without trust: detect.Signals (MC segments, HC and ME windows, H-/L-ARC
 //     peak days, segments and thresholds; no curves). The MC/HC/ME part is
-//     keyed by the series prefix alone — the product's monotone content
-//     Version (maintained incrementally by internal/store on every applied
-//     submit; no rehashing) plus the prefix length. The ARC part is
-//     additionally keyed by the horizon hi, because its daily counts span
-//     [0, hi).
+//     keyed by the series prefix alone. A product's memo only holds entries
+//     recorded at its current monotone content Version (maintained
+//     incrementally by internal/store on every applied submit; memoFor
+//     drops the rest), so the prefix length identifies the prefix. The ARC
+//     part is additionally keyed by the horizon hi, because its daily counts
+//     span [0, hi).
 //   - The trust tier holds the outcome of detect.Decide under one trust
 //     snapshot: the epoch's own marks, which its fold counts are taken
 //     from (final pass: marks and scores), keyed additionally by the trust
@@ -56,13 +57,6 @@ import (
 // and the signals are pure functions of (prefix, horizon, detector config)
 // that Decide reads the same whether they are cached or fresh.
 
-// FNV-1a 64-bit parameters, inlined so the series fingerprint stays
-// dependency- and allocation-free.
-const (
-	memoFNVOffset uint64 = 14695981039346656037
-	memoFNVPrime  uint64 = 1099511628211
-)
-
 // raterFold is one rater's in-epoch fold contribution, identified by its
 // ordinal. Folds are canonical: one entry per rater, sorted by ordinal.
 type raterFold struct {
@@ -86,7 +80,6 @@ type prefixSignals struct {
 type memoEntry struct {
 	valid     bool
 	prefixLen int            // ratings in [0, hi) when recorded
-	seriesFP  uint64         // seriesFingerprint(version, prefixLen) at record time
 	pre       prefixSignals  // signals tier
 	under     *trust.Manager // epoch-start trust checkpoint the entry was decided under
 	marks     []bool         // marks of the epoch's [lo, hi) ratings
@@ -94,14 +87,13 @@ type memoEntry struct {
 
 // finalEntry caches one product's uncheckpointed final pass (stages 3+4):
 // the full series' signals tier and, against the *final* trust, its marks
-// and Eq. 7 scores.
+// and Eq. 7 scores. Its key is the series length, len(marks).
 type finalEntry struct {
-	valid    bool
-	seriesFP uint64
-	pre      prefixSignals
-	under    *trust.Manager // final trust the entry was decided under
-	marks    []bool         // never aliased by served results
-	scores   []float64
+	valid  bool
+	pre    prefixSignals
+	under  *trust.Manager // final trust the entry was decided under
+	marks  []bool         // never aliased by served results
+	scores []float64
 }
 
 // productMemo is one product's cache: the series version the entries were
@@ -161,29 +153,6 @@ func (m *productMemo) setEpoch(ep int, ent memoEntry) {
 	}
 }
 
-// seriesFingerprint keys a series prefix: the product's monotone content
-// version mixed with the prefix length. Equal versions promise a
-// bit-identical full series (the dataset.Product contract), so version +
-// prefix length identifies the prefix exactly; no rating bytes are hashed.
-//
-//lint:hotpath
-func seriesFingerprint(version uint64, prefixLen int) uint64 {
-	h := memoFNVOffset
-	v := version
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= memoFNVPrime
-		v >>= 8
-	}
-	v = uint64(prefixLen)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= memoFNVPrime
-		v >>= 8
-	}
-	return h
-}
-
 // trustRecordsMatch is the trust-tier key compare: each rater's record
 // under the entry's trust must equal the live manager's bit for bit.
 //
@@ -211,8 +180,7 @@ func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager, trustS
 		return nil, false
 	}
 	ent := &m.epochs[ep]
-	if !ent.valid || ent.prefixLen != len(ords) ||
-		ent.seriesFP != seriesFingerprint(m.version, len(ords)) {
+	if !ent.valid || ent.prefixLen != len(ords) {
 		return nil, false
 	}
 	if !trustSame && !trustRecordsMatch(mgr, ords, ent.under) {
@@ -227,7 +195,7 @@ func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager, trustS
 // never alias cache memory — callers own what Resume returns).
 func (m *productMemo) finalHit(ords []uint32, mgr *trust.Manager, trustSame bool) ([]bool, []float64, bool) {
 	ent := &m.final
-	if !ent.valid || ent.seriesFP != seriesFingerprint(m.version, len(ords)) {
+	if !ent.valid || len(ent.marks) != len(ords) {
 		return nil, nil, false
 	}
 	if !trustSame && !trustRecordsMatch(mgr, ords, ent.under) {
@@ -268,8 +236,7 @@ func (m *productMemo) epochSignals(ep, n int, hi float64) signalReuse {
 		return reuseSignals(false, 0, n, prefixSignals{}, hi)
 	}
 	ent := &m.epochs[ep]
-	ok := ent.valid && ent.seriesFP == seriesFingerprint(m.version, ent.prefixLen)
-	return reuseSignals(ok, ent.prefixLen, n, ent.pre, hi)
+	return reuseSignals(ent.valid, ent.prefixLen, n, ent.pre, hi)
 }
 
 // finalSignals looks up the signals tier for a final-pass miss on the
@@ -277,13 +244,12 @@ func (m *productMemo) epochSignals(ep, n int, hi float64) signalReuse {
 // tier, else the newest epoch entry's (its prefix is the longest cached;
 // it is the whole series when no rating lies past its epoch).
 func (m *productMemo) finalSignals(n int, horizon float64) signalReuse {
-	if ent := &m.final; ent.valid && ent.seriesFP == seriesFingerprint(m.version, n) {
+	if ent := &m.final; ent.valid && len(ent.marks) == n {
 		return reuseSignals(true, n, n, ent.pre, horizon)
 	}
 	for ep := len(m.epochs) - 1; ep >= 0; ep-- {
 		if ent := &m.epochs[ep]; ent.valid {
-			ok := ent.seriesFP == seriesFingerprint(m.version, ent.prefixLen)
-			return reuseSignals(ok, ent.prefixLen, n, ent.pre, horizon)
+			return reuseSignals(true, ent.prefixLen, n, ent.pre, horizon)
 		}
 	}
 	return reuseSignals(false, 0, n, prefixSignals{}, horizon)
@@ -293,28 +259,25 @@ func (m *productMemo) finalSignals(n int, horizon float64) signalReuse {
 // ordinal column is ords for the memo: the prefix's signals tier, the
 // epoch-start checkpoint mgr it was decided under and the epoch's own
 // marks.
-func newEpochEntry(version uint64, ords []uint32, pre prefixSignals, mgr *trust.Manager, marks []bool) memoEntry {
+func newEpochEntry(ords []uint32, pre prefixSignals, mgr *trust.Manager, marks []bool) memoEntry {
 	return memoEntry{
 		valid:     true,
 		prefixLen: len(ords),
-		seriesFP:  seriesFingerprint(version, len(ords)),
 		pre:       pre,
 		under:     mgr,
 		marks:     marks,
 	}
 }
 
-// newFinalEntry snapshots one product's final pass over the series whose
-// ordinal column is ords: its signals tier, the final trust mgr and copies
-// of the marks and scores decided under it (the live ones are handed to
-// the caller).
-func newFinalEntry(version uint64, ords []uint32, pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
+// newFinalEntry snapshots one product's final pass: the series' signals
+// tier, the final trust mgr and copies of the marks and scores decided
+// under it (the live ones are handed to the caller).
+func newFinalEntry(pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
 	return finalEntry{
-		valid:    true,
-		seriesFP: seriesFingerprint(version, len(ords)),
-		pre:      pre,
-		under:    mgr,
-		marks:    append([]bool(nil), marks...),
-		scores:   append([]float64(nil), scores...),
+		valid:  true,
+		pre:    pre,
+		under:  mgr,
+		marks:  append([]bool(nil), marks...),
+		scores: append([]float64(nil), scores...),
 	}
 }

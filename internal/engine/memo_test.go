@@ -45,14 +45,13 @@ func reference(t *testing.T, d *dataset.Dataset) *Result {
 // touch applies one rating to a product the way a version-maintaining
 // owner (internal/store) would: an Insert (which never mutates the series
 // below an earlier view's length) plus a version bump.
-func touch(d *dataset.Dataset, st *EvalState, product string, r dataset.Rating) error {
+func touch(d *dataset.Dataset, product string, r dataset.Rating) error {
 	p, err := d.Product(product)
 	if err != nil {
 		return err
 	}
 	p.Ratings = p.Ratings.Insert(r)
 	p.Version++
-	st.Invalidate(r.Day)
 	return nil
 }
 
@@ -121,10 +120,9 @@ func TestMemoMatchesUnmemoizedProperty(t *testing.T) {
 					n = len(backlog)
 				}
 				for _, ins := range backlog[:n] {
-					if err := touch(live, stOn, ins.product, ins.r); err != nil {
+					if err := touch(live, ins.product, ins.r); err != nil {
 						t.Fatal(err)
 					}
-					stOff.Invalidate(ins.r.Day)
 				}
 				backlog = backlog[n:]
 				resOn := mustResume(t, eng, stOn, live)
@@ -173,7 +171,7 @@ func TestMemoCancelledMidEpochEquivalence(t *testing.T) {
 		mustResume(t, eng, st, d)
 		r := dataset.Rating{Day: 150 + float64(budget%100), Value: 1,
 			Rater: fmt.Sprintf("late-%d", budget)}
-		if err := touch(d, st, d.Products[0].ID, r); err != nil {
+		if err := touch(d, d.Products[0].ID, r); err != nil {
 			t.Fatal(err)
 		}
 		want = mustEvaluate(t, eng, unversioned(d))
@@ -204,7 +202,6 @@ func TestMemoCountersSingleProductTouch(t *testing.T) {
 	p := &d.Products[2]
 	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: 75, Value: 1, Rater: "p2-late"})
 	p.Version++
-	st.Invalidate(75)
 	mustResume(t, eng, st, d)
 	after := st.Stats()
 
@@ -222,25 +219,39 @@ func TestMemoCountersSingleProductTouch(t *testing.T) {
 	}
 }
 
-// TestMemoPureReplayAfterInvalidate: invalidating mid-history without any
-// data change must resume entirely from cache — zero detector analyses —
-// and still return the bit-exact result.
-func TestMemoPureReplayAfterInvalidate(t *testing.T) {
-	d := versionedTestDataset(t, 23, 6, 360)
+// TestMidHistoryEditSparesOtherProducts: a mid-history edit to one
+// product re-runs the epochs from the edit on, but with no rater shared
+// across products every other product replays each of them, and the
+// final pass, from the memo: the edited product's lookups are the only
+// misses and its analyses the only ones run. The result stays bit-exact.
+func TestMidHistoryEditSparesOtherProducts(t *testing.T) {
+	const horizon = 360.0
+	d := disjointDataset(4, 6, horizon)
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	st := NewState()
-	want := mustResume(t, eng, st, d)
+	mustResume(t, eng, st, d)
 
-	st.Invalidate(180) // drop half the checkpoints, change nothing
+	p := &d.Products[1]
+	s := p.Ratings.Clone()
+	i, _ := s.BetweenIndex(180, horizon)
+	s[i].Value = 1
+	p.Ratings = s
+	p.Version++
 	before := st.Stats()
 	got := mustResume(t, eng, st, d)
 	after := st.Stats()
-	requireEqualResults(t, "pure replay", got, want)
-	if n := after.Analyzed - before.Analyzed; n != 0 {
-		t.Errorf("pure replay ran %d detector analyses, want 0", n)
+	requireEqualResults(t, "mid-history edit", got, reference(t, d))
+
+	rerun := epoch.Periods(horizon) - epoch.PeriodOf(s[i].Day, horizon)
+	if n := after.Analyzed - before.Analyzed; n != uint64(rerun+1) {
+		t.Errorf("analyses = %d, want %d (the edited product's %d re-run epochs + final pass)", n, rerun+1, rerun)
 	}
-	if after.MemoMisses != before.MemoMisses {
-		t.Errorf("pure replay missed %d times", after.MemoMisses-before.MemoMisses)
+	if n := after.MemoMisses - before.MemoMisses; n != uint64(rerun+1) {
+		t.Errorf("misses = %d, want %d (the edited product only)", n, rerun+1)
+	}
+	others := len(d.Products) - 1
+	if n := after.MemoHits - before.MemoHits; n != uint64(others*(rerun+1)) {
+		t.Errorf("hits = %d, want %d (%d other products × %d lookups)", n, others*(rerun+1), others, rerun+1)
 	}
 }
 
@@ -262,7 +273,7 @@ func TestFingerprintCollisionNeverServed(t *testing.T) {
 			Value: dataset.QuantizeHalfStar(rng.Float64() * 5),
 			Rater: fmt.Sprintf("fuzz-%d", i),
 		}
-		if err := touch(d, st, p, r); err != nil {
+		if err := touch(d, p, r); err != nil {
 			t.Fatal(err)
 		}
 		requireEqualResults(t, fmt.Sprintf("after touch %d", i),
@@ -278,7 +289,7 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	marks := []bool{true}
 	mgr1 := trust.NewManager()
 	m := &productMemo{version: 1, epochs: make([]memoEntry, 1)}
-	m.setEpoch(0, newEpochEntry(1, ords, prefixSignals{}, mgr1, marks))
+	m.setEpoch(0, newEpochEntry(ords, prefixSignals{}, mgr1, marks))
 
 	mgr2 := trust.NewManager()
 	mgr2.ObserveAt(0, 5, 3)
@@ -304,7 +315,7 @@ func TestMemoOffStateInterleaving(t *testing.T) {
 	mustResume(t, eng, st, d)
 	for i := 0; i < 6; i++ {
 		r := dataset.Rating{Day: 30 + 20*float64(i), Value: 1, Rater: fmt.Sprintf("x%d", i)}
-		if err := touch(d, st, d.Products[i%len(d.Products)].ID, r); err != nil {
+		if err := touch(d, d.Products[i%len(d.Products)].ID, r); err != nil {
 			t.Fatal(err)
 		}
 		view := d
@@ -338,14 +349,13 @@ func TestUnversionedPassDropsStaleMemo(t *testing.T) {
 				Value: 0.5,
 				Rater: p1[rng.IntN(len(p1))].Rater,
 			}
-			if err := touch(d, st, d.Products[0].ID, r); err != nil {
+			if err := touch(d, d.Products[0].ID, r); err != nil {
 				t.Fatal(err)
 			}
 		}
 		want := reference(t, d)
 		requireEqualResults(t, fmt.Sprintf("seed %d unversioned", seed),
 			mustResume(t, eng, st, unversioned(d)), want)
-		st.Invalidate(0)
 		requireEqualResults(t, fmt.Sprintf("seed %d versioned again", seed),
 			mustResume(t, eng, st, d), want)
 	}
@@ -373,14 +383,12 @@ func TestCancelledUnversionedPassDropsStaleMemo(t *testing.T) {
 			}
 			st := NewState()
 			mustResume(t, eng, st, d)
-			st.Invalidate(90)
 			if _, err := eng.Resume(newCountingCtx(budget), st, view); err == nil || st.CompletedEpochs() != 4 {
 				continue
 			}
 			if _, ok := st.memo[p1.ID]; ok {
 				t.Fatalf("seed %d: %s kept its memo through an unversioned pass", seed, p1.ID)
 			}
-			st.Invalidate(90)
 			requireEqualResults(t, fmt.Sprintf("seed %d versioned again", seed),
 				mustResume(t, eng, st, d), reference(t, d))
 			break

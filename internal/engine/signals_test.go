@@ -27,7 +27,7 @@ func TestTrustOnlyMissReusesSignals(t *testing.T) {
 	// changes; p1's does not, but its final-pass trust (the shared rater's
 	// record) does.
 	before := st.Stats()
-	if err := touch(d, st, "p0", dataset.Rating{Day: 75, Value: 1, Rater: "shared"}); err != nil {
+	if err := touch(d, "p0", dataset.Rating{Day: 75, Value: 1, Rater: "shared"}); err != nil {
 		t.Fatal(err)
 	}
 	got := mustResume(t, eng, st, d)
@@ -64,7 +64,7 @@ func TestSubmitComputesSeriesSignalsOncePerResume(t *testing.T) {
 	mustResume(t, eng, st, d)
 
 	before := st.Stats()
-	if err := touch(d, st, "p1", dataset.Rating{Day: 80, Value: 1, Rater: "p1-late"}); err != nil {
+	if err := touch(d, "p1", dataset.Rating{Day: 80, Value: 1, Rater: "p1-late"}); err != nil {
 		t.Fatal(err)
 	}
 	got := mustResume(t, eng, st, d)
@@ -107,7 +107,6 @@ func TestFinalHitNeverAliasesServedMarks(t *testing.T) {
 				scores[i] = -1
 			}
 		}
-		st.Invalidate(0) // no data change: every product replays from the memo
 	}
 }
 

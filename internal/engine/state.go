@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/dataset"
@@ -18,7 +19,7 @@ import (
 // transparently if either changes.
 //
 // An EvalState is not safe for concurrent use; callers (internal/server)
-// serialize Resume/Invalidate under their own lock.
+// serialize Resume under their own lock.
 //
 // Beyond the checkpoints the state carries the memo plane (see memo.go):
 // per-product caches of trust-free detector signals and of the epoch folds
@@ -33,8 +34,9 @@ import (
 //     trust of the last completed run of epoch e — i.e. every memo entry
 //     recorded at epoch e is keyed against the *current* checkpoint, so
 //     epoch e may skip even the rater-scoped record compare. trustSame is
-//     deliberately NOT truncated by Invalidate: it describes the epochs'
-//     last completed runs, which invalidation does not rewrite.
+//     deliberately NOT truncated with the checkpoints (intern): it
+//     describes the epochs' last completed runs, which a cut does not
+//     rewrite.
 //   - finalConsistent is trustSame for the uncheckpointed final pass:
 //     the final entries were recorded under the current final trust.
 //
@@ -72,7 +74,7 @@ type EvalState struct {
 
 	// published[e] is period e's causal score per product, written with
 	// checkpoints[e+1]: rows before a resume epoch are reused, later ones
-	// rewritten, so Invalidate need not touch them.
+	// rewritten, so a checkpoint cut need not touch them.
 	published [][]float64
 
 	memo            map[string]*productMemo
@@ -149,31 +151,12 @@ func (st *EvalState) Stats() Stats {
 func NewState() *EvalState { return &EvalState{} }
 
 // CompletedEpochs reports how many trust epochs are checkpointed (0 for a
-// fresh or fully invalidated state).
+// fresh or Reset state).
 func (st *EvalState) CompletedEpochs() int {
 	if len(st.checkpoints) == 0 {
 		return 0
 	}
 	return len(st.checkpoints) - 1
-}
-
-// Invalidate drops every checkpoint at or after the epoch containing day:
-// a rating added (or removed) on that day changes the epoch's per-rater
-// counts, and through the trust fold every later epoch. Earlier epochs are
-// untouched — their folds depend only on ratings strictly before the
-// epoch boundary. Invalidating an already-invalid state is a no-op.
-func (st *EvalState) Invalidate(day float64) {
-	if len(st.checkpoints) == 0 {
-		return
-	}
-	e := epoch.PeriodOf(day, st.horizon)
-	if e+1 < len(st.checkpoints) {
-		// Drop references so the trust snapshots can be collected.
-		for i := e + 1; i < len(st.checkpoints); i++ {
-			st.checkpoints[i] = nil
-		}
-		st.checkpoints = st.checkpoints[:e+1]
-	}
 }
 
 // Reset drops every checkpoint, the memo plane, the symbol table and the
@@ -185,27 +168,37 @@ func (st *EvalState) Reset() {
 }
 
 // raterColumn is one product's ordinal column: ords[j] is the ordinal of
-// the rater of rating j of the series at version.
+// the rater of rating j of series, the series header (at version) the
+// column was interned from. Keeping the header costs no copy: a series is
+// never mutated below its length (dataset.Series.Insert), so it still
+// holds the ratings the checkpoints were computed from.
 type raterColumn struct {
 	version uint64
+	series  dataset.Series
 	ords    []uint32
 }
 
 // intern brings every product's ordinal column and detector carry in line
-// with its series and returns the columns. A versioned product whose
-// version is unchanged keeps both; any other is re-interned (an
-// unversioned product on every Resume), and its carry is rewound to the
-// prefix it shares with the series (an unversioned product's is dropped).
-// New raters extend the symbol table: the previous Resume's managers read
-// it, so the first new rater of a Resume copies its name index
-// (trust.Symbols.Intern), and a Result handed out earlier never sees it
-// written.
+// with its series, cuts the checkpoints the changes reach, and returns the
+// columns. A versioned product whose version is unchanged keeps both; any
+// other (an unversioned product on every Resume) is compared with the
+// series its column was interned from, re-interned, and its carry rewound
+// to the prefix it shares with the series (an unversioned product's is
+// dropped). The earliest day at which any compared series changed decides
+// the cut: checkpoint e is trust entering epoch e, which reads only
+// ratings before day 30·e, so every checkpoint past the epoch of that day
+// is dropped and every earlier one is kept. New raters extend the symbol
+// table: the previous Resume's managers read it, so the first new rater of
+// a Resume copies its name index (trust.Symbols.Intern), and a Result
+// handed out earlier never sees it written.
 func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 	cols := make([][]uint32, len(d.Products))
+	changed := math.Inf(1)
 	for i := range d.Products {
 		p, c := &d.Products[i], &st.cols[i]
 		if p.Version == 0 || c.version != p.Version {
-			c.version, c.ords = p.Version, st.reintern(p.Ratings)
+			changed = min(changed, firstChange(c.series, p.Ratings))
+			c.version, c.series, c.ords = p.Version, p.Ratings, st.reintern(p.Ratings)
 			if p.Version == 0 {
 				st.carries[i] = detect.Prefix{}
 			} else {
@@ -214,7 +207,33 @@ func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 		}
 		cols[i] = c.ords
 	}
+	if e := epoch.PeriodOf(changed, st.horizon); e+1 < len(st.checkpoints) {
+		// Drop references so the trust snapshots can be collected.
+		clear(st.checkpoints[e+1:])
+		st.checkpoints = st.checkpoints[:e+1]
+	}
 	return cols
+}
+
+// firstChange returns the day from which s differs from old: at the first
+// index k where the two differ in Day bits, Value bits or Rater, or where
+// one of them ends, the earlier of their days at k. It returns +Inf when
+// the series are identical.
+func firstChange(old, s dataset.Series) float64 {
+	k, n := 0, min(len(old), len(s))
+	for k < n && math.Float64bits(old[k].Day) == math.Float64bits(s[k].Day) &&
+		math.Float64bits(old[k].Value) == math.Float64bits(s[k].Value) &&
+		old[k].Rater == s[k].Rater {
+		k++
+	}
+	day := math.Inf(1)
+	if k < len(old) {
+		day = old[k].Day
+	}
+	if k < len(s) {
+		day = min(day, s[k].Day)
+	}
+	return day
 }
 
 // reintern returns the ordinal column of s. A rater already in the table
@@ -227,18 +246,12 @@ func (st *EvalState) reintern(s dataset.Series) []uint32 {
 	return col
 }
 
-// Matches reports whether the state's checkpoints were computed for this
+// matches reports whether the state's checkpoints were computed for this
 // dataset identity (bit-identical horizon, same product list in the same
 // order). The identity is content-based, not pointer-based: a combined
 // dataset rebuilt from per-shard partitions on every coordinator cut
 // (internal/store) still matches, so Resume keeps reusing checkpoints
 // across rebuilds.
-func (st *EvalState) Matches(d *dataset.Dataset) bool {
-	return st.matches(d)
-}
-
-// matches reports whether the state's checkpoints were computed for this
-// dataset identity.
 func (st *EvalState) matches(d *dataset.Dataset) bool {
 	//lint:ignore floateq dataset-identity check: checkpoints are only valid for the bit-identical horizon, so exact comparison is the contract
 	if len(st.checkpoints) == 0 || st.horizon != d.HorizonDays || len(st.products) != len(d.Products) {

@@ -46,9 +46,9 @@ func seedRatings(t *testing.T, s *Service, n int) {
 }
 
 // TestScoresCancelledMidRecompute: a reader whose ctx dies mid-recompute
-// gets the error back, the dirty range survives, and the next reader with
-// a live ctx resumes the interrupted evaluation to the same table an
-// uninterrupted service computes.
+// gets the error back, the service leaves the store generation unrecorded,
+// and the next reader with a live ctx resumes the interrupted evaluation
+// to the same table an uninterrupted service computes.
 func TestScoresCancelledMidRecompute(t *testing.T) {
 	mk := func() *Service {
 		p := agg.NewPScheme()

@@ -66,7 +66,8 @@ func TestDegradedRecomputeServesStale(t *testing.T) {
 		t.Error("Ready() = nil while serving stale aggregates")
 	}
 	// A repeated read must serve the cached stale table without invoking
-	// the broken scheme again (no panic storm): dirty was consumed.
+	// the broken scheme again (no panic storm): the failed attempt recorded
+	// the generation it tried.
 	if _, err := s.Scores(context.Background(), "tv1"); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@
 // cross-product concern — the P-scheme recompute with its epoch-
 // checkpointed engine state, the trust fold, the cached table, and the
 // degradation state — and refreshes them from consistent multi-shard cuts
-// (store.BeginRecompute). One shard (the default for New and OpenWAL) is
+// (store.View) whenever the store's generation moved past the one the
+// cached table covers. One shard (the default for New and OpenWAL) is
 // just the smallest count: the WAL directory still holds a manifest and
 // shard-000/.
 //
@@ -80,9 +81,14 @@ type Service struct {
 	// schemes); Load and a failed recompute Reset it, so the next attempt
 	// starts cold while the counters keep growing. Each recompute hands it
 	// a fresh combined dataset built from the shard cut; the engine
-	// recognizes the identical product list + horizon and resumes from its
-	// checkpoints (engine.EvalState.Matches).
+	// recognizes the identical product list + horizon, works out from the
+	// series which epochs changed, and resumes from the checkpoints before
+	// them (engine.Resume).
 	engState *engine.EvalState
+	// covered is the store generation (store.Generation) the cached table
+	// was computed for, or was last attempted for when that attempt failed
+	// outright; 0 before the first recompute, which the store never reports.
+	covered uint64
 
 	// Degradation: when a recompute panics, cached holds the last good
 	// table, stale is set, and staleErr records the cause until a later
@@ -359,11 +365,11 @@ func (s *Service) Shards() int {
 // On a non-nil error the read lock is NOT held: the caller's ctx was
 // cancelled, either while queued for the lock or mid-recompute. The
 // half-finished recompute's epoch checkpoints stay in engState and the
-// shards' dirty watermarks are restored, so the cancelled work is resumed
-// — not redone — by the next reader.
+// covered generation is left behind the store's, so the cancelled work is
+// resumed — not redone — by the next reader.
 func (s *Service) freshRLock(ctx context.Context) error {
 	s.mu.RLock()
-	if !s.store.Dirty() {
+	if s.store.Generation() == s.covered {
 		return nil
 	}
 	s.mu.RUnlock()
@@ -457,30 +463,29 @@ func (s *Service) Trust(ctx context.Context, rater string) float64 {
 }
 
 // refreshLocked recomputes aggregates if ratings arrived. Callers must
-// hold the write lock. It takes a consistent cut over every shard
-// (store.BeginRecompute) — the cut consumes the shards' dirty watermarks,
-// so a successful recompute covers exactly the dirtiness it observed. A
-// panicking scheme does not take the service down: the previous table
-// keeps being served, reports carry Stale, Ready fails, and the next
-// submission triggers another attempt.
+// hold the write lock. It reads the store's generation, then takes a
+// consistent cut over every shard (store.View); the cut holds at least
+// every change the generation counts, so a successful recompute records
+// that generation as covered. A panicking scheme does not take the service
+// down: the previous table keeps being served, reports carry Stale, Ready
+// fails, and the next submission triggers another attempt.
 //
-// A ctx cancellation mid-recompute returns the error without consuming
-// dirtiness and without marking the service stale: the engine checkpoints
-// completed so far stay in engState, the shards' watermarks are restored
-// (store.AbortRecompute), and the next caller with a live context resumes
-// from where this one stopped.
+// A ctx cancellation mid-recompute returns the error without recording the
+// generation and without marking the service stale: the engine checkpoints
+// completed so far stay in engState, and the next caller with a live
+// context resumes from where this one stopped.
 func (s *Service) refreshLocked(ctx context.Context) error {
-	v := s.store.BeginRecompute()
-	if !v.Dirty() {
+	gen := s.store.Generation()
+	if gen == s.covered {
 		return nil
 	}
 	evalStart := time.Now()
-	table, pRes, err := s.evaluateLocked(ctx, v)
+	table, pRes, err := s.evaluateLocked(ctx, s.store.View())
 	s.evalSeconds.Observe(time.Since(evalStart).Seconds())
 	if err != nil && ctx.Err() != nil {
-		s.store.AbortRecompute(v)
 		return err
 	}
+	s.covered = gen
 	if err != nil {
 		s.stale = true
 		s.staleErr = err
@@ -498,16 +503,16 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 	return nil
 }
 
-// evaluateLocked runs the scheme over the cut's combined dataset,
+// evaluateLocked runs the scheme over the cut's combined dataset d,
 // converting a panic into an error. Callers must hold the write lock.
 // Under the P-scheme it resumes the epoch-checkpointed engine: the cut's
 // dataset is rebuilt from shard partitions each time, but it carries the
-// same product list and horizon, so engine.EvalState.Matches recognizes it
-// and epochs before epoch(v.DirtyFrom) are reused from the previous
-// evaluation's checkpoints — steady-state recompute cost is proportional
-// to the invalidated epoch suffix plus one final per-product pass, not the
-// full history.
-func (s *Service) evaluateLocked(ctx context.Context, v *store.RecomputeView) (table agg.Table, pRes *agg.Result, err error) {
+// same product list and horizon, so the engine keeps its state, finds the
+// earliest rating that changed in the products whose version moved, and
+// reuses every epoch before it from the previous evaluation's checkpoints
+// — steady-state recompute cost is proportional to the changed epoch
+// suffix plus one final per-product pass, not the full history.
+func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset) (table agg.Table, pRes *agg.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			table, pRes = nil, nil
@@ -515,13 +520,12 @@ func (s *Service) evaluateLocked(ctx context.Context, v *store.RecomputeView) (t
 		}
 	}()
 	if p, ok := s.scheme.(*agg.PScheme); ok {
-		s.engState.Invalidate(v.DirtyFrom)
-		res, rerr := p.Engine().Resume(ctx, s.engState, v.Data)
+		res, rerr := p.Engine().Resume(ctx, s.engState, d)
 		if rerr != nil {
 			return nil, nil, rerr
 		}
 		t := agg.Table(res.Table)
 		return t, &agg.Result{Table: t, Suspicious: res.Suspicious, Trust: res.Trust}, nil
 	}
-	return s.scheme.Aggregates(v.Data), nil, nil
+	return s.scheme.Aggregates(d), nil, nil
 }

@@ -11,13 +11,15 @@ import (
 	"repro/internal/dataset"
 )
 
-// TestViewsStableDuringInOrderAppends: readers hold View and
-// BeginRecompute cuts while writers submit in day order to the same
-// products, so the shards append in place into the arrays the cuts share.
-// Every cut must re-read bit-identical to a Clone taken right after it, and
-// a reader's Insert on its capacity-capped view must never reach shard
-// state. Run under -race, an uncapped view or an in-place write below a
-// view's length shows up as a data race as well as a mismatch.
+// TestViewsStableDuringInOrderAppends: readers hold View cuts while
+// writers submit in day order to the same products, so the shards append
+// in place into the arrays the cuts share. Every cut must re-read
+// bit-identical to a Clone taken right after it, and a reader's Insert on
+// its capacity-capped view must never reach shard state. Run under -race,
+// an uncapped view or an in-place write below a view's length shows up as
+// a data race as well as a mismatch. Each cut must also hold at least the
+// submits the Generation read before it counts, which is what lets the
+// server record a table as covering that generation.
 func TestViewsStableDuringInOrderAppends(t *testing.T) {
 	const perProduct = 1500
 	products := testProducts(4)
@@ -55,11 +57,15 @@ func TestViewsStableDuringInOrderAppends(t *testing.T) {
 					return
 				default:
 				}
-				var d *dataset.Dataset
-				if cut%2 == 0 {
-					d = st.View()
-				} else {
-					d = st.BeginRecompute().Data
+				gen := st.Generation()
+				d := st.View()
+				n := 0
+				for _, p := range d.Products {
+					n += len(p.Ratings)
+				}
+				if uint64(n) < gen-1 {
+					t.Errorf("reader %d cut %d holds %d ratings, but the generation read before it counts %d submits", r, cut, n, gen-1)
+					return
 				}
 				want := d.Clone()
 				// A reader's tail Insert on its view must reallocate, not

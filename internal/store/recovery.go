@@ -330,9 +330,6 @@ func (st *Store) applyRecovered(i int, product, rater string, value, day float64
 	p := &sh.data.Products[l.pos]
 	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: day, Value: value, Rater: rater})
 	p.Version++
-	if day < sh.dirtyFrom {
-		sh.dirtyFrom = day
-	}
 	return nil
 }
 

@@ -12,9 +12,9 @@ import (
 )
 
 // shard owns one product-keyed partition of the rating state: a dataset
-// slice holding only this shard's products, the per-product rater sets, the
-// dirty watermark, and (when durable) this shard's own WAL stream with an
-// independent group-commit pipeline.
+// slice holding only this shard's products, the per-product rater sets, and
+// (when durable) this shard's own WAL stream with an independent
+// group-commit pipeline.
 //
 // Locking: gate orders submissions against checkpoints — a submission holds
 // gate.RLock across its whole append+apply critical path, and a checkpoint
@@ -31,10 +31,7 @@ type shard struct {
 	// seen[pos] is the set of raters who rated data.Products[pos], indexed
 	// by partition position like data.Products, so once the router has
 	// resolved a product's position no check hashes its ID again.
-	seen []map[string]bool
-	// dirtyFrom is the earliest rating day accepted on this shard since the
-	// coordinator's last consistent cut (+Inf = clean).
-	dirtyFrom     float64
+	seen          []map[string]bool
 	sinceSnapshot int
 
 	wal           *wal.WAL
@@ -98,9 +95,6 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: day, Value: value, Rater: rater})
 	p.Version++
 	sh.submits.Inc()
-	if day < sh.dirtyFrom {
-		sh.dirtyFrom = day
-	}
 	sh.sinceSnapshot++
 	snap := w != nil && sh.snapshotEvery > 0 && sh.sinceSnapshot >= sh.snapshotEvery
 	if snap {
@@ -144,23 +138,17 @@ func (sh *shard) checkpoint() error {
 }
 
 // cutLocked copies the shard's product headers into the combined dataset
-// slice (globals[j] is the global index of the shard's j-th product) and
-// returns the shard's dirty watermark, optionally resetting it (a recompute
-// consumes the dirtiness it observes). Caller holds sh.mu. Series backing
-// arrays are never mutated below a view's length (Series.Insert only
-// appends past it or reallocates), and views are capacity-capped: each
-// copied header is Ratings[:n:n], so a reader's Insert or append on it
-// reallocates instead of writing into the shard's spare capacity. The
-// copied headers therefore stay immutable after the lock is released.
-func (sh *shard) cutLocked(dst []dataset.Product, globals []int, reset bool) float64 {
+// slice (globals[j] is the global index of the shard's j-th product).
+// Caller holds sh.mu. Series backing arrays are never mutated below a
+// view's length (Series.Insert only appends past it or reallocates), and
+// views are capacity-capped: each copied header is Ratings[:n:n], so a
+// reader's Insert or append on it reallocates instead of writing into the
+// shard's spare capacity. The copied headers therefore stay immutable
+// after the lock is released.
+func (sh *shard) cutLocked(dst []dataset.Product, globals []int) {
 	for j, g := range globals {
 		p := sh.data.Products[j]
 		p.Ratings = p.Ratings[:len(p.Ratings):len(p.Ratings)]
 		dst[g] = p
 	}
-	mark := sh.dirtyFrom
-	if reset {
-		sh.dirtyFrom = inf()
-	}
-	return mark
 }

@@ -1,11 +1,11 @@
 // Package store is the sharded storage layer under the rating service:
 // rating state is partitioned into N product-keyed shards, each with its
-// own mutex, dataset partition, rater-dedup map, dirty watermark, and WAL
-// stream, so submissions on different products contend only on their own
-// shard's lock and fsync pipeline. The coordinator above (internal/server)
-// routes writes through Submit and takes consistent multi-shard read
-// snapshots through BeginRecompute; with one shard the locking degenerates
-// to the original single-stream service's.
+// own mutex, dataset partition, rater-dedup map, and WAL stream, so
+// submissions on different products contend only on their own shard's lock
+// and fsync pipeline. The coordinator above (internal/server) routes writes
+// through Submit, tells whether anything changed from Generation, and takes
+// consistent multi-shard read snapshots through View; with one shard the
+// locking degenerates to the original single-stream service's.
 //
 // Routing is a pure function — FNV-1a(product) mod shards — recorded in
 // the WAL directory's manifest so a reopen with a different shard count
@@ -19,6 +19,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -97,6 +98,9 @@ type Store struct {
 	// replay), captured by openShards; surfaced by EnableMetrics. Empty for
 	// an in-memory store.
 	replayNanos []int64
+	// gen counts the changes applied to the rating state: it starts at 1
+	// and is bumped after every applied submit and every Load.
+	gen atomic.Uint64
 }
 
 // New creates an in-memory (non-durable) sharded store.
@@ -116,12 +120,12 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 		globals: make([][]int, shards),
 		logf:    func(string, ...any) {},
 	}
+	st.gen.Store(1)
 	for i := 0; i < shards; i++ {
 		st.shards = append(st.shards, &shard{
-			data:      &dataset.Dataset{HorizonDays: horizonDays},
-			dirtyFrom: 0, // everything dirty: the first read computes the table
-			horizon:   horizonDays,
-			now:       time.Now,
+			data:    &dataset.Dataset{HorizonDays: horizonDays},
+			horizon: horizonDays,
+			now:     time.Now,
 		})
 	}
 	for g, id := range products {
@@ -272,6 +276,7 @@ func (st *Store) Submit(ctx context.Context, product, rater string, value, day f
 	if err != nil {
 		return ack, err
 	}
+	st.gen.Add(1)
 	if snap {
 		// The snapshot interval elapsed: checkpoint outside the submission's
 		// gate (checkpoint needs it exclusively). A failure is logged, not
@@ -284,101 +289,36 @@ func (st *Store) Submit(ctx context.Context, product, rater string, value, day f
 	return ack, nil
 }
 
-// RecomputeView is a consistent cut over all shards, taken by
-// BeginRecompute: the combined dataset (registration order, capacity-capped
-// product headers safe to read lock-free) plus the merged dirty watermark.
-type RecomputeView struct {
-	// Data is the combined dataset; its Series share backing arrays with
-	// shard state, but those arrays are never mutated below a view's
-	// length, and views are capacity-capped, so a reader's append
-	// reallocates rather than writing into the shard's spare capacity.
-	Data *dataset.Dataset
-	// DirtyFrom is the earliest day any shard accepted since the previous
-	// cut (+Inf: nothing changed, the cache is clean).
-	DirtyFrom float64
-	// marks are the per-shard watermarks consumed by this cut, kept so
-	// AbortRecompute can restore them if the recompute never completes.
-	marks []float64
+// Generation returns the store's change count: it starts at 1 and grows
+// by one with every applied submit and every Load, after the change is in
+// the rating state. A reader that calls Generation before View therefore
+// gets a view holding at least every change the generation counts, so a
+// cache built from that view may be recorded as covering the generation.
+func (st *Store) Generation() uint64 {
+	return st.gen.Load()
 }
 
-// Dirty reports whether the view observed any change since the last cut.
-func (v *RecomputeView) Dirty() bool { return !math.IsInf(v.DirtyFrom, 1) }
-
-// BeginRecompute takes a consistent multi-shard cut for a recompute: all
-// shard mutexes are held simultaneously (ascending index; cheap — only
-// product headers are copied) so the combined dataset is a single point in
-// time, and every shard's dirty watermark is consumed. If the recompute is
-// abandoned, AbortRecompute must restore the watermarks; on success the
-// consumed dirtiness is exactly what the new table covers.
-func (st *Store) BeginRecompute() *RecomputeView {
-	return st.cut(true)
-}
-
-// View returns a consistent snapshot of the combined dataset without
-// consuming dirty watermarks — the read-only variant of BeginRecompute, for
-// checkpoints, audits, and tests. Its series are never mutated below a
-// view's length, and views are capacity-capped, so later submissions never
-// show through and the caller may Insert into them freely.
+// View returns a consistent snapshot of the combined dataset: all shard
+// mutexes are held simultaneously (ascending index; cheap — only product
+// headers are copied), so the dataset is a single point in time. Its
+// series are never mutated below a view's length, and views are
+// capacity-capped, so later submissions never show through and the caller
+// may Insert into them freely.
 func (st *Store) View() *dataset.Dataset {
-	return st.cut(false).Data
-}
-
-func (st *Store) cut(reset bool) *RecomputeView {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	v := &RecomputeView{
-		Data:      &dataset.Dataset{HorizonDays: st.horizon, Products: make([]dataset.Product, len(st.products))},
-		DirtyFrom: math.Inf(1),
-		marks:     make([]float64, len(st.shards)),
-	}
+	d := &dataset.Dataset{HorizonDays: st.horizon, Products: make([]dataset.Product, len(st.products))}
 	for _, sh := range st.shards {
 		//lint:ignore lockorder state mutexes are acquired in ascending shard order, the documented instance order for the consistent cut
 		sh.mu.Lock()
 	}
 	for i, sh := range st.shards {
-		v.marks[i] = sh.cutLocked(v.Data.Products, st.globals[i], reset)
-		if v.marks[i] < v.DirtyFrom {
-			v.DirtyFrom = v.marks[i]
-		}
+		sh.cutLocked(d.Products, st.globals[i])
 	}
 	for _, sh := range st.shards {
 		sh.mu.Unlock()
 	}
-	return v
-}
-
-// AbortRecompute restores the dirty watermarks a BeginRecompute cut
-// consumed: the abandoned recompute produced no table, so the dirtiness it
-// observed is still unserved. Submissions that arrived since the cut keep
-// their own (possibly earlier) marks — the merge takes the minimum.
-func (st *Store) AbortRecompute(v *RecomputeView) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	for i, sh := range st.shards {
-		if i >= len(v.marks) {
-			break
-		}
-		sh.mu.Lock()
-		if v.marks[i] < sh.dirtyFrom {
-			sh.dirtyFrom = v.marks[i]
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// Dirty reports whether any shard accepted a rating since the last cut.
-func (st *Store) Dirty() bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		dirty := !math.IsInf(sh.dirtyFrom, 1)
-		sh.mu.Unlock()
-		if dirty {
-			return true
-		}
-	}
-	return false
+	return d
 }
 
 // Load replaces all rating state with the given dataset: it is partitioned
@@ -455,13 +395,13 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 		sh.mu.Lock()
 		sh.data = parts[i]
 		sh.seen = seen[i]
-		sh.dirtyFrom = 0 // a wholesale replacement invalidates everything
 		sh.sinceSnapshot = 0
 		sh.mu.Unlock()
 	}
 	st.products = products
 	st.byID = byID
 	st.globals = globals
+	st.gen.Add(1)
 	return nil
 }
 
@@ -557,5 +497,3 @@ func shardErr(shards, i int, err error) error {
 	}
 	return fmt.Errorf("shard %d: %w", i, err)
 }
-
-func inf() float64 { return math.Inf(1) }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -398,44 +397,46 @@ func TestSubmitWALFailureRollsBackReservation(t *testing.T) {
 	}
 }
 
-// BeginRecompute consumes the dirty watermarks; AbortRecompute restores
-// them, merging with any dirtiness submitted since the cut.
-func TestAbortRecomputeRestoresWatermark(t *testing.T) {
+// Generation counts exactly the applied changes: every accepted submit
+// and every Load bumps it, while a rejected submit, a View and a
+// checkpoint leave it alone.
+func TestGenerationCountsAppliedChanges(t *testing.T) {
 	st, err := New(90, testProducts(6), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-
-	// Drain the initial everything-dirty mark.
-	if v := st.BeginRecompute(); !v.Dirty() || v.DirtyFrom != 0 {
-		t.Fatalf("initial cut = %+v, want dirty from 0", v)
+	want := uint64(1)
+	check := func(label string) {
+		t.Helper()
+		if got := st.Generation(); got != want {
+			t.Fatalf("%s: generation %d, want %d", label, got, want)
+		}
 	}
-	if st.Dirty() {
-		t.Fatal("store dirty after consuming the initial cut")
+	check("new store")
+	for i := 0; i < 4; i++ {
+		if _, err := st.Submit(ctx, fmt.Sprintf("product-%d", i), "r1", 3, float64(10*i)); err != nil {
+			t.Fatal(err)
+		}
+		want++
 	}
-
-	if _, err := st.Submit(ctx, "product-0", "r1", 3, 42); err != nil {
+	check("after 4 submits")
+	if _, err := st.Submit(ctx, "product-0", "r1", 3, 5); !errors.Is(err, ErrDuplicateRating) {
+		t.Fatalf("duplicate submit: err = %v", err)
+	}
+	if _, err := st.Submit(ctx, "product-0", "r2", 3, 90); !errors.Is(err, ErrBadRating) {
+		t.Fatalf("out-of-horizon submit: err = %v", err)
+	}
+	st.View()
+	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	v := st.BeginRecompute()
-	if !v.Dirty() || v.DirtyFrom != 42 {
-		t.Fatalf("cut after day-42 submit = %+v, want dirty from 42", v)
-	}
-	if st.Dirty() {
-		t.Fatal("store dirty after cut consumed the watermark")
-	}
-
-	// A submission lands between the cut and the abort: the merge must keep
-	// the earlier of the two marks.
-	if _, err := st.Submit(ctx, "product-0", "r2", 3, 50); err != nil {
+	check("after rejected submits, a View and a checkpoint")
+	if err := st.Load(ctx, st.View()); err != nil {
 		t.Fatal(err)
 	}
-	st.AbortRecompute(v)
-	v2 := st.BeginRecompute()
-	if v2.DirtyFrom != 42 {
-		t.Fatalf("post-abort cut dirty from %v, want 42 (restored mark)", v2.DirtyFrom)
-	}
+	want++
+	check("after Load")
 }
 
 // A record planted in the wrong shard's log (corruption, manual tampering)
@@ -552,8 +553,5 @@ func TestViewRegistrationOrder(t *testing.T) {
 	}
 	if got := len(v.Products[0].Ratings); got != before {
 		t.Fatalf("earlier view grew from %d to %d ratings: snapshot is not stable", before, got)
-	}
-	if math.IsInf(st.BeginRecompute().DirtyFrom, 1) {
-		t.Fatal("View consumed the dirty watermark")
 	}
 }
