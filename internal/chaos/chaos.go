@@ -422,7 +422,10 @@ func survivingRatings(image *faultfs.FS) (map[string]bool, error) {
 
 // auditConvergence recovers a service from the image and compares its
 // P-scores bit-for-bit against a clean in-memory service replaying the
-// same surviving records.
+// same surviving records. The recovered side evaluates cold; the clean
+// side has resumed its evaluation many times while replaying (see
+// replayReference), so a resume that keeps a stale checkpoint or memo
+// entry shows up as a score mismatch.
 func auditConvergence(image *faultfs.FS, opts Options) []string {
 	recovered, _, err := server.OpenWAL(agg.NewPScheme(), opts.Horizon, opts.Products, server.WALOptions{FS: image.Clone(), Shards: opts.Shards})
 	if err != nil {
@@ -430,7 +433,7 @@ func auditConvergence(image *faultfs.FS, opts Options) []string {
 	}
 	defer recovered.Close()
 
-	_, rec, err := replayReference(image, opts)
+	rec, err := replayReference(image, opts)
 	if err != nil {
 		return []string{err.Error()}
 	}
@@ -459,16 +462,24 @@ func auditConvergence(image *faultfs.FS, opts Options) []string {
 	return violations
 }
 
+// replayEvalEvery is how many accepted ratings replayReference applies
+// between two score reads.
+const replayEvalEvery = 8
+
 // replayReference builds an in-memory service holding exactly the ratings
 // that survived in the image, applied through the live validation path.
-func replayReference(image *faultfs.FS, opts Options) (int, *server.Service, error) {
+// It reads scores every replayEvalEvery accepted ratings, so its engine
+// resumes from the checkpoints and memo the previous read left. The image
+// is replayed shard by shard, so days arrive out of order and resumes cut
+// back into history.
+func replayReference(image *faultfs.FS, opts Options) (*server.Service, error) {
 	streams, err := shardStreams(image)
 	if err != nil {
-		return 0, nil, fmt.Errorf("read crash image: %v", err)
+		return nil, fmt.Errorf("read crash image: %v", err)
 	}
 	svc, err := server.New(agg.NewPScheme(), opts.Horizon, opts.Products)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	n := 0
 	ctx := context.Background()
@@ -476,17 +487,24 @@ func replayReference(image *faultfs.FS, opts Options) (int, *server.Service, err
 		w, rec, err := wal.Open(fsys, wal.Options{})
 		if err != nil {
 			svc.Close()
-			return 0, nil, fmt.Errorf("read crash image: %v", err)
+			return nil, fmt.Errorf("read crash image: %v", err)
 		}
 		for _, r := range rec.Records {
 			// Duplicates (snapshot + unrotated log overlap) and validation
 			// rejects mirror the recovery path's own skip rules; any true
 			// divergence surfaces as a score mismatch in the audit.
-			if err := svc.Submit(ctx, r.Product, r.Rater, r.Value, r.Day); err == nil {
-				n++
+			if err := svc.Submit(ctx, r.Product, r.Rater, r.Value, r.Day); err != nil {
+				continue
+			}
+			if n++; n%replayEvalEvery == 0 {
+				if _, err := svc.Scores(ctx, r.Product); err != nil {
+					w.Close()
+					svc.Close()
+					return nil, fmt.Errorf("clean replay: scores(%s): %v", r.Product, err)
+				}
 			}
 		}
 		w.Close()
 	}
-	return n, svc, nil
+	return svc, nil
 }

@@ -21,9 +21,9 @@
 //     resumes from the checkpoint at epoch(d) and reuses every earlier
 //     epoch's trust fold verbatim.
 //
-// Both paths are bit-exact with a cold, serial evaluation: epoch counts are
-// integers (order-independent), each rater is folded exactly once per epoch,
-// and the detector stack is deterministic, so neither worker scheduling nor
+// Both paths are bit-exact with a cold, serial evaluation: trust evidence is
+// integer counts, which float64 sums exactly in any order, and the detector
+// stack is deterministic, so neither worker scheduling nor
 // checkpoint reuse can change a single output bit (see the equivalence
 // property tests).
 package engine
@@ -32,7 +32,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/dataset"
@@ -122,18 +121,12 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// Stages 1+2 (per-product epoch analysis, per-rater trust fold):
 	// resume Procedure 1 from the newest surviving checkpoint. Epoch ep
 	// reads checkpoint ep and folds into a clone of it onto the state's
-	// current symbol table, which becomes checkpoint ep+1. A checkpoint is
-	// never written once appended, so memo entries and callers share them:
-	// the last one is the final trust, handed out as Result.Trust.
-	//
-	// Each completed epoch also maintains the memo plane's trust-sameness
-	// cascade: once epoch ep completes, every memo entry recorded at ep is
-	// keyed against checkpoint ep (hits were verified against it, misses
-	// re-recorded under it), so trustSame[ep] becomes true. If additionally
-	// the incoming trust was unchanged (same) and the fresh fold equals the
-	// last completed run's fold (foldSame; counts are integers, so the
-	// comparison is exact), the outgoing trust — the next checkpoint — is
-	// unchanged too, and the sameness cascades forward.
+	// current symbol table, which becomes checkpoint ep+1; a cancelled
+	// epoch discards the clone. A checkpoint is never written once
+	// appended, so memo entries and callers share them: the last one is
+	// the final trust, handed out as Result.Trust. A kept checkpoint is the
+	// very manager the memo entries of its epoch were recorded or last hit
+	// under, so those probes hit without comparing records.
 	//
 	// Right after each fold, period ep is published into st.published[ep]:
 	// Eq. 7 over the epoch's own marks with the post-fold trust.
@@ -145,17 +138,10 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// extends every epoch's prefix.
 	var kept []bool
 	for ep := len(st.checkpoints) - 1; ep < n; ep++ {
-		same := st.trustSame[ep]
-		fold, marks, err := e.runEpoch(ctx, d, cols, ep, st.checkpoints[ep], st, same)
+		next := st.checkpoints[ep].CloneOver(st.syms)
+		marks, err := e.runEpoch(ctx, d, cols, ep, st, next)
 		if err != nil {
 			return nil, err
-		}
-		foldSame := st.folds[ep] != nil && slices.Equal(st.folds[ep], fold)
-		st.folds[ep] = fold
-		st.trustSame[ep] = true
-		next := st.checkpoints[ep].CloneOver(st.syms)
-		for _, fc := range fold {
-			next.ObserveAt(fc.ord, fc.n, fc.f)
 		}
 		lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
 		row := make([]float64, len(d.Products))
@@ -166,11 +152,6 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		}
 		st.published[ep] = row
 		st.checkpoints = append(st.checkpoints, next)
-		cascade := same && foldSame
-		st.trustSame[ep+1] = st.trustSame[ep+1] && cascade
-		if ep == n-1 {
-			st.finalConsistent = st.finalConsistent && cascade
-		}
 	}
 
 	// Stages 3+4 (final marks, Eq. 7 aggregation): an offline pass per
@@ -192,9 +173,10 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	var work []int
 	for i := range d.Products {
 		prod := &d.Products[i]
-		if m := st.memoFor(prod); m != nil {
+		if prod.Version != 0 {
+			m := &st.prods[i].memo
 			memos[i] = m
-			if mk, sc, ok := m.finalHit(cols[i], mgr, st.finalConsistent); ok {
+			if mk, sc, ok := m.finalHit(cols[i], mgr); ok {
 				marks[i], scores[i] = mk, sc
 				st.stats.memoHits.Add(1)
 				continue
@@ -209,7 +191,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k]
 		prod := &d.Products[i]
-		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &st.carries[i])
+		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &st.prods[i].carry)
 		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
 		scores[i] = e.aggregateProduct(prod.Ratings, cols[i], marks[i], d.HorizonDays, mgr)
 		if memos[i] != nil {
@@ -231,7 +213,6 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 			memos[i].final = ents[i]
 		}
 	}
-	st.finalConsistent = true
 
 	res := &Result{
 		Table:      make(map[string][]float64, len(d.Products)),
@@ -251,33 +232,28 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	return res, nil
 }
 
-// raterCounts is one rater's in-epoch evidence: n ratings observed, f of
-// them marked suspicious.
-type raterCounts struct{ n, f int }
-
 // runEpoch executes one trust epoch of Procedure 1: analyze every product's
-// prefix [0, end-of-epoch) under mgr, the trust checkpoint at the epoch
-// start, count each rater's (observed, suspicious) ratings inside the
-// epoch, and return the merged per-rater counts in canonical form (the
-// caller folds them into a clone of mgr). cols are the products' ordinal
-// columns (EvalState.intern). It also returns each product's marks for the
-// epoch's own ratings, aligned with the product's [lo, hi) period, from
-// which the counts are taken and the caller publishes the period.
+// prefix [0, end-of-epoch) under checkpoint ep, the trust at the epoch
+// start, and fold each rater's (observed, suspicious) ratings inside the
+// epoch into next, the caller's clone of that checkpoint. cols are the
+// products' ordinal columns (EvalState.intern). It returns each product's
+// marks for the epoch's own ratings, aligned with the product's [lo, hi)
+// period, from which the fold is taken and the caller publishes the period.
 //
-// A product with no ratings in the epoch is skipped outright: its fold is
-// empty and it publishes nothing, so no analysis can matter. Products
-// whose (series prefix, rater-scoped trust) key matches their memo entry
-// replay the cached marks and skip analysis entirely; trustSame
-// short-circuits even the trust-record compare when the caller proved the
-// whole epoch-start snapshot unchanged. A miss whose prefix is cached reuses the
-// entry's trust-free signals and runs only detect.Decide (memo.go). Hit
-// checks (signal lookups included) and entry commits run serially
-// on either side of the pool — only misses fan out. Each miss brings the
-// product's stored carry up to its prefix; each worker owns the carry of
-// the product it analyzes, so the carries need no locks. On cancellation
-// the partially collected marks and entries are discarded without touching
-// the memo, so the caller's state still describes whole completed epochs.
-func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, mgr *trust.Manager, st *EvalState, trustSame bool) ([]raterFold, [][]bool, error) {
+// A product with no ratings in the epoch is skipped outright: it folds
+// and publishes nothing, so no analysis can matter. A versioned product
+// whose (series prefix, rater-scoped trust) key matches its memo entry
+// replays the cached marks and skips analysis entirely. A miss whose
+// prefix is cached reuses the entry's trust-free signals and runs only
+// detect.Decide (memo.go). Hit checks (signal lookups included) and entry
+// commits run serially on either side of the pool — only misses fan out.
+// Each miss brings the product's stored carry up to its prefix; each
+// worker owns the carry of the product it analyzes, so the carries need no
+// locks. On cancellation the partially collected marks and entries are
+// discarded without touching the memo or next, so the caller's state still
+// describes whole completed epochs.
+func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, st *EvalState, next *trust.Manager) ([][]bool, error) {
+	mgr := st.checkpoints[ep]
 	lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
 	marks := make([][]bool, len(d.Products))
 
@@ -286,20 +262,14 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 	var work []int
 	for i := range d.Products {
 		prod := &d.Products[i]
-		// Sync every product's memo with its version before the epoch can
-		// complete, skipped or not: the caller then marks the epoch
-		// trustSame, which must not cover an unversioned product's stale
-		// entries.
-		m := st.memoFor(prod)
-		// A product with no ratings in [lo, hi) folds and publishes
-		// nothing this epoch, whatever its analysis would say.
 		if from, to := prod.Ratings.BetweenIndex(lo, hi); from == to {
 			continue
 		}
-		if m != nil {
+		if prod.Version != 0 {
+			m := &st.prods[i].memo
 			memos[i] = m
 			start, end := prod.Ratings.BetweenIndex(0, hi)
-			if mk, ok := m.epochHit(ep, cols[i][start:end], mgr, trustSame); ok {
+			if mk, ok := m.epochHit(ep, cols[i][start:end], mgr); ok {
 				marks[i] = mk
 				st.stats.memoHits.Add(1)
 				continue
@@ -317,7 +287,7 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		prod := &d.Products[i]
 		start, end := prod.Ratings.BetweenIndex(0, hi)
 		seen, ords := prod.Ratings[start:end], cols[i][start:end]
-		pre := e.completeSignals(seen, hi, reuse[i], sc, &st.carries[i])
+		pre := e.completeSignals(seen, hi, reuse[i], sc, &st.prods[i].carry)
 		dec := detect.Decide(seen, pre.sig, e.Detect, &seriesTrust{mgr, ords})
 		// Earlier epochs already judged the ratings before lo: keep the
 		// marks of only the epoch's own [lo, hi) ratings.
@@ -328,47 +298,33 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Commit fresh entries serially after the whole pool succeeded (the
 	// memo is not goroutine-safe; a cancelled epoch publishes nothing).
 	for _, i := range work {
 		if memos[i] != nil && ents[i].valid {
-			memos[i].setEpoch(ep, ents[i])
+			memos[i].epochs[ep] = ents[i]
 		}
 	}
 
-	// Count each rater's epoch ratings into the dense tally, from the
-	// products' marks (replayed or fresh) and ordinal columns. Counts are
-	// integers, so neither the worker schedule nor hit-vs-miss provenance
-	// can change a total, and the fold holds each rater once: the caller's
-	// Observe calls touch disjoint records, so their order cannot change a
-	// bit. Sorting by ordinal only makes the fold canonical, so Resume can
-	// compare it with the epoch's last one (foldSame).
-	if len(st.tally) < st.syms.Len() {
-		st.tally = make([]raterCounts, st.syms.Len())
-	}
-	var touched []uint32
+	// Fold each epoch rating into its rater's record, from the products'
+	// marks (replayed or fresh) and ordinal columns. Trust evidence is
+	// integer counts, which float64 holds exactly, so one observation per
+	// rating sums to the same bits as one per rater with its epoch totals,
+	// in any order: neither the worker schedule nor hit-vs-miss provenance
+	// can change a bit.
 	for i, mk := range marks {
 		from, _ := d.Products[i].Ratings.BetweenIndex(lo, hi)
 		for j, o := range cols[i][from : from+len(mk)] {
-			t := &st.tally[o]
-			if t.n == 0 {
-				touched = append(touched, o)
-			}
-			t.n++
+			f := 0
 			if mk[j] {
-				t.f++
+				f = 1
 			}
+			next.ObserveAt(o, 1, f)
 		}
 	}
-	slices.Sort(touched)
-	fold := make([]raterFold, len(touched))
-	for k, o := range touched {
-		fold[k] = raterFold{o, st.tally[o]}
-		st.tally[o] = raterCounts{}
-	}
-	return fold, marks, nil
+	return marks, nil
 }
 
 // seriesTrust is the detect.SeriesTrust the engine hands Decide: mgr's

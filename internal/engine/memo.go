@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 
-	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/trust"
 )
@@ -28,7 +27,7 @@ import (
 //     peak days, segments and thresholds; no curves). The MC/HC/ME part is
 //     keyed by the series prefix alone. A product's memo only holds entries
 //     recorded at its current monotone content Version (maintained
-//     incrementally by internal/store on every applied submit; memoFor
+//     incrementally by internal/store on every applied submit; intern
 //     drops the rest), so the prefix length identifies the prefix. The ARC
 //     part is additionally keyed by the horizon hi, because its daily counts
 //     span [0, hi).
@@ -46,23 +45,19 @@ import (
 // Signals are shared between entries and Resumes and never written:
 // Decide only reads them.
 //
-// A trust hit compares the raters' records under the trust the entry was
-// decided under bit-for-bit against the live trust, stopping at the first
-// difference; no hash stands in for the records. That trust is a
-// checkpoint, which is never written, so an entry points at it instead of
-// copying records; a hit rebinds the entry to the live checkpoint it was
-// just proven equal to, so entries that keep hitting never pin superseded
-// checkpoints. Bit-exactness is then by construction — a hit replays the
-// exact cached marks (final pass: copies of the cached marks and scores),
-// and the signals are pure functions of (prefix, horizon, detector config)
-// that Decide reads the same whether they are cached or fresh.
-
-// raterFold is one rater's in-epoch fold contribution, identified by its
-// ordinal. Folds are canonical: one entry per rater, sorted by ordinal.
-type raterFold struct {
-	ord uint32
-	raterCounts
-}
+// A trust hit proves the raters' records under the trust the entry was
+// decided under equal the live trust. That trust is a checkpoint, which is
+// never written, so an entry points at it instead of copying records, and
+// a probe against that same checkpoint hits at once. Any other probe
+// compares the records bit for bit, stopping at the first difference; no
+// hash stands in for them. A hit rebinds the entry to the live checkpoint
+// it was just proven equal to, so entries that keep hitting never pin
+// superseded checkpoints and the next probe against it is the O(1) one.
+// Every hit is verified one of these two ways. Bit-exactness is then by
+// construction — a hit replays the exact cached marks (final pass: copies
+// of the cached marks and scores), and the signals are pure functions of
+// (prefix, horizon, detector config) that Decide reads the same whether
+// they are cached or fresh.
 
 // prefixSignals is an entry's signals tier: the trust-free detector
 // signals of one series prefix. The MC/HC/ME signals are keyed by the
@@ -96,37 +91,12 @@ type finalEntry struct {
 	scores []float64
 }
 
-// productMemo is one product's cache: the series version the entries were
-// recorded against, one entry per epoch, and the final-pass entry.
+// productMemo is one product's cache: one entry per epoch of the horizon
+// the state is bound to, and the final-pass entry. Every entry was recorded
+// against the product's current series (productState).
 type productMemo struct {
-	version uint64
-	epochs  []memoEntry
-	final   finalEntry
-}
-
-// memoFor returns (creating if needed) the product's memo, synchronizing it
-// with the product's current series version. A version change means the
-// series content changed, so every cached entry keyed on the old version is
-// dropped wholesale — that is the O(changed product) invalidation path. A
-// product with Version 0 is unversioned (its mutator does not maintain the
-// counter), so it bypasses the memo: its entries are dropped the same way
-// and its memo deleted, so none survives to be replayed if the product
-// later returns at its old version, and memoFor returns nil.
-func (st *EvalState) memoFor(p *dataset.Product) *productMemo {
-	m := st.memo[p.ID]
-	if m != nil && m.version != p.Version {
-		st.stats.memoInvalidated.Add(m.drop())
-		m.version = p.Version
-	}
-	switch {
-	case p.Version == 0:
-		delete(st.memo, p.ID)
-		return nil
-	case m == nil:
-		m = &productMemo{version: p.Version, epochs: make([]memoEntry, len(st.folds))}
-		st.memo[p.ID] = m
-	}
-	return m
+	epochs []memoEntry
+	final  finalEntry
 }
 
 // drop invalidates every cached entry and returns how many were valid.
@@ -145,19 +115,16 @@ func (m *productMemo) drop() uint64 {
 	return n
 }
 
-// setEpoch commits a fresh entry for epoch ep (no-op out of range, which
-// cannot happen for states reset against the same horizon).
-func (m *productMemo) setEpoch(ep int, ent memoEntry) {
-	if ep < len(m.epochs) {
-		m.epochs[ep] = ent
-	}
-}
-
 // trustRecordsMatch is the trust-tier key compare: each rater's record
-// under the entry's trust must equal the live manager's bit for bit.
+// under the entry's trust must equal the live manager's bit for bit. The
+// same checkpoint holds the same records, since checkpoints are never
+// written.
 //
 //lint:hotpath
 func trustRecordsMatch(mgr *trust.Manager, raters []uint32, under *trust.Manager) bool {
+	if mgr == under {
+		return true
+	}
 	for _, o := range raters {
 		rec, was := mgr.RecordAt(o), under.RecordAt(o)
 		if math.Float64bits(rec.S) != math.Float64bits(was.S) ||
@@ -171,19 +138,10 @@ func trustRecordsMatch(mgr *trust.Manager, raters []uint32, under *trust.Manager
 // epochHit reports whether the cached entry for epoch ep can be replayed
 // for the prefix whose ordinal column is ords under mgr, returning the
 // cached epoch marks (shared with the cache: callers must not modify them).
-// trustSame short-circuits the trust check: the caller proved the whole
-// epoch-start trust snapshot is unchanged since the entry was recorded
-// (see EvalState.trustSame), so the rater-scoped restriction is too. mgr
-// must be a checkpoint: a hit rebinds the entry to it.
-func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager, trustSame bool) ([]bool, bool) {
-	if ep >= len(m.epochs) {
-		return nil, false
-	}
+// mgr must be a checkpoint: a hit rebinds the entry to it.
+func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager) ([]bool, bool) {
 	ent := &m.epochs[ep]
-	if !ent.valid || ent.prefixLen != len(ords) {
-		return nil, false
-	}
-	if !trustSame && !trustRecordsMatch(mgr, ords, ent.under) {
+	if !ent.valid || ent.prefixLen != len(ords) || !trustRecordsMatch(mgr, ords, ent.under) {
 		return nil, false
 	}
 	ent.under = mgr
@@ -193,12 +151,9 @@ func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager, trustS
 // finalHit is epochHit for the final pass: on a hit it returns fresh
 // copies of the cached suspicious marks and scores (served results must
 // never alias cache memory — callers own what Resume returns).
-func (m *productMemo) finalHit(ords []uint32, mgr *trust.Manager, trustSame bool) ([]bool, []float64, bool) {
+func (m *productMemo) finalHit(ords []uint32, mgr *trust.Manager) ([]bool, []float64, bool) {
 	ent := &m.final
-	if !ent.valid || len(ent.marks) != len(ords) {
-		return nil, nil, false
-	}
-	if !trustSame && !trustRecordsMatch(mgr, ords, ent.under) {
+	if !ent.valid || len(ent.marks) != len(ords) || !trustRecordsMatch(mgr, ords, ent.under) {
 		return nil, nil, false
 	}
 	ent.under = mgr
@@ -232,9 +187,6 @@ func reuseSignals(ok bool, prefixLen, n int, pre prefixSignals, hi float64) sign
 // match: an analyzed epoch has ratings of its own, so every earlier prefix
 // is shorter.
 func (m *productMemo) epochSignals(ep, n int, hi float64) signalReuse {
-	if ep >= len(m.epochs) {
-		return reuseSignals(false, 0, n, prefixSignals{}, hi)
-	}
 	ent := &m.epochs[ep]
 	return reuseSignals(ent.valid, ent.prefixLen, n, ent.pre, hi)
 }

@@ -281,32 +281,67 @@ func TestFingerprintCollisionNeverServed(t *testing.T) {
 	}
 }
 
-// TestEpochHitRejectsStaleTrust unit-tests the trust-record compare
-// directly: an entry recorded under one trust state, probed under another
-// over the same prefix, must never be served.
+// TestEpochHitRejectsStaleTrust unit-tests the trust-tier hit rule on an
+// epoch entry and a final entry alike: a probe under the checkpoint the
+// entry was recorded under hits; a distinct manager with equal records for
+// the prefix's raters hits and rebinds the entry to it; a record changed
+// after the rebind misses, as do stale trust and a different prefix
+// length, and a miss leaves the entry bound where it was.
 func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	ords := []uint32{0} // one rating, by the rater of ordinal 0
 	marks := []bool{true}
 	mgr1 := trust.NewManager()
-	m := &productMemo{version: 1, epochs: make([]memoEntry, 1)}
-	m.setEpoch(0, newEpochEntry(ords, prefixSignals{}, mgr1, marks))
+	mgr1.ObserveAt(0, 2, 1)
+	m := &productMemo{epochs: make([]memoEntry, 1)}
+	m.epochs[0] = newEpochEntry(ords, prefixSignals{}, mgr1, marks)
+	m.final = newFinalEntry(prefixSignals{}, mgr1, marks, []float64{0.5})
 
-	mgr2 := trust.NewManager()
-	mgr2.ObserveAt(0, 5, 3)
-	if _, ok := m.epochHit(0, ords, mgr2, false); ok {
-		t.Fatal("stale-trust entry was served")
-	}
-	if got, ok := m.epochHit(0, ords, mgr1, false); !ok || len(got) != 1 || got[0] != marks[0] {
-		t.Fatalf("matching entry not served: %v %v", got, ok)
-	}
-	if _, ok := m.epochHit(0, []uint32{0, 0}, mgr1, false); ok {
-		t.Fatal("entry served for a different prefix length")
+	for _, probe := range []struct {
+		name  string
+		hit   func(ords []uint32, mgr *trust.Manager) bool
+		under func() *trust.Manager
+	}{
+		{"epoch", func(ords []uint32, mgr *trust.Manager) bool {
+			got, ok := m.epochHit(0, ords, mgr)
+			return ok && slices.Equal(got, marks)
+		}, func() *trust.Manager { return m.epochs[0].under }},
+		{"final", func(ords []uint32, mgr *trust.Manager) bool {
+			got, _, ok := m.finalHit(ords, mgr)
+			return ok && slices.Equal(got, marks)
+		}, func() *trust.Manager { return m.final.under }},
+	} {
+		if !probe.hit(ords, mgr1) || probe.under() != mgr1 {
+			t.Fatalf("%s: entry not served under the checkpoint it was recorded under", probe.name)
+		}
+		stale := trust.NewManager()
+		stale.ObserveAt(0, 5, 3)
+		if probe.hit(ords, stale) || probe.under() != mgr1 {
+			t.Fatalf("%s: stale-trust entry was served or rebound", probe.name)
+		}
+		// equal differs from mgr1 only in a rater outside the prefix.
+		equal := mgr1.Clone()
+		equal.ObserveAt(1, 4, 0)
+		if !probe.hit(ords, equal) {
+			t.Fatalf("%s: entry not served under a manager with equal records", probe.name)
+		}
+		if probe.under() != equal {
+			t.Fatalf("%s: hit did not rebind the entry to the live manager", probe.name)
+		}
+		changed := equal.Clone()
+		changed.ObserveAt(0, 1, 0)
+		if probe.hit(ords, changed) || probe.under() != equal {
+			t.Fatalf("%s: entry served after its rater's record changed", probe.name)
+		}
+		if probe.hit([]uint32{0, 0}, equal) {
+			t.Fatalf("%s: entry served for a different prefix length", probe.name)
+		}
 	}
 }
 
 // TestMemoOffStateInterleaving: one state may be resumed alternately on
-// versioned and unversioned views of the same data; the unversioned
-// (memo-off) passes must not poison the cache's sameness bookkeeping.
+// versioned and unversioned views of the same data; no entry recorded
+// before an unversioned (memo-off) pass may be served after it unless
+// its trust is verified.
 func TestMemoOffStateInterleaving(t *testing.T) {
 	const horizon = 150.0
 	d := versionedTestDataset(t, 29, 3, horizon)
@@ -329,9 +364,8 @@ func TestMemoOffStateInterleaving(t *testing.T) {
 
 // TestUnversionedPassDropsStaleMemo: a product cached at version v, seen
 // once unversioned, and then seen again at v with its series unchanged
-// must not replay the entries recorded before the unversioned pass. That
-// pass marks its epochs trust-same, so a surviving entry recorded under
-// older trust would be replayed without verification.
+// must not replay the entries recorded before the unversioned pass, whose
+// raters' trust has since moved.
 func TestUnversionedPassDropsStaleMemo(t *testing.T) {
 	for _, seed := range []uint64{3, 8, 21} {
 		d := versionedTestDataset(t, seed, 4, 150)
@@ -363,11 +397,9 @@ func TestUnversionedPassDropsStaleMemo(t *testing.T) {
 
 // TestCancelledUnversionedPassDropsStaleMemo is the v → 0 → v case for a
 // product the unversioned pass never analyzes: p1 rates only from epoch 3
-// on, and the unversioned view drops it. That pass completes epoch 3,
-// marking it trust-same, and is cancelled in epoch 4, before the final
-// pass reaches p1. p1's memo must already be gone: its epoch-3 entry would
-// otherwise be replayed without verification against whatever trust the
-// checkpoint then holds.
+// on, and the unversioned view drops it. That pass completes epoch 3 and
+// is cancelled in epoch 4, before the final pass reaches p1. p1's memo
+// must already be empty: intern drops it at the start of the pass.
 func TestCancelledUnversionedPassDropsStaleMemo(t *testing.T) {
 	const horizon = 150.0
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
@@ -386,8 +418,8 @@ func TestCancelledUnversionedPassDropsStaleMemo(t *testing.T) {
 			if _, err := eng.Resume(newCountingCtx(budget), st, view); err == nil || st.CompletedEpochs() != 4 {
 				continue
 			}
-			if _, ok := st.memo[p1.ID]; ok {
-				t.Fatalf("seed %d: %s kept its memo through an unversioned pass", seed, p1.ID)
+			if n := st.prods[1].memo.drop(); n != 0 {
+				t.Fatalf("seed %d: %s kept %d memo entries through an unversioned pass", seed, p1.ID, n)
 			}
 			requireEqualResults(t, fmt.Sprintf("seed %d versioned again", seed),
 				mustResume(t, eng, st, d), reference(t, d))

@@ -134,7 +134,7 @@ func TestColdResumeRecordsFreshSignals(t *testing.T) {
 		}
 		for i := range d.Products {
 			prod := &d.Products[i]
-			m := st.memo[prod.ID]
+			m := &st.prods[i].memo
 			for ep, ent := range m.epochs {
 				if ent.valid {
 					_, hi := epoch.PeriodInterval(ep, d.HorizonDays)

@@ -21,43 +21,29 @@ import (
 // An EvalState is not safe for concurrent use; callers (internal/server)
 // serialize Resume under their own lock.
 //
-// Beyond the checkpoints the state carries the memo plane (see memo.go):
-// per-product caches of trust-free detector signals and of the epoch folds
-// and final-pass marks decided from them, plus the bookkeeping that lets a
-// Resume prove "the trust feeding epoch e is unchanged since e last ran"
-// without comparing managers:
-//
-//   - folds[e] is the canonical per-rater fold the last *completed* run of
-//     epoch e produced (nil if e never completed). Comparing the fresh fold
-//     against it detects "identical fold ⇒ outgoing trust unchanged".
-//   - trustSame[e] means checkpoint e's trust content equals the incoming
-//     trust of the last completed run of epoch e — i.e. every memo entry
-//     recorded at epoch e is keyed against the *current* checkpoint, so
-//     epoch e may skip even the rater-scoped record compare. trustSame is
-//     deliberately NOT truncated with the checkpoints (intern): it
-//     describes the epochs' last completed runs, which a cut does not
-//     rewrite.
-//   - finalConsistent is trustSame for the uncheckpointed final pass:
-//     the final entries were recorded under the current final trust.
+// Everything else the state keeps is per product position (prods), and
+// intern brings it in line with the product's series at the start of
+// every Resume: the ordinal column, the detector carry and the memo
+// entries (memo.go).
 //
 // Rater identity is interned once per state: syms maps each rater ID to a
-// dense ordinal (append-only, first-seen order), and cols[i] is product
-// i's ordinal column, so trust, memo keys and folds index slices instead
+// dense ordinal (append-only, first-seen order), and prods[i].ords is
+// product i's ordinal column, so trust and memo keys index slices instead
 // of hashing IDs. Ordinals depend on the order the state first saw its
-// raters, never on the ratings alone, so no output depends on them:
-// folds and memo keys only compare ordinals of this one table, and every
-// order that is observed (Snapshot) is by rater ID.
+// raters, never on the ratings alone, so no output depends on them: memo
+// keys only compare ordinals of this one table, folds touch each rater's
+// own record, and every order that is observed (Snapshot) is by rater ID.
 //
-// carries[i] is product i's detector carry (detect.Prefix): the MC, HC and
-// ME values of the series it last covered, and the H-/L-ARC daily counts
-// and curves of the last horizon. It outlives the Resume that computed it,
-// so a submit recomputes only the detector windows its rating reaches. The
-// carry is keyed by content: intern rewinds its MC/HC/ME part to the
-// prefix it shares with the product's series once per version change, and
-// within one Resume every analyzed prefix is a prefix of that series. The
-// ARC part diffs its counts on every call, so it needs no rewind.
-// An unversioned product's carry is dropped on every Resume, so its
-// evaluation starts from scratch.
+// prods[i].carry is product i's detector carry (detect.Prefix): the MC,
+// HC and ME values of the series it last covered, and the H-/L-ARC daily
+// counts and curves of the last horizon. It outlives the Resume that
+// computed it, so a submit recomputes only the detector windows its rating
+// reaches. The carry is keyed by content: intern rewinds its MC/HC/ME
+// part to the prefix it shares with the product's series once per version
+// change, and within one Resume every analyzed prefix is a prefix of that
+// series. The ARC part diffs its counts on every call, so it needs no
+// rewind. An unversioned product's carry is dropped on every Resume, so
+// its evaluation starts from scratch.
 //
 // The state also counts the work done on it (Stats). The counters survive
 // Reset and rebinding, so they only grow over the state's life.
@@ -67,20 +53,13 @@ type EvalState struct {
 	config      Engine // the engine the state was bound under, Workers zeroed
 	checkpoints []*trust.Manager
 
-	syms    *trust.Symbols
-	cols    []raterColumn
-	carries []detect.Prefix
-	tally   []raterCounts // runEpoch's merge scratch by ordinal, zero between epochs
+	syms  *trust.Symbols
+	prods []productState
 
 	// published[e] is period e's causal score per product, written with
 	// checkpoints[e+1]: rows before a resume epoch are reused, later ones
 	// rewritten, so a checkpoint cut need not touch them.
 	published [][]float64
-
-	memo            map[string]*productMemo
-	folds           [][]raterFold // one per epoch
-	trustSame       []bool        // one per epoch boundary (len = epochs+1)
-	finalConsistent bool
 
 	stats counters
 }
@@ -159,53 +138,61 @@ func (st *EvalState) CompletedEpochs() int {
 	return len(st.checkpoints) - 1
 }
 
-// Reset drops every checkpoint, the memo plane, the symbol table and the
-// detector carries, so the next Resume matches nothing, rebinds and
-// evaluates from scratch. The counters are kept.
+// Reset drops every checkpoint, the symbol table and the per-product
+// columns, carries and memo entries, so the next Resume matches nothing,
+// rebinds and evaluates from scratch. The counters are kept.
 func (st *EvalState) Reset() {
-	st.checkpoints, st.memo = nil, nil
-	st.syms, st.cols, st.carries, st.tally = nil, nil, nil, nil
+	st.checkpoints, st.syms, st.prods = nil, nil, nil
 }
 
-// raterColumn is one product's ordinal column: ords[j] is the ordinal of
-// the rater of rating j of series, the series header (at version) the
-// column was interned from. Keeping the header costs no copy: a series is
-// never mutated below its length (dataset.Series.Insert), so it still
-// holds the ratings the checkpoints were computed from.
-type raterColumn struct {
+// productState is what the state keeps for one product position, all of
+// it in line with series, the series header (at version) intern last saw:
+// ords[j] is the ordinal of the rater of rating j, carry the product's
+// detector carry and memo its memo entries. Keeping the header costs no
+// copy: a series is never mutated below its length
+// (dataset.Series.Insert), so it still holds the ratings the checkpoints
+// were computed from.
+type productState struct {
 	version uint64
 	series  dataset.Series
 	ords    []uint32
+	carry   detect.Prefix
+	memo    productMemo
 }
 
-// intern brings every product's ordinal column and detector carry in line
-// with its series, cuts the checkpoints the changes reach, and returns the
-// columns. A versioned product whose version is unchanged keeps both; any
-// other (an unversioned product on every Resume) is compared with the
-// series its column was interned from, re-interned, and its carry rewound
-// to the prefix it shares with the series (an unversioned product's is
-// dropped). The earliest day at which any compared series changed decides
-// the cut: checkpoint e is trust entering epoch e, which reads only
-// ratings before day 30·e, so every checkpoint past the epoch of that day
-// is dropped and every earlier one is kept. New raters extend the symbol
-// table: the previous Resume's managers read it, so the first new rater of
-// a Resume copies its name index (trust.Symbols.Intern), and a Result
-// handed out earlier never sees it written.
+// intern brings every product's state in line with its series, cuts the
+// checkpoints the changes reach, and returns the ordinal columns. A
+// versioned product whose version is unchanged keeps its state; any other
+// (an unversioned product on every Resume) is compared with the series
+// its state was interned from, re-interned, its carry rewound to the
+// prefix it shares with the series (an unversioned product's is dropped)
+// and its memo entries dropped, counted as invalidated. The earliest day
+// at which any compared series changed decides the cut: checkpoint e is
+// trust entering epoch e, which reads only ratings before day 30·e, so
+// every checkpoint past the epoch of that day is dropped and every earlier
+// one is kept. New raters extend the symbol table: the previous Resume's
+// managers read it, so the first new rater of a Resume copies its name
+// index (trust.Symbols.Intern), and a Result handed out earlier never sees
+// it written.
 func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 	cols := make([][]uint32, len(d.Products))
 	changed := math.Inf(1)
 	for i := range d.Products {
-		p, c := &d.Products[i], &st.cols[i]
-		if p.Version == 0 || c.version != p.Version {
-			changed = min(changed, firstChange(c.series, p.Ratings))
-			c.version, c.series, c.ords = p.Version, p.Ratings, st.reintern(p.Ratings)
+		p, ps := &d.Products[i], &st.prods[i]
+		if p.Version == 0 || ps.version != p.Version {
+			changed = min(changed, firstChange(ps.series, p.Ratings))
+			ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings)
+			st.stats.memoInvalidated.Add(ps.memo.drop())
 			if p.Version == 0 {
-				st.carries[i] = detect.Prefix{}
+				ps.carry = detect.Prefix{}
 			} else {
-				st.carries[i].Rewind(p.Ratings, st.config.Detect)
+				ps.carry.Rewind(p.Ratings, st.config.Detect)
+				if ps.memo.epochs == nil {
+					ps.memo.epochs = make([]memoEntry, len(st.published))
+				}
 			}
 		}
-		cols[i] = c.ords
+		cols[i] = ps.ords
 	}
 	if e := epoch.PeriodOf(changed, st.horizon); e+1 < len(st.checkpoints) {
 		// Drop references so the trust snapshots can be collected.
@@ -266,22 +253,15 @@ func (st *EvalState) matches(d *dataset.Dataset) bool {
 }
 
 // bind rebinds the state to the dataset and the engine configuration and
-// discards all checkpoints, memo state and carries.
+// discards all checkpoints and per-product state. The memo entry arrays
+// intern allocates are sized by the horizon bound here, which a state keeps
+// until the next bind.
 func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
 	st.config = config
 	st.syms = trust.NewSymbols()
-	st.cols = make([]raterColumn, len(d.Products))
-	st.carries = make([]detect.Prefix, len(d.Products))
+	st.prods = make([]productState, len(d.Products))
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
-	n := epoch.Periods(d.HorizonDays)
-	st.published = make([][]float64, n)
-	st.memo = make(map[string]*productMemo, len(d.Products))
-	st.folds = make([][]raterFold, n)
-	st.trustSame = make([]bool, n+1)
-	// Epoch 0's incoming trust is always the empty manager, so checkpoint 0
-	// trivially equals whatever epoch 0 last ran against.
-	st.trustSame[0] = true
-	st.finalConsistent = false
+	st.published = make([][]float64, epoch.Periods(d.HorizonDays))
 }

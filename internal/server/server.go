@@ -134,36 +134,10 @@ func NewSharded(scheme agg.Scheme, horizonDays float64, products []string, shard
 	return s, nil
 }
 
-// WALOptions configures the durable variant of the service.
-type WALOptions struct {
-	// Dir is the WAL base directory (ignored when FS is set).
-	Dir string
-	// FS overrides the filesystem the WAL writes through — used by tests
-	// to inject faults (internal/faultfs). Defaults to wal.OSDir(Dir).
-	FS wal.FS
-	// Shards is the storage shard count (0 means 1): state and WAL streams
-	// are sharded by product, one shard-NNN/ subdirectory per shard. The
-	// count is recorded in the directory's manifest and a mismatched
-	// reopen fails; a directory in the single-stream layout of earlier
-	// builds is refused (store.ErrLegacyLayout).
-	Shards int
-	// SyncEvery and SyncInterval set each shard's group-commit policy; see
-	// wal.Options. Zero SyncEvery means fsync on every append.
-	SyncEvery    int
-	SyncInterval time.Duration
-	// StallThreshold arms the WAL's fsync-latency circuit breaker: a
-	// successful fsync slower than this trips the breaker and flips Submit
-	// acks to durability=pending until a background probe observes a fast
-	// fsync again. Zero disables the breaker. ProbeInterval sets how often
-	// the open breaker probes (and group-commits pending records); zero
-	// means the wal package default.
-	StallThreshold time.Duration
-	ProbeInterval  time.Duration
-	// SnapshotEvery checkpoints a shard and resets its log after this many
-	// ratings accepted on that shard, bounding recovery time. 0 disables
-	// automatic snapshots (the logs grow until Close).
-	SnapshotEvery int
-}
+// WALOptions configures the durable variant of the service: the store's
+// WAL directory, shard count, group-commit, fsync-breaker and snapshot
+// policy.
+type WALOptions = store.Options
 
 // Open creates a durable single-shard service backed by a write-ahead log
 // in walDir with strict durability defaults (fsync every append, snapshot
@@ -181,26 +155,13 @@ func OpenWAL(scheme agg.Scheme, horizonDays float64, products []string, opts WAL
 	if scheme == nil {
 		return nil, nil, errors.New("server: nil scheme")
 	}
-	if opts.FS == nil && opts.Dir == "" {
-		return nil, nil, errors.New("server: WAL dir required")
-	}
-	s := &Service{scheme: scheme, engState: engine.NewState()}
-	s.logger.Store(log.New(io.Discard, "", 0))
-	st, report, err := store.Open(horizonDays, products, store.Options{
-		Dir:            opts.Dir,
-		FS:             opts.FS,
-		Shards:         opts.Shards,
-		SyncEvery:      opts.SyncEvery,
-		SyncInterval:   opts.SyncInterval,
-		StallThreshold: opts.StallThreshold,
-		ProbeInterval:  opts.ProbeInterval,
-		SnapshotEvery:  opts.SnapshotEvery,
-		Logf:           s.logf,
-	})
+	st, report, err := store.Open(horizonDays, products, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.store = st
+	s := &Service{scheme: scheme, store: st, engState: engine.NewState()}
+	s.logger.Store(log.New(io.Discard, "", 0))
+	st.SetLogf(s.logf)
 	return s, report, nil
 }
 

@@ -19,24 +19,28 @@ type Options struct {
 	// FS overrides the filesystem the WALs write through — used by tests
 	// to inject faults (internal/faultfs). Defaults to wal.OSDir(Dir).
 	FS wal.FS
-	// Shards is the shard count; 0 means 1. The directory holds a manifest
-	// recording it and one shard-NNN/ subdirectory per shard, whatever the
-	// count.
+	// Shards is the shard count; 0 means 1. State and WAL streams are
+	// sharded by product: the directory holds a manifest recording the
+	// count and one shard-NNN/ subdirectory per shard, whatever the count.
+	// A mismatched reopen fails, and a directory in the single-stream
+	// layout of earlier builds is refused (ErrLegacyLayout).
 	Shards int
-	// SyncEvery, SyncInterval, StallThreshold, ProbeInterval set each
-	// shard's independent group-commit policy; see wal.Options.
-	SyncEvery      int
-	SyncInterval   time.Duration
+	// SyncEvery and SyncInterval set each shard's independent group-commit
+	// policy; see wal.Options. Zero SyncEvery means fsync on every append.
+	SyncEvery    int
+	SyncInterval time.Duration
+	// StallThreshold arms each shard WAL's fsync-latency circuit breaker: a
+	// successful fsync slower than this trips the breaker and flips submit
+	// acks to durability=pending until a background probe observes a fast
+	// fsync again. Zero disables the breaker. ProbeInterval sets how often
+	// the open breaker probes (and group-commits pending records); zero
+	// means the wal package default.
 	StallThreshold time.Duration
 	ProbeInterval  time.Duration
 	// SnapshotEvery checkpoints a shard and resets its log after this many
-	// ratings accepted on that shard. 0 disables automatic snapshots.
+	// ratings accepted on that shard, bounding recovery time. 0 disables
+	// automatic snapshots (the logs grow until Close).
 	SnapshotEvery int
-	// Now substitutes the wall clock, for tests. Defaults to time.Now.
-	Now func() time.Time
-	// Logf receives operational log lines (snapshot failures). Defaults to
-	// discarding.
-	Logf func(format string, args ...any)
 }
 
 // RecoveryReport describes what a durable boot found on disk, merged
@@ -103,14 +107,7 @@ func Open(horizonDays float64, products []string, opts Options) (*Store, *Recove
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Logf != nil {
-		st.logf = opts.Logf
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	for _, sh := range st.shards {
-		sh.now = opts.Now
 		sh.snapshotEvery = opts.SnapshotEvery
 	}
 	fsys := opts.FS
@@ -129,7 +126,6 @@ func Open(horizonDays float64, products []string, opts Options) (*Store, *Recove
 		SyncInterval:   opts.SyncInterval,
 		StallThreshold: opts.StallThreshold,
 		ProbeInterval:  opts.ProbeInterval,
-		Now:            opts.Now,
 	}
 
 	m, err := wal.ReadManifest(fsys)
@@ -195,8 +191,8 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			start := walOpts.Now()
-			defer func() { st.replayNanos[i] = walOpts.Now().Sub(start).Nanoseconds() }()
+			start := time.Now()
+			defer func() { st.replayNanos[i] = time.Since(start).Nanoseconds() }()
 			w, rec, err := wal.Open(fses[i], walOpts)
 			if err != nil {
 				results[i].err = err

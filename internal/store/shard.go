@@ -37,7 +37,6 @@ type shard struct {
 	wal           *wal.WAL
 	snapshotEvery int
 	horizon       float64
-	now           func() time.Time
 
 	// submits counts ratings accepted on this shard (nil until the store's
 	// EnableMetrics runs; a nil counter discards increments).
@@ -69,7 +68,6 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 		return wal.AckDurable, false, err
 	}
 	w := sh.wal
-	now := sh.now
 	// Reserve the rater slot so a concurrent duplicate submission fails
 	// during this one's fsync instead of double-logging.
 	sh.seen[pos][rater] = true
@@ -80,7 +78,7 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 		var err error
 		ack, err = w.AppendAck(wal.Record{
 			Product: product, Rater: rater, Value: value, Day: day,
-			ReceivedUnixNano: now().UnixNano(),
+			ReceivedUnixNano: time.Now().UnixNano(),
 		})
 		if err != nil {
 			sh.mu.Lock()

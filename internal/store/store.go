@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -125,7 +124,6 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 		st.shards = append(st.shards, &shard{
 			data:    &dataset.Dataset{HorizonDays: horizonDays},
 			horizon: horizonDays,
-			now:     time.Now,
 		})
 	}
 	for g, id := range products {
