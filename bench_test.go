@@ -406,7 +406,8 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 	// rating and re-extended, instead of covering identical content and
 	// computing nothing after the first iteration. So every iteration does
 	// the same work, except that only the first interns the rater and
-	// forks the table: the row carries that fork as 1/b.N of one.
+	// forks the table: the row carries that fork as 1/b.N of one, and
+	// warm-live-tail pays one in every iteration.
 	b.Run("warm-single-product-touch", func(b *testing.B) {
 		dd := benchEngineDataset(b, 5, 300)
 		st := engine.NewState()
@@ -450,6 +451,46 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			prod.Ratings = base.Insert(mid)
 			prod.Version++
 			eng.Resume(context.Background(), st, dd)
+		}
+	})
+	// warm-live-tail: a live service's submit. The history ends at
+	// mid-horizon, so epochs 5-9 hold no ratings, and one rating by a
+	// rater the state has not seen lands at the tail, in epoch 5. The
+	// Resume forks the symbol table the earlier Results read, re-runs
+	// epoch 5 into one clone of its checkpoint, appends that clone again
+	// for each of the four empty epochs after it, and re-analyzes the
+	// touched product's final pass. Each iteration primes a fresh state
+	// outside the timer: a cold Resume of the clipped history, then one
+	// with a first tail rating by another new rater, whose fork flattens
+	// the cold table into a shared base. So the measured fork is the
+	// steady state's, an overlay of one name, and every iteration does the
+	// same work: the per-op cost does not depend on b.N.
+	b.Run("warm-live-tail", func(b *testing.B) {
+		dd := benchEngineDataset(b, 5, 300)
+		mid := dd.HorizonDays / 2
+		for i := range dd.Products {
+			p := &dd.Products[i]
+			end, _ := p.Ratings.BetweenIndex(mid, dd.HorizonDays)
+			p.Ratings = slices.Clip(p.Ratings[:end])
+		}
+		prod, err := dd.Product("tv2")
+		if err != nil {
+			b.Fatal(err)
+		}
+		base := prod.Ratings
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st := engine.NewState()
+			for _, r := range []dataset.Rating{{Day: mid, Value: 4, Rater: "first"}, {Day: mid + 1, Value: 2, Rater: "tail"}} {
+				eng.Resume(context.Background(), st, dd)
+				prod.Ratings = prod.Ratings.Insert(r)
+				prod.Version++
+			}
+			b.StartTimer()
+			eng.Resume(context.Background(), st, dd)
+			prod.Ratings = base
 		}
 	})
 }

@@ -121,25 +121,26 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// Stages 1+2 (per-product epoch analysis, per-rater trust fold):
 	// resume Procedure 1 from the newest surviving checkpoint. Epoch ep
 	// reads checkpoint ep and folds into a clone of it onto the state's
-	// current symbol table, which becomes checkpoint ep+1; a cancelled
-	// epoch discards the clone. A checkpoint is never written once
-	// appended, so memo entries and callers share them: the last one is
-	// the final trust, handed out as Result.Trust. A kept checkpoint is the
-	// very manager the memo entries of its epoch were recorded or last hit
-	// under, so those probes hit without comparing records.
+	// current symbol table, which becomes checkpoint ep+1; an epoch with no
+	// ratings folds nothing, so checkpoint ep itself becomes checkpoint
+	// ep+1, and a cancelled epoch discards its clone. A checkpoint is never
+	// written once appended, so memo entries and callers share them: the
+	// last one is the final trust, handed out as Result.Trust. A kept
+	// checkpoint is the very manager the memo entries of its epoch were
+	// recorded or last hit under, so those probes hit without comparing
+	// records.
 	//
 	// Right after each fold, period ep is published into st.published[ep]:
 	// Eq. 7 over the epoch's own marks with the post-fold trust.
 	//
 	// Each analyzed product brings its stored detector carry
-	// (st.carries) up to the prefix it analyzes instead of recomputing it:
-	// every such prefix is a prefix of the series intern rewound the carry
-	// to, epoch e+1's extends epoch e's, and the final pass's series
-	// extends every epoch's prefix.
+	// (st.prods[i].carry) up to the prefix it analyzes instead of
+	// recomputing it: every such prefix is a prefix of the series intern
+	// rewound the carry to, epoch e+1's extends epoch e's, and the final
+	// pass's series extends every epoch's prefix.
 	var kept []bool
 	for ep := len(st.checkpoints) - 1; ep < n; ep++ {
-		next := st.checkpoints[ep].CloneOver(st.syms)
-		marks, err := e.runEpoch(ctx, d, cols, ep, st, next)
+		next, marks, err := e.runEpoch(ctx, d, cols, ep, st)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +149,11 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		for i := range d.Products {
 			s := d.Products[i].Ratings
 			start, end := s.BetweenIndex(lo, hi)
-			row[i], kept = e.aggregatePeriod(s[start:end], cols[i][start:end], marks[i], next, kept)
+			var mk []bool
+			if marks != nil {
+				mk = marks[i]
+			}
+			row[i], kept = e.aggregatePeriod(s[start:end], cols[i][start:end], mk, next, kept)
 		}
 		st.published[ep] = row
 		st.checkpoints = append(st.checkpoints, next)
@@ -168,34 +173,32 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	mgr := st.checkpoints[n]
 	marks := make([][]bool, len(d.Products))
 	scores := make([][]float64, len(d.Products))
-	memos := make([]*productMemo, len(d.Products))
-	reuse := make([]signalReuse, len(d.Products))
-	var work []int
+	var work []job
 	for i := range d.Products {
 		prod := &d.Products[i]
+		var r signalReuse
 		if prod.Version != 0 {
 			m := &st.prods[i].memo
-			memos[i] = m
 			if mk, sc, ok := m.finalHit(cols[i], mgr); ok {
 				marks[i], scores[i] = mk, sc
 				st.stats.memoHits.Add(1)
 				continue
 			}
 			st.stats.memoMisses.Add(1)
-			reuse[i] = m.finalSignals(len(prod.Ratings), d.HorizonDays)
-			st.stats.countSignals(reuse[i])
+			r = m.finalSignals(len(prod.Ratings), d.HorizonDays)
+			st.stats.countSignals(r)
 		}
-		work = append(work, i)
+		work = append(work, job{i, r})
 	}
-	ents := make([]finalEntry, len(d.Products))
+	ents := make([]finalEntry, len(work))
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
-		i := work[k]
+		i := work[k].i
 		prod := &d.Products[i]
-		pre := e.completeSignals(prod.Ratings, d.HorizonDays, reuse[i], sc, &st.prods[i].carry)
+		pre := e.completeSignals(prod.Ratings, d.HorizonDays, work[k].reuse, sc, &st.prods[i].carry)
 		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
 		scores[i] = e.aggregateProduct(prod.Ratings, cols[i], marks[i], d.HorizonDays, mgr)
-		if memos[i] != nil {
-			ents[i] = newFinalEntry(pre, mgr, marks[i], scores[i])
+		if prod.Version != 0 {
+			ents[k] = newFinalEntry(pre, mgr, marks[i], scores[i])
 		}
 	})
 	if err != nil {
@@ -208,9 +211,9 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// Commit the fresh final entries serially: productMemo is not
 	// goroutine-safe, and committing only after the pool fully succeeded
 	// keeps cancellation from publishing half a pass.
-	for _, i := range work {
-		if memos[i] != nil && ents[i].valid {
-			memos[i].final = ents[i]
+	for k, w := range work {
+		if ents[k].valid {
+			st.prods[w.i].memo.final = ents[k]
 		}
 	}
 
@@ -235,10 +238,12 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 // runEpoch executes one trust epoch of Procedure 1: analyze every product's
 // prefix [0, end-of-epoch) under checkpoint ep, the trust at the epoch
 // start, and fold each rater's (observed, suspicious) ratings inside the
-// epoch into next, the caller's clone of that checkpoint. cols are the
-// products' ordinal columns (EvalState.intern). It returns each product's
-// marks for the epoch's own ratings, aligned with the product's [lo, hi)
-// period, from which the fold is taken and the caller publishes the period.
+// epoch into a clone of that checkpoint, returned as next. cols are the
+// products' ordinal columns (EvalState.intern). It also returns each
+// product's marks for the epoch's own ratings, aligned with the product's
+// [lo, hi) period, from which the fold is taken and the caller publishes
+// the period. An epoch in which no product has a rating folds nothing: it
+// returns checkpoint ep itself and nil marks, and allocates nothing.
 //
 // A product with no ratings in the epoch is skipped outright: it folds
 // and publishes nothing, so no analysis can matter. A versioned product
@@ -250,24 +255,24 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 // Each miss brings the product's stored carry up to its prefix; each
 // worker owns the carry of the product it analyzes, so the carries need no
 // locks. On cancellation the partially collected marks and entries are
-// discarded without touching the memo or next, so the caller's state still
-// describes whole completed epochs.
-func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, st *EvalState, next *trust.Manager) ([][]bool, error) {
+// discarded without touching the memo or any checkpoint, so the state
+// still describes whole completed epochs.
+func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, st *EvalState) (*trust.Manager, [][]bool, error) {
 	mgr := st.checkpoints[ep]
 	lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
-	marks := make([][]bool, len(d.Products))
-
-	memos := make([]*productMemo, len(d.Products))
-	reuse := make([]signalReuse, len(d.Products))
-	var work []int
+	var marks [][]bool
+	var work []job
 	for i := range d.Products {
 		prod := &d.Products[i]
 		if from, to := prod.Ratings.BetweenIndex(lo, hi); from == to {
 			continue
 		}
+		if marks == nil {
+			marks = make([][]bool, len(d.Products))
+		}
+		var r signalReuse
 		if prod.Version != 0 {
 			m := &st.prods[i].memo
-			memos[i] = m
 			start, end := prod.Ratings.BetweenIndex(0, hi)
 			if mk, ok := m.epochHit(ep, cols[i][start:end], mgr); ok {
 				marks[i] = mk
@@ -275,45 +280,48 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 				continue
 			}
 			st.stats.memoMisses.Add(1)
-			reuse[i] = m.epochSignals(ep, end-start, hi)
-			st.stats.countSignals(reuse[i])
+			r = m.epochSignals(ep, end-start, hi)
+			st.stats.countSignals(r)
 		}
-		work = append(work, i)
+		work = append(work, job{i, r})
+	}
+	if marks == nil {
+		return mgr, nil, nil
 	}
 
-	ents := make([]memoEntry, len(d.Products))
+	ents := make([]memoEntry, len(work))
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
-		i := work[k]
+		i := work[k].i
 		prod := &d.Products[i]
 		start, end := prod.Ratings.BetweenIndex(0, hi)
 		seen, ords := prod.Ratings[start:end], cols[i][start:end]
-		pre := e.completeSignals(seen, hi, reuse[i], sc, &st.prods[i].carry)
+		pre := e.completeSignals(seen, hi, work[k].reuse, sc, &st.prods[i].carry)
 		dec := detect.Decide(seen, pre.sig, e.Detect, &seriesTrust{mgr, ords})
 		// Earlier epochs already judged the ratings before lo: keep the
 		// marks of only the epoch's own [lo, hi) ratings.
 		from, _ := seen.BetweenIndex(lo, hi)
 		marks[i] = append([]bool(nil), dec.Suspicious[from:]...)
-		if memos[i] != nil {
-			ents[i] = newEpochEntry(ords, pre, mgr, marks[i])
+		if prod.Version != 0 {
+			ents[k] = newEpochEntry(ords, pre, mgr, marks[i])
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Commit fresh entries serially after the whole pool succeeded (the
 	// memo is not goroutine-safe; a cancelled epoch publishes nothing).
-	for _, i := range work {
-		if memos[i] != nil && ents[i].valid {
-			memos[i].epochs[ep] = ents[i]
+	for k, w := range work {
+		if ents[k].valid {
+			st.prods[w.i].memo.epochs[ep] = ents[k]
 		}
 	}
 
 	// Fold each epoch rating into its rater's record, from the products'
 	// marks (replayed or fresh) and ordinal columns. Trust evidence is
-	// integer counts, which float64 holds exactly, so one observation per
-	// rating sums to the same bits as one per rater with its epoch totals,
-	// in any order: neither the worker schedule nor hit-vs-miss provenance
-	// can change a bit.
+	// integer counts, so one observation per rating sums to the same
+	// counts as one per rater with its epoch totals, in any order: neither
+	// the worker schedule nor hit-vs-miss provenance can change a bit.
+	next := mgr.CloneOver(st.syms)
 	for i, mk := range marks {
 		from, _ := d.Products[i].Ratings.BetweenIndex(lo, hi)
 		for j, o := range cols[i][from : from+len(mk)] {
@@ -324,7 +332,14 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 			next.ObserveAt(o, 1, f)
 		}
 	}
-	return marks, nil
+	return next, marks, nil
+}
+
+// job is a product a pass analyzes: its position and what its memo's
+// signals tier lends the analysis.
+type job struct {
+	i     int
+	reuse signalReuse
 }
 
 // seriesTrust is the detect.SeriesTrust the engine hands Decide: mgr's

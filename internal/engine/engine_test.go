@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -63,10 +64,14 @@ func mustResume(t *testing.T, e *Engine, st *EvalState, d *dataset.Dataset) *Res
 }
 
 // resumeRerun resumes st on d and also returns the first epoch the Resume
-// re-ran. Running epoch e appends a fresh checkpoint e+1, and a kept
-// checkpoint keeps its pointer, so the first replaced checkpoint names the
-// epoch; every later one re-ran too. It returns the epoch count when
-// nothing re-ran.
+// re-ran. Re-running epoch e appends as checkpoint e+1 a fresh clone of
+// checkpoint e, or checkpoint e itself when the epoch has no ratings; a
+// kept checkpoint keeps its pointer. The first re-run epoch holds the
+// earliest changed rating, before or after the change, so its checkpoint
+// e+1 replaces a different pointer either way: a fresh clone if the epoch
+// has ratings now, and otherwise checkpoint e where it had ratings before.
+// So the first replaced checkpoint names the epoch; every later one re-ran
+// too. It returns the epoch count when nothing re-ran.
 func resumeRerun(t *testing.T, e *Engine, st *EvalState, d *dataset.Dataset) (*Result, int) {
 	t.Helper()
 	before := slices.Clone(st.checkpoints)
@@ -206,6 +211,70 @@ func TestIncrementalMatchesColdProperty(t *testing.T) {
 			}
 			if got, want := st.CompletedEpochs(), epoch.Periods(horizon); got != want {
 				t.Errorf("CompletedEpochs = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestLiveStreamMatchesCold is TestIncrementalMatchesColdProperty in the
+// shape of a live service: the history stops at mid-horizon and the rest
+// streams in forward in day order, in random-sized batches, so the
+// trailing epochs are empty and fill one at a time. Every Resume, with the
+// memo on and off, must be bit-identical to a cold evaluation, and an
+// epoch with no ratings must append its parent checkpoint itself while an
+// epoch with ratings never does.
+func TestLiveStreamMatchesCold(t *testing.T) {
+	const horizon = 300.0
+	n := epoch.Periods(horizon)
+	for _, seed := range []uint64{3, 11} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := stats.NewRNG(seed)
+			base := testDataset(t, seed, 2, horizon)
+			live := &dataset.Dataset{HorizonDays: horizon}
+			type pending struct {
+				product int
+				r       dataset.Rating
+			}
+			var stream []pending
+			for i, p := range base.Products {
+				mid, _ := p.Ratings.BetweenIndex(horizon/2, horizon)
+				live.Products = append(live.Products, dataset.Product{ID: p.ID, Ratings: p.Ratings[:mid].Clone(), Version: 1})
+				for _, r := range p.Ratings[mid:] {
+					stream = append(stream, pending{i, r})
+				}
+			}
+			slices.SortStableFunc(stream, func(a, b pending) int { return cmp.Compare(a.r.Day, b.r.Day) })
+
+			eng, cold := &Engine{Detect: detect.DefaultConfig()}, &Engine{Detect: detect.DefaultConfig()}
+			memoOn, memoOff := NewState(), NewState()
+			for batch := 0; ; batch++ {
+				want := mustEvaluate(t, cold, live)
+				label := fmt.Sprintf("batch %d, %d ratings left", batch, len(stream))
+				requireEqualResults(t, label+", memo on", mustResume(t, eng, memoOn, live), want)
+				requireEqualResults(t, label+", memo off", mustResume(t, eng, memoOff, unversioned(live)), want)
+				for ep := 0; ep < n; ep++ {
+					lo, hi := epoch.PeriodInterval(ep, horizon)
+					rated := false
+					for _, p := range live.Products {
+						from, to := p.Ratings.BetweenIndex(lo, hi)
+						rated = rated || from < to
+					}
+					for _, st := range []*EvalState{memoOn, memoOff} {
+						if shared := st.checkpoints[ep+1] == st.checkpoints[ep]; shared == rated {
+							t.Fatalf("%s: epoch %d (has ratings: %v) appends its parent checkpoint: %v", label, ep, rated, shared)
+						}
+					}
+				}
+				if len(stream) == 0 {
+					break
+				}
+				k := min(1+rng.IntN(32), len(stream))
+				for _, ins := range stream[:k] {
+					p := &live.Products[ins.product]
+					p.Ratings = p.Ratings.Insert(ins.r)
+					p.Version++
+				}
+				stream = stream[k:]
 			}
 		})
 	}

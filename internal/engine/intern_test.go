@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -110,61 +109,81 @@ func TestOrdinalsInvisible(t *testing.T) {
 	}
 }
 
-// TestHandedOutTrustImmutable reads a Result's trust from another goroutine
-// while later Resumes on the same state intern new raters (run it under
-// -race). The handed-out manager must stay race-free and its values must
-// never change.
+// TestHandedOutTrustImmutable reads every Result's trust from other
+// goroutines while later Resumes on the same state intern new raters (run
+// it under -race). Each later Resume forks the symbol table its earlier
+// Results read, sharing their read-only base, and together they add more
+// than a quarter of the table, so some fork's overlay passes 1/8 of its
+// base and is flattened into a new base. Every handed-out manager must
+// stay race-free and its values must never change.
 func TestHandedOutTrustImmutable(t *testing.T) {
 	const horizon = 150.0
+	const resumes = 8
 	d := versionedTestDataset(t, 5, 3, horizon)
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
 	st := NewState()
-	res := mustResume(t, eng, st, d)
-	trustOf := res.Trust
-	snap := trustOf.Snapshot()
-	probe := []string{snap[0].Rater, snap[len(snap)/2].Rater, "late-0", "late-5", "nobody"}
-	want := make([]float64, len(probe))
-	for i, id := range probe {
-		want[i] = trustOf.Trust(id)
-	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan string, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			for i, id := range probe {
-				if got := trustOf.Trust(id); math.Float64bits(got) != math.Float64bits(want[i]) {
-					select {
-					case errs <- fmt.Sprintf("Trust(%q) = %v, was %v", id, got, want[i]):
-					default:
+	fail := func(msg string) {
+		select {
+		case errs <- msg:
+		default:
+		}
+	}
+	type watched struct {
+		m    *trust.Manager
+		snap []trust.RaterTrust
+	}
+	var handed []watched
+	// watch reads m's trust of probe in a loop until done.
+	watch := func(m *trust.Manager, probe []string) {
+		snap := m.Snapshot()
+		handed = append(handed, watched{m, snap})
+		want := make([]float64, len(probe))
+		for i, id := range probe {
+			want[i] = m.Trust(id)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for i, id := range probe {
+					if got := m.Trust(id); math.Float64bits(got) != math.Float64bits(want[i]) {
+						fail(fmt.Sprintf("Trust(%q) = %v, was %v", id, got, want[i]))
+						return
 					}
+				}
+				if n := m.Len(); n != len(snap) {
+					fail(fmt.Sprintf("Len = %d, was %d", n, len(snap)))
 					return
 				}
-			}
-			if n := trustOf.Len(); n != len(snap) {
 				select {
-				case errs <- fmt.Sprintf("Len = %d, was %d", n, len(snap)):
+				case <-done:
+					return
 				default:
 				}
-				return
 			}
-			select {
-			case <-done:
-				return
-			default:
+		}()
+	}
+
+	snap := mustResume(t, eng, st, d).Trust.Snapshot()
+	base := st.syms.Len()
+	perResume := base/(4*resumes) + 2
+	late := 0
+	for i := 0; i <= resumes; i++ {
+		res := mustResume(t, eng, st, d)
+		watch(res.Trust, []string{snap[0].Rater, snap[len(snap)/2].Rater, "late-0", fmt.Sprintf("late-%d", late-1), fmt.Sprintf("late-%d", late), "nobody"})
+		if i == resumes {
+			break
+		}
+		for j := 0; j < perResume; j++ {
+			r := dataset.Rating{Day: horizon - 40 + 4*float64(i), Value: 1, Rater: fmt.Sprintf("late-%d", late)}
+			if err := touch(d, d.Products[late%3].ID, r); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	for i := 0; i < 8; i++ {
-		r := dataset.Rating{Day: horizon - 40 + 4*float64(i), Value: 1, Rater: fmt.Sprintf("late-%d", i)}
-		if err := touch(d, d.Products[i%3].ID, r); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Resume(context.Background(), st, d); err != nil {
-			t.Fatal(err)
+			late++
 		}
 	}
 	close(done)
@@ -174,37 +193,54 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 		t.Fatal("handed-out trust changed: " + e)
 	default:
 	}
-	requireEqualSnapshots(t, "after later Resumes", trustOf.Snapshot(), snap)
-	if got := st.syms.Len(); got < len(snap)+8 {
-		t.Fatalf("state interned %d raters, want at least %d: the later Resumes added none", got, len(snap)+8)
+	for k, h := range handed {
+		requireEqualSnapshots(t, fmt.Sprintf("Result %d after later Resumes", k), h.m.Snapshot(), h.snap)
+	}
+	if got := st.syms.Len(); got != base+late || 8*late <= 2*base {
+		t.Fatalf("state interned %d raters over a base of %d, %d of them late: want every late rater, more than a quarter of the base", got, base, late)
 	}
 }
 
 // TestReinternNamesEveryRating edits a series at random — inserts,
-// deletions, replacements, repeated raters — and requires the column
-// reintern builds for each version over one table to name each rating's
-// rater exactly.
+// deletions, replacements and truncations at its head, in its middle and
+// at its tail, with repeated raters — and requires the column reintern
+// builds for each version, keeping the previous column up to the first
+// rating that differs (firstChange), to name each rating's rater exactly.
+// The table is frozen now and then, as a Resume's managers freeze it, so
+// new raters also land in forks, and enough arrive to flatten overlays.
 func TestReinternNamesEveryRating(t *testing.T) {
 	rng := stats.NewRNG(17)
 	st := &EvalState{syms: trust.NewSymbols()}
-	rater := func() string { return fmt.Sprintf("r%d", rng.IntN(12)) }
+	rater := func() string { return fmt.Sprintf("r%d", rng.IntN(300)) }
 	var s dataset.Series
-	for step := 0; step < 500; step++ {
+	var col []uint32
+	for step := 0; step < 2000; step++ {
 		next := append(dataset.Series(nil), s...)
+		at := 0 // head
+		switch rng.IntN(3) {
+		case 1:
+			at = rng.IntN(len(next) + 1) // middle
+		case 2:
+			at = len(next) // tail
+		}
 		switch k := rng.IntN(4); {
-		case k == 0 || len(next) == 0:
-			at := rng.IntN(len(next) + 1)
+		case k == 0 || at == len(next):
 			next = append(next[:at], append(dataset.Series{{Rater: rater()}}, next[at:]...)...)
 		case k == 1:
-			at := rng.IntN(len(next))
 			next = append(next[:at], next[at+1:]...)
 		case k == 2:
-			next[rng.IntN(len(next))].Rater = rater()
+			next[at].Rater = rater()
 		default:
-			next = next[:rng.IntN(len(next)+1)]
+			next = next[:at]
 		}
-		s = next
-		col := st.reintern(s)
+		if step%7 == 0 {
+			trust.NewManager().CloneOver(st.syms)
+		}
+		k, _ := firstChange(s, next)
+		if k > len(col) || k > len(next) {
+			t.Fatalf("step %d: firstChange = %d for columns of %d and %d ratings", step, k, len(col), len(next))
+		}
+		s, col = next, st.reintern(next, col[:k])
 		if len(col) != len(s) {
 			t.Fatalf("step %d: column has %d ordinals for %d ratings", step, len(col), len(s))
 		}
@@ -213,5 +249,8 @@ func TestReinternNamesEveryRating(t *testing.T) {
 				t.Fatalf("step %d: rating %d of rater %s has ordinal %d, which names %s", step, j, s[j].Rater, o, got)
 			}
 		}
+	}
+	if st.syms.Len() < 250 {
+		t.Fatalf("table holds %d raters: the edits interned too few to flatten an overlay", st.syms.Len())
 	}
 }

@@ -255,6 +255,38 @@ func TestMidHistoryEditSparesOtherProducts(t *testing.T) {
 	}
 }
 
+// TestMemoHitEpochsFold re-runs epochs in which every product replays its
+// marks from the memo: the edited product's history ends in the edited
+// epoch and the others share none of its raters. Such an epoch still folds
+// its ratings into a fresh checkpoint (only an epoch with no ratings
+// shares its parent's), so the result must equal the reference.
+func TestMemoHitEpochsFold(t *testing.T) {
+	const horizon = 360.0
+	d := disjointDataset(3, 6, horizon)
+	p := &d.Products[1]
+	end, _ := p.Ratings.BetweenIndex(200, horizon)
+	p.Ratings = p.Ratings[:end:end]
+	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
+	st := NewState()
+	mustResume(t, eng, st, d)
+
+	s := p.Ratings.Clone()
+	i, _ := s.BetweenIndex(180, horizon)
+	s[i].Value = 1
+	p.Ratings = s
+	p.Version++
+	before := st.Stats()
+	requireEqualResults(t, "edit before memo-hit epochs", mustResume(t, eng, st, d), reference(t, d))
+	if n := st.Stats().MemoMisses - before.MemoMisses; n != 2 {
+		t.Fatalf("misses = %d, want 2 (the edited epoch and the final pass): the later epochs are not all hits", n)
+	}
+	for ep := epoch.PeriodOf(180, horizon); ep < epoch.Periods(horizon); ep++ {
+		if st.checkpoints[ep+1] == st.checkpoints[ep] {
+			t.Errorf("epoch %d has ratings but appends its parent checkpoint", ep)
+		}
+	}
+}
+
 // TestFingerprintCollisionNeverServed runs the equivalence property over
 // random touches and requires bit-identical output: no hash screens the
 // trust tier, so the exact record compare alone must reject every stale

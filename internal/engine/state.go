@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dataset"
@@ -164,24 +165,26 @@ type productState struct {
 // checkpoints the changes reach, and returns the ordinal columns. A
 // versioned product whose version is unchanged keeps its state; any other
 // (an unversioned product on every Resume) is compared with the series
-// its state was interned from, re-interned, its carry rewound to the
-// prefix it shares with the series (an unversioned product's is dropped)
-// and its memo entries dropped, counted as invalidated. The earliest day
+// its state was interned from and re-interned from the first rating that
+// differs, its carry rewound to the prefix it shares with the series (an
+// unversioned product's is dropped) and its memo entries dropped, counted
+// as invalidated. The earliest day
 // at which any compared series changed decides the cut: checkpoint e is
 // trust entering epoch e, which reads only ratings before day 30·e, so
 // every checkpoint past the epoch of that day is dropped and every earlier
 // one is kept. New raters extend the symbol table: the previous Resume's
-// managers read it, so the first new rater of a Resume copies its name
-// index (trust.Symbols.Intern), and a Result handed out earlier never sees
-// it written.
+// managers read it, so the first new rater of a Resume forks it
+// (trust.Symbols.Intern, O(new names)), and a Result handed out earlier
+// never sees it written.
 func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 	cols := make([][]uint32, len(d.Products))
 	changed := math.Inf(1)
 	for i := range d.Products {
 		p, ps := &d.Products[i], &st.prods[i]
 		if p.Version == 0 || ps.version != p.Version {
-			changed = min(changed, firstChange(ps.series, p.Ratings))
-			ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings)
+			k, day := firstChange(ps.series, p.Ratings)
+			changed = min(changed, day)
+			ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, ps.ords[:k])
 			st.stats.memoInvalidated.Add(ps.memo.drop())
 			if p.Version == 0 {
 				ps.carry = detect.Prefix{}
@@ -202,11 +205,11 @@ func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 	return cols
 }
 
-// firstChange returns the day from which s differs from old: at the first
-// index k where the two differ in Day bits, Value bits or Rater, or where
-// one of them ends, the earlier of their days at k. It returns +Inf when
-// the series are identical.
-func firstChange(old, s dataset.Series) float64 {
+// firstChange returns the first index k at which s differs from old in
+// Day bits, Value bits or Rater, or at which one of them ends, and the day
+// from which they differ: the earlier of their days at k, or +Inf when the
+// series are identical.
+func firstChange(old, s dataset.Series) (int, float64) {
 	k, n := 0, min(len(old), len(s))
 	for k < n && math.Float64bits(old[k].Day) == math.Float64bits(s[k].Day) &&
 		math.Float64bits(old[k].Value) == math.Float64bits(s[k].Value) &&
@@ -220,15 +223,19 @@ func firstChange(old, s dataset.Series) float64 {
 	if k < len(s) {
 		day = min(day, s[k].Day)
 	}
-	return day
+	return k, day
 }
 
-// reintern returns the ordinal column of s. A rater already in the table
-// keeps its ordinal; a new one extends the table.
-func (st *EvalState) reintern(s dataset.Series) []uint32 {
-	col := make([]uint32, len(s))
-	for j, r := range s {
-		st.syms, col[j] = st.syms.Intern(r.Rater)
+// reintern returns the ordinal column of s, given col, the column of a
+// series whose raters match s's on len(col) leading ratings: it keeps
+// col's ordinals and interns only the rest of s, in place. A
+// rater already in the table keeps its ordinal; a new one extends the
+// table.
+func (st *EvalState) reintern(s dataset.Series, col []uint32) []uint32 {
+	k := len(col)
+	col = slices.Grow(col, len(s)-k)[:len(s)]
+	for j := k; j < len(s); j++ {
+		st.syms, col[j] = st.syms.Intern(s[j].Rater)
 	}
 	return col
 }

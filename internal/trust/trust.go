@@ -6,6 +6,7 @@ package trust
 
 import (
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -31,54 +32,86 @@ func (r Record) Trust() float64 { return Beta(r.S, r.F) }
 // Symbols is an append-only table interning rater IDs as dense ordinals in
 // first-seen order, so trust, counts and caches can be keyed by a small
 // integer instead of a hashed ID. A table a Manager reads is frozen:
-// interning a new ID into it interns into a copy, so a manager handed to
-// another goroutine never sees its name index written.
+// interning a new ID into it interns into a fork, so a manager handed to
+// another goroutine never sees its name index written. Forks share a
+// read-only base of the first ordinals and own an overlay of the rest; a
+// fork copies only the overlay, or flattens both into a new base once the
+// overlay passes 1/8 of it, so forking costs O(new names), amortized.
 type Symbols struct {
-	names  []string          // ordinal → ID
-	ords   map[string]uint32 // ID → ordinal
-	shared atomic.Bool       // read by a Manager: Intern must copy
+	base    []string          // ordinals [0, len(base)), shared read-only
+	baseOrd map[string]uint32 // index of base, shared read-only
+	names   []string          // overlay: ordinals len(base) on
+	ords    map[string]uint32 // index of names
+	shared  atomic.Bool       // read by a Manager: Intern must fork
 }
 
 // NewSymbols returns an empty table.
 func NewSymbols() *Symbols { return &Symbols{ords: make(map[string]uint32)} }
 
 // Len returns the number of interned IDs; ordinals are [0, Len).
-func (t *Symbols) Len() int { return len(t.names) }
+func (t *Symbols) Len() int { return len(t.base) + len(t.names) }
 
 // Name returns the ID of ordinal o.
-func (t *Symbols) Name(o uint32) string { return t.names[o] }
+func (t *Symbols) Name(o uint32) string {
+	if int(o) < len(t.base) {
+		return t.base[o]
+	}
+	return t.names[int(o)-len(t.base)]
+}
+
+// lookup returns id's ordinal, if it is interned.
+func (t *Symbols) lookup(id string) (uint32, bool) {
+	if o, ok := t.baseOrd[id]; ok {
+		return o, true
+	}
+	o, ok := t.ords[id]
+	return o, ok
+}
 
 // Intern returns id's ordinal and the table that holds it: t, unless id is
-// new and t frozen, in which case a copy of t extended by id. Callers
+// new and t frozen, in which case a fork of t extended by id. Callers
 // replace their table with the returned one.
 func (t *Symbols) Intern(id string) (*Symbols, uint32) {
-	if o, ok := t.ords[id]; ok {
+	if o, ok := t.lookup(id); ok {
 		return t, o
 	}
 	if t.shared.Load() {
-		t = &Symbols{names: slices.Clone(t.names), ords: maps.Clone(t.ords)}
+		t = t.fork()
 	}
+	o := uint32(t.Len())
 	t.names = append(t.names, id)
-	t.ords[id] = uint32(len(t.names) - 1)
-	return t, uint32(len(t.names) - 1)
+	t.ords[id] = o
+	return t, o
+}
+
+// fork returns an unfrozen table holding t's IDs under t's ordinals.
+func (t *Symbols) fork() *Symbols {
+	if len(t.names) <= len(t.base)/8 {
+		return &Symbols{base: t.base, baseOrd: t.baseOrd, names: slices.Clone(t.names), ords: maps.Clone(t.ords)}
+	}
+	f := &Symbols{base: slices.Concat(t.base, t.names), baseOrd: make(map[string]uint32, t.Len()), ords: make(map[string]uint32)}
+	maps.Copy(f.baseOrd, t.baseOrd)
+	maps.Copy(f.baseOrd, t.ords)
+	return f
 }
 
 // Manager accumulates suspiciousness evidence per rater across trust epochs
 // (Procedure 1). Records are indexed by the rater's ordinal in the
-// manager's symbol table, so Clone is one copy. The zero value is not
-// usable; call NewManager.
+// manager's symbol table, 8 bytes each, so Clone is one small copy. Each
+// of a rater's two counts, S and F, is bounded by maxCount (2³²−2): an
+// Observe that would take one past it panics rather than wrap. The zero
+// value is not usable; call NewManager.
 type Manager struct {
 	syms *Symbols
 	recs []slot // by ordinal; ordinals past the end have no evidence
 	n    int    // slots with evidence
 }
 
-// slot is one ordinal's record; known tells a rater observed (even with no
-// ratings) from one this manager never saw.
-type slot struct {
-	rec   Record
-	known bool
-}
+const maxCount = math.MaxUint32 - 1
+
+// slot is one ordinal's record as integer counts: s is S+1 for a rater
+// observed (even with no ratings), 0 for one this manager never saw.
+type slot struct{ s, f uint32 }
 
 // NewManager returns an empty trust manager over its own symbol table.
 func NewManager() *Manager {
@@ -110,12 +143,14 @@ func (m *Manager) ObserveAt(o uint32, n, f int) {
 		m.recs = append(m.recs, make([]slot, int(o)+1-len(m.recs))...)
 	}
 	s := &m.recs[o]
-	if !s.known {
-		s.known = true
+	s1 := max(s.s, 1) // S+1
+	if uint64(s1)+uint64(n-f) > maxCount+1 || uint64(s.f)+uint64(f) > maxCount {
+		panic("trust: a rater's evidence count would pass 2^32-2")
+	}
+	if s.s == 0 {
 		m.n++
 	}
-	s.rec.F += float64(f)
-	s.rec.S += float64(n - f)
+	s.s, s.f = s1+uint32(n-f), s.f+uint32(f)
 }
 
 // Trust returns the current trust in rater id (InitialTrust when unknown:
@@ -127,7 +162,7 @@ func (m *Manager) TrustAt(o uint32) float64 { return m.RecordAt(o).Trust() }
 
 // Record returns the raw evidence for rater id.
 func (m *Manager) Record(id string) Record {
-	o, ok := m.syms.ords[id]
+	o, ok := m.syms.lookup(id)
 	if !ok {
 		return Record{}
 	}
@@ -136,8 +171,8 @@ func (m *Manager) Record(id string) Record {
 
 // RecordAt is Record for the rater with ordinal o.
 func (m *Manager) RecordAt(o uint32) Record {
-	if int(o) < len(m.recs) {
-		return m.recs[o].rec
+	if int(o) < len(m.recs) && m.recs[o].s != 0 {
+		return Record{S: float64(m.recs[o].s - 1), F: float64(m.recs[o].f)}
 	}
 	return Record{}
 }
@@ -150,8 +185,8 @@ func (m *Manager) Len() int { return m.n }
 func (m *Manager) Snapshot() []RaterTrust {
 	out := make([]RaterTrust, 0, m.n)
 	for o, s := range m.recs {
-		if s.known {
-			out = append(out, RaterTrust{Rater: m.syms.Name(uint32(o)), Trust: s.rec.Trust()})
+		if s.s != 0 {
+			out = append(out, RaterTrust{Rater: m.syms.Name(uint32(o)), Trust: m.RecordAt(uint32(o)).Trust()})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rater < out[j].Rater })

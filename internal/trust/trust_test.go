@@ -165,3 +165,34 @@ func TestObserveCommutativityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A count that would leave its 8-byte slot's range panics instead of
+// wrapping and leaves the manager as it was; a count at the bound is kept
+// exactly.
+func TestManagerCountBound(t *testing.T) {
+	m := NewManager()
+	m.Observe("s", maxCount, 0)
+	m.Observe("f", maxCount, maxCount)
+	if got := m.Record("s"); got != (Record{S: maxCount}) {
+		t.Fatalf("Record at the S bound = %+v, want S=%d", got, uint64(maxCount))
+	}
+	if got := m.Record("f"); got != (Record{F: maxCount}) {
+		t.Fatalf("Record at the F bound = %+v, want F=%d", got, uint64(maxCount))
+	}
+	for _, c := range []struct {
+		id   string
+		n, f int
+	}{{"s", 1, 0}, {"f", 1, 1}, {"fresh", maxCount + 1, 0}, {"fresh", maxCount + 1, maxCount + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Observe(%q, %d, %d) past the bound did not panic", c.id, c.n, c.f)
+				}
+			}()
+			m.Observe(c.id, c.n, c.f)
+		}()
+	}
+	if got := m.Record("s"); got != (Record{S: maxCount}) || m.Len() != 2 {
+		t.Fatalf("a refused Observe changed the manager: Record(s) = %+v, Len = %d", got, m.Len())
+	}
+}
