@@ -493,6 +493,25 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			prod.Ratings = base
 		}
 	})
+	// restored: a restarted service's first report. Each iteration
+	// restores one fixed image (the signals tiers of a cold state) into a
+	// fresh state and resumes it: every epoch and the final pass re-run
+	// with every detector signal reused, so only Decide, the folds and
+	// Eq. 7 execute. Every iteration does the same work.
+	b.Run("restored", func(b *testing.B) {
+		st := engine.NewState()
+		eng.Resume(context.Background(), st, d)
+		img := st.Image()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st := engine.NewState()
+			if _, _, err := eng.Restore(st, d, img); err != nil {
+				b.Fatal(err)
+			}
+			eng.Resume(context.Background(), st, d)
+		}
+	})
 }
 
 // BenchmarkEvaluateParallel measures the same cold evaluation with the

@@ -1,0 +1,253 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/detect"
+	"repro/internal/epoch"
+)
+
+// coldImage evaluates d cold on a fresh state and returns its image.
+func coldImage(t *testing.T, e *Engine, d *dataset.Dataset) []byte {
+	t.Helper()
+	st := NewState()
+	mustResume(t, e, st, d)
+	img := st.Image()
+	if img == nil {
+		t.Fatal("an evaluated state encoded no image")
+	}
+	return img
+}
+
+// requireEntriesMatchSeries checks the memo contract a restore must keep:
+// every valid entry describes the product's current series, an epoch
+// entry the prefix [0, hi) and the final entry the whole series.
+func requireEntriesMatchSeries(t *testing.T, label string, st *EvalState, d *dataset.Dataset) {
+	t.Helper()
+	for i := range st.prods {
+		s, m := d.Products[i].Ratings, &st.prods[i].memo
+		for ep, ent := range m.epochs {
+			_, hi := epoch.PeriodInterval(ep, d.HorizonDays)
+			if start, end := s.BetweenIndex(0, hi); ent.valid && ent.prefixLen != end-start {
+				t.Fatalf("%s: product %d epoch %d entry covers %d ratings, [0, %v) holds %d", label, i, ep, ent.prefixLen, hi, end-start)
+			}
+		}
+		if m.final.valid && m.final.n != len(s) {
+			t.Fatalf("%s: product %d final entry covers %d ratings, the series holds %d", label, i, m.final.n, len(s))
+		}
+	}
+}
+
+// TestImageRestoreMatchesCold restores a cold state's image into a fresh
+// state: every product is restored, the Resume after it recomputes no
+// detector signal, its result equals a cold evaluation bit for bit, and
+// the state then re-encodes the very same image.
+func TestImageRestoreMatchesCold(t *testing.T) {
+	e := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
+	d := versionedTestDataset(t, 41, 5, 300)
+	img := coldImage(t, e, d)
+
+	st := NewState()
+	k, exact, err := e.Restore(st, d, img)
+	if err != nil || k != len(d.Products) || !exact {
+		t.Fatalf("Restore = %d, %v, %v; want %d, true, nil", k, exact, err, len(d.Products))
+	}
+	requireEntriesMatchSeries(t, "restored", st, d)
+	res := mustResume(t, e, st, d)
+	requireEqualResults(t, "restored", res, reference(t, d))
+	stats := st.Stats()
+	if stats.Restored != uint64(len(d.Products)) || stats.SignalMisses != 0 || stats.MemoHits != 0 {
+		t.Fatalf("stats after a restored Resume: %+v; want every product restored, no signal recomputed and no trust-tier hit", stats)
+	}
+	if again := st.Image(); !bytes.Equal(again, img) {
+		t.Fatalf("the restored state re-encodes %d bytes, not the %d-byte image it restored", len(again), len(img))
+	}
+	// One more submit to a restored product: its empty carry is rebuilt.
+	if err := touch(d, d.Products[0].ID, dataset.Rating{Day: 75, Value: 1, Rater: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	requireEqualResults(t, "submit after restore", mustResume(t, e, st, d), reference(t, d))
+}
+
+// TestImageRestoreStale restores an image into data that moved on after it
+// was written. A product whose leading ratings still match keeps exactly
+// the entries whose prefix is unchanged; any other product is evaluated
+// cold; and every Resume equals a cold evaluation.
+func TestImageRestoreStale(t *testing.T) {
+	e := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
+	base := versionedTestDataset(t, 43, 4, 300)
+	img := coldImage(t, e, base)
+	edits := []struct {
+		name     string
+		edit     func(d *dataset.Dataset)
+		restored int
+	}{
+		{"tail rating", func(d *dataset.Dataset) {
+			s := d.Products[1].Ratings
+			touch(d, d.Products[1].ID, dataset.Rating{Day: (s[len(s)-1].Day + d.HorizonDays) / 2, Value: 5, Rater: "tail"})
+		}, 4},
+		{"mid-history rating", func(d *dataset.Dataset) {
+			touch(d, d.Products[1].ID, dataset.Rating{Day: 100, Value: 0.5, Rater: "mid"})
+		}, 3},
+		{"same length, one value changed", func(d *dataset.Dataset) {
+			p := &d.Products[0]
+			p.Ratings = append(dataset.Series(nil), p.Ratings...)
+			j := len(p.Ratings) / 2
+			p.Ratings[j].Value = 5 - p.Ratings[j].Value
+			p.Version++
+		}, 3},
+		{"same length, one rater changed", func(d *dataset.Dataset) {
+			p := &d.Products[2]
+			p.Ratings = append(dataset.Series(nil), p.Ratings...)
+			p.Ratings[3].Rater = "someone-else"
+			p.Version++
+		}, 3},
+		{"every product shorter", func(d *dataset.Dataset) {
+			for i := range d.Products {
+				p := &d.Products[i]
+				p.Ratings = p.Ratings[:len(p.Ratings)-1]
+				p.Version++
+			}
+		}, 0},
+	}
+	for _, tc := range edits {
+		d := base.Clone()
+		tc.edit(d)
+		st := NewState()
+		k, exact, err := e.Restore(st, d, img)
+		if err != nil || k != tc.restored || exact {
+			t.Fatalf("%s: Restore = %d, %v, %v; want %d, false, nil", tc.name, k, exact, err, tc.restored)
+		}
+		requireEntriesMatchSeries(t, tc.name, st, d)
+		requireEqualResults(t, tc.name, mustResume(t, e, st, d), reference(t, d))
+		if err := touch(d, d.Products[1].ID, dataset.Rating{Day: 150, Value: 4, Rater: "after"}); err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResults(t, tc.name+", then a submit", mustResume(t, e, st, d), reference(t, d))
+	}
+}
+
+// TestImageRefused checks that an image Restore must not use is an error
+// that leaves the state untouched: another engine configuration, horizon
+// or product list, a flipped byte, a truncation, trailing bytes or an
+// unknown format version.
+func TestImageRefused(t *testing.T) {
+	e := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
+	d := versionedTestDataset(t, 47, 3, 120)
+	img := coldImage(t, e, d)
+
+	other := *e
+	other.Detect.HCWindowRatings++
+	noFilter := *e
+	noFilter.DisableFilter = true
+	shorter := d.Clone()
+	shorter.HorizonDays = 119
+	renamed := d.Clone()
+	renamed.Products[2].ID = "other"
+	flipped := bytes.Clone(img)
+	flipped[len(flipped)/2] ^= 1
+	version := bytes.Clone(img)
+	binary.LittleEndian.PutUint32(version[4:], imageVersion+1)
+	cases := []struct {
+		name string
+		e    *Engine
+		d    *dataset.Dataset
+		img  []byte
+	}{
+		{"detector config", &other, d, img},
+		{"filter ablation", &noFilter, d, img},
+		{"horizon", e, shorter, img},
+		{"product list", e, renamed, img},
+		{"flipped byte", e, d, flipped},
+		{"truncated", e, d, img[:len(img)-1]},
+		{"trailing byte", e, d, append(bytes.Clone(img), 0)},
+		{"format version", e, d, version},
+		{"empty", e, d, nil},
+	}
+	for _, tc := range cases {
+		st := NewState()
+		if k, _, err := tc.e.Restore(st, tc.d, tc.img); err == nil {
+			t.Fatalf("%s: Restore accepted the image (%d products)", tc.name, k)
+		}
+		if st.CompletedEpochs() != 0 || st.prods != nil || st.Stats().Restored != 0 {
+			t.Fatalf("%s: a refused image changed the state", tc.name)
+		}
+	}
+}
+
+// FuzzEngineImage feeds arbitrary bytes to Restore, and to the decoder
+// behind a valid header and checksum, so the payload decoder is explored
+// too. Nothing may panic or allocate past its input; an image Restore
+// accepts must leave a Resume that equals a cold evaluation bit for bit
+// and must re-encode byte for byte. The seeds are real images: of the
+// fuzz dataset, of an edited copy, and cut short.
+func FuzzEngineImage(f *testing.F) {
+	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
+	base := fuzzEditDataset()
+	st := NewState()
+	if _, err := eng.Resume(context.Background(), st, base); err != nil {
+		f.Fatal(err)
+	}
+	img := st.Image()
+	f.Add(img)
+	f.Add(img[imageHeaderSize:])
+	f.Add(img[:len(img)/3])
+	edited := base.Clone()
+	edited.Products[1].Ratings = edited.Products[1].Ratings.Insert(dataset.Rating{Day: 20, Value: 1, Rater: "x"})
+	edited.Products[1].Version++
+	if _, err := eng.Resume(context.Background(), st, edited); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(st.Image())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := base.Clone()
+		st := NewState()
+		if _, _, err := eng.Restore(st, d, data); err == nil {
+			requireEqualResults(t, "accepted image", mustResume(t, eng, st, d), reference(t, d))
+			if img, _ := decodeImage(data); !bytes.Equal(img.encode(), data) {
+				t.Fatalf("an accepted %d-byte image does not re-encode byte for byte", len(data))
+			}
+		}
+		framed := make([]byte, imageHeaderSize, imageHeaderSize+len(data))
+		copy(framed, imageMagic)
+		binary.LittleEndian.PutUint32(framed[4:], imageVersion)
+		binary.LittleEndian.PutUint32(framed[8:], crc32.ChecksumIEEE(data))
+		decodeImage(append(framed, data...))
+	})
+}
+
+// TestFingerprintCoversEveryField flips each detector config field and
+// each ablation flag in turn: every flip must change the fingerprint, and
+// the pool width must not.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	base := Engine{Detect: detect.DefaultConfig()}
+	want := fingerprint(base)
+	w := base
+	w.Workers = 8
+	if fingerprint(w.key()) != want {
+		t.Fatal("the pool width changed the fingerprint")
+	}
+	flips := []func(*Engine){
+		func(e *Engine) { e.DisableFilter = true },
+		func(e *Engine) { e.DisableTrustWeighting = true },
+		func(e *Engine) { e.Detect.MCThreshold1 = math.Nextafter(e.Detect.MCThreshold1, 10) },
+		func(e *Engine) { e.Detect.METhreshold = math.Nextafter(e.Detect.METhreshold, 10) },
+		func(e *Engine) { e.Detect.MEMethod++ },
+		func(e *Engine) { e.Detect.HCStepRatings++ },
+		func(e *Engine) { e.Detect.ARCRelDelta = math.Copysign(0, -1) },
+	}
+	for i, flip := range flips {
+		e := base
+		flip(&e)
+		if fingerprint(e) == want {
+			t.Fatalf("flip %d left the fingerprint unchanged", i)
+		}
+	}
+}

@@ -82,9 +82,14 @@ type memoEntry struct {
 
 // finalEntry caches one product's uncheckpointed final pass (stages 3+4):
 // the full series' signals tier and, against the *final* trust, its marks
-// and Eq. 7 scores. Its key is the series length, len(marks).
+// and Eq. 7 scores. Its key is the series length n.
+//
+// An entry restored from an engine image (image.go), epoch or final, is
+// signals-only: it has no under and no marks, and its trust tier never
+// hits.
 type finalEntry struct {
 	valid  bool
+	n      int
 	pre    prefixSignals
 	under  *trust.Manager // final trust the entry was decided under
 	marks  []bool         // never aliased by served results
@@ -125,6 +130,9 @@ func trustRecordsMatch(mgr *trust.Manager, raters []uint32, under *trust.Manager
 	if mgr == under {
 		return true
 	}
+	if under == nil {
+		return false // a signals-only entry
+	}
 	for _, o := range raters {
 		rec, was := mgr.RecordAt(o), under.RecordAt(o)
 		if math.Float64bits(rec.S) != math.Float64bits(was.S) ||
@@ -153,7 +161,7 @@ func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager) ([]boo
 // never alias cache memory — callers own what Resume returns).
 func (m *productMemo) finalHit(ords []uint32, mgr *trust.Manager) ([]bool, []float64, bool) {
 	ent := &m.final
-	if !ent.valid || len(ent.marks) != len(ords) || !trustRecordsMatch(mgr, ords, ent.under) {
+	if !ent.valid || ent.n != len(ords) || !trustRecordsMatch(mgr, ords, ent.under) {
 		return nil, nil, false
 	}
 	ent.under = mgr
@@ -196,7 +204,7 @@ func (m *productMemo) epochSignals(ep, n int, hi float64) signalReuse {
 // tier, else the newest epoch entry's (its prefix is the longest cached;
 // it is the whole series when no rating lies past its epoch).
 func (m *productMemo) finalSignals(n int, horizon float64) signalReuse {
-	if ent := &m.final; ent.valid && len(ent.marks) == n {
+	if ent := &m.final; ent.valid && ent.n == n {
 		return reuseSignals(true, n, n, ent.pre, horizon)
 	}
 	for ep := len(m.epochs) - 1; ep >= 0; ep-- {
@@ -227,6 +235,7 @@ func newEpochEntry(ords []uint32, pre prefixSignals, mgr *trust.Manager, marks [
 func newFinalEntry(pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
 	return finalEntry{
 		valid:  true,
+		n:      len(marks),
 		pre:    pre,
 		under:  mgr,
 		marks:  append([]bool(nil), marks...),

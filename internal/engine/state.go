@@ -72,6 +72,7 @@ type counters struct {
 	analyzed, skipped                     atomic.Uint64
 	memoHits, memoMisses, memoInvalidated atomic.Uint64
 	signalHits, signalMisses              atomic.Uint64
+	restored                              atomic.Uint64
 }
 
 // countSignals counts the signals-tier lookup behind one trust-tier miss:
@@ -110,6 +111,9 @@ type Stats struct {
 	SignalHits uint64
 	// SignalMisses counts signal parts a memo miss recomputed.
 	SignalMisses uint64
+	// Restored counts products whose signals tiers came from an engine
+	// image (Engine.Restore).
+	Restored uint64
 }
 
 // Stats returns a snapshot of the work counted on this state. It is safe
@@ -124,6 +128,7 @@ func (st *EvalState) Stats() Stats {
 		MemoInvalidated: c.memoInvalidated.Load(),
 		SignalHits:      c.signalHits.Load(),
 		SignalMisses:    c.signalMisses.Load(),
+		Restored:        c.restored.Load(),
 	}
 }
 

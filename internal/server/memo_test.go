@@ -70,6 +70,7 @@ var engineCounters = []string{
 	"engine_memo_hits", "engine_memo_misses", "engine_memo_invalidated",
 	"engine_signal_hits", "engine_signal_misses",
 	"engine_products_analyzed_total", "engine_products_skipped_total",
+	"engine_image_restored_products_total",
 }
 
 // scrapeEngine reads the engine_* counters from the handler's /metrics.

@@ -126,6 +126,8 @@ func (s *Service) EnableMetrics(reg *obs.Registry) {
 		func() float64 { return float64(st.Stats().Analyzed) })
 	reg.CounterFunc("engine_products_skipped_total", "Detector-pool analyses abandoned because the evaluation was cancelled.",
 		func() float64 { return float64(st.Stats().Skipped) })
+	reg.CounterFunc("engine_image_restored_products_total", "Products whose detector signals were restored from the engine image.",
+		func() float64 { return float64(st.Stats().Restored) })
 	s.store.EnableMetrics(reg)
 }
 

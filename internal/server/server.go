@@ -89,6 +89,13 @@ type Service struct {
 	// was computed for, or was last attempted for when that attempt failed
 	// outright; 0 before the first recompute, which the store never reports.
 	covered uint64
+	// imgRead is set once the first recompute after a durable open has
+	// tried to restore engState from the engine image (engineImage);
+	// imgGen is the store generation at which the image on disk held
+	// exactly engState's signals tiers (0: none), so a Close at it writes
+	// nothing.
+	imgRead bool
+	imgGen  uint64
 
 	// Degradation: when a recompute panics, cached holds the last good
 	// table, stale is set, and staleErr records the cause until a later
@@ -226,10 +233,53 @@ func (s *Service) Checkpoint(ctx context.Context) error {
 	return s.store.Checkpoint(ctx)
 }
 
+// engineImage is the file beside the WAL manifest that carries the
+// P-scheme engine's signals tiers across restarts: a cache, never a source
+// of truth (engine.Restore).
+const engineImage = "engine.img"
+
 // Close flushes and closes every shard WAL (if any). The service rejects
-// further durable submissions afterwards.
+// further durable submissions afterwards. A durable P-scheme service then
+// writes its engine image, unless the one on disk holds exactly its state;
+// a failed write is only logged: the next open evaluates cold.
 func (s *Service) Close() error {
-	return s.store.Close()
+	var img []byte
+	s.mu.Lock()
+	_, pScheme := s.scheme.(*agg.PScheme)
+	if gen := s.store.Generation(); pScheme && s.store.Durable() && gen != s.imgGen {
+		s.imgGen, img = gen, s.engState.Image()
+	}
+	s.mu.Unlock()
+	err := s.store.Close()
+	if img != nil {
+		if werr := s.store.WriteFile(engineImage, img); werr != nil {
+			s.logf("server: engine image not written, the next start evaluates cold: %v", werr)
+		}
+	}
+	return err
+}
+
+// restoreImageLocked seeds engState from the engine image for the first
+// evaluation of d, the cut at generation gen, and logs the outcome. A
+// missing, unreadable, foreign or corrupt image means a cold evaluation.
+// Callers must hold the write lock.
+func (s *Service) restoreImageLocked(e *engine.Engine, d *dataset.Dataset, gen uint64) {
+	data, ok, err := s.store.ReadFile(engineImage)
+	k, exact := 0, false
+	if err == nil && ok {
+		k, exact, err = e.Restore(s.engState, d, data)
+	}
+	switch {
+	case err != nil:
+		s.logf("server: engine image ignored, evaluating cold: %v", err)
+	case !ok:
+		s.logf("server: engine image absent, evaluating cold")
+	default:
+		s.logf("server: engine image: restored %d of %d products", k, len(d.Products))
+	}
+	if exact {
+		s.imgGen = gen
+	}
 }
 
 // Ready reports whether the service is fully healthy: no shard WAL (if
@@ -441,7 +491,7 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 		return nil
 	}
 	evalStart := time.Now()
-	table, pRes, err := s.evaluateLocked(ctx, s.store.View())
+	table, pRes, err := s.evaluateLocked(ctx, s.store.View(), gen)
 	s.evalSeconds.Observe(time.Since(evalStart).Seconds())
 	if err != nil && ctx.Err() != nil {
 		return err
@@ -464,8 +514,10 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 	return nil
 }
 
-// evaluateLocked runs the scheme over the cut's combined dataset d,
-// converting a panic into an error. Callers must hold the write lock.
+// evaluateLocked runs the scheme over the cut's combined dataset d, taken
+// at generation gen, converting a panic into an error. Callers must hold
+// the write lock. The first P-scheme evaluation after a durable open
+// restores the engine image first (restoreImageLocked).
 // Under the P-scheme it resumes the epoch-checkpointed engine: the cut's
 // dataset is rebuilt from shard partitions each time, but it carries the
 // same product list and horizon, so the engine keeps its state, finds the
@@ -473,7 +525,7 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 // reuses every epoch before it from the previous evaluation's checkpoints
 // — steady-state recompute cost is proportional to the changed epoch
 // suffix plus one final per-product pass, not the full history.
-func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset) (table agg.Table, pRes *agg.Result, err error) {
+func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset, gen uint64) (table agg.Table, pRes *agg.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			table, pRes = nil, nil
@@ -481,6 +533,10 @@ func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset) (table
 		}
 	}()
 	if p, ok := s.scheme.(*agg.PScheme); ok {
+		if !s.imgRead && s.store.Durable() {
+			s.imgRead = true
+			s.restoreImageLocked(p.Engine(), d, gen)
+		}
 		res, rerr := p.Engine().Resume(ctx, s.engState, d)
 		if rerr != nil {
 			return nil, nil, rerr

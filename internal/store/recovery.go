@@ -156,6 +156,7 @@ func Open(horizonDays float64, products []string, opts Options) (*Store, *Recove
 	if err != nil {
 		return nil, nil, err
 	}
+	st.base = fsys
 	return st, report, nil
 }
 

@@ -100,6 +100,8 @@ type Store struct {
 	// gen counts the changes applied to the rating state: it starts at 1
 	// and is bumped after every applied submit and every Load.
 	gen atomic.Uint64
+	// base is the WAL base directory (nil in memory), set by Open.
+	base wal.FS
 }
 
 // New creates an in-memory (non-durable) sharded store.
@@ -441,6 +443,31 @@ func (st *Store) Close() error {
 		}
 	}
 	return first
+}
+
+// ReadFile returns the named file beside the manifest in the WAL base
+// directory; ok is false when it is absent or the store is in memory.
+// The store itself never reads such a file.
+func (st *Store) ReadFile(name string) (data []byte, ok bool, err error) {
+	st.mu.RLock()
+	base := st.base
+	st.mu.RUnlock()
+	if base == nil {
+		return nil, false, nil
+	}
+	return wal.ReadFile(base, name)
+}
+
+// WriteFile atomically replaces the named file beside the manifest
+// (through name.tmp, fsynced, then renamed). It is a no-op in memory.
+func (st *Store) WriteFile(name string, data []byte) error {
+	st.mu.RLock()
+	base := st.base
+	st.mu.RUnlock()
+	if base == nil {
+		return nil
+	}
+	return wal.WriteFileAtomic(base, name+".tmp", name, data, name)
 }
 
 // Durable reports whether the store writes a WAL.

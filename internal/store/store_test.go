@@ -555,3 +555,58 @@ func TestViewRegistrationOrder(t *testing.T) {
 		t.Fatalf("earlier view grew from %d to %d ratings: snapshot is not stable", before, got)
 	}
 }
+
+// TestBaseFile pins the store's one named file beside the manifest: Open
+// ignores it, so a directory holding only that file opens as fresh (never
+// as the legacy layout); WriteFile replaces it atomically through a
+// synced temporary file, and a failed sync leaves the previous contents;
+// an in-memory store reads nothing and writes nothing.
+func TestBaseFile(t *testing.T) {
+	products := testProducts(3)
+	fs := faultfs.New()
+	fs.WriteFile("engine.img", []byte("cached"))
+	st, rep, err := Open(90, products, Options{FS: fs})
+	if err != nil {
+		t.Fatalf("a directory holding only engine.img did not open as fresh: %v", err)
+	}
+	if rep.SnapshotRatings+rep.ReplayedRatings != 0 {
+		t.Fatalf("fresh open recovered %+v", rep)
+	}
+	if m, err := wal.ReadManifest(fs); err != nil || m == nil {
+		t.Fatalf("fresh open wrote no manifest: %+v, %v", m, err)
+	}
+	if data, ok, err := st.ReadFile("engine.img"); err != nil || !ok || string(data) != "cached" {
+		t.Fatalf("ReadFile = %q, %v, %v", data, ok, err)
+	}
+	if _, ok, err := st.ReadFile("absent"); ok || err != nil {
+		t.Fatalf("ReadFile of an absent file = %v, %v", ok, err)
+	}
+	if err := st.WriteFile("engine.img", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fs.CrashImage().ReadFile("engine.img"); string(got) != "new" {
+		t.Fatalf("after WriteFile a power loss leaves %q", got)
+	}
+	fs.FailSyncsAfter(0)
+	if err := st.WriteFile("engine.img", []byte("lost")); err == nil {
+		t.Fatal("WriteFile succeeded with every fsync failing")
+	}
+	fs.ClearFaults()
+	if got, _ := fs.ReadFile("engine.img"); string(got) != "new" {
+		t.Fatalf("a failed WriteFile left %q", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mem, err := New(90, products, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.WriteFile("engine.img", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := mem.ReadFile("engine.img"); ok || err != nil {
+		t.Fatalf("in-memory ReadFile = %v, %v", ok, err)
+	}
+}

@@ -68,33 +68,47 @@ func ReadManifest(fsys FS) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest durably publishes the shard manifest: write to a temporary
-// file, fsync, then atomically rename into place. A crash leaves either no
-// manifest (the directory reads as fresh) or a complete one.
+// WriteManifest durably publishes the shard manifest (WriteFileAtomic).
+// A crash leaves either no manifest (the directory reads as fresh) or a
+// complete one.
 func WriteManifest(fsys FS, m Manifest) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("wal: encode manifest: %w", err)
 	}
-	f, err := fsys.Create(manifestTmp)
+	return WriteFileAtomic(fsys, manifestTmp, manifestName, append(data, '\n'), "manifest")
+}
+
+// WriteFileAtomic publishes data as name: write it to tmp, fsync, close,
+// then rename tmp over name (FS.Rename is atomic and durable). A crash
+// leaves the old name or the new one, never a torn file. what names the
+// file in errors.
+func WriteFileAtomic(fsys FS, tmp, name string, data []byte, what string) error {
+	f, err := fsys.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("wal: create manifest tmp: %w", err)
+		return fmt.Errorf("wal: create %s tmp: %w", what, err)
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: write manifest: %w", err)
+		return fmt.Errorf("wal: write %s: %w", what, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: sync manifest: %w", err)
+		return fmt.Errorf("wal: sync %s: %w", what, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close manifest: %w", err)
+		return fmt.Errorf("wal: close %s: %w", what, err)
 	}
-	if err := fsys.Rename(manifestTmp, manifestName); err != nil {
-		return fmt.Errorf("wal: publish manifest: %w", err)
+	if err := fsys.Rename(tmp, name); err != nil {
+		return fmt.Errorf("wal: publish %s: %w", what, err)
 	}
 	return nil
+}
+
+// ReadFile returns the whole of name, or ok = false when it does not
+// exist.
+func ReadFile(fsys FS, name string) (data []byte, ok bool, err error) {
+	return readImage(fsys, name, name)
 }
 
 // HasLegacyState reports whether the base directory holds the

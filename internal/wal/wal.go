@@ -474,23 +474,8 @@ func (w *WAL) Compact(d *dataset.Dataset) error {
 	if err != nil {
 		return fmt.Errorf("wal: encode snapshot: %w", err)
 	}
-	f, err := w.fs.Create(snapshotTmp)
-	if err != nil {
-		return fmt.Errorf("wal: create snapshot tmp: %w", err)
-	}
-	if _, err := f.Write(img); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close snapshot: %w", err)
-	}
-	if err := w.fs.Rename(snapshotTmp, snapshotName); err != nil {
-		return fmt.Errorf("wal: publish snapshot: %w", err)
+	if err := WriteFileAtomic(w.fs, snapshotTmp, snapshotName, img, "snapshot"); err != nil {
+		return err
 	}
 	if err := w.fs.Truncate(logName, 0); err != nil {
 		// The snapshot is already live; a fat log only costs replay time
