@@ -501,12 +501,12 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 	b.Run("restored", func(b *testing.B) {
 		st := engine.NewState()
 		eng.Resume(context.Background(), st, d)
-		img := st.Image()
+		img := st.Image(context.Background())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st := engine.NewState()
-			if _, _, err := eng.Restore(st, d, img); err != nil {
+			if _, _, err := eng.Restore(context.Background(), st, d, img); err != nil {
 				b.Fatal(err)
 			}
 			eng.Resume(context.Background(), st, d)

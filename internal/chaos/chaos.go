@@ -408,12 +408,11 @@ func survivingRatings(image *faultfs.FS) (map[string]bool, error) {
 	}
 	out := make(map[string]bool)
 	for _, fsys := range streams {
-		w, rec, err := wal.Open(fsys, wal.Options{})
+		w, _, err := wal.Open(fsys, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) {
+			out[key(r.Product, r.Rater)] = true
+		}))
 		if err != nil {
 			return nil, err
-		}
-		for _, r := range rec.Records {
-			out[key(r.Product, r.Rater)] = true
 		}
 		w.Close()
 	}
@@ -484,27 +483,29 @@ func replayReference(image *faultfs.FS, opts Options) (*server.Service, error) {
 	n := 0
 	ctx := context.Background()
 	for _, fsys := range streams {
-		w, rec, err := wal.Open(fsys, wal.Options{})
+		var replayErr error
+		w, _, err := wal.Open(fsys, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) {
+			// Duplicates (snapshot + unrotated log overlap) and validation
+			// rejects mirror the recovery path's own skip rules; any true
+			// divergence surfaces as a score mismatch in the audit.
+			if replayErr != nil || svc.Submit(ctx, r.Product, r.Rater, r.Value, r.Day) != nil {
+				return
+			}
+			if n++; n%replayEvalEvery == 0 {
+				if _, err := svc.Scores(ctx, r.Product); err != nil {
+					replayErr = fmt.Errorf("clean replay: scores(%s): %v", r.Product, err)
+				}
+			}
+		}))
 		if err != nil {
 			svc.Close()
 			return nil, fmt.Errorf("read crash image: %v", err)
 		}
-		for _, r := range rec.Records {
-			// Duplicates (snapshot + unrotated log overlap) and validation
-			// rejects mirror the recovery path's own skip rules; any true
-			// divergence surfaces as a score mismatch in the audit.
-			if err := svc.Submit(ctx, r.Product, r.Rater, r.Value, r.Day); err != nil {
-				continue
-			}
-			if n++; n%replayEvalEvery == 0 {
-				if _, err := svc.Scores(ctx, r.Product); err != nil {
-					w.Close()
-					svc.Close()
-					return nil, fmt.Errorf("clean replay: scores(%s): %v", r.Product, err)
-				}
-			}
-		}
 		w.Close()
+		if replayErr != nil {
+			svc.Close()
+			return nil, replayErr
+		}
 	}
 	return svc, nil
 }

@@ -1,15 +1,17 @@
 package engine
 
 import (
-	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"math"
 	"reflect"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -25,11 +27,11 @@ import (
 //
 // The payload is the engine-key fingerprint and the horizon bits, then per
 // product its ID, the length N of the series its entries were recorded
-// against, the SHA-256 of those N ratings (seriesDigest; a collidable
+// against, the SHA-256 of those N ratings (seriesHash; a collidable
 // digest would let an attacker replay stale signals) and its entries:
 // (epoch, prefix length, arcHi, detect.Signals), the final entry under
 // epoch index = the period count. Slices are a u32 count, then their
-// elements in encoding/binary's packed layout (imageCodec).
+// elements field after field with no padding (imageCodec).
 const (
 	imageMagic      = "RENG"
 	imageVersion    = 1
@@ -58,24 +60,25 @@ type imageEntry struct {
 	sig detect.Signals
 }
 
-// entryHead is an entry's fixed-size part, coded in one binary call.
+// entryHead is an entry's fixed-size part.
 type entryHead struct {
 	Epoch, N uint32
 	ArcHi    float64
 }
 
 // Image encodes st's signals tiers, or returns nil when st holds no
-// evaluation.
-func (st *EvalState) Image() []byte {
+// evaluation or ctx is cancelled first. The series digests run ahead of
+// the encoding on GOMAXPROCS-wide helpers, the default pool width
+// (forEachDigest).
+func (st *EvalState) Image(ctx context.Context) []byte {
 	if len(st.checkpoints) == 0 {
 		return nil
 	}
 	img := image{fingerprint(st.config), st.horizon, make([]imageProduct, len(st.prods))}
-	var buf []byte
-	for i := range st.prods {
+	series := func(i int) dataset.Series { return st.prods[i].series }
+	err := forEachDigest(ctx, st.config.workers(), len(st.prods), series, func(i int, sum [32]byte) {
 		ps, ip := &st.prods[i], &img.prods[i]
-		ip.id, ip.n = st.products[i], uint32(len(ps.series))
-		ip.digest, buf = seriesDigest(ps.series, buf)
+		ip.id, ip.n, ip.digest = st.products[i], uint32(len(ps.series)), sum
 		for ep, ent := range ps.memo.epochs {
 			if ent.valid {
 				ip.entries = append(ip.entries, imageEntry{entryHead{uint32(ep), uint32(ent.prefixLen), ent.pre.arcHi}, ent.pre.sig})
@@ -84,6 +87,9 @@ func (st *EvalState) Image() []byte {
 		if f := &ps.memo.final; f.valid {
 			ip.entries = append(ip.entries, imageEntry{entryHead{uint32(len(st.published)), uint32(f.n), f.pre.arcHi}, f.pre.sig})
 		}
+	})
+	if err != nil {
+		return nil
 	}
 	return img.encode()
 }
@@ -98,8 +104,14 @@ func (st *EvalState) Image() []byte {
 // product starts with an empty carry. An image that does not decode, or
 // was written under another engine key, horizon or product list, is an
 // error and leaves st untouched. exact reports that every product was
-// restored and still has exactly the series the image holds.
-func (e *Engine) Restore(st *EvalState, d *dataset.Dataset, data []byte) (restored int, exact bool, err error) {
+// restored and still has exactly the series the image holds. A ctx
+// cancelled before the restore is done is returned as the error, with st
+// reset, so the next Resume evaluates cold.
+//
+// The digests run on e's worker pool ahead of the restore (forEachDigest),
+// and product i is interned, in product order as a cold Resume would,
+// as soon as its digest matched, while later products are still hashed.
+func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset, data []byte) (restored int, exact bool, err error) {
 	img, err := decodeImage(data)
 	if err != nil {
 		return 0, false, err
@@ -115,16 +127,18 @@ func (e *Engine) Restore(st *EvalState, d *dataset.Dataset, data []byte) (restor
 	}
 	st.bind(d, key)
 	exact = true
-	var buf []byte
-	for i, ip := range img.prods {
-		p, ps, n := &d.Products[i], &st.prods[i], int(ip.n)
-		var sum [32]byte
-		if n <= len(p.Ratings) {
-			sum, buf = seriesDigest(p.Ratings[:n], buf)
+	// A series shorter than the image's N cannot match; it is not hashed.
+	series := func(i int) dataset.Series {
+		if s, n := d.Products[i].Ratings, int(img.prods[i].n); n <= len(s) {
+			return s[:n]
 		}
+		return nil
+	}
+	err = forEachDigest(ctx, e.workers(), len(img.prods), series, func(i int, sum [32]byte) {
+		ip, p, ps, n := &img.prods[i], &d.Products[i], &st.prods[i], int(img.prods[i].n)
 		if p.Version == 0 || n > len(p.Ratings) || sum != ip.digest {
 			exact = false
-			continue
+			return
 		}
 		exact = exact && n == len(p.Ratings)
 		ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, nil)
@@ -142,6 +156,10 @@ func (e *Engine) Restore(st *EvalState, d *dataset.Dataset, data []byte) (restor
 			}
 		}
 		restored++
+	})
+	if err != nil {
+		st.Reset()
+		return 0, false, err
 	}
 	st.stats.restored.Add(uint64(restored))
 	return restored, exact, nil
@@ -166,32 +184,111 @@ func appendBits(b []byte, v reflect.Value) []byte {
 	return fmt.Appendf(b, "%v;", v)
 }
 
-// seriesDigest returns the SHA-256 of s's (Day bits, Value bits, rater)
-// triples, hashed from one buffer, and the buffer for reuse.
-func seriesDigest(s dataset.Series, buf []byte) ([32]byte, []byte) {
-	buf = buf[:0]
-	for _, r := range s {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Day))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Value))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Rater)))
-		buf = append(buf, r.Rater...)
+// forEachDigest calls fn(i, the digest of series(i)) for i in [0, n), in
+// index order, in the calling goroutine. With w > 1, up to w−1 helper
+// goroutines hash the series in index order ahead of fn, so fn's work on
+// product i overlaps the hashing of later products; otherwise the caller
+// hashes each series just before its fn call. series must be safe to call
+// from the helpers while fn runs. Once ctx is cancelled no further fn call
+// starts and no further series is hashed; ctx.Err() is returned once the
+// helpers are done with series. Digests are not analyses: no counter
+// moves.
+func forEachDigest(ctx context.Context, w, n int, series func(i int) dataset.Series, fn func(i int, sum [32]byte)) error {
+	if w = min(w, n); w <= 1 {
+		h := newSeriesHash()
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fn(i, h.digest(series(i)))
+		}
+		return nil
 	}
-	return sha256.Sum256(buf), buf
+	sums := make([][32]byte, n)
+	ready := make(chan int, n) // never blocks a helper: each index is sent once
+	var next atomic.Int64
+	for k := 1; k < w; k++ {
+		go func() {
+			h := newSeriesHash()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				if ctx.Err() == nil {
+					sums[i] = h.digest(series(i))
+				}
+				ready <- i
+			}
+		}()
+	}
+	done := make([]bool, n)
+	received := 0
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		for ; !done[i]; received++ {
+			done[<-ready] = true
+		}
+		if err = ctx.Err(); err == nil {
+			fn(i, sums[i])
+		}
+	}
+	// A helper touches series and sums only before it sends the index.
+	for ; received < n; received++ {
+		<-ready
+	}
+	return err
+}
+
+// seriesHash computes series digests: the SHA-256 of a series' (Day bits,
+// Value bits, u32 rater length, rater) tuples, little-endian. The tuples
+// pass through a fixed scratch buffer, so hashing a series of any length
+// allocates nothing; one seriesHash serves one goroutine.
+type seriesHash struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte
+}
+
+func newSeriesHash() *seriesHash { return &seriesHash{h: sha256.New()} }
+
+func (sh *seriesHash) digest(s dataset.Series) (sum [32]byte) {
+	sh.h.Reset()
+	for _, r := range s {
+		if len(sh.buf)-sh.n < 20 {
+			sh.flush()
+		}
+		binary.LittleEndian.PutUint64(sh.buf[sh.n:], math.Float64bits(r.Day))
+		binary.LittleEndian.PutUint64(sh.buf[sh.n+8:], math.Float64bits(r.Value))
+		binary.LittleEndian.PutUint32(sh.buf[sh.n+16:], uint32(len(r.Rater)))
+		sh.n += 20
+		for rest := r.Rater; rest != ""; {
+			if sh.n == len(sh.buf) {
+				sh.flush()
+			}
+			k := copy(sh.buf[sh.n:], rest)
+			sh.n, rest = sh.n+k, rest[k:]
+		}
+	}
+	sh.flush()
+	copy(sum[:], sh.h.Sum(sh.buf[:0]))
+	return sum
+}
+
+func (sh *seriesHash) flush() {
+	sh.h.Write(sh.buf[:sh.n])
+	sh.n = 0
 }
 
 func (img *image) encode() []byte {
-	c := imageCodec{}
-	c.w.Write(make([]byte, imageHeaderSize))
+	c := imageCodec{b: make([]byte, imageHeaderSize, 4<<10)}
 	c.image(img)
-	b := c.w.Bytes()
+	b := c.b
 	copy(b, imageMagic)
 	binary.LittleEndian.PutUint32(b[4:], imageVersion)
 	binary.LittleEndian.PutUint32(b[8:], crc32.ChecksumIEEE(b[imageHeaderSize:]))
 	return b
 }
 
-// decodeImage checks an image's framing and decodes its payload. Any
-// deviation from the format, trailing bytes included, is an error.
+// decodeImage checks an image's framing and decodes its payload in place,
+// straight from data. Any deviation from the format, trailing bytes
+// included, is an error.
 func decodeImage(data []byte) (*image, error) {
 	switch {
 	case len(data) < imageHeaderSize || string(data[:4]) != imageMagic:
@@ -202,32 +299,94 @@ func decodeImage(data []byte) (*image, error) {
 		return nil, errors.New("engine image: checksum mismatch")
 	}
 	img := &image{}
-	c := imageCodec{r: bytes.NewReader(data[imageHeaderSize:])}
+	c := imageCodec{b: data[imageHeaderSize:], dec: true}
 	c.image(img)
-	if c.err != nil || c.r.Len() != 0 {
-		return nil, fmt.Errorf("engine image: malformed payload (%v, %d bytes left)", c.err, c.r.Len())
+	if c.err != nil || len(c.b) != 0 {
+		return nil, fmt.Errorf("engine image: malformed payload (%v, %d bytes left)", c.err, len(c.b))
 	}
 	return img, nil
 }
 
-// imageCodec encodes a payload into w or, with r set, decodes one from r,
-// by the same walk (image), so the two cannot disagree. The first error
-// stops the walk.
+// imageCodec encodes a payload by appending it to b or, with dec set,
+// decodes one from the front of b, consuming it, by the same walk (image),
+// so the two cannot disagree. Every value is coded by hand in
+// little-endian order: a slice is a u32 count and then its elements, each
+// field after field with no padding, a bool one byte (0 or 1). The first
+// error stops the walk.
 type imageCodec struct {
-	w   bytes.Buffer
-	r   *bytes.Reader
+	b   []byte
+	dec bool
 	err error
 }
 
-// val codes a fixed-size value with encoding/binary.
-func (c *imageCodec) val(v any) {
-	switch {
-	case c.err != nil:
-	case c.r == nil:
-		c.err = binary.Write(&c.w, binary.LittleEndian, v)
-	default:
-		c.err = binary.Read(c.r, binary.LittleEndian, v)
+// take consumes the next n bytes of a decode, or fails the walk and
+// returns nil when fewer are left.
+func (c *imageCodec) take(n int) []byte {
+	if c.err != nil {
+		return nil
 	}
+	if n > len(c.b) {
+		c.err = errors.New("short payload")
+		return nil
+	}
+	p := c.b[:n]
+	c.b = c.b[n:]
+	return p
+}
+
+func (c *imageCodec) u32(v *uint32) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, *v)
+	} else if p := c.take(4); p != nil {
+		*v = binary.LittleEndian.Uint32(p)
+	}
+}
+
+func (c *imageCodec) f64(v *float64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
+	} else if p := c.take(8); p != nil {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(p))
+	}
+}
+
+func (c *imageCodec) flag(v *bool) {
+	switch {
+	case !c.dec && *v:
+		c.b = append(c.b, 1)
+	case !c.dec:
+		c.b = append(c.b, 0)
+	default:
+		if p := c.take(1); p != nil {
+			if p[0] > 1 {
+				c.err = fmt.Errorf("bool byte %d", p[0])
+			}
+			*v = p[0] == 1
+		}
+	}
+}
+
+func (c *imageCodec) digest(v *[32]byte) {
+	if !c.dec {
+		c.b = append(c.b, v[:]...)
+	} else if p := c.take(len(v)); p != nil {
+		copy(v[:], p)
+	}
+}
+
+func (c *imageCodec) str(s *string) {
+	n := uint32(len(*s))
+	c.u32(&n)
+	if !c.dec {
+		c.b = append(c.b, *s...)
+	} else if p := c.take(int(n)); p != nil {
+		*s = string(p)
+	}
+}
+
+func (c *imageCodec) interval(iv *detect.Interval) {
+	c.f64(&iv.Start)
+	c.f64(&iv.End)
 }
 
 // codeLen codes a slice's length, sizing the slice on decode. A length
@@ -235,9 +394,9 @@ func (c *imageCodec) val(v any) {
 // is an error, so no input allocates more than its own size.
 func codeLen[T any](c *imageCodec, s *[]T, size int) {
 	n := uint32(len(*s))
-	c.val(&n)
-	if c.r != nil {
-		if c.err == nil && int(n) > c.r.Len()/size {
+	c.u32(&n)
+	if c.dec {
+		if c.err == nil && int(n) > len(c.b)/size {
 			c.err = errors.New("count past the end")
 		}
 		if c.err != nil {
@@ -247,39 +406,54 @@ func codeLen[T any](c *imageCodec, s *[]T, size int) {
 	}
 }
 
-// codeFixed codes a slice of fixed-size elements of size bytes.
-func codeFixed[T any](c *imageCodec, s *[]T, size int) {
-	codeLen(c, s, size)
-	c.val(*s)
-}
-
 func (c *imageCodec) image(img *image) {
-	c.val(&img.key)
-	c.val(&img.horizon)
+	c.digest(&img.key)
+	c.f64(&img.horizon)
 	codeLen(c, &img.prods, minProductSize)
 	for i := range img.prods {
 		p := &img.prods[i]
-		id := []byte(p.id)
-		codeFixed(c, &id, 1)
-		p.id = string(id)
-		c.val(&p.n)
-		c.val(&p.digest)
+		c.str(&p.id)
+		c.u32(&p.n)
+		c.digest(&p.digest)
 		codeLen(c, &p.entries, minEntrySize)
 		for j := range p.entries {
 			e := &p.entries[j]
-			c.val(&e.entryHead)
-			codeFixed(c, &e.sig.MC, 41)
-			for _, a := range [2]*detect.ARCSignals{&e.sig.HARC, &e.sig.LARC} {
-				band := int32(a.Band)
-				c.val(&band)
-				a.Band = detect.ARCBand(band)
-				codeFixed(c, &a.PeakDays, 8)
-				codeFixed(c, &a.Segments, 25)
-				c.val(&a.ThresholdA)
-				c.val(&a.ThresholdB)
+			c.u32(&e.Epoch)
+			c.u32(&e.N)
+			c.f64(&e.ArcHi)
+			codeLen(c, &e.sig.MC, 41)
+			for k := range e.sig.MC {
+				m := &e.sig.MC[k]
+				c.interval(&m.Interval)
+				c.f64(&m.Mean)
+				c.f64(&m.AvgTrust)
+				c.f64(&m.Shift)
+				c.flag(&m.Suspicious)
 			}
-			codeFixed(c, &e.sig.HC, 16)
-			codeFixed(c, &e.sig.ME, 16)
+			for _, a := range [2]*detect.ARCSignals{&e.sig.HARC, &e.sig.LARC} {
+				band := uint32(int32(a.Band))
+				c.u32(&band)
+				a.Band = detect.ARCBand(int32(band))
+				codeLen(c, &a.PeakDays, 8)
+				for k := range a.PeakDays {
+					c.f64(&a.PeakDays[k])
+				}
+				codeLen(c, &a.Segments, 25)
+				for k := range a.Segments {
+					sg := &a.Segments[k]
+					c.interval(&sg.Interval)
+					c.f64(&sg.Rate)
+					c.flag(&sg.Suspicious)
+				}
+				c.f64(&a.ThresholdA)
+				c.f64(&a.ThresholdB)
+			}
+			for _, ivs := range [2]*[]detect.Interval{&e.sig.HC, &e.sig.ME} {
+				codeLen(c, ivs, 16)
+				for k := range *ivs {
+					c.interval(&(*ivs)[k])
+				}
+			}
 		}
 	}
 }

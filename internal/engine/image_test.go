@@ -3,9 +3,16 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -18,7 +25,7 @@ func coldImage(t *testing.T, e *Engine, d *dataset.Dataset) []byte {
 	t.Helper()
 	st := NewState()
 	mustResume(t, e, st, d)
-	img := st.Image()
+	img := st.Image(context.Background())
 	if img == nil {
 		t.Fatal("an evaluated state encoded no image")
 	}
@@ -54,7 +61,7 @@ func TestImageRestoreMatchesCold(t *testing.T) {
 	img := coldImage(t, e, d)
 
 	st := NewState()
-	k, exact, err := e.Restore(st, d, img)
+	k, exact, err := e.Restore(context.Background(), st, d, img)
 	if err != nil || k != len(d.Products) || !exact {
 		t.Fatalf("Restore = %d, %v, %v; want %d, true, nil", k, exact, err, len(d.Products))
 	}
@@ -65,7 +72,7 @@ func TestImageRestoreMatchesCold(t *testing.T) {
 	if stats.Restored != uint64(len(d.Products)) || stats.SignalMisses != 0 || stats.MemoHits != 0 {
 		t.Fatalf("stats after a restored Resume: %+v; want every product restored, no signal recomputed and no trust-tier hit", stats)
 	}
-	if again := st.Image(); !bytes.Equal(again, img) {
+	if again := st.Image(context.Background()); !bytes.Equal(again, img) {
 		t.Fatalf("the restored state re-encodes %d bytes, not the %d-byte image it restored", len(again), len(img))
 	}
 	// One more submit to a restored product: its empty carry is rebuilt.
@@ -120,7 +127,7 @@ func TestImageRestoreStale(t *testing.T) {
 		d := base.Clone()
 		tc.edit(d)
 		st := NewState()
-		k, exact, err := e.Restore(st, d, img)
+		k, exact, err := e.Restore(context.Background(), st, d, img)
 		if err != nil || k != tc.restored || exact {
 			t.Fatalf("%s: Restore = %d, %v, %v; want %d, false, nil", tc.name, k, exact, err, tc.restored)
 		}
@@ -130,6 +137,52 @@ func TestImageRestoreStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireEqualResults(t, tc.name+", then a submit", mustResume(t, e, st, d), reference(t, d))
+	}
+}
+
+// TestImageRestoreCancelled restores under a cancelled context, at one
+// worker and at two (helper goroutines hash ahead): Restore returns the
+// context's error, restores nothing and leaves the state reset, so the
+// Resume after it evaluates cold and equals a cold evaluation.
+func TestImageRestoreCancelled(t *testing.T) {
+	d := versionedTestDataset(t, 41, 5, 300)
+	img := coldImage(t, &Engine{Detect: detect.DefaultConfig()}, d)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		e := &Engine{Detect: detect.DefaultConfig(), Workers: workers}
+		st := NewState()
+		if k, exact, err := e.Restore(ctx, st, d, img); !errors.Is(err, context.Canceled) || k != 0 || exact {
+			t.Fatalf("workers %d: Restore = %d, %v, %v; want 0, false, context.Canceled", workers, k, exact, err)
+		}
+		if st.CompletedEpochs() != 0 || st.prods != nil || st.Stats().Restored != 0 {
+			t.Fatalf("workers %d: a cancelled restore left state behind", workers)
+		}
+		requireEqualResults(t, "after a cancelled restore", mustResume(t, e, st, d), reference(t, d))
+	}
+}
+
+// TestSeriesDigestChunking checks seriesHash against SHA-256 over the
+// whole (Day bits, Value bits, u32 rater length, rater) encoding in one
+// buffer, on raters of every length around the scratch buffer's size, so
+// no split of a tuple across flushes changes a digest.
+func TestSeriesDigestChunking(t *testing.T) {
+	var s dataset.Series
+	for _, n := range []int{0, 1, 7, 491, 492, 493, 511, 512, 513, 1500, 3} {
+		s = append(s, dataset.Rating{Day: float64(n) / 3, Value: math.Copysign(0, -1), Rater: strings.Repeat("r", n)})
+	}
+	h := newSeriesHash()
+	for end := 0; end <= len(s); end++ {
+		var buf []byte
+		for _, r := range s[:end] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Day))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Value))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Rater)))
+			buf = append(buf, r.Rater...)
+		}
+		if got, want := h.digest(s[:end]), sha256.Sum256(buf); got != want {
+			t.Fatalf("first %d ratings: digest %x, want %x", end, got, want)
+		}
 	}
 }
 
@@ -172,7 +225,7 @@ func TestImageRefused(t *testing.T) {
 	}
 	for _, tc := range cases {
 		st := NewState()
-		if k, _, err := tc.e.Restore(st, tc.d, tc.img); err == nil {
+		if k, _, err := tc.e.Restore(context.Background(), st, tc.d, tc.img); err == nil {
 			t.Fatalf("%s: Restore accepted the image (%d products)", tc.name, k)
 		}
 		if st.CompletedEpochs() != 0 || st.prods != nil || st.Stats().Restored != 0 {
@@ -194,7 +247,7 @@ func FuzzEngineImage(f *testing.F) {
 	if _, err := eng.Resume(context.Background(), st, base); err != nil {
 		f.Fatal(err)
 	}
-	img := st.Image()
+	img := st.Image(context.Background())
 	f.Add(img)
 	f.Add(img[imageHeaderSize:])
 	f.Add(img[:len(img)/3])
@@ -204,12 +257,12 @@ func FuzzEngineImage(f *testing.F) {
 	if _, err := eng.Resume(context.Background(), st, edited); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(st.Image())
+	f.Add(st.Image(context.Background()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := base.Clone()
 		st := NewState()
-		if _, _, err := eng.Restore(st, d, data); err == nil {
+		if _, _, err := eng.Restore(context.Background(), st, d, data); err == nil {
 			requireEqualResults(t, "accepted image", mustResume(t, eng, st, d), reference(t, d))
 			if img, _ := decodeImage(data); !bytes.Equal(img.encode(), data) {
 				t.Fatalf("an accepted %d-byte image does not re-encode byte for byte", len(data))
@@ -249,5 +302,67 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		if fingerprint(e) == want {
 			t.Fatalf("flip %d left the fingerprint unchanged", i)
 		}
+	}
+}
+
+// TestImagePinnedFormat pins the on-disk format: testdata/engine.img is
+// the image a cold Resume of testdata/dataset.json left, recorded by an
+// earlier build of the encoder, and testdata/digests.txt holds each
+// product's rating count and series digest. The current code must decode
+// that image, restore every product from it exactly, and re-encode the
+// restored state byte for byte, so images already on disk stay valid.
+func TestImagePinnedFormat(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "engine.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join("testdata", "dataset.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d, err := dataset.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.Products {
+		d.Products[i].Version = 1
+	}
+	digests, err := os.ReadFile(filepath.Join("testdata", "digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(digests))
+	if len(lines) != 3*len(d.Products) {
+		t.Fatalf("digests.txt holds %d fields, want 3 per product", len(lines))
+	}
+	dec, err := decodeImage(img)
+	if err != nil {
+		t.Fatalf("the pinned image does not decode: %v", err)
+	}
+	h := newSeriesHash()
+	for i, p := range d.Products {
+		id, n, sum := lines[3*i], lines[3*i+1], lines[3*i+2]
+		got := h.digest(p.Ratings)
+		if id != p.ID || n != strconv.Itoa(len(p.Ratings)) || sum != hex.EncodeToString(got[:]) {
+			t.Fatalf("product %d: digests.txt says %s %s %s, the dataset has %s %d %x", i, id, n, sum, p.ID, len(p.Ratings), got)
+		}
+		if ip := dec.prods[i]; ip.id != p.ID || int(ip.n) != len(p.Ratings) || ip.digest != got {
+			t.Fatalf("product %d: the image holds %s, %d ratings, %x", i, ip.id, ip.n, ip.digest)
+		}
+	}
+
+	e := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
+	st := NewState()
+	k, exact, err := e.Restore(context.Background(), st, d, img)
+	if err != nil || k != len(d.Products) || !exact {
+		t.Fatalf("Restore = %d, %v, %v; want %d, true, nil", k, exact, err, len(d.Products))
+	}
+	requireEntriesMatchSeries(t, "pinned", st, d)
+	if again := st.Image(context.Background()); !bytes.Equal(again, img) {
+		t.Fatalf("the restored state re-encodes %d bytes, not the pinned %d-byte image", len(again), len(img))
+	}
+	if again := dec.encode(); !bytes.Equal(again, img) {
+		t.Fatalf("the decoded image re-encodes %d bytes, not the pinned %d", len(again), len(img))
 	}
 }

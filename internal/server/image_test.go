@@ -309,7 +309,8 @@ func TestEngineImageProperty(t *testing.T) {
 // TestEngineImageLifecycle pins when the image is read and written: an
 // in-memory service never touches one; a durable service that never
 // evaluated writes none; the first evaluation reads it once per open and
-// counts what it restored in engine_image_restored_products_total; a
+// counts what it restored in engine_image_restored_products_total, unless
+// its context was cancelled, which leaves the image to the next one; a
 // Close whose state is exactly what it restored rewrites nothing; and an
 // open never reads it, so a corrupt image fails nothing but the restore.
 func TestEngineImageLifecycle(t *testing.T) {
@@ -347,6 +348,17 @@ func TestEngineImageLifecycle(t *testing.T) {
 	}
 
 	svc = open()
+	// A restore its context cancelled is not an outcome: the image is
+	// left for the next evaluation.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	svc.mu.Lock()
+	svc.restoreImageLocked(cancelled, svc.scheme.(*agg.PScheme).Engine(), svc.store.View(), svc.store.Generation())
+	read := svc.imgRead
+	svc.mu.Unlock()
+	if read || svc.engState.Stats().Restored != 0 {
+		t.Fatalf("a cancelled restore marked the image read (%v) or restored %d products", read, svc.engState.Stats().Restored)
+	}
 	if _, err := svc.Scores(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}

@@ -366,7 +366,7 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := wal.Open(shard, wal.Options{})
+	w, _, err := wal.Open(shard, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,7 +247,7 @@ func (s *Service) Close() error {
 	s.mu.Lock()
 	_, pScheme := s.scheme.(*agg.PScheme)
 	if gen := s.store.Generation(); pScheme && s.store.Durable() && gen != s.imgGen {
-		s.imgGen, img = gen, s.engState.Image()
+		s.imgGen, img = gen, s.engState.Image(context.Background())
 	}
 	s.mu.Unlock()
 	err := s.store.Close()
@@ -262,14 +262,17 @@ func (s *Service) Close() error {
 // restoreImageLocked seeds engState from the engine image for the first
 // evaluation of d, the cut at generation gen, and logs the outcome. A
 // missing, unreadable, foreign or corrupt image means a cold evaluation.
-// Callers must hold the write lock.
-func (s *Service) restoreImageLocked(e *engine.Engine, d *dataset.Dataset, gen uint64) {
+// A restore that ctx cancelled is not an outcome: the next evaluation
+// reads the image again. Callers must hold the write lock.
+func (s *Service) restoreImageLocked(ctx context.Context, e *engine.Engine, d *dataset.Dataset, gen uint64) {
 	data, ok, err := s.store.ReadFile(engineImage)
 	k, exact := 0, false
 	if err == nil && ok {
-		k, exact, err = e.Restore(s.engState, d, data)
+		k, exact, err = e.Restore(ctx, s.engState, d, data)
 	}
 	switch {
+	case err != nil && ctx.Err() != nil:
+		return
 	case err != nil:
 		s.logf("server: engine image ignored, evaluating cold: %v", err)
 	case !ok:
@@ -277,6 +280,7 @@ func (s *Service) restoreImageLocked(e *engine.Engine, d *dataset.Dataset, gen u
 	default:
 		s.logf("server: engine image: restored %d of %d products", k, len(d.Products))
 	}
+	s.imgRead = true
 	if exact {
 		s.imgGen = gen
 	}
@@ -534,8 +538,7 @@ func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset, gen ui
 	}()
 	if p, ok := s.scheme.(*agg.PScheme); ok {
 		if !s.imgRead && s.store.Durable() {
-			s.imgRead = true
-			s.restoreImageLocked(p.Engine(), d, gen)
+			s.restoreImageLocked(ctx, p.Engine(), d, gen)
 		}
 		res, rerr := p.Engine().Resume(ctx, s.engState, d)
 		if rerr != nil {

@@ -223,11 +223,10 @@ func readShardSurvivors(t *testing.T, fsys wal.FS, shards int) []wal.Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, rec, err := wal.Open(sub, wal.Options{})
+		w, _, err := wal.Open(sub, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) { out = append(out, r) }))
 		if err != nil {
 			t.Fatalf("open shard %d of crash image: %v", i, err)
 		}
-		out = append(out, rec.Records...)
 		w.Close()
 	}
 	return out

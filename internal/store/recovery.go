@@ -194,16 +194,15 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 			defer wg.Done()
 			start := time.Now()
 			defer func() { st.replayNanos[i] = time.Since(start).Nanoseconds() }()
-			w, rec, err := wal.Open(fses[i], walOpts)
+			w, rec, err := wal.Open(fses[i], walOpts, &replayer{st: st, shard: i, report: &results[i].rep})
 			if err != nil {
 				results[i].err = err
 				return
 			}
 			results[i].rep.TruncatedBytes = rec.TruncatedBytes
-			st.replay(i, rec, &results[i].rep)
 			sh := st.shards[i]
 			sh.wal = w
-			sh.sinceSnapshot = len(rec.Tail())
+			sh.sinceSnapshot = rec.TailRecords
 			results[i].w = w
 		}(i)
 	}
@@ -225,42 +224,62 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 	return report, nil
 }
 
-// replay applies shard i's recovered records (the checkpoint's, then the
-// log tail's) into in-memory state through the recovery validation,
-// folding outcomes into report. It runs during Open, before the store
-// escapes: one goroutine per shard, each touching only its own shard.
-func (st *Store) replay(i int, rec *wal.Recovery, report *RecoveryReport) {
-	st.presize(i, rec.Records)
-	for j, r := range rec.Records {
-		applied := &report.ReplayedRatings
-		if j < rec.SnapshotRecords {
-			applied = &report.SnapshotRatings
-		}
-		st.recoverRating(i, r.Product, r.Rater, r.Value, r.Day, applied, report)
-	}
+// replayer applies shard i's records, as its WAL decodes them, through
+// the recovery validation, folding outcomes into report. It runs during
+// Open, before the store escapes: one goroutine per shard, each touching
+// only its own shard.
+type replayer struct {
+	st     *Store
+	shard  int
+	report *RecoveryReport
+	// counts[pos] counts the frames Expect saw for the shard's product at
+	// partition position pos, until the first Replay presizes from them.
+	counts []int
+	// last is the ID of the product Expect counted last, at position
+	// lastPos. A snapshot holds each product's records in one run, so a
+	// run costs one routing lookup.
+	last    string
+	lastPos int
 }
 
-// presize grows the series and seen set of every shard-i product the
-// records name once, to hold all of the product's records, so applying
-// them never regrows either. It skips products that route to another
-// shard: openShards replays shards concurrently, and a misrouted record
-// (skipped when applied) must not touch another shard's state. Replay
-// runs on a fresh store, so the seen sets it replaces are empty.
-//
-//lint:ignore lockheld only called from replay during Open, before the Store is returned to any other goroutine; each goroutine grows only its own shard's products
-func (st *Store) presize(i int, recs []wal.Record) {
-	sh := st.shards[i]
-	var counts []int
-	for _, r := range recs {
-		l, ok := st.byID[r.Product]
-		if !ok || l.shard != i {
-			continue
+// Expect counts one frame against its product when the product routes to
+// this shard. Any other frame is skipped: openShards replays shards
+// concurrently, and a misrouted record (skipped when applied) must not
+// touch another shard's state.
+func (r *replayer) Expect(product []byte) {
+	if r.counts == nil || string(product) != r.last {
+		l, ok := r.st.byID[string(product)]
+		if !ok || l.shard != r.shard {
+			return
 		}
-		if counts == nil {
-			counts = make([]int, len(sh.data.Products))
+		if r.counts == nil {
+			r.counts = make([]int, len(r.st.globals[r.shard]))
 		}
-		counts[l.pos]++
+		r.last, r.lastPos = r.st.products[r.st.globals[r.shard][l.pos]], l.pos
 	}
+	r.counts[r.lastPos]++
+}
+
+// Replay applies one record, presizing the shard first on the first call.
+func (r *replayer) Replay(rec wal.Record, snapshot bool) {
+	if r.counts != nil {
+		r.st.presize(r.shard, r.counts)
+		r.counts = nil
+	}
+	applied := &r.report.ReplayedRatings
+	if snapshot {
+		applied = &r.report.SnapshotRatings
+	}
+	r.st.recoverRating(r.shard, rec.Product, rec.Rater, rec.Value, rec.Day, applied, r.report)
+}
+
+// presize grows the series and seen set of every shard-i product at
+// partition position pos once, to hold counts[pos] records, so applying
+// them never regrows either. It runs during Open, before the Store is
+// returned to any other goroutine, on a fresh store, so the seen sets it
+// replaces are empty; each replay goroutine grows only its own shard.
+func (st *Store) presize(i int, counts []int) {
+	sh := st.shards[i]
 	for pos, n := range counts {
 		if n > 0 {
 			p := &sh.data.Products[pos]

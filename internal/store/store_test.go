@@ -125,14 +125,13 @@ func TestShardedRestartRoutesDeterministically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, rec, err := wal.Open(sub, wal.Options{})
-		if err != nil {
-			t.Fatalf("open shard %d: %v", i, err)
-		}
-		for _, r := range rec.Records {
+		w, _, err := wal.Open(sub, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) {
 			if Route(r.Product, shards) != i {
 				t.Errorf("record for %q found in shard %d, routes to %d", r.Product, i, Route(r.Product, shards))
 			}
+		}))
+		if err != nil {
+			t.Fatalf("open shard %d: %v", i, err)
 		}
 		w.Close()
 	}
@@ -207,7 +206,7 @@ func TestOpenLayout(t *testing.T) {
 	// package's files at the top of the directory.
 	legacy := func(snapshot, log bool) func(t *testing.T, fsys wal.FS) {
 		return func(t *testing.T, fsys wal.FS) {
-			w, _, err := wal.Open(fsys, wal.Options{})
+			w, _, err := wal.Open(fsys, wal.Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,7 +466,7 @@ func TestMisroutedRecordSkippedOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := wal.Open(sub, wal.Options{})
+	w, _, err := wal.Open(sub, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

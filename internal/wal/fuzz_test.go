@@ -114,13 +114,14 @@ func FuzzWALDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, rec, err := Open(fsys, Options{})
+		var replayed []Record
+		w, rec, err := Open(fsys, Options{}, ReplayFunc(func(r Record, _ bool) { replayed = append(replayed, r) }))
 		if err != nil {
 			t.Fatalf("Open on truncated log: %v", err)
 		}
 		defer w.Close()
-		if len(rec.Records) != wantIntact {
-			t.Fatalf("Open recovered %d records, want %d", len(rec.Records), wantIntact)
+		if len(replayed) != wantIntact || rec.TailRecords != wantIntact {
+			t.Fatalf("Open recovered %d records (counted %d), want %d", len(replayed), rec.TailRecords, wantIntact)
 		}
 		intactBytes := 0
 		if wantIntact > 0 {
@@ -160,7 +161,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
 		// (1) Arbitrary bytes.
-		if recs, err := decodeSnapshot(raw, nil, 0); err == nil {
+		if recs, err := decodeSnapshotRecords(t, raw, nil); err == nil {
 			if re := encodeRecords(t, recs); !bytes.Equal(re, raw) {
 				t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", raw, re)
 			}
@@ -169,7 +170,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// Encode a known-good image from the fuzz input (possibly empty).
 		recs := deriveRecords(raw)
 		img := encodeRecords(t, recs)
-		got, err := decodeSnapshot(img, nil, 0)
+		got, err := decodeSnapshotRecords(t, img, nil)
 		if err != nil {
 			t.Fatalf("encoded snapshot rejected: %v", err)
 		}
@@ -177,7 +178,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 		// (2) Every cut short of the end is rejected.
 		cutAt := int(cut) % len(img)
-		if got, err := decodeSnapshot(img[:cutAt], nil, 0); err == nil {
+		if got, err := decodeSnapshotRecords(t, img[:cutAt], nil); err == nil {
 			t.Fatalf("snapshot cut at %d of %d accepted with %d records", cutAt, len(img), len(got))
 		}
 
@@ -185,10 +186,28 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipAt := int(flip) % (len(img) * 8)
 		flipped := bytes.Clone(img)
 		flipped[flipAt/8] ^= 1 << (flipAt % 8)
-		if got, err := decodeSnapshot(flipped, interner{}, 0); err == nil {
+		if got, err := decodeSnapshotRecords(t, flipped, newInterner()); err == nil {
 			requireSameRecords(t, fmt.Sprintf("flip bit %d", flipAt), recs, got)
 		}
 	})
+}
+
+// decodeSnapshotRecords decodes a snapshot image, collecting the records
+// it replays, each of which must be flagged as the checkpoint's; on
+// success their number must be the count decodeSnapshot returns.
+func decodeSnapshotRecords(t *testing.T, data []byte, ids *interner) ([]Record, error) {
+	t.Helper()
+	var recs []Record
+	n, err := decodeSnapshot(data, ids, ReplayFunc(func(r Record, snapshot bool) {
+		if !snapshot {
+			t.Fatalf("snapshot record %d replayed as a log record", len(recs))
+		}
+		recs = append(recs, r)
+	}))
+	if err == nil && n != len(recs) {
+		t.Fatalf("decodeSnapshot counted %d records and replayed %d", n, len(recs))
+	}
+	return recs, err
 }
 
 // encodeRecords encodes recs as a binary snapshot image.

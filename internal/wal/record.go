@@ -70,7 +70,7 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 // record and the number of bytes consumed, or ok=false when data holds no
 // complete, checksum-valid record at its front (a torn or corrupt tail).
 // The product ID is interned in ids (which may be nil).
-func decodeRecord(data []byte, ids interner) (r Record, n int, ok bool) {
+func decodeRecord(data []byte, ids *interner) (r Record, n int, ok bool) {
 	if len(data) < headerSize {
 		return Record{}, 0, false
 	}
@@ -106,36 +106,53 @@ func decodeRecord(data []byte, ids interner) (r Record, n int, ok bool) {
 	return r, headerSize + payloadLen, true
 }
 
-// countFrames counts the frames at the front of a log image from their
-// length prefixes alone, without checksums, stopping at the first length
-// that decodeRecord would reject as too short or too long or that runs
-// past the image. It bounds the records the checked scan can accept, so
-// recovery sizes its record slice before decoding; a corrupt image still
-// gets at most one slot per minFrameSize bytes.
-func countFrames(data []byte) int {
-	n := 0
-	for off := 0; len(data)-off >= headerSize; n++ {
+// scanFrames walks the frames at the front of an image from their length
+// prefixes alone, without checksums, and calls expect with each frame's
+// product ID bytes, skipping a frame too short to hold the ID it claims
+// (it cannot decode). It stops at the first length that decodeRecord
+// would reject as too short or too long or that runs past the image. The
+// checked decode accepts at most these frames, so the calls bound it per
+// product from above, and a corrupt image still yields at most one call
+// per minFrameSize bytes.
+func scanFrames(data []byte, expect func(product []byte)) {
+	for off := 0; len(data)-off >= headerSize; {
 		l := int(binary.LittleEndian.Uint32(data[off:]))
 		if l < minFrameSize-headerSize || l > maxRecordSize || len(data)-off-headerSize < l {
-			break
+			return
+		}
+		payload := data[off+headerSize : off+headerSize+l]
+		if pLen := int(binary.LittleEndian.Uint16(payload)); pLen <= l-2 {
+			expect(payload[2 : 2+pLen])
 		}
 		off += headerSize + l
 	}
-	return n
 }
 
 // interner hands out one string per distinct product ID while files are
 // decoded: a snapshot or log names a handful of products thousands of
-// times, and each copy would be an allocation the replay keeps alive.
-type interner map[string]string
+// times, and each copy would be an allocation the replay keeps alive. A
+// snapshot names each product in one run of records, so the last ID is
+// kept aside and a run costs one map lookup. A nil interner copies every
+// ID.
+type interner struct {
+	ids  map[string]string
+	last string
+}
 
-func (in interner) intern(b []byte) string {
-	if s, ok := in[string(b)]; ok {
-		return s
+func newInterner() *interner { return &interner{ids: map[string]string{}} }
+
+func (in *interner) intern(b []byte) string {
+	if in == nil {
+		return string(b)
 	}
-	s := string(b)
-	if in != nil {
-		in[s] = s
+	if string(b) == in.last {
+		return in.last
 	}
+	s, ok := in.ids[string(b)]
+	if !ok {
+		s = string(b)
+		in.ids[s] = s
+	}
+	in.last = s
 	return s
 }

@@ -47,7 +47,7 @@ func requireRecords(t *testing.T, label string, got, want []wal.Record) {
 func compacted(t *testing.T, d *dataset.Dataset) *faultfs.FS {
 	t.Helper()
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,9 @@ func compacted(t *testing.T, d *dataset.Dataset) *faultfs.FS {
 
 // A snapshot recovers exactly the compacted ratings, in product and
 // series order, bit for bit (negative zero and fractional days included),
-// ahead of the log tail; the published file starts with the magic. The
-// record slice is sized once for both, not regrown by the tail.
+// ahead of the log tail; the published file starts with the magic. Before
+// the first record, Expect announces exactly the frames that then replay,
+// checkpoint and tail alike, so a caller sizes its state once from them.
 func TestSnapshotRoundtripExact(t *testing.T) {
 	d := &dataset.Dataset{HorizonDays: 90, Products: []dataset.Product{
 		{ID: "tv0", Ratings: dataset.Series{{Day: 0, Value: math.Copysign(0, -1), Rater: "a"}, {Day: 1.0 / 3, Value: 0.1, Rater: "b", Unfair: true}}},
@@ -78,14 +79,14 @@ func TestSnapshotRoundtripExact(t *testing.T) {
 	if !bytes.HasPrefix(img, []byte(wal.SnapshotMagic)) {
 		t.Fatalf("snapshot starts %q, want the magic %q", img[:4], wal.SnapshotMagic)
 	}
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, w, 0, 2)
 	w.Close()
 
-	_, rc, err := wal.Open(fs, wal.Options{})
+	_, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +95,20 @@ func TestSnapshotRoundtripExact(t *testing.T) {
 	}
 	requireRecords(t, "snapshot", rc.Records[:rc.SnapshotRecords], snapshotRecords(d))
 	requireRecords(t, "tail", rc.Tail(), []wal.Record{rec(0), rec(1)})
-	if cap(rc.Records) != len(rc.Records) {
-		t.Fatalf("recovered %d records into capacity %d, want it exact", len(rc.Records), cap(rc.Records))
+	if len(rc.Expected) != len(rc.Records) {
+		t.Fatalf("Expect announced %d frames, %d records replayed", len(rc.Expected), len(rc.Records))
+	}
+	for i, r := range rc.Records {
+		if rc.Expected[i] != r.Product {
+			t.Fatalf("frame %d announced product %q, record %d is of %q", i, rc.Expected[i], i, r.Product)
+		}
 	}
 }
 
 // An empty snapshot is a snapshot: recovery tells it apart from none.
 func TestEmptySnapshotIsASnapshot(t *testing.T) {
 	fs := compacted(t, &dataset.Dataset{HorizonDays: 90, Products: []dataset.Product{{ID: "tv0"}}})
-	_, rc, err := wal.Open(fs, wal.Options{})
+	_, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +165,7 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			bad := fs.Clone()
 			bad.WriteFile("snapshot.json", img)
-			_, rc, err := wal.Open(bad, wal.Options{})
+			_, rc, err := openReplay(t, bad, wal.Options{})
 			if err == nil {
 				t.Fatalf("Open accepted a corrupt snapshot: %d records", len(rc.Records))
 			}
@@ -183,7 +189,7 @@ func TestCompactOSDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := wal.Open(fsys, wal.Options{})
+	w, _, err := wal.Open(fsys, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +198,7 @@ func TestCompactOSDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, rc, err := wal.Open(fsys, wal.Options{})
+	_, rc, err := openReplay(t, fsys, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,20 +119,46 @@ func (a Ack) String() string {
 	return "durable"
 }
 
-// Recovery reports what Open found on disk.
+// Recovery reports what Open found on disk. The records themselves went
+// to the Replayer as they were decoded.
 type Recovery struct {
 	// HasSnapshot is set when a checkpoint exists, even an empty one.
 	HasSnapshot bool
-	// SnapshotRecords counts the leading Records that came from the
-	// checkpoint.
+	// SnapshotRecords and TailRecords count the records replayed from the
+	// checkpoint and from the log appended after it.
 	SnapshotRecords int
-	// Records are the checkpoint's ratings, product by product in series
-	// order, followed by the log records appended after it, in log order.
-	Records []Record
+	TailRecords     int
 	// TruncatedBytes counts bytes of torn or corrupt log tail that were
 	// discarded (and physically truncated from the file).
 	TruncatedBytes int64
 }
+
+// A Replayer receives what Open recovers while Open decodes it, so
+// recovery never holds the records in a slice of its own.
+type Replayer interface {
+	// Expect is called once per frame of the checkpoint and of the log,
+	// before the first Replay, with the frame's product ID bytes, valid
+	// only during the call. The frames come from one scan of their length
+	// prefixes, without checksums, so per product the calls bound from
+	// above the records Replay will deliver; a caller sizes its state
+	// from them once.
+	Expect(product []byte)
+	// Replay is called once per checksum-valid record, in order: the
+	// checkpoint's (snapshot set), product by product in series order,
+	// then the log tail's, in log order. A checkpoint that turns out to be
+	// corrupt at record k has already replayed its first k records when
+	// Open fails, so a caller must discard what it built on a failed Open.
+	Replay(r Record, snapshot bool)
+}
+
+// ReplayFunc adapts a function to a Replayer that expects nothing.
+type ReplayFunc func(r Record, snapshot bool)
+
+// Expect does nothing.
+func (ReplayFunc) Expect([]byte) {}
+
+// Replay calls f(r, snapshot).
+func (f ReplayFunc) Replay(r Record, snapshot bool) { f(r, snapshot) }
 
 // WAL is an open write-ahead log. It is safe for concurrent use.
 type WAL struct {
@@ -157,15 +183,19 @@ type WAL struct {
 	closeCh  chan struct{}
 }
 
-// Open recovers the WAL state in fsys and opens the log for appending.
+// Open recovers the WAL state in fsys, handing every recovered record to
+// rp (nil discards them; see Replayer), and opens the log for appending.
 // Torn trailing records are truncated from the log file; a leftover
 // temporary snapshot from a crashed Compact is removed.
-func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
+func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
 	if opts.SyncEvery < 1 {
 		opts.SyncEvery = 1
+	}
+	if rp == nil {
+		rp = ReplayFunc(func(Record, bool) {})
 	}
 	if err := fsys.Remove(snapshotTmp); err != nil {
 		return nil, nil, fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
@@ -178,22 +208,18 @@ func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Size Records once for the checkpoint and the log tail together:
-	// appending the tail to an exactly sized checkpoint slice would copy
-	// the checkpoint and then regrow the copy as the tail decodes.
-	tail := countFrames(logImg)
+	if len(snap) > snapshotHeaderSize {
+		scanFrames(snap[snapshotHeaderSize:], rp.Expect)
+	}
+	scanFrames(logImg, rp.Expect)
 	rec := &Recovery{HasSnapshot: hasSnap}
-	ids := interner{}
+	ids := newInterner()
 	if hasSnap {
-		recs, err := decodeSnapshot(snap, ids, tail)
-		if err != nil {
+		if rec.SnapshotRecords, err = decodeSnapshot(snap, ids, rp); err != nil {
 			return nil, nil, fmt.Errorf("wal: %s: %w", snapshotName, err)
 		}
-		rec.Records, rec.SnapshotRecords = recs, len(recs)
-	} else {
-		rec.Records = make([]Record, 0, tail)
 	}
-	goodBytes, err := readLog(fsys, logImg, rec, ids)
+	goodBytes, err := readLog(fsys, logImg, rec, ids, rp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,14 +234,15 @@ func Open(fsys FS, opts Options) (*WAL, *Recovery, error) {
 	return w, rec, nil
 }
 
-// Tail returns the records replayed from the log, after the checkpoint's.
-func (r *Recovery) Tail() []Record { return r.Records[r.SnapshotRecords:] }
-
 // readImage reads the whole of name into one buffer of its exact size;
-// ok is false when the file does not exist. Recovery thus allocates each
-// file once, instead of several times its size in the doubling buffers of
-// io.ReadAll or a streaming JSON decoder; that garbage would force
-// collections during replay. what names the file in errors.
+// ok is false when the file does not exist. The buffer is the only copy
+// of the file recovery makes: records are decoded from it in place and
+// handed to the Replayer one by one, and only what the Replayer keeps
+// (a rater string per rating; product IDs are interned) outlives Open.
+// Neither the doubling buffers of io.ReadAll nor a slice of every
+// decoded record is built: at ~10k ratings such transient bytes pushed
+// the first report after a restart past the GC pacer's trigger. what
+// names the file in errors.
 func readImage(fsys FS, name, what string) (data []byte, ok bool, err error) {
 	f, err := fsys.Open(name)
 	if errors.Is(err, os.ErrNotExist) {
@@ -236,17 +263,18 @@ func readImage(fsys FS, name, what string) (data []byte, ok bool, err error) {
 	return data, true, nil
 }
 
-// readLog appends the checksum-valid records at the front of the log
-// image data to rec and truncates any torn tail from the file. It returns
-// the byte length of the valid prefix.
-func readLog(fsys FS, data []byte, rec *Recovery, ids interner) (int64, error) {
+// readLog replays the checksum-valid records at the front of the log
+// image data to rp, counting them in rec, and truncates any torn tail
+// from the file. It returns the byte length of the valid prefix.
+func readLog(fsys FS, data []byte, rec *Recovery, ids *interner, rp Replayer) (int64, error) {
 	off := 0
 	for off < len(data) {
 		r, n, ok := decodeRecord(data[off:], ids)
 		if !ok {
 			break
 		}
-		rec.Records = append(rec.Records, r)
+		rp.Replay(r, false)
+		rec.TailRecords++
 		off += n
 	}
 	if torn := int64(len(data) - off); torn > 0 {

@@ -21,6 +21,49 @@ func rec(i int) wal.Record {
 	}
 }
 
+// replayed is what an Open recovered: its report, every record it
+// replayed (the checkpoint's first) and the product ID of every frame it
+// announced to Expect.
+type replayed struct {
+	*wal.Recovery
+	Records  []wal.Record
+	Expected []string
+	// snapshots counts the records replayed with the snapshot flag;
+	// disordered is set when one came after a log record.
+	snapshots  int
+	disordered bool
+}
+
+func (r *replayed) Expect(product []byte) { r.Expected = append(r.Expected, string(product)) }
+
+func (r *replayed) Replay(rec wal.Record, snapshot bool) {
+	if snapshot {
+		r.disordered = r.disordered || r.snapshots < len(r.Records)
+		r.snapshots++
+	}
+	r.Records = append(r.Records, rec)
+}
+
+// Tail returns the records replayed from the log, after the checkpoint's.
+func (r *replayed) Tail() []wal.Record { return r.Records[r.SnapshotRecords:] }
+
+// openReplay opens fsys, collecting what Open replays. On success it
+// checks the replay order and that the report counts what was replayed.
+func openReplay(t *testing.T, fsys wal.FS, opts wal.Options) (*wal.WAL, *replayed, error) {
+	t.Helper()
+	r := &replayed{}
+	w, rc, err := wal.Open(fsys, opts, r)
+	if err != nil {
+		return w, r, err
+	}
+	r.Recovery = rc
+	if r.disordered || r.snapshots != rc.SnapshotRecords || len(r.Records)-r.snapshots != rc.TailRecords {
+		t.Fatalf("Open replayed %d records, %d of them flagged snapshot (disordered %v); its report counts %d + %d",
+			len(r.Records), r.snapshots, r.disordered, rc.SnapshotRecords, rc.TailRecords)
+	}
+	return w, r, nil
+}
+
 func appendN(t *testing.T, w *wal.WAL, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
@@ -37,7 +80,7 @@ func TestRoundtripOSDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, rc, err := wal.Open(fsys, wal.Options{})
+	w, rc, err := openReplay(t, fsys, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +92,7 @@ func TestRoundtripOSDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second session: replay, then extend.
-	w, rc, err = wal.Open(fsys, wal.Options{})
+	w, rc, err = openReplay(t, fsys, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +108,7 @@ func TestRoundtripOSDir(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rc, err = wal.Open(fsys, wal.Options{})
+	_, rc, err = openReplay(t, fsys, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +122,7 @@ func TestRoundtripOSDir(t *testing.T) {
 // log stays appendable afterwards.
 func TestTornTailTruncated(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +134,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	fs.WriteFile("wal.log", append(append([]byte(nil), good...), 0x7, 0x13, 0x42))
 
-	w, rc, err := wal.Open(fs, wal.Options{})
+	w, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +146,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	appendN(t, w, 4, 1)
 	w.Close()
-	_, rc, err = wal.Open(fs, wal.Options{})
+	_, rc, err = openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +159,7 @@ func TestTornTailTruncated(t *testing.T) {
 // catches it and replay keeps only the prefix before the corruption.
 func TestCorruptRecordStopsReplay(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +170,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	data[2*perRecord+perRecord/2] ^= 0xFF // inside record 2's payload
 	fs.WriteFile("wal.log", data)
 
-	_, rc, err := wal.Open(fs, wal.Options{})
+	_, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +192,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 // pending tail.
 func TestGroupCommitAmortizesFsync(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{SyncEvery: 4})
+	w, _, err := wal.Open(fs, wal.Options{SyncEvery: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +206,7 @@ func TestGroupCommitAmortizesFsync(t *testing.T) {
 	if got := fs.SyncCount(); got != 3 {
 		t.Errorf("syncs after close = %d, want 3 (close flushes the tail)", got)
 	}
-	_, rc, err := wal.Open(fs, wal.Options{})
+	_, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +225,7 @@ func TestSyncIntervalBoundsBatchAge(t *testing.T) {
 		SyncEvery:    1000,
 		SyncInterval: time.Second,
 		Now:          func() time.Time { return now },
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +246,7 @@ func TestSyncIntervalBoundsBatchAge(t *testing.T) {
 // further appends with the same error.
 func TestFsyncFailurePoisons(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +264,7 @@ func TestFsyncFailurePoisons(t *testing.T) {
 	}
 	// The crash image still recovers the three synced records (record 3's
 	// bytes may survive too — it reached the OS — but no later ones).
-	_, rc, err := wal.Open(fs.Clone(), wal.Options{})
+	_, rc, err := openReplay(t, fs.Clone(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +277,7 @@ func TestFsyncFailurePoisons(t *testing.T) {
 // budget: the half record is garbage to the CRC scan and is cut away.
 func TestShortWriteTruncatedOnReopen(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +290,7 @@ func TestShortWriteTruncatedOnReopen(t *testing.T) {
 	if err := w.Append(rec(3)); err == nil {
 		t.Fatal("append after short write accepted; log is poisoned")
 	}
-	_, rc, err := wal.Open(fs.Clone(), wal.Options{})
+	_, rc, err := openReplay(t, fs.Clone(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +314,7 @@ func snapshotDataset() *dataset.Dataset {
 // + tail only, and the log no longer holds pre-snapshot records.
 func TestCompactCheckpointsAndResetsLog(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +328,7 @@ func TestCompactCheckpointsAndResetsLog(t *testing.T) {
 	appendN(t, w, 8, 2)
 	w.Close()
 
-	_, rc, err := wal.Open(fs, wal.Options{})
+	_, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +346,7 @@ func TestCompactCheckpointsAndResetsLog(t *testing.T) {
 func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 	fs := faultfs.New()
 	fs.WriteFile("snapshot.tmp", []byte("{half a snapsh"))
-	w, rc, err := wal.Open(fs, wal.Options{})
+	w, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +363,7 @@ func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 // must not poison the log.
 func TestAppendRejectsOversizeIDs(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +379,7 @@ func TestAppendRejectsOversizeIDs(t *testing.T) {
 // TestClosedWAL: operations after Close fail with ErrClosed.
 func TestClosedWAL(t *testing.T) {
 	fs := faultfs.New()
-	w, _, err := wal.Open(fs, wal.Options{})
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +423,7 @@ func TestBreakerTripsOnStallAndRecovers(t *testing.T) {
 		SyncEvery:      1,
 		StallThreshold: 2 * time.Millisecond,
 		ProbeInterval:  5 * time.Millisecond,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +465,7 @@ func TestBreakerTripsOnStallAndRecovers(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rc, err := wal.Open(fs, wal.Options{})
+	_, rc, err := openReplay(t, fs, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +488,7 @@ func TestBreakerProbeGroupCommits(t *testing.T) {
 		SyncEvery:      1,
 		StallThreshold: time.Millisecond,
 		ProbeInterval:  5 * time.Millisecond,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +509,7 @@ func TestBreakerProbeGroupCommits(t *testing.T) {
 	// The probe group-commits in the background: eventually the crash image
 	// (synced bytes only) replays all five records.
 	waitFor(t, 2*time.Second, "probe to group-commit pending records", func() bool {
-		_, rc, err := wal.Open(fs.CrashImage(), wal.Options{})
+		_, rc, err := openReplay(t, fs.CrashImage(), wal.Options{})
 		return err == nil && len(rc.Records) == 5
 	})
 }
@@ -480,7 +523,7 @@ func TestBreakerProbeFailurePoisons(t *testing.T) {
 		SyncEvery:      1,
 		StallThreshold: time.Millisecond,
 		ProbeInterval:  5 * time.Millisecond,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
