@@ -420,9 +420,11 @@ func (e *Engine) workers() int {
 // every product analysis warm buffers without any cross-worker sharing.
 var scratchPool = sync.Pool{New: func() any { return detect.NewScratch() }}
 
-// forEachProduct runs fn(i) for i in [0, n) over a bounded worker pool in
-// the current goroutine plus up to workers()−1 helpers, handing each worker
-// its own detector scratch. fn must only write state owned by index i and
+// forEachProduct runs fn(i) for i in [0, n) over a bounded worker pool,
+// handing each worker its own detector scratch. With w = min(workers(), n)
+// workers, w ≤ 1 runs every call in the current goroutine; otherwise w
+// goroutines run the calls while the current goroutine only feeds them
+// indices and waits. fn must only write state owned by index i and
 // must not retain sc past the call. Each call is counted as analyzed in
 // st's counters.
 //

@@ -45,7 +45,7 @@ var CtxFirst = &Analyzer{
 }
 
 func runCtxFirst(pass *Pass) error {
-	if !pathHasAnySegments(pass.Pkg.Path, ctxFirstPkgs) {
+	if segmentsMatch(pass.Pkg.Path, ctxFirstPkgs) == "" {
 		return nil
 	}
 	info := pass.Pkg.Info

@@ -34,7 +34,7 @@ var DetMapRange = &Analyzer{
 }
 
 func runDetMapRange(pass *Pass) error {
-	if !pathHasAnySegments(pass.Pkg.Path, determinismCriticalPkgs) {
+	if segmentsMatch(pass.Pkg.Path, determinismCriticalPkgs) == "" {
 		return nil
 	}
 	info := pass.Pkg.Info

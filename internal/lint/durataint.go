@@ -46,7 +46,6 @@ type duraTaintFacts struct {
 type duraTaintState struct {
 	prog *Program
 	cg   *callgraph.Graph
-	info map[string]*types.Info
 
 	// carrier marks functions whose error result may derive from a
 	// durability source. Base sources (the wal/os surface from
@@ -58,11 +57,7 @@ func runDuraTaint(pass *ProgramPass) error {
 	st := &duraTaintState{
 		prog:    pass.Prog,
 		cg:      pass.Prog.CallGraph(),
-		info:    make(map[string]*types.Info),
 		carrier: make(map[*callgraph.Node]bool),
-	}
-	for _, pkg := range pass.Prog.Pkgs {
-		st.info[pkg.Path] = pkg.Info
 	}
 
 	// Carrier fixpoint: keep rescanning until no function changes state.
@@ -198,7 +193,7 @@ func isErrorType(t types.Type) bool {
 // through a wrapping call (fmt.Errorf("%w", err)) fed a tainted value. The
 // local-variable analysis is flow-insensitive.
 func (st *duraTaintState) returnsTaint(n *callgraph.Node) bool {
-	info := st.info[n.SrcPath]
+	info := st.prog.Info(n.SrcPath)
 	if info == nil {
 		return false
 	}
@@ -255,7 +250,7 @@ func (st *duraTaintState) returnsTaint(n *callgraph.Node) bool {
 	}
 
 	found := false
-	inspectNodeSkippingFuncLits(n.Decl.Body, func(node ast.Node, _ bool) {
+	inspectSkippingFuncLits(n.Decl.Body, func(node ast.Node) {
 		ret, ok := node.(*ast.ReturnStmt)
 		if !ok || found {
 			return
@@ -293,7 +288,7 @@ func (st *duraTaintState) taintedObjects(info *types.Info, n *callgraph.Node) ma
 	// Iterate to a small fixpoint for aliasing chains (err2 := err).
 	for changed := true; changed; {
 		changed = false
-		inspectNodeSkippingFuncLits(n.Decl.Body, func(node ast.Node, _ bool) {
+		inspectSkippingFuncLits(n.Decl.Body, func(node ast.Node) {
 			as, ok := node.(*ast.AssignStmt)
 			if !ok {
 				return
@@ -338,11 +333,10 @@ func (st *duraTaintState) taintedObjects(info *types.Info, n *callgraph.Node) ma
 
 // checkFunc reports dropped and swallowed carrier errors in one function.
 func (st *duraTaintState) checkFunc(pass *ProgramPass, n *callgraph.Node) {
-	info := st.info[n.SrcPath]
+	info := st.prog.Info(n.SrcPath)
 	if info == nil {
 		return
 	}
-	var g *cfg.Graph // built lazily; most functions have no findings
 
 	describe := func(call *ast.CallExpr) string {
 		fn := calleeFunc(info, call)
@@ -378,10 +372,7 @@ func (st *duraTaintState) checkFunc(pass *ProgramPass, n *callgraph.Node) {
 				reportDrop(node.Call)
 			}
 		case *ast.AssignStmt:
-			if g == nil {
-				g = cfg.New(n.Decl.Body)
-			}
-			st.checkAssign(pass, info, n, g, node, describe, reportDrop)
+			st.checkAssign(pass, info, n, st.prog.CFG(n.Decl.Body), node, describe, reportDrop)
 			return true
 		}
 		return true
@@ -480,26 +471,9 @@ func (st *duraTaintState) readReachable(info *types.Info, g *cfg.Graph, as *ast.
 
 	// Reads inside function literals or defers run after the assignment
 	// regardless of lexical position.
-	lateSpans := make([][2]token.Pos, 0, 4)
-	ast.Inspect(body, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			lateSpans = append(lateSpans, [2]token.Pos{x.Pos(), x.End()})
-		case *ast.DeferStmt:
-			lateSpans = append(lateSpans, [2]token.Pos{x.Pos(), x.End()})
-		}
-		return true
-	})
-	inLate := func(p token.Pos) bool {
-		for _, s := range lateSpans {
-			if p >= s[0] && p < s[1] {
-				return true
-			}
-		}
-		return false
-	}
+	late := append(spansOf[*ast.FuncLit](body), spansOf[*ast.DeferStmt](body)...)
 	for _, r := range reads {
-		if inLate(r) {
+		if late.has(r) {
 			return true
 		}
 	}

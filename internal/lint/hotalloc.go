@@ -57,10 +57,6 @@ var hotAllocExternAllow = map[string]bool{
 
 func runHotAlloc(pass *ProgramPass) error {
 	cg := pass.Prog.CallGraph()
-	info := make(map[string]*types.Info)
-	for _, pkg := range pass.Prog.Pkgs {
-		info[pkg.Path] = pkg.Info
-	}
 
 	roots := hotpathRoots(pass.Prog, cg)
 	if len(roots) == 0 {
@@ -130,7 +126,7 @@ func runHotAlloc(pass *ProgramPass) error {
 			continue
 		}
 
-		in := info[n.SrcPath]
+		in := pass.Prog.Info(n.SrcPath)
 		if in == nil {
 			continue
 		}

@@ -328,11 +328,52 @@ func pathHasSegments(path, want string) bool {
 	return false
 }
 
-// pathHasAnySegments reports whether any of wants occurs in path per
-// pathHasSegments.
-func pathHasAnySegments(path string, wants []string) bool {
+// segmentsMatch returns the first of wants that occurs in path per
+// pathHasSegments, or "" when none does. Lock classes use the match as the
+// repo-relative package (".../testdata/lockorder/internal/store" →
+// "internal/store"), so fixture packages mirror production classes.
+func segmentsMatch(path string, wants []string) string {
 	for _, w := range wants {
 		if pathHasSegments(path, w) {
+			return w
+		}
+	}
+	return ""
+}
+
+// inspectSkippingFuncLits walks node (a function body, statement or
+// expression) like ast.Inspect, skipping function-literal bodies.
+func inspectSkippingFuncLits(node ast.Node, visit func(n ast.Node)) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
+}
+
+// spans is a set of source ranges, such as a body's defer statements.
+type spans [][2]token.Pos
+
+// spansOf returns the source ranges of the T nodes under root.
+func spansOf[T ast.Node](root ast.Node) spans {
+	var out spans
+	ast.Inspect(root, func(n ast.Node) bool {
+		if x, ok := n.(T); ok {
+			out = append(out, [2]token.Pos{x.Pos(), x.End()})
+		}
+		return true
+	})
+	return out
+}
+
+// has reports whether p lies inside one of the ranges.
+func (s spans) has(p token.Pos) bool {
+	for _, r := range s {
+		if p >= r[0] && p < r[1] {
 			return true
 		}
 	}

@@ -61,12 +61,14 @@ func (c lockClass) String() string { return c.pkg + "." + c.typ + "." + c.field 
 // or an engine evaluation (blockingUnderMu) while a short-critical-section
 // state mutex is held.
 //
-// Soundness trade-offs (DESIGN.md §13): function-literal bodies and
-// deferred calls are excluded from held-set propagation, calls through
-// plain function values are unresolved, and held-sets are may-sets over
-// CFG paths — the analyzer over-approximates edges and under-approximates
-// defer-time behavior. Intentional exceptions are annotated
-// `//lint:ignore lockorder <rationale>` on the reported line.
+// The held-sets come from the program's shared lock model
+// (Program.lockModel), which lockheld reads too. Soundness trade-offs
+// (DESIGN.md §13): function-literal bodies and deferred calls are excluded
+// from lock-class propagation, calls through plain function values are
+// unresolved, and held-sets are may-sets over CFG paths — the analyzer
+// over-approximates edges and under-approximates defer-time behavior.
+// Intentional exceptions are annotated `//lint:ignore lockorder
+// <rationale>` on the reported line.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "derives the whole-program lock-acquisition graph over internal/server, internal/store, " +
@@ -96,58 +98,100 @@ type lockEdge struct {
 	via      string    // optional call chain description
 }
 
-type lockOrderState struct {
-	prog    *Program
-	cg      *callgraph.Graph
-	classes map[lockClass]bool
+func runLockOrder(pass *ProgramPass) error {
+	m := pass.Prog.lockModel()
+	if len(m.classes) == 0 {
+		return nil
+	}
+	var edges, selfNest []*lockEdge
+	add := func(e *lockEdge) {
+		if e.from == e.to {
+			selfNest = append(selfNest, e)
+		} else {
+			edges = append(edges, e)
+		}
+	}
+	for _, n := range m.cg.Funcs {
+		if f := m.flows[n]; f != nil {
+			m.checkFunc(pass, n, f, add)
+		}
+	}
+	m.report(pass, edges, selfNest)
+	m.exportFacts(pass, edges)
+	return nil
+}
 
-	// direct per-function summaries
+// lockModel is the program's one lock model, built once per Program and
+// read by both lock analyzers: the discovered lock classes, each function's
+// direct acquisitions and blocking base calls, and each function's held-set
+// dataflow (lockorder's edges and blocking rule, lockheld's guarded-field
+// rule).
+type lockModel struct {
+	cg        *callgraph.Graph
+	classes   map[lockClass]bool
 	directAcq map[*callgraph.Node][]lockClass
 	blockBase map[*callgraph.Node]string // node → description of the blocking base call
+	flows     map[*callgraph.Node]*lockFlow
 
 	// memoized transitive summaries
 	transAcq   map[*callgraph.Node][]lockClass
 	transBlock map[*callgraph.Node]string // "" = does not block; else witness description
 }
 
-func runLockOrder(pass *ProgramPass) error {
-	st := &lockOrderState{
-		prog:       pass.Prog,
-		cg:         pass.Prog.CallGraph(),
+// lockFlow is one function's lock events per CFG block and the may-held
+// set entering each block (nil for an unreachable block).
+type lockFlow struct {
+	// recv is the method's receiver when its type carries a mu guard field
+	// (lockheld's scope); recvMu events and guarded-field accesses are
+	// recorded only then.
+	recv   types.Object
+	events [][]loEvent
+	in     []map[lockClass]bool
+}
+
+// recvMu is the held-set entry for the analyzed method's own receiver's mu,
+// tracked beside the lock classes: lockheld keys on the receiver value,
+// lockorder on the type, so o.mu.Lock() on a second value of the receiver's
+// type holds the class but not recvMu. It has no package, so it is never a
+// discovered class; lockorder skips it.
+var recvMu = lockClass{field: "mu"}
+
+// lock events extracted from one CFG node
+const (
+	loAcquire = iota
+	loRelease
+	loCall
+	loAccess
+)
+
+type loEvent struct {
+	pos   token.Pos
+	kind  int
+	class lockClass       // for acquire/release: a lock class, or recvMu
+	edge  *callgraph.Edge // for call (resolved call edge)
+	field string          // for access: the receiver's guarded field
+	// deferred marks a recvMu event inside a defer statement: it runs at
+	// return, so the dataflow skips it; the Locked rule still counts it.
+	deferred bool
+}
+
+// buildLockModel discovers the lock classes, extracts every function's
+// events (recording its direct acquisitions and blocking base calls on the
+// way), and then runs each function's dataflow, which needs every callee's
+// direct acquisitions for the lock-helper transfer.
+func buildLockModel(p *Program) *lockModel {
+	m := &lockModel{
+		cg:         p.CallGraph(),
 		classes:    make(map[lockClass]bool),
 		directAcq:  make(map[*callgraph.Node][]lockClass),
 		blockBase:  make(map[*callgraph.Node]string),
+		flows:      make(map[*callgraph.Node]*lockFlow),
 		transAcq:   make(map[*callgraph.Node][]lockClass),
 		transBlock: make(map[*callgraph.Node]string),
 	}
-	st.discoverClasses()
-	if len(st.classes) == 0 {
-		return nil
-	}
-	st.summarize()
-
-	var edges []*lockEdge
-	var selfNest []*lockEdge
-	for _, n := range st.cg.Funcs {
-		if n.Decl == nil {
-			continue
-		}
-		e, s := st.analyzeFunc(pass, n)
-		edges = append(edges, e...)
-		selfNest = append(selfNest, s...)
-	}
-
-	st.report(pass, edges, selfNest)
-	st.exportFacts(pass, edges)
-	return nil
-}
-
-// discoverClasses finds every sync.Mutex/RWMutex field of a named struct
-// type declared in a lock-order package.
-func (st *lockOrderState) discoverClasses() {
-	for _, pkg := range st.prog.Pkgs {
-		seg, ok := normalizePkg(pkg.Path, lockOrderPkgs)
-		if !ok {
+	for _, pkg := range p.Pkgs {
+		seg := segmentsMatch(pkg.Path, lockOrderPkgs)
+		if seg == "" {
 			continue
 		}
 		scope := pkg.Types.Scope()
@@ -161,94 +205,54 @@ func (st *lockOrderState) discoverClasses() {
 				continue
 			}
 			for i := 0; i < strct.NumFields(); i++ {
-				f := strct.Field(i)
-				if fp, fn := namedRecv(f.Type()); fp == "sync" && (fn == "Mutex" || fn == "RWMutex") {
-					st.classes[lockClass{seg, name, f.Name()}] = true
+				if f := strct.Field(i); isMutex(f.Type()) {
+					m.classes[lockClass{seg, name, f.Name()}] = true
 				}
 			}
 		}
 	}
-}
-
-// normalizePkg maps a full package path to the repo-relative segment run it
-// matches (e.g. ".../testdata/lockorder/internal/store" → "internal/store").
-func normalizePkg(path string, wants []string) (string, bool) {
-	for _, w := range wants {
-		if pathHasSegments(path, w) {
-			return w, true
+	for _, n := range m.cg.Funcs {
+		if info := p.Info(n.SrcPath); n.Decl != nil && info != nil {
+			f := &lockFlow{recv: guardedRecv(info, n.Decl)}
+			f.events = m.blockEvents(info, n, p.CFG(n.Decl.Body), f.recv)
+			m.flows[n] = f
 		}
 	}
-	return "", false
+	for _, n := range m.cg.Funcs {
+		if f := m.flows[n]; f != nil {
+			m.solve(f, p.CFG(n.Decl.Body))
+		}
+	}
+	return m
 }
 
-// classOf resolves a selector expression x.field (the x in x.field.Lock())
-// to a lock class, if the field belongs to a discovered class.
-func (st *lockOrderState) classOf(info *types.Info, sel *ast.SelectorExpr) (lockClass, bool) {
-	var recvType types.Type
-	var fieldName string
-	if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.FieldVal {
-		recvType = selection.Recv()
-		fieldName = selection.Obj().Name()
-	} else {
-		return lockClass{}, false
-	}
-	pkgPath, typName := namedRecv(recvType)
-	if pkgPath == "" {
-		return lockClass{}, false
-	}
-	seg, ok := normalizePkg(pkgPath, lockOrderPkgs)
+// muCall classifies call as an acquisition (Lock/RLock/TryLock/TryRLock)
+// or release (Unlock/RUnlock) of a discovered lock class x.field, the x in
+// x.field.Lock(). The bool result reports whether it is such a call at all.
+func (m *lockModel) muCall(info *types.Info, call *ast.CallExpr) (lockClass, int, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return lockClass{}, false
+		return lockClass{}, 0, false
 	}
-	c := lockClass{seg, typName, fieldName}
-	if !st.classes[c] {
-		return lockClass{}, false
+	kind := loAcquire
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "TryLock", "TryRLock":
+	case "Unlock", "RUnlock":
+		kind = loRelease
+	default:
+		return lockClass{}, 0, false
 	}
-	return c, true
-}
-
-// lock events extracted from one CFG node
-const (
-	loAcquire = iota
-	loRelease
-	loCall
-)
-
-type loEvent struct {
-	pos   token.Pos
-	kind  int
-	class lockClass       // for acquire/release
-	edge  *callgraph.Edge // for call (resolved call edge)
-}
-
-// summarize computes each declared function's direct lock acquisitions and
-// direct blocking-base calls.
-func (st *lockOrderState) summarize() {
-	pkgInfo := st.infoIndex()
-	for _, n := range st.cg.Funcs {
-		if n.Decl == nil {
-			continue
-		}
-		info := pkgInfo[n.SrcPath]
-		if info == nil {
-			continue
-		}
-		inspectNodeSkippingFuncLits(n.Decl.Body, func(node ast.Node, inDefer bool) {
-			call, ok := node.(*ast.CallExpr)
-			if !ok || inDefer {
-				return
-			}
-			if c, _, ok := st.muCall(info, call); ok {
-				st.directAcq[n] = appendClass(st.directAcq[n], c)
-				return
-			}
-			if desc := blockingBase(calleeFunc(info, call)); desc != "" {
-				if _, have := st.blockBase[n]; !have {
-					st.blockBase[n] = desc
-				}
-			}
-		})
+	field, ok := sel.X.(*ast.SelectorExpr)
+	if !ok {
+		return lockClass{}, 0, false
 	}
+	selection, ok := info.Selections[field]
+	if !ok || selection.Kind() != types.FieldVal {
+		return lockClass{}, 0, false
+	}
+	pkgPath, typName := namedRecv(selection.Recv())
+	c := lockClass{segmentsMatch(pkgPath, lockOrderPkgs), typName, selection.Obj().Name()}
+	return c, kind, m.classes[c]
 }
 
 func appendClass(cs []lockClass, c lockClass) []lockClass {
@@ -258,43 +262,6 @@ func appendClass(cs []lockClass, c lockClass) []lockClass {
 		}
 	}
 	return append(cs, c)
-}
-
-// infoIndex maps package import paths to their type info.
-func (st *lockOrderState) infoIndex() map[string]*types.Info {
-	m := make(map[string]*types.Info, len(st.prog.Pkgs))
-	for _, pkg := range st.prog.Pkgs {
-		m[pkg.Path] = pkg.Info
-	}
-	return m
-}
-
-// muCall classifies call as an acquisition (Lock/RLock) or release
-// (Unlock/RUnlock) of a discovered lock class. The bool result reports
-// whether it is a mutex call at all; acquire distinguishes the direction.
-func (st *lockOrderState) muCall(info *types.Info, call *ast.CallExpr) (lockClass, bool, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return lockClass{}, false, false
-	}
-	var acquire bool
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		acquire = true
-	case "Unlock", "RUnlock":
-		acquire = false
-	default:
-		return lockClass{}, false, false
-	}
-	field, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return lockClass{}, false, false
-	}
-	c, ok := st.classOf(info, field)
-	if !ok {
-		return lockClass{}, false, false
-	}
-	return c, acquire, true
 }
 
 // blockingBase reports a non-empty description ("wal.Sync") when callee is
@@ -314,37 +281,37 @@ func blockingBase(callee *types.Func) string {
 
 // mayAcquire returns the lock classes reachable from n through the call
 // graph (n's own direct acquisitions included).
-func (st *lockOrderState) mayAcquire(n *callgraph.Node) []lockClass {
-	if cs, ok := st.transAcq[n]; ok {
+func (m *lockModel) mayAcquire(n *callgraph.Node) []lockClass {
+	if cs, ok := m.transAcq[n]; ok {
 		return cs
 	}
-	reach, _ := st.cg.Reachable(n)
+	reach, _ := m.cg.Reachable(n)
 	var out []lockClass
 	for _, r := range reach {
-		for _, c := range st.directAcq[r] {
+		for _, c := range m.directAcq[r] {
 			out = appendClass(out, c)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	st.transAcq[n] = out
+	m.transAcq[n] = out
 	return out
 }
 
 // mayBlock returns a witness description when n is a blocking base
 // ("wal.Sync") or may transitively reach a blocking base call ("wal.Sync
 // (via shard.checkpoint → shard.flush)"), else "".
-func (st *lockOrderState) mayBlock(n *callgraph.Node) string {
-	if d, ok := st.transBlock[n]; ok {
+func (m *lockModel) mayBlock(n *callgraph.Node) string {
+	if d, ok := m.transBlock[n]; ok {
 		return d
 	}
 	if d := blockingBase(n.Func); d != "" {
-		st.transBlock[n] = d
+		m.transBlock[n] = d
 		return d
 	}
-	reach, parent := st.cg.Reachable(n)
+	reach, parent := m.cg.Reachable(n)
 	desc := ""
 	for _, r := range reach {
-		base, ok := st.blockBase[r]
+		base, ok := m.blockBase[r]
 		if !ok {
 			continue
 		}
@@ -360,7 +327,7 @@ func (st *lockOrderState) mayBlock(n *callgraph.Node) string {
 		}
 		break // Reachable order is deterministic; first witness wins
 	}
-	st.transBlock[n] = desc
+	m.transBlock[n] = desc
 	return desc
 }
 
@@ -377,96 +344,133 @@ func shortFuncName(n *callgraph.Node) string {
 	return fn.Name()
 }
 
-// analyzeFunc runs the CFG may-held dataflow over one function and returns
-// the lock-graph edges and same-class nesting witnesses it contributes,
-// reporting blocking-under-short-lock violations directly.
-func (st *lockOrderState) analyzeFunc(pass *ProgramPass, n *callgraph.Node) (edges, selfNest []*lockEdge) {
-	info := st.infoIndex()[n.SrcPath]
-	if info == nil {
-		return nil, nil
+// blockEvents extracts the ordered events of every CFG block. Lock-class
+// acquisitions and releases and resolved calls are recorded outside
+// function literals and defer statements, as are the function's direct
+// acquisitions and its first blocking base call. For a guarded receiver it
+// also records the receiver's own mu calls (recvMu) and guarded-field
+// accesses, inside function literals too, at their lexical position.
+func (m *lockModel) blockEvents(info *types.Info, n *callgraph.Node, g *cfg.Graph, recv types.Object) [][]loEvent {
+	// Resolve call expressions to their graph edges once, by site.
+	edgeAt := make(map[token.Pos][]*callgraph.Edge)
+	for _, e := range n.Out {
+		edgeAt[e.Site] = append(edgeAt[e.Site], e)
 	}
-	g := cfg.New(n.Decl.Body)
-	events := st.blockEvents(info, n, g)
-
-	// May-held dataflow to fixpoint: state is the set of classes possibly
-	// held entering each block; union over predecessors, loop back-edges
-	// included, so an acquisition inside a loop sees itself held on the
-	// second iteration.
-	in := make([]map[lockClass]bool, len(g.Blocks))
-	apply := func(state map[lockClass]bool, evs []loEvent, emit bool) map[lockClass]bool {
-		for _, ev := range evs {
-			switch ev.kind {
-			case loAcquire:
-				if emit {
-					if state[ev.class] {
-						selfNest = append(selfNest, &lockEdge{from: ev.class, to: ev.class, site: ev.pos, fn: shortFuncName(n)})
-					}
-					for c := range state {
-						if c != ev.class {
-							edges = append(edges, &lockEdge{from: c, to: ev.class, site: ev.pos, fn: shortFuncName(n)})
+	lits, defers := spansOf[*ast.FuncLit](n.Decl.Body), spansOf[*ast.DeferStmt](n.Decl.Body)
+	basePos := token.NoPos
+	events := make([][]loEvent, len(g.Blocks))
+	for _, b := range g.Blocks {
+		var evs []loEvent
+		for _, node := range b.Nodes {
+			ast.Inspect(node, func(x ast.Node) bool {
+				switch x := x.(type) {
+				case *ast.CallExpr:
+					pos := x.Pos()
+					deferred := defers.has(pos)
+					live := !deferred && !lits.has(pos)
+					if c, kind, ok := m.muCall(info, x); ok && live {
+						m.directAcq[n] = appendClass(m.directAcq[n], c)
+						evs = append(evs, loEvent{pos: pos, kind: kind, class: c})
+					} else if !ok && live {
+						if d := blockingBase(calleeFunc(info, x)); d != "" && (!basePos.IsValid() || pos < basePos) {
+							m.blockBase[n], basePos = d, pos
+						}
+						for _, e := range edgeAt[pos] {
+							evs = append(evs, loEvent{pos: pos, kind: loCall, edge: e})
 						}
 					}
-				}
-				state = cloneSet(state)
-				state[ev.class] = true
-			case loRelease:
-				state = cloneSet(state)
-				delete(state, ev.class)
-			case loCall:
-				if emit && len(state) > 0 {
-					st.callUnderLocks(pass, n, ev, state, &edges, &selfNest)
-				}
-				// A lock-helper call transfers its direct acquisitions or
-				// releases into the caller's held-set: server's
-				// freshRLock() returns holding Service.mu, and a matching
-				// unlock helper would release it. Only helpers whose own
-				// body directly locks count, and only when the name says
-				// which way ("...Lock"/"...Unlock", case-sensitive).
-				if direct := st.directAcq[ev.edge.Callee]; len(direct) > 0 {
-					name := ev.edge.Callee.Func.Name()
-					if strings.HasSuffix(name, "Unlock") {
-						state = cloneSet(state)
-						for _, c := range direct {
-							delete(state, c)
-						}
-					} else if strings.HasSuffix(name, "Lock") {
-						state = cloneSet(state)
-						for _, c := range direct {
-							state[c] = true
-						}
+					if kind, ok := recvLockCall(info, x, recv); ok {
+						evs = append(evs, loEvent{pos: pos, kind: kind, class: recvMu, deferred: deferred})
+					}
+				case *ast.SelectorExpr:
+					if name, ok := guardedFieldAccess(info, x, recv); ok {
+						evs = append(evs, loEvent{pos: x.Pos(), kind: loAccess, field: name})
 					}
 				}
-			}
+				return true
+			})
 		}
-		return state
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
+		events[b.Index] = evs
 	}
+	return events
+}
 
-	// Fixpoint.
-	in[0] = map[lockClass]bool{}
+// solve runs the may-held dataflow to fixpoint: the state is the set of
+// classes possibly held entering each block, unioned over predecessors,
+// loop back-edges included, so an acquisition inside a loop sees itself
+// held on the second iteration.
+func (m *lockModel) solve(f *lockFlow, g *cfg.Graph) {
+	f.in = make([]map[lockClass]bool, len(g.Blocks))
+	f.in[0] = map[lockClass]bool{}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range g.Blocks {
-			if in[b.Index] == nil {
+			out := f.in[b.Index]
+			if out == nil {
 				continue
 			}
-			out := apply(in[b.Index], events[b.Index], false)
+			for _, ev := range f.events[b.Index] {
+				out = m.step(out, ev)
+			}
 			for _, s := range b.Succs {
-				merged, grew := mergeSet(in[s.Index], out)
-				if grew {
-					in[s.Index] = merged
+				if merged, grew := mergeSet(f.in[s.Index], out); grew {
+					f.in[s.Index] = merged
 					changed = true
 				}
 			}
 		}
 	}
-	// Report pass with stable in-states.
-	for _, b := range g.Blocks {
-		if in[b.Index] == nil {
+}
+
+// lockHelper reports whether callee is a lock helper, and which classes it
+// acquires or releases: server's freshRLock() returns holding Service.mu,
+// and a matching unlock helper would release it. Only helpers whose own
+// body directly locks count, and only when the name says which way
+// ("...Lock"/"...Unlock", case-sensitive).
+func (m *lockModel) lockHelper(callee *callgraph.Node) (classes []lockClass, acquire, ok bool) {
+	name := callee.Func.Name()
+	classes, acquire = m.directAcq[callee], strings.HasSuffix(name, "Lock")
+	return classes, acquire, len(classes) > 0 && (acquire || strings.HasSuffix(name, "Unlock"))
+}
+
+// step applies one event to a held-set (copy-on-write); a lock-helper call
+// transfers its direct acquisitions or releases into the caller's held-set.
+func (m *lockModel) step(held map[lockClass]bool, ev loEvent) map[lockClass]bool {
+	classes, acquire := []lockClass{ev.class}, ev.kind == loAcquire
+	switch {
+	case ev.deferred || ev.kind == loAccess:
+		return held
+	case ev.kind == loCall:
+		var ok bool
+		if classes, acquire, ok = m.lockHelper(ev.edge.Callee); !ok {
+			return held
+		}
+	}
+	held = cloneSet(held)
+	for _, c := range classes {
+		if acquire {
+			held[c] = true
+		} else {
+			delete(held, c)
+		}
+	}
+	return held
+}
+
+// replay walks the events of every reachable block in order, handing visit
+// the held-set in force just before each event.
+func (m *lockModel) replay(f *lockFlow, visit func(held map[lockClass]bool, ev loEvent)) {
+	for i, evs := range f.events {
+		held := f.in[i]
+		if held == nil {
 			continue // unreachable block
 		}
-		apply(in[b.Index], events[b.Index], true)
+		for _, ev := range evs {
+			visit(held, ev)
+			held = m.step(held, ev)
+		}
 	}
-	return edges, selfNest
 }
 
 func cloneSet(s map[lockClass]bool) map[lockClass]bool {
@@ -496,132 +500,62 @@ func mergeSet(dst, src map[lockClass]bool) (map[lockClass]bool, bool) {
 	return dst, grew
 }
 
-// blockEvents extracts the ordered lock/call events of every CFG block.
-func (st *lockOrderState) blockEvents(info *types.Info, n *callgraph.Node, g *cfg.Graph) [][]loEvent {
-	// Resolve call expressions to their graph edges once, by site.
-	edgeAt := make(map[token.Pos][]*callgraph.Edge)
-	for _, e := range n.Out {
-		edgeAt[e.Site] = append(edgeAt[e.Site], e)
-	}
-	events := make([][]loEvent, len(g.Blocks))
-	for _, b := range g.Blocks {
-		var evs []loEvent
-		for _, node := range b.Nodes {
-			inspectNodeSkippingFuncLits(node, func(x ast.Node, inDefer bool) {
-				call, ok := x.(*ast.CallExpr)
-				if !ok || inDefer {
-					return
+// checkFunc replays one function's held-set dataflow: an acquisition adds
+// an edge from every held class (a same-class one is a nesting witness),
+// and a resolved call made under held classes goes to callUnderLocks.
+func (m *lockModel) checkFunc(pass *ProgramPass, n *callgraph.Node, f *lockFlow, add func(*lockEdge)) {
+	m.replay(f, func(held map[lockClass]bool, ev loEvent) {
+		switch {
+		case ev.class == recvMu: // lockheld's view of the receiver
+		case ev.kind == loAcquire:
+			for c := range held {
+				if c != recvMu {
+					add(&lockEdge{from: c, to: ev.class, site: ev.pos, fn: shortFuncName(n)})
 				}
-				if c, acquire, ok := st.muCall(info, call); ok {
-					kind := loRelease
-					if acquire {
-						kind = loAcquire
-					}
-					evs = append(evs, loEvent{pos: call.Pos(), kind: kind, class: c})
-					return
-				}
-				for _, e := range edgeAt[call.Pos()] {
-					evs = append(evs, loEvent{pos: call.Pos(), kind: loCall, edge: e})
-				}
-			})
-		}
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
-		events[b.Index] = evs
-	}
-	return events
-}
-
-// inspectNodeSkippingFuncLits walks node (a function body, statement or
-// expression), skipping function-literal bodies and flagging nodes inside
-// defer statements.
-func inspectNodeSkippingFuncLits(node ast.Node, visit func(n ast.Node, inDefer bool)) {
-	var deferSpans [][2]token.Pos
-	ast.Inspect(node, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferSpans = append(deferSpans, [2]token.Pos{d.Pos(), d.End()})
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return true
-	})
-	inDefer := func(p token.Pos) bool {
-		for _, s := range deferSpans {
-			if p >= s[0] && p < s[1] {
-				return true
 			}
+		case ev.kind == loCall && len(held) > 0:
+			m.callUnderLocks(pass, n, ev, held, add)
 		}
-		return false
-	}
-	ast.Inspect(node, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n, inDefer(n.Pos()))
-		}
-		return true
 	})
 }
 
 // callUnderLocks handles a resolved call made while locks are held: it
 // contributes held→acquired edges from the callee's transitive summary and
 // reports blocking calls under a short-critical-section lock.
-func (st *lockOrderState) callUnderLocks(pass *ProgramPass, n *callgraph.Node, ev loEvent, held map[lockClass]bool, edges, selfNest *[]*lockEdge) {
+func (m *lockModel) callUnderLocks(pass *ProgramPass, n *callgraph.Node, ev loEvent, held map[lockClass]bool, add func(*lockEdge)) {
 	callee := ev.edge.Callee
 	// Lock-helper calls are the caller's own acquisition/release, not a
 	// nested critical section; the dataflow transfer handles them.
-	if name := callee.Func.Name(); strings.HasSuffix(name, "Lock") || strings.HasSuffix(name, "Unlock") {
-		if len(st.directAcq[callee]) > 0 {
-			return
-		}
-	}
-	for _, acquired := range st.mayAcquire(callee) {
-		for h := range held {
-			if h == acquired {
-				*selfNest = append(*selfNest, &lockEdge{
-					from: h, to: acquired, site: ev.pos, fn: shortFuncName(n), via: shortFuncName(callee),
-				})
-				continue
-			}
-			*edges = append(*edges, &lockEdge{
-				from: h, to: acquired, site: ev.pos, fn: shortFuncName(n),
-				via: shortFuncName(callee),
-			})
-		}
-	}
-	hasShort := false
-	for h := range held {
-		if shortHeldLocks[h.String()] {
-			hasShort = true
-			break
-		}
-	}
-	if !hasShort {
+	if _, _, ok := m.lockHelper(callee); ok {
 		return
 	}
-	if desc := st.mayBlock(callee); desc != "" {
-		short := sortedShort(held)
+	for _, acquired := range m.mayAcquire(callee) {
+		for h := range held {
+			if h != recvMu {
+				add(&lockEdge{from: h, to: acquired, site: ev.pos, fn: shortFuncName(n), via: shortFuncName(callee)})
+			}
+		}
+	}
+	var short []string
+	for h := range held {
+		if shortHeldLocks[h.String()] {
+			short = append(short, h.String())
+		}
+	}
+	if len(short) == 0 {
+		return
+	}
+	if desc := m.mayBlock(callee); desc != "" {
+		sort.Strings(short)
 		pass.Reportf(ev.pos,
 			"method %s calls %s while holding %s: WAL fsyncs and engine evaluations must run outside short-critical-section state mutexes — restructure, or annotate //lint:ignore lockorder with a rationale",
 			shortFuncName(n), desc, strings.Join(short, ", "))
 	}
 }
 
-func sortedShort(held map[lockClass]bool) []string {
-	var out []string
-	for h := range held {
-		if shortHeldLocks[h.String()] {
-			out = append(out, h.String())
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // report deduplicates edges, detects cycles among distinct classes, and
 // emits the self-nesting diagnostics.
-func (st *lockOrderState) report(pass *ProgramPass, edges, selfNest []*lockEdge) {
+func (m *lockModel) report(pass *ProgramPass, edges, selfNest []*lockEdge) {
 	// Deduplicate same-class nesting by site.
 	seenNest := make(map[token.Pos]bool)
 	for _, e := range selfNest {
@@ -642,9 +576,6 @@ func (st *lockOrderState) report(pass *ProgramPass, edges, selfNest []*lockEdge)
 	type pair struct{ from, to lockClass }
 	witness := make(map[pair]*lockEdge)
 	for _, e := range edges {
-		if e.from == e.to {
-			continue // same-class handled above (intra-function); via-call self edges covered by cycle check below
-		}
 		p := pair{e.from, e.to}
 		w, ok := witness[p]
 		if !ok || posLess(pass.Prog.Fset, e.site, w.site) {
@@ -742,7 +673,7 @@ func cycleKey(cycle []lockClass) string {
 }
 
 // exportFacts publishes the lock graph and blocking summaries.
-func (st *lockOrderState) exportFacts(pass *ProgramPass, edges []*lockEdge) {
+func (m *lockModel) exportFacts(pass *ProgramPass, edges []*lockEdge) {
 	facts := lockOrderFacts{MayAcquire: make(map[string][]string)}
 	seen := make(map[string]bool)
 	for _, e := range edges {
@@ -753,14 +684,14 @@ func (st *lockOrderState) exportFacts(pass *ProgramPass, edges []*lockEdge) {
 		}
 	}
 	sort.Strings(facts.Edges)
-	for _, n := range st.cg.Funcs {
+	for _, n := range m.cg.Funcs {
 		if n.Decl == nil {
 			continue
 		}
-		if st.mayBlock(n) != "" {
+		if m.mayBlock(n) != "" {
 			facts.MayBlock = append(facts.MayBlock, n.Name())
 		}
-		if acq := st.mayAcquire(n); len(acq) > 0 {
+		if acq := m.mayAcquire(n); len(acq) > 0 {
 			var cs []string
 			for _, c := range acq {
 				cs = append(cs, c.String())

@@ -41,7 +41,7 @@ var NoWall = &Analyzer{
 }
 
 func runNoWall(pass *Pass) error {
-	if !pathHasAnySegments(pass.Pkg.Path, pureComputePkgs) {
+	if segmentsMatch(pass.Pkg.Path, pureComputePkgs) == "" {
 		return nil
 	}
 	info := pass.Pkg.Info

@@ -2,16 +2,21 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"sync"
 
 	"repro/internal/lint/callgraph"
+	"repro/internal/lint/cfg"
 )
 
 // Program is the whole-program view handed to interprocedural analyzers:
-// every loaded package plus a lazily built, cached call graph shared across
-// analyzers, and a fact store through which analyzers export their
+// every loaded package and its type info indexed by import path, plus what
+// the analyzers share instead of rebuilding — a lazily built call graph,
+// one control-flow graph per function body, the lock model both lock
+// analyzers read — and a fact store through which analyzers export their
 // summaries so later analyzers (and tests) can compose with them.
 type Program struct {
 	// Pkgs holds the loaded packages sorted by import path.
@@ -19,11 +24,17 @@ type Program struct {
 	// Fset is the file set shared by every package in the program.
 	Fset *token.FileSet
 
+	info map[string]*types.Info
+
 	cgOnce sync.Once
 	cg     *callgraph.Graph
 
-	mu    sync.Mutex
+	locksOnce sync.Once
+	locks     *lockModel
+
+	mu    sync.Mutex // guards facts and cfgs
 	facts map[string]any
+	cfgs  map[*ast.BlockStmt]*cfg.Graph
 }
 
 // NewProgram assembles a Program from loaded packages. All packages must
@@ -31,11 +42,36 @@ type Program struct {
 func NewProgram(pkgs []*Package) *Program {
 	sorted := append([]*Package(nil), pkgs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
-	p := &Program{Pkgs: sorted, facts: make(map[string]any)}
+	p := &Program{
+		Pkgs:  sorted,
+		info:  make(map[string]*types.Info, len(sorted)),
+		facts: make(map[string]any),
+		cfgs:  make(map[*ast.BlockStmt]*cfg.Graph),
+	}
+	for _, pkg := range sorted {
+		p.info[pkg.Path] = pkg.Info
+	}
 	if len(sorted) > 0 {
 		p.Fset = sorted[0].Fset
 	}
 	return p
+}
+
+// Info returns the type info of the loaded package with the given import
+// path, or nil when the program does not hold its source.
+func (p *Program) Info(path string) *types.Info { return p.info[path] }
+
+// CFG returns the control-flow graph of a function body, built on first
+// use and shared by every analyzer afterwards.
+func (p *Program) CFG(body *ast.BlockStmt) *cfg.Graph {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	g, ok := p.cfgs[body]
+	if !ok {
+		g = cfg.New(body)
+		p.cfgs[body] = g
+	}
+	return g
 }
 
 // CallGraph builds the program's CHA call graph on first use and returns
@@ -55,6 +91,14 @@ func (p *Program) CallGraph() *callgraph.Graph {
 		p.cg = callgraph.Build(p.Fset, srcs)
 	})
 	return p.cg
+}
+
+// lockModel builds the program's lock model (lock classes, per-function
+// summaries and held-set dataflow) on first use; lockorder and lockheld
+// both read it.
+func (p *Program) lockModel() *lockModel {
+	p.locksOnce.Do(func() { p.locks = buildLockModel(p) })
+	return p.locks
 }
 
 // ExportFact records a named analyzer fact (its computed summary — lock

@@ -52,6 +52,48 @@ func (s *store) ViaHelper() int {
 	return s.n
 }
 
+// indirectRLock acquires through freshRLock without touching mu itself:
+// any receiver call whose name ends in Lock counts as acquiring mu.
+func (s *store) indirectRLock() { s.freshRLock() }
+
+func (s *store) ViaIndirectHelper() int {
+	s.indirectRLock() // allowed: the helper chain returns holding mu
+	defer s.mu.RUnlock()
+	return s.n
+}
+
+// OtherValue locks a second store, not the receiver: the rule keys on the
+// receiver value, so s.n is still read without s.mu.
+func (s *store) OtherValue(o *store) int { // want "accesses guarded field s.n"
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return s.n
+}
+
+// InClosure reads guarded state only inside a function literal: closure
+// bodies are checked at their lexical position.
+func (s *store) InClosure() func() int { // want "accesses guarded field s.table"
+	return func() int { return len(s.table) }
+}
+
+// ClosureLocks locks and unlocks inside the literal around its access:
+// lock calls in a closure count at their lexical position too.
+func (s *store) ClosureLocks() {
+	bump := func() {
+		s.mu.Lock()
+		s.n++
+		s.mu.Unlock()
+	}
+	bump()
+}
+
+// reacquireLocked drops the caller's lock and takes it back at return; the
+// deferred acquisition still breaks the Locked contract.
+func (s *store) reacquireLocked() {
+	s.mu.Unlock()
+	defer s.mu.Lock() // want "self-deadlocks"
+}
+
 //lint:ignore lockheld boot-time initialization before the store escapes its constructor, demonstrated for the fixture
 func (s *store) boot() {
 	s.n = 1

@@ -114,3 +114,29 @@ func (sh *shard) goodCheckpoint(v float64) error {
 	sh.mu.Unlock()
 	return nil
 }
+
+// lockShard is a lock helper that acquires the shard mutex directly.
+func (sh *shard) lockShard() { sh.mu.Lock() }
+
+// relockShardLock only calls another helper: it acquires nothing directly,
+// so its call does not enter the caller's held-set.
+func (sh *shard) relockShardLock() { sh.lockShard() }
+
+// viaIndirectLock fsyncs after the indirect helper; only helpers that lock
+// directly transfer their acquisitions, so no finding is derived.
+func (sh *shard) viaIndirectLock() error {
+	sh.relockShardLock()
+	defer sh.mu.Unlock()
+	return sh.flush()
+}
+
+// closureNest takes the shard mutex again only inside a function literal:
+// a closure runs under its eventual caller, so no nesting is derived here.
+func (sh *shard) closureNest() func() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return func() {
+		sh.mu.Lock()
+		sh.mu.Unlock()
+	}
+}
