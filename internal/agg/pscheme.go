@@ -6,7 +6,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/engine"
-	"repro/internal/trust"
 )
 
 // PScheme is the paper's proposed signal-based reliable rating aggregation
@@ -55,18 +54,11 @@ func (p *PScheme) Engine() *engine.Engine {
 	}
 }
 
-// Result is the full outcome of a P-scheme evaluation, exposing the
-// per-rating suspicious marks and the final trust state for analysis.
-type Result struct {
-	Table Table
-	// Suspicious maps product ID to a per-rating mark aligned with the
-	// product's (sorted) rating series.
-	Suspicious map[string][]bool
-	// Trust is the final trust manager state after all epochs. It is the
-	// engine's final checkpoint, which later evaluations on the same state
-	// read: callers must not write it (Clone it for what-if evaluation).
-	Trust *trust.Manager
-}
+// Result is the full outcome of a P-scheme evaluation: the table, the
+// per-rating suspicious marks aligned with each product's sorted series,
+// the final trust (read-only: Clone it for what-if evaluation) and the
+// causal Published table (engine.Result).
+type Result = engine.Result
 
 // Aggregates implements Scheme.
 func (p *PScheme) Aggregates(d *dataset.Dataset) Table {
@@ -85,5 +77,5 @@ func (p *PScheme) Evaluate(d *dataset.Dataset) *Result {
 		// errors only for cancellation; treat anything else as a bug.
 		panic("agg: Evaluate failed under background context: " + err.Error())
 	}
-	return &Result{Table: Table(res.Table), Suspicious: res.Suspicious, Trust: res.Trust}
+	return res
 }

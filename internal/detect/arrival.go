@@ -81,8 +81,8 @@ func curveDays(m int) []float64 {
 // sums[i] = the band ratings on days before i (on scratch, len n+1), and
 // the largest daily count. Band membership is tested while bucketing —
 // one pass, no intermediate filtered series — which produces the same
-// integer counts as filtering first (bandCountsRef): each selected rating
-// increments exactly one bucket either way.
+// integer counts as filtering first (reference.BandCounts): each selected
+// rating increments exactly one bucket either way.
 func (sc *Scratch) bandSums(s dataset.Series, n int, band ARCBand, ta, tb float64) (sums []int64, peak int64) {
 	sums = sc.sumsBuf(n + 1)
 	for i := range s {
@@ -297,7 +297,7 @@ func daySegments(days int, peakDays []float64) []Interval {
 
 // meanSums returns the mean daily count over iv, clipped to the days
 // whose prefix sums are sums. The counts are integers, so the prefix-sum
-// difference is exactly the sum the reference (meanCounts) adds up.
+// difference is exactly the sum reference.ArrivalRateChange adds up.
 func meanSums(sums []int64, iv Interval) float64 {
 	lo := int(iv.Start)
 	hi := int(math.Ceil(iv.End))

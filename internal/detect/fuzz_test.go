@@ -1,10 +1,11 @@
-package detect
+package detect_test
 
 import (
 	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
+	. "repro/internal/detect"
 )
 
 // fuzzSeries decodes fuzz bytes into a sorted rating series: two bytes per

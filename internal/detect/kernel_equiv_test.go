@@ -1,4 +1,4 @@
-package detect
+package detect_test
 
 import (
 	"fmt"
@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	. "repro/internal/detect"
+	"repro/internal/reference"
 	"repro/internal/stats"
 	"repro/internal/trust"
 )
@@ -15,7 +17,7 @@ import (
 // The incremental kernels (mcExtend's two-pointer sweep, the ARC single-pass
 // band counts, HC's order-maintained window, ME's reused value buffer) must
 // be bit-identical to the straightforward reference kernels in
-// reference_test.go. These tests pin that contract over randomized series —
+// internal/reference. These tests pin that contract over randomized series —
 // including duplicate days, all-equal values, single ratings and empty
 // windows — and over randomized configurations including degenerate window
 // and step sizes (step larger than the window, windows longer than the
@@ -33,23 +35,6 @@ func bitsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// meanCounts is the reference segment rate: the mean of the float64 daily
-// counts over iv (arrivalRateChangeRef reads it).
-func meanCounts(counts []float64, iv Interval) float64 {
-	lo := int(iv.Start)
-	hi := int(math.Ceil(iv.End))
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(counts) {
-		hi = len(counts)
-	}
-	if hi <= lo {
-		return 0
-	}
-	return stats.Mean(counts[lo:hi])
 }
 
 func curvesEqual(a, b Curve) bool {
@@ -95,18 +80,18 @@ func decisionsEqual(a, b Decision) bool {
 // checkReference runs the stack on s through a fresh Prefix and requires
 // its curves, signals and decided MC segments to equal the reference
 // kernels' bit for bit, under each trust source, and every band of the
-// ARC kernel (AllRatings too) to equal arrivalRateChangeRef and
-// arcCurveRef.
+// ARC kernel (AllRatings too) to equal reference.ArrivalRateChange and
+// reference.ARCCurve.
 func checkReference(t *testing.T, label string, s dataset.Series, horizon float64, cfg Config, sources []TrustSource) {
 	t.Helper()
-	sig, _, p := analyze(s, horizon, cfg, nil, NewScratch())
+	sig, _, p := Analyze(s, horizon, cfg, nil, NewScratch())
 	mc, high, low, hc, me := p.Curves(cfg)
-	if !curvesEqual(mc, mcCurveRef(s, cfg)) {
-		t.Fatalf("%s: MC curve diverges from mcCurveRef", label)
+	if !curvesEqual(mc, reference.MCCurve(s, cfg)) {
+		t.Fatalf("%s: MC curve diverges from reference.MCCurve", label)
 	}
 	for _, ts := range sources {
-		if got, want := Decide(s, sig, cfg, ts).Segments, meanChangeRef(s, cfg, ts); !segmentsEqual(got, want) {
-			t.Fatalf("%s: MC segments %+v, meanChangeRef %+v (ts=%T)", label, got, want, ts)
+		if got, want := Decide(s, sig, cfg, ts).Segments, reference.MeanChange(s, cfg, ts); !segmentsEqual(got, want) {
+			t.Fatalf("%s: MC segments %+v, reference.MeanChange %+v (ts=%T)", label, got, want, ts)
 		}
 	}
 	for _, arc := range []struct {
@@ -114,21 +99,21 @@ func checkReference(t *testing.T, label string, s dataset.Series, horizon float6
 		curve Curve
 	}{{sig.HARC, high}, {sig.LARC, low}} {
 		band := arc.sig.Band
-		if !arcSignalsEqual(arc.sig, arrivalRateChangeRef(s, horizon, band, cfg)) || !curvesEqual(arc.curve, arcCurveRef(s, horizon, band, cfg)) {
+		if !arcSignalsEqual(arc.sig, reference.ArrivalRateChange(s, horizon, band, cfg)) || !curvesEqual(arc.curve, reference.ARCCurve(s, horizon, band, cfg)) {
 			t.Fatalf("%s: ArrivalSignals %v diverges from reference", label, band)
 		}
 	}
 	for _, band := range []ARCBand{AllRatings, HighBand, LowBand} {
-		got, curve := arcKernel(s, horizon, band, cfg)
-		if !arcSignalsEqual(got, arrivalRateChangeRef(s, horizon, band, cfg)) || !curvesEqual(curve, arcCurveRef(s, horizon, band, cfg)) {
+		got, curve := ARCKernel(s, horizon, band, cfg)
+		if !arcSignalsEqual(got, reference.ArrivalRateChange(s, horizon, band, cfg)) || !curvesEqual(curve, reference.ARCCurve(s, horizon, band, cfg)) {
 			t.Fatalf("%s: ARC kernel (%v) diverges from reference", label, band)
 		}
 	}
-	if want, ivs := histogramChangeRef(s, cfg); !curvesEqual(hc, want) || !intervalsEqual(sig.HC, ivs) {
-		t.Fatalf("%s: HC diverges from histogramChangeRef", label)
+	if want, ivs := reference.HistogramChange(s, cfg); !curvesEqual(hc, want) || !intervalsEqual(sig.HC, ivs) {
+		t.Fatalf("%s: HC diverges from reference.HistogramChange", label)
 	}
-	if want, ivs := modelErrorRef(s, cfg); !curvesEqual(me, want) || !intervalsEqual(sig.ME, ivs) {
-		t.Fatalf("%s: ME diverges from modelErrorRef", label)
+	if want, ivs := reference.ModelError(s, cfg); !curvesEqual(me, want) || !intervalsEqual(sig.ME, ivs) {
+		t.Fatalf("%s: ME diverges from reference.ModelError", label)
 	}
 }
 
@@ -136,12 +121,12 @@ func checkReference(t *testing.T, label string, s dataset.Series, horizon float6
 // on fresh buffers bit for bit: signals, decision and curves.
 func checkScratchReuse(t *testing.T, label string, s dataset.Series, horizon float64, cfg Config, sc *Scratch) {
 	t.Helper()
-	gotSig, gotDec, gotP := analyze(s, horizon, cfg, nil, sc)
-	wantSig, wantDec, wantP := analyze(s, horizon, cfg, nil, NewScratch())
+	gotSig, gotDec, gotP := Analyze(s, horizon, cfg, nil, sc)
+	wantSig, wantDec, wantP := Analyze(s, horizon, cfg, nil, NewScratch())
 	if !signalsEqual(gotSig, wantSig) || !decisionsEqual(gotDec, wantDec) {
 		t.Fatalf("%s: warm-scratch run diverges from fresh run", label)
 	}
-	got, want := prefixCurves(gotP, cfg), prefixCurves(wantP, cfg)
+	got, want := PrefixCurves(gotP, cfg), PrefixCurves(wantP, cfg)
 	for i := range got {
 		if !curvesEqual(got[i], want[i]) {
 			t.Fatalf("%s: warm-scratch curve %d diverges from fresh run", label, i)
@@ -329,8 +314,8 @@ func TestAverageTrustRangeMatchesAverageTrust(t *testing.T) {
 		raters[i] = r.Rater
 	}
 	for _, ts := range trustSources(rng)[:2] {
-		got := averageTrustRange(ts, s, 0, len(s))
-		want := averageTrustRef(ts, raters)
+		got := AverageTrustRange(ts, s, 0, len(s))
+		want := reference.AverageTrust(ts, raters)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%T: averageTrustRange = %v, in-order mean = %v", ts, got, want)
 		}

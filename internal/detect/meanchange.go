@@ -76,7 +76,7 @@ func averageTrustRange(ts TrustSource, s dataset.Series, from, to int) float64 {
 // directly over series index ranges, with no per-rating Values() copies.
 // The window statistics themselves are recomputed exactly per position
 // (same summation order as the reference kernel), so the curve is
-// bit-identical to mcCurveRef.
+// bit-identical to reference.MCCurve.
 func mcExtend(s dataset.Series, cfg Config, c Curve) Curve {
 	n, old := len(s), c.Len()
 	half := cfg.MCWindowDays / 2
@@ -208,7 +208,7 @@ type MCSegment struct {
 // each segment's bounds, mean and shift. AvgTrust and Suspicious are left
 // zero for decideSegments. Segment means walk series index ranges
 // directly, with no per-segment slice materialization (bit-identical to
-// meanChangeRef, which does).
+// reference.MeanChange, which does).
 func mcSegments(s dataset.Series, cfg Config, c Curve) []MCSegment {
 	if len(s) == 0 {
 		return nil

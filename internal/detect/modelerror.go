@@ -27,7 +27,7 @@ type meFit struct {
 // Each new window's values are copied into one reused scratch buffer and
 // fitted on the scratch's AR working memory, which reads but never retains
 // its input; the fitted numbers are those of armodel.FitMethod, so the
-// curve is bit-identical to modelErrorRef.
+// curve is bit-identical to reference.ModelError.
 func meExtend(sc *Scratch, s dataset.Series, cfg Config, fits []meFit) []meFit {
 	w, step, nWin := cfg.MEWindowRatings, windowStep(cfg.MEStepRatings), 0
 	if w > 2*cfg.MEOrder {

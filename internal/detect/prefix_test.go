@@ -1,4 +1,4 @@
-package detect
+package detect_test
 
 import (
 	"fmt"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	. "repro/internal/detect"
+	"repro/internal/reference"
 	"repro/internal/stats"
 )
 
@@ -18,25 +20,25 @@ func checkCarried(t *testing.T, label string, s dataset.Series, cfg Config, got 
 	if fresh := SeriesSignals(s, cfg, NewScratch(), nil); !signalsEqual(got, fresh) {
 		t.Fatalf("%s: carried signals %+v, fresh %+v", label, got, fresh)
 	}
-	if want := mcCurveRef(s, cfg); !curvesEqual(p.mc, want) {
-		t.Fatalf("%s: carried MC curve diverges from mcCurveRef", label)
+	if mc, _, _, _, _ := p.Curves(cfg); !curvesEqual(mc, reference.MCCurve(s, cfg)) {
+		t.Fatalf("%s: carried MC curve diverges from reference.MCCurve", label)
 	}
-	mc := meanChangeRef(s, cfg, nil)
+	mc := reference.MeanChange(s, cfg, nil)
 	if len(got.MC) != len(mc) {
-		t.Fatalf("%s: %d MC segments, meanChangeRef has %d", label, len(got.MC), len(mc))
+		t.Fatalf("%s: %d MC segments, reference.MeanChange has %d", label, len(got.MC), len(mc))
 	}
 	for i, seg := range mc {
 		seg.AvgTrust, seg.Suspicious = 0, false // Decide's fields
 		if !segmentsEqual(got.MC[i:i+1], []MCSegment{seg}) {
-			t.Fatalf("%s: MC segment %d is %+v, meanChangeRef %+v", label, i, got.MC[i], seg)
+			t.Fatalf("%s: MC segment %d is %+v, reference.MeanChange %+v", label, i, got.MC[i], seg)
 		}
 	}
 	_, _, _, hc, me := p.Curves(cfg)
-	if want, ivs := histogramChangeRef(s, cfg); !curvesEqual(hc, want) || !intervalsEqual(got.HC, ivs) {
-		t.Fatalf("%s: carried HC diverges from histogramChangeRef", label)
+	if want, ivs := reference.HistogramChange(s, cfg); !curvesEqual(hc, want) || !intervalsEqual(got.HC, ivs) {
+		t.Fatalf("%s: carried HC diverges from reference.HistogramChange", label)
 	}
-	if want, ivs := modelErrorRef(s, cfg); !curvesEqual(me, want) || !intervalsEqual(got.ME, ivs) {
-		t.Fatalf("%s: carried ME diverges from modelErrorRef", label)
+	if want, ivs := reference.ModelError(s, cfg); !curvesEqual(me, want) || !intervalsEqual(got.ME, ivs) {
+		t.Fatalf("%s: carried ME diverges from reference.ModelError", label)
 	}
 }
 
@@ -108,15 +110,12 @@ func checkArrivalCarried(t *testing.T, label string, s dataset.Series, hi float6
 		if !arcSignalsEqual(got, fresh) {
 			t.Fatalf("%s, horizon %v: carried %v signals %+v, fresh %+v", label, hi, band, got, fresh)
 		}
-		if want := arrivalRateChangeRef(s, hi, band, cfg); !arcSignalsEqual(got, want) {
-			t.Fatalf("%s, horizon %v: %v signals %+v, arrivalRateChangeRef %+v", label, hi, band, got, want)
+		if want := reference.ArrivalRateChange(s, hi, band, cfg); !arcSignalsEqual(got, want) {
+			t.Fatalf("%s, horizon %v: %v signals %+v, reference.ArrivalRateChange %+v", label, hi, band, got, want)
 		}
-		c := &p.arc[i]
-		counts := make([]float64, len(c.counts))
-		for d, n := range c.counts {
-			counts[d] = float64(n)
-		}
-		if !bitsEqual(c.y, arcCurveRef(s, hi, band, cfg).Y) || !bitsEqual(counts, bandCountsRef(s, hi, band)) {
+		_, high, low, _, _ := p.Curves(cfg)
+		curve := [2]Curve{high, low}[i]
+		if !bitsEqual(curve.Y, reference.ARCCurve(s, hi, band, cfg).Y) || !bitsEqual(CarriedARCCounts(p, i), reference.BandCounts(s, hi, band)) {
 			t.Fatalf("%s, horizon %v: carried %v curve or counts diverge from the reference", label, hi, band)
 		}
 	}
@@ -156,7 +155,7 @@ func TestPrefixExtensionProperty(t *testing.T) {
 		if seed%2 == 0 {
 			start := 10 + rng.Float64()*80
 			mean := 1.0 + 3.5*float64(seed/2%2) // downgrade or boost
-			s = attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), mean, 0.6)
+			s = Attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), mean, 0.6)
 		} else {
 			s = equivSeries(rng, int(seed/2), 30+int(rng.UintN(270)))
 			cfg = equivConfig(rng)
@@ -268,7 +267,7 @@ func TestPrefixEditProperty(t *testing.T) {
 		switch seed % 3 {
 		case 0:
 			start := 10 + rng.Float64()*80
-			s = attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), 1.0+3.5*float64(seed/3%2), 0.6)
+			s = Attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), 1.0+3.5*float64(seed/3%2), 0.6)
 		case 1:
 			s = equivSeries(rng, int(seed/3), 30+int(rng.UintN(200)))
 			cfg = equivConfig(rng)

@@ -1,4 +1,4 @@
-package detect
+package detect_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	. "repro/internal/detect"
+	"repro/internal/reference"
 	"repro/internal/stats"
 	"repro/internal/trust"
 )
@@ -72,7 +74,7 @@ func splitTrustSources(s dataset.Series) []TrustSource {
 // shared set of signals from SeriesSignals and ArrivalSignals, under
 // several trust sources in turn, must equal a run on fresh signals bit for
 // bit in Suspicious and Intervals, and its MC segments must equal
-// meanChangeRef's under the same trust — and deciding must leave the
+// reference.MeanChange's under the same trust — and deciding must leave the
 // shared signals untouched, because the engine shares cached signals
 // across epochs and evaluations.
 func TestDecideSharedSignalsProperty(t *testing.T) {
@@ -83,8 +85,8 @@ func TestDecideSharedSignalsProperty(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		start := 10 + rng.Float64()*80
 		mean := 1.0 + 3.5*float64(seed%2) // downgrade or boost
-		s := attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), mean, 0.6)
-		hi := 20 + rng.Float64()*(testHorizon+10)
+		s := Attacked(t, seed, start, start+10+rng.Float64()*30, 20+rng.IntN(40), mean, 0.6)
+		hi := 20 + rng.Float64()*(TestHorizon+10)
 		seen := s.Between(0, hi)
 
 		sig := SeriesSignals(seen, cfg, sc, nil)
@@ -94,7 +96,7 @@ func TestDecideSharedSignalsProperty(t *testing.T) {
 		var first []MCSegment
 		for k, ts := range splitTrustSources(seen) {
 			dec := Decide(seen, sig, cfg, ts)
-			_, fresh, _ := analyze(seen, hi, cfg, ts, NewScratch())
+			_, fresh, _ := Analyze(seen, hi, cfg, ts, NewScratch())
 			label := fmt.Sprintf("seed %d, horizon %.2f, trust source %d", seed, hi, k)
 			if len(dec.Suspicious) != len(fresh.Suspicious) {
 				t.Fatalf("%s: %d marks, fresh run has %d", label, len(dec.Suspicious), len(fresh.Suspicious))
@@ -107,8 +109,8 @@ func TestDecideSharedSignalsProperty(t *testing.T) {
 			if !intervalsEqual(dec.Intervals, fresh.Intervals) {
 				t.Fatalf("%s: intervals %v, fresh run %v", label, dec.Intervals, fresh.Intervals)
 			}
-			if want := meanChangeRef(seen, cfg, ts); !segmentsEqual(dec.Segments, want) {
-				t.Fatalf("%s: MC segments %+v, meanChangeRef %+v", label, dec.Segments, want)
+			if want := reference.MeanChange(seen, cfg, ts); !segmentsEqual(dec.Segments, want) {
+				t.Fatalf("%s: MC segments %+v, reference.MeanChange %+v", label, dec.Segments, want)
 			}
 			if !signalsEqual(sig, pristine) {
 				t.Fatalf("%s: Decide wrote its input signals", label)

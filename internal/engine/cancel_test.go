@@ -42,36 +42,6 @@ func (c *countingCtx) Done() <-chan struct{} {
 func (c *countingCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (c *countingCtx) Value(any) any               { return nil }
 
-// TestResumeCancelledMidEvaluate pins the cancellation contract: a Resume
-// cancelled partway through returns ctx.Err(), leaves the EvalState
-// holding only whole-epoch checkpoints, and a follow-up Resume with a live
-// context completes the evaluation bit-exactly vs an uncancelled cold run.
-func TestResumeCancelledMidEvaluate(t *testing.T) {
-	d := testDataset(t, 11, 12, 360)
-	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-	want := mustEvaluate(t, eng, d)
-
-	// Cancel at a spread of points: budget 1 dies in the first epoch,
-	// larger budgets die in later epochs or the final aggregation pass.
-	for _, budget := range []int{1, 3, 7, 20, 50, 200} {
-		st := NewState()
-		res, err := eng.Resume(newCountingCtx(budget), st, d)
-		if err == nil {
-			// Budget outlasted the evaluation; nothing was cancelled.
-			requireEqualResults(t, "uncancelled run", res, want)
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("budget %d: err = %v, want context.Canceled", budget, err)
-		}
-		if res != nil {
-			t.Fatalf("budget %d: cancelled Resume returned a result", budget)
-		}
-		got := mustResume(t, eng, st, d)
-		requireEqualResults(t, "resume after cancel", got, want)
-	}
-}
-
 // TestCancelStopsWorkerPool pins the instrumentation contract behind the
 // "a cancelled request stops engine work" acceptance criterion: once the
 // context is cancelled, remaining products are skipped (counted in the

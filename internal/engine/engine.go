@@ -107,7 +107,8 @@ func (e *Engine) Evaluate(ctx context.Context, d *dataset.Dataset) (*Result, err
 // holds trust snapshots of fully completed epochs (a half-analyzed epoch's
 // counts are discarded, never folded), so a later Resume with a live
 // context picks up exactly where the cancelled one stopped and produces a
-// bit-exact result — pinned by TestResumeCancelledMidEvaluate.
+// bit-exact result — pinned by the engine arm of internal/server's
+// TestServiceOracle.
 func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

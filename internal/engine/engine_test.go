@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -132,92 +131,8 @@ func requireEqualTables(t *testing.T, label string, a, b map[string][]float64) {
 	}
 }
 
-// Parallel evaluation must be bit-exact with serial evaluation: within an
-// epoch no product's analysis feeds another, and the trust fold only
-// consumes integer counts.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 23} {
-		d := testDataset(t, seed, 6, 150)
-		serial := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-		for _, w := range []int{2, runtime.GOMAXPROCS(0), 16} {
-			par := &Engine{Detect: detect.DefaultConfig(), Workers: w}
-			requireEqualResults(t, fmt.Sprintf("seed %d workers %d", seed, w),
-				mustEvaluate(t, par, d), mustEvaluate(t, serial, d))
-		}
-	}
-}
-
-// Resuming from checkpoints after interleaved insertions must be bit-exact
-// with a cold evaluation of the final dataset — the engine's core
-// correctness claim. Days are drawn at random, so insertions routinely land
-// before already-evaluated epochs (out-of-order arrival) and must
-// invalidate the mid-history checkpoints they touch.
-func TestIncrementalMatchesColdProperty(t *testing.T) {
-	const horizon = 150.0
-	for _, seed := range []uint64{3, 11} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := stats.NewRNG(seed)
-			base := testDataset(t, seed, 3, horizon)
-			// Live dataset starts with roughly half of each product's
-			// history; the rest arrives interleaved, in random order.
-			live := &dataset.Dataset{HorizonDays: horizon}
-			type pending struct {
-				product string
-				r       dataset.Rating
-			}
-			var backlog []pending
-			for _, p := range base.Products {
-				var keep dataset.Series
-				for _, r := range p.Ratings {
-					if rng.Float64() < 0.5 {
-						keep = append(keep, r)
-					} else {
-						backlog = append(backlog, pending{p.ID, r})
-					}
-				}
-				live.Products = append(live.Products, dataset.Product{ID: p.ID, Ratings: keep.Clone()})
-			}
-			rng.Shuffle(len(backlog), func(i, j int) { backlog[i], backlog[j] = backlog[j], backlog[i] })
-
-			eng := &Engine{Detect: detect.DefaultConfig()}
-			cold := &Engine{Detect: detect.DefaultConfig()}
-			st := NewState()
-			res := mustResume(t, eng, st, live)
-			requireEqualResults(t, "initial", res, mustEvaluate(t, cold, live))
-
-			for batch := 0; len(backlog) > 0; batch++ {
-				// Apply a random-sized batch of pending ratings.
-				n := 1 + rng.IntN(8)
-				if n > len(backlog) {
-					n = len(backlog)
-				}
-				for _, ins := range backlog[:n] {
-					p, err := live.Product(ins.product)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p.Ratings = p.Ratings.Merge(dataset.Series{ins.r})
-				}
-				backlog = backlog[n:]
-				res = mustResume(t, eng, st, live)
-				// The incremental state must stay consistent through every
-				// batch; the (expensive) cold reference runs on a sample of
-				// batches plus the final state.
-				if batch%5 == 0 || len(backlog) == 0 {
-					requireEqualResults(t, fmt.Sprintf("%d ratings left", len(backlog)),
-						res, mustEvaluate(t, cold, live))
-				}
-			}
-			if got, want := st.CompletedEpochs(), epoch.Periods(horizon); got != want {
-				t.Errorf("CompletedEpochs = %d, want %d", got, want)
-			}
-		})
-	}
-}
-
-// TestLiveStreamMatchesCold is TestIncrementalMatchesColdProperty in the
-// shape of a live service: the history stops at mid-horizon and the rest
+// TestLiveStreamMatchesCold resumes one state in the shape of a live
+// service: the history stops at mid-horizon and the rest
 // streams in forward in day order, in random-sized batches, so the
 // trailing epochs are empty and fill one at a time. Every Resume, with the
 // memo on and off, must be bit-identical to a cold evaluation, and an

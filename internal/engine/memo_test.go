@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -77,114 +75,6 @@ func disjointDataset(products, perEpoch int, horizon float64) *dataset.Dataset {
 		d.Products = append(d.Products, dataset.Product{ID: id, Ratings: s, Version: 1})
 	}
 	return d
-}
-
-// TestMemoMatchesUnmemoizedProperty is the tentpole equivalence property:
-// a memoized incremental engine fed an out-of-order submit schedule stays
-// bit-identical to both a memo-off incremental state (resumed on an
-// unversioned view) and a memo-off cold evaluation at every step.
-func TestMemoMatchesUnmemoizedProperty(t *testing.T) {
-	const horizon = 150.0
-	for _, seed := range []uint64{7, 19} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := stats.NewRNG(seed)
-			base := testDataset(t, seed, 3, horizon)
-			live := &dataset.Dataset{HorizonDays: horizon}
-			type pending struct {
-				product string
-				r       dataset.Rating
-			}
-			var backlog []pending
-			for _, p := range base.Products {
-				var keep dataset.Series
-				for _, r := range p.Ratings {
-					if rng.Float64() < 0.5 {
-						keep = append(keep, r)
-					} else {
-						backlog = append(backlog, pending{p.ID, r})
-					}
-				}
-				live.Products = append(live.Products,
-					dataset.Product{ID: p.ID, Ratings: keep.Clone(), Version: 1})
-			}
-			rng.Shuffle(len(backlog), func(i, j int) { backlog[i], backlog[j] = backlog[j], backlog[i] })
-
-			eng := &Engine{Detect: detect.DefaultConfig()}
-			stOn, stOff := NewState(), NewState()
-			requireEqualResults(t, "initial",
-				mustResume(t, eng, stOn, live), mustResume(t, eng, stOff, unversioned(live)))
-
-			for batch := 0; len(backlog) > 0; batch++ {
-				n := 1 + rng.IntN(8)
-				if n > len(backlog) {
-					n = len(backlog)
-				}
-				for _, ins := range backlog[:n] {
-					if err := touch(live, ins.product, ins.r); err != nil {
-						t.Fatal(err)
-					}
-				}
-				backlog = backlog[n:]
-				resOn := mustResume(t, eng, stOn, live)
-				resOff := mustResume(t, eng, stOff, unversioned(live))
-				requireEqualResults(t, fmt.Sprintf("%d ratings left", len(backlog)), resOn, resOff)
-				if batch%5 == 0 || len(backlog) == 0 {
-					requireEqualResults(t, fmt.Sprintf("cold, %d ratings left", len(backlog)),
-						resOn, reference(t, live))
-				}
-			}
-		})
-	}
-}
-
-// TestMemoCancelledMidEpochEquivalence pins the memo plane's cancellation
-// contract: cancelling a resume that mixes cache hits with fresh analysis
-// commits no partial memo state — the follow-up resume is bit-exact with a
-// memo-off evaluation of the same data.
-func TestMemoCancelledMidEpochEquivalence(t *testing.T) {
-	d := versionedTestDataset(t, 11, 12, 360)
-	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-
-	// Cold starts: the memo records entries while being cancelled at a
-	// spread of points.
-	want := mustEvaluate(t, eng, unversioned(d))
-	for _, budget := range []int{1, 3, 7, 20, 50, 200} {
-		st := NewState()
-		res, err := eng.Resume(newCountingCtx(budget), st, d)
-		if err == nil {
-			requireEqualResults(t, "uncancelled cold run", res, want)
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("budget %d: err = %v, want context.Canceled", budget, err)
-		}
-		if res != nil {
-			t.Fatalf("budget %d: cancelled Resume returned a result", budget)
-		}
-		requireEqualResults(t, "resume after cold cancel", mustResume(t, eng, st, d), want)
-	}
-
-	// Warm starts: a fully warmed memo, one product touched mid-history,
-	// then cancellation during the hit/miss replay of the dirty suffix.
-	for _, budget := range []int{1, 2, 4, 9, 30, 400} {
-		st := NewState()
-		mustResume(t, eng, st, d)
-		r := dataset.Rating{Day: 150 + float64(budget%100), Value: 1,
-			Rater: fmt.Sprintf("late-%d", budget)}
-		if err := touch(d, d.Products[0].ID, r); err != nil {
-			t.Fatal(err)
-		}
-		want = mustEvaluate(t, eng, unversioned(d))
-		res, err := eng.Resume(newCountingCtx(budget), st, d)
-		if err == nil {
-			requireEqualResults(t, "uncancelled warm run", res, want)
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("warm budget %d: err = %v, want context.Canceled", budget, err)
-		}
-		requireEqualResults(t, "resume after warm cancel", mustResume(t, eng, st, d), want)
-	}
 }
 
 // TestMemoCountersSingleProductTouch is the deterministic counting
@@ -367,30 +257,6 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 		if probe.hit([]uint32{0, 0}, equal) {
 			t.Fatalf("%s: entry served for a different prefix length", probe.name)
 		}
-	}
-}
-
-// TestMemoOffStateInterleaving: one state may be resumed alternately on
-// versioned and unversioned views of the same data; no entry recorded
-// before an unversioned (memo-off) pass may be served after it unless
-// its trust is verified.
-func TestMemoOffStateInterleaving(t *testing.T) {
-	const horizon = 150.0
-	d := versionedTestDataset(t, 29, 3, horizon)
-	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-	st := NewState()
-	mustResume(t, eng, st, d)
-	for i := 0; i < 6; i++ {
-		r := dataset.Rating{Day: 30 + 20*float64(i), Value: 1, Rater: fmt.Sprintf("x%d", i)}
-		if err := touch(d, d.Products[i%len(d.Products)].ID, r); err != nil {
-			t.Fatal(err)
-		}
-		view := d
-		if i%2 == 0 {
-			view = unversioned(d)
-		}
-		requireEqualResults(t, fmt.Sprintf("interleave %d", i),
-			mustResume(t, eng, st, view), reference(t, d))
 	}
 }
 

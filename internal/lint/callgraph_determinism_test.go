@@ -52,9 +52,10 @@ func TestCallGraphDeterministic(t *testing.T) {
 
 // TestInterfaceResolutionPinned pins CHA resolution against a known
 // interface in the repo: a call to TrustSource.Trust inside
-// internal/detect must fan out to exactly the program's three implementers
-// — detect.neutralTrust, *trust.Manager and the engine's series-bound
-// *seriesTrust — as Interface-kind edges from one call site. A missing implementer means CHA went blind (analyzers
+// internal/detect must fan out to exactly the program's four implementers
+// — detect.neutralTrust, *trust.Manager, the engine's series-bound
+// *seriesTrust and the test-only reference's evidence map — as
+// Interface-kind edges from one call site. A missing implementer means CHA went blind (analyzers
 // would silently under-approximate); an extra one means the receiver
 // static-type narrowing regressed toward the declaring-interface blowup.
 func TestInterfaceResolutionPinned(t *testing.T) {
@@ -67,6 +68,7 @@ func TestInterfaceResolutionPinned(t *testing.T) {
 		"(*repro/internal/engine.seriesTrust).Trust",
 		"(*repro/internal/trust.Manager).Trust",
 		"(repro/internal/detect.neutralTrust).Trust",
+		"(repro/internal/reference.evidence).Trust",
 	}
 	// Group Interface-kind .Trust edges out of internal/detect by call
 	// site; at least one site must resolve to exactly the implementer set.

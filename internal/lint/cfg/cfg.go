@@ -226,6 +226,12 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 		body := b.newBlock()
 		b.edge(head, body)
 		b.edge(head, exit) // range exhausted
+		// Each iteration assigns the key and value on entering the body.
+		for _, kv := range []ast.Expr{s.Key, s.Value} {
+			if kv != nil {
+				body = b.add(body, kv)
+			}
+		}
 		b.loops = append(b.loops, loopFrame{label: label, breakTo: exit, continueTo: head})
 		bodyExit := b.stmts(body, s.Body.List)
 		b.loops = b.loops[:len(b.loops)-1]

@@ -188,3 +188,23 @@ _ = x`
 	}
 	_ = fset
 }
+
+func TestRangeKeyValue(t *testing.T) {
+	src := `xs := []int{1}
+for k,
+	v := range
+	xs {
+	_, _ = k, v
+}`
+	fset, body := parseBody(t, src)
+	g := New(body)
+	key, ki, _ := nodeAt(t, fset, g, src, "for k,")
+	val, vi, _ := nodeAt(t, fset, g, src, "v := range")
+	use, ui, _ := nodeAt(t, fset, g, src, "_, _ = k, v")
+	if key != use || val != use || !(ki < vi && vi < ui) {
+		t.Errorf("key, value and body in blocks %d, %d, %d at %d, %d, %d; want the key, then the value, at the start of the body block", key.Index, val.Index, use.Index, ki, vi, ui)
+	}
+	if !g.ReachableFrom(use)[key] {
+		t.Error("the key is not assigned again on the next iteration")
+	}
+}

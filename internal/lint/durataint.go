@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/internal/lint/callgraph"
 	"repro/internal/lint/cfg"
@@ -35,12 +34,6 @@ var DuraTaint = &Analyzer{
 	Doc: "flags durability errors (WAL append/fsync/compact taint) that are dropped or " +
 		"swallowed at the direct WAL call site or anywhere up the call chain",
 	RunProgram: runDuraTaint,
-}
-
-// duraTaintFacts is the exported fact bundle: the sorted full names of
-// every carrier function (error result may carry durability taint).
-type duraTaintFacts struct {
-	Carriers []string
 }
 
 type duraTaintState struct {
@@ -81,13 +74,6 @@ func runDuraTaint(pass *ProgramPass) error {
 		}
 		st.checkFunc(pass, n)
 	}
-
-	facts := duraTaintFacts{}
-	for cn := range st.carrier {
-		facts.Carriers = append(facts.Carriers, cn.Name())
-	}
-	sort.Strings(facts.Carriers)
-	pass.ExportFact(facts)
 	return nil
 }
 

@@ -40,13 +40,6 @@ var HotAlloc = &Analyzer{
 	RunProgram: runHotAlloc,
 }
 
-// hotAllocFacts is the exported fact bundle: annotated roots and the full
-// transitive closure the analyzer proved (or flagged), sorted.
-type hotAllocFacts struct {
-	Roots   []string
-	Checked []string
-}
-
 // hotAllocExternAllow lists external (no-body) callee packages that are
 // known allocation- and lock-free: pure arithmetic on machine words.
 var hotAllocExternAllow = map[string]bool{
@@ -60,7 +53,6 @@ func runHotAlloc(pass *ProgramPass) error {
 
 	roots := hotpathRoots(pass.Prog, cg)
 	if len(roots) == 0 {
-		pass.ExportFact(hotAllocFacts{})
 		return nil
 	}
 
@@ -91,13 +83,7 @@ func runHotAlloc(pass *ProgramPass) error {
 		pass.Reportf(pos, "%s", msg)
 	}
 
-	facts := hotAllocFacts{}
-	for _, r := range roots {
-		facts.Roots = append(facts.Roots, r.Name())
-	}
 	for _, n := range reach {
-		facts.Checked = append(facts.Checked, n.Name())
-
 		if n.Decl == nil {
 			// External callee: allocation behavior is invisible. Allowlisted
 			// packages are known-pure; everything else is a finding at the
@@ -132,10 +118,6 @@ func runHotAlloc(pass *ProgramPass) error {
 		}
 		checkHotBody(report, in, n, chainSuffix(n))
 	}
-
-	sort.Strings(facts.Roots)
-	sort.Strings(facts.Checked)
-	pass.ExportFact(facts)
 	return nil
 }
 

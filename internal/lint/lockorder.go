@@ -77,19 +77,6 @@ var LockOrder = &Analyzer{
 	RunProgram: runLockOrder,
 }
 
-// lockOrderFacts is the fact bundle LockOrder exports for composition:
-// the serialized lock graph and the set of functions that may block.
-type lockOrderFacts struct {
-	// Edges holds "A -> B" lines for every lock-graph edge, sorted.
-	Edges []string
-	// MayBlock holds the full names of functions that may transitively
-	// fsync the WAL or run an engine evaluation, sorted.
-	MayBlock []string
-	// MayAcquire maps function full names to the sorted lock classes they
-	// may transitively acquire.
-	MayAcquire map[string][]string
-}
-
 // lockEdge is one lock-graph edge with its first witness.
 type lockEdge struct {
 	from, to lockClass
@@ -117,7 +104,6 @@ func runLockOrder(pass *ProgramPass) error {
 		}
 	}
 	m.report(pass, edges, selfNest)
-	m.exportFacts(pass, edges)
 	return nil
 }
 
@@ -129,8 +115,9 @@ func runLockOrder(pass *ProgramPass) error {
 type lockModel struct {
 	cg        *callgraph.Graph
 	classes   map[lockClass]bool
-	directAcq map[*callgraph.Node][]lockClass
-	blockBase map[*callgraph.Node]string // node → description of the blocking base call
+	directAcq map[*callgraph.Node][]lockClass // classes a function's own body acquires
+	directRel map[*callgraph.Node][]lockClass // and releases
+	blockBase map[*callgraph.Node]string      // node → description of the blocking base call
 	flows     map[*callgraph.Node]*lockFlow
 
 	// memoized transitive summaries
@@ -184,6 +171,7 @@ func buildLockModel(p *Program) *lockModel {
 		cg:         p.CallGraph(),
 		classes:    make(map[lockClass]bool),
 		directAcq:  make(map[*callgraph.Node][]lockClass),
+		directRel:  make(map[*callgraph.Node][]lockClass),
 		blockBase:  make(map[*callgraph.Node]string),
 		flows:      make(map[*callgraph.Node]*lockFlow),
 		transAcq:   make(map[*callgraph.Node][]lockClass),
@@ -369,7 +357,11 @@ func (m *lockModel) blockEvents(info *types.Info, n *callgraph.Node, g *cfg.Grap
 					deferred := defers.has(pos)
 					live := !deferred && !lits.has(pos)
 					if c, kind, ok := m.muCall(info, x); ok && live {
-						m.directAcq[n] = appendClass(m.directAcq[n], c)
+						if kind == loAcquire {
+							m.directAcq[n] = appendClass(m.directAcq[n], c)
+						} else {
+							m.directRel[n] = appendClass(m.directRel[n], c)
+						}
 						evs = append(evs, loEvent{pos: pos, kind: kind, class: c})
 					} else if !ok && live {
 						if d := blockingBase(calleeFunc(info, x)); d != "" && (!basePos.IsValid() || pos < basePos) {
@@ -425,13 +417,17 @@ func (m *lockModel) solve(f *lockFlow, g *cfg.Graph) {
 
 // lockHelper reports whether callee is a lock helper, and which classes it
 // acquires or releases: server's freshRLock() returns holding Service.mu,
-// and a matching unlock helper would release it. Only helpers whose own
-// body directly locks count, and only when the name says which way
-// ("...Lock"/"...Unlock", case-sensitive).
+// and a matching unlock helper would release it. The name says which way
+// ("...Lock"/"...Unlock", case-sensitive), and only the classes the
+// helper's own body directly acquires, or releases, count.
 func (m *lockModel) lockHelper(callee *callgraph.Node) (classes []lockClass, acquire, ok bool) {
-	name := callee.Func.Name()
-	classes, acquire = m.directAcq[callee], strings.HasSuffix(name, "Lock")
-	return classes, acquire, len(classes) > 0 && (acquire || strings.HasSuffix(name, "Unlock"))
+	switch name := callee.Func.Name(); {
+	case strings.HasSuffix(name, "Lock"):
+		classes, acquire = m.directAcq[callee], true
+	case strings.HasSuffix(name, "Unlock"):
+		classes = m.directRel[callee]
+	}
+	return classes, acquire, len(classes) > 0
 }
 
 // step applies one event to a held-set (copy-on-write); a lock-helper call
@@ -670,35 +666,4 @@ func cycleKey(cycle []lockClass) string {
 		parts = append(parts, cycle[(min+i)%len(cycle)].String())
 	}
 	return strings.Join(parts, "→")
-}
-
-// exportFacts publishes the lock graph and blocking summaries.
-func (m *lockModel) exportFacts(pass *ProgramPass, edges []*lockEdge) {
-	facts := lockOrderFacts{MayAcquire: make(map[string][]string)}
-	seen := make(map[string]bool)
-	for _, e := range edges {
-		line := e.from.String() + " -> " + e.to.String()
-		if !seen[line] {
-			seen[line] = true
-			facts.Edges = append(facts.Edges, line)
-		}
-	}
-	sort.Strings(facts.Edges)
-	for _, n := range m.cg.Funcs {
-		if n.Decl == nil {
-			continue
-		}
-		if m.mayBlock(n) != "" {
-			facts.MayBlock = append(facts.MayBlock, n.Name())
-		}
-		if acq := m.mayAcquire(n); len(acq) > 0 {
-			var cs []string
-			for _, c := range acq {
-				cs = append(cs, c.String())
-			}
-			facts.MayAcquire[n.Name()] = cs
-		}
-	}
-	sort.Strings(facts.MayBlock)
-	pass.ExportFact(facts)
 }

@@ -15,9 +15,8 @@ import (
 // Program is the whole-program view handed to interprocedural analyzers:
 // every loaded package and its type info indexed by import path, plus what
 // the analyzers share instead of rebuilding — a lazily built call graph,
-// one control-flow graph per function body, the lock model both lock
-// analyzers read — and a fact store through which analyzers export their
-// summaries so later analyzers (and tests) can compose with them.
+// one control-flow graph per function body and the lock model both lock
+// analyzers read.
 type Program struct {
 	// Pkgs holds the loaded packages sorted by import path.
 	Pkgs []*Package
@@ -32,9 +31,8 @@ type Program struct {
 	locksOnce sync.Once
 	locks     *lockModel
 
-	mu    sync.Mutex // guards facts and cfgs
-	facts map[string]any
-	cfgs  map[*ast.BlockStmt]*cfg.Graph
+	mu   sync.Mutex // guards cfgs
+	cfgs map[*ast.BlockStmt]*cfg.Graph
 }
 
 // NewProgram assembles a Program from loaded packages. All packages must
@@ -43,10 +41,9 @@ func NewProgram(pkgs []*Package) *Program {
 	sorted := append([]*Package(nil), pkgs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	p := &Program{
-		Pkgs:  sorted,
-		info:  make(map[string]*types.Info, len(sorted)),
-		facts: make(map[string]any),
-		cfgs:  make(map[*ast.BlockStmt]*cfg.Graph),
+		Pkgs: sorted,
+		info: make(map[string]*types.Info, len(sorted)),
+		cfgs: make(map[*ast.BlockStmt]*cfg.Graph),
 	}
 	for _, pkg := range sorted {
 		p.info[pkg.Path] = pkg.Info
@@ -101,22 +98,6 @@ func (p *Program) lockModel() *lockModel {
 	return p.locks
 }
 
-// ExportFact records a named analyzer fact (its computed summary — lock
-// graph, taint set, hotpath roots) for later analyzers and tests to
-// consume via Fact.
-func (p *Program) ExportFact(analyzer string, fact any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.facts[analyzer] = fact
-}
-
-// Fact returns the fact exported under the analyzer's name, or nil.
-func (p *Program) Fact(analyzer string) any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.facts[analyzer]
-}
-
 // A ProgramPass provides one whole-program analyzer with the Program and a
 // diagnostic sink; the suppression pipeline downstream is identical to the
 // per-package one.
@@ -134,9 +115,4 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ExportFact publishes the running analyzer's fact under its own name.
-func (p *ProgramPass) ExportFact(fact any) {
-	p.Prog.ExportFact(p.Analyzer.Name, fact)
 }

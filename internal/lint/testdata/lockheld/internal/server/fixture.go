@@ -104,3 +104,9 @@ type plain struct{ n int }
 func (p *plain) Get() int {
 	return p.n // allowed: no mu field, struct is not in the locking model
 }
+
+// RangeKey writes a guarded field as the range key, with mu not held.
+func (s *store) RangeKey(xs []int) { // want "accesses guarded field s.n"
+	for s.n = range xs {
+	}
+}

@@ -130,6 +130,16 @@ func (sh *shard) viaIndirectLock() error {
 	return sh.flush()
 }
 
+// release is a helper that only releases the shard mutex.
+func (sh *shard) release() { sh.mu.Unlock() }
+
+// lockThenRelease calls the releasing helper while holding the mutex: a
+// release is not a second acquisition, so no nesting is derived.
+func (sh *shard) lockThenRelease() {
+	sh.mu.Lock()
+	sh.release()
+}
+
 // closureNest takes the shard mutex again only inside a function literal:
 // a closure runs under its eventual caller, so no nesting is derived here.
 func (sh *shard) closureNest() func() {

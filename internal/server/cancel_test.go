@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,14 +18,20 @@ import (
 
 // stepCtx cancels itself after a fixed number of Err checks — the same
 // deterministic mid-evaluation cancellation device as the engine's
-// countingCtx, here driven through the Service API.
-type stepCtx struct{ budget int }
+// countingCtx, here driven through the Service API. The budget is atomic
+// because the engine's pool workers poll Err concurrently.
+type stepCtx struct{ budget atomic.Int64 }
+
+func newStepCtx(budget int) *stepCtx {
+	c := &stepCtx{}
+	c.budget.Store(int64(budget))
+	return c
+}
 
 func (c *stepCtx) Err() error {
-	if c.budget <= 0 {
+	if c.budget.Add(-1) < 0 {
 		return context.Canceled
 	}
-	c.budget--
 	return nil
 }
 func (c *stepCtx) Done() <-chan struct{} {
@@ -65,7 +72,7 @@ func TestScoresCancelledMidRecompute(t *testing.T) {
 
 	cancelled := false
 	for _, budget := range []int{2, 5, 9} {
-		if _, err := svc.Scores(&stepCtx{budget: budget}, "tv1"); err != nil {
+		if _, err := svc.Scores(newStepCtx(budget), "tv1"); err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("budget %d: err = %v", budget, err)
 			}

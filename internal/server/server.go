@@ -74,7 +74,7 @@ type Service struct {
 	mu      sync.RWMutex
 	scheme  agg.Scheme
 	cached  agg.Table
-	pResult *agg.Result // set when scheme is the P-scheme; its Trust is read-only
+	pResult *engine.Result // set when scheme is the P-scheme; its Trust is read-only
 	// engState holds the P-scheme engine's per-epoch trust checkpoints and
 	// memo across recomputes, and counts the engine's work for /metrics.
 	// It is created with the service and never replaced (unused by other
@@ -529,7 +529,7 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 // reuses every epoch before it from the previous evaluation's checkpoints
 // — steady-state recompute cost is proportional to the changed epoch
 // suffix plus one final per-product pass, not the full history.
-func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset, gen uint64) (table agg.Table, pRes *agg.Result, err error) {
+func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset, gen uint64) (table agg.Table, pRes *engine.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			table, pRes = nil, nil
@@ -544,8 +544,7 @@ func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset, gen ui
 		if rerr != nil {
 			return nil, nil, rerr
 		}
-		t := agg.Table(res.Table)
-		return t, &agg.Result{Table: t, Suspicious: res.Suspicious, Trust: res.Trust}, nil
+		return res.Table, res, nil
 	}
 	return s.scheme.Aggregates(d), nil, nil
 }

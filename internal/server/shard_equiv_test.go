@@ -98,101 +98,6 @@ func requireSameView(t *testing.T, label string, a, b *Service) {
 	}
 }
 
-// TestShardedMatchesSingleShard is the core equivalence property: the same
-// randomized stream fed to a 1-shard and an 8-shard durable service yields
-// bit-exact Scores, Inspect, and Trust at every probe, every submission
-// error matches in kind, and a clean restart recovers identical totals.
-func TestShardedMatchesSingleShard(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		snapshotEvery int
-	}{
-		// With SnapshotEvery=0 nothing ever compacts, so on reopen both
-		// layouts replay every rating from the log and the reports must be
-		// literally identical. With snapshots enabled the snapshot/replay
-		// split legitimately differs per layout (each shard snapshots on its
-		// own count) and only the totals are comparable.
-		{"no-snapshots", 0},
-		{"snapshot-every-50", 50},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const ops = 600
-			fs1, fs8 := faultfs.New(), faultfs.New()
-			open := func(fs *faultfs.FS, shards int) *Service {
-				t.Helper()
-				svc, _, err := OpenWAL(agg.NewPScheme(), 90, equivProducts, WALOptions{
-					FS: fs, Shards: shards, SyncEvery: 1, SnapshotEvery: tc.snapshotEvery,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return svc
-			}
-			s1, s8 := open(fs1, 1), open(fs8, 8)
-			if got := s8.Shards(); got != 8 {
-				t.Fatalf("Shards() = %d, want 8", got)
-			}
-
-			ctx := context.Background()
-			rng := stats.NewRNG(41)
-			accepted := 0
-			for i := 0; i < ops; i++ {
-				product, rater, value, day := equivOp(rng, i)
-				err1 := s1.Submit(ctx, product, rater, value, day)
-				err8 := s8.Submit(ctx, product, rater, value, day)
-				if (err1 == nil) != (err8 == nil) ||
-					!errors.Is(err8, categorize(err1)) && err1 != nil {
-					t.Fatalf("op %d (%s/%s v=%v d=%v): errors diverge: %v vs %v",
-						i, product, rater, value, day, err1, err8)
-				}
-				if err1 == nil {
-					accepted++
-				}
-				if i%150 == 149 {
-					requireSameView(t, fmt.Sprintf("op %d", i), s1, s8)
-				}
-			}
-			requireSameView(t, "final", s1, s8)
-			if !reflect.DeepEqual(s1.dataView(), s8.dataView()) {
-				t.Fatal("combined datasets diverge between 1 and 8 shards")
-			}
-
-			if err := s1.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s8.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r1Svc, rep1, err := OpenWAL(agg.NewPScheme(), 90, equivProducts, WALOptions{FS: fs1, Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r1Svc.Close()
-			r8Svc, rep8, err := OpenWAL(agg.NewPScheme(), 90, equivProducts, WALOptions{FS: fs8, Shards: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r8Svc.Close()
-			tot1 := rep1.SnapshotRatings + rep1.ReplayedRatings
-			tot8 := rep8.SnapshotRatings + rep8.ReplayedRatings
-			if tot1 != accepted || tot8 != accepted {
-				t.Fatalf("recovered totals %d (1-shard) / %d (8-shard), want %d accepted", tot1, tot8, accepted)
-			}
-			if rep1.SkippedRecords != 0 || rep8.SkippedRecords != 0 ||
-				rep1.DuplicateRecords != rep8.DuplicateRecords {
-				t.Fatalf("recovery reports diverge: %+v vs %+v", rep1, rep8)
-			}
-			if tc.snapshotEvery == 0 && !reflect.DeepEqual(rep1, rep8) {
-				t.Fatalf("without snapshots the reports must be identical: %+v vs %+v", rep1, rep8)
-			}
-			requireSameView(t, "recovered", r1Svc, r8Svc)
-			if !reflect.DeepEqual(r1Svc.dataView(), r8Svc.dataView()) {
-				t.Fatal("recovered combined datasets diverge between 1 and 8 shards")
-			}
-		})
-	}
-}
-
 // categorize maps a submission error to its sentinel for errors.Is
 // comparison across services.
 func categorize(err error) error {
