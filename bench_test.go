@@ -494,24 +494,41 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 		}
 	})
 	// restored: a restarted service's first report. Each iteration
-	// restores one fixed image (the signals tiers of a cold state) into a
-	// fresh state and resumes it: every epoch and the final pass re-run
-	// with every detector signal reused, so only Decide, the folds and
-	// Eq. 7 execute. Every iteration does the same work.
-	b.Run("restored", func(b *testing.B) {
-		st := engine.NewState()
-		eng.Resume(context.Background(), st, d)
-		img := st.Image(context.Background())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	// restores one fixed image (the signals tiers and the decisions of a
+	// cold state) into a fresh state and resumes it. The image describes
+	// the data exactly, so the restore rebuilds the checkpoints from the
+	// image's marks and the Resume replays every product from the memo: no
+	// Decide, no detector, no Eq. 7. Every iteration does the same work.
+	// restored-stale: the same image restored after one tail rating landed
+	// in one product, so the restore is signals-only: every epoch and the
+	// final pass re-run with the detector signals reused wherever their
+	// prefix is unchanged, and Decide, the folds and Eq. 7 execute.
+	stale := d.Clone()
+	if prod, err := stale.Product("tv2"); err != nil {
+		b.Fatal(err)
+	} else {
+		prod.Ratings = prod.Ratings.Insert(dataset.Rating{Day: stale.HorizonDays - 1, Value: 4, Rater: "tail"})
+		prod.Version++
+	}
+	for _, row := range []struct {
+		name string
+		d    *dataset.Dataset
+	}{{"restored", d}, {"restored-stale", stale}} {
+		b.Run(row.name, func(b *testing.B) {
 			st := engine.NewState()
-			if _, _, err := eng.Restore(context.Background(), st, d, img); err != nil {
-				b.Fatal(err)
-			}
 			eng.Resume(context.Background(), st, d)
-		}
-	})
+			img := st.Image(context.Background())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := engine.NewState()
+				if _, _, err := eng.Restore(context.Background(), st, row.d, img); err != nil {
+					b.Fatal(err)
+				}
+				eng.Resume(context.Background(), st, row.d)
+			}
+		})
+	}
 }
 
 // BenchmarkEvaluateParallel measures the same cold evaluation with the

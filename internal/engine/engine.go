@@ -121,10 +121,11 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 
 	// Stages 1+2 (per-product epoch analysis, per-rater trust fold):
 	// resume Procedure 1 from the newest surviving checkpoint. Epoch ep
-	// reads checkpoint ep and folds into a clone of it onto the state's
-	// current symbol table, which becomes checkpoint ep+1; an epoch with no
-	// ratings folds nothing, so checkpoint ep itself becomes checkpoint
-	// ep+1, and a cancelled epoch discards its clone. A checkpoint is never
+	// reads checkpoint ep and writes its marks into the causal columns;
+	// fold then folds them into a clone of it onto the state's current
+	// symbol table, which becomes checkpoint ep+1. An epoch with no ratings
+	// folds nothing, so checkpoint ep itself becomes checkpoint ep+1, and a
+	// cancelled epoch writes nothing. A checkpoint is never
 	// written once appended, so memo entries and callers share them: the
 	// last one is the final trust, handed out as Result.Trust. A kept
 	// checkpoint is the very manager the memo entries of its epoch were
@@ -141,20 +142,16 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// pass's series extends every epoch's prefix.
 	var kept []bool
 	for ep := len(st.checkpoints) - 1; ep < n; ep++ {
-		next, marks, err := e.runEpoch(ctx, d, cols, ep, st)
-		if err != nil {
+		if err := e.runEpoch(ctx, d, cols, ep, st); err != nil {
 			return nil, err
 		}
+		next := st.fold(ep)
 		lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
 		row := make([]float64, len(d.Products))
 		for i := range d.Products {
 			s := d.Products[i].Ratings
 			start, end := s.BetweenIndex(lo, hi)
-			var mk []bool
-			if marks != nil {
-				mk = marks[i]
-			}
-			row[i], kept = e.aggregatePeriod(s[start:end], cols[i][start:end], mk, next, kept)
+			row[i], kept = e.aggregatePeriod(s[start:end], cols[i][start:end], st.prods[i].causal[start:end], next, kept)
 		}
 		st.published[ep] = row
 		st.checkpoints = append(st.checkpoints, next)
@@ -236,47 +233,40 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	return res, nil
 }
 
-// runEpoch executes one trust epoch of Procedure 1: analyze every product's
-// prefix [0, end-of-epoch) under checkpoint ep, the trust at the epoch
-// start, and fold each rater's (observed, suspicious) ratings inside the
-// epoch into a clone of that checkpoint, returned as next. cols are the
-// products' ordinal columns (EvalState.intern). It also returns each
-// product's marks for the epoch's own ratings, aligned with the product's
-// [lo, hi) period, from which the fold is taken and the caller publishes
-// the period. An epoch in which no product has a rating folds nothing: it
-// returns checkpoint ep itself and nil marks, and allocates nothing.
+// runEpoch executes one trust epoch of Procedure 1: it analyzes every
+// product's prefix [0, end-of-epoch) under checkpoint ep, the trust at the
+// epoch start, and writes each product's marks for the epoch's own [lo,
+// hi) ratings into its causal column, from which fold takes the epoch's
+// counts and the caller publishes the period. cols are the products'
+// ordinal columns (EvalState.intern).
 //
 // A product with no ratings in the epoch is skipped outright: it folds
 // and publishes nothing, so no analysis can matter. A versioned product
 // whose (series prefix, rater-scoped trust) key matches its memo entry
-// replays the cached marks and skips analysis entirely. A miss whose
-// prefix is cached reuses the entry's trust-free signals and runs only
-// detect.Decide (memo.go). Hit checks (signal lookups included) and entry
-// commits run serially on either side of the pool — only misses fan out.
-// Each miss brings the product's stored carry up to its prefix; each
-// worker owns the carry of the product it analyzes, so the carries need no
-// locks. On cancellation the partially collected marks and entries are
-// discarded without touching the memo or any checkpoint, so the state
-// still describes whole completed epochs.
-func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, st *EvalState) (*trust.Manager, [][]bool, error) {
+// skips analysis entirely: its column already holds the entry's marks. A
+// miss whose prefix is cached reuses the entry's trust-free signals and
+// runs only detect.Decide (memo.go). Hit checks (signal lookups included)
+// and the commits of entries and marks run serially on either side of the
+// pool — only misses fan out. Each miss brings the product's stored carry
+// up to its prefix; each worker owns the carry of the product it
+// analyzes, so the carries need no locks. On cancellation the partially
+// collected marks and entries are discarded without touching the memo,
+// the columns or any checkpoint, so the state still describes whole
+// completed epochs.
+func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint32, ep int, st *EvalState) error {
 	mgr := st.checkpoints[ep]
 	lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
-	var marks [][]bool
 	var work []job
 	for i := range d.Products {
 		prod := &d.Products[i]
 		if from, to := prod.Ratings.BetweenIndex(lo, hi); from == to {
 			continue
 		}
-		if marks == nil {
-			marks = make([][]bool, len(d.Products))
-		}
 		var r signalReuse
 		if prod.Version != 0 {
 			m := &st.prods[i].memo
 			start, end := prod.Ratings.BetweenIndex(0, hi)
-			if mk, ok := m.epochHit(ep, cols[i][start:end], mgr); ok {
-				marks[i] = mk
+			if m.epochHit(ep, cols[i][start:end], mgr) {
 				st.stats.memoHits.Add(1)
 				continue
 			}
@@ -286,10 +276,11 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		}
 		work = append(work, job{i, r})
 	}
-	if marks == nil {
-		return mgr, nil, nil
+	if len(work) == 0 {
+		return nil // every product hit, or the epoch holds no rating
 	}
 
+	marks := make([][]bool, len(work))
 	ents := make([]memoEntry, len(work))
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k].i
@@ -301,39 +292,53 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		// Earlier epochs already judged the ratings before lo: keep the
 		// marks of only the epoch's own [lo, hi) ratings.
 		from, _ := seen.BetweenIndex(lo, hi)
-		marks[i] = append([]bool(nil), dec.Suspicious[from:]...)
+		marks[k] = dec.Suspicious[from:]
 		if prod.Version != 0 {
-			ents[k] = newEpochEntry(ords, pre, mgr, marks[i])
+			ents[k] = newEpochEntry(ords, pre, mgr)
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	// Commit fresh entries serially after the whole pool succeeded (the
-	// memo is not goroutine-safe; a cancelled epoch publishes nothing).
+	// Commit serially after the whole pool succeeded (the memo is not
+	// goroutine-safe; a cancelled epoch publishes nothing).
 	for k, w := range work {
+		ps := &st.prods[w.i]
+		from, _ := ps.series.BetweenIndex(lo, hi)
+		copy(ps.causal[from:], marks[k])
 		if ents[k].valid {
-			st.prods[w.i].memo.epochs[ep] = ents[k]
+			ps.memo.epochs[ep] = ents[k]
 		}
 	}
+	return nil
+}
 
-	// Fold each epoch rating into its rater's record, from the products'
-	// marks (replayed or fresh) and ordinal columns. Trust evidence is
-	// integer counts, so one observation per rating sums to the same
-	// counts as one per rater with its epoch totals, in any order: neither
-	// the worker schedule nor hit-vs-miss provenance can change a bit.
-	next := mgr.CloneOver(st.syms)
-	for i, mk := range marks {
-		from, _ := d.Products[i].Ratings.BetweenIndex(lo, hi)
-		for j, o := range cols[i][from : from+len(mk)] {
+// fold returns checkpoint ep+1: every rating of epoch ep observed, with
+// its causal mark, into a clone of checkpoint ep over the state's symbol
+// table; checkpoint ep itself when the epoch holds no rating. Trust
+// evidence is integer counts, so one observation per rating sums to the
+// same counts as one per rater with its epoch totals, in any order: the
+// product order, and whether a mark was decided, replayed from the memo
+// or restored from an image (restoreDecisions), change no bit.
+func (st *EvalState) fold(ep int) *trust.Manager {
+	mgr := st.checkpoints[ep]
+	next := mgr
+	lo, hi := epoch.PeriodInterval(ep, st.horizon)
+	for i := range st.prods {
+		ps := &st.prods[i]
+		from, to := ps.series.BetweenIndex(lo, hi)
+		if from < to && next == mgr {
+			next = mgr.CloneOver(st.syms)
+		}
+		for j, o := range ps.ords[from:to] {
 			f := 0
-			if mk[j] {
+			if ps.causal[from+j] {
 				f = 1
 			}
 			next.ObserveAt(o, 1, f)
 		}
 	}
-	return next, marks, nil
+	return next
 }
 
 // job is a product a pass analyzes: its position and what its memo's

@@ -16,25 +16,35 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/epoch"
+	"repro/internal/trust"
 )
 
 // An engine image persists the memo plane's trust-free signals tiers
 // (memo.go) across restarts, so a restored state's Resume runs only
-// Decide, the folds and Eq. 7 (DESIGN.md §14, Warm restart). Layout,
-// little-endian:
+// Decide, the folds and Eq. 7; and, when it was taken from a complete
+// evaluation, the decisions of that evaluation, so restoring it into the
+// same ratings leaves a Resume that runs none of them (DESIGN.md §14, Warm
+// restart). Layout, little-endian:
 //
 //	[4]byte magic "RENG" | u32 format version | u32 CRC32 (IEEE) of the payload
 //
-// The payload is the engine-key fingerprint and the horizon bits, then per
-// product its ID, the length N of the series its entries were recorded
+// The payload is the engine-key fingerprint, the horizon bits and the
+// writer's rater count (a u32 that sizes the restored symbol table), then
+// per product its ID, the length N of the series its entries were recorded
 // against, the SHA-256 of those N ratings (seriesHash; a collidable
 // digest would let an attacker replay stale signals) and its entries:
 // (epoch, prefix length, arcHi, detect.Signals), the final entry under
-// epoch index = the period count. Slices are a u32 count, then their
-// elements field after field with no padding (imageCodec).
+// epoch index = the period count. Then comes the decisions flag, a bool,
+// and, when it is set, per product: its causal marks and its final marks,
+// N bits each, then its final scores and its published scores, one f64
+// per period each. Slices are a u32 count, then their elements field after
+// field with no padding; marks and score columns, whose counts follow from
+// N and the horizon, are their elements alone (imageCodec). The image
+// holds no trust record, ordinal or rater name: trust is rebuilt from the
+// marks (restoreDecisions).
 const (
 	imageMagic      = "RENG"
-	imageVersion    = 1
+	imageVersion    = 2
 	imageHeaderSize = 12
 	// The smallest encodings of a product (no entries) and of an entry
 	// (empty slices) bound what a decoded count may claim (codeLen).
@@ -45,7 +55,9 @@ const (
 type image struct {
 	key     [32]byte
 	horizon float64
+	raters  uint32 // the writer's symbol table size
 	prods   []imageProduct
+	decided bool // the decisions section is present
 }
 
 type imageProduct struct {
@@ -53,6 +65,10 @@ type imageProduct struct {
 	n       uint32
 	digest  [32]byte
 	entries []imageEntry
+	// The decisions: the causal column, and the final entry's marks and
+	// scores; published[e] is the product's period-e published score.
+	causal, final     []bool
+	scores, published []float64
 }
 
 type imageEntry struct {
@@ -66,7 +82,9 @@ type entryHead struct {
 	ArcHi    float64
 }
 
-// Image encodes st's signals tiers, or returns nil when st holds no
+// Image encodes st's signals tiers, and its decisions when st holds a
+// complete evaluation: every epoch checkpointed and every product's final
+// entry decided under the last checkpoint. It returns nil when st holds no
 // evaluation or ctx is cancelled first. The series digests run ahead of
 // the encoding on GOMAXPROCS-wide helpers, the default pool width
 // (forEachDigest).
@@ -74,7 +92,13 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 	if len(st.checkpoints) == 0 {
 		return nil
 	}
-	img := image{fingerprint(st.config), st.horizon, make([]imageProduct, len(st.prods))}
+	img := image{key: fingerprint(st.config), horizon: st.horizon, raters: uint32(st.syms.Len()), prods: make([]imageProduct, len(st.prods))}
+	last := st.checkpoints[len(st.checkpoints)-1]
+	img.decided = len(st.checkpoints) == len(st.published)+1
+	for i := range st.prods {
+		f := &st.prods[i].memo.final
+		img.decided = img.decided && f.valid && f.under == last
+	}
 	series := func(i int) dataset.Series { return st.prods[i].series }
 	err := forEachDigest(ctx, st.config.workers(), len(st.prods), series, func(i int, sum [32]byte) {
 		ps, ip := &st.prods[i], &img.prods[i]
@@ -86,6 +110,13 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 		}
 		if f := &ps.memo.final; f.valid {
 			ip.entries = append(ip.entries, imageEntry{entryHead{uint32(len(st.published)), uint32(f.n), f.pre.arcHi}, f.pre.sig})
+		}
+		if img.decided {
+			ip.causal, ip.final, ip.scores = ps.causal, ps.memo.final.marks, ps.memo.final.scores
+			ip.published = make([]float64, len(st.published))
+			for ep, row := range st.published {
+				ip.published[ep] = row[i]
+			}
 		}
 	})
 	if err != nil {
@@ -100,17 +131,21 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 // epoch entry is kept only when [0, hi) still holds the ratings it was
 // computed over, and the final entry only when the series is still N
 // long, so every restored entry describes the current series. A restored
-// entry is signals-only (its trust tier always misses) and a restored
-// product starts with an empty carry. An image that does not decode, or
-// was written under another engine key, horizon or product list, is an
-// error and leaves st untouched. exact reports that every product was
-// restored and still has exactly the series the image holds. A ctx
-// cancelled before the restore is done is returned as the error, with st
-// reset, so the next Resume evaluates cold.
+// product starts with an empty carry. exact reports that every product was
+// restored and still has exactly the series the image holds, and that the
+// image holds decisions, which are then restored too (restoreDecisions):
+// the next Resume replays the image's evaluation from the memo. Short of
+// exact, every restored entry is signals-only (its trust tier always
+// misses). An image that does not decode, or was written under another
+// engine key, horizon or product list, is an error and leaves st
+// untouched. A ctx cancelled before the restore is done is returned as the
+// error, with st reset, so the next Resume evaluates cold.
 //
 // The digests run on e's worker pool ahead of the restore (forEachDigest),
 // and product i is interned, in product order as a cold Resume would,
-// as soon as its digest matched, while later products are still hashed.
+// as soon as its digest matched, while later products are still hashed,
+// into a symbol table sized once by the image's rater count (at most the
+// rating count, which bounds the raters d can hold).
 func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset, data []byte) (restored int, exact bool, err error) {
 	img, err := decodeImage(data)
 	if err != nil {
@@ -126,6 +161,11 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 		return 0, false, errors.New("engine image: product list differs")
 	}
 	st.bind(d, key)
+	total := 0
+	for _, p := range d.Products {
+		total += len(p.Ratings)
+	}
+	st.syms = trust.NewSymbols(min(int(img.raters), total))
 	exact = true
 	// A series shorter than the image's N cannot match; it is not hashed.
 	series := func(i int) dataset.Series {
@@ -142,6 +182,9 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 		}
 		exact = exact && n == len(p.Ratings)
 		ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, nil)
+		if ps.causal = ip.causal; len(ps.causal) != len(p.Ratings) {
+			ps.causal = make([]bool, len(p.Ratings)) // every epoch re-runs and writes it
+		}
 		ps.memo.epochs = make([]memoEntry, len(st.published))
 		for _, ent := range ip.entries {
 			pre := prefixSignals{ent.sig, ent.ArcHi}
@@ -161,8 +204,40 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 		st.Reset()
 		return 0, false, err
 	}
+	if exact = exact && img.decided; exact {
+		st.restoreDecisions(img)
+	}
 	st.stats.restored.Add(uint64(restored))
 	return restored, exact, nil
+}
+
+// restoreDecisions completes an exact restore from a decided image. The
+// causal columns already are the image's, so folding them epoch by epoch
+// rebuilds checkpoints 1…n over the ordinals just interned (fold, as
+// Resume folds, with no Decide); the published rows are the image's. Every
+// restored epoch entry was decided under its epoch's checkpoint, and every
+// final entry gets the image's marks and scores under the last one, so
+// the next Resume replays the whole evaluation from the memo.
+func (st *EvalState) restoreDecisions(img *image) {
+	for ep := range st.published {
+		st.checkpoints = append(st.checkpoints, st.fold(ep))
+		row := make([]float64, len(st.prods))
+		for i := range row {
+			row[i] = img.prods[i].published[ep]
+		}
+		st.published[ep] = row
+	}
+	for i := range st.prods {
+		m, ip := &st.prods[i].memo, &img.prods[i]
+		for ep := range m.epochs {
+			if m.epochs[ep].valid {
+				m.epochs[ep].under = st.checkpoints[ep]
+			}
+		}
+		if f := &m.final; f.valid {
+			f.under, f.marks, f.scores = st.checkpoints[len(st.published)], ip.final, ip.scores
+		}
+	}
 }
 
 // fingerprint hashes the bits of every field of an engine key, by
@@ -389,26 +464,69 @@ func (c *imageCodec) interval(iv *detect.Interval) {
 	c.f64(&iv.End)
 }
 
-// codeLen codes a slice's length, sizing the slice on decode. A length
-// whose elements of at least size bytes each cannot fit in what is left
-// is an error, so no input allocates more than its own size.
+// codeLen codes a slice's length, sizing the slice on decode (sized).
 func codeLen[T any](c *imageCodec, s *[]T, size int) {
 	n := uint32(len(*s))
 	c.u32(&n)
-	if c.dec {
-		if c.err == nil && int(n) > len(c.b)/size {
-			c.err = errors.New("count past the end")
+	sized(c, s, int(n), size)
+}
+
+// sized sizes a decoded slice to n elements. A count whose elements of at
+// least size bytes each cannot fit in what is left is an error, so no
+// input allocates more than its own size.
+func sized[T any](c *imageCodec, s *[]T, n, size int) {
+	if !c.dec {
+		return
+	}
+	if c.err == nil && (n < 0 || n > len(c.b)/size) {
+		c.err = errors.New("count past the end")
+	}
+	if c.err != nil {
+		n = 0
+	}
+	*s = make([]T, n)
+}
+
+// f64s codes a slice of n float64s, n known to both sides.
+func (c *imageCodec) f64s(v *[]float64, n int) {
+	sized(c, v, n, 8)
+	for k := range *v {
+		c.f64(&(*v)[k])
+	}
+}
+
+// bits codes n bools, n known to both sides, as ⌈n/8⌉ bytes: bool j is bit
+// j%8 of byte j/8, and the padding bits are zero.
+func (c *imageCodec) bits(v *[]bool, n int) {
+	if !c.dec {
+		for j := 0; j < n; j += 8 {
+			var b byte
+			for k, set := range (*v)[j:min(j+8, n)] {
+				if set {
+					b |= 1 << k
+				}
+			}
+			c.b = append(c.b, b)
 		}
-		if c.err != nil {
-			n = 0
-		}
-		*s = make([]T, n)
+		return
+	}
+	p := c.take((n + 7) / 8)
+	if p == nil {
+		return
+	}
+	if n%8 != 0 && p[len(p)-1]>>(n%8) != 0 {
+		c.err = errors.New("padding bits set")
+	}
+	*v = make([]bool, n)
+	for j := range *v {
+		(*v)[j] = p[j/8]>>(j%8)&1 == 1
 	}
 }
 
 func (c *imageCodec) image(img *image) {
 	c.digest(&img.key)
 	c.f64(&img.horizon)
+	c.u32(&img.raters)
 	codeLen(c, &img.prods, minProductSize)
 	for i := range img.prods {
 		p := &img.prods[i]
@@ -455,5 +573,13 @@ func (c *imageCodec) image(img *image) {
 				}
 			}
 		}
+	}
+	c.flag(&img.decided)
+	for i := 0; img.decided && i < len(img.prods); i++ {
+		p, periods := &img.prods[i], epoch.Periods(img.horizon)
+		c.bits(&p.causal, int(p.n))
+		c.bits(&p.final, int(p.n))
+		c.f64s(&p.scores, periods)
+		c.f64s(&p.published, periods)
 	}
 }

@@ -52,34 +52,52 @@ func requireEntriesMatchSeries(t *testing.T, label string, st *EvalState, d *dat
 }
 
 // TestImageRestoreMatchesCold restores a cold state's image into a fresh
-// state: every product is restored, the Resume after it recomputes no
-// detector signal, its result equals a cold evaluation bit for bit, and
-// the state then re-encodes the very same image.
+// state, with its decisions and without them: every product is restored.
+// The decided image is exact, and the Resume after it is a memo replay
+// that analyzes nothing; the signals-only one is not, and its Resume
+// recomputes no detector signal and hits no trust tier. Either Resume
+// equals a cold evaluation bit for bit, and the state then re-encodes the
+// decided image byte for byte.
 func TestImageRestoreMatchesCold(t *testing.T) {
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
 	d := versionedTestDataset(t, 41, 5, 300)
 	img := coldImage(t, e, d)
-
-	st := NewState()
-	k, exact, err := e.Restore(context.Background(), st, d, img)
-	if err != nil || k != len(d.Products) || !exact {
-		t.Fatalf("Restore = %d, %v, %v; want %d, true, nil", k, exact, err, len(d.Products))
+	dec, err := decodeImage(img)
+	if err != nil || !dec.decided {
+		t.Fatalf("a cold state's image: decided %v, %v", dec != nil && dec.decided, err)
 	}
-	requireEntriesMatchSeries(t, "restored", st, d)
-	res := mustResume(t, e, st, d)
-	requireEqualResults(t, "restored", res, reference(t, d))
-	stats := st.Stats()
-	if stats.Restored != uint64(len(d.Products)) || stats.SignalMisses != 0 || stats.MemoHits != 0 {
-		t.Fatalf("stats after a restored Resume: %+v; want every product restored, no signal recomputed and no trust-tier hit", stats)
+	dec.decided = false
+	for _, tc := range []struct {
+		name  string
+		img   []byte
+		exact bool
+		want  Stats
+	}{
+		{"decided", img, true, Stats{MemoHits: 5, Restored: 5}},
+		// Every product has ratings in each of the 10 epochs: 11 passes,
+		// each deciding with both signal parts reused.
+		{"signals-only", dec.encode(), false, Stats{Analyzed: 5 * 11, SignalHits: 2 * 5 * 11, MemoMisses: 5 * 11, Restored: 5}},
+	} {
+		st := NewState()
+		k, exact, err := e.Restore(context.Background(), st, d, tc.img)
+		if err != nil || k != len(d.Products) || exact != tc.exact {
+			t.Fatalf("%s: Restore = %d, %v, %v; want %d, %v, nil", tc.name, k, exact, err, len(d.Products), tc.exact)
+		}
+		requireEntriesMatchSeries(t, tc.name, st, d)
+		requireEqualResults(t, tc.name, mustResume(t, e, st, d), reference(t, d))
+		if got := st.Stats(); got != tc.want {
+			t.Fatalf("%s: stats after a restored Resume: %+v, want %+v", tc.name, got, tc.want)
+		}
+		if again := st.Image(context.Background()); !bytes.Equal(again, img) {
+			t.Fatalf("%s: the restored state re-encodes %d bytes, not the %d-byte image", tc.name, len(again), len(img))
+		}
+		// One more submit to a restored product: its empty carry is rebuilt.
+		d := d.Clone()
+		if err := touch(d, d.Products[0].ID, dataset.Rating{Day: 75, Value: 1, Rater: "late"}); err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResults(t, tc.name+", submit after restore", mustResume(t, e, st, d), reference(t, d))
 	}
-	if again := st.Image(context.Background()); !bytes.Equal(again, img) {
-		t.Fatalf("the restored state re-encodes %d bytes, not the %d-byte image it restored", len(again), len(img))
-	}
-	// One more submit to a restored product: its empty carry is rebuilt.
-	if err := touch(d, d.Products[0].ID, dataset.Rating{Day: 75, Value: 1, Rater: "late"}); err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "submit after restore", mustResume(t, e, st, d), reference(t, d))
 }
 
 // TestImageRestoreStale restores an image into data that moved on after it
@@ -236,10 +254,12 @@ func TestImageRefused(t *testing.T) {
 
 // FuzzEngineImage feeds arbitrary bytes to Restore, and to the decoder
 // behind a valid header and checksum, so the payload decoder is explored
-// too. Nothing may panic or allocate past its input; an image Restore
-// accepts must leave a Resume that equals a cold evaluation bit for bit
-// and must re-encode byte for byte. The seeds are real images: of the
-// fuzz dataset, of an edited copy, and cut short.
+// too. Nothing may panic or allocate past a small multiple of its input;
+// an image Restore accepts must leave a Resume that equals a cold
+// evaluation bit for bit and must re-encode byte for byte. The seeds are
+// real images: of the fuzz dataset, of an edited copy, and cut short; and
+// the pinned version-2 image, whole and with its decisions section cut
+// short.
 func FuzzEngineImage(f *testing.F) {
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	base := fuzzEditDataset()
@@ -258,6 +278,12 @@ func FuzzEngineImage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(st.Image(context.Background()))
+	pinned, err := os.ReadFile(filepath.Join("testdata", "engine-v2.img"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pinned[imageHeaderSize:])
+	f.Add(pinned[imageHeaderSize : len(pinned)-100])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := base.Clone()
@@ -305,14 +331,21 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestImagePinnedFormat pins the on-disk format: testdata/engine.img is
+// TestImagePinnedFormat pins the on-disk format. testdata/engine-v2.img is
 // the image a cold Resume of testdata/dataset.json left, recorded by an
 // earlier build of the encoder, and testdata/digests.txt holds each
 // product's rating count and series digest. The current code must decode
 // that image, restore every product from it exactly, and re-encode the
-// restored state byte for byte, so images already on disk stay valid.
+// restored state byte for byte, before and after the Resume it leaves, so
+// images already on disk stay valid. testdata/engine.img is the same
+// evaluation's image in format version 1, which holds no decisions: it
+// must be refused by name.
 func TestImagePinnedFormat(t *testing.T) {
-	img, err := os.ReadFile(filepath.Join("testdata", "engine.img"))
+	img, err := os.ReadFile(filepath.Join("testdata", "engine-v2.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "engine.img"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +387,12 @@ func TestImagePinnedFormat(t *testing.T) {
 
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
 	st := NewState()
+	if _, _, err := e.Restore(context.Background(), st, d, v1); err == nil || !strings.HasSuffix(err.Error(), "format version 1, want 2") {
+		t.Fatalf("Restore of the version-1 image: %v, want format version 1, want 2", err)
+	}
+	if st.CompletedEpochs() != 0 || st.prods != nil {
+		t.Fatal("a refused version-1 image changed the state")
+	}
 	k, exact, err := e.Restore(context.Background(), st, d, img)
 	if err != nil || k != len(d.Products) || !exact {
 		t.Fatalf("Restore = %d, %v, %v; want %d, true, nil", k, exact, err, len(d.Products))
@@ -361,6 +400,10 @@ func TestImagePinnedFormat(t *testing.T) {
 	requireEntriesMatchSeries(t, "pinned", st, d)
 	if again := st.Image(context.Background()); !bytes.Equal(again, img) {
 		t.Fatalf("the restored state re-encodes %d bytes, not the pinned %d-byte image", len(again), len(img))
+	}
+	requireEqualResults(t, "pinned", mustResume(t, e, st, d), reference(t, d))
+	if again := st.Image(context.Background()); !bytes.Equal(again, img) {
+		t.Fatalf("the resumed state re-encodes %d bytes, not the pinned %d-byte image", len(again), len(img))
 	}
 	if again := dec.encode(); !bytes.Equal(again, img) {
 		t.Fatalf("the decoded image re-encodes %d bytes, not the pinned %d", len(again), len(img))

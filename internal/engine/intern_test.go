@@ -210,7 +210,7 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 // new raters also land in forks, and enough arrive to flatten overlays.
 func TestReinternNamesEveryRating(t *testing.T) {
 	rng := stats.NewRNG(17)
-	st := &EvalState{syms: trust.NewSymbols()}
+	st := &EvalState{syms: trust.NewSymbols(0)}
 	rater := func() string { return fmt.Sprintf("r%d", rng.IntN(300)) }
 	var s dataset.Series
 	var col []uint32

@@ -33,17 +33,18 @@ import (
 //     span [0, hi).
 //   - The trust tier holds the outcome of detect.Decide under one trust
 //     snapshot: the epoch's own marks, which its fold counts are taken
-//     from (final pass: marks and scores), keyed additionally by the trust
+//     from and which live in the product's causal column (state.go; final
+//     pass: the entry's marks and scores), keyed additionally by the trust
 //     records of the prefix's raters — the prefix's ordinal column
 //     (EvalState.intern) indexes them. The column is a function of the
 //     prefix too, so entries store none.
 //
-// A trust-tier hit replays the cached marks and runs nothing. A miss whose
-// prefix matches (the common "only a shared rater's trust moved" case)
-// reuses the signals tier and costs one Decide pass; the final pass also
-// reuses the newest epoch's signals when its prefix is the whole series.
-// Signals are shared between entries and Resumes and never written:
-// Decide only reads them.
+// A trust-tier hit replays the recorded marks and runs nothing. A miss
+// whose prefix matches (the common "only a shared rater's trust moved"
+// case) reuses the signals tier and costs one Decide pass; the final pass
+// also reuses the newest epoch's signals when its prefix is the whole
+// series. Signals are shared between entries and Resumes and never
+// written: Decide only reads them.
 //
 // A trust hit proves the raters' records under the trust the entry was
 // decided under equal the live trust. That trust is a checkpoint, which is
@@ -54,10 +55,10 @@ import (
 // it was just proven equal to, so entries that keep hitting never pin
 // superseded checkpoints and the next probe against it is the O(1) one.
 // Every hit is verified one of these two ways. Bit-exactness is then by
-// construction — a hit replays the exact cached marks (final pass: copies
-// of the cached marks and scores), and the signals are pure functions of
-// (prefix, horizon, detector config) that Decide reads the same whether
-// they are cached or fresh.
+// construction — a hit replays the exact recorded marks (final pass:
+// copies of the cached marks and scores), and the signals are pure
+// functions of (prefix, horizon, detector config) that Decide reads the
+// same whether they are cached or fresh.
 
 // prefixSignals is an entry's signals tier: the trust-free detector
 // signals of one series prefix. The MC/HC/ME signals are keyed by the
@@ -69,24 +70,24 @@ type prefixSignals struct {
 }
 
 // memoEntry caches one product's outcome for one epoch: the signals tier
-// of its prefix plus the trust tier — the marks of the epoch's own [lo, hi)
-// ratings, from which the epoch's fold counts are taken, keyed by the
-// rater-scoped trust snapshot they were decided under.
+// of its prefix plus the trust tier — the rater-scoped trust snapshot that
+// the marks of the epoch's own [lo, hi) ratings were decided under. The
+// marks themselves are the product's causal column over [lo, hi), which
+// the epoch wrote when it recorded or last hit the entry.
 type memoEntry struct {
 	valid     bool
 	prefixLen int            // ratings in [0, hi) when recorded
 	pre       prefixSignals  // signals tier
 	under     *trust.Manager // epoch-start trust checkpoint the entry was decided under
-	marks     []bool         // marks of the epoch's [lo, hi) ratings
 }
 
 // finalEntry caches one product's uncheckpointed final pass (stages 3+4):
 // the full series' signals tier and, against the *final* trust, its marks
 // and Eq. 7 scores. Its key is the series length n.
 //
-// An entry restored from an engine image (image.go), epoch or final, is
-// signals-only: it has no under and no marks, and its trust tier never
-// hits.
+// An entry restored from an engine image (image.go) without the image's
+// decisions, epoch or final, is signals-only: it has no under and no
+// marks, and its trust tier never hits.
 type finalEntry struct {
 	valid  bool
 	n      int
@@ -144,16 +145,16 @@ func trustRecordsMatch(mgr *trust.Manager, raters []uint32, under *trust.Manager
 }
 
 // epochHit reports whether the cached entry for epoch ep can be replayed
-// for the prefix whose ordinal column is ords under mgr, returning the
-// cached epoch marks (shared with the cache: callers must not modify them).
-// mgr must be a checkpoint: a hit rebinds the entry to it.
-func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager) ([]bool, bool) {
+// for the prefix whose ordinal column is ords under mgr: the causal
+// column's marks for the epoch stand. mgr must be a checkpoint: a hit
+// rebinds the entry to it.
+func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager) bool {
 	ent := &m.epochs[ep]
 	if !ent.valid || ent.prefixLen != len(ords) || !trustRecordsMatch(mgr, ords, ent.under) {
-		return nil, false
+		return false
 	}
 	ent.under = mgr
-	return ent.marks, true
+	return true
 }
 
 // finalHit is epochHit for the final pass: on a hit it returns fresh
@@ -216,17 +217,10 @@ func (m *productMemo) finalSignals(n int, horizon float64) signalReuse {
 }
 
 // newEpochEntry snapshots one product's epoch analysis of the prefix whose
-// ordinal column is ords for the memo: the prefix's signals tier, the
-// epoch-start checkpoint mgr it was decided under and the epoch's own
-// marks.
-func newEpochEntry(ords []uint32, pre prefixSignals, mgr *trust.Manager, marks []bool) memoEntry {
-	return memoEntry{
-		valid:     true,
-		prefixLen: len(ords),
-		pre:       pre,
-		under:     mgr,
-		marks:     marks,
-	}
+// ordinal column is ords for the memo: the prefix's signals tier and the
+// epoch-start checkpoint mgr it was decided under.
+func newEpochEntry(ords []uint32, pre prefixSignals, mgr *trust.Manager) memoEntry {
+	return memoEntry{valid: true, prefixLen: len(ords), pre: pre, under: mgr}
 }
 
 // newFinalEntry snapshots one product's final pass: the series' signals

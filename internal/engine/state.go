@@ -24,8 +24,14 @@ import (
 //
 // Everything else the state keeps is per product position (prods), and
 // intern brings it in line with the product's series at the start of
-// every Resume: the ordinal column, the detector carry and the memo
-// entries (memo.go).
+// every Resume: the ordinal column, the causal marks, the detector carry
+// and the memo entries (memo.go).
+//
+// prods[i].causal[j] is the mark that rating j's own epoch decision gave
+// it: exactly what that epoch's fold counted (fold) and what its period
+// was published from. So checkpoints e+1 on are a pure function of
+// checkpoint e, the series and this column, which is what lets an engine
+// image restore them without a Decide (image.go).
 //
 // Rater identity is interned once per state: syms maps each rater ID to a
 // dense ordinal (append-only, first-seen order), and prods[i].ords is
@@ -153,15 +159,16 @@ func (st *EvalState) Reset() {
 
 // productState is what the state keeps for one product position, all of
 // it in line with series, the series header (at version) intern last saw:
-// ords[j] is the ordinal of the rater of rating j, carry the product's
-// detector carry and memo its memo entries. Keeping the header costs no
-// copy: a series is never mutated below its length
-// (dataset.Series.Insert), so it still holds the ratings the checkpoints
-// were computed from.
+// ords[j] is the ordinal of the rater of rating j, causal[j] its causal
+// mark, carry the product's detector carry and memo its memo entries.
+// Keeping the header costs no copy: a series is never mutated below its
+// length (dataset.Series.Insert), so it still holds the ratings the
+// checkpoints were computed from.
 type productState struct {
 	version uint64
 	series  dataset.Series
 	ords    []uint32
+	causal  []bool
 	carry   detect.Prefix
 	memo    productMemo
 }
@@ -171,7 +178,8 @@ type productState struct {
 // versioned product whose version is unchanged keeps its state; any other
 // (an unversioned product on every Resume) is compared with the series
 // its state was interned from and re-interned from the first rating that
-// differs, its carry rewound to the prefix it shares with the series (an
+// differs, its causal column cut there (the epochs that rewrite the rest
+// re-run), its carry rewound to the prefix it shares with the series (an
 // unversioned product's is dropped) and its memo entries dropped, counted
 // as invalidated. The earliest day
 // at which any compared series changed decides the cut: checkpoint e is
@@ -190,6 +198,7 @@ func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 			k, day := firstChange(ps.series, p.Ratings)
 			changed = min(changed, day)
 			ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, ps.ords[:k])
+			ps.causal = slices.Grow(ps.causal[:k], len(p.Ratings)-k)[:len(p.Ratings)]
 			st.stats.memoInvalidated.Add(ps.memo.drop())
 			if p.Version == 0 {
 				ps.carry = detect.Prefix{}
@@ -272,7 +281,7 @@ func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
 	st.config = config
-	st.syms = trust.NewSymbols()
+	st.syms = trust.NewSymbols(0)
 	st.prods = make([]productState, len(d.Products))
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
 	st.published = make([][]float64, epoch.Periods(d.HorizonDays))

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -10,8 +12,8 @@ import (
 
 // buildRepoGraph loads the whole repo from scratch and builds a call graph
 // over it — no caching, so two calls exercise two fully independent
-// load + type-check + build pipelines.
-func buildRepoGraph(t *testing.T) *callgraph.Graph {
+// load + type-check + build pipelines. It returns the loaded packages too.
+func buildRepoGraph(t *testing.T) (*callgraph.Graph, []*Package) {
 	t.Helper()
 	pkgs, err := Load("../..", "./...")
 	if err != nil {
@@ -24,7 +26,7 @@ func buildRepoGraph(t *testing.T) *callgraph.Graph {
 	for i, p := range pkgs {
 		srcs[i] = &callgraph.Source{Path: p.Path, Files: p.Files, Info: p.Info, Types: p.Types}
 	}
-	return callgraph.Build(pkgs[0].Fset, srcs)
+	return callgraph.Build(pkgs[0].Fset, srcs), pkgs
 }
 
 // TestCallGraphDeterministic pins the determinism guarantee the analyzers
@@ -35,8 +37,9 @@ func TestCallGraphDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole repo twice")
 	}
-	a := strings.Join(buildRepoGraph(t).EdgeList(), "\n")
-	b := strings.Join(buildRepoGraph(t).EdgeList(), "\n")
+	ga, _ := buildRepoGraph(t)
+	gb, _ := buildRepoGraph(t)
+	a, b := strings.Join(ga.EdgeList(), "\n"), strings.Join(gb.EdgeList(), "\n")
 	if a != b {
 		al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 		if len(al) != len(bl) {
@@ -52,23 +55,22 @@ func TestCallGraphDeterministic(t *testing.T) {
 
 // TestInterfaceResolutionPinned pins CHA resolution against a known
 // interface in the repo: a call to TrustSource.Trust inside
-// internal/detect must fan out to exactly the program's four implementers
-// — detect.neutralTrust, *trust.Manager, the engine's series-bound
-// *seriesTrust and the test-only reference's evidence map — as
-// Interface-kind edges from one call site. A missing implementer means CHA went blind (analyzers
-// would silently under-approximate); an extra one means the receiver
-// static-type narrowing regressed toward the declaring-interface blowup.
+// internal/detect must fan out to exactly the Trust methods of the
+// program's implementers of detect.TrustSource, enumerated from the loaded
+// packages' type info (detect.neutralTrust, *trust.Manager, the engine's
+// *seriesTrust and the test-only reference's evidence map, among any
+// others), as Interface-kind edges from one call site. A missing
+// implementer means CHA went blind (analyzers would silently
+// under-approximate); an extra one means the receiver static-type
+// narrowing regressed toward the declaring-interface blowup.
 func TestInterfaceResolutionPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole repo")
 	}
-	g := buildRepoGraph(t)
-
-	want := []string{
-		"(*repro/internal/engine.seriesTrust).Trust",
-		"(*repro/internal/trust.Manager).Trust",
-		"(repro/internal/detect.neutralTrust).Trust",
-		"(repro/internal/reference.evidence).Trust",
+	g, pkgs := buildRepoGraph(t)
+	want := trustSourceImplementers(t, pkgs)
+	if !slices.Contains(want, "(*repro/internal/trust.Manager).Trust") {
+		t.Fatalf("the implementers of detect.TrustSource enumerate to %v, without *trust.Manager", want)
 	}
 	// Group Interface-kind .Trust edges out of internal/detect by call
 	// site; at least one site must resolve to exactly the implementer set.
@@ -101,4 +103,37 @@ func TestInterfaceResolutionPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// trustSourceImplementers returns the full names of the Trust methods of
+// every named non-interface type T declared at package level in pkgs for
+// which T or *T implements detect.TrustSource, sorted.
+func trustSourceImplementers(t *testing.T, pkgs []*Package) []string {
+	t.Helper()
+	var iface *types.Interface
+	for _, p := range pkgs {
+		if obj := p.Types.Scope().Lookup("TrustSource"); p.Path == "repro/internal/detect" && obj != nil {
+			iface, _ = obj.Type().Underlying().(*types.Interface)
+		}
+	}
+	if iface == nil {
+		t.Fatal("detect.TrustSource is not in the loaded program")
+	}
+	var names []string
+	for _, p := range pkgs {
+		for _, name := range p.Types.Scope().Names() {
+			tn, ok := p.Types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			for _, typ := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+				if types.Implements(typ, iface) {
+					names = append(names, types.NewMethodSet(typ).Lookup(nil, "Trust").Obj().(*types.Func).FullName())
+					break
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
 }

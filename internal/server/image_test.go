@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"log"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -131,5 +137,68 @@ func TestEngineImageLifecycle(t *testing.T) {
 	}
 	if err := mem.Close(); err != nil || mem.engState.Stats().Restored != 0 {
 		t.Fatalf("in-memory close: %v, restored %d", err, mem.engState.Stats().Restored)
+	}
+}
+
+// TestEngineImageOldVersion opens a service whose engine.img is in format
+// version 1 (the engine's pinned one): the first evaluation logs once that
+// the image is ignored and evaluates cold, the next does not read it
+// again, and Close replaces it with a version-2 image, from which the next
+// open restores every product exactly.
+func TestEngineImageOldVersion(t *testing.T) {
+	ctx := context.Background()
+	v1, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "engine.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := faultfs.New()
+	var logged bytes.Buffer
+	open := func() *Service {
+		t.Helper()
+		svc, _, err := OpenWAL(imageScheme(0), imageHorizon, imageProducts, WALOptions{FS: fs, SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.SetLogger(log.New(&logged, "", 0))
+		return svc
+	}
+	svc := open()
+	for i := 0; i < 40; i++ {
+		svc.Submit(ctx, imageProducts[i%3], fmt.Sprintf("r%d", i), float64(i%11)/2, float64(i)*2.9)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.WriteFile(engineImage, v1)
+
+	svc = open()
+	for i := 0; i < 2; i++ {
+		if _, err := svc.Scores(ctx, "a"); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			svc.Submit(ctx, "b", "late", 4, 100)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(logged.String(), "engine image ignored, evaluating cold: engine image: format version 1, want 2"); n != 1 {
+		t.Fatalf("the version-1 image was reported %d times, want once; log:\n%s", n, logged.String())
+	}
+	img, err := fs.ReadFile(engineImage)
+	if err != nil || len(img) < 8 || string(img[:4]) != "RENG" || binary.LittleEndian.Uint32(img[4:]) != 2 {
+		t.Fatalf("Close after a cold evaluation wrote %d bytes (%v), want a version-2 image", len(img), err)
+	}
+
+	svc = open()
+	if _, err := svc.Scores(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logged.String(), "engine image: restored 3 of 3 products, exact true") {
+		t.Fatalf("the version-2 image was not restored exactly; log:\n%s", logged.String())
 	}
 }

@@ -114,10 +114,13 @@ type oracle struct {
 	model *dataset.Dataset
 	ref   *reference.Result // of model under variant; nil after a change
 	// img is the ratings engine.img was written from, under imgVariant
-	// (nil: no usable image), and restore the number of products the
-	// first evaluation after the last open must restore (-1: checked).
+	// (nil: no usable image), restore the number of products the first
+	// evaluation after the last open must restore (-1: checked), and exact
+	// whether it must restore the image's decisions too: the image
+	// describes the model exactly, so that evaluation analyzes nothing.
 	img                 *dataset.Dataset
 	imgVariant, restore int
+	exact               bool
 	eng                 *engine.EvalState // the engine-level arm
 	teeth               *oracleTeeth
 }
@@ -125,7 +128,7 @@ type oracle struct {
 // oracleTeeth counts what the runs exercised, so the test can tell when
 // its generator stops reaching a path.
 type oracleTeeth struct {
-	restored, marked, unversioned, cancelled, cancelledRestores int
+	restored, exact, inexact, marked, unversioned, cancelled, cancelledRestores int
 }
 
 // runProgram runs p and returns the index of the first step whose check
@@ -341,8 +344,9 @@ func (o *oracle) cancelledRead(budget int, product string) error {
 
 // restart ends the service as kind says, keeps, deletes or corrupts the
 // engine image, sometimes switches the detector configuration, and
-// reopens; a third of the reopens start with a cancelled read, which may
-// cancel the image's Restore.
+// reopens; a quarter of the reopens take a rating after the last one of
+// each product before the first read, and a third start with a cancelled
+// read, which may cancel the image's Restore.
 func (o *oracle) restart(kind op, rng *rand.Rand, product string) error {
 	next := o.fs
 	switch kind {
@@ -378,17 +382,35 @@ func (o *oracle) restart(kind op, rng *rand.Rand, product string) error {
 	if err := o.open(next); err != nil {
 		return err
 	}
+	if rng.IntN(4) == 0 {
+		for _, id := range imageProducts {
+			p, _ := o.model.Product(id)
+			day := rng.Float64() * imageHorizon
+			if n := len(p.Ratings); n > 0 {
+				day = p.Ratings[n-1].Day + rng.Float64()*(imageHorizon-p.Ratings[n-1].Day)
+			}
+			if err := o.submit(id, fmt.Sprintf("t%d", rng.IntN(40)), halfStar(rng), day); err != nil {
+				return err
+			}
+		}
+	}
 	// The first evaluation must restore exactly the products whose ratings
 	// start with the ratings the image was written from, under its
-	// configuration.
-	o.restore = 0
+	// configuration, and the image's decisions when every product's
+	// ratings are those ratings. Every image is of a complete evaluation:
+	// Close follows a step's reads.
+	o.restore, o.exact = 0, o.img != nil && o.imgVariant == o.variant
 	for i, p := range o.model.Products {
 		if o.img != nil && o.imgVariant == o.variant {
 			old := o.img.Products[i].Ratings
 			if len(old) <= len(p.Ratings) && slices.Equal(old, p.Ratings[:len(old)]) {
 				o.restore++
 			}
+			o.exact = o.exact && len(old) == len(p.Ratings) && slices.Equal(old, p.Ratings)
 		}
+	}
+	if o.restore == len(imageProducts) && !o.exact {
+		o.teeth.inexact++
 	}
 	if rng.IntN(3) == 0 {
 		// A budget this small often runs out inside the image's Restore.
@@ -414,7 +436,9 @@ func (o *oracle) reference() *reference.Result {
 // the stored ratings; every product's scores and report and every rater's
 // trust, read in a random order so each read is sometimes the one that
 // recomputes; the served result's table, marks, trust and Published; after
-// an open, the products restored from the engine image.
+// an open, the products restored from the engine image, and after an exact
+// restore that the evaluation ran no analysis and every final pass was a
+// memo hit.
 func (o *oracle) check(rng *rand.Rand) error {
 	ctx := context.Background()
 	ref := o.reference()
@@ -474,11 +498,18 @@ func (o *oracle) check(rng *rand.Rand) error {
 		return fmt.Errorf("served result: %w", err)
 	}
 	if o.restore >= 0 {
-		if got := o.svc.engState.Stats().Restored; got != uint64(o.restore) {
-			return fmt.Errorf("the first evaluation after the open restored %d products from the engine image, want %d", got, o.restore)
+		st := o.svc.engState.Stats()
+		if st.Restored != uint64(o.restore) {
+			return fmt.Errorf("the first evaluation after the open restored %d products from the engine image, want %d", st.Restored, o.restore)
 		}
 		if o.restore > 0 {
 			o.teeth.restored++
+		}
+		if o.exact {
+			if st.Analyzed+st.SignalHits+st.SignalMisses+st.MemoMisses != 0 || st.MemoHits < uint64(len(imageProducts)) {
+				return fmt.Errorf("the evaluations after an exact restore analyzed or missed the memo: %+v", st)
+			}
+			o.teeth.exact++
 		}
 		o.restore = -1
 	}
@@ -549,7 +580,7 @@ func TestServiceOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%+v", teeth)
-	if teeth.restored == 0 || teeth.marked == 0 || teeth.unversioned == 0 || teeth.cancelled == 0 || teeth.cancelledRestores == 0 {
+	if teeth.restored == 0 || teeth.exact == 0 || teeth.inexact == 0 || teeth.marked == 0 || teeth.unversioned == 0 || teeth.cancelled == 0 || teeth.cancelledRestores == 0 {
 		t.Fatalf("the programs never reached a path (%+v); the oracle has lost its teeth", teeth)
 	}
 }

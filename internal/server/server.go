@@ -234,8 +234,9 @@ func (s *Service) Checkpoint(ctx context.Context) error {
 }
 
 // engineImage is the file beside the WAL manifest that carries the
-// P-scheme engine's signals tiers across restarts: a cache, never a source
-// of truth (engine.Restore).
+// P-scheme engine's signals tiers, and the decisions of a complete
+// evaluation, across restarts: a cache, never a source of truth
+// (engine.Restore).
 const engineImage = "engine.img"
 
 // Close flushes and closes every shard WAL (if any). The service rejects
@@ -278,7 +279,7 @@ func (s *Service) restoreImageLocked(ctx context.Context, e *engine.Engine, d *d
 	case !ok:
 		s.logf("server: engine image absent, evaluating cold")
 	default:
-		s.logf("server: engine image: restored %d of %d products", k, len(d.Products))
+		s.logf("server: engine image: restored %d of %d products, exact %t", k, len(d.Products), exact)
 	}
 	s.imgRead = true
 	if exact {

@@ -45,8 +45,10 @@ type Symbols struct {
 	shared  atomic.Bool       // read by a Manager: Intern must fork
 }
 
-// NewSymbols returns an empty table.
-func NewSymbols() *Symbols { return &Symbols{ords: make(map[string]uint32)} }
+// NewSymbols returns an empty table with room for n IDs.
+func NewSymbols(n int) *Symbols {
+	return &Symbols{names: make([]string, 0, n), ords: make(map[string]uint32, n)}
+}
 
 // Len returns the number of interned IDs; ordinals are [0, Len).
 func (t *Symbols) Len() int { return len(t.base) + len(t.names) }
@@ -115,7 +117,7 @@ type slot struct{ s, f uint32 }
 
 // NewManager returns an empty trust manager over its own symbol table.
 func NewManager() *Manager {
-	return &Manager{syms: NewSymbols()}
+	return &Manager{syms: NewSymbols(0)}
 }
 
 // Observe records that rater id provided n ratings during the epoch, of
