@@ -56,8 +56,8 @@ func (p *PScheme) Engine() *engine.Engine {
 
 // Result is the full outcome of a P-scheme evaluation: the table, the
 // per-rating suspicious marks aligned with each product's sorted series,
-// the final trust (read-only: Clone it for what-if evaluation) and the
-// causal Published table (engine.Result).
+// the final trust and the causal Published table. Its rows and trust are
+// read-only (engine.Result): copy a row, or Clone the trust, to change it.
 type Result = engine.Result
 
 // Aggregates implements Scheme.

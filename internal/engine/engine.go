@@ -73,10 +73,11 @@ func (e *Engine) key() Engine {
 // every period with hindsight (final marks, final trust); Published holds
 // each period's score as published at the end of its epoch (that epoch's
 // marks, the trust right after its fold), never revised by later data —
-// the table agg.OnlinePScheme returns. Trust is the state's final
-// checkpoint: no later Resume writes it, so it may be read concurrently
-// with one, but callers must not write it either (Clone it for what-if
-// evaluation).
+// the table agg.OnlinePScheme returns. Every row, and Trust, the state's
+// final checkpoint, is the EvalState's own memory, which no later Resume
+// writes (a re-run epoch copies a shared Published row before changing
+// it): a Result may be read concurrently with one, but callers must not
+// write it either (copy a row; Clone the trust for what-if evaluation).
 type Result struct {
 	Table      map[string][]float64
 	Suspicious map[string][]bool
@@ -132,7 +133,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// recorded or last hit under, so those probes hit without comparing
 	// records.
 	//
-	// Right after each fold, period ep is published into st.published[ep]:
+	// Right after each fold, period ep is published (productState.publish):
 	// Eq. 7 over the epoch's own marks with the post-fold trust.
 	//
 	// Each analyzed product brings its stored detector carry
@@ -147,13 +148,13 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		}
 		next := st.fold(ep)
 		lo, hi := epoch.PeriodInterval(ep, d.HorizonDays)
-		row := make([]float64, len(d.Products))
 		for i := range d.Products {
-			s := d.Products[i].Ratings
+			s, ps := d.Products[i].Ratings, &st.prods[i]
 			start, end := s.BetweenIndex(lo, hi)
-			row[i], kept = e.aggregatePeriod(s[start:end], cols[i][start:end], st.prods[i].causal[start:end], next, kept)
+			var v float64
+			v, kept = e.aggregatePeriod(s[start:end], cols[i][start:end], ps.causal[start:end], next, kept)
+			ps.publish(ep, v)
 		}
-		st.published[ep] = row
 		st.checkpoints = append(st.checkpoints, next)
 	}
 
@@ -162,7 +163,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// visible once its end is in view is still filtered from the periods
 	// it poisoned. This pass is not checkpointed — but it is memoized: a
 	// product whose series version and rater-scoped final trust are
-	// unchanged replays its cached marks and scores instead of
+	// unchanged hands out its cached marks and scores instead of
 	// re-analyzing, so a single late submit costs one product's analysis,
 	// not one per product; a product whose series is unchanged but whose
 	// raters' trust moved reuses its cached signals and only runs Decide.
@@ -224,11 +225,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	for i, prod := range d.Products {
 		res.Table[prod.ID] = scores[i]
 		res.Suspicious[prod.ID] = marks[i]
-		pub := make([]float64, n)
-		for ep := range pub {
-			pub[ep] = st.published[ep][i]
-		}
-		res.Published[prod.ID] = pub
+		res.Published[prod.ID], st.prods[i].handed = st.prods[i].published, true
 	}
 	return res, nil
 }

@@ -58,7 +58,8 @@ func fuzzEditDataset() *dataset.Dataset {
 // on an unversioned product. Every step ends with a Resume that must equal
 // a fresh memo-off Evaluate of the same data bit for bit, so the engine's
 // own change detection is the only thing standing between an edit and a
-// stale checkpoint.
+// stale checkpoint. The previous step's Result must still equal its own
+// Evaluate after it: a Resume never writes the rows it handed out.
 func FuzzResumeEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 9, 1, 1, 1, 20, 1, 2, 2, 30, 1, 3, 0, 5, 1, 4, 1, 7, 1, 5, 2, 0, 1})
 	f.Add([]byte{2, 0, 45, 0, 2, 1, 3, 2, 3, 2, 17, 2, 4, 0, 50, 2, 6, 1, 4, 5, 1, 0, 60, 0})
@@ -70,7 +71,16 @@ func FuzzResumeEdits(f *testing.F) {
 		d := base.Clone()
 		nextVersion := uint64(2) // every version handed out so far is below it
 		st := NewState()
-		requireEqualResults(t, "initial", mustResume(t, eng, st, d), reference(t, d))
+		var prev, prevWant *Result
+		resume := func(label string) {
+			got, want := mustResume(t, eng, st, d), reference(t, d)
+			requireEqualResults(t, label, got, want)
+			if prev != nil {
+				requireEqualResults(t, label+": the previous step's Result", prev, prevWant)
+			}
+			prev, prevWant = got, want
+		}
+		resume("initial")
 		for i := 0; i+3 < len(program) && i < 48; i += 4 {
 			op := int(program[i]) % len(resumeEditOps)
 			p := &d.Products[int(program[i+1])%len(d.Products)]
@@ -111,7 +121,7 @@ func FuzzResumeEdits(f *testing.F) {
 				if err != nil && !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: err = %v", label, err)
 				}
-				requireEqualResults(t, label, mustResume(t, eng, st, d), reference(t, d))
+				resume(label)
 				continue
 			}
 			p.Ratings = s
@@ -124,7 +134,7 @@ func FuzzResumeEdits(f *testing.F) {
 				p.Version = nextVersion
 				nextVersion++
 			}
-			requireEqualResults(t, label, mustResume(t, eng, st, d), reference(t, d))
+			resume(label)
 		}
 	})
 }

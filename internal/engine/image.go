@@ -93,8 +93,8 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 		return nil
 	}
 	img := image{key: fingerprint(st.config), horizon: st.horizon, raters: uint32(st.syms.Len()), prods: make([]imageProduct, len(st.prods))}
-	last := st.checkpoints[len(st.checkpoints)-1]
-	img.decided = len(st.checkpoints) == len(st.published)+1
+	last, n := st.checkpoints[len(st.checkpoints)-1], epoch.Periods(st.horizon)
+	img.decided = len(st.checkpoints) == n+1
 	for i := range st.prods {
 		f := &st.prods[i].memo.final
 		img.decided = img.decided && f.valid && f.under == last
@@ -109,14 +109,10 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 			}
 		}
 		if f := &ps.memo.final; f.valid {
-			ip.entries = append(ip.entries, imageEntry{entryHead{uint32(len(st.published)), uint32(f.n), f.pre.arcHi}, f.pre.sig})
+			ip.entries = append(ip.entries, imageEntry{entryHead{uint32(n), uint32(f.n), f.pre.arcHi}, f.pre.sig})
 		}
 		if img.decided {
-			ip.causal, ip.final, ip.scores = ps.causal, ps.memo.final.marks, ps.memo.final.scores
-			ip.published = make([]float64, len(st.published))
-			for ep, row := range st.published {
-				ip.published[ep] = row[i]
-			}
+			ip.causal, ip.final, ip.scores, ip.published = ps.causal, ps.memo.final.marks, ps.memo.final.scores, ps.published
 		}
 	})
 	if err != nil {
@@ -185,7 +181,7 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 		if ps.causal = ip.causal; len(ps.causal) != len(p.Ratings) {
 			ps.causal = make([]bool, len(p.Ratings)) // every epoch re-runs and writes it
 		}
-		ps.memo.epochs = make([]memoEntry, len(st.published))
+		ps.memo.epochs = make([]memoEntry, len(ps.published))
 		for _, ent := range ip.entries {
 			pre := prefixSignals{ent.sig, ent.ArcHi}
 			switch ep := int(ent.Epoch); {
@@ -219,23 +215,20 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 // final entry gets the image's marks and scores under the last one, so
 // the next Resume replays the whole evaluation from the memo.
 func (st *EvalState) restoreDecisions(img *image) {
-	for ep := range st.published {
+	n := epoch.Periods(st.horizon)
+	for ep := 0; ep < n; ep++ {
 		st.checkpoints = append(st.checkpoints, st.fold(ep))
-		row := make([]float64, len(st.prods))
-		for i := range row {
-			row[i] = img.prods[i].published[ep]
-		}
-		st.published[ep] = row
 	}
 	for i := range st.prods {
-		m, ip := &st.prods[i].memo, &img.prods[i]
-		for ep := range m.epochs {
-			if m.epochs[ep].valid {
-				m.epochs[ep].under = st.checkpoints[ep]
+		ps, ip := &st.prods[i], &img.prods[i]
+		ps.published = ip.published
+		for ep := range ps.memo.epochs {
+			if ps.memo.epochs[ep].valid {
+				ps.memo.epochs[ep].under = st.checkpoints[ep]
 			}
 		}
-		if f := &m.final; f.valid {
-			f.under, f.marks, f.scores = st.checkpoints[len(st.published)], ip.final, ip.scores
+		if f := &ps.memo.final; f.valid {
+			f.under, f.marks, f.scores = st.checkpoints[n], ip.final, ip.scores
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -109,19 +111,26 @@ func TestOrdinalsInvisible(t *testing.T) {
 	}
 }
 
-// TestHandedOutTrustImmutable reads every Result's trust from other
-// goroutines while later Resumes on the same state intern new raters (run
-// it under -race). Each later Resume forks the symbol table its earlier
-// Results read, sharing their read-only base, and together they add more
-// than a quarter of the table, so some fork's overlay passes 1/8 of its
-// base and is flattened into a new base. Every handed-out manager must
-// stay race-free and its values must never change.
-func TestHandedOutTrustImmutable(t *testing.T) {
+// TestHandedOutResultImmutable reads everything each Result hands out —
+// every Table, Suspicious and Published row, and its trust — from other
+// goroutines while later Resumes on the same state run (run it under
+// -race). Rows and trust are the state's own memory, shared read-only
+// (Result), so no later Resume may write them. Between Resumes the data
+// takes tail inserts by new raters, a mid-history value edit that moves
+// published scores of periods earlier Results hold, a removal, and a
+// Restore of the state from its own image. The inserts intern new raters:
+// each later Resume forks the symbol table its earlier Results read,
+// sharing their read-only base, and together they add more than a quarter
+// of the table, so some fork's overlay passes 1/8 of its base and is
+// flattened into a new base. Every handed-out row and manager must stay
+// race-free and its values must never change.
+func TestHandedOutResultImmutable(t *testing.T) {
 	const horizon = 150.0
 	const resumes = 8
 	d := versionedTestDataset(t, 5, 3, horizon)
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
 	st := NewState()
+	ctx := context.Background()
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -133,30 +142,34 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 		}
 	}
 	type watched struct {
-		m    *trust.Manager
-		snap []trust.RaterTrust
+		res, want *Result // want: a deep copy taken when res was handed out
+		snap      []trust.RaterTrust
 	}
 	var handed []watched
-	// watch reads m's trust of probe in a loop until done.
-	watch := func(m *trust.Manager, probe []string) {
-		snap := m.Snapshot()
-		handed = append(handed, watched{m, snap})
+	// watch reads res's rows, and its trust of probe, in a loop until done.
+	watch := func(res *Result, probe []string) {
+		w := watched{res, cloneResult(res), res.Trust.Snapshot()}
+		handed = append(handed, w)
 		want := make([]float64, len(probe))
 		for i, id := range probe {
-			want[i] = m.Trust(id)
+			want[i] = res.Trust.Trust(id)
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
+				if msg := resultChange(res, w.want); msg != "" {
+					fail(msg)
+					return
+				}
 				for i, id := range probe {
-					if got := m.Trust(id); math.Float64bits(got) != math.Float64bits(want[i]) {
+					if got := res.Trust.Trust(id); math.Float64bits(got) != math.Float64bits(want[i]) {
 						fail(fmt.Sprintf("Trust(%q) = %v, was %v", id, got, want[i]))
 						return
 					}
 				}
-				if n := m.Len(); n != len(snap) {
-					fail(fmt.Sprintf("Len = %d, was %d", n, len(snap)))
+				if n := res.Trust.Len(); n != len(w.snap) {
+					fail(fmt.Sprintf("Len = %d, was %d", n, len(w.snap)))
 					return
 				}
 				select {
@@ -167,6 +180,12 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 			}
 		}()
 	}
+	// edit replaces product k's series by a copy changed by fn.
+	edit := func(k int, fn func(s dataset.Series) dataset.Series) {
+		p := &d.Products[k]
+		p.Ratings = fn(p.Ratings.Clone())
+		p.Version++
+	}
 
 	snap := mustResume(t, eng, st, d).Trust.Snapshot()
 	base := st.syms.Len()
@@ -174,9 +193,25 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 	late := 0
 	for i := 0; i <= resumes; i++ {
 		res := mustResume(t, eng, st, d)
-		watch(res.Trust, []string{snap[0].Rater, snap[len(snap)/2].Rater, "late-0", fmt.Sprintf("late-%d", late-1), fmt.Sprintf("late-%d", late), "nobody"})
+		watch(res, []string{snap[0].Rater, snap[len(snap)/2].Rater, "late-0", fmt.Sprintf("late-%d", late-1), fmt.Sprintf("late-%d", late), "nobody"})
 		if i == resumes {
 			break
+		}
+		switch i {
+		case 2: // every rating of epoch 1 of one product changes its value
+			edit(1, func(s dataset.Series) dataset.Series {
+				from, to := s.BetweenIndex(30, 60)
+				for j := from; j < to; j++ {
+					s[j].Value = math.Mod(s[j].Value+1.5, dataset.MaxValue+0.5)
+				}
+				return s
+			})
+		case 4:
+			edit(2, func(s dataset.Series) dataset.Series { return slices.Delete(s, len(s)/3, len(s)/3+1) })
+		case 6:
+			if _, exact, err := eng.Restore(ctx, st, d, st.Image(ctx)); err != nil || !exact {
+				t.Fatalf("restoring the state from its own image: exact %v, %v", exact, err)
+			}
 		}
 		for j := 0; j < perResume; j++ {
 			r := dataset.Rating{Day: horizon - 40 + 4*float64(i), Value: 1, Rater: fmt.Sprintf("late-%d", late)}
@@ -190,15 +225,56 @@ func TestHandedOutTrustImmutable(t *testing.T) {
 	wg.Wait()
 	select {
 	case e := <-errs:
-		t.Fatal("handed-out trust changed: " + e)
+		t.Fatal("a handed-out Result changed: " + e)
 	default:
 	}
 	for k, h := range handed {
-		requireEqualSnapshots(t, fmt.Sprintf("Result %d after later Resumes", k), h.m.Snapshot(), h.snap)
+		label := fmt.Sprintf("Result %d after later Resumes", k)
+		if msg := resultChange(h.res, h.want); msg != "" {
+			t.Fatalf("%s: %s", label, msg)
+		}
+		requireEqualSnapshots(t, label, h.res.Trust.Snapshot(), h.snap)
+	}
+	// The mid-history edit must have rewritten published periods ahead of
+	// the tail, or the rows it would have written prove nothing.
+	if before, after := handed[2].want.Published[d.Products[1].ID], handed[3].want.Published[d.Products[1].ID]; resultRowsEqual(before[:3], after[:3]) {
+		t.Fatalf("the mid-history edit left the published periods 0-2 of %s unchanged: %v", d.Products[1].ID, before)
 	}
 	if got := st.syms.Len(); got != base+late || 8*late <= 2*base {
 		t.Fatalf("state interned %d raters over a base of %d, %d of them late: want every late rater, more than a quarter of the base", got, base, late)
 	}
+}
+
+// cloneResult deep-copies res's rows; the copy shares res's trust.
+func cloneResult(res *Result) *Result {
+	c := &Result{Table: map[string][]float64{}, Suspicious: map[string][]bool{}, Trust: res.Trust, Published: map[string][]float64{}}
+	for id := range res.Table {
+		c.Table[id] = slices.Clone(res.Table[id])
+		c.Suspicious[id] = slices.Clone(res.Suspicious[id])
+		c.Published[id] = slices.Clone(res.Published[id])
+	}
+	return c
+}
+
+// resultChange names the first row of got that is not bit-identical to
+// want's, or returns "". It only reads, so other goroutines may call it.
+func resultChange(got, want *Result) string {
+	for id := range want.Table {
+		switch {
+		case !resultRowsEqual(got.Table[id], want.Table[id]):
+			return "the table row of " + id + " changed"
+		case !slices.Equal(got.Suspicious[id], want.Suspicious[id]):
+			return "the marks of " + id + " changed"
+		case !resultRowsEqual(got.Published[id], want.Published[id]):
+			return "the published row of " + id + " changed"
+		}
+	}
+	return ""
+}
+
+// resultRowsEqual compares two score rows bit for bit, NaN included.
+func resultRowsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestReinternNamesEveryRating edits a series at random — inserts,

@@ -55,8 +55,8 @@ import (
 // it was just proven equal to, so entries that keep hitting never pin
 // superseded checkpoints and the next probe against it is the O(1) one.
 // Every hit is verified one of these two ways. Bit-exactness is then by
-// construction — a hit replays the exact recorded marks (final pass:
-// copies of the cached marks and scores), and the signals are pure
+// construction — a hit replays the exact recorded marks (final pass: the
+// cached marks and scores themselves), and the signals are pure
 // functions of (prefix, horizon, detector config) that Decide reads the
 // same whether they are cached or fresh.
 
@@ -93,7 +93,7 @@ type finalEntry struct {
 	n      int
 	pre    prefixSignals
 	under  *trust.Manager // final trust the entry was decided under
-	marks  []bool         // never aliased by served results
+	marks  []bool
 	scores []float64
 }
 
@@ -157,16 +157,16 @@ func (m *productMemo) epochHit(ep int, ords []uint32, mgr *trust.Manager) bool {
 	return true
 }
 
-// finalHit is epochHit for the final pass: on a hit it returns fresh
-// copies of the cached suspicious marks and scores (served results must
-// never alias cache memory — callers own what Resume returns).
+// finalHit is epochHit for the final pass: on a hit it returns the cached
+// suspicious marks and scores themselves. Nothing writes them once
+// recorded, so every Result that hands them out shares them read-only.
 func (m *productMemo) finalHit(ords []uint32, mgr *trust.Manager) ([]bool, []float64, bool) {
 	ent := &m.final
 	if !ent.valid || ent.n != len(ords) || !trustRecordsMatch(mgr, ords, ent.under) {
 		return nil, nil, false
 	}
 	ent.under = mgr
-	return append([]bool(nil), ent.marks...), append([]float64(nil), ent.scores...), true
+	return ent.marks, ent.scores, true
 }
 
 // signalReuse is what a trust-tier miss takes from the signals tier: a
@@ -223,16 +223,16 @@ func newEpochEntry(ords []uint32, pre prefixSignals, mgr *trust.Manager) memoEnt
 	return memoEntry{valid: true, prefixLen: len(ords), pre: pre, under: mgr}
 }
 
-// newFinalEntry snapshots one product's final pass: the series' signals
-// tier, the final trust mgr and copies of the marks and scores decided
-// under it (the live ones are handed to the caller).
+// newFinalEntry records one product's final pass: the series' signals
+// tier, the final trust mgr and the marks and scores decided under it,
+// the very slices the pass hands out.
 func newFinalEntry(pre prefixSignals, mgr *trust.Manager, marks []bool, scores []float64) finalEntry {
 	return finalEntry{
 		valid:  true,
 		n:      len(marks),
 		pre:    pre,
 		under:  mgr,
-		marks:  append([]bool(nil), marks...),
-		scores: append([]float64(nil), scores...),
+		marks:  marks,
+		scores: scores,
 	}
 }

@@ -86,30 +86,6 @@ func TestSubmitComputesSeriesSignalsOncePerResume(t *testing.T) {
 	}
 }
 
-// TestFinalHitNeverAliasesServedMarks: the final-pass entry stores marks,
-// not a report, and a caller scribbling over a served Result must not
-// reach the cache — the next replay still serves the pristine marks.
-func TestFinalHitNeverAliasesServedMarks(t *testing.T) {
-	d := versionedTestDataset(t, 31, 3, 150)
-	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-	want := reference(t, d)
-	st := NewState()
-	for round := 0; round < 3; round++ {
-		got := mustResume(t, eng, st, d)
-		requireEqualResults(t, "replay", got, want)
-		for _, marks := range got.Suspicious {
-			for i := range marks {
-				marks[i] = !marks[i]
-			}
-		}
-		for _, scores := range got.Table {
-			for i := range scores {
-				scores[i] = -1
-			}
-		}
-	}
-}
-
 // TestColdResumeRecordsFreshSignals checks the per-Resume carry from the
 // engine's side. A cold Resume computes each product's signals by
 // extending one carried prefix epoch after epoch, then into the final

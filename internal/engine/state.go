@@ -63,11 +63,6 @@ type EvalState struct {
 	syms  *trust.Symbols
 	prods []productState
 
-	// published[e] is period e's causal score per product, written with
-	// checkpoints[e+1]: rows before a resume epoch are reused, later ones
-	// rewritten, so a checkpoint cut need not touch them.
-	published [][]float64
-
 	stats counters
 }
 
@@ -163,14 +158,31 @@ func (st *EvalState) Reset() {
 // mark, carry the product's detector carry and memo its memo entries.
 // Keeping the header costs no copy: a series is never mutated below its
 // length (dataset.Series.Insert), so it still holds the ratings the
-// checkpoints were computed from.
+// checkpoints were computed from. published[e] is its period-e causal
+// score, written with checkpoints[e+1] (publish), and handed records that
+// a Result shares that row.
 type productState struct {
-	version uint64
-	series  dataset.Series
-	ords    []uint32
-	causal  []bool
-	carry   detect.Prefix
-	memo    productMemo
+	version   uint64
+	series    dataset.Series
+	ords      []uint32
+	causal    []bool
+	carry     detect.Prefix
+	memo      productMemo
+	published []float64
+	handed    bool
+}
+
+// publish sets period ep's published score to v. A value with unchanged
+// bits is not written, so the row stays shared with the Results that hold
+// it; a changed one copies a shared row first.
+func (ps *productState) publish(ep int, v float64) {
+	if math.Float64bits(ps.published[ep]) == math.Float64bits(v) {
+		return
+	}
+	if ps.handed {
+		ps.published, ps.handed = slices.Clone(ps.published), false
+	}
+	ps.published[ep] = v
 }
 
 // intern brings every product's state in line with its series, cuts the
@@ -205,7 +217,7 @@ func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 			} else {
 				ps.carry.Rewind(p.Ratings, st.config.Detect)
 				if ps.memo.epochs == nil {
-					ps.memo.epochs = make([]memoEntry, len(st.published))
+					ps.memo.epochs = make([]memoEntry, len(ps.published))
 				}
 			}
 		}
@@ -274,9 +286,9 @@ func (st *EvalState) matches(d *dataset.Dataset) bool {
 }
 
 // bind rebinds the state to the dataset and the engine configuration and
-// discards all checkpoints and per-product state. The memo entry arrays
-// intern allocates are sized by the horizon bound here, which a state keeps
-// until the next bind.
+// discards all checkpoints and per-product state. Each product's published
+// row, and the memo entry array intern allocates, is sized by the horizon
+// bound here, which a state keeps until the next bind.
 func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
@@ -284,5 +296,9 @@ func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.syms = trust.NewSymbols(0)
 	st.prods = make([]productState, len(d.Products))
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
-	st.published = make([][]float64, epoch.Periods(d.HorizonDays))
+	n := epoch.Periods(d.HorizonDays)
+	rows := make([]float64, len(d.Products)*n)
+	for i := range st.prods {
+		st.prods[i].published = rows[i*n : (i+1)*n : (i+1)*n]
+	}
 }

@@ -11,10 +11,10 @@ func (s *Service) dataView() *dataset.Dataset {
 	return s.store.View()
 }
 
-// served returns the P-scheme result the service last computed and serves
-// from (nil under another scheme or before the first evaluation).
+// served returns the result the service last computed and serves from
+// (an empty one before the first evaluation).
 func (s *Service) served() *engine.Result {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.pResult
+	return s.result
 }

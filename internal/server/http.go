@@ -234,17 +234,15 @@ func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // sanitizeNaN replaces NaN (periods without ratings) with -1, which JSON
-// can carry.
+// can carry, in place, and returns scores. Callers pass the copy Scores or
+// Inspect made for them.
 func sanitizeNaN(scores []float64) []float64 {
-	out := make([]float64, len(scores))
 	for i, v := range scores {
 		if v != v { // NaN
-			out[i] = -1
-			continue
+			scores[i] = -1
 		}
-		out[i] = v
 	}
-	return out
+	return scores
 }
 
 // retryAfterSeconds is the Retry-After hint attached to every shed or

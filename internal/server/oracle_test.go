@@ -122,7 +122,13 @@ type oracle struct {
 	imgVariant, restore int
 	exact               bool
 	eng                 *engine.EvalState // the engine-level arm
-	teeth               *oracleTeeth
+	// prev holds the served and the engine-arm result of the last check,
+	// and prevRef their reference, which equalled both bit for bit and
+	// shares no memory with them: no later step may write a row or a
+	// checkpoint a Result handed out.
+	prev    [2]*engine.Result
+	prevRef *reference.Result
+	teeth   *oracleTeeth
 }
 
 // oracleTeeth counts what the runs exercised, so the test can tell when
@@ -438,7 +444,8 @@ func (o *oracle) reference() *reference.Result {
 // recomputes; the served result's table, marks, trust and Published; after
 // an open, the products restored from the engine image, and after an exact
 // restore that the evaluation ran no analysis and every final pass was a
-// memo hit.
+// memo hit. Then the previous check's results must still equal their
+// reference.
 func (o *oracle) check(rng *rand.Rand) error {
 	ctx := context.Background()
 	ref := o.reference()
@@ -544,6 +551,15 @@ func (o *oracle) check(rng *rand.Rand) error {
 	if got, want := o.eng.CompletedEpochs(), epoch.Periods(imageHorizon); got != want {
 		return fmt.Errorf("engine arm: %d epochs checkpointed, want %d", got, want)
 	}
+	for k, prev := range o.prev {
+		if prev == nil {
+			break // the first check
+		}
+		if err := o.prevRef.Diff(prev); err != nil {
+			return fmt.Errorf("the %s result of the previous check changed: %w", [...]string{"served", "engine arm"}[k], err)
+		}
+	}
+	o.prev, o.prevRef = [2]*engine.Result{o.svc.served(), res}, ref
 	return nil
 }
 

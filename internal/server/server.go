@@ -71,10 +71,11 @@ type Service struct {
 	// mu guards the coordinator's cross-product state below. Rating state
 	// lives in the store, which synchronizes itself — Submit never takes
 	// this lock, so ingest proceeds while a recompute holds it.
-	mu      sync.RWMutex
-	scheme  agg.Scheme
-	cached  agg.Table
-	pResult *engine.Result // set when scheme is the P-scheme; its Trust is read-only
+	mu     sync.RWMutex
+	scheme agg.Scheme
+	// result is the served evaluation; under the P-scheme its rows and
+	// Trust are engState's, read-only (engine.Result).
+	result *engine.Result
 	// engState holds the P-scheme engine's per-epoch trust checkpoints and
 	// memo across recomputes, and counts the engine's work for /metrics.
 	// It is created with the service and never replaced (unused by other
@@ -97,8 +98,8 @@ type Service struct {
 	imgRead bool
 	imgGen  uint64
 
-	// Degradation: when a recompute panics, cached holds the last good
-	// table, stale is set, and staleErr records the cause until a later
+	// Degradation: when a recompute panics, result holds the last good
+	// evaluation, stale is set, and staleErr records the cause until a later
 	// recompute succeeds.
 	stale    bool
 	staleErr error
@@ -135,7 +136,7 @@ func NewSharded(scheme agg.Scheme, horizonDays float64, products []string, shard
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{scheme: scheme, store: st, engState: engine.NewState()}
+	s := &Service{scheme: scheme, result: &engine.Result{}, store: st, engState: engine.NewState()}
 	s.logger.Store(log.New(io.Discard, "", 0))
 	st.SetLogf(s.logf)
 	return s, nil
@@ -166,7 +167,7 @@ func OpenWAL(scheme agg.Scheme, horizonDays float64, products []string, opts WAL
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Service{scheme: scheme, store: st, engState: engine.NewState()}
+	s := &Service{scheme: scheme, result: &engine.Result{}, store: st, engState: engine.NewState()}
 	s.logger.Store(log.New(io.Discard, "", 0))
 	st.SetLogf(s.logf)
 	return s, report, nil
@@ -409,7 +410,7 @@ func (s *Service) Scores(ctx context.Context, product string) ([]float64, error)
 	if !s.store.Has(product) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownProduct, product)
 	}
-	scores := s.cached[product]
+	scores := s.result.Table[product]
 	out := make([]float64, len(scores))
 	copy(out, scores)
 	return out, nil
@@ -445,12 +446,12 @@ func (s *Service) Inspect(ctx context.Context, product string) (Report, error) {
 	rep := Report{
 		Product: product,
 		Ratings: n,
-		Scores:  append([]float64(nil), s.cached[product]...),
+		Scores:  append([]float64(nil), s.result.Table[product]...),
 		Stale:   s.stale,
 	}
-	if s.pResult != nil {
+	if s.result.Trust != nil {
 		rep.HasSuspicious = true
-		for _, m := range s.pResult.Suspicious[product] {
+		for _, m := range s.result.Suspicious[product] {
 			if m {
 				rep.Suspicious++
 			}
@@ -472,10 +473,10 @@ func (s *Service) Trust(ctx context.Context, rater string) float64 {
 		return 0.5
 	}
 	defer s.mu.RUnlock()
-	if s.pResult == nil {
+	if s.result.Trust == nil {
 		return 0.5
 	}
-	return s.pResult.Trust.Trust(rater)
+	return s.result.Trust.Trust(rater)
 }
 
 // refreshLocked recomputes aggregates if ratings arrived. Callers must
@@ -496,7 +497,7 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 		return nil
 	}
 	evalStart := time.Now()
-	table, pRes, err := s.evaluateLocked(ctx, s.store.View(), gen)
+	res, err := s.evaluateLocked(ctx, s.store.View(), gen)
 	s.evalSeconds.Observe(time.Since(evalStart).Seconds())
 	if err != nil && ctx.Err() != nil {
 		return err
@@ -512,8 +513,7 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 		s.logf("server: aggregate recompute failed, serving stale table: %v", err)
 		return nil
 	}
-	s.cached = table
-	s.pResult = pRes
+	s.result = res
 	s.stale = false
 	s.staleErr = nil
 	return nil
@@ -530,22 +530,17 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 // reuses every epoch before it from the previous evaluation's checkpoints
 // — steady-state recompute cost is proportional to the changed epoch
 // suffix plus one final per-product pass, not the full history.
-func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset, gen uint64) (table agg.Table, pRes *engine.Result, err error) {
+func (s *Service) evaluateLocked(ctx context.Context, d *dataset.Dataset, gen uint64) (res *engine.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			table, pRes = nil, nil
-			err = fmt.Errorf("scheme %s panicked: %v", s.scheme.Name(), r)
+			res, err = nil, fmt.Errorf("scheme %s panicked: %v", s.scheme.Name(), r)
 		}
 	}()
 	if p, ok := s.scheme.(*agg.PScheme); ok {
 		if !s.imgRead && s.store.Durable() {
 			s.restoreImageLocked(ctx, p.Engine(), d, gen)
 		}
-		res, rerr := p.Engine().Resume(ctx, s.engState, d)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		return res.Table, res, nil
+		return p.Engine().Resume(ctx, s.engState, d)
 	}
-	return s.scheme.Aggregates(d), nil, nil
+	return &engine.Result{Table: s.scheme.Aggregates(d)}, nil
 }
