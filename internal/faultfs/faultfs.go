@@ -219,7 +219,10 @@ func (f *FS) Open(name string) (wal.File, error) {
 	if !ok {
 		return nil, fmt.Errorf("faultfs: %s: %w", name, os.ErrNotExist)
 	}
-	return &file{fs: f, name: name, rdata: append([]byte(nil), data...)}, nil
+	// No byte below a file's length is ever rewritten in place (writes
+	// append; Create, WriteFile and Truncate install new slices), so the
+	// handle shares the current contents instead of copying them.
+	return &file{fs: f, name: name, rdata: data[:len(data):len(data)]}, nil
 }
 
 func (f *FS) OpenAppend(name string) (wal.File, error) {
@@ -263,7 +266,8 @@ func (f *FS) Truncate(name string, size int64) error {
 	if int64(len(data)) < size {
 		return fmt.Errorf("faultfs: truncate %s beyond length", name)
 	}
-	f.files[name] = data[:size]
+	// The cut bytes are freed, as a real filesystem frees the blocks.
+	f.files[name] = append([]byte(nil), data[:size]...)
 	// Truncation is metadata, journaled by any real filesystem: the new
 	// (shorter) length is what a crash image sees.
 	if f.synced[name] > int(size) {

@@ -29,11 +29,12 @@ var workloadProducts = []string{"tv0", "tv1", "tv2"}
 var logPath = wal.ShardDir(0) + "/wal.log"
 
 // runWorkload opens a durable service over a fresh fault FS, submits n
-// workload ratings, and returns the FS, the final log image, and the log
-// size after each accepted rating (the record boundaries).
-func runWorkload(t *testing.T, scheme agg.Scheme, n int) (fs *faultfs.FS, logBytes []byte, boundaries []int64) {
+// workload ratings, and returns the final log image as a kill leaves it
+// (read before Close, which compacts it) and the log size after each
+// accepted rating (the record boundaries).
+func runWorkload(t *testing.T, scheme agg.Scheme, n int) (logBytes []byte, boundaries []int64) {
 	t.Helper()
-	fs = faultfs.New()
+	fs := faultfs.New()
 	svc, _, err := OpenWAL(scheme, 90, workloadProducts, WALOptions{FS: fs, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -49,14 +50,14 @@ func runWorkload(t *testing.T, scheme agg.Scheme, n int) (fs *faultfs.FS, logByt
 		}
 		boundaries = append(boundaries, size)
 	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
 	logBytes, err = fs.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs, logBytes, boundaries
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return logBytes, boundaries
 }
 
 // recordsContained counts workload records fully inside the first n log
@@ -91,7 +92,7 @@ func recoverAt(t *testing.T, scheme agg.Scheme, logBytes []byte, n int64) (*Serv
 // applied, no phantom ratings, no records lost before the crash point.
 func TestCrashRecoveryEveryByte(t *testing.T) {
 	const n = 60
-	_, logBytes, boundaries := runWorkload(t, agg.SAScheme{}, n)
+	logBytes, boundaries := runWorkload(t, agg.SAScheme{}, n)
 
 	// Reference services fed the accepted prefix directly, grown in step
 	// with the crash point so each prefix dataset is built exactly once.
@@ -130,7 +131,7 @@ func TestCrashRecoveryEveryByte(t *testing.T) {
 // exactly those of a crash-free run over the same prefix.
 func TestCrashRecoveryPropertyP(t *testing.T) {
 	const n = 500
-	_, logBytes, boundaries := runWorkload(t, agg.NewPScheme(), n)
+	logBytes, boundaries := runWorkload(t, agg.NewPScheme(), n)
 
 	// Crash points: byte 0, every record boundary, and two torn offsets
 	// inside the record after each boundary.
@@ -292,8 +293,8 @@ func mustSize(t *testing.T, fs *faultfs.FS, name string) int64 {
 }
 
 // TestSnapshotCompactBoundsLog: with SnapshotEvery=10, 35 ratings leave a
-// 5-record log tail behind a 30-rating snapshot, and recovery stitches
-// both halves back together.
+// 5-record log tail behind a 30-rating snapshot, and recovery after a
+// kill stitches both halves back together.
 func TestSnapshotCompactBoundsLog(t *testing.T) {
 	fs := faultfs.New()
 	svc, _, err := OpenWAL(agg.SAScheme{}, 90, workloadProducts, WALOptions{FS: fs, SyncEvery: 1, SnapshotEvery: 10})
@@ -310,12 +311,13 @@ func TestSnapshotCompactBoundsLog(t *testing.T) {
 			fullRecord = mustSize(t, fs, logPath)
 		}
 	}
+	killed := fs.Clone()
 	svc.Close()
-	if size := mustSize(t, fs, logPath); size > 6*fullRecord {
+	if size := mustSize(t, killed, logPath); size > 6*fullRecord {
 		t.Errorf("log after compaction = %d bytes; want ≈ 5 records (~%d bytes)", size, 5*fullRecord)
 	}
 
-	svc2, rep, err := OpenWAL(agg.SAScheme{}, 90, workloadProducts, WALOptions{FS: fs, SyncEvery: 1})
+	svc2, rep, err := OpenWAL(agg.SAScheme{}, 90, workloadProducts, WALOptions{FS: killed, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,13 +357,13 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.Close()
 	logBytes := mustRead(t, fs, logPath)
+	img := fs.Clone()
+	svc.Close()
 
 	// Publish a snapshot of the full dataset, then put the un-reset log
 	// back — exactly the on-disk state of a crash between Compact's
 	// rename and truncate steps.
-	img := fs.Clone()
 	shard, err := wal.Sub(img, wal.ShardDir(0))
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +397,10 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 
 // TestRecoveryReportsInvalidRecords: records that violate live validation
 // (here: a day beyond a shrunken horizon, and a rating for a product no
-// longer registered) are skipped, counted and sampled — never applied.
+// longer registered) are skipped, counted and sampled — never applied,
+// whether the log holds them (a kill) or the snapshot a clean Close
+// folded them into. A shard whose recovery skipped records keeps its log
+// at Close, so a reopen with the old configuration still finds them.
 func TestRecoveryReportsInvalidRecords(t *testing.T) {
 	fs := faultfs.New()
 	svc, _, err := OpenWAL(agg.SAScheme{}, 90, workloadProducts, WALOptions{FS: fs, SyncEvery: 1})
@@ -411,20 +416,44 @@ func TestRecoveryReportsInvalidRecords(t *testing.T) {
 	if err := svc.Submit(context.Background(), "tv0", "late", 5, 80); err != nil { // beyond the new horizon
 		t.Fatal(err)
 	}
+	killed := fs.Clone()
 	svc.Close()
 
-	svc2, rep, err := OpenWAL(agg.SAScheme{}, 60, []string{"tv0"}, WALOptions{FS: fs, SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	if rep.ReplayedRatings != 1 || rep.SkippedRecords != 2 {
-		t.Fatalf("recovery = %+v, want 1 replayed + 2 skipped", rep)
-	}
-	if len(rep.SkipReasons) != 2 {
-		t.Errorf("SkipReasons = %v, want 2 samples", rep.SkipReasons)
-	}
-	if n, _ := svc2.RatingCount("tv0"); n != 1 {
-		t.Errorf("tv0 = %d ratings, want 1", n)
+	for _, tc := range []struct {
+		name string
+		fs   *faultfs.FS
+		snap bool
+	}{{"killed", killed, false}, {"closed", fs, true}} {
+		svc2, rep, err := OpenWAL(agg.SAScheme{}, 60, []string{"tv0"}, WALOptions{FS: tc.fs, SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rep.ReplayedRatings
+		if tc.snap {
+			got = rep.SnapshotRatings
+		}
+		if got != 1 || rep.SnapshotRatings+rep.ReplayedRatings != 1 || rep.SkippedRecords != 2 {
+			t.Fatalf("%s: recovery = %+v, want 1 %s rating + 2 skipped", tc.name, rep, map[bool]string{false: "replayed", true: "snapshot"}[tc.snap])
+		}
+		if len(rep.SkipReasons) != 2 {
+			t.Errorf("%s: SkipReasons = %v, want 2 samples", tc.name, rep.SkipReasons)
+		}
+		if n, _ := svc2.RatingCount("tv0"); n != 1 {
+			t.Errorf("%s: tv0 = %d ratings, want 1", tc.name, n)
+		}
+		if err := svc2.Submit(context.Background(), "tv0", "new", 2, 30); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc3, rep, err := OpenWAL(agg.SAScheme{}, 90, workloadProducts, WALOptions{FS: tc.fs, SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.SnapshotRatings + rep.ReplayedRatings; got != 4 || rep.SkippedRecords != 0 {
+			t.Errorf("%s: reopen with the old configuration = %+v, want all 4 ratings", tc.name, rep)
+		}
+		svc3.Close()
 	}
 }

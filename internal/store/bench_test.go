@@ -67,14 +67,17 @@ func BenchmarkSubmitParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreOpen times a cold boot: Open replays one fixed in-memory
-// WAL image of 2 shards, each holding ~2.5k snapshot ratings and ~2.5k log
-// records in day order (the restart workload's shape), and Close closes
-// it. Open neither truncates nor compacts a clean image, so every
-// iteration replays the same bytes and the per-op cost does not depend on
-// b.N.
+// BenchmarkStoreOpen times a cold boot of 2 shards holding 10k ratings
+// in the restart workload's shape: 8 products, days in order, and raters
+// drawn from a shared pool of 1,400, so each rates about seven products.
+// Half the ratings are checkpointed, half streamed after the checkpoint.
+// The clean row opens the directory a Close left, snapshots only; the
+// crash row opens it as a kill before that Close left it, each shard's
+// snapshot plus a log tail. Each iteration opens a fresh copy of its
+// image and closes the store with the timer stopped, so the per-op cost
+// is the Open alone and does not depend on b.N.
 func BenchmarkStoreOpen(b *testing.B) {
-	const shards, perPhase = 2, 5000
+	const shards, perPhase, pool = 2, 5000, 1400
 	// Four products per shard, so both shards get the same share.
 	var products []string
 	var perShard [shards]int
@@ -85,8 +88,8 @@ func BenchmarkStoreOpen(b *testing.B) {
 			products = append(products, id)
 		}
 	}
-	img := faultfs.New()
-	st, _, err := Open(600, products, Options{FS: img, Shards: shards})
+	clean := faultfs.New()
+	st, _, err := Open(600, products, Options{FS: clean, Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +97,10 @@ func BenchmarkStoreOpen(b *testing.B) {
 	submit := func(from int, day0 float64) {
 		for i := from; i < from+perPhase; i++ {
 			day := day0 + 300*float64(i-from)/perPhase
-			if _, err := st.Submit(ctx, products[i%len(products)], fmt.Sprintf("rater-%05d", i), float64(i%11)/2, day); err != nil {
+			// A product's ratings are i, i+8, ...: distinct i/8, so
+			// distinct raters per product.
+			rater := fmt.Sprintf("rater-%05d", (i/len(products)+97*(i%len(products)))%pool)
+			if _, err := st.Submit(ctx, products[i%len(products)], rater, float64(i%11)/2, day); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,22 +110,39 @@ func BenchmarkStoreOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	submit(perPhase, 300)
+	crash := clean.Clone()
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, rep, err := Open(600, products, Options{FS: img, Shards: shards})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.SnapshotRatings != perPhase || rep.ReplayedRatings != perPhase {
-			b.Fatalf("recovered %d snapshot + %d replayed ratings, want %d + %d", rep.SnapshotRatings, rep.ReplayedRatings, perPhase, perPhase)
-		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name           string
+		img            *faultfs.FS
+		snap, replayed int
+	}{
+		{"clean", clean, 2 * perPhase, 0},
+		{"crash", crash, perPhase, perPhase},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fs := row.img.Clone()
+				b.StartTimer()
+				st, rep, err := Open(600, products, Options{FS: fs, Shards: shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if rep.SnapshotRatings != row.snap || rep.ReplayedRatings != row.replayed {
+					b.Fatalf("recovered %d snapshot + %d replayed ratings, want %d + %d", rep.SnapshotRatings, rep.ReplayedRatings, row.snap, row.replayed)
+				}
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -3,21 +3,30 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/faultfs"
 	"repro/internal/wal"
 )
 
 // FuzzStoreReplay feeds arbitrary bytes to Open as shard 0's wal.log in a
-// two-shard directory. Open must not panic or fail (a bad log tail is
-// truncated, never fatal), and replay must agree with the live path: the
-// recovered store holds exactly the series an in-memory store gets from
-// Submitting wal.Open's records of the same bytes in log order, with
-// records whose product routes to shard 1 skipped. The recovery report's
-// accepted, duplicate, skipped and truncated counts must match that
-// reference too.
+// two-shard directory, first alone and then behind a snapshot of shard 0
+// holding the records those bytes decode to, in the same order (so the
+// log replays them again). Open must not panic or fail (a bad log tail is
+// truncated, never fatal), and replay, run by run, must agree with the
+// live path: the recovered store holds exactly the series and versions an
+// in-memory store gets from Submitting the snapshot's records and then
+// the log's in file order, with records whose product routes to shard 1
+// skipped. The recovery report (accepted, duplicate, skipped and
+// truncated counts, and the skip reasons) must match that reference too.
+// The pinned directory's files seed it.
 func FuzzStoreReplay(f *testing.F) {
 	const shards, horizon = 2, 90
 	products := testProducts(6)
@@ -34,27 +43,7 @@ func FuzzStoreReplay(f *testing.F) {
 	}
 	logPath := wal.ShardDir(0) + "/wal.log"
 
-	seedLog := func(recs ...wal.Record) []byte {
-		fs := faultfs.New()
-		w, _, err := wal.Open(fs, wal.Options{}, nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, r := range recs {
-			if err := w.Append(r); err != nil {
-				f.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			f.Fatal(err)
-		}
-		data, err := fs.ReadFile("wal.log")
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
-	}
-	valid := seedLog(
+	valid := encodeLog(f,
 		wal.Record{Product: own[0], Rater: "alice", Value: 4, Day: 10},
 		wal.Record{Product: own[1], Rater: "alice", Value: 2.5, Day: 3},
 		wal.Record{Product: own[0], Rater: "bob", Value: 1, Day: 2},     // out of day order
@@ -67,74 +56,128 @@ func FuzzStoreReplay(f *testing.F) {
 		wal.Record{Product: own[1], Rater: "grace", Value: 3, Day: horizon},
 		wal.Record{Product: own[1], Rater: "", Value: 3, Day: 5},
 		wal.Record{Product: own[1], Rater: "heidi", Value: 3, Day: -1},
+		wal.Record{Product: other[0], Rater: "ivan", Value: math.Inf(1), Day: -1}, // misrouted and invalid
 	)
 	f.Add(valid)
 	f.Add(append(append([]byte(nil), valid...), 0x2a, 0, 0, 0, 1, 2)) // torn tail
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
+	for _, name := range []string{"shard-000/wal.log", "shard-001/wal.log", "shard-001/snapshot.json"} {
+		data, err := os.ReadFile(filepath.Join(pinnedDir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if strings.HasSuffix(name, "snapshot.json") {
+			data = data[16:] // the records behind the header are log frames
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, log []byte) {
 		fs := faultfs.New()
 		fs.WriteFile(logPath, log)
-		refFS := fs.Clone()
-
-		st, rep, err := Open(horizon, products, Options{FS: fs, Shards: shards})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		defer st.Close()
-
-		sub, err := wal.Sub(refFS, wal.ShardDir(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := New(horizon, products, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want RecoveryReport
-		w, rec, err := wal.Open(sub, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) {
-			if ref.Has(r.Product) && Route(r.Product, shards) != 0 {
-				want.SkippedRecords++
-				return
+		recs, truncated := replayLog(t, fs.Clone())
+		for _, withSnap := range []bool{false, true} {
+			if withSnap {
+				writeSnapshot(t, fs, recs)
+				fs.WriteFile(logPath, log)
 			}
-			_, err := ref.Submit(context.Background(), r.Product, r.Rater, r.Value, r.Day)
-			switch {
-			case err == nil:
-				want.ReplayedRatings++
-			case errors.Is(err, ErrDuplicateRating) && holdsExact(ref, r):
-				want.DuplicateRecords++
-			default:
-				want.SkippedRecords++
+			st, rep, err := Open(horizon, products, Options{FS: fs.Clone(), Shards: shards})
+			if err != nil {
+				t.Fatalf("Open (snapshot %v): %v", withSnap, err)
 			}
-		}))
-		if err != nil {
-			t.Fatalf("wal.Open: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		want.TruncatedBytes = rec.TruncatedBytes
-		if rep.SnapshotRatings != 0 || rep.ReplayedRatings != want.ReplayedRatings ||
-			rep.DuplicateRecords != want.DuplicateRecords || rep.SkippedRecords != want.SkippedRecords ||
-			rep.TruncatedBytes != want.TruncatedBytes {
-			t.Fatalf("recovery report %+v, want counts %+v", *rep, want)
-		}
 
-		got, exp := st.View(), ref.View()
-		for i, p := range got.Products {
-			q := exp.Products[i]
-			if p.ID != q.ID || p.Version != q.Version || len(p.Ratings) != len(q.Ratings) {
-				t.Fatalf("product %d: recovered %s v%d with %d ratings, live path %s v%d with %d",
-					i, p.ID, p.Version, len(p.Ratings), q.ID, q.Version, len(q.Ratings))
+			ref, err := New(horizon, products, shards)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range p.Ratings {
-				if p.Ratings[j] != q.Ratings[j] {
-					t.Fatalf("%s rating %d: recovered %+v, live path %+v", p.ID, j, p.Ratings[j], q.Ratings[j])
+			want := RecoveryReport{TruncatedBytes: truncated}
+			apply := func(r wal.Record, applied *int) {
+				err := checkRating(r.Rater, r.Value, r.Day)
+				if err == nil && ref.Has(r.Product) && Route(r.Product, shards) != 0 {
+					err = fmt.Errorf("store: product %q routes to shard 1 but its record was found in shard 0's log", r.Product)
+				}
+				if err == nil {
+					_, err = ref.Submit(context.Background(), r.Product, r.Rater, r.Value, r.Day)
+				}
+				switch {
+				case err == nil:
+					*applied++
+				case errors.Is(err, ErrDuplicateRating) && holdsExact(ref, r):
+					want.DuplicateRecords++
+				default:
+					want.SkippedRecords++
+					if len(want.SkipReasons) < maxSkipReasons {
+						want.SkipReasons = append(want.SkipReasons, fmt.Sprintf("%s/%s value=%v day=%v: %v", r.Product, r.Rater, r.Value, r.Day, err))
+					}
 				}
 			}
+			if withSnap {
+				for _, r := range recs {
+					apply(r, &want.SnapshotRatings)
+				}
+			}
+			for _, r := range recs {
+				apply(r, &want.ReplayedRatings)
+			}
+			if !reflect.DeepEqual(*rep, want) {
+				t.Fatalf("snapshot %v: recovery report %+v, want %+v", withSnap, *rep, want)
+			}
+			got, exp := st.View(), ref.View()
+			for i, p := range got.Products {
+				q := exp.Products[i]
+				// An empty series may be nil on one side and presized on the other.
+				if p.ID != q.ID || p.Version != q.Version || len(p.Ratings) != len(q.Ratings) ||
+					(len(p.Ratings) > 0 && !reflect.DeepEqual(p.Ratings, q.Ratings)) {
+					t.Fatalf("snapshot %v: recovered %+v, live path %+v", withSnap, p, q)
+				}
+			}
+			st.Close()
 		}
 	})
+}
+
+// replayLog returns the records Open recovers from shard 0's log in fs
+// and the torn bytes it truncates.
+func replayLog(t *testing.T, fs *faultfs.FS) ([]wal.Record, int64) {
+	t.Helper()
+	sub, err := wal.Sub(fs, wal.ShardDir(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []wal.Record
+	w, rec, err := wal.Open(sub, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) { recs = append(recs, r) }))
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	w.Close()
+	return recs, rec.TruncatedBytes
+}
+
+// writeSnapshot publishes recs, in order, as shard 0's snapshot in fs,
+// one dataset product per stretch of one product's records.
+func writeSnapshot(t *testing.T, fs *faultfs.FS, recs []wal.Record) {
+	t.Helper()
+	d := &dataset.Dataset{}
+	for i, r := range recs {
+		if i == 0 || r.Product != recs[i-1].Product {
+			d.Products = append(d.Products, dataset.Product{ID: r.Product})
+		}
+		p := &d.Products[len(d.Products)-1]
+		p.Ratings = append(p.Ratings, dataset.Rating{Day: r.Day, Value: r.Value, Rater: r.Rater})
+	}
+	sub, err := wal.Sub(fs, wal.ShardDir(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := wal.Open(sub, wal.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact(d); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
 }
 
 // holdsExact reports whether st already holds r's rater on r's product

@@ -3,8 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -39,7 +37,7 @@ type Options struct {
 	ProbeInterval  time.Duration
 	// SnapshotEvery checkpoints a shard and resets its log after this many
 	// ratings accepted on that shard, bounding recovery time. 0 disables
-	// automatic snapshots (the logs grow until Close).
+	// automatic snapshots (the logs grow until Close, which compacts them).
 	SnapshotEvery int
 }
 
@@ -203,6 +201,7 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 			sh := st.shards[i]
 			sh.wal = w
 			sh.sinceSnapshot = rec.TailRecords
+			sh.keepLog = results[i].rep.SkippedRecords > 0
 			results[i].w = w
 		}(i)
 	}
@@ -224,148 +223,135 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 	return report, nil
 }
 
-// replayer applies shard i's records, as its WAL decodes them, through
-// the recovery validation, folding outcomes into report. It runs during
+// replayer applies shard i's runs, as its WAL decodes them, through the
+// recovery validation, folding outcomes into report. It runs during
 // Open, before the store escapes: one goroutine per shard, each touching
 // only its own shard.
 type replayer struct {
 	st     *Store
 	shard  int
 	report *RecoveryReport
-	// counts[pos] counts the frames Expect saw for the shard's product at
-	// partition position pos, until the first Replay presizes from them.
-	counts []int
+	// logCounts[pos] counts the log frames Expect saw for the shard's
+	// product at partition position pos (nil when it saw none).
+	logCounts []int
 	// last is the ID of the product Expect counted last, at position
-	// lastPos. A snapshot holds each product's records in one run, so a
-	// run costs one routing lookup.
+	// lastPos, so a stretch of one product's frames costs one routing
+	// lookup.
 	last    string
 	lastPos int
 }
 
-// Expect counts one frame against its product when the product routes to
-// this shard. Any other frame is skipped: openShards replays shards
-// concurrently, and a misrouted record (skipped when applied) must not
-// touch another shard's state.
+// Expect counts one log frame against its product when the product
+// routes to this shard. Any other frame is skipped: openShards replays
+// shards concurrently, and a misrouted record (skipped when applied) must
+// not touch another shard's state.
 func (r *replayer) Expect(product []byte) {
-	if r.counts == nil || string(product) != r.last {
+	if r.logCounts == nil || string(product) != r.last {
 		l, ok := r.st.byID[string(product)]
 		if !ok || l.shard != r.shard {
 			return
 		}
-		if r.counts == nil {
-			r.counts = make([]int, len(r.st.globals[r.shard]))
+		if r.logCounts == nil {
+			r.logCounts = make([]int, len(r.st.globals[r.shard]))
 		}
 		r.last, r.lastPos = r.st.products[r.st.globals[r.shard][l.pos]], l.pos
 	}
-	r.counts[r.lastPos]++
+	r.logCounts[r.lastPos]++
 }
 
-// Replay applies one record, presizing the shard first on the first call.
-func (r *replayer) Replay(rec wal.Record, snapshot bool) {
-	if r.counts != nil {
-		r.st.presize(r.shard, r.counts)
-		r.counts = nil
-	}
+// Replay applies one run, counting its ratings as the checkpoint's or
+// the log's.
+func (r *replayer) Replay(run wal.Run) {
 	applied := &r.report.ReplayedRatings
-	if snapshot {
+	if run.Snapshot {
 		applied = &r.report.SnapshotRatings
 	}
-	r.st.recoverRating(r.shard, rec.Product, rec.Rater, rec.Value, rec.Day, applied, r.report)
+	r.st.applyRun(r.shard, run, r.logCounts, applied, r.report)
 }
 
-// presize grows the series and seen set of every shard-i product at
-// partition position pos once, to hold counts[pos] records, so applying
-// them never regrows either. It runs during Open, before the Store is
-// returned to any other goroutine, on a fresh store, so the seen sets it
-// replaces are empty; each replay goroutine grows only its own shard.
-func (st *Store) presize(i int, counts []int) {
-	sh := st.shards[i]
-	for pos, n := range counts {
-		if n > 0 {
-			p := &sh.data.Products[pos]
-			p.Ratings = slices.Grow(p.Ratings, n)
-			sh.seen[pos] = make(map[string]bool, n)
-		}
-	}
-}
-
-// recoverRating applies one recovered rating to shard i through the same
-// validation as Submit, folding the outcome into the recovery report. An
-// exact duplicate (same product, rater, value, day) is the expected
-// residue of a crash mid-Compact and is dropped silently; anything else
-// invalid — including a record whose product routes to a different shard —
-// is counted and sampled as a skip.
-func (st *Store) recoverRating(i int, product, rater string, value, day float64, applied *int, report *RecoveryReport) {
-	err := st.applyRecovered(i, product, rater, value, day)
-	switch {
-	case err == nil:
-		*applied++
-	case errors.Is(err, ErrDuplicateRating) && st.hasExactRating(product, rater, value, day):
-		report.DuplicateRecords++
-	default:
-		report.SkippedRecords++
-		if len(report.SkipReasons) < maxSkipReasons {
-			report.SkipReasons = append(report.SkipReasons,
-				fmt.Sprintf("%s/%s value=%v day=%v: %v", product, rater, value, day, err))
-		}
-	}
-}
-
-// applyRecovered validates and applies one rating to shard i's in-memory
-// state during recovery — the same rules as the live Submit path, plus a
-// routing check: a record found in shard i's log must actually route
-// there.
+// applyRun applies one recovered run to shard i, rating by rating in
+// record order, through Submit's validation in Submit's order, with a
+// routing check beside the product's existence (a record found in shard
+// i's files must route there), folding each outcome into the recovery
+// report. The product is looked up once per run. A product's first run
+// sizes its series and rater set once: to the product's log frames
+// (logCounts), plus the run itself when it is the checkpoint's. An exact
+// duplicate (same product, rater, value, day) is the expected residue of
+// a crash mid-Compact and is dropped silently; anything else invalid is
+// counted and sampled as a skip.
 //
 //lint:ignore lockheld only called during Open, before the Store is returned to any other goroutine; each shard is touched by exactly one replay goroutine
-func (st *Store) applyRecovered(i int, product, rater string, value, day float64) error {
-	if isNonFinite(value) || value < dataset.MinValue || value > dataset.MaxValue {
-		return fmt.Errorf("%w: value %v", ErrBadRating, value)
-	}
-	if rater == "" {
-		return fmt.Errorf("%w: empty rater", ErrBadRating)
-	}
-	if isNonFinite(day) {
-		return fmt.Errorf("%w: non-finite day %v", ErrBadRating, day)
-	}
+func (st *Store) applyRun(i int, run wal.Run, logCounts []int, applied *int, report *RecoveryReport) {
 	sh := st.shards[i]
-	if day < 0 || day >= sh.horizon {
-		return fmt.Errorf("%w: day %v outside [0,%v)", ErrBadRating, day, sh.horizon)
+	var runErr error
+	l, ok := st.byID[run.Product]
+	switch {
+	case !ok:
+		runErr = fmt.Errorf("%w: %q", ErrUnknownProduct, run.Product)
+	case l.shard != i:
+		runErr = fmt.Errorf("store: product %q routes to shard %d but its record was found in shard %d's log", run.Product, l.shard, i)
 	}
-	l, ok := st.byID[product]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownProduct, product)
+	var p *dataset.Product
+	var seen map[string]bool
+	var ratings dataset.Series
+	if runErr == nil {
+		p, seen = &sh.data.Products[l.pos], sh.seen[l.pos]
+		if ratings = p.Ratings; ratings == nil {
+			n := run.Len()
+			if logCounts != nil {
+				if !run.Snapshot {
+					n = 0 // the log frames count this run too
+				}
+				n += logCounts[l.pos]
+			}
+			ratings, seen = make(dataset.Series, 0, n), make(map[string]bool, n)
+			sh.seen[l.pos] = seen
+		}
 	}
-	if l.shard != i {
-		return fmt.Errorf("store: product %q routes to shard %d but its record was found in shard %d's log", product, l.shard, i)
+	applied0 := *applied
+	run.Each(func(rec wal.Record) {
+		err := checkRating(rec.Rater, rec.Value, rec.Day)
+		if err == nil {
+			err = runErr
+		}
+		if err == nil {
+			err = checkDay(rec.Day, sh.horizon)
+		}
+		if err == nil {
+			// One probe checks and sets: the set grows unless rater was in it.
+			n := len(seen)
+			if seen[rec.Rater] = true; len(seen) == n {
+				err = fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rec.Rater, run.Product)
+			}
+		}
+		switch {
+		case err == nil:
+			ratings = ratings.Insert(dataset.Rating{Day: rec.Day, Value: rec.Value, Rater: rec.Rater})
+			*applied++
+		case errors.Is(err, ErrDuplicateRating) && hasExactRating(ratings, rec):
+			report.DuplicateRecords++
+		default:
+			report.SkippedRecords++
+			if len(report.SkipReasons) < maxSkipReasons {
+				report.SkipReasons = append(report.SkipReasons,
+					fmt.Sprintf("%s/%s value=%v day=%v: %v", run.Product, rec.Rater, rec.Value, rec.Day, err))
+			}
+		}
+	})
+	if p != nil {
+		p.Ratings = ratings
+		p.Version += uint64(*applied - applied0)
 	}
-	seen := sh.seen[l.pos]
-	if seen[rater] {
-		return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, product)
-	}
-	seen[rater] = true
-	p := &sh.data.Products[l.pos]
-	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: day, Value: value, Rater: rater})
-	p.Version++
-	return nil
 }
 
-// hasExactRating reports whether rater's recorded rating on product has
-// exactly this value and day.
-//
-//lint:ignore lockheld only called from recoverRating during Open, before the Store is returned to any other goroutine
-func (st *Store) hasExactRating(product, rater string, value, day float64) bool {
-	l, ok := st.byID[product]
-	if !ok {
-		return false
-	}
-	for _, r := range st.shards[l.shard].data.Products[l.pos].Ratings {
-		if r.Rater == rater {
+// hasExactRating reports whether rec's rater's rating in s has exactly
+// rec's value and day.
+func hasExactRating(s dataset.Series, rec wal.Record) bool {
+	for _, r := range s {
+		if r.Rater == rec.Rater {
 			//lint:ignore floateq WAL replay dedup is bit-exact by design: a re-replayed record carries the identical float bits, anything else is a conflicting duplicate
-			return r.Value == value && r.Day == day
+			return r.Value == rec.Value && r.Day == rec.Day
 		}
 	}
 	return false
 }
-
-// isNonFinite reports NaN or ±Inf.
-func isNonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }

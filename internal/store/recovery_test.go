@@ -15,9 +15,11 @@ import (
 )
 
 // recoveryImage is a two-shard WAL directory of six products: ten ratings
-// checkpointed into the snapshots, then six more in the logs. preCompact
-// holds each shard's log as it was just before the checkpoint reset it.
-func recoveryImage(t *testing.T) (fs *faultfs.FS, products []string, preCompact [2][]byte) {
+// checkpointed into the snapshots, then six more in the logs, as a kill
+// leaves it (copied before Close, which would compact the logs); closed
+// is the same directory after Close. preCompact holds each shard's log
+// as it was just before the checkpoint reset it.
+func recoveryImage(t *testing.T) (fs, closed *faultfs.FS, products []string, preCompact [2][]byte) {
 	t.Helper()
 	products = testProducts(6)
 	fs = faultfs.New()
@@ -42,10 +44,11 @@ func recoveryImage(t *testing.T) (fs *faultfs.FS, products []string, preCompact 
 		t.Fatal(err)
 	}
 	submit(10, 6)
+	killed := fs.Clone()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return fs, products, preCompact
+	return killed, fs, products, preCompact
 }
 
 // appendLog appends recs to shard's log.
@@ -74,10 +77,11 @@ func appendLog(t *testing.T, fs wal.FS, shard int, recs ...wal.Record) {
 // log tail, the duplicates a crash between a snapshot's publication and
 // its log reset leaves, a record in the wrong shard's log and a
 // conflicting duplicate, alone and all at once across both shards, where
-// the skip reasons are sampled in shard order. The expected values were
+// the skip reasons are sampled in shard order; and a clean Close, which
+// leaves snapshots only. The expected values of the killed cases were
 // recorded from a recovery that decoded every record into a slice before
-// applying any, so streaming the records into the store provably kept
-// every count.
+// applying any, so streaming the records into the store, and then in
+// runs, provably kept every count.
 func TestRecoveryReportCases(t *testing.T) {
 	logName := func(shard int) string { return wal.ShardDir(shard) + "/wal.log" }
 	const (
@@ -89,6 +93,7 @@ func TestRecoveryReportCases(t *testing.T) {
 		edit func(t *testing.T, fs *faultfs.FS, products []string, preCompact [2][]byte)
 		want RecoveryReport
 	}{
+		{"clean close", nil, RecoveryReport{SnapshotRatings: 16, ReplayedRatings: 0}},
 		{"clean", func(*testing.T, *faultfs.FS, []string, [2][]byte) {},
 			RecoveryReport{SnapshotRatings: 10, ReplayedRatings: 6}},
 		{"torn tail", func(t *testing.T, fs *faultfs.FS, _ []string, _ [2][]byte) {
@@ -120,8 +125,12 @@ func TestRecoveryReportCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fs, products, preCompact := recoveryImage(t)
-			tc.edit(t, fs, products, preCompact)
+			fs, closed, products, preCompact := recoveryImage(t)
+			if tc.edit == nil {
+				fs = closed
+			} else {
+				tc.edit(t, fs, products, preCompact)
+			}
 			st, rep, err := Open(90, products, Options{FS: fs, Shards: 2})
 			if err != nil {
 				t.Fatal(err)

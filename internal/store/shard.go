@@ -37,6 +37,9 @@ type shard struct {
 	wal           *wal.WAL
 	snapshotEvery int
 	horizon       float64
+	// keepLog is set when the shard's recovery skipped a record: a
+	// snapshot of the state would drop it, so Close does not compact.
+	keepLog bool
 
 	// submits counts ratings accepted on this shard (nil until the store's
 	// EnableMetrics runs; a nil counter discards increments).
@@ -107,11 +110,19 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 // anything. Product existence is the router's job: a product reaches a
 // shard only through the store's routing table.
 func (sh *shard) checkLocked(pos int, product, rater string, day float64) error {
-	if day < 0 || day >= sh.horizon {
-		return fmt.Errorf("%w: day %v outside [0,%v)", ErrBadRating, day, sh.horizon)
+	if err := checkDay(day, sh.horizon); err != nil {
+		return err
 	}
 	if sh.seen[pos][rater] {
 		return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, product)
+	}
+	return nil
+}
+
+// checkDay checks that a finite day lies within the horizon.
+func checkDay(day, horizon float64) error {
+	if day < 0 || day >= horizon {
+		return fmt.Errorf("%w: day %v outside [0,%v)", ErrBadRating, day, horizon)
 	}
 	return nil
 }

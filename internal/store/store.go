@@ -250,20 +250,8 @@ func (st *Store) Horizon() float64 {
 // group commit. The ack qualifies the durability promise exactly as
 // wal.AppendAck does.
 func (st *Store) Submit(ctx context.Context, product, rater string, value, day float64) (wal.Ack, error) {
-	// NaN fails every ordered comparison, so explicit finiteness checks
-	// must come first: without them a NaN value or day sails past the
-	// range guards and poisons every downstream aggregate.
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return wal.AckDurable, fmt.Errorf("%w: non-finite value %v", ErrBadRating, value)
-	}
-	if math.IsNaN(day) || math.IsInf(day, 0) {
-		return wal.AckDurable, fmt.Errorf("%w: non-finite day %v", ErrBadRating, day)
-	}
-	if value < dataset.MinValue || value > dataset.MaxValue {
-		return wal.AckDurable, fmt.Errorf("%w: value %v", ErrBadRating, value)
-	}
-	if rater == "" {
-		return wal.AckDurable, fmt.Errorf("%w: empty rater", ErrBadRating)
+	if err := checkRating(rater, value, day); err != nil {
+		return wal.AckDurable, err
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -287,6 +275,25 @@ func (st *Store) Submit(ctx context.Context, product, rater string, value, day f
 		}
 	}
 	return ack, nil
+}
+
+// checkRating runs the validations of a rating that need no state, in
+// the order Submit and recovery both report them. NaN fails every
+// ordered comparison, so explicit finiteness checks must come first:
+// without them a NaN value or day sails past the range guards and
+// poisons every downstream aggregate.
+func checkRating(rater string, value, day float64) error {
+	switch {
+	case math.IsNaN(value) || math.IsInf(value, 0):
+		return fmt.Errorf("%w: non-finite value %v", ErrBadRating, value)
+	case math.IsNaN(day) || math.IsInf(day, 0):
+		return fmt.Errorf("%w: non-finite day %v", ErrBadRating, day)
+	case value < dataset.MinValue || value > dataset.MaxValue:
+		return fmt.Errorf("%w: value %v", ErrBadRating, value)
+	case rater == "":
+		return fmt.Errorf("%w: empty rater", ErrBadRating)
+	}
+	return nil
 }
 
 // Generation returns the store's change count: it starts at 1 and grows
@@ -396,6 +403,7 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 		sh.data = parts[i]
 		sh.seen = seen[i]
 		sh.sinceSnapshot = 0
+		sh.keepLog = false // the checkpoint above dropped what recovery skipped
 		sh.mu.Unlock()
 	}
 	st.products = products
@@ -425,24 +433,53 @@ func (st *Store) Checkpoint(ctx context.Context) error {
 	return nil
 }
 
-// Close flushes and closes every shard WAL (no-op when non-durable). The
-// store rejects further durable submissions afterwards.
+// Close compacts every shard whose log is non-empty, so the next Open
+// reads snapshots only, then flushes and closes every shard WAL (no-op
+// when non-durable). Shards close concurrently, as Open replays them. A
+// shard whose WAL has failed is not compacted: its log keeps what the
+// snapshot lacks. Nor is one whose recovery skipped records (a product
+// no longer registered, a day past a shrunk horizon): the snapshot would
+// drop them, and a reopen with the old configuration would miss them. A
+// compaction that fails leaves the previous snapshot and log in place,
+// which only costs the next Open replay time, so it is logged; Close
+// returns it only when it failed the WAL itself, as a failed fsync does.
+// The store rejects further durable submissions afterwards.
 func (st *Store) Close() error {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var first error
+	errs := make([]error, len(st.shards))
+	var wg sync.WaitGroup
 	for i, sh := range st.shards {
 		sh.mu.Lock()
-		w := sh.wal
+		w, keepLog := sh.wal, sh.keepLog
 		sh.mu.Unlock()
 		if w == nil {
 			continue
 		}
-		if err := w.Close(); err != nil && first == nil {
-			first = shardErr(len(st.shards), i, err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w.Size() > 0 && w.Err() == nil && !keepLog {
+				if err := sh.checkpoint(); err != nil {
+					if w.Err() != nil {
+						errs[i] = err
+					} else {
+						st.logf("store: shard %d snapshot on close failed, the next start replays its log: %v", i, err)
+					}
+				}
+			}
+			if err := w.Close(); err != nil && errs[i] == nil {
+				errs[i] = err
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return shardErr(len(st.shards), i, err)
 		}
 	}
-	return first
+	return nil
 }
 
 // ReadFile returns the named file beside the manifest in the WAL base

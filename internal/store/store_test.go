@@ -340,8 +340,8 @@ func TestOpenLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st2.Close()
-		if rep.ReplayedRatings != 12 || rep.SnapshotRatings != 0 || rep.SkippedRecords != 0 {
-			t.Fatalf("reopen at 1 shard %+v, want 12 replayed ratings", rep)
+		if rep.SnapshotRatings != 12 || rep.ReplayedRatings != 0 || rep.SkippedRecords != 0 {
+			t.Fatalf("reopen at 1 shard %+v, want 12 snapshot ratings (Close compacts)", rep)
 		}
 	})
 }

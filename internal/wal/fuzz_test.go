@@ -36,13 +36,17 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(seed, uint16(len(seed)-1), uint32(5))
 	huge := binary.LittleEndian.AppendUint32(nil, maxRecordSize+1)
 	f.Add(append(huge, seed...), uint16(3), uint32(100))
+	for _, name := range []string{"shard-000/wal.log", "shard-001/wal.log"} {
+		log := readPinned(f, name)
+		f.Add(log, uint16(len(log)/2), uint32(len(log)*3))
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
 		// (1) Arbitrary bytes: scan to the end without panicking; accepted
 		// frames must round-trip byte-for-byte.
 		off := 0
 		for off < len(raw) {
-			r, n, ok := decodeRecord(raw[off:], nil)
+			r, n, ok := decodeRecord(raw[off:])
 			if !ok {
 				break
 			}
@@ -158,10 +162,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(`{"horizonDays":90,"products":[{"id":"tv0","ratings":[{"day":1,"value":4,"rater":"a"}]}]}`), uint16(9), uint32(1))
 	f.Add([]byte("RSNP\x02\x00\x00\x00"), uint16(0), uint32(0))
 	f.Add([]byte("not a snapshot"), uint16(7), uint32(13))
+	snap := readPinned(f, "shard-001/snapshot.json")
+	f.Add(snap, uint16(len(snap)/2), uint32(len(snap)*5))
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
 		// (1) Arbitrary bytes.
-		if recs, err := decodeSnapshotRecords(t, raw, nil); err == nil {
+		if recs, err := decodeSnapshotRecords(t, raw); err == nil {
 			if re := encodeRecords(t, recs); !bytes.Equal(re, raw) {
 				t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", raw, re)
 			}
@@ -170,7 +176,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// Encode a known-good image from the fuzz input (possibly empty).
 		recs := deriveRecords(raw)
 		img := encodeRecords(t, recs)
-		got, err := decodeSnapshotRecords(t, img, nil)
+		got, err := decodeSnapshotRecords(t, img)
 		if err != nil {
 			t.Fatalf("encoded snapshot rejected: %v", err)
 		}
@@ -178,7 +184,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 		// (2) Every cut short of the end is rejected.
 		cutAt := int(cut) % len(img)
-		if got, err := decodeSnapshotRecords(t, img[:cutAt], nil); err == nil {
+		if got, err := decodeSnapshotRecords(t, img[:cutAt]); err == nil {
 			t.Fatalf("snapshot cut at %d of %d accepted with %d records", cutAt, len(img), len(got))
 		}
 
@@ -186,24 +192,35 @@ func FuzzSnapshotDecode(f *testing.F) {
 		flipAt := int(flip) % (len(img) * 8)
 		flipped := bytes.Clone(img)
 		flipped[flipAt/8] ^= 1 << (flipAt % 8)
-		if got, err := decodeSnapshotRecords(t, flipped, newInterner()); err == nil {
+		if got, err := decodeSnapshotRecords(t, flipped); err == nil {
 			requireSameRecords(t, fmt.Sprintf("flip bit %d", flipAt), recs, got)
 		}
 	})
 }
 
+// readPinned reads a file of the pinned WAL directory that
+// internal/store's tests open and re-encode byte for byte.
+func readPinned(f *testing.F, name string) []byte {
+	f.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", "pinned", name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
 // decodeSnapshotRecords decodes a snapshot image, collecting the records
 // it replays, each of which must be flagged as the checkpoint's; on
 // success their number must be the count decodeSnapshot returns.
-func decodeSnapshotRecords(t *testing.T, data []byte, ids *interner) ([]Record, error) {
+func decodeSnapshotRecords(t *testing.T, data []byte) ([]Record, error) {
 	t.Helper()
 	var recs []Record
-	n, err := decodeSnapshot(data, ids, ReplayFunc(func(r Record, snapshot bool) {
+	n, err := decodeSnapshot(data, &runDecoder{ids: map[string]string{}, rp: ReplayFunc(func(r Record, snapshot bool) {
 		if !snapshot {
 			t.Fatalf("snapshot record %d replayed as a log record", len(recs))
 		}
 		recs = append(recs, r)
-	}))
+	})})
 	if err == nil && n != len(recs) {
 		t.Fatalf("decodeSnapshot counted %d records and replayed %d", n, len(recs))
 	}
@@ -292,13 +309,23 @@ func FuzzManifest(f *testing.F) {
 	})
 }
 
+// decodeRecord decodes the frame at the front of data as a Record, like
+// decodeFrame.
+func decodeRecord(data []byte) (Record, int, bool) {
+	payload, product, rater, n, ok := decodeFrame(data)
+	if !ok {
+		return Record{}, 0, false
+	}
+	return payloadTail(payload, Record{Product: string(product), Rater: string(rater)}), n, true
+}
+
 // scanRecords decodes records from the front of data until the first torn
 // or corrupt frame, like readLog's scan.
 func scanRecords(data []byte) []Record {
 	var out []Record
 	off := 0
 	for off < len(data) {
-		r, n, ok := decodeRecord(data[off:], nil)
+		r, n, ok := decodeRecord(data[off:])
 		if !ok {
 			break
 		}

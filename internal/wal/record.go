@@ -66,50 +66,56 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeRecord parses one record from the front of data. It returns the
-// record and the number of bytes consumed, or ok=false when data holds no
-// complete, checksum-valid record at its front (a torn or corrupt tail).
-// The product ID is interned in ids (which may be nil).
-func decodeRecord(data []byte, ids *interner) (r Record, n int, ok bool) {
+// decodeFrame checks the frame at the front of data and splits it in
+// place. It returns the frame's payload, the record's product and rater
+// bytes (all aliasing data) and the number of bytes consumed, or ok=false
+// when data holds no complete, checksum-valid record at its front (a
+// torn or corrupt tail). payloadTail decodes the other fields.
+func decodeFrame(data []byte) (payload, product, rater []byte, n int, ok bool) {
 	if len(data) < headerSize {
-		return Record{}, 0, false
+		return nil, nil, nil, 0, false
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(data))
 	if payloadLen > maxRecordSize || len(data) < headerSize+payloadLen {
-		return Record{}, 0, false
+		return nil, nil, nil, 0, false
 	}
-	payload := data[headerSize : headerSize+payloadLen]
+	payload = data[headerSize : headerSize+payloadLen]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
-		return Record{}, 0, false
+		return nil, nil, nil, 0, false
 	}
 	// Field lengths must tile the payload exactly.
 	if payloadLen < 2 {
-		return Record{}, 0, false
+		return nil, nil, nil, 0, false
 	}
 	pLen := int(binary.LittleEndian.Uint16(payload))
 	rest := payload[2:]
 	if len(rest) < pLen+2 {
-		return Record{}, 0, false
+		return nil, nil, nil, 0, false
 	}
-	r.Product = ids.intern(rest[:pLen])
+	product = rest[:pLen]
 	rest = rest[pLen:]
 	rLen := int(binary.LittleEndian.Uint16(rest))
 	rest = rest[2:]
 	if len(rest) != rLen+24 {
-		return Record{}, 0, false
+		return nil, nil, nil, 0, false
 	}
-	r.Rater = string(rest[:rLen])
-	rest = rest[rLen:]
-	r.Value = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-	r.Day = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-	r.ReceivedUnixNano = int64(binary.LittleEndian.Uint64(rest[16:]))
-	return r, headerSize + payloadLen, true
+	return payload, product, rest[:rLen], headerSize + payloadLen, true
+}
+
+// payloadTail sets r's value, day and receipt time from the last 24
+// bytes of a checked payload, where the format puts them.
+func payloadTail(payload []byte, r Record) Record {
+	tail := payload[len(payload)-24:]
+	r.Value = math.Float64frombits(binary.LittleEndian.Uint64(tail))
+	r.Day = math.Float64frombits(binary.LittleEndian.Uint64(tail[8:]))
+	r.ReceivedUnixNano = int64(binary.LittleEndian.Uint64(tail[16:]))
+	return r
 }
 
 // scanFrames walks the frames at the front of an image from their length
 // prefixes alone, without checksums, and calls expect with each frame's
 // product ID bytes, skipping a frame too short to hold the ID it claims
-// (it cannot decode). It stops at the first length that decodeRecord
+// (it cannot decode). It stops at the first length that decodeFrame
 // would reject as too short or too long or that runs past the image. The
 // checked decode accepts at most these frames, so the calls bound it per
 // product from above, and a corrupt image still yields at most one call
@@ -128,31 +134,67 @@ func scanFrames(data []byte, expect func(product []byte)) {
 	}
 }
 
-// interner hands out one string per distinct product ID while files are
-// decoded: a snapshot or log names a handful of products thousands of
-// times, and each copy would be an allocation the replay keeps alive. A
-// snapshot names each product in one run of records, so the last ID is
-// kept aside and a run costs one map lookup. A nil interner copies every
-// ID.
-type interner struct {
-	ids  map[string]string
-	last string
+// runDecoder replays the frames Open decodes to a Replayer, run by run.
+// A run's product ID is looked up once in ids, which hands out one
+// string per distinct product, and its rater IDs become one string: a
+// file names a handful of products and thousands of raters, and each
+// copy would be an allocation the replay keeps alive. raters is scratch
+// for a run's rater bytes, reused from run to run.
+type runDecoder struct {
+	rp     Replayer
+	ids    map[string]string
+	raters []byte
 }
 
-func newInterner() *interner { return &interner{ids: map[string]string{}} }
+// replay checks up to max frames at the front of data and replays them,
+// flagged snapshot, one Run per stretch of frames naming one product. It
+// stops at the first frame that does not decode and returns the bytes
+// and the frames it consumed.
+func (d *runDecoder) replay(data []byte, max uint64, snapshot bool) (off int, count uint64) {
+	run := Run{Snapshot: snapshot}
+	start := 0
+	for ; count < max; count++ {
+		_, product, rater, n, ok := decodeFrame(data[off:])
+		if !ok {
+			break
+		}
+		if run.n > 0 && string(product) != run.Product {
+			d.flush(&run, data[start:off])
+			start = off
+		}
+		if run.n == 0 {
+			id, ok := d.ids[string(product)]
+			if !ok {
+				id = string(product)
+				d.ids[id] = id
+			}
+			run.Product = id
+		}
+		d.raters = append(d.raters, rater...)
+		run.n++
+		off += n
+	}
+	d.flush(&run, data[start:off])
+	return off, count
+}
 
-func (in *interner) intern(b []byte) string {
-	if in == nil {
-		return string(b)
+// flush replays run, whose frames are frames, if it holds any record, and
+// empties it.
+func (d *runDecoder) flush(run *Run, frames []byte) {
+	if run.n == 0 {
+		return
 	}
-	if string(b) == in.last {
-		return in.last
+	run.frames, run.raters = frames, string(d.raters)
+	d.rp.Replay(*run)
+	run.n, d.raters = 0, d.raters[:0]
+}
+
+// eachPayload calls f with the payload of each frame of frames, which
+// decodeFrame has checked.
+func eachPayload(frames []byte, f func(payload []byte)) {
+	for off := 0; off < len(frames); {
+		l := int(binary.LittleEndian.Uint32(frames[off:]))
+		f(frames[off+headerSize : off+headerSize+l])
+		off += headerSize + l
 	}
-	s, ok := in.ids[string(b)]
-	if !ok {
-		s = string(b)
-		in.ids[s] = s
-	}
-	in.last = s
-	return s
 }

@@ -69,14 +69,12 @@ func encodeSnapshot(d *dataset.Dataset) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeSnapshot decodes a binary snapshot image in place, replaying each
-// record to rp as it decodes it, and returns the record count. It builds
-// no record slice: one sized for the snapshot was ~520 KB at ~10k
-// ratings, garbage the moment replay ended, and enough with the rest of a
-// restart to start a GC cycle in most first reports (see readImage). Any
-// deviation from the format is an error wrapping ErrCorruptSnapshot,
-// which can come after records were replayed (see Replayer).
-func decodeSnapshot(data []byte, ids *interner, rp Replayer) (int, error) {
+// decodeSnapshot decodes a binary snapshot image in place, replaying its
+// records through d run by run, and returns the record count. It builds
+// no slice of the snapshot's records (see readImage). Any deviation from
+// the format is an error wrapping ErrCorruptSnapshot, which can come
+// after records were replayed (see Replayer).
+func decodeSnapshot(data []byte, d *runDecoder) (int, error) {
 	if len(data) > 0 && data[0] == '{' {
 		return 0, fmt.Errorf("%w: a JSON checkpoint from a build before the binary snapshot format", ErrCorruptSnapshot)
 	}
@@ -94,14 +92,9 @@ func decodeSnapshot(data []byte, ids *interner, rp Replayer) (int, error) {
 	if count > uint64(len(body)/minFrameSize) {
 		return 0, fmt.Errorf("%w: %d records cannot fit in %d bytes", ErrCorruptSnapshot, count, len(body))
 	}
-	off := 0
-	for i := uint64(0); i < count; i++ {
-		r, n, ok := decodeRecord(body[off:], ids)
-		if !ok {
-			return 0, fmt.Errorf("%w: record %d of %d at byte %d", ErrCorruptSnapshot, i, count, snapshotHeaderSize+off)
-		}
-		rp.Replay(r, true)
-		off += n
+	off, n := d.replay(body, count, true)
+	if n != count {
+		return 0, fmt.Errorf("%w: record %d of %d at byte %d", ErrCorruptSnapshot, n, count, snapshotHeaderSize+off)
 	}
 	if off != len(body) {
 		return 0, fmt.Errorf("%w: %d trailing bytes", ErrCorruptSnapshot, len(body)-off)

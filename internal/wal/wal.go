@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -133,32 +134,68 @@ type Recovery struct {
 	TruncatedBytes int64
 }
 
+// A Run is a sequence of consecutive records of one product, as Open
+// decoded them: a snapshot holds one run per product, and each stretch of
+// a log's records naming one product is a run. A Run is valid only
+// during the Replay call that receives it, but the strings of its
+// records may be kept.
+type Run struct {
+	// Product is the ID every record of the run names.
+	Product string
+	// Snapshot is set for a run of the checkpoint.
+	Snapshot bool
+	// frames holds the run's checksum-valid frames, aliasing Open's copy
+	// of the file; raters holds their rater IDs back to back.
+	frames []byte
+	raters string
+	n      int
+}
+
+// Len returns the number of records in the run.
+func (r Run) Len() int { return r.n }
+
+// Each calls f with each record of the run, in file order. Every
+// record's Product is the run's, and the Rater strings of a run share
+// one allocation.
+func (r Run) Each(f func(Record)) {
+	roff := 0
+	eachPayload(r.frames, func(payload []byte) {
+		// Every field but the rater has a length the run fixes.
+		end := roff + len(payload) - (minFrameSize - headerSize) - len(r.Product)
+		f(payloadTail(payload, Record{Product: r.Product, Rater: r.raters[roff:end]}))
+		roff = end
+	})
+}
+
 // A Replayer receives what Open recovers while Open decodes it, so
 // recovery never holds the records in a slice of its own.
 type Replayer interface {
-	// Expect is called once per frame of the checkpoint and of the log,
-	// before the first Replay, with the frame's product ID bytes, valid
-	// only during the call. The frames come from one scan of their length
-	// prefixes, without checksums, so per product the calls bound from
-	// above the records Replay will deliver; a caller sizes its state
-	// from them once.
+	// Expect is called once per frame of the log, before the first
+	// Replay, with the frame's product ID bytes, valid only during the
+	// call. The frames come from one scan of their length prefixes,
+	// without checksums, so per product the calls bound from above the
+	// log records Replay will deliver; a caller sizes its state from them
+	// and the runs once. The checkpoint is not scanned.
 	Expect(product []byte)
-	// Replay is called once per checksum-valid record, in order: the
-	// checkpoint's (snapshot set), product by product in series order,
-	// then the log tail's, in log order. A checkpoint that turns out to be
+	// Replay is called once per run of checksum-valid records, in order:
+	// the checkpoint's runs (product by product in series order), then
+	// the log tail's, in log order. A checkpoint that turns out to be
 	// corrupt at record k has already replayed its first k records when
 	// Open fails, so a caller must discard what it built on a failed Open.
-	Replay(r Record, snapshot bool)
+	Replay(run Run)
 }
 
-// ReplayFunc adapts a function to a Replayer that expects nothing.
+// ReplayFunc adapts a function to a Replayer that expects nothing and
+// takes one record at a time.
 type ReplayFunc func(r Record, snapshot bool)
 
 // Expect does nothing.
 func (ReplayFunc) Expect([]byte) {}
 
-// Replay calls f(r, snapshot).
-func (f ReplayFunc) Replay(r Record, snapshot bool) { f(r, snapshot) }
+// Replay calls f(r, run.Snapshot) for each record of the run.
+func (f ReplayFunc) Replay(run Run) {
+	run.Each(func(r Record) { f(r, run.Snapshot) })
+}
 
 // WAL is an open write-ahead log. It is safe for concurrent use.
 type WAL struct {
@@ -208,18 +245,15 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(snap) > snapshotHeaderSize {
-		scanFrames(snap[snapshotHeaderSize:], rp.Expect)
-	}
 	scanFrames(logImg, rp.Expect)
 	rec := &Recovery{HasSnapshot: hasSnap}
-	ids := newInterner()
+	dec := &runDecoder{rp: rp, ids: map[string]string{}}
 	if hasSnap {
-		if rec.SnapshotRecords, err = decodeSnapshot(snap, ids, rp); err != nil {
+		if rec.SnapshotRecords, err = decodeSnapshot(snap, dec); err != nil {
 			return nil, nil, fmt.Errorf("wal: %s: %w", snapshotName, err)
 		}
 	}
-	goodBytes, err := readLog(fsys, logImg, rec, ids, rp)
+	goodBytes, err := readLog(fsys, logImg, rec, dec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -237,8 +271,8 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 // readImage reads the whole of name into one buffer of its exact size;
 // ok is false when the file does not exist. The buffer is the only copy
 // of the file recovery makes: records are decoded from it in place and
-// handed to the Replayer one by one, and only what the Replayer keeps
-// (a rater string per rating; product IDs are interned) outlives Open.
+// handed to the Replayer run by run, and only what the Replayer keeps
+// (one rater string per run; product IDs are interned) outlives Open.
 // Neither the doubling buffers of io.ReadAll nor a slice of every
 // decoded record is built: at ~10k ratings such transient bytes pushed
 // the first report after a restart past the GC pacer's trigger. what
@@ -264,19 +298,11 @@ func readImage(fsys FS, name, what string) (data []byte, ok bool, err error) {
 }
 
 // readLog replays the checksum-valid records at the front of the log
-// image data to rp, counting them in rec, and truncates any torn tail
+// image data through d, counting them in rec, and truncates any torn tail
 // from the file. It returns the byte length of the valid prefix.
-func readLog(fsys FS, data []byte, rec *Recovery, ids *interner, rp Replayer) (int64, error) {
-	off := 0
-	for off < len(data) {
-		r, n, ok := decodeRecord(data[off:], ids)
-		if !ok {
-			break
-		}
-		rp.Replay(r, false)
-		rec.TailRecords++
-		off += n
-	}
+func readLog(fsys FS, data []byte, rec *Recovery, d *runDecoder) (int64, error) {
+	off, n := d.replay(data, math.MaxUint64, false)
+	rec.TailRecords = int(n)
 	if torn := int64(len(data) - off); torn > 0 {
 		if err := fsys.Truncate(logName, int64(off)); err != nil {
 			return 0, fmt.Errorf("wal: truncate torn tail: %w", err)

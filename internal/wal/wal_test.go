@@ -29,19 +29,32 @@ type replayed struct {
 	Records  []wal.Record
 	Expected []string
 	// snapshots counts the records replayed with the snapshot flag;
-	// disordered is set when one came after a log record.
+	// disordered is set when one came after a log record. split is set
+	// when a run was empty, held a record of another product or a count
+	// other than its Len, or continued the run before it (same product
+	// and flag): runs are maximal.
 	snapshots  int
 	disordered bool
+	split      bool
+	last       wal.Run
 }
 
 func (r *replayed) Expect(product []byte) { r.Expected = append(r.Expected, string(product)) }
 
-func (r *replayed) Replay(rec wal.Record, snapshot bool) {
-	if snapshot {
-		r.disordered = r.disordered || r.snapshots < len(r.Records)
-		r.snapshots++
-	}
-	r.Records = append(r.Records, rec)
+func (r *replayed) Replay(run wal.Run) {
+	r.split = r.split || run.Len() == 0 ||
+		(len(r.Records) > 0 && run.Product == r.last.Product && run.Snapshot == r.last.Snapshot)
+	r.last = wal.Run{Product: run.Product, Snapshot: run.Snapshot}
+	n := len(r.Records)
+	run.Each(func(rec wal.Record) {
+		r.split = r.split || rec.Product != run.Product
+		if run.Snapshot {
+			r.disordered = r.disordered || r.snapshots < len(r.Records)
+			r.snapshots++
+		}
+		r.Records = append(r.Records, rec)
+	})
+	r.split = r.split || len(r.Records)-n != run.Len()
 }
 
 // Tail returns the records replayed from the log, after the checkpoint's.
@@ -57,9 +70,9 @@ func openReplay(t *testing.T, fsys wal.FS, opts wal.Options) (*wal.WAL, *replaye
 		return w, r, err
 	}
 	r.Recovery = rc
-	if r.disordered || r.snapshots != rc.SnapshotRecords || len(r.Records)-r.snapshots != rc.TailRecords {
-		t.Fatalf("Open replayed %d records, %d of them flagged snapshot (disordered %v); its report counts %d + %d",
-			len(r.Records), r.snapshots, r.disordered, rc.SnapshotRecords, rc.TailRecords)
+	if r.disordered || r.split || r.snapshots != rc.SnapshotRecords || len(r.Records)-r.snapshots != rc.TailRecords {
+		t.Fatalf("Open replayed %d records, %d of them flagged snapshot (disordered %v, runs split %v); its report counts %d + %d",
+			len(r.Records), r.snapshots, r.disordered, r.split, rc.SnapshotRecords, rc.TailRecords)
 	}
 	return w, r, nil
 }
