@@ -493,6 +493,19 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			prod.Ratings = base
 		}
 	})
+	// image-encode: what a durable service's Close encodes under the
+	// coordinator lock, EvalState.Image of the cold state: the rater
+	// dictionary, every product's rating columns, its signals tiers and
+	// its decisions.
+	b.Run("image-encode", func(b *testing.B) {
+		st := engine.NewState()
+		eng.Resume(context.Background(), st, d)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.Image(context.Background())
+		}
+	})
 	// restored: a restarted service's first report. Each iteration
 	// restores one fixed image (the signals tiers and the decisions of a
 	// cold state) into a fresh state and resumes it. The image describes

@@ -53,7 +53,7 @@ func mustEvaluate(t *testing.T, e *Engine, d *dataset.Dataset) *Result {
 	return res
 }
 
-func mustResume(t *testing.T, e *Engine, st *EvalState, d *dataset.Dataset) *Result {
+func mustResume(t testing.TB, e *Engine, st *EvalState, d *dataset.Dataset) *Result {
 	t.Helper()
 	res, err := e.Resume(context.Background(), st, d)
 	if err != nil {

@@ -6,12 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"math"
 	"reflect"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -28,42 +26,50 @@ import (
 //
 //	[4]byte magic "RENG" | u32 format version | u32 CRC32 (IEEE) of the payload
 //
-// The payload is the engine-key fingerprint, the horizon bits and the
-// writer's rater count (a u32 that sizes the restored symbol table), then
-// per product its ID, the length N of the series its entries were recorded
-// against, the SHA-256 of those N ratings (seriesHash; a collidable
-// digest would let an attacker replay stale signals) and its entries:
+// The payload is the engine-key fingerprint and the horizon bits, then
+// four sections. The dictionary is the writer's rater names in ordinal
+// order, each once: a u32 count K, K u32 name lengths, then the names'
+// bytes. The ratings section is a u32 product count and per product its
+// ID, the length N of the series its entries were recorded against and
+// those N ratings as columns: N day bits, N value bits (f64 each), N u32
+// ordinals below K. The signals section holds per product its entries:
 // (epoch, prefix length, arcHi, detect.Signals), the final entry under
 // epoch index = the period count. Then comes the decisions flag, a bool,
 // and, when it is set, per product: its causal marks and its final marks,
 // N bits each, then its final scores and its published scores, one f64
-// per period each. Slices are a u32 count, then their elements field after
-// field with no padding; marks and score columns, whose counts follow from
-// N and the horizon, are their elements alone (imageCodec). The image
-// holds no trust record, ordinal or rater name: trust is rebuilt from the
-// marks (restoreDecisions).
+// per period each. Slices are a u32 count, then their elements field
+// after field with no padding; columns, marks and score rows, whose
+// counts follow from N and the horizon, are their elements alone
+// (imageCodec). Trust is rebuilt from the marks (restoreDecisions).
 const (
 	imageMagic      = "RENG"
-	imageVersion    = 2
+	imageVersion    = 3
 	imageHeaderSize = 12
-	// The smallest encodings of a product (no entries) and of an entry
-	// (empty slices) bound what a decoded count may claim (codeLen).
-	minProductSize = 4 + 36 + 4
+	// The smallest encodings of a product (an empty ID and series, no
+	// entries) and of an entry (empty slices) bound what a decoded count
+	// may claim (codeLen).
+	minProductSize = 4 + 4 + 4
 	minEntrySize   = 16 + 4 + 2*(4+4+4+16) + 4 + 4
 )
 
 type image struct {
 	key     [32]byte
 	horizon float64
-	raters  uint32 // the writer's symbol table size
+	names   []string // the dictionary: names[o] is the rater of ordinal o
 	prods   []imageProduct
 	decided bool // the decisions section is present
 }
 
 type imageProduct struct {
-	id      string
-	n       uint32
-	digest  [32]byte
+	id string
+	n  uint32
+	// The N ratings: the encoder writes the day and value columns from
+	// series, the decoder keeps them as cols, a view of the payload's 16N
+	// bytes (a decoded image re-encodes them as read); ords[j] is rating
+	// j's ordinal.
+	series  dataset.Series
+	cols    []byte
+	ords    []uint32
 	entries []imageEntry
 	// The decisions: the causal column, and the final entry's marks and
 	// scores; published[e] is the product's period-e published score.
@@ -71,77 +77,83 @@ type imageProduct struct {
 	scores, published []float64
 }
 
-type imageEntry struct {
-	entryHead
-	sig detect.Signals
+// matched returns how many leading ratings of s, at most N, equal the
+// image's, rating by rating: the Day and Value bits are the columns' and
+// the Rater is the dictionary's name of the ordinal. Rating matched(s) is
+// the first that differs, unless s or the image's ratings end there.
+func (ip *imageProduct) matched(s dataset.Series, names []string) int {
+	n, k := min(int(ip.n), len(s)), 8*int(ip.n)
+	days, vals := ip.cols[:k], ip.cols[k:]
+	for j, r := range s[:n] {
+		if math.Float64bits(r.Day) != binary.LittleEndian.Uint64(days[8*j:]) ||
+			math.Float64bits(r.Value) != binary.LittleEndian.Uint64(vals[8*j:]) ||
+			names[ip.ords[j]] != r.Rater {
+			return j
+		}
+	}
+	return n
 }
 
-// entryHead is an entry's fixed-size part.
-type entryHead struct {
-	Epoch, N uint32
-	ArcHi    float64
+// imageEntry is a signals tier: its epoch (the period count for the
+// final entry), the length of its prefix and its signals.
+type imageEntry struct {
+	epoch, n uint32
+	pre      prefixSignals
 }
 
 // Image encodes st's signals tiers, and its decisions when st holds a
 // complete evaluation: every epoch checkpointed and every product's final
 // entry decided under the last checkpoint. It returns nil when st holds no
-// evaluation or ctx is cancelled first. The series digests run ahead of
-// the encoding on GOMAXPROCS-wide helpers, the default pool width
-// (forEachDigest).
+// evaluation or ctx is cancelled first.
 func (st *EvalState) Image(ctx context.Context) []byte {
 	if len(st.checkpoints) == 0 {
 		return nil
 	}
-	img := image{key: fingerprint(st.config), horizon: st.horizon, raters: uint32(st.syms.Len()), prods: make([]imageProduct, len(st.prods))}
+	img := image{key: fingerprint(st.config), horizon: st.horizon, names: make([]string, st.syms.Len()), prods: make([]imageProduct, len(st.prods))}
+	for o := range img.names {
+		img.names[o] = st.syms.Name(uint32(o))
+	}
 	last, n := st.checkpoints[len(st.checkpoints)-1], epoch.Periods(st.horizon)
 	img.decided = len(st.checkpoints) == n+1
 	for i := range st.prods {
-		f := &st.prods[i].memo.final
+		if ctx.Err() != nil {
+			return nil
+		}
+		ps, ip, f := &st.prods[i], &img.prods[i], &st.prods[i].memo.final
 		img.decided = img.decided && f.valid && f.under == last
-	}
-	series := func(i int) dataset.Series { return st.prods[i].series }
-	err := forEachDigest(ctx, st.config.workers(), len(st.prods), series, func(i int, sum [32]byte) {
-		ps, ip := &st.prods[i], &img.prods[i]
-		ip.id, ip.n, ip.digest = st.products[i], uint32(len(ps.series)), sum
+		ip.id, ip.n, ip.series, ip.ords = st.products[i], uint32(len(ps.series)), ps.series, ps.ords
+		ip.causal, ip.final, ip.scores, ip.published = ps.causal, f.marks, f.scores, ps.published
 		for ep, ent := range ps.memo.epochs {
 			if ent.valid {
-				ip.entries = append(ip.entries, imageEntry{entryHead{uint32(ep), uint32(ent.prefixLen), ent.pre.arcHi}, ent.pre.sig})
+				ip.entries = append(ip.entries, imageEntry{uint32(ep), uint32(ent.prefixLen), ent.pre})
 			}
 		}
-		if f := &ps.memo.final; f.valid {
-			ip.entries = append(ip.entries, imageEntry{entryHead{uint32(n), uint32(f.n), f.pre.arcHi}, f.pre.sig})
+		if f.valid {
+			ip.entries = append(ip.entries, imageEntry{uint32(n), uint32(f.n), f.pre})
 		}
-		if img.decided {
-			ip.causal, ip.final, ip.scores, ip.published = ps.causal, ps.memo.final.marks, ps.memo.final.scores, ps.published
-		}
-	})
-	if err != nil {
-		return nil
 	}
-	return img.encode()
+	return img.encode() // the decisions only when every product is decided
 }
 
 // Restore binds st to d under e and seeds it with an image's signals
 // tiers, so the next Resume reuses them. A product is restored only when
-// the first N ratings of its series match the image's digest; then an
-// epoch entry is kept only when [0, hi) still holds the ratings it was
-// computed over, and the final entry only when the series is still N
-// long, so every restored entry describes the current series. A restored
-// product starts with an empty carry. exact reports that every product was
-// restored and still has exactly the series the image holds, and that the
-// image holds decisions, which are then restored too (restoreDecisions):
-// the next Resume replays the image's evaluation from the memo. Short of
-// exact, every restored entry is signals-only (its trust tier always
-// misses). An image that does not decode, or was written under another
-// engine key, horizon or product list, is an error and leaves st
+// the first N ratings of its series equal the image's columns exactly
+// (imageProduct.matched); then an epoch entry is kept only when [0, hi)
+// still holds the ratings it was computed over, and the final entry only
+// when the series is still N long, so every restored entry describes the
+// current series. A restored product starts with an empty carry. exact
+// reports that every product was restored and still has exactly the
+// series the image holds, and that the image holds decisions, which are
+// then restored too (restoreDecisions): the next Resume replays the
+// image's evaluation from the memo. Short of exact, every restored entry
+// is signals-only (its trust tier always misses). An image that does not
+// decode, was written under another engine key, horizon or product list,
+// or whose dictionary names a rater twice, is an error and leaves st
 // untouched. A ctx cancelled before the restore is done is returned as the
-// error, with st reset, so the next Resume evaluates cold.
-//
-// The digests run on e's worker pool ahead of the restore (forEachDigest),
-// and product i is interned, in product order as a cold Resume would,
-// as soon as its digest matched, while later products are still hashed,
-// into a symbol table sized once by the image's rater count (at most the
-// rating count, which bounds the raters d can hold).
+// error, with st reset, so the next Resume evaluates cold. The symbol
+// table is the dictionary and a restored product's ordinal column the
+// image's, so only ratings past N are interned (the next Resume interns
+// the products not restored).
 func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset, data []byte) (restored int, exact bool, err error) {
 	img, err := decodeImage(data)
 	if err != nil {
@@ -156,49 +168,41 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 	case !slices.EqualFunc(img.prods, d.Products, func(ip imageProduct, p dataset.Product) bool { return ip.id == p.ID }):
 		return 0, false, errors.New("engine image: product list differs")
 	}
+	syms, ok := trust.SymbolsOf(img.names)
+	if !ok {
+		return 0, false, errors.New("engine image: the rater dictionary names a rater twice")
+	}
 	st.bind(d, key)
-	total := 0
-	for _, p := range d.Products {
-		total += len(p.Ratings)
-	}
-	st.syms = trust.NewSymbols(min(int(img.raters), total))
+	st.syms = syms
 	exact = true
-	// A series shorter than the image's N cannot match; it is not hashed.
-	series := func(i int) dataset.Series {
-		if s, n := d.Products[i].Ratings, int(img.prods[i].n); n <= len(s) {
-			return s[:n]
+	for i := range img.prods {
+		if err := ctx.Err(); err != nil {
+			st.Reset()
+			return 0, false, err
 		}
-		return nil
-	}
-	err = forEachDigest(ctx, e.workers(), len(img.prods), series, func(i int, sum [32]byte) {
 		ip, p, ps, n := &img.prods[i], &d.Products[i], &st.prods[i], int(img.prods[i].n)
-		if p.Version == 0 || n > len(p.Ratings) || sum != ip.digest {
+		if p.Version == 0 || ip.matched(p.Ratings, img.names) < n {
 			exact = false
-			return
+			continue
 		}
 		exact = exact && n == len(p.Ratings)
-		ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, nil)
+		ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, ip.ords)
 		if ps.causal = ip.causal; len(ps.causal) != len(p.Ratings) {
 			ps.causal = make([]bool, len(p.Ratings)) // every epoch re-runs and writes it
 		}
 		ps.memo.epochs = make([]memoEntry, len(ps.published))
 		for _, ent := range ip.entries {
-			pre := prefixSignals{ent.sig, ent.ArcHi}
-			switch ep := int(ent.Epoch); {
+			switch ep := int(ent.epoch); {
 			case ep < len(ps.memo.epochs):
 				_, hi := epoch.PeriodInterval(ep, d.HorizonDays)
-				if start, end := p.Ratings.BetweenIndex(0, hi); end-start == int(ent.N) && end <= n {
-					ps.memo.epochs[ep] = memoEntry{valid: true, prefixLen: int(ent.N), pre: pre}
+				if start, end := p.Ratings.BetweenIndex(0, hi); end-start == int(ent.n) && end <= n {
+					ps.memo.epochs[ep] = memoEntry{valid: true, prefixLen: int(ent.n), pre: ent.pre}
 				}
-			case ep == len(ps.memo.epochs) && int(ent.N) == len(p.Ratings):
-				ps.memo.final = finalEntry{valid: true, n: len(p.Ratings), pre: pre}
+			case ep == len(ps.memo.epochs) && int(ent.n) == len(p.Ratings):
+				ps.memo.final = finalEntry{valid: true, n: len(p.Ratings), pre: ent.pre}
 			}
 		}
 		restored++
-	})
-	if err != nil {
-		st.Reset()
-		return 0, false, err
 	}
 	if exact = exact && img.decided; exact {
 		st.restoreDecisions(img)
@@ -208,8 +212,8 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 }
 
 // restoreDecisions completes an exact restore from a decided image. The
-// causal columns already are the image's, so folding them epoch by epoch
-// rebuilds checkpoints 1…n over the ordinals just interned (fold, as
+// causal columns and the ordinal columns already are the image's, so
+// folding them epoch by epoch rebuilds checkpoints 1…n (fold, as
 // Resume folds, with no Decide); the published rows are the image's. Every
 // restored epoch entry was decided under its epoch's checkpoint, and every
 // final entry gets the image's marks and scores under the last one, so
@@ -252,100 +256,16 @@ func appendBits(b []byte, v reflect.Value) []byte {
 	return fmt.Appendf(b, "%v;", v)
 }
 
-// forEachDigest calls fn(i, the digest of series(i)) for i in [0, n), in
-// index order, in the calling goroutine. With w > 1, up to w−1 helper
-// goroutines hash the series in index order ahead of fn, so fn's work on
-// product i overlaps the hashing of later products; otherwise the caller
-// hashes each series just before its fn call. series must be safe to call
-// from the helpers while fn runs. Once ctx is cancelled no further fn call
-// starts and no further series is hashed; ctx.Err() is returned once the
-// helpers are done with series. Digests are not analyses: no counter
-// moves.
-func forEachDigest(ctx context.Context, w, n int, series func(i int) dataset.Series, fn func(i int, sum [32]byte)) error {
-	if w = min(w, n); w <= 1 {
-		h := newSeriesHash()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i, h.digest(series(i)))
-		}
-		return nil
-	}
-	sums := make([][32]byte, n)
-	ready := make(chan int, n) // never blocks a helper: each index is sent once
-	var next atomic.Int64
-	for k := 1; k < w; k++ {
-		go func() {
-			h := newSeriesHash()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				if ctx.Err() == nil {
-					sums[i] = h.digest(series(i))
-				}
-				ready <- i
-			}
-		}()
-	}
-	done := make([]bool, n)
-	received := 0
-	var err error
-	for i := 0; i < n && err == nil; i++ {
-		for ; !done[i]; received++ {
-			done[<-ready] = true
-		}
-		if err = ctx.Err(); err == nil {
-			fn(i, sums[i])
-		}
-	}
-	// A helper touches series and sums only before it sends the index.
-	for ; received < n; received++ {
-		<-ready
-	}
-	return err
-}
-
-// seriesHash computes series digests: the SHA-256 of a series' (Day bits,
-// Value bits, u32 rater length, rater) tuples, little-endian. The tuples
-// pass through a fixed scratch buffer, so hashing a series of any length
-// allocates nothing; one seriesHash serves one goroutine.
-type seriesHash struct {
-	h   hash.Hash
-	n   int
-	buf [512]byte
-}
-
-func newSeriesHash() *seriesHash { return &seriesHash{h: sha256.New()} }
-
-func (sh *seriesHash) digest(s dataset.Series) (sum [32]byte) {
-	sh.h.Reset()
-	for _, r := range s {
-		if len(sh.buf)-sh.n < 20 {
-			sh.flush()
-		}
-		binary.LittleEndian.PutUint64(sh.buf[sh.n:], math.Float64bits(r.Day))
-		binary.LittleEndian.PutUint64(sh.buf[sh.n+8:], math.Float64bits(r.Value))
-		binary.LittleEndian.PutUint32(sh.buf[sh.n+16:], uint32(len(r.Rater)))
-		sh.n += 20
-		for rest := r.Rater; rest != ""; {
-			if sh.n == len(sh.buf) {
-				sh.flush()
-			}
-			k := copy(sh.buf[sh.n:], rest)
-			sh.n, rest = sh.n+k, rest[k:]
-		}
-	}
-	sh.flush()
-	copy(sum[:], sh.h.Sum(sh.buf[:0]))
-	return sum
-}
-
-func (sh *seriesHash) flush() {
-	sh.h.Write(sh.buf[:sh.n])
-	sh.n = 0
-}
-
 func (img *image) encode() []byte {
-	c := imageCodec{b: make([]byte, imageHeaderSize, 4<<10)}
+	// Sized for the dictionary and the columns, with a guess for the rest.
+	size := imageHeaderSize + 4<<10
+	for _, name := range img.names {
+		size += 4 + len(name)
+	}
+	for i := range img.prods {
+		size += 21*int(img.prods[i].n) + 512*len(img.prods[i].entries) // 20 B of columns, 2 mark bits
+	}
+	c := imageCodec{b: make([]byte, imageHeaderSize, size)}
 	c.image(img)
 	b := c.b
 	copy(b, imageMagic)
@@ -516,32 +436,98 @@ func (c *imageCodec) bits(v *[]bool, n int) {
 	}
 }
 
+// dict codes the dictionary: the count, every name's length, then the
+// names' bytes, which a decode turns into one string that the names slice.
+func (c *imageCodec) dict(names *[]string) {
+	codeLen(c, names, 4)
+	if !c.dec {
+		for _, name := range *names {
+			c.b = binary.LittleEndian.AppendUint32(c.b, uint32(len(name)))
+		}
+		for _, name := range *names {
+			c.b = append(c.b, name...)
+		}
+		return
+	}
+	lens := c.take(4 * len(*names))
+	total := 0
+	for k := range *names {
+		total += int(binary.LittleEndian.Uint32(lens[4*k:]))
+	}
+	if p := c.take(total); p != nil {
+		all := string(p)
+		for k := range *names {
+			n := binary.LittleEndian.Uint32(lens[4*k:])
+			(*names)[k], all = all[:n], all[n:]
+		}
+	}
+}
+
+// ratings codes a product's N ratings as its day, value and ordinal
+// columns; a decoded ordinal must be below the dictionary's size k.
+func (c *imageCodec) ratings(p *imageProduct, k int) {
+	n := int(p.n)
+	if c.dec {
+		p.cols = c.take(16 * n)
+		ords := c.take(4 * n)
+		if ords == nil {
+			return
+		}
+		p.ords = make([]uint32, n)
+		for j := range p.ords {
+			if p.ords[j] = binary.LittleEndian.Uint32(ords[4*j:]); int(p.ords[j]) >= k {
+				c.err = fmt.Errorf("ordinal %d past the %d-name dictionary", p.ords[j], k)
+				return
+			}
+		}
+		return
+	}
+	b := c.b // a local buffer: no write barrier per rating
+	if p.cols != nil {
+		b = append(b, p.cols...)
+	} else {
+		for _, r := range p.series {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Day))
+		}
+		for _, r := range p.series {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Value))
+		}
+	}
+	for _, o := range p.ords {
+		b = binary.LittleEndian.AppendUint32(b, o)
+	}
+	c.b = b
+}
+
 func (c *imageCodec) image(img *image) {
 	c.digest(&img.key)
 	c.f64(&img.horizon)
-	c.u32(&img.raters)
+	c.dict(&img.names)
 	codeLen(c, &img.prods, minProductSize)
 	for i := range img.prods {
 		p := &img.prods[i]
 		c.str(&p.id)
 		c.u32(&p.n)
-		c.digest(&p.digest)
+		c.ratings(p, len(img.names))
+	}
+	for i := range img.prods {
+		p := &img.prods[i]
 		codeLen(c, &p.entries, minEntrySize)
 		for j := range p.entries {
 			e := &p.entries[j]
-			c.u32(&e.Epoch)
-			c.u32(&e.N)
-			c.f64(&e.ArcHi)
-			codeLen(c, &e.sig.MC, 41)
-			for k := range e.sig.MC {
-				m := &e.sig.MC[k]
+			c.u32(&e.epoch)
+			c.u32(&e.n)
+			c.f64(&e.pre.arcHi)
+			codeLen(c, &e.pre.sig.MC, 41)
+			for k := range e.pre.sig.MC {
+				m := &e.pre.sig.MC[k]
 				c.interval(&m.Interval)
 				c.f64(&m.Mean)
 				c.f64(&m.AvgTrust)
 				c.f64(&m.Shift)
 				c.flag(&m.Suspicious)
 			}
-			for _, a := range [2]*detect.ARCSignals{&e.sig.HARC, &e.sig.LARC} {
+			for _, a := range [2]*detect.ARCSignals{&e.pre.sig.HARC, &e.pre.sig.LARC} {
 				band := uint32(int32(a.Band))
 				c.u32(&band)
 				a.Band = detect.ARCBand(int32(band))
@@ -559,7 +545,7 @@ func (c *imageCodec) image(img *image) {
 				c.f64(&a.ThresholdA)
 				c.f64(&a.ThresholdB)
 			}
-			for _, ivs := range [2]*[]detect.Interval{&e.sig.HC, &e.sig.ME} {
+			for _, ivs := range [2]*[]detect.Interval{&e.pre.sig.HC, &e.pre.sig.ME} {
 				codeLen(c, ivs, 16)
 				for k := range *ivs {
 					c.interval(&(*ivs)[k])

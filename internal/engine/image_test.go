@@ -3,15 +3,14 @@ package engine
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +20,7 @@ import (
 )
 
 // coldImage evaluates d cold on a fresh state and returns its image.
-func coldImage(t *testing.T, e *Engine, d *dataset.Dataset) []byte {
+func coldImage(t testing.TB, e *Engine, d *dataset.Dataset) []byte {
 	t.Helper()
 	st := NewState()
 	mustResume(t, e, st, d)
@@ -159,9 +158,9 @@ func TestImageRestoreStale(t *testing.T) {
 }
 
 // TestImageRestoreCancelled restores under a cancelled context, at one
-// worker and at two (helper goroutines hash ahead): Restore returns the
-// context's error, restores nothing and leaves the state reset, so the
-// Resume after it evaluates cold and equals a cold evaluation.
+// worker and at two: Restore returns the context's error, restores nothing
+// and leaves the state reset, so the Resume after it evaluates cold and
+// equals a cold evaluation.
 func TestImageRestoreCancelled(t *testing.T) {
 	d := versionedTestDataset(t, 41, 5, 300)
 	img := coldImage(t, &Engine{Detect: detect.DefaultConfig()}, d)
@@ -180,34 +179,36 @@ func TestImageRestoreCancelled(t *testing.T) {
 	}
 }
 
-// TestSeriesDigestChunking checks seriesHash against SHA-256 over the
-// whole (Day bits, Value bits, u32 rater length, rater) encoding in one
-// buffer, on raters of every length around the scratch buffer's size, so
-// no split of a tuple across flushes changes a digest.
-func TestSeriesDigestChunking(t *testing.T) {
-	var s dataset.Series
-	for _, n := range []int{0, 1, 7, 491, 492, 493, 511, 512, 513, 1500, 3} {
-		s = append(s, dataset.Rating{Day: float64(n) / 3, Value: math.Copysign(0, -1), Rater: strings.Repeat("r", n)})
+// recode decodes img, applies edit to the decoded image and encodes it
+// again, behind a valid header and checksum.
+func recode(tb testing.TB, img []byte, edit func(*image)) []byte {
+	tb.Helper()
+	dec, err := decodeImage(img)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	h := newSeriesHash()
-	for end := 0; end <= len(s); end++ {
-		var buf []byte
-		for _, r := range s[:end] {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Day))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Value))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Rater)))
-			buf = append(buf, r.Rater...)
-		}
-		if got, want := h.digest(s[:end]), sha256.Sum256(buf); got != want {
-			t.Fatalf("first %d ratings: digest %x, want %x", end, got, want)
-		}
-	}
+	edit(dec)
+	return dec.encode()
 }
+
+// repeatName adds a second copy of the name of product 0's first rating to
+// the dictionary and points that rating at it, so the rating still reads
+// as its rater.
+func repeatName(img *image) {
+	ords := img.prods[0].ords
+	img.names = append(img.names, img.names[ords[0]])
+	ords[0] = uint32(len(img.names) - 1)
+}
+
+// ordinalPastDictionary points product 0's first rating at the ordinal
+// one past the dictionary's last.
+func ordinalPastDictionary(img *image) { img.prods[0].ords[0] = uint32(len(img.names)) }
 
 // TestImageRefused checks that an image Restore must not use is an error
 // that leaves the state untouched: another engine configuration, horizon
-// or product list, a flipped byte, a truncation, trailing bytes or an
-// unknown format version.
+// or product list, a flipped byte, a truncation, trailing bytes, an
+// unknown format version, a dictionary that names a rater twice or an
+// ordinal the dictionary does not hold.
 func TestImageRefused(t *testing.T) {
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	d := versionedTestDataset(t, 47, 3, 120)
@@ -240,6 +241,8 @@ func TestImageRefused(t *testing.T) {
 		{"trailing byte", e, d, append(bytes.Clone(img), 0)},
 		{"format version", e, d, version},
 		{"empty", e, d, nil},
+		{"a name twice in the dictionary", e, d, recode(t, img, repeatName)},
+		{"an ordinal past the dictionary", e, d, recode(t, img, ordinalPastDictionary)},
 	}
 	for _, tc := range cases {
 		st := NewState()
@@ -257,9 +260,13 @@ func TestImageRefused(t *testing.T) {
 // too. Nothing may panic or allocate past a small multiple of its input;
 // an image Restore accepts must leave a Resume that equals a cold
 // evaluation bit for bit and must re-encode byte for byte. The seeds are
-// real images: of the fuzz dataset, of an edited copy, and cut short; and
-// the pinned version-2 image, whole and with its decisions section cut
-// short.
+// real images: of the fuzz dataset, of an edited copy, and cut short; the
+// pinned version-3 image, whole and with its decisions section cut short;
+// and three the dictionary and columns must refuse: a name twice in the
+// dictionary, an ordinal equal to its size, and the image of the fuzz
+// dataset with one rating's value bit flipped, whose signals and
+// decisions describe other data than the columns of every other rating
+// say.
 func FuzzEngineImage(f *testing.F) {
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	base := fuzzEditDataset()
@@ -271,6 +278,14 @@ func FuzzEngineImage(f *testing.F) {
 	f.Add(img)
 	f.Add(img[imageHeaderSize:])
 	f.Add(img[:len(img)/3])
+	f.Add(recode(f, img, repeatName))
+	f.Add(recode(f, img, ordinalPastDictionary))
+	flipped := base.Clone()
+	s := flipped.Products[1].Ratings.Clone()
+	j := slices.IndexFunc(s, func(r dataset.Rating) bool { return r.Value >= 2 && r.Value < 4 })
+	s[j].Value = math.Float64frombits(math.Float64bits(s[j].Value) ^ 1<<51) // 2 <-> 3, 2.5 <-> 3.5
+	flipped.Products[1].Ratings = s
+	f.Add(coldImage(f, eng, flipped))
 	edited := base.Clone()
 	edited.Products[1].Ratings = edited.Products[1].Ratings.Insert(dataset.Rating{Day: 20, Value: 1, Rater: "x"})
 	edited.Products[1].Version++
@@ -278,10 +293,7 @@ func FuzzEngineImage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(st.Image(context.Background()))
-	pinned, err := os.ReadFile(filepath.Join("testdata", "engine-v2.img"))
-	if err != nil {
-		f.Fatal(err)
-	}
+	pinned := readTestdata(f, "engine-v3.img")
 	f.Add(pinned[imageHeaderSize:])
 	f.Add(pinned[imageHeaderSize : len(pinned)-100])
 
@@ -331,67 +343,50 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestImagePinnedFormat pins the on-disk format. testdata/engine-v2.img is
-// the image a cold Resume of testdata/dataset.json left, recorded by an
-// earlier build of the encoder, and testdata/digests.txt holds each
-// product's rating count and series digest. The current code must decode
-// that image, restore every product from it exactly, and re-encode the
-// restored state byte for byte, before and after the Resume it leaves, so
-// images already on disk stay valid. testdata/engine.img is the same
-// evaluation's image in format version 1, which holds no decisions: it
-// must be refused by name.
-func TestImagePinnedFormat(t *testing.T) {
-	img, err := os.ReadFile(filepath.Join("testdata", "engine-v2.img"))
+// readTestdata returns the contents of testdata/name.
+func readTestdata(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	v1, err := os.ReadFile(filepath.Join("testdata", "engine.img"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(filepath.Join("testdata", "dataset.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	d, err := dataset.ReadJSON(f)
+	return data
+}
+
+// pinnedDataset returns testdata/dataset.json, the ratings the pinned
+// images were taken from, every product at version 1.
+func pinnedDataset(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	d, err := dataset.ReadJSON(bytes.NewReader(readTestdata(t, "dataset.json")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range d.Products {
 		d.Products[i].Version = 1
 	}
-	digests, err := os.ReadFile(filepath.Join("testdata", "digests.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Fields(string(digests))
-	if len(lines) != 3*len(d.Products) {
-		t.Fatalf("digests.txt holds %d fields, want 3 per product", len(lines))
-	}
-	dec, err := decodeImage(img)
-	if err != nil {
-		t.Fatalf("the pinned image does not decode: %v", err)
-	}
-	h := newSeriesHash()
-	for i, p := range d.Products {
-		id, n, sum := lines[3*i], lines[3*i+1], lines[3*i+2]
-		got := h.digest(p.Ratings)
-		if id != p.ID || n != strconv.Itoa(len(p.Ratings)) || sum != hex.EncodeToString(got[:]) {
-			t.Fatalf("product %d: digests.txt says %s %s %s, the dataset has %s %d %x", i, id, n, sum, p.ID, len(p.Ratings), got)
-		}
-		if ip := dec.prods[i]; ip.id != p.ID || int(ip.n) != len(p.Ratings) || ip.digest != got {
-			t.Fatalf("product %d: the image holds %s, %d ratings, %x", i, ip.id, ip.n, ip.digest)
-		}
-	}
+	return d
+}
 
+// TestImagePinnedFormat pins the on-disk format. testdata/engine-v3.img is
+// the image a cold Resume of testdata/dataset.json left, recorded by an
+// earlier build of the encoder. The current code must decode that image,
+// restore every product from it exactly, and re-encode the restored state
+// byte for byte, before and after the Resume it leaves, so images already
+// on disk stay valid. testdata/engine.img and testdata/engine-v2.img are
+// the same evaluation's images in format versions 1 and 2: each must be
+// refused by name, leaving the state untouched.
+func TestImagePinnedFormat(t *testing.T) {
+	img, d := readTestdata(t, "engine-v3.img"), pinnedDataset(t)
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
 	st := NewState()
-	if _, _, err := e.Restore(context.Background(), st, d, v1); err == nil || !strings.HasSuffix(err.Error(), "format version 1, want 2") {
-		t.Fatalf("Restore of the version-1 image: %v, want format version 1, want 2", err)
-	}
-	if st.CompletedEpochs() != 0 || st.prods != nil {
-		t.Fatal("a refused version-1 image changed the state")
+	for v, name := range []string{"engine.img", "engine-v2.img"} {
+		want := fmt.Sprintf("format version %d, want 3", v+1)
+		if _, _, err := e.Restore(context.Background(), st, d, readTestdata(t, name)); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("Restore of %s: %v, want %s", name, err, want)
+		}
+		if st.CompletedEpochs() != 0 || st.prods != nil {
+			t.Fatalf("a refused %s changed the state", name)
+		}
 	}
 	k, exact, err := e.Restore(context.Background(), st, d, img)
 	if err != nil || k != len(d.Products) || !exact {
@@ -405,7 +400,72 @@ func TestImagePinnedFormat(t *testing.T) {
 	if again := st.Image(context.Background()); !bytes.Equal(again, img) {
 		t.Fatalf("the resumed state re-encodes %d bytes, not the pinned %d-byte image", len(again), len(img))
 	}
+	dec, err := decodeImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if again := dec.encode(); !bytes.Equal(again, img) {
 		t.Fatalf("the decoded image re-encodes %d bytes, not the pinned %d", len(again), len(img))
+	}
+}
+
+// TestImagePinnedRatings reads testdata/engine-v3.img by the format text
+// (image.go's layout comment, DESIGN.md §7), without the codec: the
+// header and checksum, the fingerprint and horizon, the dictionary, and
+// per product its ID, N and its day, value and ordinal columns. They must
+// reproduce testdata/dataset.json: its horizon, its products in order,
+// each with N its rating count and, rating by rating, the Day bits, the
+// Value bits and, through the dictionary, the rater. No name may appear in
+// the dictionary twice.
+func TestImagePinnedRatings(t *testing.T) {
+	b, d := readTestdata(t, "engine-v3.img"), pinnedDataset(t)
+	le := binary.LittleEndian
+	if len(b) < 12 || string(b[:4]) != "RENG" || le.Uint32(b[4:]) != 3 || le.Uint32(b[8:]) != crc32.ChecksumIEEE(b[12:]) {
+		t.Fatalf("the header is not a checked version-3 engine image header")
+	}
+	b = b[12:]
+	next := func(n int) []byte {
+		if n > len(b) {
+			t.Fatalf("the payload ends %d bytes early", n-len(b))
+		}
+		p := b[:n]
+		b = b[n:]
+		return p
+	}
+	u32 := func() int { return int(le.Uint32(next(4))) }
+	next(32) // the engine-key fingerprint
+	if h := le.Uint64(next(8)); h != math.Float64bits(d.HorizonDays) {
+		t.Fatalf("horizon bits %#x, want %v", h, d.HorizonDays)
+	}
+	lens := make([]int, u32())
+	for k := range lens {
+		lens[k] = u32()
+	}
+	names := make([]string, len(lens))
+	seen := map[string]bool{}
+	for k, n := range lens {
+		if names[k] = string(next(n)); seen[names[k]] {
+			t.Fatalf("rater %q is in the dictionary twice", names[k])
+		}
+		seen[names[k]] = true
+	}
+	if n := u32(); n != len(d.Products) {
+		t.Fatalf("%d products, want %d", n, len(d.Products))
+	}
+	for _, p := range d.Products {
+		if id := string(next(u32())); id != p.ID {
+			t.Fatalf("product %q, want %q", id, p.ID)
+		}
+		n := u32()
+		if n != len(p.Ratings) {
+			t.Fatalf("%s: %d ratings, want %d", p.ID, n, len(p.Ratings))
+		}
+		days, vals, ords := next(8*n), next(8*n), next(4*n)
+		for j, r := range p.Ratings {
+			day, val, o := le.Uint64(days[8*j:]), le.Uint64(vals[8*j:]), int(le.Uint32(ords[4*j:]))
+			if day != math.Float64bits(r.Day) || val != math.Float64bits(r.Value) || o >= len(names) || names[o] != r.Rater {
+				t.Fatalf("%s rating %d: day bits %#x, value bits %#x, ordinal %d of %d; want %+v", p.ID, j, day, val, o, len(names), r)
+			}
+		}
 	}
 }

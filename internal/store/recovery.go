@@ -273,9 +273,9 @@ func (r *replayer) Replay(run wal.Run) {
 // record order, through Submit's validation in Submit's order, with a
 // routing check beside the product's existence (a record found in shard
 // i's files must route there), folding each outcome into the recovery
-// report. The product is looked up once per run. A product's first run
-// sizes its series and rater set once: to the product's log frames
-// (logCounts), plus the run itself when it is the checkpoint's. An exact
+// report. The product is looked up once per run. Its first accepted
+// record sizes its series and rater set once, to its log frames
+// (logCounts) plus the run itself when it is the checkpoint's. An exact
 // duplicate (same product, rater, value, day) is the expected residue of
 // a crash mid-Compact and is dropped silently; anything else invalid is
 // counted and sampled as a skip.
@@ -295,18 +295,8 @@ func (st *Store) applyRun(i int, run wal.Run, logCounts []int, applied *int, rep
 	var seen map[string]bool
 	var ratings dataset.Series
 	if runErr == nil {
-		p, seen = &sh.data.Products[l.pos], sh.seen[l.pos]
-		if ratings = p.Ratings; ratings == nil {
-			n := run.Len()
-			if logCounts != nil {
-				if !run.Snapshot {
-					n = 0 // the log frames count this run too
-				}
-				n += logCounts[l.pos]
-			}
-			ratings, seen = make(dataset.Series, 0, n), make(map[string]bool, n)
-			sh.seen[l.pos] = seen
-		}
+		p = &sh.data.Products[l.pos]
+		seen, ratings = sh.seen[l.pos], p.Ratings
 	}
 	applied0 := *applied
 	run.Each(func(rec wal.Record) {
@@ -316,6 +306,17 @@ func (st *Store) applyRun(i int, run wal.Run, logCounts []int, applied *int, rep
 		}
 		if err == nil {
 			err = checkDay(rec.Day, sh.horizon)
+		}
+		if err == nil && ratings == nil {
+			n := run.Len()
+			if logCounts != nil {
+				if !run.Snapshot {
+					n = 0 // the log frames count this run too
+				}
+				n += logCounts[l.pos]
+			}
+			ratings, seen = make(dataset.Series, 0, n), make(map[string]bool, n)
+			sh.seen[l.pos] = seen
 		}
 		if err == nil {
 			// One probe checks and sets: the set grows unless rater was in it.

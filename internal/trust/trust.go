@@ -50,6 +50,18 @@ func NewSymbols(n int) *Symbols {
 	return &Symbols{names: make([]string, 0, n), ords: make(map[string]uint32, n)}
 }
 
+// SymbolsOf returns the table that holds names[o] under ordinal o, or
+// false when an ID appears in names twice. The table keeps names.
+func SymbolsOf(names []string) (*Symbols, bool) {
+	ords := make(map[string]uint32, len(names))
+	for o, id := range names {
+		if ords[id] = uint32(o); len(ords) == o {
+			return nil, false
+		}
+	}
+	return &Symbols{names: slices.Clip(names), ords: ords}, true
+}
+
 // Len returns the number of interned IDs; ordinals are [0, Len).
 func (t *Symbols) Len() int { return len(t.base) + len(t.names) }
 
