@@ -10,6 +10,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -237,10 +238,26 @@ func (st *EvalState) restoreDecisions(img *image) {
 	}
 }
 
-// fingerprint hashes the bits of every field of an engine key, by
-// reflection, so a field added to the key is covered.
+// lastPrint caches the last key's fingerprint: a process restores and
+// writes its images under one key.
+var lastPrint atomic.Pointer[keyPrint]
+
+type keyPrint struct {
+	key Engine
+	sum [32]byte
+}
+
+// fingerprint hashes every field of an engine key, by reflection, so a
+// field added to the key is covered: a float by its bits (a zero as +0,
+// so keys that compare equal, and so share a memo, hash alike), any
+// other field as fmt prints it.
 func fingerprint(k Engine) [32]byte {
-	return sha256.Sum256(appendBits(nil, reflect.ValueOf(k)))
+	if p := lastPrint.Load(); p != nil && p.key == k {
+		return p.sum
+	}
+	p := &keyPrint{k, sha256.Sum256(appendBits(nil, reflect.ValueOf(k)))}
+	lastPrint.Store(p)
+	return p.sum
 }
 
 func appendBits(b []byte, v reflect.Value) []byte {
@@ -251,7 +268,11 @@ func appendBits(b []byte, v reflect.Value) []byte {
 		}
 		return b
 	case reflect.Float64:
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
+		bits := math.Float64bits(v.Float())
+		if bits<<1 == 0 {
+			bits = 0 // −0 == +0
+		}
+		return binary.LittleEndian.AppendUint64(b, bits)
 	}
 	return fmt.Appendf(b, "%v;", v)
 }
@@ -431,8 +452,11 @@ func (c *imageCodec) bits(v *[]bool, n int) {
 		c.err = errors.New("padding bits set")
 	}
 	*v = make([]bool, n)
-	for j := range *v {
-		(*v)[j] = p[j/8]>>(j%8)&1 == 1
+	for j := 0; j < n; j += 8 {
+		b, w := p[j/8], (*v)[j:min(j+8, n)]
+		for k := range w {
+			w[k] = b>>k&1 == 1
+		}
 	}
 }
 

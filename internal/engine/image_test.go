@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -314,9 +315,12 @@ func FuzzEngineImage(f *testing.F) {
 	})
 }
 
-// TestFingerprintCoversEveryField flips each detector config field and
-// each ablation flag in turn: every flip must change the fingerprint, and
-// the pool width must not.
+// TestFingerprintCoversEveryField changes each field of the engine key in
+// turn, found by reflection (a float to its next value, an integer by
+// one, a bool to its negation): every change must change the
+// fingerprint, right after the base key was hashed and cached and again
+// after the changed key was, and the pool width must not. A zero's sign
+// does not count, as it does not for the key's own comparison.
 func TestFingerprintCoversEveryField(t *testing.T) {
 	base := Engine{Detect: detect.DefaultConfig()}
 	want := fingerprint(base)
@@ -325,21 +329,44 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	if fingerprint(w.key()) != want {
 		t.Fatal("the pool width changed the fingerprint")
 	}
-	flips := []func(*Engine){
-		func(e *Engine) { e.DisableFilter = true },
-		func(e *Engine) { e.DisableTrustWeighting = true },
-		func(e *Engine) { e.Detect.MCThreshold1 = math.Nextafter(e.Detect.MCThreshold1, 10) },
-		func(e *Engine) { e.Detect.METhreshold = math.Nextafter(e.Detect.METhreshold, 10) },
-		func(e *Engine) { e.Detect.MEMethod++ },
-		func(e *Engine) { e.Detect.HCStepRatings++ },
-		func(e *Engine) { e.Detect.ARCRelDelta = math.Copysign(0, -1) },
-	}
-	for i, flip := range flips {
-		e := base
-		flip(&e)
-		if fingerprint(e) == want {
-			t.Fatalf("flip %d left the fingerprint unchanged", i)
+	var leaves [][]int
+	var walk func(typ reflect.Type, at []int)
+	walk = func(typ reflect.Type, at []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			idx := append(slices.Clip(at), i)
+			if f := typ.Field(i); f.Type.Kind() == reflect.Struct {
+				walk(f.Type, idx)
+			} else if f.Name != "Workers" {
+				leaves = append(leaves, idx)
+			}
 		}
+	}
+	walk(reflect.TypeOf(base), nil)
+	for _, idx := range leaves {
+		e := base
+		f := reflect.ValueOf(&e).Elem().FieldByIndex(idx)
+		switch f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(math.Nextafter(f.Float(), math.Inf(1)))
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("field %v: no change defined for kind %v", idx, f.Kind())
+		}
+		name := reflect.TypeOf(base).FieldByIndex(idx).Name
+		if fingerprint(base) != want || fingerprint(e) == want || fingerprint(e) == want || fingerprint(base) != want {
+			t.Fatalf("changing %s left the fingerprint unchanged", name)
+		}
+	}
+	if len(leaves) < 20 {
+		t.Fatalf("found %d key fields, want every detector field and both ablation flags", len(leaves))
+	}
+	zero, negZero := base, base
+	zero.Detect.ARCRelDelta, negZero.Detect.ARCRelDelta = 0, math.Copysign(0, -1)
+	if fingerprint(zero) == want || fingerprint(negZero) != fingerprint(zero) {
+		t.Fatal("a zero's sign changed the fingerprint, or a zero left it unchanged")
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -19,7 +20,8 @@ import (
 // FuzzStoreReplay feeds arbitrary bytes to Open as shard 0's wal.log in a
 // two-shard directory, first alone and then behind a snapshot of shard 0
 // holding the records those bytes decode to, in the same order (so the
-// log replays them again). Open must not panic or fail (a bad log tail is
+// log replays them again): a version-2 snapshot as Compact writes it, and
+// a version-1 snapshot of the same records in the log's framing. Open must not panic or fail (a bad log tail is
 // truncated, never fatal), and replay, run by run, must agree with the
 // live path: the recovered store holds exactly the series and versions an
 // in-memory store gets from Submitting the snapshot's records and then
@@ -84,14 +86,18 @@ func FuzzStoreReplay(f *testing.F) {
 		fs := faultfs.New()
 		fs.WriteFile(logPath, log)
 		recs, truncated := replayLog(t, fs.Clone())
-		for _, withSnap := range []bool{false, true} {
-			if withSnap {
+		for snapVersion := 0; snapVersion <= 2; snapVersion++ {
+			withSnap := snapVersion > 0
+			switch snapVersion {
+			case 1:
+				writeV1Snapshot(t, fs, recs)
+			case 2:
 				writeSnapshot(t, fs, recs)
 				fs.WriteFile(logPath, log)
 			}
 			st, rep, err := Open(horizon, products, Options{FS: fs.Clone(), Shards: shards})
 			if err != nil {
-				t.Fatalf("Open (snapshot %v): %v", withSnap, err)
+				t.Fatalf("Open (snapshot version %d): %v", snapVersion, err)
 			}
 
 			ref, err := New(horizon, products, shards)
@@ -128,12 +134,12 @@ func FuzzStoreReplay(f *testing.F) {
 				apply(r, &want.ReplayedRatings)
 			}
 			if !reflect.DeepEqual(*rep, want) {
-				t.Fatalf("snapshot %v: recovery report %+v, want %+v", withSnap, *rep, want)
+				t.Fatalf("snapshot version %d: recovery report %+v, want %+v", snapVersion, *rep, want)
 			}
 			got, exp := st.View(), ref.View()
 			for i, p := range got.Products {
 				if q := exp.Products[i]; !reflect.DeepEqual(p, q) {
-					t.Fatalf("snapshot %v: recovered %#v, live path %#v", withSnap, p, q)
+					t.Fatalf("snapshot version %d: recovered %#v, live path %#v", snapVersion, p, q)
 				}
 			}
 			st.Close()
@@ -182,6 +188,20 @@ func writeSnapshot(t *testing.T, fs *faultfs.FS, recs []wal.Record) {
 		t.Fatal(err)
 	}
 	w.Close()
+}
+
+// writeV1Snapshot publishes recs, in order, as shard 0's snapshot in fs in
+// format version 1: the header, then each record in the log's framing,
+// with no receipt time.
+func writeV1Snapshot(t *testing.T, fs *faultfs.FS, recs []wal.Record) {
+	t.Helper()
+	bare := make([]wal.Record, len(recs))
+	for i, r := range recs {
+		bare[i] = wal.Record{Product: r.Product, Rater: r.Rater, Value: r.Value, Day: r.Day}
+	}
+	img := binary.LittleEndian.AppendUint32([]byte("RSNP"), 1)
+	img = binary.LittleEndian.AppendUint64(img, uint64(len(recs)))
+	fs.WriteFile(wal.ShardDir(0)+"/snapshot.json", append(img, encodeLog(t, bare...)...))
 }
 
 // holdsExact reports whether st already holds r's rater on r's product

@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,16 +17,19 @@ import (
 	"repro/internal/wal"
 )
 
-var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/pinned from pinnedHistory instead of checking it")
+var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/pinned-v2 from pinnedHistory instead of checking it")
 
-// The pinned WAL directory: a manifest and two shards, written by the
+// The pinned WAL directories: a manifest and two shards, written by the
 // store from pinnedHistory and then killed (copied before Close). Shard
 // pinnedSnapShard checkpointed after pinnedSnapEvery ratings and holds a
 // snapshot and a log tail; the other shard holds a log only, ending in a
-// torn half frame. A change to the frame, snapshot or manifest bytes that
-// DESIGN.md §7 does not describe fails the tests below.
+// torn half frame. pinnedDir holds a version-1 snapshot and is kept as
+// it was recorded; pinnedV2Dir holds a version-2 snapshot and is what
+// -update-pinned rewrites. A change to the frame, snapshot or manifest
+// bytes that DESIGN.md §7 does not describe fails the tests below.
 const (
 	pinnedDir       = "testdata/pinned"
+	pinnedV2Dir     = "testdata/pinned-v2"
 	pinnedHorizon   = 90
 	pinnedShards    = 2
 	pinnedSnapEvery = 6
@@ -59,13 +65,13 @@ func pinnedHistory() (products []string, hist []wal.Record, torn wal.Record) {
 // pinnedSnapShard is the shard that checkpoints.
 func pinnedSnapShard(products []string) int { return Route(products[0], pinnedShards) }
 
-// pinnedFS loads the pinned directory into a fresh faultfs, so opening
-// it truncates the copy and never the checked-in files.
-func pinnedFS(t *testing.T) *faultfs.FS {
+// pinnedFS loads a pinned directory into a fresh faultfs, so opening it
+// truncates the copy and never the checked-in files.
+func pinnedFS(t *testing.T, dir string) *faultfs.FS {
 	t.Helper()
 	fs := faultfs.New()
 	for _, name := range pinnedFiles {
-		data, err := os.ReadFile(filepath.Join(pinnedDir, name))
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if os.IsNotExist(err) {
 			continue
 		}
@@ -77,7 +83,7 @@ func pinnedFS(t *testing.T) *faultfs.FS {
 	return fs
 }
 
-// writePinned regenerates the pinned directory: the store Submits
+// writePinned regenerates the version-2 pinned directory: the store Submits
 // pinnedHistory with the snapshot trigger at pinnedSnapEvery, the
 // directory is copied before Close (a kill), and half of torn's frame is
 // appended to the other shard's log.
@@ -109,7 +115,7 @@ func writePinned(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		path := filepath.Join(pinnedDir, name)
+		path := filepath.Join(pinnedV2Dir, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -142,24 +148,16 @@ func encodeLog(t testing.TB, recs ...wal.Record) []byte {
 	return data
 }
 
-// TestPinnedWALDirectory opens the pinned directory with the current
-// code: the recovered ratings must equal an in-memory store's after it
-// Submits pinnedHistory, and the RecoveryReport must equal the recorded
-// one.
+// TestPinnedWALDirectory opens both pinned directories with the current
+// code: from each, the recovered ratings must equal an in-memory store's
+// after it Submits pinnedHistory, and the RecoveryReport must equal the
+// recorded one, so the version-1 and the version-2 snapshot recover the
+// same View and report.
 func TestPinnedWALDirectory(t *testing.T) {
 	if *updatePinned {
 		writePinned(t)
 	}
 	products, hist, torn := pinnedHistory()
-	st, rep, err := Open(pinnedHorizon, products, Options{FS: pinnedFS(t), Shards: pinnedShards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	want := RecoveryReport{SnapshotRatings: 6, ReplayedRatings: 8, TruncatedBytes: int64(len(encodeLog(t, torn)) / 2)}
-	if !reflect.DeepEqual(*rep, want) {
-		t.Fatalf("report %+v, want %+v", *rep, want)
-	}
 	ref, err := New(pinnedHorizon, products, pinnedShards)
 	if err != nil {
 		t.Fatal(err)
@@ -169,12 +167,23 @@ func TestPinnedWALDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, exp := st.View(), ref.View(); !reflect.DeepEqual(got, exp) {
-		t.Fatalf("recovered %+v, want %+v", got, exp)
+	want := RecoveryReport{SnapshotRatings: 6, ReplayedRatings: 8, TruncatedBytes: int64(len(encodeLog(t, torn)) / 2)}
+	for _, dir := range []string{pinnedDir, pinnedV2Dir} {
+		st, rep, err := Open(pinnedHorizon, products, Options{FS: pinnedFS(t, dir), Shards: pinnedShards})
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		if !reflect.DeepEqual(*rep, want) {
+			t.Fatalf("%s: report %+v, want %+v", dir, *rep, want)
+		}
+		if got, exp := st.View(), ref.View(); !reflect.DeepEqual(got, exp) {
+			t.Fatalf("%s: recovered %+v, want %+v", dir, got, exp)
+		}
+		st.Close()
 	}
 }
 
-// TestPinnedWALBytes re-encodes the pinned files from pinnedHistory and
+// TestPinnedWALBytes re-encodes the version-2 pinned files from pinnedHistory and
 // compares them byte for byte: the snapshot from the checkpointed
 // shard's first pinnedSnapEvery ratings, each log from the records
 // submitted after its shard's checkpoint, and the manifest from its
@@ -214,7 +223,7 @@ func TestPinnedWALBytes(t *testing.T) {
 	want[wal.ShardDir(snapShard)+"/snapshot.json"], _ = snapFS.ReadFile("snapshot.json")
 	for s := range tails {
 		logName := wal.ShardDir(s) + "/wal.log"
-		recorded, err := os.ReadFile(filepath.Join(pinnedDir, logName))
+		recorded, err := os.ReadFile(filepath.Join(pinnedV2Dir, logName))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +260,7 @@ func TestPinnedWALBytes(t *testing.T) {
 	want["wal-manifest.json"], _ = mfs.ReadFile("wal-manifest.json")
 
 	for _, name := range pinnedFiles {
-		got, err := os.ReadFile(filepath.Join(pinnedDir, name))
+		got, err := os.ReadFile(filepath.Join(pinnedV2Dir, name))
 		if os.IsNotExist(err) {
 			got = nil
 		} else if err != nil {
@@ -260,5 +269,80 @@ func TestPinnedWALBytes(t *testing.T) {
 		if !bytes.Equal(got, want[name]) {
 			t.Errorf("%s: recorded %d bytes %x\nre-encoded %d bytes %x", name, len(got), got, len(want[name]), want[name])
 		}
+	}
+}
+
+// TestPinnedSnapshotSecondReader parses the version-2 pinned snapshot from
+// DESIGN.md §7's format table alone, without internal/wal: a header
+// (magic, version 2, record count), then per product a block of a body
+// length, the CRC32 (IEEE) of the whole body, and the body (the product
+// ID, N, N rater lengths, the rater bytes, N value bits and N day bits).
+// The blocks must hold the checkpointed shard's first pinnedSnapEvery
+// ratings, product by product in series order, as an in-memory store
+// builds them from pinnedHistory.
+func TestPinnedSnapshotSecondReader(t *testing.T) {
+	products, hist, _ := pinnedHistory()
+	snapShard := pinnedSnapShard(products)
+	part, err := New(pinnedHorizon, products, pinnedShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapped := 0
+	for _, r := range hist {
+		if Route(r.Product, pinnedShards) == snapShard && snapped < pinnedSnapEvery {
+			snapped++
+			if _, err := part.Submit(context.Background(), r.Product, r.Rater, r.Value, r.Day); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type rating struct {
+		product, rater     string
+		valueBits, dayBits uint64
+	}
+	var want []rating
+	for _, p := range part.shards[snapShard].data.Products {
+		for _, r := range p.Ratings {
+			want = append(want, rating{p.ID, r.Rater, math.Float64bits(r.Value), math.Float64bits(r.Day)})
+		}
+	}
+
+	data, err := os.ReadFile(filepath.Join(pinnedV2Dir, wal.ShardDir(snapShard), "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	if len(data) < 16 || string(data[:4]) != "RSNP" || le.Uint32(data[4:]) != 2 {
+		t.Fatalf("header %x, want magic RSNP and version 2", data[:min(len(data), 16)])
+	}
+	count := le.Uint64(data[8:])
+	var got []rating
+	for off := 16; off < len(data); {
+		if len(data)-off < 8 || len(data)-off-8 < int(le.Uint32(data[off:])) {
+			t.Fatalf("block at byte %d runs past the file", off)
+		}
+		body := data[off+8 : off+8+int(le.Uint32(data[off:]))]
+		if crc32.ChecksumIEEE(body) != le.Uint32(data[off+4:]) {
+			t.Fatalf("block at byte %d: the CRC32 of its body is %08x, the block says %08x", off, crc32.ChecksumIEEE(body), le.Uint32(data[off+4:]))
+		}
+		off += 8 + len(body)
+		product := string(body[2 : 2+le.Uint16(body)])
+		rest := body[2+len(product):]
+		n := int(le.Uint32(rest))
+		lens, rest := rest[4:4+2*n], rest[4+2*n:]
+		raters := make([]string, n)
+		for i := range raters {
+			l := le.Uint16(lens[2*i:])
+			raters[i], rest = string(rest[:l]), rest[l:]
+		}
+		if len(rest) != 16*n {
+			t.Fatalf("block of %q: %d bytes of value and day columns, want %d", product, len(rest), 16*n)
+		}
+		for i, rater := range raters {
+			got = append(got, rating{product, rater, le.Uint64(rest[8*i:]), le.Uint64(rest[8*(n+i):])})
+		}
+	}
+	if count != uint64(len(got)) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the header counts %d records, the blocks hold %+v; want %+v", count, got, want)
 	}
 }

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"sync"
@@ -179,20 +181,25 @@ func (h *handleFS) Create(name string) (wal.File, error)     { return h.count(h.
 func (h *handleFS) Open(name string) (wal.File, error)       { return h.count(h.FS.Open(name)) }
 func (h *handleFS) OpenAppend(name string) (wal.File, error) { return h.count(h.FS.OpenAppend(name)) }
 
-// A snapshot corrupt at record k has already replayed k records into its
-// shard when recovery finds the damage. The reopen must still fail as a
-// corrupt snapshot naming record k, return no store and no report, and
-// leave no shard WAL open, including those of the shards that recovered
-// cleanly.
+// A snapshot corrupt at block k has already replayed blocks 0…k−1 into
+// its shard when recovery finds the damage. The reopen must still fail as
+// a corrupt snapshot naming block k and its offset, return no store and
+// no report, leave the file as it was and leave no shard WAL open,
+// including those of the shards that recovered cleanly. The damage goes
+// into the first, a middle and the last block of one shard's snapshot,
+// and into one frame of the same shard's records written as a
+// version-1 snapshot, which names the record. A block whose record count
+// disagrees with or overruns its body, its CRC recomputed, fails on its
+// layout.
 func TestCorruptSnapshotFailsStoreOpen(t *testing.T) {
 	const shards = 4
-	products := testProducts(8)
+	products := testProducts(16)
 	base := faultfs.New()
 	st, _, err := Open(90, products, Options{FS: base, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitN(t, st, 80)
+	submitN(t, st, 160)
 	if err := st.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -205,31 +212,67 @@ func TestCorruptSnapshotFailsStoreOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frame offsets of the victim's snapshot records: after the 16-byte
-	// header, each frame is its u32 payload length, its CRC and the payload.
-	var frames []int
+	// Block offsets of the victim's snapshot: after the 16-byte header,
+	// each block is its u32 body length, its CRC and the body.
+	var blocks []int
 	for off := 16; off < len(img); off += 8 + int(binary.LittleEndian.Uint32(img[off:])) {
-		frames = append(frames, off)
+		blocks = append(blocks, off)
 	}
-	if len(frames) < 3 {
-		t.Fatalf("shard %d's snapshot holds %d records, want at least 3", victim, len(frames))
+	if len(blocks) < 3 {
+		t.Fatalf("shard %d's snapshot holds %d blocks, want at least 3", victim, len(blocks))
 	}
-	for _, k := range []int{0, len(frames) / 2, len(frames) - 1} {
-		bad := bytesWithFlip(img, frames[k]+8+3) // inside record k's payload: its CRC fails
+	requireFails := func(label string, bad []byte, want string) {
+		t.Helper()
 		fs := base.Clone()
 		fs.WriteFile(snapName, bad)
 		h := &handleFS{FS: fs}
 		st, rep, err := Open(90, products, Options{FS: h, Shards: shards})
-		if !errors.Is(err, wal.ErrCorruptSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("record %d of %d", k, len(frames))) {
-			t.Fatalf("record %d corrupt: Open error %v, want a corrupt snapshot at record %d of %d", k, err, k, len(frames))
+		if !errors.Is(err, wal.ErrCorruptSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Open error %v, want a corrupt snapshot at %s", label, err, want)
 		}
 		if st != nil || rep != nil {
-			t.Fatalf("record %d corrupt: Open returned a store (%v) or a report (%+v) beside its error", k, st != nil, rep)
+			t.Fatalf("%s: Open returned a store (%v) or a report (%+v) beside its error", label, st != nil, rep)
 		}
 		if h.open != 0 {
-			t.Fatalf("record %d corrupt: %d file handles left open after the failed Open", k, h.open)
+			t.Fatalf("%s: %d file handles left open after the failed Open", label, h.open)
+		}
+		if after, _ := fs.ReadFile(snapName); !bytes.Equal(after, bad) {
+			t.Fatalf("%s: Open rewrote the corrupt snapshot", label)
 		}
 	}
+	for _, k := range []int{0, len(blocks) / 2, len(blocks) - 1} {
+		// Inside block k's body: its CRC fails.
+		requireFails(fmt.Sprintf("block %d", k), bytesWithFlip(img, blocks[k]+8+3), fmt.Sprintf("block %d at byte %d: CRC mismatch", k, blocks[k]))
+	}
+	for _, overrun := range []bool{false, true} {
+		bad := bytes.Clone(img)
+		body := bad[blocks[1]+8 : blocks[2]]
+		count := body[2+binary.LittleEndian.Uint16(body):]
+		n, want := binary.LittleEndian.Uint32(count)+1, "do not tile"
+		if overrun {
+			n, want = 1<<20, "in"
+		}
+		binary.LittleEndian.PutUint32(count, n)
+		binary.LittleEndian.PutUint32(bad[blocks[1]+4:], crc32.ChecksumIEEE(body))
+		requireFails(fmt.Sprintf("record count %d", n), bad, fmt.Sprintf("block 1 at byte %d: %d records %s", blocks[1], n, want))
+	}
+
+	var recs []wal.Record
+	for _, p := range st.View().Products {
+		for _, r := range p.Ratings {
+			if Route(p.ID, shards) == victim {
+				recs = append(recs, wal.Record{Product: p.ID, Rater: r.Rater, Value: r.Value, Day: r.Day})
+			}
+		}
+	}
+	frames := encodeLog(t, recs...)
+	v1 := binary.LittleEndian.AppendUint32([]byte("RSNP"), 1)
+	v1 = append(binary.LittleEndian.AppendUint64(v1, uint64(len(recs))), frames...)
+	k, frame := len(recs)/2, 16
+	for i := 0; i < k; i++ {
+		frame += 8 + int(binary.LittleEndian.Uint32(v1[frame:]))
+	}
+	requireFails("version-1 record", bytesWithFlip(v1, frame+8+3), fmt.Sprintf("record %d of %d", k, len(recs)))
 }
 
 // bytesWithFlip returns a copy of b with byte i inverted.

@@ -215,10 +215,11 @@ func (m *Manager) Clone() *Manager { return m.CloneOver(m.syms) }
 
 // CloneOver is Clone onto the table t, which must extend the receiver's
 // (every ordinal names the same rater in both), as a table returned by
-// Intern does. t is frozen from then on.
+// Intern does. t is frozen from then on; the clone has room for each of
+// its raters, so ObserveAt never regrows it.
 func (m *Manager) CloneOver(t *Symbols) *Manager {
 	t.shared.Store(true)
-	return &Manager{syms: t, recs: slices.Clone(m.recs), n: m.n}
+	return &Manager{syms: t, recs: append(make([]slot, 0, max(len(m.recs), t.Len())), m.recs...), n: m.n}
 }
 
 // Reset forgets all evidence.

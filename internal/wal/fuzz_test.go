@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // FuzzWALDecode drives the record decoder and the torn-tail recovery scan
@@ -37,7 +40,7 @@ func FuzzWALDecode(f *testing.F) {
 	huge := binary.LittleEndian.AppendUint32(nil, maxRecordSize+1)
 	f.Add(append(huge, seed...), uint16(3), uint32(100))
 	for _, name := range []string{"shard-000/wal.log", "shard-001/wal.log"} {
-		log := readPinned(f, name)
+		log := readPinned(f, "pinned", name)
 		f.Add(log, uint16(len(log)/2), uint32(len(log)*3))
 	}
 
@@ -141,96 +144,173 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzSnapshotDecode drives the snapshot reader with arbitrary, cut and
-// bit-flipped images. A published snapshot is never torn, so the contract
-// differs from the log's (DESIGN.md §7):
+// bit-flipped images of both format versions it reads. A published
+// snapshot is never torn, so the contract differs from the log's
+// (DESIGN.md §7):
 //
 //  1. decodeSnapshot never panics on arbitrary bytes, and an image it
-//     accepts re-encodes (header plus appendRecord frames) to the
-//     identical bytes: the format is canonical, and a JSON checkpoint
-//     from an earlier build is never accepted.
+//     accepts re-encodes in its own version (encodeSnapshot for version 2,
+//     a header plus appendRecord frames for version 1) to the identical
+//     bytes: the format is canonical, and a JSON checkpoint from an
+//     earlier build is never accepted.
 //  2. Cutting an encoded image at any byte short of its end is rejected.
 //  3. Flipping any single bit is rejected or decodes to exactly the
 //     encoded records: a damaged snapshot never yields a shorter or
 //     different history.
 func FuzzSnapshotDecode(f *testing.F) {
 	var seed []byte
-	seed = appendSnapshotHeader(seed, 2)
+	seed = appendV1Header(seed, 2)
 	seed, _ = appendRecord(seed, Record{Product: "p0", Rater: "alice", Value: 4.5, Day: 3})
 	seed, _ = appendRecord(seed, Record{Product: "p1", Rater: "bob", Value: 1, Day: 61})
 	f.Add(seed, uint16(len(seed)-1), uint32(5))
-	f.Add(appendSnapshotHeader(nil, 0), uint16(3), uint32(70))
+	f.Add(appendV1Header(nil, 0), uint16(3), uint32(70))
 	f.Add([]byte(`{"horizonDays":90,"products":[{"id":"tv0","ratings":[{"day":1,"value":4,"rater":"a"}]}]}`), uint16(9), uint32(1))
 	f.Add([]byte("RSNP\x02\x00\x00\x00"), uint16(0), uint32(0))
 	f.Add([]byte("not a snapshot"), uint16(7), uint32(13))
-	snap := readPinned(f, "shard-001/snapshot.json")
+	snap := readPinned(f, "pinned", "shard-001/snapshot.json")
 	f.Add(snap, uint16(len(snap)/2), uint32(len(snap)*5))
+	// Version 2: the pinned snapshot, its first block with one CRC bit
+	// flipped, and a block whose N claims more records than its body
+	// holds (its CRC recomputed, so the count check is what refuses it).
+	snap = readPinned(f, "pinned-v2", "shard-001/snapshot.json")
+	f.Add(snap, uint16(len(snap)/3), uint32(len(snap)*7))
+	badCRC := bytes.Clone(snap)
+	badCRC[snapshotHeaderSize+4] ^= 1
+	f.Add(badCRC, uint16(0), uint32(0))
+	overrun, _ := encodeSnapshot(&dataset.Dataset{Products: []dataset.Product{{ID: "p0", Ratings: dataset.Series{{Day: 3, Value: 4.5, Rater: "alice"}}}}})
+	body := overrun[snapshotHeaderSize+headerSize:]
+	binary.LittleEndian.PutUint32(body[2+len("p0"):], 2)
+	binary.LittleEndian.PutUint32(overrun[snapshotHeaderSize+4:], crc32.ChecksumIEEE(body))
+	f.Add(overrun, uint16(len(overrun)-1), uint32(9))
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
 		// (1) Arbitrary bytes.
-		if recs, err := decodeSnapshotRecords(t, raw); err == nil {
-			if re := encodeRecords(t, recs); !bytes.Equal(re, raw) {
+		if runs, err := decodeSnapshotRuns(t, raw); err == nil {
+			re := encodeV1(t, runs.recs)
+			if binary.LittleEndian.Uint32(raw[4:]) == snapshotVersion {
+				re = encodeV2(t, runs)
+			}
+			if !bytes.Equal(re, raw) {
 				t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", raw, re)
 			}
 		}
 
-		// Encode a known-good image from the fuzz input (possibly empty).
+		// Encode a known-good image of each version from the fuzz input
+		// (possibly empty). A snapshot holds no receipt time.
 		recs := deriveRecords(raw)
-		img := encodeRecords(t, recs)
-		got, err := decodeSnapshotRecords(t, img)
-		if err != nil {
-			t.Fatalf("encoded snapshot rejected: %v", err)
+		for i := range recs {
+			recs[i].ReceivedUnixNano = 0
 		}
-		requireSameRecords(t, "round trip", recs, got)
+		for _, img := range [][]byte{encodeV1(t, recs), encodeV2(t, runsOf(recs))} {
+			got, err := decodeSnapshotRuns(t, img)
+			if err != nil {
+				t.Fatalf("encoded snapshot rejected: %v", err)
+			}
+			requireSameRecords(t, "round trip", recs, got.recs)
 
-		// (2) Every cut short of the end is rejected.
-		cutAt := int(cut) % len(img)
-		if got, err := decodeSnapshotRecords(t, img[:cutAt]); err == nil {
-			t.Fatalf("snapshot cut at %d of %d accepted with %d records", cutAt, len(img), len(got))
-		}
+			// (2) Every cut short of the end is rejected.
+			cutAt := int(cut) % len(img)
+			if got, err := decodeSnapshotRuns(t, img[:cutAt]); err == nil {
+				t.Fatalf("snapshot cut at %d of %d accepted with %d records", cutAt, len(img), len(got.recs))
+			}
 
-		// (3) A flipped bit is rejected or changes nothing.
-		flipAt := int(flip) % (len(img) * 8)
-		flipped := bytes.Clone(img)
-		flipped[flipAt/8] ^= 1 << (flipAt % 8)
-		if got, err := decodeSnapshotRecords(t, flipped); err == nil {
-			requireSameRecords(t, fmt.Sprintf("flip bit %d", flipAt), recs, got)
+			// (3) A flipped bit is rejected or changes nothing.
+			flipAt := int(flip) % (len(img) * 8)
+			flipped := bytes.Clone(img)
+			flipped[flipAt/8] ^= 1 << (flipAt % 8)
+			if got, err := decodeSnapshotRuns(t, flipped); err == nil {
+				requireSameRecords(t, fmt.Sprintf("flip bit %d", flipAt), recs, got.recs)
+			}
 		}
 	})
 }
 
-// readPinned reads a file of the pinned WAL directory that
-// internal/store's tests open and re-encode byte for byte.
-func readPinned(f *testing.F, name string) []byte {
+// readPinned reads a file of a pinned WAL directory that internal/store's
+// tests open and re-encode byte for byte.
+func readPinned(f *testing.F, dir, name string) []byte {
 	f.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", "pinned", name))
+	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", dir, name))
 	if err != nil {
 		f.Fatal(err)
 	}
 	return data
 }
 
-// decodeSnapshotRecords decodes a snapshot image, collecting the records
-// it replays, each of which must be flagged as the checkpoint's; on
-// success their number must be the count decodeSnapshot returns.
-func decodeSnapshotRecords(t *testing.T, data []byte) ([]Record, error) {
-	t.Helper()
-	var recs []Record
-	n, err := decodeSnapshot(data, &runDecoder{ids: map[string]string{}, rp: ReplayFunc(func(r Record, snapshot bool) {
-		if !snapshot {
-			t.Fatalf("snapshot record %d replayed as a log record", len(recs))
-		}
-		recs = append(recs, r)
-	})})
-	if err == nil && n != len(recs) {
-		t.Fatalf("decodeSnapshot counted %d records and replayed %d", n, len(recs))
-	}
-	return recs, err
+// snapshotRuns collects the runs a snapshot decode replays, as a dataset
+// with one product per run, and their records.
+type snapshotRuns struct {
+	t *testing.T
+	dataset.Dataset
+	recs []Record
 }
 
-// encodeRecords encodes recs as a binary snapshot image.
-func encodeRecords(t *testing.T, recs []Record) []byte {
+func (s *snapshotRuns) Expect([]byte) {}
+
+func (s *snapshotRuns) Replay(run Run) {
+	if !run.Snapshot {
+		s.t.Fatalf("snapshot run %d replayed as a log run", len(s.Products))
+	}
+	p := dataset.Product{ID: run.Product}
+	run.Each(func(r Record) {
+		if r.Product != run.Product {
+			s.t.Fatalf("run of %q replayed a record of %q", run.Product, r.Product)
+		}
+		p.Ratings = append(p.Ratings, dataset.Rating{Day: r.Day, Value: r.Value, Rater: r.Rater})
+		s.recs = append(s.recs, r)
+	})
+	s.Products = append(s.Products, p)
+}
+
+// runsOf groups records into runs: one product per stretch of records
+// naming one product.
+func runsOf(recs []Record) *snapshotRuns {
+	s := &snapshotRuns{recs: recs}
+	for i, r := range recs {
+		if i == 0 || r.Product != recs[i-1].Product {
+			s.Products = append(s.Products, dataset.Product{ID: r.Product})
+		}
+		p := &s.Products[len(s.Products)-1]
+		p.Ratings = append(p.Ratings, dataset.Rating{Day: r.Day, Value: r.Value, Rater: r.Rater})
+	}
+	return s
+}
+
+// decodeSnapshotRuns decodes a snapshot image, collecting the runs it
+// replays, each of which must be flagged as the checkpoint's; on success
+// their records must number the count decodeSnapshot returns.
+func decodeSnapshotRuns(t *testing.T, data []byte) (*snapshotRuns, error) {
 	t.Helper()
-	buf := appendSnapshotHeader(nil, len(recs))
+	runs := &snapshotRuns{t: t}
+	n, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)), &runDecoder{ids: map[string]string{}, rp: runs})
+	if err == nil && n != len(runs.recs) {
+		t.Fatalf("decodeSnapshot counted %d records and replayed %d", n, len(runs.recs))
+	}
+	return runs, err
+}
+
+// encodeV2 encodes runs as a snapshot image, one block per run.
+func encodeV2(t *testing.T, runs *snapshotRuns) []byte {
+	t.Helper()
+	img, err := encodeSnapshot(&runs.Dataset)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return img
+}
+
+// appendV1Header appends the header of a version-1 snapshot holding
+// count records.
+func appendV1Header(buf []byte, count int) []byte {
+	buf = append(buf, snapshotMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, 1)
+	return binary.LittleEndian.AppendUint64(buf, uint64(count))
+}
+
+// encodeV1 encodes recs as a version-1 snapshot image: the header, then
+// one log frame per record.
+func encodeV1(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	buf := appendV1Header(nil, len(recs))
 	for _, r := range recs {
 		var err error
 		if buf, err = appendRecord(buf, r); err != nil {
@@ -312,11 +392,17 @@ func FuzzManifest(f *testing.F) {
 // decodeRecord decodes the frame at the front of data as a Record, like
 // decodeFrame.
 func decodeRecord(data []byte) (Record, int, bool) {
-	payload, product, rater, n, ok := decodeFrame(data)
+	product, rater, tail, n, ok := decodeFrame(data)
 	if !ok {
 		return Record{}, 0, false
 	}
-	return payloadTail(payload, Record{Product: string(product), Rater: string(rater)}), n, true
+	return Record{
+		Product:          string(product),
+		Rater:            string(rater),
+		Value:            math.Float64frombits(binary.LittleEndian.Uint64(tail)),
+		Day:              math.Float64frombits(binary.LittleEndian.Uint64(tail[8:])),
+		ReceivedUnixNano: int64(binary.LittleEndian.Uint64(tail[16:])),
+	}, n, true
 }
 
 // scanRecords decodes records from the front of data until the first torn

@@ -105,10 +105,15 @@ func WriteFileAtomic(fsys FS, tmp, name string, data []byte, what string) error 
 	return nil
 }
 
-// ReadFile returns the whole of name, or ok = false when it does not
-// exist.
+// ReadFile returns the whole of name, read into one buffer of its exact
+// size, or ok = false when it does not exist.
 func ReadFile(fsys FS, name string) (data []byte, ok bool, err error) {
-	return readImage(fsys, name, name)
+	ok, err = readFile(fsys, name, func(f File, size int64) error {
+		data = make([]byte, size)
+		_, err := io.ReadFull(f, data)
+		return err
+	})
+	return data, ok, err
 }
 
 // HasLegacyState reports whether the base directory holds the

@@ -67,11 +67,11 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 }
 
 // decodeFrame checks the frame at the front of data and splits it in
-// place. It returns the frame's payload, the record's product and rater
-// bytes (all aliasing data) and the number of bytes consumed, or ok=false
-// when data holds no complete, checksum-valid record at its front (a
-// torn or corrupt tail). payloadTail decodes the other fields.
-func decodeFrame(data []byte) (payload, product, rater []byte, n int, ok bool) {
+// place. It returns the record's product and rater bytes and the payload's
+// last 24 bytes, which hold its value, day and receipt time (all aliasing
+// data), and the number of bytes consumed, or ok=false when data holds no
+// complete, checksum-valid record at its front (a torn or corrupt tail).
+func decodeFrame(data []byte) (product, rater, tail []byte, n int, ok bool) {
 	if len(data) < headerSize {
 		return nil, nil, nil, 0, false
 	}
@@ -79,7 +79,7 @@ func decodeFrame(data []byte) (payload, product, rater []byte, n int, ok bool) {
 	if payloadLen > maxRecordSize || len(data) < headerSize+payloadLen {
 		return nil, nil, nil, 0, false
 	}
-	payload = data[headerSize : headerSize+payloadLen]
+	payload := data[headerSize : headerSize+payloadLen]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
 		return nil, nil, nil, 0, false
 	}
@@ -99,17 +99,7 @@ func decodeFrame(data []byte) (payload, product, rater []byte, n int, ok bool) {
 	if len(rest) != rLen+24 {
 		return nil, nil, nil, 0, false
 	}
-	return payload, product, rest[:rLen], headerSize + payloadLen, true
-}
-
-// payloadTail sets r's value, day and receipt time from the last 24
-// bytes of a checked payload, where the format puts them.
-func payloadTail(payload []byte, r Record) Record {
-	tail := payload[len(payload)-24:]
-	r.Value = math.Float64frombits(binary.LittleEndian.Uint64(tail))
-	r.Day = math.Float64frombits(binary.LittleEndian.Uint64(tail[8:]))
-	r.ReceivedUnixNano = int64(binary.LittleEndian.Uint64(tail[16:]))
-	return r
+	return product, rest[:rLen], rest[rLen:], headerSize + payloadLen, true
 }
 
 // scanFrames walks the frames at the front of an image from their length
@@ -134,16 +124,27 @@ func scanFrames(data []byte, expect func(product []byte)) {
 	}
 }
 
-// runDecoder replays the frames Open decodes to a Replayer, run by run.
-// A run's product ID is looked up once in ids, which hands out one
-// string per distinct product, and its rater IDs become one string: a
-// file names a handful of products and thousands of raters, and each
-// copy would be an allocation the replay keeps alive. raters is scratch
-// for a run's rater bytes, reused from run to run.
+// runDecoder replays what Open decodes to a Replayer, run by run. A run's
+// product ID is looked up once in ids, which hands out one string per
+// distinct product, and its rater IDs become one string: a file names a
+// handful of products and thousands of raters, and each copy would be an
+// allocation the replay keeps alive. A log run's columns are gathered in
+// raters … received, and a snapshot block is read into block: scratch,
+// reused from run to run.
 type runDecoder struct {
-	rp     Replayer
-	ids    map[string]string
-	raters []byte
+	rp                                          Replayer
+	ids                                         map[string]string
+	raters, lens, values, days, received, block []byte
+}
+
+// intern returns the string ids holds for product, adding it if new.
+func (d *runDecoder) intern(product []byte) string {
+	id, ok := d.ids[string(product)]
+	if !ok {
+		id = string(product)
+		d.ids[id] = id
+	}
+	return id
 }
 
 // replay checks up to max frames at the front of data and replays them,
@@ -152,49 +153,35 @@ type runDecoder struct {
 // and the frames it consumed.
 func (d *runDecoder) replay(data []byte, max uint64, snapshot bool) (off int, count uint64) {
 	run := Run{Snapshot: snapshot}
-	start := 0
 	for ; count < max; count++ {
-		_, product, rater, n, ok := decodeFrame(data[off:])
+		product, rater, tail, n, ok := decodeFrame(data[off:])
 		if !ok {
 			break
 		}
-		if run.n > 0 && string(product) != run.Product {
-			d.flush(&run, data[start:off])
-			start = off
+		if len(d.lens) > 0 && string(product) != run.Product {
+			d.flush(&run)
 		}
-		if run.n == 0 {
-			id, ok := d.ids[string(product)]
-			if !ok {
-				id = string(product)
-				d.ids[id] = id
-			}
-			run.Product = id
+		if len(d.lens) == 0 {
+			run.Product = d.intern(product)
 		}
 		d.raters = append(d.raters, rater...)
-		run.n++
+		d.lens = binary.LittleEndian.AppendUint16(d.lens, uint16(len(rater)))
+		d.values = append(d.values, tail[:8]...)
+		d.days = append(d.days, tail[8:16]...)
+		d.received = append(d.received, tail[16:]...)
 		off += n
 	}
-	d.flush(&run, data[start:off])
+	d.flush(&run)
 	return off, count
 }
 
-// flush replays run, whose frames are frames, if it holds any record, and
-// empties it.
-func (d *runDecoder) flush(run *Run, frames []byte) {
-	if run.n == 0 {
+// flush replays the gathered columns as run, if they hold any record, and
+// empties them.
+func (d *runDecoder) flush(run *Run) {
+	if len(d.lens) == 0 {
 		return
 	}
-	run.frames, run.raters = frames, string(d.raters)
+	run.raters, run.lens, run.values, run.days, run.received = string(d.raters), d.lens, d.values, d.days, d.received
 	d.rp.Replay(*run)
-	run.n, d.raters = 0, d.raters[:0]
-}
-
-// eachPayload calls f with the payload of each frame of frames, which
-// decodeFrame has checked.
-func eachPayload(frames []byte, f func(payload []byte)) {
-	for off := 0; off < len(frames); {
-		l := int(binary.LittleEndian.Uint32(frames[off:]))
-		f(frames[off+headerSize : off+headerSize+l])
-		off += headerSize + l
-	}
+	d.raters, d.lens, d.values, d.days, d.received = d.raters[:0], d.lens[:0], d.values[:0], d.days[:0], d.received[:0]
 }

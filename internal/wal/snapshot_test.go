@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -117,11 +118,24 @@ func TestEmptySnapshotIsASnapshot(t *testing.T) {
 	}
 }
 
+// blockOffsets returns the byte offsets of a version-2 snapshot's blocks:
+// after the 16-byte header, each block is its u32 body length, its CRC
+// and the body.
+func blockOffsets(img []byte) []int {
+	var offs []int
+	for off := 16; off < len(img); off += 8 + int(binary.LittleEndian.Uint32(img[off:])) {
+		offs = append(offs, off)
+	}
+	return offs
+}
+
 // A published snapshot was fsynced before its rename, so any damage to it
 // is corruption, not a torn tail: Open fails naming the snapshot, leaves
 // the file as it found it, and never recovers a shorter history. A JSON
 // checkpoint of earlier builds, whole or cut, fails the same way and the
-// error names the format.
+// error names the format. A version-2 snapshot frames each product's
+// block as the log frames a record (a length, a CRC, a body), so the
+// frame cases damage blocks; a damaged block is named with its offset.
 func TestCorruptSnapshotFailsOpen(t *testing.T) {
 	fs := compacted(t, snapshotDataset())
 	good, err := fs.ReadFile("snapshot.json")
@@ -132,7 +146,11 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 	if err := snapshotDataset().WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	frame := (len(good) - 16) / 3 // the three records are the same size
+	blocks := blockOffsets(good)
+	if len(blocks) != 2 {
+		t.Fatalf("snapshot of two products holds %d blocks", len(blocks))
+	}
+	last := blocks[1]
 	flip := func(bit int) []byte {
 		b := bytes.Clone(good)
 		b[bit/8] ^= 1 << (bit % 8)
@@ -143,28 +161,38 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[4:], v)
 		return b
 	}
-	cases := map[string][]byte{
-		"empty file":               {},
-		"bit flip in magic":        flip(3),
-		"bit flip in count":        flip(8*8 + 1),
-		"bit flip in frame length": flip(8 * (16 + frame)),
-		"bit flip in CRC":          flip(8*(16+4) + 5),
-		"bit flip in payload":      flip(8 * (16 + 2*frame + 12)),
-		"cut in header":            good[:10],
-		"cut at frame boundary":    good[:16+2*frame],
-		"cut mid-frame":            good[:len(good)-3],
-		"trailing garbage":         append(bytes.Clone(good), 0x7, 0x13),
-		"trailing frame":           append(bytes.Clone(good), good[16:16+frame]...),
-		"bad magic":                append([]byte("XSNP"), good[4:]...),
-		"unknown version":          withVersion(2),
-		"version zero":             withVersion(0),
-		"broken legacy JSON":       []byte(`{"horizonDays":90,"products":[{"id":"tv0","ratings":[{"day":1,`),
-		"legacy JSON checkpoint":   js.Bytes(),
+	withCount := func(n uint64) []byte {
+		b := bytes.Clone(good)
+		binary.LittleEndian.PutUint64(b[8:], n)
+		return b
 	}
-	for name, img := range cases {
+	cases := map[string]struct {
+		img  []byte
+		want string // in the error, when set
+	}{
+		"empty file":               {img: []byte{}},
+		"bit flip in magic":        {img: flip(3)},
+		"bit flip in count":        {img: flip(8*8 + 1)},
+		"bit flip in frame length": {img: flip(8 * last), want: fmt.Sprintf("block 1 at byte %d", last)},
+		"bit flip in CRC":          {img: flip(8*(16+4) + 5), want: "block 0 at byte 16: CRC mismatch"},
+		"bit flip in payload":      {img: flip(8 * (last + 8 + 5)), want: fmt.Sprintf("block 1 at byte %d: CRC mismatch", last)},
+		"cut in header":            {img: good[:10]},
+		"cut at frame boundary":    {img: good[:last], want: fmt.Sprintf("block 1 at byte %d", last)},
+		"cut mid-frame":            {img: good[:len(good)-3], want: fmt.Sprintf("block 1 at byte %d", last)},
+		"trailing garbage":         {img: append(bytes.Clone(good), 0x7, 0x13), want: "2 trailing bytes"},
+		"trailing frame":           {img: append(bytes.Clone(good), good[last:]...), want: "trailing bytes"},
+		"count past the blocks":    {img: withCount(4), want: "3 of 4 records"},
+		"count short of a block":   {img: withCount(1), want: "block 0 at byte 16: 2 records pass the header's count of 1"},
+		"bad magic":                {img: append([]byte("XSNP"), good[4:]...)},
+		"unknown version":          {img: withVersion(3), want: "unknown version 3"},
+		"version zero":             {img: withVersion(0)},
+		"broken legacy JSON":       {img: []byte(`{"horizonDays":90,"products":[{"id":"tv0","ratings":[{"day":1,`)},
+		"legacy JSON checkpoint":   {img: js.Bytes()},
+	}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
 			bad := fs.Clone()
-			bad.WriteFile("snapshot.json", img)
+			bad.WriteFile("snapshot.json", c.img)
 			_, rc, err := openReplay(t, bad, wal.Options{})
 			if err == nil {
 				t.Fatalf("Open accepted a corrupt snapshot: %d records", len(rc.Records))
@@ -172,14 +200,70 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 			if !errors.Is(err, wal.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "snapshot.json") {
 				t.Fatalf("Open error %q does not name a corrupt snapshot.json", err)
 			}
-			if bytes.HasPrefix(img, []byte("{")) && !strings.Contains(err.Error(), "JSON checkpoint") {
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Open error %q does not say %q", err, c.want)
+			}
+			if bytes.HasPrefix(c.img, []byte("{")) && !strings.Contains(err.Error(), "JSON checkpoint") {
 				t.Fatalf("Open error %q does not name the JSON checkpoint format", err)
 			}
-			if after, _ := bad.ReadFile("snapshot.json"); !bytes.Equal(after, img) {
+			if after, _ := bad.ReadFile("snapshot.json"); !bytes.Equal(after, c.img) {
 				t.Fatal("Open rewrote the corrupt snapshot")
 			}
 		})
 	}
+}
+
+// A version-1 snapshot (the records in the log's framing) is still read:
+// it replays the records a version-2 snapshot of the same dataset does,
+// a bad frame in it fails naming the record, and the next Compact writes
+// version 2.
+func TestVersion1SnapshotStillRead(t *testing.T) {
+	d := snapshotDataset()
+	v1 := binary.LittleEndian.AppendUint32([]byte(wal.SnapshotMagic), 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 3)
+	v1 = append(v1, encodeLog(t, snapshotRecords(d)...)...)
+	fs := faultfs.New()
+	fs.WriteFile("snapshot.json", v1)
+	w, rc, err := openReplay(t, fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rc.HasSnapshot || rc.SnapshotRecords != 3 {
+		t.Fatalf("recovery has snapshot %v with %d records, want 3", rc.HasSnapshot, rc.SnapshotRecords)
+	}
+	requireRecords(t, "version 1", rc.Records, snapshotRecords(d))
+	if err := w.Compact(d); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if img, _ := fs.ReadFile("snapshot.json"); binary.LittleEndian.Uint32(img[4:]) != 2 {
+		t.Fatalf("Compact wrote version %d, want 2", binary.LittleEndian.Uint32(img[4:]))
+	}
+
+	bad := bytes.Clone(v1)
+	bad[len(bad)-5] ^= 0xff // inside the third record's payload
+	fs.WriteFile("snapshot.json", bad)
+	if _, _, err := openReplay(t, fs, wal.Options{}); !errors.Is(err, wal.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "record 2 of 3") {
+		t.Fatalf("Open error %v, want a corrupt snapshot at record 2 of 3", err)
+	}
+}
+
+// encodeLog returns the log bytes a fresh WAL writes for recs.
+func encodeLog(t *testing.T, recs ...wal.Record) []byte {
+	t.Helper()
+	fs := faultfs.New()
+	w, _, err := wal.Open(fs, wal.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	data, _ := fs.ReadFile("wal.log")
+	return data
 }
 
 // Compact on the production FS: the rename fsyncs the directory, and a

@@ -2,8 +2,9 @@
 // service durable: an append-only, length-prefixed, CRC32-checksummed log
 // of submitted ratings plus periodic full-dataset snapshots, so recovery
 // after a crash costs O(snapshot + log tail) rather than O(all history).
-// Both files use one record codec: a snapshot is a short header followed
-// by one log-framed record per rating.
+// The log frames each record with its own CRC, so a torn tail is found
+// at the record it tears; a snapshot is never torn, so it holds one
+// checksummed block of columns per product.
 //
 // Layout inside one WAL directory (the store gives each shard its own,
 // shard-NNN/ under a base that holds the Manifest):
@@ -33,9 +34,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sync"
@@ -144,27 +145,31 @@ type Run struct {
 	Product string
 	// Snapshot is set for a run of the checkpoint.
 	Snapshot bool
-	// frames holds the run's checksum-valid frames, aliasing Open's copy
-	// of the file; raters holds their rater IDs back to back.
-	frames []byte
-	raters string
-	n      int
+	// The records as columns, aliasing Open's buffers: the rater IDs back
+	// to back, their u16 lengths, and one u64 per record of value bits,
+	// day bits and receipt time (nil for a snapshot block: none).
+	raters                       string
+	lens, values, days, received []byte
 }
 
 // Len returns the number of records in the run.
-func (r Run) Len() int { return r.n }
+func (r Run) Len() int { return len(r.lens) / 2 }
 
 // Each calls f with each record of the run, in file order. Every
 // record's Product is the run's, and the Rater strings of a run share
 // one allocation.
 func (r Run) Each(f func(Record)) {
-	roff := 0
-	eachPayload(r.frames, func(payload []byte) {
-		// Every field but the rater has a length the run fixes.
-		end := roff + len(payload) - (minFrameSize - headerSize) - len(r.Product)
-		f(payloadTail(payload, Record{Product: r.Product, Rater: r.raters[roff:end]}))
-		roff = end
-	})
+	le := binary.LittleEndian
+	for i, off := 0, 0; i < r.Len(); i++ {
+		end := off + int(le.Uint16(r.lens[2*i:]))
+		rec := Record{Product: r.Product, Rater: r.raters[off:end],
+			Value: math.Float64frombits(le.Uint64(r.values[8*i:])), Day: math.Float64frombits(le.Uint64(r.days[8*i:]))}
+		if r.received != nil {
+			rec.ReceivedUnixNano = int64(le.Uint64(r.received[8*i:]))
+		}
+		f(rec)
+		off = end
+	}
 }
 
 // A Replayer receives what Open recovers while Open decodes it, so
@@ -179,8 +184,8 @@ type Replayer interface {
 	Expect(product []byte)
 	// Replay is called once per run of checksum-valid records, in order:
 	// the checkpoint's runs (product by product in series order), then
-	// the log tail's, in log order. A checkpoint that turns out to be
-	// corrupt at record k has already replayed its first k records when
+	// the log tail's, in log order. A checkpoint found corrupt at block k
+	// (record k in version 1) has already replayed what precedes it when
 	// Open fails, so a caller must discard what it built on a failed Open.
 	Replay(run Run)
 }
@@ -237,21 +242,18 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	if err := fsys.Remove(snapshotTmp); err != nil {
 		return nil, nil, fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
 	}
-	snap, hasSnap, err := readImage(fsys, snapshotName, "snapshot")
-	if err != nil {
-		return nil, nil, err
-	}
-	logImg, _, err := readImage(fsys, logName, "log")
+	logImg, _, err := ReadFile(fsys, logName)
 	if err != nil {
 		return nil, nil, err
 	}
 	scanFrames(logImg, rp.Expect)
-	rec := &Recovery{HasSnapshot: hasSnap}
-	dec := &runDecoder{rp: rp, ids: map[string]string{}}
-	if hasSnap {
-		if rec.SnapshotRecords, err = decodeSnapshot(snap, dec); err != nil {
-			return nil, nil, fmt.Errorf("wal: %s: %w", snapshotName, err)
-		}
+	rec, dec := &Recovery{}, &runDecoder{rp: rp, ids: map[string]string{}}
+	rec.HasSnapshot, err = readFile(fsys, snapshotName, func(f File, size int64) (err error) {
+		rec.SnapshotRecords, err = decodeSnapshot(f, size, dec)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	goodBytes, err := readLog(fsys, logImg, rec, dec)
 	if err != nil {
@@ -268,33 +270,25 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	return w, rec, nil
 }
 
-// readImage reads the whole of name into one buffer of its exact size;
-// ok is false when the file does not exist. The buffer is the only copy
-// of the file recovery makes: records are decoded from it in place and
-// handed to the Replayer run by run, and only what the Replayer keeps
-// (one rater string per run; product IDs are interned) outlives Open.
-// Neither the doubling buffers of io.ReadAll nor a slice of every
-// decoded record is built: at ~10k ratings such transient bytes pushed
-// the first report after a restart past the GC pacer's trigger. what
-// names the file in errors.
-func readImage(fsys FS, name, what string) (data []byte, ok bool, err error) {
+// readFile opens name and calls read with it and its size; ok is false
+// when the file does not exist.
+func readFile(fsys FS, name string, read func(f File, size int64) error) (ok bool, err error) {
 	f, err := fsys.Open(name)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
+		return false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("wal: open %s: %w", what, err)
+		return false, fmt.Errorf("wal: open %s: %w", name, err)
 	}
 	defer f.Close()
 	size, err := fsys.Size(name)
 	if err == nil {
-		data = make([]byte, size)
-		_, err = io.ReadFull(f, data)
+		err = read(f, size)
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("wal: read %s: %w", what, err)
+		return false, fmt.Errorf("wal: read %s: %w", name, err)
 	}
-	return data, true, nil
+	return true, nil
 }
 
 // readLog replays the checksum-valid records at the front of the log
@@ -498,8 +492,9 @@ func (w *WAL) Sync() error {
 
 // Compact checkpoints the full dataset and resets the log, bounding
 // recovery cost. The checkpoint is one binary snapshot image (see
-// snapshot.go): every rating of d as a log record, behind a magic,
-// version and count header. Write order matters for crash safety:
+// snapshot.go): every product's ratings as one checksummed block of
+// columns, behind a magic, version and count header. Write order matters
+// for crash safety:
 //
 //  1. write the image to snapshot.tmp and fsync it
 //  2. rename snapshot.tmp → snapshot.json (atomic; the directory is
