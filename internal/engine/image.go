@@ -421,11 +421,18 @@ func sized[T any](c *imageCodec, s *[]T, n, size int) {
 	*s = make([]T, n)
 }
 
-// f64s codes a slice of n float64s, n known to both sides.
+// f64s codes a slice of n float64s, n known to both sides; a decode
+// checks the row's bounds once.
 func (c *imageCodec) f64s(v *[]float64, n int) {
 	sized(c, v, n, 8)
-	for k := range *v {
-		c.f64(&(*v)[k])
+	if !c.dec {
+		for _, x := range *v {
+			c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(x))
+		}
+	} else if p := c.take(8 * len(*v)); p != nil {
+		for k := range *v {
+			(*v)[k] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*k:]))
+		}
 	}
 }
 
@@ -555,10 +562,9 @@ func (c *imageCodec) image(img *image) {
 				band := uint32(int32(a.Band))
 				c.u32(&band)
 				a.Band = detect.ARCBand(int32(band))
-				codeLen(c, &a.PeakDays, 8)
-				for k := range a.PeakDays {
-					c.f64(&a.PeakDays[k])
-				}
+				peaks := uint32(len(a.PeakDays))
+				c.u32(&peaks)
+				c.f64s(&a.PeakDays, int(peaks))
 				codeLen(c, &a.Segments, 25)
 				for k := range a.Segments {
 					sg := &a.Segments[k]

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -200,5 +201,74 @@ func TestEngineImageOldVersion(t *testing.T) {
 	}
 	if !strings.Contains(logged.String(), "engine image: restored 3 of 3 products, exact true") {
 		t.Fatalf("the version-3 image was not restored exactly; log:\n%s", logged.String())
+	}
+}
+
+// TestRestoredTrustConcurrentLookups reads rater trust from many
+// goroutines at once on a service that has just restored its evaluation
+// from engine.img. An exact restore interns nothing, so the first lookups
+// build the rater dictionary's name index together (trust.SymbolsOf
+// defers it), which -race checks; every reader must see the trust a cold
+// evaluation of the same ratings gives.
+func TestRestoredTrustConcurrentLookups(t *testing.T) {
+	ctx := context.Background()
+	fs := faultfs.New()
+	cold, err := New(imageScheme(0), imageHorizon, imageProducts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, _, err := OpenWAL(imageScheme(0), imageHorizon, imageProducts, WALOptions{FS: fs, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raters := []string{"nobody"}
+	for i := 0; i < 60; i++ {
+		r := fmt.Sprintf("r%d", i%25)
+		if i < 25 {
+			raters = append(raters, r)
+		}
+		for _, s := range []*Service{cold, svc} {
+			s.Submit(ctx, imageProducts[i%3], r, float64(i%11)/2, float64(i)*1.9)
+		}
+	}
+	if _, err := svc.Scores(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc, _, err = OpenWAL(imageScheme(0), imageHorizon, imageProducts, WALOptions{FS: fs, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.Scores(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.engState.Stats().Restored; got != uint64(len(imageProducts)) {
+		t.Fatalf("restored %d products, want %d", got, len(imageProducts))
+	}
+	want := make([]float64, len(raters))
+	for i, r := range raters {
+		want[i] = cold.Trust(ctx, r)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(raters))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range raters {
+				i := (k + 3*g) % len(raters)
+				if got := svc.Trust(ctx, raters[i]); got != want[i] {
+					errs <- fmt.Sprintf("reader %d: trust(%s) = %v, cold evaluation %v", g, raters[i], got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -20,15 +20,20 @@ import (
 // FuzzStoreReplay feeds arbitrary bytes to Open as shard 0's wal.log in a
 // two-shard directory, first alone and then behind a snapshot of shard 0
 // holding the records those bytes decode to, in the same order (so the
-// log replays them again): a version-2 snapshot as Compact writes it, and
-// a version-1 snapshot of the same records in the log's framing. Open must not panic or fail (a bad log tail is
-// truncated, never fatal), and replay, run by run, must agree with the
-// live path: the recovered store holds exactly the series and versions an
+// log replays them again): a version-2 snapshot as Compact writes it
+// (one block per stretch of one product's records), and a version-1
+// snapshot of the same records in the log's framing. The records are
+// read by the test's own frame reader (readFrames), in file order. Open
+// must not panic or fail (a bad log tail is truncated, never fatal), and
+// replay, which takes a log product by product, must agree with the live
+// path: the recovered store holds exactly the series and versions an
 // in-memory store gets from Submitting the snapshot's records and then
 // the log's in file order, with records whose product routes to shard 1
 // skipped. The recovery report (accepted, duplicate, skipped and
-// truncated counts, and the skip reasons) must match that reference too.
-// The pinned directory's files seed it.
+// truncated counts, and the skip reasons, in file order) must match that
+// reference too. The rater sets that the reopen, and a Load of the same
+// ratings, leave unbuilt must then refuse every rating again and take a
+// fresh rater (requireRaterSets). The pinned directory's files seed it.
 func FuzzStoreReplay(f *testing.F) {
 	const shards, horizon = 2, 90
 	products := testProducts(6)
@@ -85,7 +90,8 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, log []byte) {
 		fs := faultfs.New()
 		fs.WriteFile(logPath, log)
-		recs, truncated := replayLog(t, fs.Clone())
+		recs, good := readFrames(log)
+		truncated := int64(len(log) - good)
 		for snapVersion := 0; snapVersion <= 2; snapVersion++ {
 			withSnap := snapVersion > 0
 			switch snapVersion {
@@ -142,26 +148,43 @@ func FuzzStoreReplay(f *testing.F) {
 					t.Fatalf("snapshot version %d: recovered %#v, live path %#v", snapVersion, p, q)
 				}
 			}
+			requireRaterSets(t, "reopened", st)
 			st.Close()
+			loaded, err := New(horizon, products, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.Load(context.Background(), exp); err != nil {
+				t.Fatal(err)
+			}
+			requireRaterSets(t, "loaded", loaded)
 		}
 	})
 }
 
-// replayLog returns the records Open recovers from shard 0's log in fs
-// and the torn bytes it truncates.
-func replayLog(t *testing.T, fs *faultfs.FS) ([]wal.Record, int64) {
+// requireRaterSets re-submits every rating st holds, product by product:
+// each must fail as a duplicate and leave Generation as it was. Then a
+// rater new to the product must be accepted. A reopen and a Load build no
+// rater set; a product's first submit builds it from its series.
+func requireRaterSets(t *testing.T, label string, st *Store) {
 	t.Helper()
-	sub, err := wal.Sub(fs, wal.ShardDir(0))
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	for _, p := range st.View().Products {
+		gen, held := st.Generation(), map[string]bool{}
+		for _, r := range p.Ratings {
+			held[r.Rater] = true
+			if _, err := st.Submit(ctx, p.ID, r.Rater, r.Value, r.Day); !errors.Is(err, ErrDuplicateRating) || st.Generation() != gen {
+				t.Fatalf("%s: re-submitting %s/%s: %v, generation %d → %d; want a duplicate, unchanged", label, p.ID, r.Rater, err, gen, st.Generation())
+			}
+		}
+		fresh := "fresh"
+		for held[fresh] {
+			fresh += "+"
+		}
+		if _, err := st.Submit(ctx, p.ID, fresh, 3, 0); err != nil || st.Generation() != gen+1 {
+			t.Fatalf("%s: a fresh rater on %s: %v, generation %d → %d", label, p.ID, err, gen, st.Generation())
+		}
 	}
-	var recs []wal.Record
-	w, rec, err := wal.Open(sub, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) { recs = append(recs, r) }))
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
-	w.Close()
-	return recs, rec.TruncatedBytes
 }
 
 // writeSnapshot publishes recs, in order, as shard 0's snapshot in fs,

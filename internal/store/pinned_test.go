@@ -2,15 +2,19 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -188,7 +192,7 @@ func TestPinnedWALDirectory(t *testing.T) {
 // shard's first pinnedSnapEvery ratings, each log from the records
 // submitted after its shard's checkpoint, and the manifest from its
 // fields. A log frame's receipt time is the one thing the history does
-// not fix, so it is read back from the recorded frame.
+// not fix, so it is read back from the recorded frame (readFrames).
 func TestPinnedWALBytes(t *testing.T) {
 	products, hist, torn := pinnedHistory()
 	snapShard := pinnedSnapShard(products)
@@ -227,25 +231,12 @@ func TestPinnedWALBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := faultfs.New()
-		fs.WriteFile(logName, recorded)
-		sub, err := wal.Sub(fs, wal.ShardDir(s))
-		if err != nil {
-			t.Fatal(err)
+		recs, _ := readFrames(recorded)
+		if len(recs) != len(tails[s]) {
+			t.Fatalf("%s holds %d records, want %d", logName, len(recs), len(tails[s]))
 		}
-		i := 0
-		w, _, err := wal.Open(sub, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) {
-			if i < len(tails[s]) {
-				tails[s][i].ReceivedUnixNano = r.ReceivedUnixNano
-			}
-			i++
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Close()
-		if i != len(tails[s]) {
-			t.Fatalf("%s holds %d records, want %d", logName, i, len(tails[s]))
+		for i, r := range recs {
+			tails[s][i].ReceivedUnixNano = r.ReceivedUnixNano
 		}
 		want[logName] = encodeLog(t, tails[s]...)
 		if s != snapShard {
@@ -344,5 +335,156 @@ func TestPinnedSnapshotSecondReader(t *testing.T) {
 	}
 	if count != uint64(len(got)) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("the header counts %d records, the blocks hold %+v; want %+v", count, got, want)
+	}
+}
+
+// readFrames parses log frames from DESIGN.md §7's record table alone,
+// without internal/wal: each frame is a u32 payload length, the CRC32
+// (IEEE) of the payload, and the payload, at most 64 KiB, whose fields
+// (a u16 product ID length and the ID, a u16 rater ID length and the ID,
+// the value bits, the day bits and the receipt time) tile it exactly. It
+// returns the records of the frames in front of the first that breaks a
+// rule, in file order, and the bytes they span.
+func readFrames(data []byte) (recs []wal.Record, n int) {
+	le := binary.LittleEndian
+	for len(data)-n >= 8 {
+		l := int(le.Uint32(data[n:]))
+		if l > 1<<16 || len(data)-n-8 < l {
+			break
+		}
+		payload := data[n+8 : n+8+l]
+		if crc32.ChecksumIEEE(payload) != le.Uint32(data[n+4:]) || l < 2 {
+			break
+		}
+		p := int(le.Uint16(payload))
+		if l < 2+p+2 {
+			break
+		}
+		r := int(le.Uint16(payload[2+p:]))
+		if l != 2+p+2+r+24 {
+			break
+		}
+		tail := payload[4+p+r:]
+		recs = append(recs, wal.Record{
+			Product: string(payload[2 : 2+p]), Rater: string(payload[4+p : 4+p+r]),
+			Value: math.Float64frombits(le.Uint64(tail)), Day: math.Float64frombits(le.Uint64(tail[8:])),
+			ReceivedUnixNano: int64(le.Uint64(tail[16:])),
+		})
+		n += 8 + l
+	}
+	return recs, n
+}
+
+// TestPinnedLogSecondReader reads both pinned directories' log frames,
+// the version-1 snapshot's frames and the manifest from DESIGN.md §7's
+// tables alone (readFrames and encoding/json), without internal/wal.
+// Each shard's log must hold, in submit order, the ratings pinnedHistory
+// gave its products after its checkpoint, shard 0's log then half of
+// torn's frame, and the version-1 snapshot the checkpointed ratings,
+// product by product in series order, with receipt time 0. The
+// manifest must be exactly {version 1, 2 shards, hash "fnv1a64"}, and
+// every record must lie in the shard that FNV-1a-64 of its product ID,
+// mod 2, names (computed with hash/fnv).
+func TestPinnedLogSecondReader(t *testing.T) {
+	products, hist, torn := pinnedHistory()
+	snapShard := pinnedSnapShard(products)
+	type rating struct {
+		product, rater     string
+		valueBits, dayBits uint64
+	}
+	of := func(r wal.Record) rating {
+		return rating{r.Product, r.Rater, math.Float64bits(r.Value), math.Float64bits(r.Day)}
+	}
+	var tails [pinnedShards][]rating
+	var snapped []wal.Record
+	for _, r := range hist {
+		s := Route(r.Product, pinnedShards)
+		if s == snapShard && len(snapped) < pinnedSnapEvery {
+			snapped = append(snapped, r)
+			continue
+		}
+		tails[s] = append(tails[s], of(r))
+	}
+	var checkpoint []rating
+	for _, id := range products {
+		var series []wal.Record
+		for _, r := range snapped {
+			if r.Product == id {
+				series = append(series, r)
+			}
+		}
+		slices.SortStableFunc(series, func(a, b wal.Record) int { return cmp.Compare(a.Day, b.Day) })
+		for _, r := range series {
+			checkpoint = append(checkpoint, of(r))
+		}
+	}
+	tornLen := 8 + 2 + len(torn.Product) + 2 + len(torn.Rater) + 24
+	shardOf := func(product string) int {
+		h := fnv.New64a()
+		h.Write([]byte(product))
+		return int(h.Sum64() % pinnedShards)
+	}
+
+	for _, dir := range []string{pinnedDir, pinnedV2Dir} {
+		raw, err := os.ReadFile(filepath.Join(dir, "wal-manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Version, Shards int
+			Hash            string
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&m); err != nil || m.Version != 1 || m.Shards != pinnedShards || m.Hash != "fnv1a64" {
+			t.Fatalf("%s: manifest %s decodes to %+v (%v), want version 1, %d shards, hash fnv1a64", dir, raw, m, err, pinnedShards)
+		}
+		files := map[string][]rating{}
+		for s := 0; s < pinnedShards; s++ {
+			name := fmt.Sprintf("shard-%03d/wal.log", s)
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, n := readFrames(data)
+			want := 0
+			if s != snapShard {
+				want = tornLen / 2
+			}
+			if len(data)-n != want {
+				t.Fatalf("%s/%s: %d bytes after the last whole frame, want %d (torn's frame is %d bytes)", dir, name, len(data)-n, want, tornLen)
+			}
+			for _, r := range recs {
+				files[name] = append(files[name], of(r))
+				if shardOf(r.Product) != s {
+					t.Fatalf("%s/%s holds a record of %q, which FNV-1a routes to shard %d", dir, name, r.Product, shardOf(r.Product))
+				}
+			}
+			if !reflect.DeepEqual(files[name], tails[s]) {
+				t.Fatalf("%s/%s holds %+v, want %+v", dir, name, files[name], tails[s])
+			}
+		}
+		if dir != pinnedDir {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("shard-%03d/snapshot.json", snapShard)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		le := binary.LittleEndian
+		if len(data) < 16 || string(data[:4]) != "RSNP" || le.Uint32(data[4:]) != 1 {
+			t.Fatalf("version-1 snapshot header %x, want magic RSNP and version 1", data[:min(len(data), 16)])
+		}
+		recs, n := readFrames(data[16:])
+		var got []rating
+		for _, r := range recs {
+			if got = append(got, of(r)); r.ReceivedUnixNano != 0 {
+				t.Fatalf("version-1 snapshot record %+v has a receipt time", r)
+			}
+		}
+		if n != len(data)-16 || le.Uint64(data[8:]) != uint64(len(recs)) || !reflect.DeepEqual(got, checkpoint) {
+			t.Fatalf("version-1 snapshot: header counts %d, frames span %d of %d bytes and hold %+v; want %+v",
+				le.Uint64(data[8:]), n, len(data)-16, got, checkpoint)
+		}
 	}
 }

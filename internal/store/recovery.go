@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,7 +55,8 @@ type RecoveryReport struct {
 	DuplicateRecords int
 	// SkippedRecords counts records that failed validation (unknown
 	// product, out-of-range value or day, conflicting duplicate) and were
-	// dropped; SkipReasons holds the first few, for logs.
+	// dropped; SkipReasons holds the first few, for logs, shard by shard
+	// and within a shard in file order, the checkpoint's first.
 	SkippedRecords int
 	SkipReasons    []string
 	// TruncatedBytes counts torn log-tail bytes discarded by the WALs.
@@ -231,74 +233,81 @@ type replayer struct {
 	st     *Store
 	shard  int
 	report *RecoveryReport
-	// logCounts[pos] counts the log frames Expect saw for the shard's
-	// product at partition position pos (nil when it saw none).
+	// logCounts[pos] counts the log frames Expect announced for the
+	// shard's product at partition position pos (nil when it announced
+	// none).
 	logCounts []int
-	// last is the ID of the product Expect counted last, at position
-	// lastPos, so a stretch of one product's frames costs one routing
-	// lookup.
-	last    string
-	lastPos int
+	// raters is the duplicate check's scratch set, reused from run to
+	// run: the raters applied to the run's product so far. A product's
+	// own set is built on its first submit (shard.ratersLocked). It was
+	// made with room for room raters.
+	raters map[string]bool
+	room   int
+	// skipAt[k] is the file position of the record behind
+	// report.SkipReasons[k] (logSkip plus its frame for a log record).
+	skipAt []int64
 }
 
-// Expect counts one log frame against its product when the product
-// routes to this shard. Any other frame is skipped: openShards replays
-// shards concurrently, and a misrouted record (skipped when applied) must
-// not touch another shard's state.
-func (r *replayer) Expect(product []byte) {
-	if r.logCounts == nil || string(product) != r.last {
-		l, ok := r.st.byID[string(product)]
-		if !ok || l.shard != r.shard {
-			return
-		}
-		if r.logCounts == nil {
-			r.logCounts = make([]int, len(r.st.globals[r.shard]))
-		}
-		r.last, r.lastPos = r.st.products[r.st.globals[r.shard][l.pos]], l.pos
+// logSkip orders a log record's skip after every checkpoint record's.
+const logSkip = 1 << 48
+
+// Expect notes a product's log frame count when the product routes to
+// this shard. Any other product is skipped: openShards replays shards
+// concurrently, and a misrouted record (skipped when applied) must not
+// touch another shard's state.
+func (r *replayer) Expect(product string, frames int) {
+	l, ok := r.st.byID[product]
+	if !ok || l.shard != r.shard {
+		return
 	}
-	r.logCounts[r.lastPos]++
+	if r.logCounts == nil {
+		r.logCounts = make([]int, len(r.st.globals[r.shard]))
+	}
+	r.logCounts[l.pos] = frames
 }
 
-// Replay applies one run, counting its ratings as the checkpoint's or
-// the log's.
+// Replay applies one run to the shard, rating by rating in record order,
+// through Submit's validation in Submit's order, with a routing check
+// beside the product's existence (a record found in shard i's files must
+// route there), counting its ratings as the checkpoint's or the log's and
+// folding each outcome into the recovery report. The product is looked
+// up once per run. Its first accepted record sizes its series once, to
+// its log frames (logCounts) plus the run itself when it is the
+// checkpoint's. An exact duplicate (same product, rater, value, day) is
+// the expected residue of a crash mid-Compact and is dropped silently;
+// anything else invalid is counted and sampled as a skip.
 func (r *replayer) Replay(run wal.Run) {
-	applied := &r.report.ReplayedRatings
+	st, sh, report := r.st, r.st.shards[r.shard], r.report
+	applied := &report.ReplayedRatings
 	if run.Snapshot {
-		applied = &r.report.SnapshotRatings
+		applied = &report.SnapshotRatings
 	}
-	r.st.applyRun(r.shard, run, r.logCounts, applied, r.report)
-}
-
-// applyRun applies one recovered run to shard i, rating by rating in
-// record order, through Submit's validation in Submit's order, with a
-// routing check beside the product's existence (a record found in shard
-// i's files must route there), folding each outcome into the recovery
-// report. The product is looked up once per run. Its first accepted
-// record sizes its series and rater set once, to its log frames
-// (logCounts) plus the run itself when it is the checkpoint's. An exact
-// duplicate (same product, rater, value, day) is the expected residue of
-// a crash mid-Compact and is dropped silently; anything else invalid is
-// counted and sampled as a skip.
-//
-//lint:ignore lockheld only called during Open, before the Store is returned to any other goroutine; each shard is touched by exactly one replay goroutine
-func (st *Store) applyRun(i int, run wal.Run, logCounts []int, applied *int, report *RecoveryReport) {
-	sh := st.shards[i]
 	var runErr error
 	l, ok := st.byID[run.Product]
 	switch {
 	case !ok:
 		runErr = fmt.Errorf("%w: %q", ErrUnknownProduct, run.Product)
-	case l.shard != i:
-		runErr = fmt.Errorf("store: product %q routes to shard %d but its record was found in shard %d's log", run.Product, l.shard, i)
+	case l.shard != r.shard:
+		runErr = fmt.Errorf("store: product %q routes to shard %d but its record was found in shard %d's log", run.Product, l.shard, r.shard)
 	}
 	var p *dataset.Product
-	var seen map[string]bool
 	var ratings dataset.Series
 	if runErr == nil {
 		p = &sh.data.Products[l.pos]
-		seen, ratings = sh.seen[l.pos], p.Ratings
+		ratings = p.Ratings
+		// The set starts empty on the product's first run, and from the
+		// raters already applied on a later one. It is remade, not grown,
+		// for a product with more raters than it has room for.
+		if need := r.expected(run, l.pos) + len(ratings); need > r.room {
+			r.raters, r.room = make(map[string]bool, need), need
+		}
+		clear(r.raters)
+		for _, x := range ratings {
+			r.raters[x.Rater] = true
+		}
 	}
 	applied0 := *applied
+	j := 0
 	run.Each(func(rec wal.Record) {
 		err := checkRating(rec.Rater, rec.Value, rec.Day)
 		if err == nil {
@@ -308,20 +317,12 @@ func (st *Store) applyRun(i int, run wal.Run, logCounts []int, applied *int, rep
 			err = checkDay(rec.Day, sh.horizon)
 		}
 		if err == nil && ratings == nil {
-			n := run.Len()
-			if logCounts != nil {
-				if !run.Snapshot {
-					n = 0 // the log frames count this run too
-				}
-				n += logCounts[l.pos]
-			}
-			ratings, seen = make(dataset.Series, 0, n), make(map[string]bool, n)
-			sh.seen[l.pos] = seen
+			ratings = make(dataset.Series, 0, r.expected(run, l.pos))
 		}
 		if err == nil {
 			// One probe checks and sets: the set grows unless rater was in it.
-			n := len(seen)
-			if seen[rec.Rater] = true; len(seen) == n {
+			n := len(r.raters)
+			if r.raters[rec.Rater] = true; len(r.raters) == n {
 				err = fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rec.Rater, run.Product)
 			}
 		}
@@ -333,15 +334,44 @@ func (st *Store) applyRun(i int, run wal.Run, logCounts []int, applied *int, rep
 			report.DuplicateRecords++
 		default:
 			report.SkippedRecords++
-			if len(report.SkipReasons) < maxSkipReasons {
-				report.SkipReasons = append(report.SkipReasons,
-					fmt.Sprintf("%s/%s value=%v day=%v: %v", run.Product, rec.Rater, rec.Value, rec.Day, err))
-			}
+			r.sample(run, j, rec, err)
 		}
+		j++
 	})
 	if p != nil {
 		p.Ratings = ratings
 		p.Version += uint64(*applied - applied0)
+	}
+}
+
+// expected returns how many records the run brings to the product at
+// partition position pos: its own, and the log's too when it is the
+// checkpoint's.
+func (r *replayer) expected(run wal.Run, pos int) int {
+	if run.Snapshot && r.logCounts != nil {
+		return run.Len() + r.logCounts[pos]
+	}
+	return run.Len()
+}
+
+// sample keeps the reason for skipping the run's j-th record rec when it
+// is among the first maxSkipReasons skips in file order, the
+// checkpoint's before the log's: a log replays product by product, so a
+// skip can precede one already kept.
+func (r *replayer) sample(run wal.Run, j int, rec wal.Record, err error) {
+	at := int64(run.Frame(j))
+	if !run.Snapshot {
+		at += logSkip
+	}
+	k, _ := slices.BinarySearch(r.skipAt, at)
+	if k >= maxSkipReasons {
+		return
+	}
+	reasons := &r.report.SkipReasons
+	r.skipAt = slices.Insert(r.skipAt, k, at)
+	*reasons = slices.Insert(*reasons, k, fmt.Sprintf("%s/%s value=%v day=%v: %v", run.Product, rec.Rater, rec.Value, rec.Day, err))
+	if len(r.skipAt) > maxSkipReasons {
+		r.skipAt, *reasons = r.skipAt[:maxSkipReasons], (*reasons)[:maxSkipReasons]
 	}
 }
 

@@ -30,7 +30,9 @@ type shard struct {
 	data *dataset.Dataset
 	// seen[pos] is the set of raters who rated data.Products[pos], indexed
 	// by partition position like data.Products, so once the router has
-	// resolved a product's position no check hashes its ID again.
+	// resolved a product's position no check hashes its ID again. It is
+	// nil until the product's first submit builds it from the series
+	// (ratersLocked): New, Open and Load build none.
 	seen          []map[string]bool
 	sinceSnapshot int
 
@@ -73,7 +75,7 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 	w := sh.wal
 	// Reserve the rater slot so a concurrent duplicate submission fails
 	// during this one's fsync instead of double-logging.
-	sh.seen[pos][rater] = true
+	sh.ratersLocked(pos)[rater] = true
 	sh.mu.Unlock()
 
 	ack := wal.AckDurable
@@ -113,10 +115,25 @@ func (sh *shard) checkLocked(pos int, product, rater string, day float64) error 
 	if err := checkDay(day, sh.horizon); err != nil {
 		return err
 	}
-	if sh.seen[pos][rater] {
+	if sh.ratersLocked(pos)[rater] {
 		return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, product)
 	}
 	return nil
+}
+
+// ratersLocked returns the rater set of the product at partition
+// position pos, building it on first use from the product's series, with
+// room to grow. Caller holds sh.mu.
+func (sh *shard) ratersLocked(pos int) map[string]bool {
+	if sh.seen[pos] == nil {
+		s := sh.data.Products[pos].Ratings
+		m := make(map[string]bool, len(s)+len(s)/4+8)
+		for _, r := range s {
+			m[r.Rater] = true
+		}
+		sh.seen[pos] = m
+	}
+	return sh.seen[pos]
 }
 
 // checkDay checks that a finite day lies within the horizon.

@@ -1,6 +1,6 @@
 // Package store is the sharded storage layer under the rating service:
 // rating state is partitioned into N product-keyed shards, each with its
-// own mutex, dataset partition, rater-dedup map, and WAL stream, so
+// own mutex, dataset partition, rater-dedup sets, and WAL stream, so
 // submissions on different products contend only on their own shard's lock
 // and fsync pipeline. The coordinator above (internal/server) routes writes
 // through Submit, tells whether anything changed from Generation, and takes
@@ -138,7 +138,7 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 		// Version 1, not 0: store products are version-maintained from
 		// birth, so the engine's memo plane may key on them immediately.
 		sh.data.Products = append(sh.data.Products, dataset.Product{ID: id, Version: 1})
-		sh.seen = append(sh.seen, make(map[string]bool))
+		sh.seen = append(sh.seen, nil)
 		st.globals[s] = append(st.globals[s], g)
 		st.products = append(st.products, id)
 	}
@@ -347,20 +347,22 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 	n := len(st.shards)
 	clone := d.Clone()
 	parts := make([]*dataset.Dataset, n)
-	seen := make([][]map[string]bool, n)
 	globals := make([][]int, n)
 	for i := 0; i < n; i++ {
 		parts[i] = &dataset.Dataset{HorizonDays: clone.HorizonDays}
 	}
 	products := make([]string, 0, len(clone.Products))
 	byID := make(map[string]loc, len(clone.Products))
+	// One scratch set checks every product's raters; each product's own
+	// set is built on its first submit.
+	raters := map[string]bool{}
 	for g, p := range clone.Products {
-		m := make(map[string]bool, len(p.Ratings))
+		clear(raters)
 		for _, r := range p.Ratings {
-			if m[r.Rater] {
+			n := len(raters)
+			if raters[r.Rater] = true; len(raters) == n {
 				return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, r.Rater, p.ID)
 			}
-			m[r.Rater] = true
 		}
 		if _, dup := byID[p.ID]; dup {
 			return fmt.Errorf("store: duplicate product %q", p.ID)
@@ -372,7 +374,6 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 		// i.e. unversioned) value so the loaded series is version-keyed too.
 		p.Version++
 		parts[s].Products = append(parts[s].Products, p)
-		seen[s] = append(seen[s], m)
 		globals[s] = append(globals[s], g)
 		products = append(products, p.ID)
 	}
@@ -401,7 +402,7 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 	for i, sh := range st.shards {
 		sh.mu.Lock()
 		sh.data = parts[i]
-		sh.seen = seen[i]
+		sh.seen = make([]map[string]bool, len(parts[i].Products))
 		sh.sinceSnapshot = 0
 		sh.keepLog = false // the checkpoint above dropped what recovery skipped
 		sh.mu.Unlock()

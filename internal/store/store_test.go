@@ -386,7 +386,10 @@ func TestSubmitWALFailureRollsBackReservation(t *testing.T) {
 		t.Fatalf("submit under failing fsync = %v, want ErrUnavailable", err)
 	}
 	st.mu.RLock()
-	burned := st.shards[0].seen[st.byID[products[0]].pos]["alice"]
+	sh := st.shards[0]
+	sh.mu.Lock()
+	burned := sh.ratersLocked(st.byID[products[0]].pos)["alice"]
+	sh.mu.Unlock()
 	st.mu.RUnlock()
 	if burned {
 		t.Fatal("failed submit left the rater reservation behind")

@@ -5,6 +5,7 @@
 package trust
 
 import (
+	"hash/maphash"
 	"maps"
 	"math"
 	"slices"
@@ -36,13 +37,17 @@ func (r Record) Trust() float64 { return Beta(r.S, r.F) }
 // another goroutine never sees its name index written. Forks share a
 // read-only base of the first ordinals and own an overlay of the rest; a
 // fork copies only the overlay, or flattens both into a new base once the
-// overlay passes 1/8 of it, so forking costs O(new names), amortized.
+// overlay passes 1/8 of it, so forking costs O(new names), amortized. A
+// table from SymbolsOf indexes its names on its first lookup or Intern.
 type Symbols struct {
 	base    []string          // ordinals [0, len(base)), shared read-only
 	baseOrd map[string]uint32 // index of base, shared read-only
 	names   []string          // overlay: ordinals len(base) on
-	ords    map[string]uint32 // index of names
-	shared  atomic.Bool       // read by a Manager: Intern must fork
+	// ords indexes names. A table from SymbolsOf has none: its first
+	// lookup builds the index and publishes it in built.
+	ords   map[string]uint32
+	built  atomic.Pointer[map[string]uint32]
+	shared atomic.Bool // read by a Manager: Intern must fork
 }
 
 // NewSymbols returns an empty table with room for n IDs.
@@ -51,15 +56,57 @@ func NewSymbols(n int) *Symbols {
 }
 
 // SymbolsOf returns the table that holds names[o] under ordinal o, or
-// false when an ID appears in names twice. The table keeps names.
+// false when an ID appears in names twice. The table keeps names, and
+// indexes them on its first lookup or Intern.
 func SymbolsOf(names []string) (*Symbols, bool) {
-	ords := make(map[string]uint32, len(names))
-	for o, id := range names {
-		if ords[id] = uint32(o); len(ords) == o {
-			return nil, false
+	if hasRepeat(names) {
+		return nil, false
+	}
+	return &Symbols{names: slices.Clip(names)}, true
+}
+
+// hasRepeat reports whether an ID appears in names twice, through a
+// throwaway open-addressed table of positions, at most half full.
+func hasRepeat(names []string) bool {
+	mask := uint64(1)
+	for mask < 2*uint64(len(names)) {
+		mask <<= 1
+	}
+	slots, seed := make([]int32, mask), maphash.MakeSeed() // position+1; 0 is free
+	mask--
+	for i, id := range names {
+		for j := maphash.String(seed, id) & mask; ; j = (j + 1) & mask {
+			if slots[j] == 0 {
+				slots[j] = int32(i + 1)
+				break
+			}
+			if names[slots[j]-1] == id {
+				return true
+			}
 		}
 	}
-	return &Symbols{names: slices.Clip(names), ords: ords}, true
+	return false
+}
+
+// index returns the index of the overlay: ords or, in a table from
+// SymbolsOf, the one its first call builds and publishes. Concurrent
+// first calls on a frozen table may each build one; all return the one
+// published first.
+func (t *Symbols) index() map[string]uint32 {
+	if t.ords != nil {
+		return t.ords
+	}
+	if m := t.built.Load(); m != nil {
+		return *m
+	}
+	m := make(map[string]uint32, len(t.names))
+	for o, id := range t.names {
+		m[id] = uint32(o)
+	}
+	if !t.built.CompareAndSwap(nil, &m) {
+		return *t.built.Load()
+	}
+	return m
 }
 
 // Len returns the number of interned IDs; ordinals are [0, Len).
@@ -78,7 +125,7 @@ func (t *Symbols) lookup(id string) (uint32, bool) {
 	if o, ok := t.baseOrd[id]; ok {
 		return o, true
 	}
-	o, ok := t.ords[id]
+	o, ok := t.index()[id]
 	return o, ok
 }
 
@@ -94,18 +141,18 @@ func (t *Symbols) Intern(id string) (*Symbols, uint32) {
 	}
 	o := uint32(t.Len())
 	t.names = append(t.names, id)
-	t.ords[id] = o
+	t.index()[id] = o
 	return t, o
 }
 
 // fork returns an unfrozen table holding t's IDs under t's ordinals.
 func (t *Symbols) fork() *Symbols {
 	if len(t.names) <= len(t.base)/8 {
-		return &Symbols{base: t.base, baseOrd: t.baseOrd, names: slices.Clone(t.names), ords: maps.Clone(t.ords)}
+		return &Symbols{base: t.base, baseOrd: t.baseOrd, names: slices.Clone(t.names), ords: maps.Clone(t.index())}
 	}
 	f := &Symbols{base: slices.Concat(t.base, t.names), baseOrd: make(map[string]uint32, t.Len()), ords: make(map[string]uint32)}
 	maps.Copy(f.baseOrd, t.baseOrd)
-	maps.Copy(f.baseOrd, t.ords)
+	maps.Copy(f.baseOrd, t.index())
 	return f
 }
 

@@ -237,26 +237,34 @@ func readPinned(f *testing.F, dir, name string) []byte {
 }
 
 // snapshotRuns collects the runs a snapshot decode replays, as a dataset
-// with one product per run, and their records.
+// with one product per run, and their records, placed by Run.Frame: in
+// file order.
 type snapshotRuns struct {
 	t *testing.T
 	dataset.Dataset
 	recs []Record
 }
 
-func (s *snapshotRuns) Expect([]byte) {}
+func (s *snapshotRuns) Expect(string, int) {}
 
 func (s *snapshotRuns) Replay(run Run) {
 	if !run.Snapshot {
 		s.t.Fatalf("snapshot run %d replayed as a log run", len(s.Products))
 	}
 	p := dataset.Product{ID: run.Product}
+	i := 0
 	run.Each(func(r Record) {
 		if r.Product != run.Product {
 			s.t.Fatalf("run of %q replayed a record of %q", run.Product, r.Product)
 		}
 		p.Ratings = append(p.Ratings, dataset.Rating{Day: r.Day, Value: r.Value, Rater: r.Rater})
-		s.recs = append(s.recs, r)
+		f := run.Frame(i)
+		if f < len(s.recs) && s.recs[f] != (Record{}) || i > 0 && f <= run.Frame(i-1) {
+			s.t.Fatalf("run of %q numbers its record %d as frame %d, out of order or taken", run.Product, i, f)
+		}
+		s.recs = append(s.recs, make([]Record, max(0, f+1-len(s.recs)))...)
+		s.recs[f] = r
+		i++
 	})
 	s.Products = append(s.Products, p)
 }
@@ -281,7 +289,7 @@ func runsOf(recs []Record) *snapshotRuns {
 func decodeSnapshotRuns(t *testing.T, data []byte) (*snapshotRuns, error) {
 	t.Helper()
 	runs := &snapshotRuns{t: t}
-	n, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)), &runDecoder{ids: map[string]string{}, rp: runs})
+	n, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)), &runDecoder{rp: runs})
 	if err == nil && n != len(runs.recs) {
 		t.Fatalf("decodeSnapshot counted %d records and replayed %d", n, len(runs.recs))
 	}
@@ -392,10 +400,11 @@ func FuzzManifest(f *testing.F) {
 // decodeRecord decodes the frame at the front of data as a Record, like
 // decodeFrame.
 func decodeRecord(data []byte) (Record, int, bool) {
-	product, rater, tail, n, ok := decodeFrame(data)
+	_, n, ok := decodeFrame(data)
 	if !ok {
 		return Record{}, 0, false
 	}
+	product, rater, tail, _ := splitPayload(data[headerSize:n])
 	return Record{
 		Product:          string(product),
 		Rater:            string(rater),

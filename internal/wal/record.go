@@ -38,6 +38,9 @@ type Record struct {
 // everything after it as a torn tail.
 const (
 	headerSize = 8
+	// minFrameSize is the smallest encoded record: the frame header plus a
+	// payload with empty IDs.
+	minFrameSize = headerSize + 2 + 2 + 24
 	// maxRecordSize bounds a single payload. Product and rater IDs are
 	// short strings; anything near this limit is corruption, not data.
 	maxRecordSize = 1 << 16
@@ -66,122 +69,141 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeFrame checks the frame at the front of data and splits it in
-// place. It returns the record's product and rater bytes and the payload's
-// last 24 bytes, which hold its value, day and receipt time (all aliasing
-// data), and the number of bytes consumed, or ok=false when data holds no
-// complete, checksum-valid record at its front (a torn or corrupt tail).
-func decodeFrame(data []byte) (product, rater, tail []byte, n int, ok bool) {
+// decodeFrame checks the frame at the front of data and returns its
+// product ID bytes (aliasing data) and the number of bytes it spans, or
+// ok=false when data holds no complete, checksum-valid record at its
+// front whose fields tile its payload (a torn or corrupt tail).
+func decodeFrame(data []byte) (product []byte, n int, ok bool) {
 	if len(data) < headerSize {
-		return nil, nil, nil, 0, false
+		return nil, 0, false
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(data))
 	if payloadLen > maxRecordSize || len(data) < headerSize+payloadLen {
-		return nil, nil, nil, 0, false
+		return nil, 0, false
 	}
 	payload := data[headerSize : headerSize+payloadLen]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
-		return nil, nil, nil, 0, false
+		return nil, 0, false
 	}
-	// Field lengths must tile the payload exactly.
-	if payloadLen < 2 {
-		return nil, nil, nil, 0, false
+	product, _, _, ok = splitPayload(payload)
+	return product, headerSize + payloadLen, ok
+}
+
+// splitPayload splits a record payload in place into its product and
+// rater bytes and its last 24 bytes, which hold its value, day and
+// receipt time, or returns ok=false when the field lengths do not tile
+// the payload exactly.
+func splitPayload(payload []byte) (product, rater, tail []byte, ok bool) {
+	if len(payload) < 2 {
+		return nil, nil, nil, false
 	}
 	pLen := int(binary.LittleEndian.Uint16(payload))
 	rest := payload[2:]
 	if len(rest) < pLen+2 {
-		return nil, nil, nil, 0, false
+		return nil, nil, nil, false
 	}
-	product = rest[:pLen]
-	rest = rest[pLen:]
+	product, rest = rest[:pLen], rest[pLen:]
 	rLen := int(binary.LittleEndian.Uint16(rest))
 	rest = rest[2:]
 	if len(rest) != rLen+24 {
-		return nil, nil, nil, 0, false
+		return nil, nil, nil, false
 	}
-	return product, rest[:rLen], rest[rLen:], headerSize + payloadLen, true
+	return product, rest[:rLen], rest[rLen:], true
 }
 
-// scanFrames walks the frames at the front of an image from their length
-// prefixes alone, without checksums, and calls expect with each frame's
-// product ID bytes, skipping a frame too short to hold the ID it claims
-// (it cannot decode). It stops at the first length that decodeFrame
-// would reject as too short or too long or that runs past the image. The
-// checked decode accepts at most these frames, so the calls bound it per
-// product from above, and a corrupt image still yields at most one call
-// per minFrameSize bytes.
-func scanFrames(data []byte, expect func(product []byte)) {
-	for off := 0; len(data)-off >= headerSize; {
-		l := int(binary.LittleEndian.Uint32(data[off:]))
-		if l < minFrameSize-headerSize || l > maxRecordSize || len(data)-off-headerSize < l {
-			return
-		}
-		payload := data[off+headerSize : off+headerSize+l]
-		if pLen := int(binary.LittleEndian.Uint16(payload)); pLen <= l-2 {
-			expect(payload[2 : 2+pLen])
-		}
-		off += headerSize + l
-	}
-}
-
-// runDecoder replays what Open decodes to a Replayer, run by run. A run's
-// product ID is looked up once in ids, which hands out one string per
-// distinct product, and its rater IDs become one string: a file names a
-// handful of products and thousands of raters, and each copy would be an
-// allocation the replay keeps alive. A log run's columns are gathered in
-// raters … received, and a snapshot block is read into block: scratch,
-// reused from run to run.
+// runDecoder replays what Open decodes to a Replayer, run by run. A
+// product ID is interned once as an ordinal into names, so a file that
+// names a handful of products thousands of times allocates each ID once,
+// and a run's rater IDs become one string. A log run's columns are
+// gathered in raters … received, and a snapshot block is read into
+// block: scratch, reused from run to run.
 type runDecoder struct {
 	rp                                          Replayer
-	ids                                         map[string]string
+	ids                                         map[string]int32
+	names                                       []string
 	raters, lens, values, days, received, block []byte
 }
 
-// intern returns the string ids holds for product, adding it if new.
-func (d *runDecoder) intern(product []byte) string {
-	id, ok := d.ids[string(product)]
+// intern returns product's ordinal, adding it to names if new.
+func (d *runDecoder) intern(product []byte) int32 {
+	k, ok := d.ids[string(product)]
 	if !ok {
-		id = string(product)
-		d.ids[id] = id
+		if d.ids == nil {
+			d.ids = map[string]int32{}
+		}
+		k = int32(len(d.names))
+		d.names = append(d.names, string(product))
+		d.ids[d.names[k]] = k
 	}
-	return id
+	return k
 }
 
-// replay checks up to max frames at the front of data and replays them,
-// flagged snapshot, one Run per stretch of frames naming one product. It
-// stops at the first frame that does not decode and returns the bytes
-// and the frames it consumed.
-func (d *runDecoder) replay(data []byte, max uint64, snapshot bool) (off int, count uint64) {
-	run := Run{Snapshot: snapshot}
-	for ; count < max; count++ {
-		product, rater, tail, n, ok := decodeFrame(data[off:])
+// frameIndex holds the checksum-valid frames at the front of an image,
+// grouped by product: frame f spans bytes offs[f] to offs[f+1], and the
+// frames of the product with ordinal k are order[ends[k-1]:ends[k]]
+// (from 0 for k = 0), by frame number.
+type frameIndex struct {
+	offs  []int
+	ends  []int
+	order []int32
+}
+
+// index checks up to max frames at the front of data, in order, up to
+// the first that does not decode, and groups them by product, stably
+// (a counting sort on the product ordinals).
+func (d *runDecoder) index(data []byte, max uint64) frameIndex {
+	// Sized for the most frames data can hold.
+	most := min(uint64(len(data)/minFrameSize), max)
+	x := frameIndex{offs: append(make([]int, 0, most+1), 0)}
+	prods := make([]int32, 0, most)
+	for off := 0; uint64(len(prods)) < max; {
+		product, n, ok := decodeFrame(data[off:])
 		if !ok {
 			break
 		}
-		if len(d.lens) > 0 && string(product) != run.Product {
-			d.flush(&run)
-		}
-		if len(d.lens) == 0 {
-			run.Product = d.intern(product)
-		}
-		d.raters = append(d.raters, rater...)
-		d.lens = binary.LittleEndian.AppendUint16(d.lens, uint16(len(rater)))
-		d.values = append(d.values, tail[:8]...)
-		d.days = append(d.days, tail[8:16]...)
-		d.received = append(d.received, tail[16:]...)
+		prods = append(prods, d.intern(product))
 		off += n
+		x.offs = append(x.offs, off)
 	}
-	d.flush(&run)
-	return off, count
+	// ends[k] counts product k's frames, then holds where they start,
+	// and ends where they end once each frame is placed.
+	x.ends = make([]int, len(d.names))
+	for _, k := range prods {
+		x.ends[k]++
+	}
+	for k, sum := 0, 0; k < len(x.ends); k++ {
+		x.ends[k], sum = sum, sum+x.ends[k]
+	}
+	x.order = make([]int32, len(prods))
+	for f, k := range prods {
+		x.order[x.ends[k]] = int32(f)
+		x.ends[k]++
+	}
+	return x
 }
 
-// flush replays the gathered columns as run, if they hold any record, and
-// empties them.
-func (d *runDecoder) flush(run *Run) {
-	if len(d.lens) == 0 {
-		return
+// replayIndex replays the frames x indexes in data, flagged snapshot,
+// one Run per product, in ordinal order, each holding the product's
+// frames in frame order.
+func (d *runDecoder) replayIndex(data []byte, x frameIndex, snapshot bool) {
+	start := 0
+	for k, end := range x.ends {
+		frames := x.order[start:end]
+		start = end
+		if len(frames) == 0 {
+			continue
+		}
+		for _, f := range frames {
+			_, rater, tail, _ := splitPayload(data[x.offs[f]+headerSize : x.offs[f+1]])
+			d.raters = append(d.raters, rater...)
+			d.lens = binary.LittleEndian.AppendUint16(d.lens, uint16(len(rater)))
+			d.values = append(d.values, tail[:8]...)
+			d.days = append(d.days, tail[8:16]...)
+			d.received = append(d.received, tail[16:]...)
+		}
+		run := Run{Product: d.names[k], Snapshot: snapshot, frames: frames,
+			raters: string(d.raters), lens: d.lens, values: d.values, days: d.days, received: d.received}
+		d.rp.Replay(run)
+		d.raters, d.lens, d.values, d.days, d.received = d.raters[:0], d.lens[:0], d.values[:0], d.days[:0], d.received[:0]
 	}
-	run.raters, run.lens, run.values, run.days, run.received = string(d.raters), d.lens, d.values, d.days, d.received
-	d.rp.Replay(*run)
-	d.raters, d.lens, d.values, d.days, d.received = d.raters[:0], d.lens[:0], d.values[:0], d.days[:0], d.received[:0]
 }

@@ -30,9 +30,6 @@ const (
 	snapshotMagic      = "RSNP"
 	snapshotVersion    = 2
 	snapshotHeaderSize = 16
-	// minFrameSize is the smallest encoded record: the frame header plus a
-	// payload with empty IDs.
-	minFrameSize = headerSize + 2 + 2 + 24
 	// blockRecordSize is a block's bytes per record besides its rater ID.
 	blockRecordSize = 2 + 8 + 8
 )
@@ -87,9 +84,10 @@ func encodeSnapshot(d *dataset.Dataset) ([]byte, error) {
 // decodeSnapshot decodes the size-byte snapshot image read from r,
 // replaying its records through d run by run, and returns the record
 // count. A version-2 image is read block by block (blocks); a version-1
-// image is read whole and decoded by the log's frame decoder. Any
-// deviation from the format is an error wrapping ErrCorruptSnapshot,
-// which can come after runs were replayed (see Replayer).
+// image is read whole and decoded by the log's frame decoder, which
+// checks every frame before it replays any. Any deviation from the
+// format is an error wrapping ErrCorruptSnapshot, which can come after
+// runs were replayed (see Replayer).
 func decodeSnapshot(r io.Reader, size int64, d *runDecoder) (int, error) {
 	var head [snapshotHeaderSize]byte
 	if _, err := io.ReadFull(r, head[:min(size, snapshotHeaderSize)]); err != nil {
@@ -112,14 +110,16 @@ func decodeSnapshot(r io.Reader, size int64, d *runDecoder) (int, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, err
 	}
-	off, n := d.replay(body, count, true)
-	if n != count {
+	x := d.index(body, count)
+	n, off := len(x.order), x.offs[len(x.order)]
+	if uint64(n) != count {
 		return 0, fmt.Errorf("%w: record %d of %d at byte %d", ErrCorruptSnapshot, n, count, snapshotHeaderSize+off)
 	}
 	if off != len(body) {
 		return 0, fmt.Errorf("%w: %d trailing bytes", ErrCorruptSnapshot, len(body)-off)
 	}
-	return int(count), nil
+	d.replayIndex(body, x, true)
+	return n, nil
 }
 
 // blocks reads the version-2 blocks that follow a size-byte image's
@@ -153,6 +153,7 @@ func (d *runDecoder) blocks(r io.Reader, size int64, count uint64) (int, error) 
 		if err != nil {
 			return 0, fmt.Errorf("%w: block %d at byte %d: %v", ErrCorruptSnapshot, k, off, err)
 		}
+		run.first = int(seen)
 		d.rp.Replay(run)
 		seen, off = seen+uint64(run.Len()), off+headerSize+l
 	}
@@ -185,6 +186,6 @@ func (d *runDecoder) parseBlock(body []byte, crc uint32) (Run, error) {
 		return Run{}, fmt.Errorf("%d records do not tile %d bytes", n, len(cols))
 	}
 	raters = len(cols) - 16*n
-	return Run{Product: d.intern(product), Snapshot: true, raters: string(cols[2*n : raters]),
+	return Run{Product: d.names[d.intern(product)], Snapshot: true, raters: string(cols[2*n : raters]),
 		lens: cols[:2*n], values: cols[raters : raters+8*n], days: cols[raters+8*n:]}, nil
 }

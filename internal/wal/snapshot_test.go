@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,8 +65,9 @@ func compacted(t *testing.T, d *dataset.Dataset) *faultfs.FS {
 // A snapshot recovers exactly the compacted ratings, in product and
 // series order, bit for bit (negative zero and fractional days included),
 // ahead of the log tail; the published file starts with the magic. Before
-// the first record, Expect announces exactly the log frames that then
-// replay, and nothing of the checkpoint, whose runs size themselves.
+// the first record, Expect announces each product's count of the log
+// frames that then replay, and nothing of the checkpoint, whose runs size
+// themselves.
 func TestSnapshotRoundtripExact(t *testing.T) {
 	d := &dataset.Dataset{HorizonDays: 90, Products: []dataset.Product{
 		{ID: "tv0", Ratings: dataset.Series{{Day: 0, Value: math.Copysign(0, -1), Rater: "a"}, {Day: 1.0 / 3, Value: 0.1, Rater: "b", Unfair: true}}},
@@ -96,13 +98,8 @@ func TestSnapshotRoundtripExact(t *testing.T) {
 	}
 	requireRecords(t, "snapshot", rc.Records[:rc.SnapshotRecords], snapshotRecords(d))
 	requireRecords(t, "tail", rc.Tail(), []wal.Record{rec(0), rec(1)})
-	if len(rc.Expected) != len(rc.Tail()) {
-		t.Fatalf("Expect announced %d frames, %d log records replayed", len(rc.Expected), len(rc.Tail()))
-	}
-	for i, r := range rc.Tail() {
-		if rc.Expected[i] != r.Product {
-			t.Fatalf("frame %d announced product %q, record %d is of %q", i, rc.Expected[i], i, r.Product)
-		}
+	if want := map[string]int{rec(0).Product: 1, rec(1).Product: 1}; !reflect.DeepEqual(rc.Expected, want) {
+		t.Fatalf("Expect announced %v, want %v", rc.Expected, want)
 	}
 }
 

@@ -135,10 +135,11 @@ type Recovery struct {
 	TruncatedBytes int64
 }
 
-// A Run is a sequence of consecutive records of one product, as Open
-// decoded them: a snapshot holds one run per product, and each stretch of
-// a log's records naming one product is a run. A Run is valid only
-// during the Replay call that receives it, but the strings of its
+// A Run is a sequence of records of one product, as Open decoded them:
+// a snapshot holds one run per product block (a version-1 snapshot one
+// per product), and a log one run per product, holding that product's
+// records in log order. A Run is valid
+// only during the Replay call that receives it, but the strings of its
 // records may be kept.
 type Run struct {
 	// Product is the ID every record of the run names.
@@ -150,6 +151,19 @@ type Run struct {
 	// day bits and receipt time (nil for a snapshot block: none).
 	raters                       string
 	lens, values, days, received []byte
+	// frames numbers the records in their file (nil for a snapshot block,
+	// whose records are numbered first, first+1, …).
+	frames []int32
+	first  int
+}
+
+// Frame returns the position of the run's i-th record among the records
+// of its file (the log or the checkpoint), counting from 0.
+func (r Run) Frame(i int) int {
+	if r.frames != nil {
+		return int(r.frames[i])
+	}
+	return r.first + i
 }
 
 // Len returns the number of records in the run.
@@ -175,18 +189,18 @@ func (r Run) Each(f func(Record)) {
 // A Replayer receives what Open recovers while Open decodes it, so
 // recovery never holds the records in a slice of its own.
 type Replayer interface {
-	// Expect is called once per frame of the log, before the first
-	// Replay, with the frame's product ID bytes, valid only during the
-	// call. The frames come from one scan of their length prefixes,
-	// without checksums, so per product the calls bound from above the
-	// log records Replay will deliver; a caller sizes its state from them
-	// and the runs once. The checkpoint is not scanned.
-	Expect(product []byte)
+	// Expect is called once per product of the log, before the first
+	// Replay, with the number of the log's checksum-valid frames that
+	// name it: what the product's log run will hold. A caller sizes its
+	// state from them and the runs once. The checkpoint is not counted.
+	Expect(product string, frames int)
 	// Replay is called once per run of checksum-valid records, in order:
 	// the checkpoint's runs (product by product in series order), then
-	// the log tail's, in log order. A checkpoint found corrupt at block k
-	// (record k in version 1) has already replayed what precedes it when
-	// Open fails, so a caller must discard what it built on a failed Open.
+	// the log tail's, one per product in the order of its first frame.
+	// The log is checked frame by frame up to its first bad frame before
+	// any of it is replayed. A checkpoint found corrupt at block k has
+	// already replayed what precedes it when Open fails, so a caller must
+	// discard what it built on a failed Open.
 	Replay(run Run)
 }
 
@@ -195,7 +209,7 @@ type Replayer interface {
 type ReplayFunc func(r Record, snapshot bool)
 
 // Expect does nothing.
-func (ReplayFunc) Expect([]byte) {}
+func (ReplayFunc) Expect(string, int) {}
 
 // Replay calls f(r, run.Snapshot) for each record of the run.
 func (f ReplayFunc) Replay(run Run) {
@@ -246,8 +260,15 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	scanFrames(logImg, rp.Expect)
-	rec, dec := &Recovery{}, &runDecoder{rp: rp, ids: map[string]string{}}
+	rec, dec := &Recovery{}, &runDecoder{rp: rp}
+	logIdx := dec.index(logImg, math.MaxUint64)
+	start := 0
+	for k, end := range logIdx.ends {
+		if end > start {
+			rp.Expect(dec.names[k], end-start)
+		}
+		start = end
+	}
 	rec.HasSnapshot, err = readFile(fsys, snapshotName, func(f File, size int64) (err error) {
 		rec.SnapshotRecords, err = decodeSnapshot(f, size, dec)
 		return err
@@ -255,7 +276,7 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	goodBytes, err := readLog(fsys, logImg, rec, dec)
+	goodBytes, err := readLog(fsys, logImg, logIdx, rec, dec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -292,11 +313,13 @@ func readFile(fsys FS, name string, read func(f File, size int64) error) (ok boo
 }
 
 // readLog replays the checksum-valid records at the front of the log
-// image data through d, counting them in rec, and truncates any torn tail
-// from the file. It returns the byte length of the valid prefix.
-func readLog(fsys FS, data []byte, rec *Recovery, d *runDecoder) (int64, error) {
-	off, n := d.replay(data, math.MaxUint64, false)
-	rec.TailRecords = int(n)
+// image data, as x indexes them, through d, counting them in rec, and
+// truncates any torn tail from the file. It returns the byte length of
+// the valid prefix.
+func readLog(fsys FS, data []byte, x frameIndex, rec *Recovery, d *runDecoder) (int64, error) {
+	d.replayIndex(data, x, false)
+	off := x.offs[len(x.order)]
+	rec.TailRecords = len(x.order)
 	if torn := int64(len(data) - off); torn > 0 {
 		if err := fsys.Truncate(logName, int64(off)); err != nil {
 			return 0, fmt.Errorf("wal: truncate torn tail: %w", err)

@@ -3,6 +3,7 @@ package wal_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -22,46 +23,75 @@ func rec(i int) wal.Record {
 }
 
 // replayed is what an Open recovered: its report, every record it
-// replayed (the checkpoint's first) and the product ID of every frame it
-// announced to Expect.
+// replayed, the checkpoint's first and each file's in file order (placed
+// by Run.Frame), and the frame count Expect announced per product.
 type replayed struct {
 	*wal.Recovery
 	Records  []wal.Record
-	Expected []string
-	// snapshots counts the records replayed with the snapshot flag;
-	// disordered is set when one came after a log record. split is set
-	// when a run was empty, held a record of another product or a count
-	// other than its Len, or continued the run before it (same product
-	// and flag): runs are maximal.
-	snapshots  int
-	disordered bool
-	split      bool
-	last       wal.Run
+	Expected map[string]int
+	// files holds the checkpoint's and the log's records by frame number,
+	// placed counts them, and logRuns the log runs per product. bad names
+	// the first replay rule broken: a run that is empty or holds a record
+	// of another product, frames out of order or numbered twice, a
+	// snapshot run after a log run, a second log run of a product, or an
+	// Expect call after a run or twice for a product.
+	files   [2][]wal.Record
+	placed  [2]int
+	logRuns map[string]int
+	bad     string
 }
 
-func (r *replayed) Expect(product []byte) { r.Expected = append(r.Expected, string(product)) }
+func (r *replayed) fail(format string, args ...any) {
+	if r.bad == "" {
+		r.bad = fmt.Sprintf(format, args...)
+	}
+}
+
+func (r *replayed) Expect(product string, frames int) {
+	if r.Expected == nil {
+		r.Expected = map[string]int{}
+	}
+	if r.placed != [2]int{} || r.Expected[product] != 0 {
+		r.fail("Expect(%q) after a run or twice", product)
+	}
+	r.Expected[product] = frames
+}
 
 func (r *replayed) Replay(run wal.Run) {
-	r.split = r.split || run.Len() == 0 ||
-		(len(r.Records) > 0 && run.Product == r.last.Product && run.Snapshot == r.last.Snapshot)
-	r.last = wal.Run{Product: run.Product, Snapshot: run.Snapshot}
-	n := len(r.Records)
-	run.Each(func(rec wal.Record) {
-		r.split = r.split || rec.Product != run.Product
-		if run.Snapshot {
-			r.disordered = r.disordered || r.snapshots < len(r.Records)
-			r.snapshots++
+	file := 0
+	if !run.Snapshot {
+		file = 1
+		if r.logRuns == nil {
+			r.logRuns = map[string]int{}
 		}
-		r.Records = append(r.Records, rec)
+		if r.logRuns[run.Product]++; r.logRuns[run.Product] > 1 {
+			r.fail("a second log run of %q", run.Product)
+		}
+	} else if r.placed[1] > 0 {
+		r.fail("a snapshot run of %q after a log run", run.Product)
+	}
+	if run.Len() == 0 {
+		r.fail("an empty run of %q", run.Product)
+	}
+	i := 0
+	run.Each(func(rec wal.Record) {
+		f, recs := run.Frame(i), &r.files[file]
+		if rec.Product != run.Product || i > 0 && f <= run.Frame(i-1) || f < len(*recs) && (*recs)[f] != (wal.Record{}) {
+			r.fail("run of %q: record %d (%+v) numbered frame %d", run.Product, i, rec, f)
+		}
+		*recs = append(*recs, make([]wal.Record, max(0, f+1-len(*recs)))...)
+		(*recs)[f] = rec
+		r.placed[file]++
+		i++
 	})
-	r.split = r.split || len(r.Records)-n != run.Len()
 }
 
 // Tail returns the records replayed from the log, after the checkpoint's.
 func (r *replayed) Tail() []wal.Record { return r.Records[r.SnapshotRecords:] }
 
 // openReplay opens fsys, collecting what Open replays. On success it
-// checks the replay order and that the report counts what was replayed.
+// checks the replay rules, that the report counts what was replayed and
+// that Expect announced each product's log records.
 func openReplay(t *testing.T, fsys wal.FS, opts wal.Options) (*wal.WAL, *replayed, error) {
 	t.Helper()
 	r := &replayed{}
@@ -70,9 +100,20 @@ func openReplay(t *testing.T, fsys wal.FS, opts wal.Options) (*wal.WAL, *replaye
 		return w, r, err
 	}
 	r.Recovery = rc
-	if r.disordered || r.split || r.snapshots != rc.SnapshotRecords || len(r.Records)-r.snapshots != rc.TailRecords {
-		t.Fatalf("Open replayed %d records, %d of them flagged snapshot (disordered %v, runs split %v); its report counts %d + %d",
-			len(r.Records), r.snapshots, r.disordered, r.split, rc.SnapshotRecords, rc.TailRecords)
+	r.Records = append(r.files[0], r.files[1]...)
+	if r.bad != "" || r.placed[0] != len(r.files[0]) || r.placed[1] != len(r.files[1]) ||
+		r.placed[0] != rc.SnapshotRecords || r.placed[1] != rc.TailRecords {
+		t.Fatalf("Open replayed %v records into %d + %d frame slots (%s); its report counts %d + %d",
+			r.placed, len(r.files[0]), len(r.files[1]), r.bad, rc.SnapshotRecords, rc.TailRecords)
+	}
+	left := maps.Clone(r.Expected)
+	for _, rec := range r.files[1] {
+		left[rec.Product]--
+	}
+	for p, n := range left {
+		if n != 0 {
+			t.Fatalf("Expect announced %d frames of %q more than the log replayed", n, p)
+		}
 	}
 	return w, r, nil
 }
