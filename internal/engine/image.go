@@ -76,6 +76,8 @@ type imageProduct struct {
 	// scores; published[e] is the product's period-e published score.
 	causal, final     []bool
 	scores, published []float64
+	// restore is set by Restore when the series still holds the N ratings.
+	restore bool
 }
 
 // matched returns how many leading ratings of s, at most N, equal the
@@ -169,7 +171,15 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 	case !slices.EqualFunc(img.prods, d.Products, func(ip imageProduct, p dataset.Product) bool { return ip.id == p.ID }):
 		return 0, false, errors.New("engine image: product list differs")
 	}
-	syms, ok := trust.SymbolsOf(img.names)
+	// A product not restored, or restored with ratings past N, interns:
+	// then the dictionary is indexed now, and its index finds a repeat.
+	interns := false
+	for i := range img.prods {
+		ip, p := &img.prods[i], &d.Products[i]
+		ip.restore = p.Version != 0 && ip.matched(p.Ratings, img.names) == int(ip.n)
+		interns = interns || !ip.restore || len(p.Ratings) > int(ip.n)
+	}
+	syms, ok := trust.SymbolsOf(img.names, interns)
 	if !ok {
 		return 0, false, errors.New("engine image: the rater dictionary names a rater twice")
 	}
@@ -182,7 +192,7 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 			return 0, false, err
 		}
 		ip, p, ps, n := &img.prods[i], &d.Products[i], &st.prods[i], int(img.prods[i].n)
-		if p.Version == 0 || ip.matched(p.Ratings, img.names) < n {
+		if !ip.restore {
 			exact = false
 			continue
 		}

@@ -47,7 +47,7 @@ func (s *Service) Checkpoint() error { // want "exported Checkpoint reaches writ
 }
 
 func (s *Service) compact() error {
-	return s.w.Compact(nil)
+	return s.w.Compact(nil, nil, nil)
 }
 
 func (s *Service) Late(v int, ctx context.Context) error { // want "first parameter"

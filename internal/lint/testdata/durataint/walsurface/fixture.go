@@ -12,7 +12,7 @@ import (
 func drops(w *wal.WAL, f *os.File, lf wal.File, fsys wal.FS) {
 	w.Append(wal.Record{})      // want "Append dropped"
 	w.Sync()                    // want "Sync dropped"
-	w.Compact(nil)              // want "Compact dropped"
+	w.Compact(nil, nil, nil)    // want "Compact dropped"
 	_ = w.Append(wal.Record{})  // want "Append dropped"
 	f.Sync()                    // want "Sync dropped"
 	lf.Sync()                   // want "Sync dropped"

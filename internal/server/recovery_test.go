@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/dataset"
 	"repro/internal/faultfs"
+	"repro/internal/trust"
 	"repro/internal/wal"
 )
 
@@ -372,7 +374,7 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Compact(svc.dataView()); err != nil {
+	if err := w.Compact(interned(svc.dataView())); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -456,4 +458,18 @@ func TestRecoveryReportsInvalidRecords(t *testing.T) {
 		}
 		svc3.Close()
 	}
+}
+
+// interned returns d, a dictionary of its raters in first-seen order and
+// their ordinals, product by product: wal.Compact's arguments for d.
+func interned(d *dataset.Dataset) (*dataset.Dataset, *trust.Symbols, [][]uint32) {
+	t, ords := trust.NewSymbols(0), make([][]uint32, len(d.Products))
+	for i, p := range d.Products {
+		for _, r := range p.Ratings {
+			var o uint32
+			t, o = t.Intern(r.Rater)
+			ords[i] = append(ords[i], o)
+		}
+	}
+	return d, t, ords
 }

@@ -75,7 +75,9 @@ func BenchmarkSubmitParallel(b *testing.B) {
 // crash row opens it as a kill before that Close left it, each shard's
 // snapshot plus a log tail. Each iteration opens a fresh copy of its
 // image and closes the store with the timer stopped, so the per-op cost
-// is the Open alone and does not depend on b.N.
+// is the Open alone and does not depend on b.N. The load row times the
+// write side of the same state: a fresh durable store's Load of those
+// 10k ratings (validation, the shard dictionaries, the compactions).
 func BenchmarkStoreOpen(b *testing.B) {
 	const shards, perPhase, pool = 2, 5000, 1400
 	// Four products per shard, so both shards get the same share.
@@ -110,10 +112,30 @@ func BenchmarkStoreOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	submit(perPhase, 300)
-	crash := clean.Clone()
+	crash, all := clean.Clone(), st.View()
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st, _, err := Open(600, products, Options{FS: faultfs.New(), Shards: shards})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := st.Load(ctx, all); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 
 	for _, row := range []struct {
 		name           string

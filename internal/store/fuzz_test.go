@@ -14,15 +14,17 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/faultfs"
+	"repro/internal/trust"
 	"repro/internal/wal"
 )
 
 // FuzzStoreReplay feeds arbitrary bytes to Open as shard 0's wal.log in a
 // two-shard directory, first alone and then behind a snapshot of shard 0
 // holding the records those bytes decode to, in the same order (so the
-// log replays them again): a version-2 snapshot as Compact writes it
-// (one block per stretch of one product's records), and a version-1
-// snapshot of the same records in the log's framing. The records are
+// log replays them again): a version-3 snapshot as Compact writes it
+// (the raters interned in first-seen order, one block per stretch of one
+// product's records), and a version-1 snapshot of the same records in
+// the log's framing. The records are
 // read by the test's own frame reader (readFrames), in file order. Open
 // must not panic or fail (a bad log tail is truncated, never fatal), and
 // replay, which takes a log product by product, must agree with the live
@@ -31,9 +33,9 @@ import (
 // the log's in file order, with records whose product routes to shard 1
 // skipped. The recovery report (accepted, duplicate, skipped and
 // truncated counts, and the skip reasons, in file order) must match that
-// reference too. The rater sets that the reopen, and a Load of the same
-// ratings, leave unbuilt must then refuse every rating again and take a
-// fresh rater (requireRaterSets). The pinned directory's files seed it.
+// reference too. The rater bitsets that the reopen, and a Load of the
+// same ratings, leave unbuilt must then refuse every rating again and
+// take a fresh rater (requireRaterSets). The pinned directory's files seed it.
 func FuzzStoreReplay(f *testing.F) {
 	const shards, horizon = 2, 90
 	products := testProducts(6)
@@ -165,7 +167,8 @@ func FuzzStoreReplay(f *testing.F) {
 // requireRaterSets re-submits every rating st holds, product by product:
 // each must fail as a duplicate and leave Generation as it was. Then a
 // rater new to the product must be accepted. A reopen and a Load build no
-// rater set; a product's first submit builds it from its series.
+// rater bitset; a product's first submit builds it from its ordinal
+// column.
 func requireRaterSets(t *testing.T, label string, st *Store) {
 	t.Helper()
 	ctx := context.Background()
@@ -207,7 +210,7 @@ func writeSnapshot(t *testing.T, fs *faultfs.FS, recs []wal.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Compact(d); err != nil {
+	if err := w.Compact(interned(d)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -243,4 +246,18 @@ func holdsExact(st *Store, r wal.Record) bool {
 		}
 	}
 	return false
+}
+
+// interned returns d, a dictionary of its raters in first-seen order and
+// their ordinals, product by product: wal.Compact's arguments for d.
+func interned(d *dataset.Dataset) (*dataset.Dataset, *trust.Symbols, [][]uint32) {
+	t, ords := trust.NewSymbols(0), make([][]uint32, len(d.Products))
+	for i, p := range d.Products {
+		for _, r := range p.Ratings {
+			var o uint32
+			t, o = t.Intern(r.Rater)
+			ords[i] = append(ords[i], o)
+		}
+	}
+	return d, t, ords
 }

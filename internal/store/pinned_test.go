@@ -21,19 +21,21 @@ import (
 	"repro/internal/wal"
 )
 
-var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/pinned-v2 from pinnedHistory instead of checking it")
+var updatePinned = flag.Bool("update-pinned", false, "rewrite testdata/pinned-v3 from pinnedHistory instead of checking it")
 
 // The pinned WAL directories: a manifest and two shards, written by the
 // store from pinnedHistory and then killed (copied before Close). Shard
 // pinnedSnapShard checkpointed after pinnedSnapEvery ratings and holds a
 // snapshot and a log tail; the other shard holds a log only, ending in a
-// torn half frame. pinnedDir holds a version-1 snapshot and is kept as
-// it was recorded; pinnedV2Dir holds a version-2 snapshot and is what
-// -update-pinned rewrites. A change to the frame, snapshot or manifest
-// bytes that DESIGN.md §7 does not describe fails the tests below.
+// torn half frame. pinnedDir holds a version-1 snapshot and pinnedV2Dir
+// a version-2 one, each kept as it was recorded; pinnedV3Dir holds a
+// version-3 snapshot and is what -update-pinned rewrites. A change to the
+// frame, snapshot or manifest bytes that DESIGN.md §7 does not describe
+// fails the tests below.
 const (
 	pinnedDir       = "testdata/pinned"
 	pinnedV2Dir     = "testdata/pinned-v2"
+	pinnedV3Dir     = "testdata/pinned-v3"
 	pinnedHorizon   = 90
 	pinnedShards    = 2
 	pinnedSnapEvery = 6
@@ -87,7 +89,7 @@ func pinnedFS(t *testing.T, dir string) *faultfs.FS {
 	return fs
 }
 
-// writePinned regenerates the version-2 pinned directory: the store Submits
+// writePinned regenerates the version-3 pinned directory: the store Submits
 // pinnedHistory with the snapshot trigger at pinnedSnapEvery, the
 // directory is copied before Close (a kill), and half of torn's frame is
 // appended to the other shard's log.
@@ -119,7 +121,7 @@ func writePinned(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		path := filepath.Join(pinnedV2Dir, name)
+		path := filepath.Join(pinnedV3Dir, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +154,12 @@ func encodeLog(t testing.TB, recs ...wal.Record) []byte {
 	return data
 }
 
-// TestPinnedWALDirectory opens both pinned directories with the current
-// code: from each, the recovered ratings must equal an in-memory store's
-// after it Submits pinnedHistory, and the RecoveryReport must equal the
-// recorded one, so the version-1 and the version-2 snapshot recover the
-// same View and report.
+// TestPinnedWALDirectory opens the three pinned directories with the
+// current code: from each, the recovered ratings must equal an in-memory
+// store's after it Submits pinnedHistory, and the RecoveryReport must
+// equal the recorded one, so the version-1, version-2 and version-3
+// snapshots recover the same View and report. Close then compacts every
+// shard's log into a version-3 snapshot.
 func TestPinnedWALDirectory(t *testing.T) {
 	if *updatePinned {
 		writePinned(t)
@@ -172,8 +175,9 @@ func TestPinnedWALDirectory(t *testing.T) {
 		}
 	}
 	want := RecoveryReport{SnapshotRatings: 6, ReplayedRatings: 8, TruncatedBytes: int64(len(encodeLog(t, torn)) / 2)}
-	for _, dir := range []string{pinnedDir, pinnedV2Dir} {
-		st, rep, err := Open(pinnedHorizon, products, Options{FS: pinnedFS(t, dir), Shards: pinnedShards})
+	for _, dir := range []string{pinnedDir, pinnedV2Dir, pinnedV3Dir} {
+		fs := pinnedFS(t, dir)
+		st, rep, err := Open(pinnedHorizon, products, Options{FS: fs, Shards: pinnedShards})
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
@@ -183,11 +187,18 @@ func TestPinnedWALDirectory(t *testing.T) {
 		if got, exp := st.View(), ref.View(); !reflect.DeepEqual(got, exp) {
 			t.Fatalf("%s: recovered %+v, want %+v", dir, got, exp)
 		}
-		st.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < pinnedShards; s++ {
+			if img, err := fs.ReadFile(wal.ShardDir(s) + "/snapshot.json"); err != nil || binary.LittleEndian.Uint32(img[4:]) != 3 {
+				t.Fatalf("%s: after Close, shard %d's snapshot is %x (%v), want version 3", dir, s, img[:min(len(img), 8)], err)
+			}
+		}
 	}
 }
 
-// TestPinnedWALBytes re-encodes the version-2 pinned files from pinnedHistory and
+// TestPinnedWALBytes re-encodes the version-3 pinned files from pinnedHistory and
 // compares them byte for byte: the snapshot from the checkpointed
 // shard's first pinnedSnapEvery ratings, each log from the records
 // submitted after its shard's checkpoint, and the manifest from its
@@ -220,14 +231,15 @@ func TestPinnedWALBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Compact(part.shards[snapShard].data); err != nil {
+	sh := part.shards[snapShard]
+	if err := w.Compact(sh.data, sh.raters, sh.ords); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	want[wal.ShardDir(snapShard)+"/snapshot.json"], _ = snapFS.ReadFile("snapshot.json")
 	for s := range tails {
 		logName := wal.ShardDir(s) + "/wal.log"
-		recorded, err := os.ReadFile(filepath.Join(pinnedV2Dir, logName))
+		recorded, err := os.ReadFile(filepath.Join(pinnedV3Dir, logName))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +263,7 @@ func TestPinnedWALBytes(t *testing.T) {
 	want["wal-manifest.json"], _ = mfs.ReadFile("wal-manifest.json")
 
 	for _, name := range pinnedFiles {
-		got, err := os.ReadFile(filepath.Join(pinnedV2Dir, name))
+		got, err := os.ReadFile(filepath.Join(pinnedV3Dir, name))
 		if os.IsNotExist(err) {
 			got = nil
 		} else if err != nil {
@@ -263,14 +275,15 @@ func TestPinnedWALBytes(t *testing.T) {
 	}
 }
 
-// TestPinnedSnapshotSecondReader parses the version-2 pinned snapshot from
-// DESIGN.md §7's format table alone, without internal/wal: a header
-// (magic, version 2, record count), then per product a block of a body
-// length, the CRC32 (IEEE) of the whole body, and the body (the product
-// ID, N, N rater lengths, the rater bytes, N value bits and N day bits).
-// The blocks must hold the checkpointed shard's first pinnedSnapEvery
-// ratings, product by product in series order, as an in-memory store
-// builds them from pinnedHistory.
+// TestPinnedSnapshotSecondReader parses the version-3 pinned snapshot
+// from DESIGN.md §7's format table alone, without internal/wal: a header
+// (magic, version 3, record count), then blocks of a body length, the
+// CRC32 (IEEE) of the whole body, and the body. Block 0 is the rater
+// dictionary (K, K name lengths, the names), which names no rater twice;
+// each later block is a product's (the product ID, N, N rater ordinals
+// below K, N value bits and N day bits). The blocks must hold the
+// checkpointed shard's first pinnedSnapEvery ratings, product by product
+// in series order, as an in-memory store builds them from pinnedHistory.
 func TestPinnedSnapshotSecondReader(t *testing.T) {
 	products, hist, _ := pinnedHistory()
 	snapShard := pinnedSnapShard(products)
@@ -298,15 +311,16 @@ func TestPinnedSnapshotSecondReader(t *testing.T) {
 		}
 	}
 
-	data, err := os.ReadFile(filepath.Join(pinnedV2Dir, wal.ShardDir(snapShard), "snapshot.json"))
+	data, err := os.ReadFile(filepath.Join(pinnedV3Dir, wal.ShardDir(snapShard), "snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
-	if len(data) < 16 || string(data[:4]) != "RSNP" || le.Uint32(data[4:]) != 2 {
-		t.Fatalf("header %x, want magic RSNP and version 2", data[:min(len(data), 16)])
+	if len(data) < 16 || string(data[:4]) != "RSNP" || le.Uint32(data[4:]) != 3 {
+		t.Fatalf("header %x, want magic RSNP and version 3", data[:min(len(data), 16)])
 	}
 	count := le.Uint64(data[8:])
+	var names []string
 	var got []rating
 	for off := 16; off < len(data); {
 		if len(data)-off < 8 || len(data)-off-8 < int(le.Uint32(data[off:])) {
@@ -316,21 +330,34 @@ func TestPinnedSnapshotSecondReader(t *testing.T) {
 		if crc32.ChecksumIEEE(body) != le.Uint32(data[off+4:]) {
 			t.Fatalf("block at byte %d: the CRC32 of its body is %08x, the block says %08x", off, crc32.ChecksumIEEE(body), le.Uint32(data[off+4:]))
 		}
+		if off == 16 {
+			k, rest := int(le.Uint32(body)), body[4+4*int(le.Uint32(body)):]
+			for o := 0; o < k; o++ {
+				l := le.Uint32(body[4+4*o:])
+				if slices.Contains(names, string(rest[:l])) {
+					t.Fatalf("the dictionary names %q twice", rest[:l])
+				}
+				names, rest = append(names, string(rest[:l])), rest[l:]
+			}
+			if len(rest) != 0 {
+				t.Fatalf("the dictionary's %d names leave %d bytes", k, len(rest))
+			}
+			off += 8 + len(body)
+			continue
+		}
 		off += 8 + len(body)
 		product := string(body[2 : 2+le.Uint16(body)])
 		rest := body[2+len(product):]
 		n := int(le.Uint32(rest))
-		lens, rest := rest[4:4+2*n], rest[4+2*n:]
-		raters := make([]string, n)
-		for i := range raters {
-			l := le.Uint16(lens[2*i:])
-			raters[i], rest = string(rest[:l]), rest[l:]
+		if rest = rest[4:]; len(rest) != 20*n {
+			t.Fatalf("block of %q: %d bytes of columns, want %d", product, len(rest), 20*n)
 		}
-		if len(rest) != 16*n {
-			t.Fatalf("block of %q: %d bytes of value and day columns, want %d", product, len(rest), 16*n)
-		}
-		for i, rater := range raters {
-			got = append(got, rating{product, rater, le.Uint64(rest[8*i:]), le.Uint64(rest[8*(n+i):])})
+		for i := 0; i < n; i++ {
+			o := int(le.Uint32(rest[4*i:]))
+			if o >= len(names) {
+				t.Fatalf("block of %q: rating %d names rater %d of %d", product, i, o, len(names))
+			}
+			got = append(got, rating{product, names[o], le.Uint64(rest[4*n+8*i:]), le.Uint64(rest[12*n+8*i:])})
 		}
 	}
 	if count != uint64(len(got)) || !reflect.DeepEqual(got, want) {
@@ -375,7 +402,7 @@ func readFrames(data []byte) (recs []wal.Record, n int) {
 	return recs, n
 }
 
-// TestPinnedLogSecondReader reads both pinned directories' log frames,
+// TestPinnedLogSecondReader reads the pinned directories' log frames,
 // the version-1 snapshot's frames and the manifest from DESIGN.md §7's
 // tables alone (readFrames and encoding/json), without internal/wal.
 // Each shard's log must hold, in submit order, the ratings pinnedHistory
@@ -425,7 +452,7 @@ func TestPinnedLogSecondReader(t *testing.T) {
 		return int(h.Sum64() % pinnedShards)
 	}
 
-	for _, dir := range []string{pinnedDir, pinnedV2Dir} {
+	for _, dir := range []string{pinnedDir, pinnedV2Dir, pinnedV3Dir} {
 		raw, err := os.ReadFile(filepath.Join(dir, "wal-manifest.json"))
 		if err != nil {
 			t.Fatal(err)

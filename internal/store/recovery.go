@@ -201,7 +201,7 @@ func (st *Store) openShards(fses []wal.FS, walOpts wal.Options) (*RecoveryReport
 			}
 			results[i].rep.TruncatedBytes = rec.TruncatedBytes
 			sh := st.shards[i]
-			sh.wal = w
+			sh.wal, sh.raters = w, rec.Raters
 			sh.sinceSnapshot = rec.TailRecords
 			sh.keepLog = results[i].rep.SkippedRecords > 0
 			results[i].w = w
@@ -237,12 +237,10 @@ type replayer struct {
 	// shard's product at partition position pos (nil when it announced
 	// none).
 	logCounts []int
-	// raters is the duplicate check's scratch set, reused from run to
-	// run: the raters applied to the run's product so far. A product's
-	// own set is built on its first submit (shard.ratersLocked). It was
-	// made with room for room raters.
-	raters map[string]bool
-	room   int
+	// stamps[o] is the stamp of the last run that applied the rater of
+	// ordinal o: the duplicate check of a run stamped stamp.
+	stamps []uint32
+	stamp  uint32
 	// skipAt[k] is the file position of the record behind
 	// report.SkipReasons[k] (logSkip plus its frame for a log record).
 	skipAt []int64
@@ -271,11 +269,13 @@ func (r *replayer) Expect(product string, frames int) {
 // beside the product's existence (a record found in shard i's files must
 // route there), counting its ratings as the checkpoint's or the log's and
 // folding each outcome into the recovery report. The product is looked
-// up once per run. Its first accepted record sizes its series once, to
-// its log frames (logCounts) plus the run itself when it is the
-// checkpoint's. An exact duplicate (same product, rater, value, day) is
-// the expected residue of a crash mid-Compact and is dropped silently;
-// anything else invalid is counted and sampled as a skip.
+// up once per run. Its first accepted record sizes its series and
+// ordinal column once, to its log frames (logCounts) plus the run itself
+// when it is the checkpoint's. A rater is a duplicate when its ordinal
+// already bears the run's stamp. An exact duplicate (same product,
+// rater, value, day) is the expected residue of a crash mid-Compact and
+// is dropped silently; anything else invalid is counted and sampled as a
+// skip.
 func (r *replayer) Replay(run wal.Run) {
 	st, sh, report := r.st, r.st.shards[r.shard], r.report
 	applied := &report.ReplayedRatings
@@ -290,56 +290,54 @@ func (r *replayer) Replay(run wal.Run) {
 	case l.shard != r.shard:
 		runErr = fmt.Errorf("store: product %q routes to shard %d but its record was found in shard %d's log", run.Product, l.shard, r.shard)
 	}
+	if k := run.Raters.Len(); len(r.stamps) < k {
+		r.stamps = append(r.stamps, make([]uint32, k+k/4-len(r.stamps))...)
+	}
+	// The run's stamp marks the raters already applied to its product:
+	// none on the product's first run, its ordinal column on a later one.
+	r.stamp++
 	var p *dataset.Product
 	var ratings dataset.Series
+	var ords []uint32
 	if runErr == nil {
-		p = &sh.data.Products[l.pos]
+		p, ords = &sh.data.Products[l.pos], sh.ords[l.pos]
 		ratings = p.Ratings
-		// The set starts empty on the product's first run, and from the
-		// raters already applied on a later one. It is remade, not grown,
-		// for a product with more raters than it has room for.
-		if need := r.expected(run, l.pos) + len(ratings); need > r.room {
-			r.raters, r.room = make(map[string]bool, need), need
-		}
-		clear(r.raters)
-		for _, x := range ratings {
-			r.raters[x.Rater] = true
+		for _, o := range ords {
+			r.stamps[o] = r.stamp
 		}
 	}
 	applied0 := *applied
-	j := 0
-	run.Each(func(rec wal.Record) {
-		err := checkRating(rec.Rater, rec.Value, rec.Day)
+	for j, n := 0, run.Len(); j < n; j++ {
+		o, value, day := run.At(j)
+		rater := run.Raters.Name(o)
+		err := checkRating(rater, value, day)
 		if err == nil {
 			err = runErr
 		}
 		if err == nil {
-			err = checkDay(rec.Day, sh.horizon)
+			err = checkDay(day, sh.horizon)
 		}
-		if err == nil && ratings == nil {
-			ratings = make(dataset.Series, 0, r.expected(run, l.pos))
-		}
-		if err == nil {
-			// One probe checks and sets: the set grows unless rater was in it.
-			n := len(r.raters)
-			if r.raters[rec.Rater] = true; len(r.raters) == n {
-				err = fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rec.Rater, run.Product)
-			}
+		if err == nil && r.stamps[o] == r.stamp {
+			err = fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, run.Product)
 		}
 		switch {
 		case err == nil:
-			ratings = ratings.Insert(dataset.Rating{Day: rec.Day, Value: rec.Value, Rater: rec.Rater})
+			if ratings == nil {
+				n := r.expected(run, l.pos)
+				ratings, ords = make(dataset.Series, 0, n), make([]uint32, 0, n)
+			}
+			r.stamps[o] = r.stamp
+			ratings, ords = insertRating(ratings, ords, dataset.Rating{Day: day, Value: value, Rater: rater}, o)
 			*applied++
-		case errors.Is(err, ErrDuplicateRating) && hasExactRating(ratings, rec):
+		case errors.Is(err, ErrDuplicateRating) && hasExactRating(ratings, ords, o, value, day):
 			report.DuplicateRecords++
 		default:
 			report.SkippedRecords++
-			r.sample(run, j, rec, err)
+			r.sample(run, j, rater, value, day, err)
 		}
-		j++
-	})
+	}
 	if p != nil {
-		p.Ratings = ratings
+		p.Ratings, sh.ords[l.pos] = ratings, ords
 		p.Version += uint64(*applied - applied0)
 	}
 }
@@ -354,11 +352,11 @@ func (r *replayer) expected(run wal.Run, pos int) int {
 	return run.Len()
 }
 
-// sample keeps the reason for skipping the run's j-th record rec when it
-// is among the first maxSkipReasons skips in file order, the
-// checkpoint's before the log's: a log replays product by product, so a
-// skip can precede one already kept.
-func (r *replayer) sample(run wal.Run, j int, rec wal.Record, err error) {
+// sample keeps the reason for skipping the run's j-th record (rater,
+// value, day) when it is among the first maxSkipReasons skips in file
+// order, the checkpoint's before the log's: a log replays product by
+// product, so a skip can precede one already kept.
+func (r *replayer) sample(run wal.Run, j int, rater string, value, day float64, err error) {
 	at := int64(run.Frame(j))
 	if !run.Snapshot {
 		at += logSkip
@@ -369,20 +367,18 @@ func (r *replayer) sample(run wal.Run, j int, rec wal.Record, err error) {
 	}
 	reasons := &r.report.SkipReasons
 	r.skipAt = slices.Insert(r.skipAt, k, at)
-	*reasons = slices.Insert(*reasons, k, fmt.Sprintf("%s/%s value=%v day=%v: %v", run.Product, rec.Rater, rec.Value, rec.Day, err))
+	*reasons = slices.Insert(*reasons, k, fmt.Sprintf("%s/%s value=%v day=%v: %v", run.Product, rater, value, day, err))
 	if len(r.skipAt) > maxSkipReasons {
 		r.skipAt, *reasons = r.skipAt[:maxSkipReasons], (*reasons)[:maxSkipReasons]
 	}
 }
 
-// hasExactRating reports whether rec's rater's rating in s has exactly
-// rec's value and day.
-func hasExactRating(s dataset.Series, rec wal.Record) bool {
-	for _, r := range s {
-		if r.Rater == rec.Rater {
-			//lint:ignore floateq WAL replay dedup is bit-exact by design: a re-replayed record carries the identical float bits, anything else is a conflicting duplicate
-			return r.Value == rec.Value && r.Day == rec.Day
-		}
+// hasExactRating reports whether the rating in s of the rater with
+// ordinal o (ords is s's ordinal column) has exactly value and day.
+func hasExactRating(s dataset.Series, ords []uint32, o uint32, value, day float64) bool {
+	if j := slices.Index(ords, o); j >= 0 {
+		//lint:ignore floateq WAL replay dedup is bit-exact by design: a re-replayed record carries the identical float bits, anything else is a conflicting duplicate
+		return s[j].Value == value && s[j].Day == day
 	}
 	return false
 }

@@ -3,18 +3,22 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/trust"
 	"repro/internal/wal"
 )
 
 // shard owns one product-keyed partition of the rating state: a dataset
-// slice holding only this shard's products, the per-product rater sets, and
-// (when durable) this shard's own WAL stream with an independent
-// group-commit pipeline.
+// slice holding only this shard's products, one rater dictionary that
+// interns every rater of them once, per product an ordinal column and a
+// rater bitset, and (when durable) this shard's own WAL stream with an
+// independent group-commit pipeline.
 //
 // Locking: gate orders submissions against checkpoints — a submission holds
 // gate.RLock across its whole append+apply critical path, and a checkpoint
@@ -28,12 +32,15 @@ type shard struct {
 	mu   sync.Mutex
 	// data holds only this shard's products, in registration order.
 	data *dataset.Dataset
-	// seen[pos] is the set of raters who rated data.Products[pos], indexed
-	// by partition position like data.Products, so once the router has
-	// resolved a product's position no check hashes its ID again. It is
-	// nil until the product's first submit builds it from the series
-	// (ratersLocked): New, Open and Load build none.
-	seen          []map[string]bool
+	// raters is the shard's rater dictionary (Open's is the snapshot's,
+	// indexed on its first lookup; Load builds one). ords[pos][j] is the
+	// ordinal of data.Products[pos].Ratings[j]'s rater, so Compact writes
+	// the snapshot without hashing. seen[pos] is the bitset of the
+	// ordinals that rated data.Products[pos], nil until the product's
+	// first submit builds it (bitsLocked): New, Open and Load build none.
+	raters        *trust.Symbols
+	ords          [][]uint32
+	seen          [][]uint64
 	sinceSnapshot int
 
 	wal           *wal.WAL
@@ -53,11 +60,12 @@ type shard struct {
 // snapshot interval elapsed — the caller runs the checkpoint outside the
 // submission's gate.RLock (a checkpoint needs the exclusive gate).
 //
-// The mutex choreography is the layer's core discipline: the rater slot is
-// reserved in seen under mu, mu is released across the WAL fsync (so one
-// slow disk stalls only this shard's duplicate checks, not its reads), and
-// reacquired to apply. A WAL failure rolls the reservation back — nothing
-// observable changed for the caller, matching the single-lock semantics.
+// The mutex choreography is the layer's core discipline: the rater's bit
+// is reserved in seen under mu, mu is released across the WAL fsync (so
+// one slow disk stalls only this shard's duplicate checks, not its reads),
+// and reacquired to apply. A WAL failure rolls the reservation back —
+// nothing observable changed for the caller, matching the single-lock
+// semantics.
 func (sh *shard) submit(ctx context.Context, pos int, product, rater string, value, day float64) (wal.Ack, bool, error) {
 	sh.gate.RLock()
 	defer sh.gate.RUnlock()
@@ -68,14 +76,15 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 		sh.mu.Unlock()
 		return wal.AckDurable, false, err
 	}
-	if err := sh.checkLocked(pos, product, rater, day); err != nil {
+	o, err := sh.checkLocked(pos, product, rater, day)
+	if err != nil {
 		sh.mu.Unlock()
 		return wal.AckDurable, false, err
 	}
 	w := sh.wal
-	// Reserve the rater slot so a concurrent duplicate submission fails
+	// Reserve the rater's bit so a concurrent duplicate submission fails
 	// during this one's fsync instead of double-logging.
-	sh.ratersLocked(pos)[rater] = true
+	sh.seen[pos][o/64] |= 1 << (o % 64)
 	sh.mu.Unlock()
 
 	ack := wal.AckDurable
@@ -87,7 +96,7 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 		})
 		if err != nil {
 			sh.mu.Lock()
-			delete(sh.seen[pos], rater) // roll back: the rating was not accepted
+			sh.seen[pos][o/64] &^= 1 << (o % 64) // roll back: the rating was not accepted
 			sh.mu.Unlock()
 			return ack, false, fmt.Errorf("%w: %v", ErrUnavailable, err)
 		}
@@ -95,7 +104,7 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 
 	sh.mu.Lock()
 	p := &sh.data.Products[pos]
-	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: day, Value: value, Rater: rater})
+	p.Ratings, sh.ords[pos] = insertRating(p.Ratings, sh.ords[pos], dataset.Rating{Day: day, Value: value, Rater: rater}, o)
 	p.Version++
 	sh.submits.Inc()
 	sh.sinceSnapshot++
@@ -108,32 +117,49 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 }
 
 // checkLocked runs the stateful submit validations (day range, duplicate
-// rater) on the product at partition position pos without mutating
-// anything. Product existence is the router's job: a product reaches a
-// shard only through the store's routing table.
-func (sh *shard) checkLocked(pos int, product, rater string, day float64) error {
+// rater) on the product at partition position pos, interning the rater,
+// and returns its ordinal. Product existence is the router's job: a
+// product reaches a shard only through the store's routing table.
+func (sh *shard) checkLocked(pos int, product, rater string, day float64) (uint32, error) {
 	if err := checkDay(day, sh.horizon); err != nil {
-		return err
+		return 0, err
 	}
-	if sh.ratersLocked(pos)[rater] {
-		return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, product)
+	var o uint32
+	sh.raters, o = sh.raters.Intern(rater)
+	if sh.bitsLocked(pos)[o/64]&(1<<(o%64)) != 0 {
+		return 0, fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, rater, product)
 	}
-	return nil
+	return o, nil
 }
 
-// ratersLocked returns the rater set of the product at partition
-// position pos, building it on first use from the product's series, with
-// room to grow. Caller holds sh.mu.
-func (sh *shard) ratersLocked(pos int) map[string]bool {
-	if sh.seen[pos] == nil {
-		s := sh.data.Products[pos].Ratings
-		m := make(map[string]bool, len(s)+len(s)/4+8)
-		for _, r := range s {
-			m[r.Rater] = true
+// bitsLocked returns the rater bitset of the product at partition
+// position pos, covering every ordinal of the dictionary: built on first
+// use from the product's ordinal column, grown with the dictionary.
+// Caller holds sh.mu.
+func (sh *shard) bitsLocked(pos int) []uint64 {
+	b := sh.seen[pos]
+	if need := (sh.raters.Len() + 63) / 64; len(b) < need {
+		b = append(b, make([]uint64, need-len(b))...)
+		if sh.seen[pos] == nil {
+			for _, o := range sh.ords[pos] {
+				b[o/64] |= 1 << (o % 64)
+			}
 		}
-		sh.seen[pos] = m
+		sh.seen[pos] = b
 	}
-	return sh.seen[pos]
+	return b
+}
+
+// insertRating inserts r, whose rater has ordinal o, into the series s
+// (Series.Insert) and o into the series' ordinal column at the same
+// index: an in-order rating, as every rating of a snapshot block is, by
+// appending both.
+func insertRating(s dataset.Series, ords []uint32, r dataset.Rating, o uint32) (dataset.Series, []uint32) {
+	if n := len(s); n == 0 || s[n-1].Day <= r.Day {
+		return append(s, r), append(ords, o)
+	}
+	i := sort.Search(len(s), func(j int) bool { return s[j].Day > r.Day })
+	return s.Insert(r), slices.Insert(ords, i, o)
 }
 
 // checkDay checks that a finite day lies within the horizon.
@@ -152,15 +178,16 @@ func (sh *shard) checkpoint() error {
 	defer sh.gate.Unlock()
 	sh.mu.Lock()
 	w := sh.wal
-	data := sh.data
+	data, raters, ords := sh.data, sh.raters, sh.ords
 	sh.sinceSnapshot = 0
 	sh.mu.Unlock()
 	if w == nil {
 		return nil
 	}
-	// Under the exclusive gate no submission mutates data, so Compact may
-	// marshal it outside mu (fsync never runs under the state mutex).
-	return w.Compact(data)
+	// Under the exclusive gate no submission mutates data or the
+	// dictionary, so Compact may marshal them outside mu (fsync never runs
+	// under the state mutex).
+	return w.Compact(data, raters, ords)
 }
 
 // cutLocked copies the shard's product headers into the combined dataset

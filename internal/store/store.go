@@ -1,6 +1,6 @@
 // Package store is the sharded storage layer under the rating service:
 // rating state is partitioned into N product-keyed shards, each with its
-// own mutex, dataset partition, rater-dedup sets, and WAL stream, so
+// own mutex, dataset partition, rater dictionary, and WAL stream, so
 // submissions on different products contend only on their own shard's lock
 // and fsync pipeline. The coordinator above (internal/server) routes writes
 // through Submit, tells whether anything changed from Generation, and takes
@@ -17,12 +17,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/trust"
 	"repro/internal/wal"
 )
 
@@ -125,6 +127,7 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 	for i := 0; i < shards; i++ {
 		st.shards = append(st.shards, &shard{
 			data:    &dataset.Dataset{HorizonDays: horizonDays},
+			raters:  trust.NewSymbols(0),
 			horizon: horizonDays,
 		})
 	}
@@ -138,7 +141,7 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 		// Version 1, not 0: store products are version-maintained from
 		// birth, so the engine's memo plane may key on them immediately.
 		sh.data.Products = append(sh.data.Products, dataset.Product{ID: id, Version: 1})
-		sh.seen = append(sh.seen, nil)
+		sh.ords, sh.seen = append(sh.ords, nil), append(sh.seen, nil)
 		st.globals[s] = append(st.globals[s], g)
 		st.products = append(st.products, id)
 	}
@@ -348,32 +351,41 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 	clone := d.Clone()
 	parts := make([]*dataset.Dataset, n)
 	globals := make([][]int, n)
-	for i := 0; i < n; i++ {
-		parts[i] = &dataset.Dataset{HorizonDays: clone.HorizonDays}
+	// Each shard's raters are interned into a new dictionary, with room
+	// for its largest product's raters and a quarter more (raters rate
+	// many products). A rater is a duplicate when its stamp is already its
+	// product's, g+1; an ordinal stays below its shard's rating count.
+	counts, most := make([]int, n), make([]int, n)
+	for _, p := range clone.Products {
+		s := Route(p.ID, n)
+		counts[s], most[s] = counts[s]+len(p.Ratings), max(most[s], len(p.Ratings))
 	}
+	raters, ords := make([]*trust.Symbols, n), make([][][]uint32, n)
+	for i := 0; i < n; i++ {
+		parts[i], raters[i] = &dataset.Dataset{HorizonDays: clone.HorizonDays}, trust.NewSymbols(most[i]+most[i]/4)
+	}
+	stamps := make([]int32, slices.Max(counts))
 	products := make([]string, 0, len(clone.Products))
 	byID := make(map[string]loc, len(clone.Products))
-	// One scratch set checks every product's raters; each product's own
-	// set is built on its first submit.
-	raters := map[string]bool{}
 	for g, p := range clone.Products {
-		clear(raters)
-		for _, r := range p.Ratings {
-			n := len(raters)
-			if raters[r.Rater] = true; len(raters) == n {
+		s := Route(p.ID, n)
+		col := make([]uint32, len(p.Ratings))
+		for j, r := range p.Ratings {
+			if raters[s], col[j] = raters[s].Intern(r.Rater); stamps[col[j]] == int32(g+1) {
 				return fmt.Errorf("%w: rater %q on %q", ErrDuplicateRating, r.Rater, p.ID)
 			}
+			stamps[col[j]] = int32(g + 1)
 		}
 		if _, dup := byID[p.ID]; dup {
 			return fmt.Errorf("store: duplicate product %q", p.ID)
 		}
-		s := Route(p.ID, n)
 		byID[p.ID] = loc{shard: s, pos: len(parts[s].Products)}
 		// From here on the store owns the product's mutations and maintains
 		// its content version; bump past the caller's (possibly zero,
 		// i.e. unversioned) value so the loaded series is version-keyed too.
 		p.Version++
 		parts[s].Products = append(parts[s].Products, p)
+		ords[s] = append(ords[s], col)
 		globals[s] = append(globals[s], g)
 		products = append(products, p.ID)
 	}
@@ -395,14 +407,14 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 		// Load is a stop-the-world bulk replacement (boot/admin path, never
 		// the serving path): holding the topology lock across the per-shard
 		// checkpoints is the point — nothing may observe a half-swapped store.
-		if err := sh.wal.Compact(parts[i]); err != nil {
+		if err := sh.wal.Compact(parts[i], raters[i], ords[i]); err != nil {
 			return fmt.Errorf("%w: checkpoint loaded dataset: %v", ErrUnavailable, err)
 		}
 	}
 	for i, sh := range st.shards {
 		sh.mu.Lock()
-		sh.data = parts[i]
-		sh.seen = make([]map[string]bool, len(parts[i].Products))
+		sh.data, sh.raters, sh.ords = parts[i], raters[i], ords[i]
+		sh.seen = make([][]uint64, len(parts[i].Products))
 		sh.sinceSnapshot = 0
 		sh.keepLog = false // the checkpoint above dropped what recovery skipped
 		sh.mu.Unlock()

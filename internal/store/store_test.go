@@ -214,7 +214,7 @@ func TestOpenLayout(t *testing.T) {
 				d := &dataset.Dataset{HorizonDays: 90, Products: []dataset.Product{
 					{ID: products[0], Ratings: dataset.Series{{Day: 1, Value: 4, Rater: "snap"}}},
 				}}
-				if err := w.Compact(d); err != nil {
+				if err := w.Compact(interned(d)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -388,7 +388,8 @@ func TestSubmitWALFailureRollsBackReservation(t *testing.T) {
 	st.mu.RLock()
 	sh := st.shards[0]
 	sh.mu.Lock()
-	burned := sh.ratersLocked(st.byID[products[0]].pos)["alice"]
+	_, o := sh.raters.Intern("alice")
+	burned := sh.bitsLocked(st.byID[products[0]].pos)[o/64]&(1<<(o%64)) != 0
 	sh.mu.Unlock()
 	st.mu.RUnlock()
 	if burned {

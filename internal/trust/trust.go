@@ -55,14 +55,23 @@ func NewSymbols(n int) *Symbols {
 	return &Symbols{names: make([]string, 0, n), ords: make(map[string]uint32, n)}
 }
 
-// SymbolsOf returns the table that holds names[o] under ordinal o, or
-// false when an ID appears in names twice. The table keeps names, and
-// indexes them on its first lookup or Intern.
-func SymbolsOf(names []string) (*Symbols, bool) {
-	if hasRepeat(names) {
-		return nil, false
+// SymbolsOf returns the table that holds names[o] under ordinal o, and
+// false when an ID appears in names twice (the table is then unusable).
+// The table keeps names, and interns new IDs into its spare capacity.
+// With index set it indexes them now, and the index finds a repeat;
+// without, a throwaway table does (hasRepeat), and the table indexes its
+// names on its first lookup or Intern. A caller that will intern passes
+// index.
+func SymbolsOf(names []string, index bool) (*Symbols, bool) {
+	t := &Symbols{names: names}
+	if !index {
+		return t, !hasRepeat(names)
 	}
-	return &Symbols{names: slices.Clip(names)}, true
+	t.ords = make(map[string]uint32, len(names))
+	for o, id := range names {
+		t.ords[id] = uint32(o)
+	}
+	return t, len(t.ords) == len(names)
 }
 
 // hasRepeat reports whether an ID appears in names twice, through a
@@ -126,6 +135,16 @@ func (t *Symbols) lookup(id string) (uint32, bool) {
 		return o, true
 	}
 	o, ok := t.index()[id]
+	return o, ok
+}
+
+// Ordinal returns the ordinal of the ID spelled by id, if it is
+// interned, without allocating.
+func (t *Symbols) Ordinal(id []byte) (uint32, bool) {
+	if o, ok := t.baseOrd[string(id)]; ok {
+		return o, true
+	}
+	o, ok := t.index()[string(id)]
 	return o, ok
 }
 

@@ -201,25 +201,27 @@ func TestManagerCountBound(t *testing.T) {
 // position as its ordinal, a new name extends the table after them, and a
 // list that names an ID twice is refused.
 func TestSymbolsOf(t *testing.T) {
-	names := []string{"carol", "alice", "bob"}
-	tab, ok := SymbolsOf(names)
-	if !ok || tab.Len() != 3 {
-		t.Fatalf("SymbolsOf = %v, %v", tab, ok)
-	}
-	for o, id := range names {
-		if got := tab.Name(uint32(o)); got != id {
-			t.Fatalf("Name(%d) = %q, want %q", o, got, id)
+	for _, index := range []bool{false, true} {
+		names := []string{"carol", "alice", "bob"}
+		tab, ok := SymbolsOf(names, index)
+		if !ok || tab.Len() != 3 {
+			t.Fatalf("SymbolsOf(index %v) = %v, %v", index, tab, ok)
 		}
-		if _, got := tab.Intern(id); got != uint32(o) {
-			t.Fatalf("Intern(%q) = %d, want %d", id, got, o)
+		for o, id := range names {
+			if got := tab.Name(uint32(o)); got != id {
+				t.Fatalf("Name(%d) = %q, want %q", o, got, id)
+			}
+			if _, got := tab.Intern(id); got != uint32(o) {
+				t.Fatalf("Intern(%q) = %d, want %d", id, got, o)
+			}
 		}
-	}
-	if tab, o := tab.Intern("dave"); o != 3 || tab.Len() != 4 || names[2] != "bob" {
-		t.Fatalf("Intern of a new name: ordinal %d, length %d, names %q", o, tab.Len(), names)
-	}
-	for _, dup := range [][]string{{"a", "a"}, {"a", "b", "c", "b"}} {
-		if _, ok := SymbolsOf(dup); ok {
-			t.Fatalf("SymbolsOf(%q) accepted a repeated name", dup)
+		if tab, o := tab.Intern("dave"); o != 3 || tab.Len() != 4 || names[2] != "bob" {
+			t.Fatalf("Intern of a new name: ordinal %d, length %d, names %q", o, tab.Len(), names)
+		}
+		for _, dup := range [][]string{{"a", "a"}, {"a", "b", "c", "b"}} {
+			if _, ok := SymbolsOf(dup, index); ok {
+				t.Fatalf("SymbolsOf(%q, index %v) accepted a repeated name", dup, index)
+			}
 		}
 	}
 }

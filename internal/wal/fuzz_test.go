@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/trust"
 )
 
 // FuzzWALDecode drives the record decoder and the torn-tail recovery scan
@@ -144,15 +145,16 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzSnapshotDecode drives the snapshot reader with arbitrary, cut and
-// bit-flipped images of both format versions it reads. A published
+// bit-flipped images of the three format versions it reads. A published
 // snapshot is never torn, so the contract differs from the log's
 // (DESIGN.md §7):
 //
 //  1. decodeSnapshot never panics on arbitrary bytes, and an image it
-//     accepts re-encodes in its own version (encodeSnapshot for version 2,
-//     a header plus appendRecord frames for version 1) to the identical
-//     bytes: the format is canonical, and a JSON checkpoint from an
-//     earlier build is never accepted.
+//     accepts re-encodes in its own version (encodeSnapshot from the
+//     decoded dictionary and ordinals for version 3, encodeV2 for
+//     version 2, a header plus appendRecord frames for version 1) to the
+//     identical bytes: the format is canonical, and a JSON checkpoint
+//     from an earlier build is never accepted.
 //  2. Cutting an encoded image at any byte short of its end is rejected.
 //  3. Flipping any single bit is rejected or decodes to exactly the
 //     encoded records: a damaged snapshot never yields a shorter or
@@ -177,18 +179,45 @@ func FuzzSnapshotDecode(f *testing.F) {
 	badCRC := bytes.Clone(snap)
 	badCRC[snapshotHeaderSize+4] ^= 1
 	f.Add(badCRC, uint16(0), uint32(0))
-	overrun, _ := encodeSnapshot(&dataset.Dataset{Products: []dataset.Product{{ID: "p0", Ratings: dataset.Series{{Day: 3, Value: 4.5, Rater: "alice"}}}}})
+	one := &dataset.Dataset{Products: []dataset.Product{{ID: "p0", Ratings: dataset.Series{{Day: 3, Value: 4.5, Rater: "alice"}}}}}
+	overrun := encodeV2(f, one)
 	body := overrun[snapshotHeaderSize+headerSize:]
 	binary.LittleEndian.PutUint32(body[2+len("p0"):], 2)
 	binary.LittleEndian.PutUint32(overrun[snapshotHeaderSize+4:], crc32.ChecksumIEEE(body))
 	f.Add(overrun, uint16(len(overrun)-1), uint32(9))
+	// Version 3: the pinned snapshot, and three images whose CRCs are
+	// recomputed so the layout checks refuse them: a dictionary that names
+	// a rater twice, an ordinal equal to the dictionary's length K, and a
+	// block whose N does not tile its body.
+	snap = readPinned(f, "pinned-v3", "shard-001/snapshot.json")
+	f.Add(snap, uint16(len(snap)/3), uint32(len(snap)*7))
+	two := &dataset.Dataset{Products: []dataset.Product{{ID: "p0", Ratings: dataset.Series{{Day: 3, Value: 4.5, Rater: "ab"}, {Day: 4, Value: 1, Rater: "ac"}}}}}
+	twice := encodeV3(f, two)
+	names := snapshotHeaderSize + headerSize + 4 + 2*4 // "ab", then "ac"
+	twice[names+3] = 'b'
+	f.Add(recrc(twice, snapshotHeaderSize), uint16(names), uint32(5))
+	pastK := encodeV3(f, two)
+	block := blockAt(pastK, 1)
+	binary.LittleEndian.PutUint32(pastK[block+headerSize+2+len("p0")+4+4:], 2)
+	f.Add(recrc(pastK, block), uint16(block), uint32(3))
+	untiled := encodeV3(f, two)
+	binary.LittleEndian.PutUint32(untiled[blockAt(untiled, 1)+headerSize+2+len("p0"):], 1)
+	f.Add(recrc(untiled, blockAt(untiled, 1)), uint16(0), uint32(0))
 
 	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, flip uint32) {
 		// (1) Arbitrary bytes.
 		if runs, err := decodeSnapshotRuns(t, raw); err == nil {
-			re := encodeV1(t, runs.recs)
-			if binary.LittleEndian.Uint32(raw[4:]) == snapshotVersion {
-				re = encodeV2(t, runs)
+			var re []byte
+			switch binary.LittleEndian.Uint32(raw[4:]) {
+			case 1:
+				re = encodeV1(t, runs.recs)
+			case 2:
+				re = encodeV2(t, &runs.Dataset)
+			default:
+				re, err = encodeSnapshot(&runs.Dataset, runs.raters, runs.ords)
+				if err != nil {
+					t.Fatalf("re-encode: %v", err)
+				}
 			}
 			if !bytes.Equal(re, raw) {
 				t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", raw, re)
@@ -201,7 +230,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		for i := range recs {
 			recs[i].ReceivedUnixNano = 0
 		}
-		for _, img := range [][]byte{encodeV1(t, recs), encodeV2(t, runsOf(recs))} {
+		runs := runsOf(recs)
+		for _, img := range [][]byte{encodeV1(t, recs), encodeV2(t, &runs.Dataset), encodeV3(t, &runs.Dataset)} {
 			got, err := decodeSnapshotRuns(t, img)
 			if err != nil {
 				t.Fatalf("encoded snapshot rejected: %v", err)
@@ -225,6 +255,23 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
+// blockAt returns the byte offset of a version-2 or version-3 image's
+// k-th block (a version-3 image's dictionary is block 0).
+func blockAt(img []byte, k int) int {
+	off := snapshotHeaderSize
+	for ; k > 0; k-- {
+		off += headerSize + int(binary.LittleEndian.Uint32(img[off:]))
+	}
+	return off
+}
+
+// recrc recomputes the CRC of the block at byte off of img.
+func recrc(img []byte, off int) []byte {
+	body := img[off+headerSize : off+headerSize+int(binary.LittleEndian.Uint32(img[off:]))]
+	binary.LittleEndian.PutUint32(img[off+4:], crc32.ChecksumIEEE(body))
+	return img
+}
+
 // readPinned reads a file of a pinned WAL directory that internal/store's
 // tests open and re-encode byte for byte.
 func readPinned(f *testing.F, dir, name string) []byte {
@@ -237,12 +284,14 @@ func readPinned(f *testing.F, dir, name string) []byte {
 }
 
 // snapshotRuns collects the runs a snapshot decode replays, as a dataset
-// with one product per run, and their records, placed by Run.Frame: in
-// file order.
+// with one product per run, their records, placed by Run.Frame (in file
+// order), and their rater ordinals in the dictionary raters.
 type snapshotRuns struct {
 	t *testing.T
 	dataset.Dataset
-	recs []Record
+	recs   []Record
+	raters *trust.Symbols
+	ords   [][]uint32
 }
 
 func (s *snapshotRuns) Expect(string, int) {}
@@ -251,13 +300,14 @@ func (s *snapshotRuns) Replay(run Run) {
 	if !run.Snapshot {
 		s.t.Fatalf("snapshot run %d replayed as a log run", len(s.Products))
 	}
-	p := dataset.Product{ID: run.Product}
+	p, ords := dataset.Product{ID: run.Product}, []uint32(nil)
 	i := 0
 	run.Each(func(r Record) {
 		if r.Product != run.Product {
 			s.t.Fatalf("run of %q replayed a record of %q", run.Product, r.Product)
 		}
-		p.Ratings = append(p.Ratings, dataset.Rating{Day: r.Day, Value: r.Value, Rater: r.Rater})
+		o, _, _ := run.At(i)
+		p.Ratings, ords = append(p.Ratings, dataset.Rating{Day: r.Day, Value: r.Value, Rater: r.Rater}), append(ords, o)
 		f := run.Frame(i)
 		if f < len(s.recs) && s.recs[f] != (Record{}) || i > 0 && f <= run.Frame(i-1) {
 			s.t.Fatalf("run of %q numbers its record %d as frame %d, out of order or taken", run.Product, i, f)
@@ -266,7 +316,7 @@ func (s *snapshotRuns) Replay(run Run) {
 		s.recs[f] = r
 		i++
 	})
-	s.Products = append(s.Products, p)
+	s.Products, s.ords = append(s.Products, p), append(s.ords, ords)
 }
 
 // runsOf groups records into runs: one product per stretch of records
@@ -289,21 +339,60 @@ func runsOf(recs []Record) *snapshotRuns {
 func decodeSnapshotRuns(t *testing.T, data []byte) (*snapshotRuns, error) {
 	t.Helper()
 	runs := &snapshotRuns{t: t}
-	n, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)), &runDecoder{rp: runs})
+	d := &runDecoder{rp: runs, dict: trust.NewSymbols(0)}
+	n, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)), d)
 	if err == nil && n != len(runs.recs) {
 		t.Fatalf("decodeSnapshot counted %d records and replayed %d", n, len(runs.recs))
 	}
+	runs.raters = d.dict
 	return runs, err
 }
 
-// encodeV2 encodes runs as a snapshot image, one block per run.
-func encodeV2(t *testing.T, runs *snapshotRuns) []byte {
+// encodeV3 encodes d as a snapshot image, its raters interned in
+// first-seen order.
+func encodeV3(t testing.TB, d *dataset.Dataset) []byte {
 	t.Helper()
-	img, err := encodeSnapshot(&runs.Dataset)
+	img, err := encodeSnapshot(Interned(d))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return img
+}
+
+// encodeV2 encodes d as a version-2 snapshot image, which this package
+// reads but no longer writes: the header, then per product with ratings a
+// block of its product ID, N, N u16 rater ID lengths, the rater IDs, N
+// value bits and N day bits.
+func encodeV2(t testing.TB, d *dataset.Dataset) []byte {
+	t.Helper()
+	le, count := binary.LittleEndian, 0
+	for _, p := range d.Products {
+		count += len(p.Ratings)
+	}
+	buf := le.AppendUint64(le.AppendUint32([]byte(snapshotMagic), 2), uint64(count))
+	for _, p := range d.Products {
+		if len(p.Ratings) == 0 {
+			continue
+		}
+		start := len(buf)
+		buf = append(buf, make([]byte, headerSize)...)
+		buf = append(le.AppendUint16(buf, uint16(len(p.ID))), p.ID...)
+		buf = le.AppendUint32(buf, uint32(len(p.Ratings)))
+		for _, r := range p.Ratings {
+			buf = le.AppendUint16(buf, uint16(len(r.Rater)))
+		}
+		for _, r := range p.Ratings {
+			buf = append(buf, r.Rater...)
+		}
+		for _, r := range p.Ratings {
+			buf = le.AppendUint64(buf, math.Float64bits(r.Value))
+		}
+		for _, r := range p.Ratings {
+			buf = le.AppendUint64(buf, math.Float64bits(r.Day))
+		}
+		buf = closeBlock(buf, start)
+	}
+	return buf
 }
 
 // appendV1Header appends the header of a version-1 snapshot holding

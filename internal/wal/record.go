@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
+
+	"repro/internal/trust"
 )
 
 // Record is one durably logged rating submission.
@@ -113,15 +116,21 @@ func splitPayload(payload []byte) (product, rater, tail []byte, ok bool) {
 
 // runDecoder replays what Open decodes to a Replayer, run by run. A
 // product ID is interned once as an ordinal into names, so a file that
-// names a handful of products thousands of times allocates each ID once,
-// and a run's rater IDs become one string. A log run's columns are
-// gathered in raters … received, and a snapshot block is read into
-// block: scratch, reused from run to run.
+// names a handful of products thousands of times allocates each ID once.
+// A rater ID is interned into dict, the rater dictionary every run's
+// ordinals index: a version-3 snapshot's, or empty, extended by the
+// raters of the log and of older snapshots that it lacks. A log run's
+// columns are gathered in ords … received, and a snapshot block is read
+// into block: scratch, reused from run to run.
 type runDecoder struct {
-	rp                                          Replayer
-	ids                                         map[string]int32
-	names                                       []string
-	raters, lens, values, days, received, block []byte
+	rp    Replayer
+	ids   map[string]int32
+	names []string
+	dict  *trust.Symbols
+	// interns is set when the log holds frames, whose raters will be
+	// interned: a snapshot's dictionary is then indexed as it is read.
+	interns                             bool
+	ords, values, days, received, block []byte
 }
 
 // intern returns product's ordinal, adding it to names if new.
@@ -136,6 +145,16 @@ func (d *runDecoder) intern(product []byte) int32 {
 		d.ids[d.names[k]] = k
 	}
 	return k
+}
+
+// ordinal appends the ordinal of the rater ID rater to the run's column
+// in d.ords, interning the ID when the dictionary lacks it.
+func (d *runDecoder) ordinal(rater []byte) {
+	o, ok := d.dict.Ordinal(rater)
+	if !ok {
+		d.dict, o = d.dict.Intern(string(rater))
+	}
+	d.ords = binary.LittleEndian.AppendUint32(d.ords, o)
 }
 
 // frameIndex holds the checksum-valid frames at the front of an image,
@@ -186,7 +205,12 @@ func (d *runDecoder) index(data []byte, max uint64) frameIndex {
 // one Run per product, in ordinal order, each holding the product's
 // frames in frame order.
 func (d *runDecoder) replayIndex(data []byte, x frameIndex, snapshot bool) {
-	start := 0
+	most, start := 0, 0 // the scratch is sized once, for the longest run
+	for _, end := range x.ends {
+		most, start = max(most, end-start), end
+	}
+	d.ords, d.values, d.days, d.received = slices.Grow(d.ords[:0], 4*most), slices.Grow(d.values, 8*most), slices.Grow(d.days, 8*most), slices.Grow(d.received, 8*most)
+	start = 0
 	for k, end := range x.ends {
 		frames := x.order[start:end]
 		start = end
@@ -195,15 +219,14 @@ func (d *runDecoder) replayIndex(data []byte, x frameIndex, snapshot bool) {
 		}
 		for _, f := range frames {
 			_, rater, tail, _ := splitPayload(data[x.offs[f]+headerSize : x.offs[f+1]])
-			d.raters = append(d.raters, rater...)
-			d.lens = binary.LittleEndian.AppendUint16(d.lens, uint16(len(rater)))
+			d.ordinal(rater)
 			d.values = append(d.values, tail[:8]...)
 			d.days = append(d.days, tail[8:16]...)
 			d.received = append(d.received, tail[16:]...)
 		}
-		run := Run{Product: d.names[k], Snapshot: snapshot, frames: frames,
-			raters: string(d.raters), lens: d.lens, values: d.values, days: d.days, received: d.received}
+		run := Run{Product: d.names[k], Snapshot: snapshot, Raters: d.dict, frames: frames,
+			ords: d.ords, values: d.values, days: d.days, received: d.received}
 		d.rp.Replay(run)
-		d.raters, d.lens, d.values, d.days, d.received = d.raters[:0], d.lens[:0], d.values[:0], d.days[:0], d.received[:0]
+		d.ords, d.values, d.days, d.received = d.ords[:0], d.values[:0], d.days[:0], d.received[:0]
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"strings"
@@ -53,7 +54,7 @@ func compacted(t *testing.T, d *dataset.Dataset) *faultfs.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Compact(d); err != nil {
+	if err := w.Compact(wal.Interned(d)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -115,9 +116,9 @@ func TestEmptySnapshotIsASnapshot(t *testing.T) {
 	}
 }
 
-// blockOffsets returns the byte offsets of a version-2 snapshot's blocks:
-// after the 16-byte header, each block is its u32 body length, its CRC
-// and the body.
+// blockOffsets returns the byte offsets of a snapshot's blocks (block 0
+// is the rater dictionary): after the 16-byte header, each block is its
+// u32 body length, its CRC and the body.
 func blockOffsets(img []byte) []int {
 	var offs []int
 	for off := 16; off < len(img); off += 8 + int(binary.LittleEndian.Uint32(img[off:])) {
@@ -130,9 +131,12 @@ func blockOffsets(img []byte) []int {
 // is corruption, not a torn tail: Open fails naming the snapshot, leaves
 // the file as it found it, and never recovers a shorter history. A JSON
 // checkpoint of earlier builds, whole or cut, fails the same way and the
-// error names the format. A version-2 snapshot frames each product's
-// block as the log frames a record (a length, a CRC, a body), so the
-// frame cases damage blocks; a damaged block is named with its offset.
+// error names the format. A snapshot frames its rater dictionary and
+// each product's block as the log frames a record (a length, a CRC, a
+// body), so the frame cases damage blocks; a damaged block is named with
+// its offset. A dictionary that names a rater twice, or a rating whose
+// ordinal is not below the dictionary's length, fails too, even under a
+// good CRC.
 func TestCorruptSnapshotFailsOpen(t *testing.T) {
 	fs := compacted(t, snapshotDataset())
 	good, err := fs.ReadFile("snapshot.json")
@@ -144,10 +148,10 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := blockOffsets(good)
-	if len(blocks) != 2 {
-		t.Fatalf("snapshot of two products holds %d blocks", len(blocks))
+	if len(blocks) != 3 {
+		t.Fatalf("snapshot of two products holds %d blocks, want a dictionary and 2", len(blocks))
 	}
-	last := blocks[1]
+	last := blocks[2]
 	flip := func(bit int) []byte {
 		b := bytes.Clone(good)
 		b[bit/8] ^= 1 << (bit % 8)
@@ -163,6 +167,16 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[8:], n)
 		return b
 	}
+	// withByte sets byte i of the block at off, then its CRC.
+	withByte := func(off, i int, v byte) []byte {
+		b := bytes.Clone(good)
+		b[i] = v
+		body := b[off+8 : off+8+int(binary.LittleEndian.Uint32(b[off:]))]
+		binary.LittleEndian.PutUint32(b[off+4:], crc32.ChecksumIEEE(body))
+		return b
+	}
+	// The dictionary names a, b, c; tv0's block names b by ordinal 1.
+	names, bOrd := blocks[0]+8+4+3*4, blocks[1]+8+2+len("tv0")+4+4
 	cases := map[string]struct {
 		img  []byte
 		want string // in the error, when set
@@ -170,18 +184,21 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 		"empty file":               {img: []byte{}},
 		"bit flip in magic":        {img: flip(3)},
 		"bit flip in count":        {img: flip(8*8 + 1)},
-		"bit flip in frame length": {img: flip(8 * last), want: fmt.Sprintf("block 1 at byte %d", last)},
+		"bit flip in frame length": {img: flip(8 * last), want: fmt.Sprintf("block 2 at byte %d", last)},
 		"bit flip in CRC":          {img: flip(8*(16+4) + 5), want: "block 0 at byte 16: CRC mismatch"},
-		"bit flip in payload":      {img: flip(8 * (last + 8 + 5)), want: fmt.Sprintf("block 1 at byte %d: CRC mismatch", last)},
+		"bit flip in payload":      {img: flip(8 * (last + 8 + 5)), want: fmt.Sprintf("block 2 at byte %d: CRC mismatch", last)},
 		"cut in header":            {img: good[:10]},
-		"cut at frame boundary":    {img: good[:last], want: fmt.Sprintf("block 1 at byte %d", last)},
-		"cut mid-frame":            {img: good[:len(good)-3], want: fmt.Sprintf("block 1 at byte %d", last)},
+		"cut at frame boundary":    {img: good[:last], want: fmt.Sprintf("block 2 at byte %d", last)},
+		"cut mid-frame":            {img: good[:len(good)-3], want: fmt.Sprintf("block 2 at byte %d", last)},
+		"cut in the dictionary":    {img: good[:blocks[1]-1], want: "block 0 at byte 16"},
 		"trailing garbage":         {img: append(bytes.Clone(good), 0x7, 0x13), want: "2 trailing bytes"},
 		"trailing frame":           {img: append(bytes.Clone(good), good[last:]...), want: "trailing bytes"},
 		"count past the blocks":    {img: withCount(4), want: "3 of 4 records"},
-		"count short of a block":   {img: withCount(1), want: "block 0 at byte 16: 2 records pass the header's count of 1"},
+		"count short of a block":   {img: withCount(1), want: fmt.Sprintf("block 1 at byte %d: 2 records pass the header's count of 1", blocks[1])},
+		"a rater named twice":      {img: withByte(blocks[0], names+1, 'a'), want: "block 0 at byte 16: the rater dictionary names a rater twice"},
+		"an ordinal equal to K":    {img: withByte(blocks[1], bOrd, 3), want: fmt.Sprintf("block 1 at byte %d: record 1 names rater 3 of 3", blocks[1])},
 		"bad magic":                {img: append([]byte("XSNP"), good[4:]...)},
-		"unknown version":          {img: withVersion(3), want: "unknown version 3"},
+		"unknown version":          {img: withVersion(4), want: "unknown version 4"},
 		"version zero":             {img: withVersion(0)},
 		"broken legacy JSON":       {img: []byte(`{"horizonDays":90,"products":[{"id":"tv0","ratings":[{"day":1,`)},
 		"legacy JSON checkpoint":   {img: js.Bytes()},
@@ -211,9 +228,9 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 }
 
 // A version-1 snapshot (the records in the log's framing) is still read:
-// it replays the records a version-2 snapshot of the same dataset does,
+// it replays the records a version-3 snapshot of the same dataset does,
 // a bad frame in it fails naming the record, and the next Compact writes
-// version 2.
+// version 3.
 func TestVersion1SnapshotStillRead(t *testing.T) {
 	d := snapshotDataset()
 	v1 := binary.LittleEndian.AppendUint32([]byte(wal.SnapshotMagic), 1)
@@ -229,12 +246,12 @@ func TestVersion1SnapshotStillRead(t *testing.T) {
 		t.Fatalf("recovery has snapshot %v with %d records, want 3", rc.HasSnapshot, rc.SnapshotRecords)
 	}
 	requireRecords(t, "version 1", rc.Records, snapshotRecords(d))
-	if err := w.Compact(d); err != nil {
+	if err := w.Compact(wal.Interned(d)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	if img, _ := fs.ReadFile("snapshot.json"); binary.LittleEndian.Uint32(img[4:]) != 2 {
-		t.Fatalf("Compact wrote version %d, want 2", binary.LittleEndian.Uint32(img[4:]))
+	if img, _ := fs.ReadFile("snapshot.json"); binary.LittleEndian.Uint32(img[4:]) != 3 {
+		t.Fatalf("Compact wrote version %d, want 3", binary.LittleEndian.Uint32(img[4:]))
 	}
 
 	bad := bytes.Clone(v1)
@@ -275,7 +292,7 @@ func TestCompactOSDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 0, 4)
-	if err := w.Compact(snapshotDataset()); err != nil {
+	if err := w.Compact(wal.Interned(snapshotDataset())); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/trust"
 )
 
 // File names inside the WAL directory.
@@ -133,24 +134,29 @@ type Recovery struct {
 	// TruncatedBytes counts bytes of torn or corrupt log tail that were
 	// discarded (and physically truncated from the file).
 	TruncatedBytes int64
+	// Raters is the rater dictionary the runs' ordinals indexed, with
+	// every rater they named: the checkpoint's, then the log's.
+	Raters *trust.Symbols
 }
 
 // A Run is a sequence of records of one product, as Open decoded them:
 // a snapshot holds one run per product block (a version-1 snapshot one
 // per product), and a log one run per product, holding that product's
-// records in log order. A Run is valid
-// only during the Replay call that receives it, but the strings of its
-// records may be kept.
+// records in log order. A Run is valid only during the Replay call that
+// receives it, but the strings of its records may be kept. Its methods
+// take a pointer, so a loop over its records never copies it.
 type Run struct {
 	// Product is the ID every record of the run names.
 	Product string
 	// Snapshot is set for a run of the checkpoint.
 	Snapshot bool
-	// The records as columns, aliasing Open's buffers: the rater IDs back
-	// to back, their u16 lengths, and one u64 per record of value bits,
-	// day bits and receipt time (nil for a snapshot block: none).
-	raters                       string
-	lens, values, days, received []byte
+	// Raters is the rater dictionary of the Open: a record names its
+	// rater by an ordinal in it. A later run's table may hold more names.
+	Raters *trust.Symbols
+	// The records as columns, aliasing Open's buffers: a u32 rater
+	// ordinal and one u64 of value bits, day bits and receipt time (nil
+	// for a snapshot block: none) per record.
+	ords, values, days, received []byte
 	// frames numbers the records in their file (nil for a snapshot block,
 	// whose records are numbered first, first+1, …).
 	frames []int32
@@ -159,7 +165,7 @@ type Run struct {
 
 // Frame returns the position of the run's i-th record among the records
 // of its file (the log or the checkpoint), counting from 0.
-func (r Run) Frame(i int) int {
+func (r *Run) Frame(i int) int {
 	if r.frames != nil {
 		return int(r.frames[i])
 	}
@@ -167,22 +173,25 @@ func (r Run) Frame(i int) int {
 }
 
 // Len returns the number of records in the run.
-func (r Run) Len() int { return len(r.lens) / 2 }
+func (r *Run) Len() int { return len(r.ords) / 4 }
+
+// At returns the run's i-th record's rater ordinal in Raters, its value
+// and its day.
+func (r *Run) At(i int) (rater uint32, value, day float64) {
+	le := binary.LittleEndian
+	return le.Uint32(r.ords[4*i:]), math.Float64frombits(le.Uint64(r.values[8*i:])), math.Float64frombits(le.Uint64(r.days[8*i:]))
+}
 
 // Each calls f with each record of the run, in file order. Every
-// record's Product is the run's, and the Rater strings of a run share
-// one allocation.
-func (r Run) Each(f func(Record)) {
-	le := binary.LittleEndian
-	for i, off := 0, 0; i < r.Len(); i++ {
-		end := off + int(le.Uint16(r.lens[2*i:]))
-		rec := Record{Product: r.Product, Rater: r.raters[off:end],
-			Value: math.Float64frombits(le.Uint64(r.values[8*i:])), Day: math.Float64frombits(le.Uint64(r.days[8*i:]))}
+// record's Product is the run's, and its Rater the dictionary's name.
+func (r *Run) Each(f func(Record)) {
+	for i := 0; i < r.Len(); i++ {
+		o, value, day := r.At(i)
+		rec := Record{Product: r.Product, Rater: r.Raters.Name(o), Value: value, Day: day}
 		if r.received != nil {
-			rec.ReceivedUnixNano = int64(le.Uint64(r.received[8*i:]))
+			rec.ReceivedUnixNano = int64(binary.LittleEndian.Uint64(r.received[8*i:]))
 		}
 		f(rec)
-		off = end
 	}
 }
 
@@ -260,8 +269,9 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, dec := &Recovery{}, &runDecoder{rp: rp}
+	rec, dec := &Recovery{}, &runDecoder{rp: rp, dict: trust.NewSymbols(0)}
 	logIdx := dec.index(logImg, math.MaxUint64)
+	dec.interns = len(logIdx.order) > 0
 	start := 0
 	for k, end := range logIdx.ends {
 		if end > start {
@@ -280,6 +290,7 @@ func Open(fsys FS, opts Options, rp Replayer) (*WAL, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	rec.Raters = dec.dict
 	f, err := fsys.OpenAppend(logName)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open log: %w", err)
@@ -514,8 +525,10 @@ func (w *WAL) Sync() error {
 }
 
 // Compact checkpoints the full dataset and resets the log, bounding
-// recovery cost. The checkpoint is one binary snapshot image (see
-// snapshot.go): every product's ratings as one checksummed block of
+// recovery cost. raters is the dictionary d's raters are interned in, and
+// ords[i][j] the ordinal of d.Products[i].Ratings[j]'s rater. The
+// checkpoint is one binary snapshot image (see snapshot.go): the
+// dictionary, then every product's ratings as one checksummed block of
 // columns, behind a magic, version and count header. Write order matters
 // for crash safety:
 //
@@ -528,7 +541,7 @@ func (w *WAL) Sync() error {
 // (2) and (3) leaves a snapshot that already contains the log's records —
 // recovery replays them as exact duplicates, which the service
 // deduplicates idempotently.
-func (w *WAL) Compact(d *dataset.Dataset) error {
+func (w *WAL) Compact(d *dataset.Dataset, raters *trust.Symbols, ords [][]uint32) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -542,7 +555,7 @@ func (w *WAL) Compact(d *dataset.Dataset) error {
 	if err := w.syncLocked(); err != nil {
 		return err
 	}
-	img, err := encodeSnapshot(d)
+	img, err := encodeSnapshot(d, raters, ords)
 	if err != nil {
 		return fmt.Errorf("wal: encode snapshot: %w", err)
 	}

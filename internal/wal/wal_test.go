@@ -373,7 +373,7 @@ func TestCompactCheckpointsAndResetsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 0, 8)
-	if err := w.Compact(snapshotDataset()); err != nil {
+	if err := w.Compact(wal.Interned(snapshotDataset())); err != nil {
 		t.Fatal(err)
 	}
 	if size, _ := fs.Size("wal.log"); size != 0 {
@@ -443,7 +443,7 @@ func TestClosedWAL(t *testing.T) {
 	if err := w.Append(rec(0)); !errors.Is(err, wal.ErrClosed) {
 		t.Errorf("Append after close = %v, want ErrClosed", err)
 	}
-	if err := w.Compact(snapshotDataset()); !errors.Is(err, wal.ErrClosed) {
+	if err := w.Compact(wal.Interned(snapshotDataset())); !errors.Is(err, wal.ErrClosed) {
 		t.Errorf("Compact after close = %v, want ErrClosed", err)
 	}
 	if err := w.Close(); err != nil {
