@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"testing"
@@ -464,7 +465,10 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 	// with a first tail rating by another new rater, whose fork flattens
 	// the cold table into a shared base. So the measured fork is the
 	// steady state's, an overlay of one name, and every iteration does the
-	// same work: the per-op cost does not depend on b.N.
+	// same work: the per-op cost does not depend on b.N. The measured
+	// Resume runs under the profiler label bench=warm-live-tail, which the
+	// engine's pool goroutines inherit, so a CPU profile of the benchmark
+	// keeps it apart from the priming with -tagfocus=bench=warm-live-tail.
 	b.Run("warm-live-tail", func(b *testing.B) {
 		dd := benchEngineDataset(b, 5, 300)
 		mid := dd.HorizonDays / 2
@@ -478,6 +482,7 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		base := prod.Ratings
+		labelled := pprof.WithLabels(context.Background(), pprof.Labels("bench", "warm-live-tail"))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -489,7 +494,9 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 				prod.Version++
 			}
 			b.StartTimer()
+			pprof.SetGoroutineLabels(labelled)
 			eng.Resume(context.Background(), st, dd)
+			pprof.SetGoroutineLabels(context.Background())
 			prod.Ratings = base
 		}
 	})

@@ -16,6 +16,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/epoch"
 	"repro/internal/trust"
+	"repro/internal/wal"
 )
 
 // An engine image persists the memo plane's trust-free signals tiers
@@ -29,22 +30,22 @@ import (
 //
 // The payload is the engine-key fingerprint and the horizon bits, then
 // four sections. The dictionary is the writer's rater names in ordinal
-// order, each once: a u32 count K, K u32 name lengths, then the names'
-// bytes. The ratings section is a u32 product count and per product its
-// ID, the length N of the series its entries were recorded against and
-// those N ratings as columns: N day bits, N value bits (f64 each), N u32
-// ordinals below K. The signals section holds per product its entries:
-// (epoch, prefix length, arcHi, detect.Signals), the final entry under
-// epoch index = the period count. Then comes the decisions flag, a bool,
-// and, when it is set, per product: its causal marks and its final marks,
-// N bits each, then its final scores and its published scores, one f64
-// per period each. Slices are a u32 count, then their elements field
-// after field with no padding; columns, marks and score rows, whose
-// counts follow from N and the horizon, are their elements alone
-// (imageCodec). Trust is rebuilt from the marks (restoreDecisions).
+// order, each once, and the ratings section is a u32 product count and
+// per product its ID, the length N of the series its entries were
+// recorded against and those N ratings as columns (ordinals below the
+// dictionary's K | value bits | day bits): the snapshot's encoding,
+// written and parsed by internal/wal. The signals section holds per
+// product its entries: (epoch, prefix length, arcHi, detect.Signals),
+// the final entry under epoch index = the period count. Then comes the
+// decisions flag, a bool, and, when it is set, per product: its causal
+// marks and its final marks, N bits each, then its final scores and its
+// published scores, one f64 per period each. Slices are a u32 count,
+// then their elements field after field with no padding; marks and score
+// rows, whose counts follow from N and the horizon, are their elements
+// alone (imageCodec). Trust is rebuilt from the marks (restoreDecisions).
 const (
 	imageMagic      = "RENG"
-	imageVersion    = 3
+	imageVersion    = 4
 	imageHeaderSize = 12
 	// The smallest encodings of a product (an empty ID and series, no
 	// entries) and of an entry (empty slices) bound what a decoded count
@@ -56,7 +57,7 @@ const (
 type image struct {
 	key     [32]byte
 	horizon float64
-	names   []string // the dictionary: names[o] is the rater of ordinal o
+	raters  *trust.Symbols // the dictionary
 	prods   []imageProduct
 	decided bool // the decisions section is present
 }
@@ -64,37 +65,35 @@ type image struct {
 type imageProduct struct {
 	id string
 	n  uint32
-	// The N ratings: the encoder writes the day and value columns from
-	// series, the decoder keeps them as cols, a view of the payload's 16N
-	// bytes (a decoded image re-encodes them as read); ords[j] is rating
-	// j's ordinal.
-	series  dataset.Series
-	cols    []byte
-	ords    []uint32
+	// The N ratings: the encoder writes them from src, the state's
+	// product (its series and ordinal column); the decoder keeps cols, a
+	// view of the payload's.
+	src     *productState
+	cols    wal.Columns
 	entries []imageEntry
 	// The decisions: the causal column, and the final entry's marks and
 	// scores; published[e] is the product's period-e published score.
 	causal, final     []bool
 	scores, published []float64
-	// restore is set by Restore when the series still holds the N ratings.
-	restore bool
 }
 
-// matched returns how many leading ratings of s, at most N, equal the
+// matched reports whether the first N ratings of s equal the decoded
 // image's, rating by rating: the Day and Value bits are the columns' and
-// the Rater is the dictionary's name of the ordinal. Rating matched(s) is
-// the first that differs, unless s or the image's ratings end there.
-func (ip *imageProduct) matched(s dataset.Series, names []string) int {
-	n, k := min(int(ip.n), len(s)), 8*int(ip.n)
-	days, vals := ip.cols[:k], ip.cols[k:]
-	for j, r := range s[:n] {
-		if math.Float64bits(r.Day) != binary.LittleEndian.Uint64(days[8*j:]) ||
-			math.Float64bits(r.Value) != binary.LittleEndian.Uint64(vals[8*j:]) ||
-			names[ip.ords[j]] != r.Rater {
-			return j
-		}
+// the Rater is the dictionary's name of the ordinal. If so, it returns
+// their ordinal column, with room for the rest of s.
+func (ip *imageProduct) matched(s dataset.Series, raters *trust.Symbols) ([]uint32, bool) {
+	if len(s) < ip.cols.Len() {
+		return nil, false
 	}
-	return n
+	ords := make([]uint32, ip.cols.Len(), len(s))
+	for j := range ords {
+		o, value, day := ip.cols.At(j)
+		if math.Float64bits(s[j].Day) != math.Float64bits(day) || math.Float64bits(s[j].Value) != math.Float64bits(value) || raters.Name(o) != s[j].Rater {
+			return nil, false
+		}
+		ords[j] = o
+	}
+	return ords, true
 }
 
 // imageEntry is a signals tier: its epoch (the period count for the
@@ -112,10 +111,7 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 	if len(st.checkpoints) == 0 {
 		return nil
 	}
-	img := image{key: fingerprint(st.config), horizon: st.horizon, names: make([]string, st.syms.Len()), prods: make([]imageProduct, len(st.prods))}
-	for o := range img.names {
-		img.names[o] = st.syms.Name(uint32(o))
-	}
+	img := image{key: fingerprint(st.config), horizon: st.horizon, raters: st.syms, prods: make([]imageProduct, len(st.prods))}
 	last, n := st.checkpoints[len(st.checkpoints)-1], epoch.Periods(st.horizon)
 	img.decided = len(st.checkpoints) == n+1
 	for i := range st.prods {
@@ -124,7 +120,7 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 		}
 		ps, ip, f := &st.prods[i], &img.prods[i], &st.prods[i].memo.final
 		img.decided = img.decided && f.valid && f.under == last
-		ip.id, ip.n, ip.series, ip.ords = st.products[i], uint32(len(ps.series)), ps.series, ps.ords
+		ip.id, ip.n, ip.src = st.products[i], uint32(len(ps.series)), ps
 		ip.causal, ip.final, ip.scores, ip.published = ps.causal, f.marks, f.scores, ps.published
 		for ep, ent := range ps.memo.epochs {
 			if ent.valid {
@@ -171,20 +167,8 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 	case !slices.EqualFunc(img.prods, d.Products, func(ip imageProduct, p dataset.Product) bool { return ip.id == p.ID }):
 		return 0, false, errors.New("engine image: product list differs")
 	}
-	// A product not restored, or restored with ratings past N, interns:
-	// then the dictionary is indexed now, and its index finds a repeat.
-	interns := false
-	for i := range img.prods {
-		ip, p := &img.prods[i], &d.Products[i]
-		ip.restore = p.Version != 0 && ip.matched(p.Ratings, img.names) == int(ip.n)
-		interns = interns || !ip.restore || len(p.Ratings) > int(ip.n)
-	}
-	syms, ok := trust.SymbolsOf(img.names, interns)
-	if !ok {
-		return 0, false, errors.New("engine image: the rater dictionary names a rater twice")
-	}
 	st.bind(d, key)
-	st.syms = syms
+	st.syms = img.raters
 	exact = true
 	for i := range img.prods {
 		if err := ctx.Err(); err != nil {
@@ -192,12 +176,16 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 			return 0, false, err
 		}
 		ip, p, ps, n := &img.prods[i], &d.Products[i], &st.prods[i], int(img.prods[i].n)
-		if !ip.restore {
+		ords, ok := []uint32(nil), false
+		if p.Version != 0 {
+			ords, ok = ip.matched(p.Ratings, img.raters)
+		}
+		if !ok {
 			exact = false
 			continue
 		}
 		exact = exact && n == len(p.Ratings)
-		ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, ip.ords)
+		ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, ords)
 		if ps.causal = ip.causal; len(ps.causal) != len(p.Ratings) {
 			ps.causal = make([]bool, len(p.Ratings)) // every epoch re-runs and writes it
 		}
@@ -289,10 +277,7 @@ func appendBits(b []byte, v reflect.Value) []byte {
 
 func (img *image) encode() []byte {
 	// Sized for the dictionary and the columns, with a guess for the rest.
-	size := imageHeaderSize + 4<<10
-	for _, name := range img.names {
-		size += 4 + len(name)
-	}
+	size := imageHeaderSize + 4<<10 + wal.DictionarySize(img.raters)
 	for i := range img.prods {
 		size += 21*int(img.prods[i].n) + 512*len(img.prods[i].entries) // 20 B of columns, 2 mark bits
 	}
@@ -477,79 +462,24 @@ func (c *imageCodec) bits(v *[]bool, n int) {
 	}
 }
 
-// dict codes the dictionary: the count, every name's length, then the
-// names' bytes, which a decode turns into one string that the names slice.
-func (c *imageCodec) dict(names *[]string) {
-	codeLen(c, names, 4)
-	if !c.dec {
-		for _, name := range *names {
-			c.b = binary.LittleEndian.AppendUint32(c.b, uint32(len(name)))
-		}
-		for _, name := range *names {
-			c.b = append(c.b, name...)
-		}
-		return
-	}
-	lens := c.take(4 * len(*names))
-	total := 0
-	for k := range *names {
-		total += int(binary.LittleEndian.Uint32(lens[4*k:]))
-	}
-	if p := c.take(total); p != nil {
-		all := string(p)
-		for k := range *names {
-			n := binary.LittleEndian.Uint32(lens[4*k:])
-			(*names)[k], all = all[:n], all[n:]
-		}
-	}
-}
-
-// ratings codes a product's N ratings as its day, value and ordinal
-// columns; a decoded ordinal must be below the dictionary's size k.
-func (c *imageCodec) ratings(p *imageProduct, k int) {
-	n := int(p.n)
-	if c.dec {
-		p.cols = c.take(16 * n)
-		ords := c.take(4 * n)
-		if ords == nil {
-			return
-		}
-		p.ords = make([]uint32, n)
-		for j := range p.ords {
-			if p.ords[j] = binary.LittleEndian.Uint32(ords[4*j:]); int(p.ords[j]) >= k {
-				c.err = fmt.Errorf("ordinal %d past the %d-name dictionary", p.ords[j], k)
-				return
-			}
-		}
-		return
-	}
-	b := c.b // a local buffer: no write barrier per rating
-	if p.cols != nil {
-		b = append(b, p.cols...)
-	} else {
-		for _, r := range p.series {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Day))
-		}
-		for _, r := range p.series {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Value))
-		}
-	}
-	for _, o := range p.ords {
-		b = binary.LittleEndian.AppendUint32(b, o)
-	}
-	c.b = b
-}
-
 func (c *imageCodec) image(img *image) {
 	c.digest(&img.key)
 	c.f64(&img.horizon)
-	c.dict(&img.names)
+	if !c.dec {
+		c.b = wal.AppendDictionary(c.b, img.raters)
+	} else if c.err == nil {
+		img.raters, c.b, c.err = wal.ParseDictionary(c.b, false)
+	}
 	codeLen(c, &img.prods, minProductSize)
 	for i := range img.prods {
 		p := &img.prods[i]
 		c.str(&p.id)
 		c.u32(&p.n)
-		c.ratings(p, len(img.names))
+		if !c.dec {
+			c.b = wal.AppendColumns(c.b, p.src.ords, p.src.series)
+		} else if c.err == nil {
+			p.cols, c.b, c.err = wal.SplitColumns(c.b, int(p.n), img.raters.Len())
+		}
 	}
 	for i := range img.prods {
 		p := &img.prods[i]

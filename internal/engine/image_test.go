@@ -18,6 +18,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/epoch"
+	"repro/internal/trust"
 )
 
 // coldImage evaluates d cold on a fresh state and returns its image.
@@ -67,6 +68,7 @@ func TestImageRestoreMatchesCold(t *testing.T) {
 		t.Fatalf("a cold state's image: decided %v, %v", dec != nil && dec.decided, err)
 	}
 	dec.decided = false
+	signalsOnly := withSeries(dec).encode()
 	for _, tc := range []struct {
 		name  string
 		img   []byte
@@ -76,7 +78,7 @@ func TestImageRestoreMatchesCold(t *testing.T) {
 		{"decided", img, true, Stats{MemoHits: 5, Restored: 5}},
 		// Every product has ratings in each of the 10 epochs: 11 passes,
 		// each deciding with both signal parts reused.
-		{"signals-only", dec.encode(), false, Stats{Analyzed: 5 * 11, SignalHits: 2 * 5 * 11, MemoMisses: 5 * 11, Restored: 5}},
+		{"signals-only", signalsOnly, false, Stats{Analyzed: 5 * 11, SignalHits: 2 * 5 * 11, MemoMisses: 5 * 11, Restored: 5}},
 	} {
 		st := NewState()
 		k, exact, err := e.Restore(context.Background(), st, d, tc.img)
@@ -180,6 +182,21 @@ func TestImageRestoreCancelled(t *testing.T) {
 	}
 }
 
+// withSeries gives each product of a decoded image a source holding the
+// series and the ordinal column its decoded columns hold, so the image
+// encodes again.
+func withSeries(img *image) *image {
+	for i := range img.prods {
+		p := &img.prods[i]
+		p.src = &productState{series: make(dataset.Series, p.cols.Len()), ords: make([]uint32, p.cols.Len())}
+		for j := range p.src.series {
+			o, value, day := p.cols.At(j)
+			p.src.series[j], p.src.ords[j] = dataset.Rating{Day: day, Value: value, Rater: img.raters.Name(o)}, o
+		}
+	}
+	return img
+}
+
 // recode decodes img, applies edit to the decoded image and encodes it
 // again, behind a valid header and checksum.
 func recode(tb testing.TB, img []byte, edit func(*image)) []byte {
@@ -188,7 +205,7 @@ func recode(tb testing.TB, img []byte, edit func(*image)) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	edit(dec)
+	edit(withSeries(dec))
 	return dec.encode()
 }
 
@@ -196,14 +213,17 @@ func recode(tb testing.TB, img []byte, edit func(*image)) []byte {
 // the dictionary and points that rating at it, so the rating still reads
 // as its rater.
 func repeatName(img *image) {
-	ords := img.prods[0].ords
-	img.names = append(img.names, img.names[ords[0]])
-	ords[0] = uint32(len(img.names) - 1)
+	ords, names := img.prods[0].src.ords, make([]string, img.raters.Len())
+	for o := range names {
+		names[o] = img.raters.Name(uint32(o))
+	}
+	img.raters, _ = trust.SymbolsOf(append(names, names[ords[0]]), false)
+	ords[0] = uint32(len(names))
 }
 
 // ordinalPastDictionary points product 0's first rating at the ordinal
 // one past the dictionary's last.
-func ordinalPastDictionary(img *image) { img.prods[0].ords[0] = uint32(len(img.names)) }
+func ordinalPastDictionary(img *image) { img.prods[0].src.ords[0] = uint32(img.raters.Len()) }
 
 // TestImageRefused checks that an image Restore must not use is an error
 // that leaves the state untouched: another engine configuration, horizon
@@ -262,7 +282,7 @@ func TestImageRefused(t *testing.T) {
 // an image Restore accepts must leave a Resume that equals a cold
 // evaluation bit for bit and must re-encode byte for byte. The seeds are
 // real images: of the fuzz dataset, of an edited copy, and cut short; the
-// pinned version-3 image, whole and with its decisions section cut short;
+// pinned version-4 image, whole and with its decisions section cut short;
 // and three the dictionary and columns must refuse: a name twice in the
 // dictionary, an ordinal equal to its size, and the image of the fuzz
 // dataset with one rating's value bit flipped, whose signals and
@@ -294,7 +314,7 @@ func FuzzEngineImage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(st.Image(context.Background()))
-	pinned := readTestdata(f, "engine-v3.img")
+	pinned := readTestdata(f, "engine-v4.img")
 	f.Add(pinned[imageHeaderSize:])
 	f.Add(pinned[imageHeaderSize : len(pinned)-100])
 
@@ -303,7 +323,7 @@ func FuzzEngineImage(f *testing.F) {
 		st := NewState()
 		if _, _, err := eng.Restore(context.Background(), st, d, data); err == nil {
 			requireEqualResults(t, "accepted image", mustResume(t, eng, st, d), reference(t, d))
-			if img, _ := decodeImage(data); !bytes.Equal(img.encode(), data) {
+			if img, _ := decodeImage(data); !bytes.Equal(withSeries(img).encode(), data) {
 				t.Fatalf("an accepted %d-byte image does not re-encode byte for byte", len(data))
 			}
 		}
@@ -394,20 +414,20 @@ func pinnedDataset(t *testing.T) *dataset.Dataset {
 	return d
 }
 
-// TestImagePinnedFormat pins the on-disk format. testdata/engine-v3.img is
+// TestImagePinnedFormat pins the on-disk format. testdata/engine-v4.img is
 // the image a cold Resume of testdata/dataset.json left, recorded by an
 // earlier build of the encoder. The current code must decode that image,
 // restore every product from it exactly, and re-encode the restored state
 // byte for byte, before and after the Resume it leaves, so images already
-// on disk stay valid. testdata/engine.img and testdata/engine-v2.img are
-// the same evaluation's images in format versions 1 and 2: each must be
-// refused by name, leaving the state untouched.
+// on disk stay valid. testdata/engine.img, engine-v2.img and engine-v3.img
+// are the same evaluation's images in format versions 1 to 3: each must
+// be refused by name, leaving the state untouched.
 func TestImagePinnedFormat(t *testing.T) {
-	img, d := readTestdata(t, "engine-v3.img"), pinnedDataset(t)
+	img, d := readTestdata(t, "engine-v4.img"), pinnedDataset(t)
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
 	st := NewState()
-	for v, name := range []string{"engine.img", "engine-v2.img"} {
-		want := fmt.Sprintf("format version %d, want 3", v+1)
+	for v, name := range []string{"engine.img", "engine-v2.img", "engine-v3.img"} {
+		want := fmt.Sprintf("format version %d, want 4", v+1)
 		if _, _, err := e.Restore(context.Background(), st, d, readTestdata(t, name)); err == nil || !strings.HasSuffix(err.Error(), want) {
 			t.Fatalf("Restore of %s: %v, want %s", name, err, want)
 		}
@@ -431,24 +451,25 @@ func TestImagePinnedFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := dec.encode(); !bytes.Equal(again, img) {
+	if again := withSeries(dec).encode(); !bytes.Equal(again, img) {
 		t.Fatalf("the decoded image re-encodes %d bytes, not the pinned %d", len(again), len(img))
 	}
 }
 
-// TestImagePinnedRatings reads testdata/engine-v3.img by the format text
-// (image.go's layout comment, DESIGN.md §7), without the codec: the
-// header and checksum, the fingerprint and horizon, the dictionary, and
-// per product its ID, N and its day, value and ordinal columns. They must
+// TestImagePinnedRatings reads testdata/engine-v4.img by the format text
+// (image.go's layout comment, DESIGN.md §7), with a loop of its own and
+// not the codec in internal/wal: the header and checksum, the fingerprint
+// and horizon, the dictionary, and per product its ID, N and its ordinal,
+// value and day columns. They must
 // reproduce testdata/dataset.json: its horizon, its products in order,
 // each with N its rating count and, rating by rating, the Day bits, the
 // Value bits and, through the dictionary, the rater. No name may appear in
 // the dictionary twice.
 func TestImagePinnedRatings(t *testing.T) {
-	b, d := readTestdata(t, "engine-v3.img"), pinnedDataset(t)
+	b, d := readTestdata(t, "engine-v4.img"), pinnedDataset(t)
 	le := binary.LittleEndian
-	if len(b) < 12 || string(b[:4]) != "RENG" || le.Uint32(b[4:]) != 3 || le.Uint32(b[8:]) != crc32.ChecksumIEEE(b[12:]) {
-		t.Fatalf("the header is not a checked version-3 engine image header")
+	if len(b) < 12 || string(b[:4]) != "RENG" || le.Uint32(b[4:]) != 4 || le.Uint32(b[8:]) != crc32.ChecksumIEEE(b[12:]) {
+		t.Fatalf("the header is not a checked version-4 engine image header")
 	}
 	b = b[12:]
 	next := func(n int) []byte {
@@ -487,7 +508,7 @@ func TestImagePinnedRatings(t *testing.T) {
 		if n != len(p.Ratings) {
 			t.Fatalf("%s: %d ratings, want %d", p.ID, n, len(p.Ratings))
 		}
-		days, vals, ords := next(8*n), next(8*n), next(4*n)
+		ords, vals, days := next(4*n), next(8*n), next(8*n)
 		for j, r := range p.Ratings {
 			day, val, o := le.Uint64(days[8*j:]), le.Uint64(vals[8*j:]), int(le.Uint32(ords[4*j:]))
 			if day != math.Float64bits(r.Day) || val != math.Float64bits(r.Value) || o >= len(names) || names[o] != r.Rater {

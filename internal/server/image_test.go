@@ -142,13 +142,13 @@ func TestEngineImageLifecycle(t *testing.T) {
 }
 
 // TestEngineImageOldVersion opens a service whose engine.img is in format
-// version 2 (the engine's pinned one): the first evaluation logs once that
+// version 3 (the engine's testdata/engine-v3.img): the first evaluation logs once that
 // the image is ignored and evaluates cold, the next does not read it
-// again, and Close replaces it with a version-3 image, from which the next
+// again, and Close replaces it with a version-4 image, from which the next
 // open restores every product exactly.
 func TestEngineImageOldVersion(t *testing.T) {
 	ctx := context.Background()
-	v2, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "engine-v2.img"))
+	v3, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "engine-v3.img"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestEngineImageOldVersion(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs.WriteFile(engineImage, v2)
+	fs.WriteFile(engineImage, v3)
 
 	svc = open()
 	for i := 0; i < 2; i++ {
@@ -184,12 +184,12 @@ func TestEngineImageOldVersion(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(logged.String(), "engine image ignored, evaluating cold: engine image: format version 2, want 3"); n != 1 {
-		t.Fatalf("the version-2 image was reported %d times, want once; log:\n%s", n, logged.String())
+	if n := strings.Count(logged.String(), "engine image ignored, evaluating cold: engine image: format version 3, want 4"); n != 1 {
+		t.Fatalf("the version-3 image was reported %d times, want once; log:\n%s", n, logged.String())
 	}
 	img, err := fs.ReadFile(engineImage)
-	if err != nil || len(img) < 8 || string(img[:4]) != "RENG" || binary.LittleEndian.Uint32(img[4:]) != 3 {
-		t.Fatalf("Close after a cold evaluation wrote %d bytes (%v), want a version-3 image", len(img), err)
+	if err != nil || len(img) < 8 || string(img[:4]) != "RENG" || binary.LittleEndian.Uint32(img[4:]) != 4 {
+		t.Fatalf("Close after a cold evaluation wrote %d bytes (%v), want a version-4 image", len(img), err)
 	}
 
 	svc = open()
@@ -200,7 +200,7 @@ func TestEngineImageOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(logged.String(), "engine image: restored 3 of 3 products, exact true") {
-		t.Fatalf("the version-3 image was not restored exactly; log:\n%s", logged.String())
+		t.Fatalf("the version-4 image was not restored exactly; log:\n%s", logged.String())
 	}
 }
 

@@ -225,7 +225,7 @@ func (d *runDecoder) replayIndex(data []byte, x frameIndex, snapshot bool) {
 			d.received = append(d.received, tail[16:]...)
 		}
 		run := Run{Product: d.names[k], Snapshot: snapshot, Raters: d.dict, frames: frames,
-			ords: d.ords, values: d.values, days: d.days, received: d.received}
+			Columns: Columns{d.ords, d.values, d.days}, received: d.received}
 		d.rp.Replay(run)
 		d.ords, d.values, d.days, d.received = d.ords[:0], d.values[:0], d.days[:0], d.received[:0]
 	}

@@ -15,15 +15,11 @@ import (
 // Snapshot image (version 3, DESIGN.md §7), all little-endian: a 16-byte
 // header (magic "RSNP", u32 snapshotVersion, u64 record count), then
 // blocks framed like a log record (u32 body length, u32 CRC32 (IEEE) of
-// the body). Block 0 is the rater dictionary, no name in it twice:
+// the body). Block 0 is the rater dictionary; then each product with
+// ratings has one block (the dictionary and the columns as columns.go
+// encodes them):
 //
-//	u32 K | K u32 name lengths | the K names back to back
-//
-// and then, per product with ratings, one block of its ratings as columns
-// in series order, each naming its rater by an ordinal below K:
-//
-//	u16 len(product) | product bytes | u32 N (N ≥ 1)
-//	N u32 rater ordinals | N u64 IEEE-754 bits of Value | N u64 of Day
+//	u16 len(product) | product bytes | u32 N (N ≥ 1) | N ratings' columns
 //
 // A snapshot is never torn (it is fsynced before its rename): one CRC per
 // block checks it, and any damage is corruption, never a shorter history.
@@ -49,11 +45,7 @@ var ErrCorruptSnapshot = errors.New("corrupt snapshot")
 // ordinals ords in the dictionary raters, as one snapshot image, sized
 // exactly in one allocation.
 func encodeSnapshot(d *dataset.Dataset, raters *trust.Symbols, ords [][]uint32) ([]byte, error) {
-	k := raters.Len()
-	count, size := 0, snapshotHeaderSize+headerSize+4+4*k
-	for o := 0; o < k; o++ {
-		size += len(raters.Name(uint32(o)))
-	}
+	count, size := 0, snapshotHeaderSize+headerSize+DictionarySize(raters)
 	for i, p := range d.Products {
 		if len(p.ID) > math.MaxUint16 || len(ords[i]) != len(p.Ratings) {
 			return nil, fmt.Errorf("wal: product %d: %d-byte id, %d ordinals for %d ratings", i, len(p.ID), len(ords[i]), len(p.Ratings))
@@ -64,14 +56,7 @@ func encodeSnapshot(d *dataset.Dataset, raters *trust.Symbols, ords [][]uint32) 
 	le := binary.LittleEndian
 	buf := append(make([]byte, 0, size), snapshotMagic...)
 	buf = le.AppendUint64(le.AppendUint32(buf, snapshotVersion), uint64(count))
-	buf = append(buf, make([]byte, headerSize)...)
-	buf = le.AppendUint32(buf, uint32(k))
-	for o := 0; o < k; o++ {
-		buf = le.AppendUint32(buf, uint32(len(raters.Name(uint32(o)))))
-	}
-	for o := 0; o < k; o++ {
-		buf = append(buf, raters.Name(uint32(o))...)
-	}
+	buf = AppendDictionary(append(buf, make([]byte, headerSize)...), raters)
 	buf = closeBlock(buf, snapshotHeaderSize)
 	for i, p := range d.Products {
 		if len(p.Ratings) == 0 {
@@ -80,16 +65,7 @@ func encodeSnapshot(d *dataset.Dataset, raters *trust.Symbols, ords [][]uint32) 
 		start := len(buf)
 		buf = append(buf, make([]byte, headerSize)...)
 		buf = append(le.AppendUint16(buf, uint16(len(p.ID))), p.ID...)
-		buf = le.AppendUint32(buf, uint32(len(p.Ratings)))
-		for _, o := range ords[i] {
-			buf = le.AppendUint32(buf, o)
-		}
-		for _, r := range p.Ratings {
-			buf = le.AppendUint64(buf, math.Float64bits(r.Value))
-		}
-		for _, r := range p.Ratings {
-			buf = le.AppendUint64(buf, math.Float64bits(r.Day))
-		}
+		buf = AppendColumns(le.AppendUint32(buf, uint32(len(p.Ratings))), ords[i], p.Ratings)
 		buf = closeBlock(buf, start)
 	}
 	return buf, nil
@@ -179,7 +155,10 @@ func (d *runDecoder) blocks(r io.Reader, size int64, count uint64, v uint32) (in
 		case crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(head[4:]):
 			err = errors.New("CRC mismatch")
 		case k < dict:
-			err = d.parseDictionary(body)
+			var rest []byte
+			if d.dict, rest, err = ParseDictionary(body, d.interns); err == nil && len(rest) != 0 {
+				err = fmt.Errorf("%d trailing bytes after the dictionary", len(rest))
+			}
 		default:
 			run, err = d.parseBlock(body, v)
 		}
@@ -201,33 +180,6 @@ func (d *runDecoder) blocks(r io.Reader, size int64, count uint64, v uint32) (in
 	return int(count), nil
 }
 
-// parseDictionary makes a dictionary block's body the rater dictionary:
-// its names become one string, which the dictionary slices.
-func (d *runDecoder) parseDictionary(body []byte) error {
-	le := binary.LittleEndian
-	if len(body) < 4 || uint64(le.Uint32(body)) > uint64(len(body)-4)/4 {
-		return fmt.Errorf("%d-byte dictionary too short for its name count", len(body))
-	}
-	k, all := int(le.Uint32(body)), string(body[4+4*le.Uint32(body):])
-	names, off := make([]string, k), 0
-	for o := range names {
-		l := int(le.Uint32(body[4+4*o:]))
-		if l > len(all)-off {
-			return fmt.Errorf("%d names do not tile %d bytes", k, len(all))
-		}
-		names[o], off = all[off:off+l], off+l
-	}
-	if off != len(all) {
-		return fmt.Errorf("%d names do not tile %d bytes", k, len(all))
-	}
-	t, ok := trust.SymbolsOf(names, d.interns)
-	if !ok {
-		return errors.New("the rater dictionary names a rater twice")
-	}
-	d.dict = t
-	return nil
-}
-
 // parseBlock splits a product block's body into the columns of a
 // snapshot Run, aliasing body. A version-3 block's ordinals must each be
 // below the dictionary's length; a version-2 block's rater IDs are
@@ -239,33 +191,27 @@ func (d *runDecoder) parseBlock(body []byte, v uint32) (Run, error) {
 	}
 	product := body[2 : 2+le.Uint16(body)]
 	n, cols := int(le.Uint32(body[2+len(product):])), body[2+len(product)+4:]
-	run := Run{Product: d.names[d.intern(product)], Snapshot: true}
+	run := Run{Product: d.names[d.intern(product)], Snapshot: true, Raters: d.dict}
 	if v == snapshotVersion {
 		if n == 0 || len(cols) != blockRecordSize*n {
 			return Run{}, fmt.Errorf("%d records do not tile %d bytes", n, len(cols))
 		}
-		k := uint32(d.dict.Len())
-		for i := 0; i < n; i++ {
-			if o := le.Uint32(cols[4*i:]); o >= k {
-				return Run{}, fmt.Errorf("record %d names rater %d of %d", i, o, k)
-			}
-		}
-		run.ords, cols = cols[:4*n], cols[4*n:]
-	} else {
-		if n == 0 || n > len(cols)/v2BlockRecordSize {
-			return Run{}, fmt.Errorf("%d records in %d bytes", n, len(cols))
-		}
-		off, end := 2*n, len(cols)-16*n
-		d.ords = d.ords[:0]
-		for i := 0; i < n && off+int(le.Uint16(cols[2*i:])) <= end; i++ {
-			d.ordinal(cols[off : off+int(le.Uint16(cols[2*i:]))])
-			off += int(le.Uint16(cols[2*i:]))
-		}
-		if off != end || len(d.ords) != 4*n {
-			return Run{}, fmt.Errorf("%d records do not tile %d bytes", n, len(cols))
-		}
-		run.ords, cols = d.ords, cols[end:]
+		var err error
+		run.Columns, _, err = SplitColumns(cols, n, d.dict.Len())
+		return run, err
 	}
-	run.Raters, run.values, run.days = d.dict, cols[:8*n], cols[8*n:]
+	if n == 0 || n > len(cols)/v2BlockRecordSize {
+		return Run{}, fmt.Errorf("%d records in %d bytes", n, len(cols))
+	}
+	off, end := 2*n, len(cols)-16*n
+	d.ords = d.ords[:0]
+	for i := 0; i < n && off+int(le.Uint16(cols[2*i:])) <= end; i++ {
+		d.ordinal(cols[off : off+int(le.Uint16(cols[2*i:]))])
+		off += int(le.Uint16(cols[2*i:]))
+	}
+	if off != end || len(d.ords) != 4*n {
+		return Run{}, fmt.Errorf("%d records do not tile %d bytes", n, len(cols))
+	}
+	run.Raters, run.Columns = d.dict, Columns{d.ords, cols[end : end+8*n], cols[end+8*n:]}
 	return run, nil
 }

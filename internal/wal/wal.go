@@ -152,11 +152,11 @@ type Run struct {
 	Snapshot bool
 	// Raters is the rater dictionary of the Open: a record names its
 	// rater by an ordinal in it. A later run's table may hold more names.
-	Raters *trust.Symbols
-	// The records as columns, aliasing Open's buffers: a u32 rater
-	// ordinal and one u64 of value bits, day bits and receipt time (nil
-	// for a snapshot block: none) per record.
-	ords, values, days, received []byte
+	Raters  *trust.Symbols
+	Columns // the records, aliasing Open's buffers
+	// received holds a u64 receipt time per record (nil for a snapshot
+	// block: none).
+	received []byte
 	// frames numbers the records in their file (nil for a snapshot block,
 	// whose records are numbered first, first+1, …).
 	frames []int32
@@ -170,16 +170,6 @@ func (r *Run) Frame(i int) int {
 		return int(r.frames[i])
 	}
 	return r.first + i
-}
-
-// Len returns the number of records in the run.
-func (r *Run) Len() int { return len(r.ords) / 4 }
-
-// At returns the run's i-th record's rater ordinal in Raters, its value
-// and its day.
-func (r *Run) At(i int) (rater uint32, value, day float64) {
-	le := binary.LittleEndian
-	return le.Uint32(r.ords[4*i:]), math.Float64frombits(le.Uint64(r.values[8*i:])), math.Float64frombits(le.Uint64(r.days[8*i:]))
 }
 
 // Each calls f with each record of the run, in file order. Every
