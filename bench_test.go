@@ -361,11 +361,6 @@ func benchEngineDataset(b *testing.B, products int, horizon float64) *dataset.Da
 	if err := d.InjectUnfair("tv1", atk); err != nil {
 		b.Fatal(err)
 	}
-	// Version-maintained products, the way internal/store serves them: the
-	// engine's memo plane is live, exactly as in production.
-	for i := range d.Products {
-		d.Products[i].Version = 1
-	}
 	return d
 }
 
@@ -382,7 +377,7 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 		}
 	})
 	// warm-unchanged: a Resume with nothing changed, the floor a
-	// recompute costs. Every version is unchanged, so no series is
+	// recompute costs. Every series header is unchanged, so no series is
 	// compared, no epoch re-runs and the final pass replays every product
 	// from the memo.
 	b.Run("warm-unchanged", func(b *testing.B) {
@@ -399,7 +394,7 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 	// memo replays every untouched product; only the touched product is
 	// re-analyzed (once for the dirty epoch, once for the final pass).
 	// Every iteration inserts into the same base series (capacity-clipped,
-	// so Insert copies it) under a new version, and the rater is the same
+	// so Insert copies it) into a new header, and the rater is the same
 	// one each time: it is fresh to the data, and the state's append-only
 	// symbol table does not grow with b.N. The rating's value alternates,
 	// so every iteration's series differs from the last one at the new
@@ -425,7 +420,6 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			late.Value = float64(2 + 2*(i%2))
 			prod.Ratings = base.Insert(late)
-			prod.Version++
 			eng.Resume(context.Background(), st, dd)
 		}
 	})
@@ -450,7 +444,6 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mid.Value = float64(2 + 2*(i%2))
 			prod.Ratings = base.Insert(mid)
-			prod.Version++
 			eng.Resume(context.Background(), st, dd)
 		}
 	})
@@ -491,7 +484,6 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 			for _, r := range []dataset.Rating{{Day: mid, Value: 4, Rater: "first"}, {Day: mid + 1, Value: 2, Rater: "tail"}} {
 				eng.Resume(context.Background(), st, dd)
 				prod.Ratings = prod.Ratings.Insert(r)
-				prod.Version++
 			}
 			b.StartTimer()
 			pprof.SetGoroutineLabels(labelled)
@@ -528,7 +520,6 @@ func BenchmarkEvaluateColdVsWarm(b *testing.B) {
 		b.Fatal(err)
 	} else {
 		prod.Ratings = prod.Ratings.Insert(dataset.Rating{Day: stale.HorizonDays - 1, Value: 4, Rater: "tail"})
-		prod.Version++
 	}
 	for _, row := range []struct {
 		name string

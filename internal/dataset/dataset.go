@@ -190,18 +190,16 @@ func (s Series) Span() (first, last float64) {
 
 // Product is a rated object with its rating history.
 //
-// Version is a monotone content version of Ratings, maintained by whoever
-// owns the product's mutations (internal/store bumps it on every applied
-// submit). It lets consumers detect series changes without rehashing: equal
-// versions on the same product ID promise a bit-identical series. Version 0
-// means "unversioned" — mutators that do not maintain the counter must
-// leave it at 0, which opts the product out of version-keyed caching
-// (internal/engine's memo plane). It is deliberately not serialized:
-// versions are only meaningful within one owner's lifetime.
+// The Ratings header is the series' version. Whoever owns a product's
+// mutations makes every edit a new header and never writes below the
+// length of a header a consumer kept (Series.Insert; internal/store hands
+// out capacity-capped views), so a consumer that keeps a header may take
+// the same length and first element as the same content without
+// comparing it (internal/engine's memo plane). A recopied series (a new
+// header, the same content) is still correct: the consumer compares it.
 type Product struct {
 	ID      string `json:"id"`
 	Ratings Series `json:"ratings"`
-	Version uint64 `json:"-"`
 }
 
 // Dataset is a collection of products rated over a common horizon.
@@ -233,7 +231,7 @@ func (d *Dataset) ProductIDs() []string {
 func (d *Dataset) Clone() *Dataset {
 	out := &Dataset{HorizonDays: d.HorizonDays, Products: make([]Product, len(d.Products))}
 	for i, p := range d.Products {
-		out.Products[i] = Product{ID: p.ID, Ratings: p.Ratings.Clone(), Version: p.Version}
+		out.Products[i] = Product{ID: p.ID, Ratings: p.Ratings.Clone()}
 	}
 	return out
 }

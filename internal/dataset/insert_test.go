@@ -144,17 +144,6 @@ func sameBits(a, b Series) bool {
 	return true
 }
 
-// TestCloneKeepsVersion: dataset clones must carry product versions, or a
-// cloned dataset would silently opt out of version-keyed caching.
-func TestCloneKeepsVersion(t *testing.T) {
-	d := &Dataset{HorizonDays: 90, Products: []Product{
-		{ID: "p", Ratings: Series{{Day: 1}}, Version: 7},
-	}}
-	if got := d.Clone().Products[0].Version; got != 7 {
-		t.Fatalf("cloned Version = %d, want 7", got)
-	}
-}
-
 // BenchmarkSeriesInsert times one Insert into a fixed n = 2048 series, so
 // the per-op cost is independent of b.N. Every op re-slices a preallocated
 // base with one spare slot: tail appends into that slot (0 allocs/op),

@@ -9,8 +9,7 @@ import (
 )
 
 // addRating merges one rating into a live dataset's product, as a new
-// series: the server's submit path, minus the version bump (the products
-// are unversioned).
+// series: the server's submit path.
 func addRating(t *testing.T, d *dataset.Dataset, product string, r dataset.Rating) {
 	t.Helper()
 	p, err := d.Product(product)

@@ -12,7 +12,7 @@ import (
 // carries computed under the old one. Each Resume must equal a fresh
 // evaluation under the resuming engine's configuration.
 func TestStateRebindsOnConfigChange(t *testing.T) {
-	d := versionedTestDataset(t, 3, 4, 300)
+	d := testDataset(t, 3, 4, 300)
 	tuned := detect.DefaultConfig()
 	tuned.MCThreshold1, tuned.METhreshold = 0.3, 0.9
 	engines := []*Engine{

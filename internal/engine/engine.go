@@ -95,13 +95,10 @@ func (e *Engine) Evaluate(ctx context.Context, d *dataset.Dataset) (*Result, err
 // result. It works out itself which epochs changed since st was last
 // resumed: every epoch before the earliest rating added, removed or
 // modified is reused verbatim (EvalState.intern). The caller's only
-// obligation is the dataset.Product contract: equal nonzero versions
-// promise a bit-identical series, and an edit makes a new series header,
-// never a write below the length of one st has seen
-// (dataset.Series.Insert). NewState, a Reset state, or a state whose
-// product set or horizon changed recomputes everything. Products with
-// Version 0 bypass the memo plane (memo.go): a dataset view with every
-// version zeroed is the memo-off reference evaluation.
+// obligation is the dataset.Product header contract. NewState, a Reset
+// state, or a state whose product set or horizon changed recomputes
+// everything; Evaluate, on a fresh state with no memo to hit, is the
+// memo-off reference evaluation.
 //
 // Cancelling ctx stops the evaluation between products and between epochs
 // and returns ctx.Err(). Cancellation is checkpoint-safe: st only ever
@@ -162,7 +159,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// product over the full series with the final trust, so an attack only
 	// visible once its end is in view is still filtered from the periods
 	// it poisoned. This pass is not checkpointed — but it is memoized: a
-	// product whose series version and rater-scoped final trust are
+	// product whose series header and rater-scoped final trust are
 	// unchanged hands out its cached marks and scores instead of
 	// re-analyzing, so a single late submit costs one product's analysis,
 	// not one per product; a product whose series is unchanged but whose
@@ -174,19 +171,15 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	scores := make([][]float64, len(d.Products))
 	var work []job
 	for i := range d.Products {
-		prod := &d.Products[i]
-		var r signalReuse
-		if prod.Version != 0 {
-			m := &st.prods[i].memo
-			if mk, sc, ok := m.finalHit(cols[i], mgr); ok {
-				marks[i], scores[i] = mk, sc
-				st.stats.memoHits.Add(1)
-				continue
-			}
-			st.stats.memoMisses.Add(1)
-			r = m.finalSignals(len(prod.Ratings), d.HorizonDays)
-			st.stats.countSignals(r)
+		m := &st.prods[i].memo
+		if mk, sc, ok := m.finalHit(cols[i], mgr); ok {
+			marks[i], scores[i] = mk, sc
+			st.stats.memoHits.Add(1)
+			continue
 		}
+		st.stats.memoMisses.Add(1)
+		r := m.finalSignals(len(d.Products[i].Ratings), d.HorizonDays)
+		st.stats.countSignals(r)
 		work = append(work, job{i, r})
 	}
 	ents := make([]finalEntry, len(work))
@@ -196,9 +189,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		pre := e.completeSignals(prod.Ratings, d.HorizonDays, work[k].reuse, sc, &st.prods[i].carry)
 		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
 		scores[i] = e.aggregateProduct(prod.Ratings, cols[i], marks[i], d.HorizonDays, mgr)
-		if prod.Version != 0 {
-			ents[k] = newFinalEntry(pre, mgr, marks[i], scores[i])
-		}
+		ents[k] = newFinalEntry(pre, mgr, marks[i], scores[i])
 	})
 	if err != nil {
 		// The epoch checkpoints above are complete and remain valid; only
@@ -211,9 +202,7 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// goroutine-safe, and committing only after the pool fully succeeded
 	// keeps cancellation from publishing half a pass.
 	for k, w := range work {
-		if ents[k].valid {
-			st.prods[w.i].memo.final = ents[k]
-		}
+		st.prods[w.i].memo.final = ents[k]
 	}
 
 	res := &Result{
@@ -238,8 +227,8 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 // ordinal columns (EvalState.intern).
 //
 // A product with no ratings in the epoch is skipped outright: it folds
-// and publishes nothing, so no analysis can matter. A versioned product
-// whose (series prefix, rater-scoped trust) key matches its memo entry
+// and publishes nothing, so no analysis can matter. A product whose
+// (series prefix, rater-scoped trust) key matches its memo entry
 // skips analysis entirely: its column already holds the entry's marks. A
 // miss whose prefix is cached reuses the entry's trust-free signals and
 // runs only detect.Decide (memo.go). Hit checks (signal lookups included)
@@ -259,18 +248,15 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		if from, to := prod.Ratings.BetweenIndex(lo, hi); from == to {
 			continue
 		}
-		var r signalReuse
-		if prod.Version != 0 {
-			m := &st.prods[i].memo
-			start, end := prod.Ratings.BetweenIndex(0, hi)
-			if m.epochHit(ep, cols[i][start:end], mgr) {
-				st.stats.memoHits.Add(1)
-				continue
-			}
-			st.stats.memoMisses.Add(1)
-			r = m.epochSignals(ep, end-start, hi)
-			st.stats.countSignals(r)
+		m := &st.prods[i].memo
+		start, end := prod.Ratings.BetweenIndex(0, hi)
+		if m.epochHit(ep, cols[i][start:end], mgr) {
+			st.stats.memoHits.Add(1)
+			continue
 		}
+		st.stats.memoMisses.Add(1)
+		r := m.epochSignals(ep, end-start, hi)
+		st.stats.countSignals(r)
 		work = append(work, job{i, r})
 	}
 	if len(work) == 0 {
@@ -290,9 +276,7 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		// marks of only the epoch's own [lo, hi) ratings.
 		from, _ := seen.BetweenIndex(lo, hi)
 		marks[k] = dec.Suspicious[from:]
-		if prod.Version != 0 {
-			ents[k] = newEpochEntry(ords, pre, mgr)
-		}
+		ents[k] = newEpochEntry(ords, pre, mgr)
 	})
 	if err != nil {
 		return err
@@ -303,9 +287,7 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		ps := &st.prods[w.i]
 		from, _ := ps.series.BetweenIndex(lo, hi)
 		copy(ps.causal[from:], marks[k])
-		if ents[k].valid {
-			ps.memo.epochs[ep] = ents[k]
-		}
+		ps.memo.epochs[ep] = ents[k]
 	}
 	return nil
 }

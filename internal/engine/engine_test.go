@@ -153,7 +153,7 @@ func TestLiveStreamMatchesCold(t *testing.T) {
 			var stream []pending
 			for i, p := range base.Products {
 				mid, _ := p.Ratings.BetweenIndex(horizon/2, horizon)
-				live.Products = append(live.Products, dataset.Product{ID: p.ID, Ratings: p.Ratings[:mid].Clone(), Version: 1})
+				live.Products = append(live.Products, dataset.Product{ID: p.ID, Ratings: p.Ratings[:mid].Clone()})
 				for _, r := range p.Ratings[mid:] {
 					stream = append(stream, pending{i, r})
 				}
@@ -166,7 +166,7 @@ func TestLiveStreamMatchesCold(t *testing.T) {
 				want := mustEvaluate(t, cold, live)
 				label := fmt.Sprintf("batch %d, %d ratings left", batch, len(stream))
 				requireEqualResults(t, label+", memo on", mustResume(t, eng, memoOn, live), want)
-				requireEqualResults(t, label+", memo off", mustResume(t, eng, memoOff, unversioned(live)), want)
+				requireEqualResults(t, label+", memo off", mustResume(t, eng, memoOff, recopied(live)), want)
 				for ep := 0; ep < n; ep++ {
 					lo, hi := epoch.PeriodInterval(ep, horizon)
 					rated := false
@@ -187,7 +187,6 @@ func TestLiveStreamMatchesCold(t *testing.T) {
 				for _, ins := range stream[:k] {
 					p := &live.Products[ins.product]
 					p.Ratings = p.Ratings.Insert(ins.r)
-					p.Version++
 				}
 				stream = stream[k:]
 			}
@@ -199,79 +198,70 @@ func TestLiveStreamMatchesCold(t *testing.T) {
 // its inputs: an edit whose earliest changed rating lies on day d re-runs
 // exactly the epochs from epoch(d) on, whatever the edit — an insert, a
 // value edit, a rater swap or a removal — and a Resume with nothing
-// changed, or only a version bump over identical content, re-runs none.
-// Every Resume must still equal a cold evaluation.
+// changed, or only a recopied series with identical content, re-runs
+// none. Every Resume must still equal a cold evaluation.
 func TestChangedEpochsRerun(t *testing.T) {
 	const horizon = 150.0
 	n := epoch.Periods(horizon) // 5
-	for _, versioned := range []bool{false, true} {
-		d := testDataset(t, 5, 2, horizon)
-		if versioned {
-			d = versionedTestDataset(t, 5, 2, horizon)
+	d := testDataset(t, 5, 2, horizon)
+	eng := &Engine{Detect: detect.DefaultConfig()}
+	st := NewState()
+	mustResume(t, eng, st, d)
+	if st.CompletedEpochs() != n {
+		t.Fatalf("CompletedEpochs = %d, want %d", st.CompletedEpochs(), n)
+	}
+	p := &d.Products[1]
+	// at returns the index of p's first rating on or after day.
+	at := func(day float64) int {
+		i, _ := p.Ratings.BetweenIndex(day, horizon)
+		return i
+	}
+	// Each edit returns the edited series, never written in place,
+	// and the day of its earliest changed rating (+Inf for none).
+	edits := []struct {
+		name string
+		edit func(s dataset.Series) (dataset.Series, float64)
+	}{
+		{"nothing", nil},
+		{"identical content", func(s dataset.Series) (dataset.Series, float64) {
+			return s.Clone(), math.Inf(1)
+		}},
+		{"insert on day 95", func(s dataset.Series) (dataset.Series, float64) {
+			return s.Insert(dataset.Rating{Day: 95, Value: 4, Rater: "new-95"}), 95
+		}},
+		{"tail insert", func(s dataset.Series) (dataset.Series, float64) {
+			return s.Insert(dataset.Rating{Day: horizon - 1, Value: 1, Rater: "new-tail"}), horizon - 1
+		}},
+		{"value edit", func(s dataset.Series) (dataset.Series, float64) {
+			s, i := s.Clone(), at(65)
+			s[i].Value = math.Mod(s[i].Value+1, dataset.MaxValue)
+			return s, s[i].Day
+		}},
+		{"rater swap", func(s dataset.Series) (dataset.Series, float64) {
+			s, i := s.Clone(), at(40)
+			s[i].Rater = "swapped"
+			return s, s[i].Day
+		}},
+		{"removal", func(s dataset.Series) (dataset.Series, float64) {
+			i := at(100)
+			return slices.Delete(s.Clone(), i, i+1), s[i].Day
+		}},
+		{"insert on day 0", func(s dataset.Series) (dataset.Series, float64) {
+			return s.Insert(dataset.Rating{Day: 0, Value: 3, Rater: "new-0"}), 0
+		}},
+	}
+	for _, e := range edits {
+		want := n
+		if e.edit != nil {
+			var day float64
+			p.Ratings, day = e.edit(p.Ratings)
+			want = epoch.PeriodOf(day, horizon)
 		}
-		eng := &Engine{Detect: detect.DefaultConfig()}
-		st := NewState()
-		mustResume(t, eng, st, d)
-		if st.CompletedEpochs() != n {
-			t.Fatalf("CompletedEpochs = %d, want %d", st.CompletedEpochs(), n)
+		res, first := resumeRerun(t, eng, st, d)
+		if first != want {
+			t.Errorf("%s: first re-run epoch = %d, want %d", e.name, first, want)
 		}
-		p := &d.Products[1]
-		// at returns the index of p's first rating on or after day.
-		at := func(day float64) int {
-			i, _ := p.Ratings.BetweenIndex(day, horizon)
-			return i
-		}
-		// Each edit returns the edited series, never written in place,
-		// and the day of its earliest changed rating (+Inf for none).
-		edits := []struct {
-			name string
-			edit func(s dataset.Series) (dataset.Series, float64)
-		}{
-			{"nothing", nil},
-			{"identical content", func(s dataset.Series) (dataset.Series, float64) {
-				return s.Clone(), math.Inf(1)
-			}},
-			{"insert on day 95", func(s dataset.Series) (dataset.Series, float64) {
-				return s.Insert(dataset.Rating{Day: 95, Value: 4, Rater: "new-95"}), 95
-			}},
-			{"tail insert", func(s dataset.Series) (dataset.Series, float64) {
-				return s.Insert(dataset.Rating{Day: horizon - 1, Value: 1, Rater: "new-tail"}), horizon - 1
-			}},
-			{"value edit", func(s dataset.Series) (dataset.Series, float64) {
-				s, i := s.Clone(), at(65)
-				s[i].Value = math.Mod(s[i].Value+1, dataset.MaxValue)
-				return s, s[i].Day
-			}},
-			{"rater swap", func(s dataset.Series) (dataset.Series, float64) {
-				s, i := s.Clone(), at(40)
-				s[i].Rater = "swapped"
-				return s, s[i].Day
-			}},
-			{"removal", func(s dataset.Series) (dataset.Series, float64) {
-				i := at(100)
-				return slices.Delete(s.Clone(), i, i+1), s[i].Day
-			}},
-			{"insert on day 0", func(s dataset.Series) (dataset.Series, float64) {
-				return s.Insert(dataset.Rating{Day: 0, Value: 3, Rater: "new-0"}), 0
-			}},
-		}
-		for _, e := range edits {
-			label := fmt.Sprintf("versioned=%v %s", versioned, e.name)
-			want := n
-			if e.edit != nil {
-				var day float64
-				p.Ratings, day = e.edit(p.Ratings)
-				want = epoch.PeriodOf(day, horizon)
-				if versioned {
-					p.Version++
-				}
-			}
-			res, first := resumeRerun(t, eng, st, d)
-			if first != want {
-				t.Errorf("%s: first re-run epoch = %d, want %d", label, first, want)
-			}
-			requireEqualResults(t, label, res, mustEvaluate(t, eng, d))
-		}
+		requireEqualResults(t, e.name, res, mustEvaluate(t, eng, d))
 	}
 }
 

@@ -45,17 +45,16 @@ func fuzzEditDataset() *dataset.Dataset {
 			}
 		}
 		s.Sort()
-		d.Products = append(d.Products, dataset.Product{ID: fmt.Sprintf("p%d", p), Ratings: s, Version: 1})
+		d.Products = append(d.Products, dataset.Product{ID: fmt.Sprintf("p%d", p), Ratings: s})
 	}
 	return d
 }
 
 // FuzzResumeEdits drives one sticky EvalState through a program decoded
 // from bytes, four per step: op, product, position and argument. The ops
-// are resumeEditOps; after each edit the product's Version is kept,
-// bumped to one it never had or zeroed, by the argument — kept only where
-// the dataset.Product contract allows it, i.e. over identical content or
-// on an unversioned product. Every step ends with a Resume that must equal
+// are resumeEditOps; after each edit the product keeps the edited
+// series' header or gets a fresh copy of it (a new header, the same
+// content), by the argument. Every step ends with a Resume that must equal
 // a fresh memo-off Evaluate of the same data bit for bit, so the engine's
 // own change detection is the only thing standing between an edit and a
 // stale checkpoint. The previous step's Result must still equal its own
@@ -69,7 +68,6 @@ func FuzzResumeEdits(f *testing.F) {
 	base := fuzzEditDataset()
 	f.Fuzz(func(t *testing.T, program []byte) {
 		d := base.Clone()
-		nextVersion := uint64(2) // every version handed out so far is below it
 		st := NewState()
 		var prev, prevWant *Result
 		resume := func(label string) {
@@ -87,7 +85,6 @@ func FuzzResumeEdits(f *testing.F) {
 			pos, arg := int(program[i+2]), program[i+3]
 			label := fmt.Sprintf("step %d: %s on %s", i/4, resumeEditOps[op], p.ID)
 			s := p.Ratings
-			changed := true
 			switch op {
 			case 0:
 				last := 0.0
@@ -101,7 +98,6 @@ func FuzzResumeEdits(f *testing.F) {
 				s = s.Insert(dataset.Rating{Day: day, Value: float64(arg%11) / 2, Rater: fmt.Sprintf("r%d", arg%40)})
 			case 2, 3, 4:
 				if len(s) == 0 {
-					changed = false
 					break
 				}
 				j := pos % len(s)
@@ -115,7 +111,7 @@ func FuzzResumeEdits(f *testing.F) {
 					s = slices.Delete(s, j, j+1)
 				}
 			case 5:
-				s, changed = s.Clone(), false
+				s = s.Clone()
 			case 6:
 				_, err := eng.Resume(newCountingCtx(1+int(arg)%24), st, d)
 				if err != nil && !errors.Is(err, context.Canceled) {
@@ -124,16 +120,10 @@ func FuzzResumeEdits(f *testing.F) {
 				resume(label)
 				continue
 			}
-			p.Ratings = s
-			switch {
-			case arg%3 == 2:
-				p.Version = 0
-			case arg%3 == 1 && (p.Version == 0 || !changed):
-				// Kept: legal over identical content or when unversioned.
-			default:
-				p.Version = nextVersion
-				nextVersion++
+			if arg%3 == 2 {
+				s = s.Clone()
 			}
+			p.Ratings = s
 			resume(label)
 		}
 	})

@@ -176,20 +176,16 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 			return 0, false, err
 		}
 		ip, p, ps, n := &img.prods[i], &d.Products[i], &st.prods[i], int(img.prods[i].n)
-		ords, ok := []uint32(nil), false
-		if p.Version != 0 {
-			ords, ok = ip.matched(p.Ratings, img.raters)
-		}
+		ords, ok := ip.matched(p.Ratings, img.raters)
 		if !ok {
 			exact = false
 			continue
 		}
 		exact = exact && n == len(p.Ratings)
-		ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, ords)
+		ps.series, ps.ords = p.Ratings, st.reintern(p.Ratings, ords)
 		if ps.causal = ip.causal; len(ps.causal) != len(p.Ratings) {
 			ps.causal = make([]bool, len(p.Ratings)) // every epoch re-runs and writes it
 		}
-		ps.memo.epochs = make([]memoEntry, len(ps.published))
 		for _, ent := range ip.entries {
 			switch ep := int(ent.epoch); {
 			case ep < len(ps.memo.epochs):

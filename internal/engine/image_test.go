@@ -61,7 +61,7 @@ func requireEntriesMatchSeries(t *testing.T, label string, st *EvalState, d *dat
 // decided image byte for byte.
 func TestImageRestoreMatchesCold(t *testing.T) {
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
-	d := versionedTestDataset(t, 41, 5, 300)
+	d := testDataset(t, 41, 5, 300)
 	img := coldImage(t, e, d)
 	dec, err := decodeImage(img)
 	if err != nil || !dec.decided {
@@ -108,7 +108,7 @@ func TestImageRestoreMatchesCold(t *testing.T) {
 // cold; and every Resume equals a cold evaluation.
 func TestImageRestoreStale(t *testing.T) {
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-	base := versionedTestDataset(t, 43, 4, 300)
+	base := testDataset(t, 43, 4, 300)
 	img := coldImage(t, e, base)
 	edits := []struct {
 		name     string
@@ -127,19 +127,16 @@ func TestImageRestoreStale(t *testing.T) {
 			p.Ratings = append(dataset.Series(nil), p.Ratings...)
 			j := len(p.Ratings) / 2
 			p.Ratings[j].Value = 5 - p.Ratings[j].Value
-			p.Version++
 		}, 3},
 		{"same length, one rater changed", func(d *dataset.Dataset) {
 			p := &d.Products[2]
 			p.Ratings = append(dataset.Series(nil), p.Ratings...)
 			p.Ratings[3].Rater = "someone-else"
-			p.Version++
 		}, 3},
 		{"every product shorter", func(d *dataset.Dataset) {
 			for i := range d.Products {
 				p := &d.Products[i]
 				p.Ratings = p.Ratings[:len(p.Ratings)-1]
-				p.Version++
 			}
 		}, 0},
 	}
@@ -165,7 +162,7 @@ func TestImageRestoreStale(t *testing.T) {
 // and leaves the state reset, so the Resume after it evaluates cold and
 // equals a cold evaluation.
 func TestImageRestoreCancelled(t *testing.T) {
-	d := versionedTestDataset(t, 41, 5, 300)
+	d := testDataset(t, 41, 5, 300)
 	img := coldImage(t, &Engine{Detect: detect.DefaultConfig()}, d)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -232,7 +229,7 @@ func ordinalPastDictionary(img *image) { img.prods[0].src.ords[0] = uint32(img.r
 // ordinal the dictionary does not hold.
 func TestImageRefused(t *testing.T) {
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
-	d := versionedTestDataset(t, 47, 3, 120)
+	d := testDataset(t, 47, 3, 120)
 	img := coldImage(t, e, d)
 
 	other := *e
@@ -309,7 +306,6 @@ func FuzzEngineImage(f *testing.F) {
 	f.Add(coldImage(f, eng, flipped))
 	edited := base.Clone()
 	edited.Products[1].Ratings = edited.Products[1].Ratings.Insert(dataset.Rating{Day: 20, Value: 1, Rater: "x"})
-	edited.Products[1].Version++
 	if _, err := eng.Resume(context.Background(), st, edited); err != nil {
 		f.Fatal(err)
 	}
@@ -401,15 +397,12 @@ func readTestdata(tb testing.TB, name string) []byte {
 }
 
 // pinnedDataset returns testdata/dataset.json, the ratings the pinned
-// images were taken from, every product at version 1.
+// images were taken from.
 func pinnedDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	d, err := dataset.ReadJSON(bytes.NewReader(readTestdata(t, "dataset.json")))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := range d.Products {
-		d.Products[i].Version = 1
 	}
 	return d
 }

@@ -68,7 +68,7 @@ func TestOrdinalsInvisible(t *testing.T) {
 					}
 				}
 				for _, b := range bases {
-					b.Products = append(b.Products, dataset.Product{ID: p.ID, Ratings: keep.Clone(), Version: 1})
+					b.Products = append(b.Products, dataset.Product{ID: p.ID, Ratings: keep.Clone()})
 				}
 			}
 			rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
@@ -127,7 +127,7 @@ func TestOrdinalsInvisible(t *testing.T) {
 func TestHandedOutResultImmutable(t *testing.T) {
 	const horizon = 150.0
 	const resumes = 8
-	d := versionedTestDataset(t, 5, 3, horizon)
+	d := testDataset(t, 5, 3, horizon)
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 2}
 	st := NewState()
 	ctx := context.Background()
@@ -184,7 +184,6 @@ func TestHandedOutResultImmutable(t *testing.T) {
 	edit := func(k int, fn func(s dataset.Series) dataset.Series) {
 		p := &d.Products[k]
 		p.Ratings = fn(p.Ratings.Clone())
-		p.Version++
 	}
 
 	snap := mustResume(t, eng, st, d).Trust.Snapshot()
@@ -280,7 +279,7 @@ func resultRowsEqual(a, b []float64) bool {
 // TestReinternNamesEveryRating edits a series at random — inserts,
 // deletions, replacements and truncations at its head, in its middle and
 // at its tail, with repeated raters — and requires the column reintern
-// builds for each version, keeping the previous column up to the first
+// builds for each new series, keeping the previous column up to the first
 // rating that differs (firstChange), to name each rating's rater exactly.
 // The table is frozen now and then, as a Resume's managers freeze it, so
 // new raters also land in forks, and enough arrive to flatten overlays.

@@ -26,11 +26,10 @@ import (
 //     without trust: detect.Signals (MC segments, HC and ME windows, H-/L-ARC
 //     peak days, segments and thresholds; no curves). The MC/HC/ME part is
 //     keyed by the series prefix alone. A product's memo only holds entries
-//     recorded at its current monotone content Version (maintained
-//     incrementally by internal/store on every applied submit; intern
-//     drops the rest), so the prefix length identifies the prefix. The ARC
-//     part is additionally keyed by the horizon hi, because its daily counts
-//     span [0, hi).
+//     recorded against its current series header (intern drops them all
+//     when the header changes), so the prefix length identifies the
+//     prefix. The ARC part is additionally keyed by the horizon hi,
+//     because its daily counts span [0, hi).
 //   - The trust tier holds the outcome of detect.Decide under one trust
 //     snapshot: the epoch's own marks, which its fold counts are taken
 //     from and which live in the product's causal column (state.go; final

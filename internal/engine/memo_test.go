@@ -12,44 +12,27 @@ import (
 	"repro/internal/trust"
 )
 
-// versionedTestDataset is testDataset with every product opted into the
-// memo plane (Version 1, the way internal/store births its products).
-func versionedTestDataset(t testing.TB, seed uint64, products int, horizon float64) *dataset.Dataset {
-	t.Helper()
-	d := testDataset(t, seed, products, horizon)
-	for i := range d.Products {
-		d.Products[i].Version = 1
-	}
-	return d
-}
+// recopied returns a view of d in which every series is a copy: a new
+// header with the same content. A state resumed on it keeps its
+// checkpoints but drops every memo entry.
+func recopied(d *dataset.Dataset) *dataset.Dataset { return d.Clone() }
 
-// unversioned returns a view of d with every product's Version zeroed,
-// sharing the rating series. Unversioned products bypass the memo plane,
-// so resuming a state on this view is the memo-off path.
-func unversioned(d *dataset.Dataset) *dataset.Dataset {
-	v := &dataset.Dataset{HorizonDays: d.HorizonDays, Products: slices.Clone(d.Products)}
-	for i := range v.Products {
-		v.Products[i].Version = 0
-	}
-	return v
-}
-
-// reference is the memo-off cold evaluation of d.
+// reference is the memo-off cold evaluation of d: a fresh state has no
+// memo to hit.
 func reference(t *testing.T, d *dataset.Dataset) *Result {
 	t.Helper()
-	return mustEvaluate(t, &Engine{Detect: detect.DefaultConfig()}, unversioned(d))
+	return mustEvaluate(t, &Engine{Detect: detect.DefaultConfig()}, d)
 }
 
-// touch applies one rating to a product the way a version-maintaining
-// owner (internal/store) would: an Insert (which never mutates the series
-// below an earlier view's length) plus a version bump.
+// touch applies one rating to a product the way its owner
+// (internal/store) would: an Insert, which never mutates the series below
+// an earlier view's length and makes a new header.
 func touch(d *dataset.Dataset, product string, r dataset.Rating) error {
 	p, err := d.Product(product)
 	if err != nil {
 		return err
 	}
 	p.Ratings = p.Ratings.Insert(r)
-	p.Version++
 	return nil
 }
 
@@ -72,7 +55,7 @@ func disjointDataset(products, perEpoch int, horizon float64) *dataset.Dataset {
 			}
 		}
 		s.Sort()
-		d.Products = append(d.Products, dataset.Product{ID: id, Ratings: s, Version: 1})
+		d.Products = append(d.Products, dataset.Product{ID: id, Ratings: s})
 	}
 	return d
 }
@@ -91,7 +74,6 @@ func TestMemoCountersSingleProductTouch(t *testing.T) {
 	before := st.Stats()
 	p := &d.Products[2]
 	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: 75, Value: 1, Rater: "p2-late"})
-	p.Version++
 	mustResume(t, eng, st, d)
 	after := st.Stats()
 
@@ -126,7 +108,6 @@ func TestMidHistoryEditSparesOtherProducts(t *testing.T) {
 	i, _ := s.BetweenIndex(180, horizon)
 	s[i].Value = 1
 	p.Ratings = s
-	p.Version++
 	before := st.Stats()
 	got := mustResume(t, eng, st, d)
 	after := st.Stats()
@@ -164,7 +145,6 @@ func TestMemoHitEpochsFold(t *testing.T) {
 	i, _ := s.BetweenIndex(180, horizon)
 	s[i].Value = 1
 	p.Ratings = s
-	p.Version++
 	before := st.Stats()
 	requireEqualResults(t, "edit before memo-hit epochs", mustResume(t, eng, st, d), reference(t, d))
 	if n := st.Stats().MemoMisses - before.MemoMisses; n != 2 {
@@ -184,7 +164,7 @@ func TestMemoHitEpochsFold(t *testing.T) {
 func TestFingerprintCollisionNeverServed(t *testing.T) {
 	const horizon = 150.0
 	rng := stats.NewRNG(41)
-	d := versionedTestDataset(t, 41, 3, horizon)
+	d := testDataset(t, 41, 3, horizon)
 	eng := &Engine{Detect: detect.DefaultConfig()}
 	st := NewState()
 	requireEqualResults(t, "initial", mustResume(t, eng, st, d), reference(t, d))
@@ -259,19 +239,19 @@ func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	}
 }
 
-// TestUnversionedPassDropsStaleMemo: a product cached at version v, seen
-// once unversioned, and then seen again at v with its series unchanged
-// must not replay the entries recorded before the unversioned pass, whose
-// raters' trust has since moved.
-func TestUnversionedPassDropsStaleMemo(t *testing.T) {
+// TestRecopiedPassDropsStaleMemo: a product cached under header H, seen
+// once as a copy (a new header, the same content), and then seen again
+// under H with its series unchanged must not replay the entries recorded
+// before the recopied pass, whose raters' trust has since moved.
+func TestRecopiedPassDropsStaleMemo(t *testing.T) {
 	for _, seed := range []uint64{3, 8, 21} {
-		d := versionedTestDataset(t, seed, 4, 150)
+		d := testDataset(t, seed, 4, 150)
 		eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 		st := NewState()
 		mustResume(t, eng, st, d)
 
 		// A burst from p1's raters lands on p0: their trust moves, while
-		// p1's series, and so its version, stays the same.
+		// p1's series, and so its header, stays the same.
 		rng := stats.NewRNG(seed)
 		p1 := d.Products[1].Ratings
 		for i := 0; i < 15; i++ {
@@ -285,30 +265,30 @@ func TestUnversionedPassDropsStaleMemo(t *testing.T) {
 			}
 		}
 		want := reference(t, d)
-		requireEqualResults(t, fmt.Sprintf("seed %d unversioned", seed),
-			mustResume(t, eng, st, unversioned(d)), want)
-		requireEqualResults(t, fmt.Sprintf("seed %d versioned again", seed),
+		requireEqualResults(t, fmt.Sprintf("seed %d recopied", seed),
+			mustResume(t, eng, st, recopied(d)), want)
+		requireEqualResults(t, fmt.Sprintf("seed %d under H again", seed),
 			mustResume(t, eng, st, d), want)
 	}
 }
 
-// TestCancelledUnversionedPassDropsStaleMemo is the v → 0 → v case for a
-// product the unversioned pass never analyzes: p1 rates only from epoch 3
-// on, and the unversioned view drops it. That pass completes epoch 3 and
-// is cancelled in epoch 4, before the final pass reaches p1. p1's memo
-// must already be empty: intern drops it at the start of the pass.
-func TestCancelledUnversionedPassDropsStaleMemo(t *testing.T) {
+// TestCancelledRecopiedPassDropsStaleMemo is the H → copy → H case for a
+// product the recopied pass never analyzes: p1 rates only from epoch 3
+// on, and the recopied view drops it. That pass completes epoch 3 and is
+// cancelled in epoch 4, before the final pass reaches p1. p1's memo must
+// already be empty: intern drops it at the start of the pass.
+func TestCancelledRecopiedPassDropsStaleMemo(t *testing.T) {
 	const horizon = 150.0
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	for _, seed := range []uint64{3, 8, 21} {
-		d := versionedTestDataset(t, seed, 4, horizon)
+		d := testDataset(t, seed, 4, horizon)
 		p1 := &d.Products[1]
 		p1.Ratings = p1.Ratings.Between(90, horizon)
-		view := unversioned(d)
+		view := recopied(d)
 		view.Products[1].Ratings = nil
 		for budget := 1; ; budget++ {
 			if budget > 1000 {
-				t.Fatalf("seed %d: no budget cancels the unversioned pass in epoch 4", seed)
+				t.Fatalf("seed %d: no budget cancels the recopied pass in epoch 4", seed)
 			}
 			st := NewState()
 			mustResume(t, eng, st, d)
@@ -316,9 +296,9 @@ func TestCancelledUnversionedPassDropsStaleMemo(t *testing.T) {
 				continue
 			}
 			if n := st.prods[1].memo.drop(); n != 0 {
-				t.Fatalf("seed %d: %s kept %d memo entries through an unversioned pass", seed, p1.ID, n)
+				t.Fatalf("seed %d: %s kept %d memo entries through a recopied pass", seed, p1.ID, n)
 			}
-			requireEqualResults(t, fmt.Sprintf("seed %d versioned again", seed),
+			requireEqualResults(t, fmt.Sprintf("seed %d under H again", seed),
 				mustResume(t, eng, st, d), reference(t, d))
 			break
 		}

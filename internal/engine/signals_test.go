@@ -95,7 +95,7 @@ func TestColdResumeRecordsFreshSignals(t *testing.T) {
 	cfg := detect.DefaultConfig()
 	sc := detect.NewScratch()
 	for _, seed := range []uint64{1, 7} {
-		d := versionedTestDataset(t, seed, 4, 150)
+		d := testDataset(t, seed, 4, 150)
 		st := NewState()
 		mustResume(t, &Engine{Detect: cfg, Workers: 2}, st, d)
 		checked := 0

@@ -46,11 +46,10 @@ import (
 // counts and curves of the last horizon. It outlives the Resume that
 // computed it, so a submit recomputes only the detector windows its rating
 // reaches. The carry is keyed by content: intern rewinds its MC/HC/ME
-// part to the prefix it shares with the product's series once per version
-// change, and within one Resume every analyzed prefix is a prefix of that
-// series. The ARC part diffs its counts on every call, so it needs no
-// rewind. An unversioned product's carry is dropped on every Resume, so
-// its evaluation starts from scratch.
+// part to the prefix it shares with the product's series whenever the
+// series header changes, and within one Resume every analyzed prefix is a
+// prefix of that series. The ARC part diffs its counts on every call, so
+// it needs no rewind.
 //
 // The state also counts the work done on it (Stats). The counters survive
 // Reset and rebinding, so they only grow over the state's life.
@@ -101,11 +100,11 @@ type Stats struct {
 	// from the memo plane instead of re-analysis.
 	MemoHits uint64
 	// MemoMisses counts lookups that fell through to analysis (and, on
-	// success, re-recorded the entry). Unversioned products perform no
-	// lookups.
+	// success, re-recorded the entry).
 	MemoMisses uint64
 	// MemoInvalidated counts cached entries dropped because the product's
-	// series version changed or the product became unversioned.
+	// series header changed: the series was edited, or recopied with the
+	// same content.
 	MemoInvalidated uint64
 	// SignalHits counts trust-free signal parts (MC/HC/ME, or H-/L-ARC) a
 	// memo miss reused instead of recomputing; only Decide ran for them.
@@ -153,7 +152,7 @@ func (st *EvalState) Reset() {
 }
 
 // productState is what the state keeps for one product position, all of
-// it in line with series, the series header (at version) intern last saw:
+// it in line with series, the series header intern last saw:
 // ords[j] is the ordinal of the rater of rating j, causal[j] its causal
 // mark, carry the product's detector carry and memo its memo entries.
 // Keeping the header costs no copy: a series is never mutated below its
@@ -162,7 +161,6 @@ func (st *EvalState) Reset() {
 // score, written with checkpoints[e+1] (publish), and handed records that
 // a Result shares that row.
 type productState struct {
-	version   uint64
 	series    dataset.Series
 	ords      []uint32
 	causal    []bool
@@ -187,39 +185,33 @@ func (ps *productState) publish(ep int, v float64) {
 
 // intern brings every product's state in line with its series, cuts the
 // checkpoints the changes reach, and returns the ordinal columns. A
-// versioned product whose version is unchanged keeps its state; any other
-// (an unversioned product on every Resume) is compared with the series
-// its state was interned from and re-interned from the first rating that
-// differs, its causal column cut there (the epochs that rewrite the rest
-// re-run), its carry rewound to the prefix it shares with the series (an
-// unversioned product's is dropped) and its memo entries dropped, counted
-// as invalidated. The earliest day
-// at which any compared series changed decides the cut: checkpoint e is
-// trust entering epoch e, which reads only ratings before day 30·e, so
-// every checkpoint past the epoch of that day is dropped and every earlier
-// one is kept. New raters extend the symbol table: the previous Resume's
-// managers read it, so the first new rater of a Resume forks it
-// (trust.Symbols.Intern, O(new names)), and a Result handed out earlier
-// never sees it written.
+// product whose series header is the one its state was interned from
+// (same length, same first element) keeps its state: the state keeps that
+// header, so its array cannot be reused, and nothing writes below a kept
+// length (dataset.Product), so its content is unchanged. Any other product
+// is compared with the series its state was interned from and re-interned
+// from the first rating that differs, its causal column cut there (the
+// epochs that rewrite the rest re-run), its carry rewound to the prefix it
+// shares with the series and its memo entries dropped, counted as
+// invalidated. The earliest day at which any compared series changed
+// decides the cut: checkpoint e is trust entering epoch e, which reads
+// only ratings before day 30·e, so every checkpoint past the epoch of that
+// day is dropped and every earlier one is kept. New raters extend the
+// symbol table: the previous Resume's managers read it, so the first new
+// rater of a Resume forks it (trust.Symbols.Intern, O(new names)), and a
+// Result handed out earlier never sees it written.
 func (st *EvalState) intern(d *dataset.Dataset) [][]uint32 {
 	cols := make([][]uint32, len(d.Products))
 	changed := math.Inf(1)
 	for i := range d.Products {
-		p, ps := &d.Products[i], &st.prods[i]
-		if p.Version == 0 || ps.version != p.Version {
-			k, day := firstChange(ps.series, p.Ratings)
+		s, ps := d.Products[i].Ratings, &st.prods[i]
+		if old := ps.series; len(old) != len(s) || len(s) != 0 && &old[0] != &s[0] {
+			k, day := firstChange(old, s)
 			changed = min(changed, day)
-			ps.version, ps.series, ps.ords = p.Version, p.Ratings, st.reintern(p.Ratings, ps.ords[:k])
-			ps.causal = slices.Grow(ps.causal[:k], len(p.Ratings)-k)[:len(p.Ratings)]
+			ps.series, ps.ords = s, st.reintern(s, ps.ords[:k])
+			ps.causal = slices.Grow(ps.causal[:k], len(s)-k)[:len(s)]
 			st.stats.memoInvalidated.Add(ps.memo.drop())
-			if p.Version == 0 {
-				ps.carry = detect.Prefix{}
-			} else {
-				ps.carry.Rewind(p.Ratings, st.config.Detect)
-				if ps.memo.epochs == nil {
-					ps.memo.epochs = make([]memoEntry, len(ps.published))
-				}
-			}
+			ps.carry.Rewind(s, st.config.Detect)
 		}
 		cols[i] = ps.ords
 	}
@@ -287,8 +279,9 @@ func (st *EvalState) matches(d *dataset.Dataset) bool {
 
 // bind rebinds the state to the dataset and the engine configuration and
 // discards all checkpoints and per-product state. Each product's published
-// row, and the memo entry array intern allocates, is sized by the horizon
-// bound here, which a state keeps until the next bind.
+// row and memo entry array are sized by the horizon bound here, which a
+// state keeps until the next bind; each kind is one block for all
+// products.
 func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
@@ -297,8 +290,9 @@ func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.prods = make([]productState, len(d.Products))
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
 	n := epoch.Periods(d.HorizonDays)
-	rows := make([]float64, len(d.Products)*n)
+	rows, ents := make([]float64, len(d.Products)*n), make([]memoEntry, len(d.Products)*n)
 	for i := range st.prods {
 		st.prods[i].published = rows[i*n : (i+1)*n : (i+1)*n]
+		st.prods[i].memo.epochs = ents[i*n : (i+1)*n : (i+1)*n]
 	}
 }

@@ -19,24 +19,22 @@ import (
 	"repro/internal/stats"
 )
 
-// requireMatchesEngine evaluates d with the engine twice, memo on (every
-// product versioned) and memo off (every version zero), and requires both
-// to equal the reference bit for bit.
+// requireMatchesEngine evaluates d with the engine twice, cold on a fresh
+// state and then resumed on a recopied view (every series a new header
+// with the same content, so the final pass runs with every memo entry
+// dropped), and requires both to equal the reference bit for bit.
 func requireMatchesEngine(t *testing.T, label string, d *dataset.Dataset) {
 	t.Helper()
 	cfg := detect.DefaultConfig()
 	want := reference.Evaluate(d, cfg)
-	for _, version := range []uint64{1, 0} {
-		view := d.Clone()
-		for i := range view.Products {
-			view.Products[i].Version = version
-		}
-		got, err := engine.New(cfg).Evaluate(context.Background(), view)
+	st := engine.NewState()
+	for _, view := range []*dataset.Dataset{d, d.Clone()} {
+		got, err := engine.New(cfg).Resume(context.Background(), st, view)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := want.Diff(got); err != nil {
-			t.Fatalf("%s, version %d: engine differs from the reference: %v", label, version, err)
+			t.Fatalf("%s, recopied %t: engine differs from the reference: %v", label, view != d, err)
 		}
 	}
 }

@@ -22,46 +22,55 @@ import (
 // engine_* metrics: on a warmed service whose products share no raters,
 // submitting one rating makes exactly one product miss the memo — once in
 // the dirty epoch and once in the final pass — while every other product
-// replays from cache.
+// replays from cache, and drops exactly that product's entries (its three
+// epochs and its final pass). The engine takes an unchanged series header
+// for an unchanged series, so this also pins that the store hands out the
+// same header for an untouched product at every View: a store that
+// recopied series would stay bit-exact but drop every product's memo.
 func TestInspectMemoCounting(t *testing.T) {
-	p := agg.NewPScheme()
-	p.Workers = 1
-	products := []string{"tv1", "tv2", "tv3", "tv4"}
-	svc, err := New(p, 90, products)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	// Disjoint raters per product, ratings in all three epochs.
-	for _, id := range products {
-		for i := 0; i < 24; i++ {
-			day := float64(i) * 89 / 24
-			if err := svc.Submit(ctx, id, fmt.Sprintf("%s-r%d", id, i), 4, day); err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 3} {
+		p := agg.NewPScheme()
+		p.Workers = 1
+		products := []string{"tv1", "tv2", "tv3", "tv4"}
+		svc, err := NewSharded(p, 90, products, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		// Disjoint raters per product, ratings in all three epochs.
+		for _, id := range products {
+			for i := 0; i < 24; i++ {
+				day := float64(i) * 89 / 24
+				if err := svc.Submit(ctx, id, fmt.Sprintf("%s-r%d", id, i), 4, day); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if _, err := svc.Scores(ctx, "tv1"); err != nil { // warm the memo
-		t.Fatal(err)
-	}
+		if _, err := svc.Scores(ctx, "tv1"); err != nil { // warm the memo
+			t.Fatal(err)
+		}
 
-	before := svc.engState.Stats()
-	if err := svc.Submit(ctx, "tv2", "tv2-late", 1, 75); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Scores(ctx, "tv1"); err != nil {
-		t.Fatal(err)
-	}
-	after := svc.engState.Stats()
+		before := svc.engState.Stats()
+		if err := svc.Submit(ctx, "tv2", "tv2-late", 1, 75); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Scores(ctx, "tv1"); err != nil {
+			t.Fatal(err)
+		}
+		after := svc.engState.Stats()
 
-	if got := after.MemoMisses - before.MemoMisses; got != 2 {
-		t.Errorf("misses = %d, want 2 (touched product in dirty epoch + final pass)", got)
-	}
-	if got := after.MemoHits - before.MemoHits; got != 6 {
-		t.Errorf("hits = %d, want 6 (3 untouched products × {dirty epoch, final pass})", got)
-	}
-	if got := after.Analyzed - before.Analyzed; got != 2 {
-		t.Errorf("analyses = %d, want 2 — one submit must cost O(changed product)", got)
+		if got := after.MemoMisses - before.MemoMisses; got != 2 {
+			t.Errorf("%d shards: misses = %d, want 2 (touched product in dirty epoch + final pass)", shards, got)
+		}
+		if got := after.MemoHits - before.MemoHits; got != 6 {
+			t.Errorf("%d shards: hits = %d, want 6 (3 untouched products × {dirty epoch, final pass})", shards, got)
+		}
+		if got := after.MemoInvalidated - before.MemoInvalidated; got != 4 {
+			t.Errorf("%d shards: invalidations = %d, want 4 (touched product's 3 epoch entries + final)", shards, got)
+		}
+		if got := after.Analyzed - before.Analyzed; got != 2 {
+			t.Errorf("%d shards: analyses = %d, want 2 — one submit must cost O(changed product)", shards, got)
+		}
 	}
 }
 
@@ -202,9 +211,6 @@ func TestEngineCountersSurviveReset(t *testing.T) {
 			t.Errorf("%s: %v memo hits, want a cold evaluation", label, hits)
 		}
 		view := svc.dataView()
-		for i := range view.Products {
-			view.Products[i].Version = 0
-		}
 		want := agg.NewPScheme().Evaluate(view)
 		for _, id := range view.ProductIDs() {
 			got, err := svc.Scores(ctx, id)

@@ -27,8 +27,9 @@ import (
 // rating by the rater yet, and every accepted rating survives a clean
 // Close, a process kill and (with SyncEvery 1, where every ack is durable)
 // a power loss. The same check drives an engine-level arm: one sticky
-// EvalState resumed over the model's ratings with product versions zeroed
-// at random, the memo-off path the store never produces.
+// EvalState resumed over the model's ratings with random products'
+// series recopied (a new header, the same content, so their memo entries
+// drop), which the store never hands out.
 
 // op is the kind of a program step.
 type op uint8
@@ -110,7 +111,7 @@ type oracle struct {
 	svc     *Service
 	variant int // detector configuration, see imageScheme
 	// model holds the accepted ratings in the order the store keeps them,
-	// with each product's Version moved on every change.
+	// each change a new series header.
 	model *dataset.Dataset
 	ref   *reference.Result // of model under variant; nil after a change
 	// img is the ratings engine.img was written from, under imgVariant
@@ -134,7 +135,7 @@ type oracle struct {
 // oracleTeeth counts what the runs exercised, so the test can tell when
 // its generator stops reaching a path.
 type oracleTeeth struct {
-	restored, exact, inexact, marked, unversioned, cancelled, cancelledRestores int
+	restored, exact, inexact, marked, recopied, cancelled, cancelledRestores int
 }
 
 // runProgram runs p and returns the index of the first step whose check
@@ -143,7 +144,7 @@ func runProgram(p program, teeth *oracleTeeth) (int, error) {
 	o := &oracle{prog: p, fs: faultfs.New(), restore: -1, eng: engine.NewState(), teeth: teeth}
 	o.model = &dataset.Dataset{HorizonDays: imageHorizon}
 	for _, id := range imageProducts {
-		o.model.Products = append(o.model.Products, dataset.Product{ID: id, Version: 1})
+		o.model.Products = append(o.model.Products, dataset.Product{ID: id})
 	}
 	if err := o.open(o.fs); err != nil {
 		return 0, err
@@ -196,7 +197,6 @@ func (o *oracle) submit(product, rater string, value, day float64) error {
 	}
 	p, _ := o.model.Product(product)
 	p.Ratings = p.Ratings.Insert(dataset.Rating{Day: day, Value: value, Rater: rater})
-	p.Version++
 	o.ref = nil
 	return nil
 }
@@ -321,7 +321,6 @@ func (o *oracle) apply(kind op, rng *rand.Rand) error {
 				s = append(s, r)
 			}
 			p.Ratings = s
-			p.Version++
 		}
 		if err := o.svc.Load(ctx, d); err != nil {
 			return fmt.Errorf("load: %w", err)
@@ -522,13 +521,13 @@ func (o *oracle) check(rng *rand.Rand) error {
 	}
 
 	// The engine-level arm: a Resume of the sticky state over the model's
-	// ratings, some products unversioned, sometimes after a cancelled one
-	// or a Reset.
+	// ratings, some products' series recopied, sometimes after a
+	// cancelled one or a Reset.
 	d := &dataset.Dataset{HorizonDays: o.model.HorizonDays, Products: slices.Clone(o.model.Products)}
 	for i := range d.Products {
 		if rng.IntN(3) == 0 {
-			d.Products[i].Version = 0
-			o.teeth.unversioned++
+			d.Products[i].Ratings = d.Products[i].Ratings.Clone()
+			o.teeth.recopied++
 		}
 	}
 	eng := imageScheme(o.variant).Engine()
@@ -596,7 +595,7 @@ func TestServiceOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%+v", teeth)
-	if teeth.restored == 0 || teeth.exact == 0 || teeth.inexact == 0 || teeth.marked == 0 || teeth.unversioned == 0 || teeth.cancelled == 0 || teeth.cancelledRestores == 0 {
+	if teeth.restored == 0 || teeth.exact == 0 || teeth.inexact == 0 || teeth.marked == 0 || teeth.recopied == 0 || teeth.cancelled == 0 || teeth.cancelledRestores == 0 {
 		t.Fatalf("the programs never reached a path (%+v); the oracle has lost its teeth", teeth)
 	}
 }

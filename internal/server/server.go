@@ -526,7 +526,8 @@ func (s *Service) refreshLocked(ctx context.Context) error {
 // Under the P-scheme it resumes the epoch-checkpointed engine: the cut's
 // dataset is rebuilt from shard partitions each time, but it carries the
 // same product list and horizon, so the engine keeps its state, finds the
-// earliest rating that changed in the products whose version moved, and
+// earliest rating that changed in the products whose series header moved
+// (the store hands out an unchanged product's same header every cut), and
 // reuses every epoch before it from the previous evaluation's checkpoints
 // — steady-state recompute cost is proportional to the changed epoch
 // suffix plus one final per-product pass, not the full history.

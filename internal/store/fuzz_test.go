@@ -28,7 +28,7 @@ import (
 // read by the test's own frame reader (readFrames), in file order. Open
 // must not panic or fail (a bad log tail is truncated, never fatal), and
 // replay, which takes a log product by product, must agree with the live
-// path: the recovered store holds exactly the series and versions an
+// path: the recovered store holds exactly the series an
 // in-memory store gets from Submitting the snapshot's records and then
 // the log's in file order, with records whose product routes to shard 1
 // skipped. The recovery report (accepted, duplicate, skipped and

@@ -306,7 +306,6 @@ func (r *replayer) Replay(run wal.Run) {
 			r.stamps[o] = r.stamp
 		}
 	}
-	applied0 := *applied
 	for j, n := 0, run.Len(); j < n; j++ {
 		o, value, day := run.At(j)
 		rater := run.Raters.Name(o)
@@ -338,7 +337,6 @@ func (r *replayer) Replay(run wal.Run) {
 	}
 	if p != nil {
 		p.Ratings, sh.ords[l.pos] = ratings, ords
-		p.Version += uint64(*applied - applied0)
 	}
 }
 

@@ -105,7 +105,6 @@ func (sh *shard) submit(ctx context.Context, pos int, product, rater string, val
 	sh.mu.Lock()
 	p := &sh.data.Products[pos]
 	p.Ratings, sh.ords[pos] = insertRating(p.Ratings, sh.ords[pos], dataset.Rating{Day: day, Value: value, Rater: rater}, o)
-	p.Version++
 	sh.submits.Inc()
 	sh.sinceSnapshot++
 	snap := w != nil && sh.snapshotEvery > 0 && sh.sinceSnapshot >= sh.snapshotEvery

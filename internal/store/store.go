@@ -138,9 +138,7 @@ func New(horizonDays float64, products []string, shards int) (*Store, error) {
 		s := Route(id, shards)
 		sh := st.shards[s]
 		st.byID[id] = loc{shard: s, pos: len(sh.data.Products)}
-		// Version 1, not 0: store products are version-maintained from
-		// birth, so the engine's memo plane may key on them immediately.
-		sh.data.Products = append(sh.data.Products, dataset.Product{ID: id, Version: 1})
+		sh.data.Products = append(sh.data.Products, dataset.Product{ID: id})
 		sh.ords, sh.seen = append(sh.ords, nil), append(sh.seen, nil)
 		st.globals[s] = append(st.globals[s], g)
 		st.products = append(st.products, id)
@@ -380,10 +378,6 @@ func (st *Store) Load(ctx context.Context, d *dataset.Dataset) error {
 			return fmt.Errorf("store: duplicate product %q", p.ID)
 		}
 		byID[p.ID] = loc{shard: s, pos: len(parts[s].Products)}
-		// From here on the store owns the product's mutations and maintains
-		// its content version; bump past the caller's (possibly zero,
-		// i.e. unversioned) value so the loaded series is version-keyed too.
-		p.Version++
 		parts[s].Products = append(parts[s].Products, p)
 		ords[s] = append(ords[s], col)
 		globals[s] = append(globals[s], g)
