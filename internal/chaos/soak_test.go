@@ -2,10 +2,14 @@ package chaos
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/dataset"
+	"repro/internal/faultfs"
+	"repro/internal/reference"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -50,7 +54,8 @@ func soakOptions() Options {
 
 // TestChaosSoak runs the full storm and audits the three SLO invariants
 // against a power-loss image taken at the end: no durable-acked rating
-// lost, shed traffic fast-failed, recovery bit-exact vs a clean replay.
+// lost, shed traffic fast-failed, and the service recovered from the image
+// bit-exact with reference.Evaluate over the surviving ratings.
 func TestChaosSoak(t *testing.T) {
 	opts := soakOptions()
 	h, err := New(opts)
@@ -86,11 +91,62 @@ func TestChaosSoak(t *testing.T) {
 	// Timeouts surface as shed with latency ≈ RequestTimeout, so the p99
 	// budget sits above the timeout: the bound catches unbounded blocking,
 	// not the deliberate client deadline.
-	if violations := Audit(rep, image, opts, opts.RequestTimeout+time.Second); len(violations) != 0 {
+	if violations := Audit(rep, image, opts.RequestTimeout+time.Second); len(violations) != 0 {
 		for _, v := range violations {
 			t.Error(v)
 		}
 	}
+
+	// Convergence: the recovered service serves the reference's scores
+	// over exactly the ratings that survived.
+	d, err := survivingDataset(image, opts)
+	if err != nil {
+		t.Fatalf("crash image unreadable: %v", err)
+	}
+	svc, _, err := server.OpenWAL(agg.NewPScheme(), opts.Horizon, opts.Products, server.WALOptions{FS: image.Clone(), Shards: opts.Shards})
+	if err != nil {
+		t.Fatalf("recovery from crash image: %v", err)
+	}
+	defer svc.Close()
+	ref := reference.Evaluate(d, agg.NewPScheme().Detect)
+	for _, id := range opts.Products {
+		scores, err := svc.Scores(context.Background(), id)
+		if err == nil {
+			err = reference.DiffScores(scores, ref.Table[id])
+		}
+		if err != nil {
+			t.Errorf("recovered scores(%s): %v", id, err)
+		}
+	}
+}
+
+// survivingDataset builds the dataset a recovery of the crash image
+// holds: every record of a known product read through the WAL streams in
+// replay order, a rater's first rating per product kept, as recovery
+// keeps them.
+func survivingDataset(image *faultfs.FS, opts Options) (*dataset.Dataset, error) {
+	streams, err := shardStreams(image)
+	if err != nil {
+		return nil, err
+	}
+	d := &dataset.Dataset{HorizonDays: opts.Horizon}
+	for _, id := range opts.Products {
+		d.Products = append(d.Products, dataset.Product{ID: id})
+	}
+	seen := make(map[string]bool)
+	for _, fsys := range streams {
+		w, _, err := wal.Open(fsys, wal.Options{}, wal.ReplayFunc(func(r wal.Record, _ bool) {
+			if k, i := key(r.Product, r.Rater), slices.Index(opts.Products, r.Product); i >= 0 && !seen[k] {
+				seen[k] = true
+				d.Products[i].Ratings = d.Products[i].Ratings.Insert(dataset.Rating{Day: r.Day, Value: r.Value, Rater: r.Rater})
+			}
+		}))
+		if err != nil {
+			return nil, err
+		}
+		w.Close()
+	}
+	return d, nil
 }
 
 // TestChaosKillDuringDrain crashes the box while Close is flushing
@@ -217,7 +273,7 @@ func TestAuditCatchesLoss(t *testing.T) {
 		{Product: "tv1", Rater: "real", Status: 201, Durability: "durable"},
 		{Product: "tv1", Rater: "ghost", Status: 201, Durability: "durable"},
 	}}
-	violations := Audit(rep, h.FS.CrashImage(), opts, time.Second)
+	violations := Audit(rep, h.FS.CrashImage(), time.Second)
 	if len(violations) != 1 {
 		t.Fatalf("violations = %v, want exactly the ghost rating", violations)
 	}

@@ -158,51 +158,51 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 	// Stages 3+4 (final marks, Eq. 7 aggregation): an offline pass per
 	// product over the full series with the final trust, so an attack only
 	// visible once its end is in view is still filtered from the periods
-	// it poisoned. This pass is not checkpointed — but it is memoized: a
-	// product whose series header and rater-scoped final trust are
-	// unchanged hands out its cached marks and scores instead of
+	// it poisoned. This pass is not checkpointed, but it is memoized as
+	// pass n: a product whose series header and rater-scoped final trust
+	// are unchanged keeps its final marks and scores instead of
 	// re-analyzing, so a single late submit costs one product's analysis,
 	// not one per product; a product whose series is unchanged but whose
 	// raters' trust moved reuses its cached signals and only runs Decide.
 	// Trust is read-only here, so misses fan out freely over the pool
 	// while hits are resolved serially up front.
 	mgr := st.checkpoints[n]
-	marks := make([][]bool, len(d.Products))
-	scores := make([][]float64, len(d.Products))
 	var work []job
 	for i := range d.Products {
-		m := &st.prods[i].memo
-		if mk, sc, ok := m.finalHit(cols[i], mgr); ok {
-			marks[i], scores[i] = mk, sc
+		m := st.prods[i].memo
+		if m.hit(n, cols[i], mgr) {
 			st.stats.memoHits.Add(1)
 			continue
 		}
 		st.stats.memoMisses.Add(1)
-		r := m.finalSignals(len(d.Products[i].Ratings), d.HorizonDays)
+		r := m.signals(n, len(cols[i]), d.HorizonDays)
 		st.stats.countSignals(r)
 		work = append(work, job{i, r})
 	}
-	ents := make([]finalEntry, len(work))
+	marks := make([][]bool, len(work))
+	scores := make([][]float64, len(work))
+	ents := make([]memoEntry, len(work))
 	err := e.forEachProduct(ctx, st, len(work), func(k int, sc *detect.Scratch) {
 		i := work[k].i
 		prod := &d.Products[i]
 		pre := e.completeSignals(prod.Ratings, d.HorizonDays, work[k].reuse, sc, &st.prods[i].carry)
-		marks[i] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
-		scores[i] = e.aggregateProduct(prod.Ratings, cols[i], marks[i], d.HorizonDays, mgr)
-		ents[k] = newFinalEntry(pre, mgr, marks[i], scores[i])
+		marks[k] = detect.Decide(prod.Ratings, pre.sig, e.Detect, &seriesTrust{mgr, cols[i]}).Suspicious
+		scores[k] = e.aggregateProduct(prod.Ratings, cols[i], marks[k], d.HorizonDays, mgr)
+		ents[k] = newEntry(cols[i], pre, mgr)
 	})
 	if err != nil {
 		// The epoch checkpoints above are complete and remain valid; only
-		// this uncheckpointed final pass is abandoned. No memo entry from
-		// the unfinished pass is committed (the commit below never runs),
-		// so the cache still describes completed work only.
+		// this uncheckpointed final pass is abandoned. Nothing from the
+		// unfinished pass is committed (the commit below never runs), so
+		// the state still describes completed work only.
 		return nil, err
 	}
-	// Commit the fresh final entries serially: productMemo is not
+	// Commit the fresh rows and entries serially: the state is not
 	// goroutine-safe, and committing only after the pool fully succeeded
 	// keeps cancellation from publishing half a pass.
 	for k, w := range work {
-		st.prods[w.i].memo.final = ents[k]
+		ps := &st.prods[w.i]
+		ps.final, ps.scores, ps.memo[n] = marks[k], scores[k], ents[k]
 	}
 
 	res := &Result{
@@ -212,9 +212,9 @@ func (e *Engine) Resume(ctx context.Context, st *EvalState, d *dataset.Dataset) 
 		Published:  make(map[string][]float64, len(d.Products)),
 	}
 	for i, prod := range d.Products {
-		res.Table[prod.ID] = scores[i]
-		res.Suspicious[prod.ID] = marks[i]
-		res.Published[prod.ID], st.prods[i].handed = st.prods[i].published, true
+		ps := &st.prods[i]
+		res.Table[prod.ID], res.Suspicious[prod.ID] = ps.scores, ps.final
+		res.Published[prod.ID], ps.handed = ps.published, true
 	}
 	return res, nil
 }
@@ -248,14 +248,14 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		if from, to := prod.Ratings.BetweenIndex(lo, hi); from == to {
 			continue
 		}
-		m := &st.prods[i].memo
+		m := st.prods[i].memo
 		start, end := prod.Ratings.BetweenIndex(0, hi)
-		if m.epochHit(ep, cols[i][start:end], mgr) {
+		if m.hit(ep, cols[i][start:end], mgr) {
 			st.stats.memoHits.Add(1)
 			continue
 		}
 		st.stats.memoMisses.Add(1)
-		r := m.epochSignals(ep, end-start, hi)
+		r := m.signals(ep, end-start, hi)
 		st.stats.countSignals(r)
 		work = append(work, job{i, r})
 	}
@@ -276,7 +276,7 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		// marks of only the epoch's own [lo, hi) ratings.
 		from, _ := seen.BetweenIndex(lo, hi)
 		marks[k] = dec.Suspicious[from:]
-		ents[k] = newEpochEntry(ords, pre, mgr)
+		ents[k] = newEntry(ords, pre, mgr)
 	})
 	if err != nil {
 		return err
@@ -287,7 +287,7 @@ func (e *Engine) runEpoch(ctx context.Context, d *dataset.Dataset, cols [][]uint
 		ps := &st.prods[w.i]
 		from, _ := ps.series.BetweenIndex(lo, hi)
 		copy(ps.causal[from:], marks[k])
-		ps.memo.epochs[ep] = ents[k]
+		ps.memo[ep] = ents[k]
 	}
 	return nil
 }

@@ -35,8 +35,8 @@ import (
 // recorded against and those N ratings as columns (ordinals below the
 // dictionary's K | value bits | day bits): the snapshot's encoding,
 // written and parsed by internal/wal. The signals section holds per
-// product its entries: (epoch, prefix length, arcHi, detect.Signals),
-// the final entry under epoch index = the period count. Then comes the
+// product its entries: (pass, prefix length, arcHi, detect.Signals),
+// the final entry as pass n, the period count. Then comes the
 // decisions flag, a bool, and, when it is set, per product: its causal
 // marks and its final marks, N bits each, then its final scores and its
 // published scores, one f64 per period each. Slices are a u32 count,
@@ -71,7 +71,7 @@ type imageProduct struct {
 	src     *productState
 	cols    wal.Columns
 	entries []imageEntry
-	// The decisions: the causal column, and the final entry's marks and
+	// The decisions: the causal column, and the final pass's marks and
 	// scores; published[e] is the product's period-e published score.
 	causal, final     []bool
 	scores, published []float64
@@ -105,8 +105,8 @@ type imageEntry struct {
 
 // Image encodes st's signals tiers, and its decisions when st holds a
 // complete evaluation: every epoch checkpointed and every product's final
-// entry decided under the last checkpoint. It returns nil when st holds no
-// evaluation or ctx is cancelled first.
+// entry (pass n) decided under the last checkpoint. It returns nil when st
+// holds no evaluation or ctx is cancelled first.
 func (st *EvalState) Image(ctx context.Context) []byte {
 	if len(st.checkpoints) == 0 {
 		return nil
@@ -118,17 +118,14 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 		if ctx.Err() != nil {
 			return nil
 		}
-		ps, ip, f := &st.prods[i], &img.prods[i], &st.prods[i].memo.final
+		ps, ip, f := &st.prods[i], &img.prods[i], &st.prods[i].memo[n]
 		img.decided = img.decided && f.valid && f.under == last
 		ip.id, ip.n, ip.src = st.products[i], uint32(len(ps.series)), ps
-		ip.causal, ip.final, ip.scores, ip.published = ps.causal, f.marks, f.scores, ps.published
-		for ep, ent := range ps.memo.epochs {
+		ip.causal, ip.final, ip.scores, ip.published = ps.causal, ps.final, ps.scores, ps.published
+		for ep, ent := range ps.memo {
 			if ent.valid {
-				ip.entries = append(ip.entries, imageEntry{uint32(ep), uint32(ent.prefixLen), ent.pre})
+				ip.entries = append(ip.entries, imageEntry{uint32(ep), uint32(ent.n), ent.pre})
 			}
-		}
-		if f.valid {
-			ip.entries = append(ip.entries, imageEntry{uint32(n), uint32(f.n), f.pre})
 		}
 	}
 	return img.encode() // the decisions only when every product is decided
@@ -137,22 +134,22 @@ func (st *EvalState) Image(ctx context.Context) []byte {
 // Restore binds st to d under e and seeds it with an image's signals
 // tiers, so the next Resume reuses them. A product is restored only when
 // the first N ratings of its series equal the image's columns exactly
-// (imageProduct.matched); then an epoch entry is kept only when [0, hi)
-// still holds the ratings it was computed over, and the final entry only
-// when the series is still N long, so every restored entry describes the
-// current series. A restored product starts with an empty carry. exact
-// reports that every product was restored and still has exactly the
-// series the image holds, and that the image holds decisions, which are
-// then restored too (restoreDecisions): the next Resume replays the
-// image's evaluation from the memo. Short of exact, every restored entry
-// is signals-only (its trust tier always misses). An image that does not
-// decode, was written under another engine key, horizon or product list,
-// or whose dictionary names a rater twice, is an error and leaves st
-// untouched. A ctx cancelled before the restore is done is returned as the
-// error, with st reset, so the next Resume evaluates cold. The symbol
-// table is the dictionary and a restored product's ordinal column the
-// image's, so only ratings past N are interned (the next Resume interns
-// the products not restored).
+// (imageProduct.matched); then an entry is kept only when its prefix
+// ([0, hi) for an epoch, the whole series for the final pass) holds
+// exactly the count it records and ends inside those N ratings, so every
+// restored entry describes the current series. A restored product starts
+// with an empty carry. exact reports that every product was restored and
+// still has exactly the series the image holds, and that the image holds
+// decisions, which are then restored too (restoreDecisions): the next
+// Resume replays the image's evaluation from the memo. Short of exact,
+// every restored entry is signals-only (its trust tier always misses). An
+// image that does not decode, was written under another engine key,
+// horizon or product list, or whose dictionary names a rater twice, is an
+// error and leaves st untouched. A ctx cancelled before the restore is
+// done is returned as the error, with st reset, so the next Resume
+// evaluates cold. The symbol table is the dictionary and a restored
+// product's ordinal column the image's, so only ratings past N are
+// interned (the next Resume interns the products not restored).
 func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset, data []byte) (restored int, exact bool, err error) {
 	img, err := decodeImage(data)
 	if err != nil {
@@ -187,14 +184,13 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 			ps.causal = make([]bool, len(p.Ratings)) // every epoch re-runs and writes it
 		}
 		for _, ent := range ip.entries {
-			switch ep := int(ent.epoch); {
-			case ep < len(ps.memo.epochs):
+			ep, start, end := int(ent.epoch), 0, len(p.Ratings)
+			if ep < len(ps.memo)-1 {
 				_, hi := epoch.PeriodInterval(ep, d.HorizonDays)
-				if start, end := p.Ratings.BetweenIndex(0, hi); end-start == int(ent.n) && end <= n {
-					ps.memo.epochs[ep] = memoEntry{valid: true, prefixLen: int(ent.n), pre: ent.pre}
-				}
-			case ep == len(ps.memo.epochs) && int(ent.n) == len(p.Ratings):
-				ps.memo.final = finalEntry{valid: true, n: len(p.Ratings), pre: ent.pre}
+				start, end = p.Ratings.BetweenIndex(0, hi)
+			}
+			if ep < len(ps.memo) && end-start == int(ent.n) && end <= n {
+				ps.memo[ep] = memoEntry{valid: true, n: int(ent.n), pre: ent.pre}
 			}
 		}
 		restored++
@@ -209,25 +205,21 @@ func (e *Engine) Restore(ctx context.Context, st *EvalState, d *dataset.Dataset,
 // restoreDecisions completes an exact restore from a decided image. The
 // causal columns and the ordinal columns already are the image's, so
 // folding them epoch by epoch rebuilds checkpoints 1…n (fold, as
-// Resume folds, with no Decide); the published rows are the image's. Every
-// restored epoch entry was decided under its epoch's checkpoint, and every
-// final entry gets the image's marks and scores under the last one, so
-// the next Resume replays the whole evaluation from the memo.
+// Resume folds, with no Decide); the published rows and the final marks
+// and scores are the image's. Every restored entry of pass ep was decided
+// under checkpoint ep, the final one under the last, so the next Resume
+// replays the whole evaluation from the memo.
 func (st *EvalState) restoreDecisions(img *image) {
-	n := epoch.Periods(st.horizon)
-	for ep := 0; ep < n; ep++ {
+	for ep := 0; ep < epoch.Periods(st.horizon); ep++ {
 		st.checkpoints = append(st.checkpoints, st.fold(ep))
 	}
 	for i := range st.prods {
 		ps, ip := &st.prods[i], &img.prods[i]
-		ps.published = ip.published
-		for ep := range ps.memo.epochs {
-			if ps.memo.epochs[ep].valid {
-				ps.memo.epochs[ep].under = st.checkpoints[ep]
+		ps.published, ps.final, ps.scores = ip.published, ip.final, ip.scores
+		for ep := range ps.memo {
+			if ps.memo[ep].valid {
+				ps.memo[ep].under = st.checkpoints[ep]
 			}
-		}
-		if f := &ps.memo.final; f.valid {
-			f.under, f.marks, f.scores = st.checkpoints[n], ip.final, ip.scores
 		}
 	}
 }

@@ -33,21 +33,26 @@ func coldImage(t testing.TB, e *Engine, d *dataset.Dataset) []byte {
 	return img
 }
 
+// passPrefix is the prefix of s that pass ep analyzes: [0, hi) for epoch
+// ep, the whole series for the final pass, ep = the period count.
+func passPrefix(s dataset.Series, ep int, horizon float64) dataset.Series {
+	if ep == epoch.Periods(horizon) {
+		return s
+	}
+	_, hi := epoch.PeriodInterval(ep, horizon)
+	return s.Between(0, hi)
+}
+
 // requireEntriesMatchSeries checks the memo contract a restore must keep:
-// every valid entry describes the product's current series, an epoch
-// entry the prefix [0, hi) and the final entry the whole series.
+// every valid entry describes its pass's prefix of the product's current
+// series.
 func requireEntriesMatchSeries(t *testing.T, label string, st *EvalState, d *dataset.Dataset) {
 	t.Helper()
 	for i := range st.prods {
-		s, m := d.Products[i].Ratings, &st.prods[i].memo
-		for ep, ent := range m.epochs {
-			_, hi := epoch.PeriodInterval(ep, d.HorizonDays)
-			if start, end := s.BetweenIndex(0, hi); ent.valid && ent.prefixLen != end-start {
-				t.Fatalf("%s: product %d epoch %d entry covers %d ratings, [0, %v) holds %d", label, i, ep, ent.prefixLen, hi, end-start)
+		for ep, ent := range st.prods[i].memo {
+			if n := len(passPrefix(d.Products[i].Ratings, ep, d.HorizonDays)); ent.valid && ent.n != n {
+				t.Fatalf("%s: product %d pass %d entry covers %d ratings, its prefix holds %d", label, i, ep, ent.n, n)
 			}
-		}
-		if m.final.valid && m.final.n != len(s) {
-			t.Fatalf("%s: product %d final entry covers %d ratings, the series holds %d", label, i, m.final.n, len(s))
 		}
 	}
 }
@@ -105,7 +110,11 @@ func TestImageRestoreMatchesCold(t *testing.T) {
 // TestImageRestoreStale restores an image into data that moved on after it
 // was written. A product whose leading ratings still match keeps exactly
 // the entries whose prefix is unchanged; any other product is evaluated
-// cold; and every Resume equals a cold evaluation.
+// cold; and every Resume equals a cold evaluation. One case restores a
+// CRC-valid image whose final entry for product 1 claims 40 ratings more
+// than its N columns, into data where product 1 has gained 40 tail
+// ratings since: the entry's signals describe the N ratings, not the
+// series it now claims, so Restore must not keep it.
 func TestImageRestoreStale(t *testing.T) {
 	e := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	base := testDataset(t, 43, 4, 300)
@@ -114,35 +123,46 @@ func TestImageRestoreStale(t *testing.T) {
 		name     string
 		edit     func(d *dataset.Dataset)
 		restored int
+		forge    func(*image) // an edit of the image, if any
 	}{
 		{"tail rating", func(d *dataset.Dataset) {
 			s := d.Products[1].Ratings
 			touch(d, d.Products[1].ID, dataset.Rating{Day: (s[len(s)-1].Day + d.HorizonDays) / 2, Value: 5, Rater: "tail"})
-		}, 4},
+		}, 4, nil},
 		{"mid-history rating", func(d *dataset.Dataset) {
 			touch(d, d.Products[1].ID, dataset.Rating{Day: 100, Value: 0.5, Rater: "mid"})
-		}, 3},
+		}, 3, nil},
 		{"same length, one value changed", func(d *dataset.Dataset) {
 			p := &d.Products[0]
 			p.Ratings = append(dataset.Series(nil), p.Ratings...)
 			j := len(p.Ratings) / 2
 			p.Ratings[j].Value = 5 - p.Ratings[j].Value
-		}, 3},
+		}, 3, nil},
 		{"same length, one rater changed", func(d *dataset.Dataset) {
 			p := &d.Products[2]
 			p.Ratings = append(dataset.Series(nil), p.Ratings...)
 			p.Ratings[3].Rater = "someone-else"
-		}, 3},
+		}, 3, nil},
 		{"every product shorter", func(d *dataset.Dataset) {
 			for i := range d.Products {
 				p := &d.Products[i]
 				p.Ratings = p.Ratings[:len(p.Ratings)-1]
 			}
-		}, 0},
+		}, 0, nil},
+		{"a final entry claiming the tail", func(d *dataset.Dataset) {
+			s := d.Products[1].Ratings
+			for j, last := 0, s[len(s)-1].Day; j < 40; j++ {
+				touch(d, d.Products[1].ID, dataset.Rating{Day: last + (d.HorizonDays-last)*float64(j+1)/41, Value: 0.5, Rater: fmt.Sprintf("tail-%d", j)})
+			}
+		}, 4, raiseFinal(1, 40)},
 	}
 	for _, tc := range edits {
 		d := base.Clone()
 		tc.edit(d)
+		img := img
+		if tc.forge != nil {
+			img = recode(t, img, tc.forge)
+		}
 		st := NewState()
 		k, exact, err := e.Restore(context.Background(), st, d, img)
 		if err != nil || k != tc.restored || exact {
@@ -154,6 +174,18 @@ func TestImageRestoreStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireEqualResults(t, tc.name+", then a submit", mustResume(t, e, st, d), reference(t, d))
+	}
+}
+
+// raiseFinal returns an image edit that raises product i's final entry's
+// recorded length by k, so the entry claims ratings past its N columns.
+func raiseFinal(i int, k uint32) func(*image) {
+	return func(img *image) {
+		for j, ent := range img.prods[i].entries {
+			if int(ent.epoch) == epoch.Periods(img.horizon) {
+				img.prods[i].entries[j].n += k
+			}
+		}
 	}
 }
 
@@ -280,11 +312,13 @@ func TestImageRefused(t *testing.T) {
 // evaluation bit for bit and must re-encode byte for byte. The seeds are
 // real images: of the fuzz dataset, of an edited copy, and cut short; the
 // pinned version-4 image, whole and with its decisions section cut short;
-// and three the dictionary and columns must refuse: a name twice in the
+// three the dictionary and columns must refuse: a name twice in the
 // dictionary, an ordinal equal to its size, and the image of the fuzz
 // dataset with one rating's value bit flipped, whose signals and
 // decisions describe other data than the columns of every other rating
-// say.
+// say; and one whose final entry Restore must drop: the image of the fuzz
+// dataset with p0 cut before day 40, whose final entry for p0 claims the
+// ratings cut as well.
 func FuzzEngineImage(f *testing.F) {
 	eng := &Engine{Detect: detect.DefaultConfig(), Workers: 1}
 	base := fuzzEditDataset()
@@ -304,6 +338,10 @@ func FuzzEngineImage(f *testing.F) {
 	s[j].Value = math.Float64frombits(math.Float64bits(s[j].Value) ^ 1<<51) // 2 <-> 3, 2.5 <-> 3.5
 	flipped.Products[1].Ratings = s
 	f.Add(coldImage(f, eng, flipped))
+	cut := base.Clone()
+	_, end := cut.Products[0].Ratings.BetweenIndex(0, 40)
+	cut.Products[0].Ratings = cut.Products[0].Ratings[:end]
+	f.Add(recode(f, coldImage(f, eng, cut), raiseFinal(0, uint32(len(base.Products[0].Ratings)-end))))
 	edited := base.Clone()
 	edited.Products[1].Ratings = edited.Products[1].Ratings.Insert(dataset.Rating{Day: 20, Value: 1, Rater: "x"})
 	if _, err := eng.Resume(context.Background(), st, edited); err != nil {

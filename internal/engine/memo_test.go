@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -183,58 +182,43 @@ func TestFingerprintCollisionNeverServed(t *testing.T) {
 	}
 }
 
-// TestEpochHitRejectsStaleTrust unit-tests the trust-tier hit rule on an
-// epoch entry and a final entry alike: a probe under the checkpoint the
-// entry was recorded under hits; a distinct manager with equal records for
-// the prefix's raters hits and rebinds the entry to it; a record changed
-// after the rebind misses, as do stale trust and a different prefix
-// length, and a miss leaves the entry bound where it was.
+// TestEpochHitRejectsStaleTrust unit-tests the trust-tier hit rule on
+// pass 0, an epoch, and pass n, the final pass, alike: a probe under the
+// checkpoint the entry was recorded under hits; a distinct manager with
+// equal records for the prefix's raters hits and rebinds the entry to it;
+// a record changed after the rebind misses, as do stale trust and a
+// different prefix length, and a miss leaves the entry bound where it was.
 func TestEpochHitRejectsStaleTrust(t *testing.T) {
 	ords := []uint32{0} // one rating, by the rater of ordinal 0
-	marks := []bool{true}
 	mgr1 := trust.NewManager()
 	mgr1.ObserveAt(0, 2, 1)
-	m := &productMemo{epochs: make([]memoEntry, 1)}
-	m.epochs[0] = newEpochEntry(ords, prefixSignals{}, mgr1)
-	m.final = newFinalEntry(prefixSignals{}, mgr1, marks, []float64{0.5})
+	m := productMemo{newEntry(ords, prefixSignals{}, mgr1), {}, newEntry(ords, prefixSignals{}, mgr1)}
 
-	for _, probe := range []struct {
-		name  string
-		hit   func(ords []uint32, mgr *trust.Manager) bool
-		under func() *trust.Manager
-	}{
-		{"epoch", func(ords []uint32, mgr *trust.Manager) bool {
-			return m.epochHit(0, ords, mgr)
-		}, func() *trust.Manager { return m.epochs[0].under }},
-		{"final", func(ords []uint32, mgr *trust.Manager) bool {
-			got, _, ok := m.finalHit(ords, mgr)
-			return ok && slices.Equal(got, marks)
-		}, func() *trust.Manager { return m.final.under }},
-	} {
-		if !probe.hit(ords, mgr1) || probe.under() != mgr1 {
-			t.Fatalf("%s: entry not served under the checkpoint it was recorded under", probe.name)
+	for _, ep := range []int{0, len(m) - 1} {
+		if !m.hit(ep, ords, mgr1) || m[ep].under != mgr1 {
+			t.Fatalf("pass %d: entry not served under the checkpoint it was recorded under", ep)
 		}
 		stale := trust.NewManager()
 		stale.ObserveAt(0, 5, 3)
-		if probe.hit(ords, stale) || probe.under() != mgr1 {
-			t.Fatalf("%s: stale-trust entry was served or rebound", probe.name)
+		if m.hit(ep, ords, stale) || m[ep].under != mgr1 {
+			t.Fatalf("pass %d: stale-trust entry was served or rebound", ep)
 		}
 		// equal differs from mgr1 only in a rater outside the prefix.
 		equal := mgr1.Clone()
 		equal.ObserveAt(1, 4, 0)
-		if !probe.hit(ords, equal) {
-			t.Fatalf("%s: entry not served under a manager with equal records", probe.name)
+		if !m.hit(ep, ords, equal) {
+			t.Fatalf("pass %d: entry not served under a manager with equal records", ep)
 		}
-		if probe.under() != equal {
-			t.Fatalf("%s: hit did not rebind the entry to the live manager", probe.name)
+		if m[ep].under != equal {
+			t.Fatalf("pass %d: hit did not rebind the entry to the live manager", ep)
 		}
 		changed := equal.Clone()
 		changed.ObserveAt(0, 1, 0)
-		if probe.hit(ords, changed) || probe.under() != equal {
-			t.Fatalf("%s: entry served after its rater's record changed", probe.name)
+		if m.hit(ep, ords, changed) || m[ep].under != equal {
+			t.Fatalf("pass %d: entry served after its rater's record changed", ep)
 		}
-		if probe.hit([]uint32{0, 0}, equal) {
-			t.Fatalf("%s: entry served for a different prefix length", probe.name)
+		if m.hit(ep, []uint32{0, 0}, equal) {
+			t.Fatalf("pass %d: entry served for a different prefix length", ep)
 		}
 	}
 }

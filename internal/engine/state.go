@@ -159,7 +159,10 @@ func (st *EvalState) Reset() {
 // length (dataset.Series.Insert), so it still holds the ratings the
 // checkpoints were computed from. published[e] is its period-e causal
 // score, written with checkpoints[e+1] (publish), and handed records that
-// a Result shares that row.
+// a Result shares that row. final and scores are the final pass's marks
+// and Eq. 7 scores, decided under the trust of the final memo entry; a
+// pass that recomputes them replaces the rows and never writes them, so
+// every Result shares them.
 type productState struct {
 	series    dataset.Series
 	ords      []uint32
@@ -168,6 +171,8 @@ type productState struct {
 	memo      productMemo
 	published []float64
 	handed    bool
+	final     []bool
+	scores    []float64
 }
 
 // publish sets period ep's published score to v. A value with unchanged
@@ -279,9 +284,9 @@ func (st *EvalState) matches(d *dataset.Dataset) bool {
 
 // bind rebinds the state to the dataset and the engine configuration and
 // discards all checkpoints and per-product state. Each product's published
-// row and memo entry array are sized by the horizon bound here, which a
-// state keeps until the next bind; each kind is one block for all
-// products.
+// row and memo (n epoch entries and the final one) are sized by the
+// horizon bound here, which a state keeps until the next bind; each kind
+// is one block for all products.
 func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.horizon = d.HorizonDays
 	st.products = d.ProductIDs()
@@ -290,9 +295,9 @@ func (st *EvalState) bind(d *dataset.Dataset, config Engine) {
 	st.prods = make([]productState, len(d.Products))
 	st.checkpoints = []*trust.Manager{trust.NewManager()}
 	n := epoch.Periods(d.HorizonDays)
-	rows, ents := make([]float64, len(d.Products)*n), make([]memoEntry, len(d.Products)*n)
+	rows, ents := make([]float64, len(d.Products)*n), make([]memoEntry, len(d.Products)*(n+1))
 	for i := range st.prods {
 		st.prods[i].published = rows[i*n : (i+1)*n : (i+1)*n]
-		st.prods[i].memo.epochs = ents[i*n : (i+1)*n : (i+1)*n]
+		st.prods[i].memo = ents[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
 	}
 }
